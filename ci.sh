@@ -10,6 +10,10 @@ cargo fmt --check
 
 echo "== build (release, locked, offline) =="
 cargo build --release --locked --offline --workspace
+# The end-to-end benchmark is a workspace of its own that builds against
+# the crates by path: building it here makes a public-API change that
+# breaks it fail CI instead of the next benchmark run.
+cargo build --release --locked --offline --manifest-path perfbench/Cargo.toml
 
 echo "== test (locked, offline) =="
 cargo test -q --locked --offline --workspace

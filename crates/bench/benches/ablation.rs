@@ -1,10 +1,9 @@
 //! Ablation benchmarks for the design choices called out in DESIGN.md:
 //!
-//! 1. the fail-first dynamic atom ordering in homomorphism search vs
-//!    static listing order;
-//! 2. iso-signature bucketing in isomorphism dedup vs pairwise checks;
-//! 3. the dense `Vec<Option<Value>>` binding slab in the backtracker's
-//!    bind/unbind/apply hot loop vs the tree-map it replaced.
+//! 1. homomorphism search (fail-first atom ordering, dense binding slab)
+//!    on an anchored null chain — the removed static-order and tree-map
+//!    alternatives are recorded in EXPERIMENTS.md "Ablations";
+//! 2. iso-signature bucketing in isomorphism dedup vs pairwise checks.
 //!
 //! `cargo bench -p dex-bench --bench ablation`; set `DEX_BENCH_SMOKE=1`
 //! for a tiny-size smoke run (any panic exits nonzero).
@@ -13,7 +12,7 @@ use dex_core::{isomorphic, Atom, HomFinder, Instance, IsoDeduper, Value};
 use dex_testkit::bench::{sizes, Harness};
 
 /// A hom-search instance where ordering matters: a long null chain whose
-/// *last* atom is the constrained one (static order explores blindly).
+/// *last* atom is the constrained one.
 fn chain_with_anchor(n: usize) -> (Instance, Instance) {
     let mut from = Instance::new();
     for i in 0..n {
@@ -43,9 +42,6 @@ fn bench_hom_ordering(h: &mut Harness) {
         let (from, to) = chain_with_anchor(n);
         h.bench(&format!("hom_ordering/fail_first/{n}"), || {
             assert!(HomFinder::new(&from, &to).find().is_some());
-        });
-        h.bench(&format!("hom_ordering/static_order/{n}"), || {
-            assert!(HomFinder::new(&from, &to).static_order().find().is_some());
         });
     }
 }
@@ -92,25 +88,9 @@ fn bench_iso_dedup(h: &mut Harness) {
     }
 }
 
-fn bench_hom_bindings(h: &mut Harness) {
-    // Same chain-with-anchor family as the ordering ablation: the search
-    // does many bind/unbind/apply operations per solution, so the slab
-    // representation is what this measures.
-    for n in sizes(&[6, 8, 10], &[4]) {
-        let (from, to) = chain_with_anchor(n);
-        h.bench(&format!("hom_bindings/dense_slab/{n}"), || {
-            assert!(HomFinder::new(&from, &to).find().is_some());
-        });
-        h.bench(&format!("hom_bindings/tree_map/{n}"), || {
-            assert!(HomFinder::new(&from, &to).tree_bindings().find().is_some());
-        });
-    }
-}
-
 fn main() {
     let mut h = Harness::new("ablation");
     bench_hom_ordering(&mut h);
     bench_iso_dedup(&mut h);
-    bench_hom_bindings(&mut h);
     h.finish();
 }

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use dex_chase::{ChaseBudget, ChaseEngine};
-use dex_core::{Instance, Pool};
+use dex_core::{Governor, Instance, Pool};
 use dex_datagen::example_2_1_scaled;
 use dex_logic::{parse_instance, parse_query, parse_setting, Query, Setting};
 use dex_obs::{Collector, JsonValue, JsonlWriter, NullCollector, RingRecorder, Tracer};
@@ -96,19 +96,19 @@ fn bench_query(h: &mut Harness) -> Vec<u128> {
     let (setting, t, q, pool) = query_workload();
     let limits = ModalLimits::default();
     let exec = Pool::seq();
-    let baseline =
-        certain_answers_propagated(&setting, &q, &t, &pool, &limits, &exec, &Tracer::off())
+    let box_q = |tracer: &Tracer| {
+        let gov = Governor::unlimited().with_tracer(tracer.clone());
+        certain_answers_propagated(&setting, &q, &t, &pool, &limits, &gov, &exec)
             .unwrap()
-            .0;
+            .0
+    };
+    let baseline = box_q(&Tracer::off());
     COLLECTORS
         .iter()
         .map(|which| {
             let tracer = tracer_for(which);
             h.bench(&format!("propagate/{which}"), || {
-                let (ans, _) =
-                    certain_answers_propagated(&setting, &q, &t, &pool, &limits, &exec, &tracer)
-                        .unwrap();
-                assert_eq!(ans, baseline, "tracing changed the answers");
+                assert_eq!(box_q(&tracer), baseline, "tracing changed the answers");
             });
             h.results().last().unwrap().median_ns()
         })

@@ -3,11 +3,9 @@
 //! computation, and certain-answer evaluation — measured at 1/2/4/8
 //! threads on the same inputs, with the byte-identical-output contract
 //! asserted on every measured configuration. Two additions probe the
-//! persistent-pool fix directly: a large-core workload
-//! (`redundant_null_instance`) sized past the sequential-fallback
-//! threshold so the pool genuinely engages, and a dispatch ablation
-//! comparing the parked persistent pool against the per-call scoped
-//! spawn it replaced.
+//! retract loop and the persistent pool directly: a large-core workload
+//! (`redundant_null_instance`, 544 atoms in single-atom components), and
+//! the dispatch cost of a fixed job through the parked pool.
 //!
 //! `cargo bench -p dex-bench --bench par`; set `DEX_BENCH_SMOKE=1` for a
 //! tiny-size smoke run (any panic exits nonzero). Every run dumps
@@ -15,17 +13,17 @@
 //! when set (ci.sh routes smoke dumps to `target/bench-smoke` so the
 //! committed baseline stays clean). The dump records the machine's CPU
 //! count, per-bench medians, a `scaling` table of
-//! median/speedup-vs-1-thread per workload × thread count, and the
-//! dispatch ablation. The ≥2× speedup gate at 4 threads (on the
+//! median/speedup-vs-1-thread per workload × thread count. The ≥2× speedup gate at 4 threads (on the
 //! large-core workload) only fires on machines that report ≥4 CPUs and
 //! not in smoke mode, whose inputs are too small to amortize fan-out.
 
 use dex_chase::{canonical_universal_solution, ChaseBudget};
-use dex_core::{core_parallel, Instance, Pool};
+use dex_core::govern::Governor;
+use dex_core::{core, core_parallel_governed, Instance, Pool};
 use dex_cwa::{enumerate_cwa_solutions_opts, EnumLimits, EnumOpts};
 use dex_logic::{parse_instance, parse_query, parse_setting};
 use dex_obs::JsonValue;
-use dex_query::{answer_pool, certain_answers_par, ModalLimits};
+use dex_query::{answer_pool, certain_answers, Answers, ModalLimits};
 use dex_testkit::bench::{smoke, Harness, Measurement};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -98,11 +96,11 @@ fn bench_core(h: &mut Harness, rows: &mut Vec<ScalingRow>) {
     let n = if smoke() { 4 } else { 16 };
     let s = dex_datagen::example_2_1_scaled(n);
     let canon = canonical_universal_solution(&setting, &s, &ChaseBudget::default()).unwrap();
-    let baseline = core_parallel(&canon, &Pool::seq());
+    let baseline = core(&canon);
     for t in THREADS {
         let pool = Pool::new(t);
         h.bench(&format!("core_of_canonical/threads/{t}"), || {
-            let c = core_parallel(&canon, &pool);
+            let c = core_parallel_governed(&canon, &Governor::unlimited(), &pool).instance;
             assert_eq!(c, baseline, "core differs at {t} threads");
         });
         rows.push(ScalingRow {
@@ -128,15 +126,25 @@ fn bench_certain_answers(h: &mut Harness, rows: &mut Vec<ScalingRow>) {
     let q = parse_query("Q(x) :- F(a,x)").unwrap();
     let pool = answer_pool(&t_inst, &q, []);
     let limits = ModalLimits::default();
-    let baseline = certain_answers_par(&setting, &q, &t_inst, &pool, &limits, &Pool::seq())
+    let box_q = |exec: &Pool| -> Answers {
+        certain_answers(
+            &setting,
+            &q,
+            &t_inst,
+            &pool,
+            &limits,
+            &Governor::unlimited(),
+            exec,
+        )
         .unwrap()
-        .unwrap();
+        .unwrap()
+        .proven
+    };
+    let baseline = box_q(&Pool::seq());
     for t in THREADS {
         let exec = Pool::new(t);
         h.bench(&format!("certain_answers/threads/{t}"), || {
-            let ans = certain_answers_par(&setting, &q, &t_inst, &pool, &limits, &exec)
-                .unwrap()
-                .unwrap();
+            let ans = box_q(&exec);
             assert_eq!(ans, baseline, "certain answers differ at {t} threads");
         });
         rows.push(ScalingRow {
@@ -147,19 +155,20 @@ fn bench_certain_answers(h: &mut Harness, rows: &mut Vec<ScalingRow>) {
     }
 }
 
-/// Large-core workload: the `redundant_null_instance` family at a size
-/// whose per-step candidate scan clears the sequential-fallback
-/// threshold, so the persistent pool genuinely engages (the paper-sized
-/// workloads above stay inline by design — that is the fix under test).
+/// Large-core workload: the `redundant_null_instance` family, 544 atoms
+/// at full size. Its null components are single atoms, and the retract
+/// step fans out only the candidates inside one component, so this row
+/// runs inline at every width: it measures the sequential retract loop
+/// at scale, and the 4-thread speedup gate below cannot pass on it.
 fn bench_core_large(h: &mut Harness, rows: &mut Vec<ScalingRow>) {
     let (blocks, width) = if smoke() { (4, 2) } else { (32, 16) };
     let inst = dex_datagen::redundant_null_instance(blocks, width);
-    let baseline = core_parallel(&inst, &Pool::seq());
+    let baseline = core(&inst);
     assert_eq!(baseline.len(), blocks, "core must be exactly the hubs");
     for t in THREADS {
         let pool = Pool::new(t);
         h.bench(&format!("core_of_large/threads/{t}"), || {
-            let c = core_parallel(&inst, &pool);
+            let c = core_parallel_governed(&inst, &Governor::unlimited(), &pool).instance;
             assert_eq!(c, baseline, "large core differs at {t} threads");
         });
         rows.push(ScalingRow {
@@ -170,13 +179,11 @@ fn bench_core_large(h: &mut Harness, rows: &mut Vec<ScalingRow>) {
     }
 }
 
-/// Pool-reuse ablation: the same fixed map job dispatched through the
-/// persistent parked pool (threshold forced to zero so it cannot fall
-/// back inline) versus the per-call scoped spawn it replaced. The gap
-/// between these two rows is the per-call thread-spawn overhead that
-/// made paper-sized parallel runs slower than sequential before this
-/// fix. Returns `(persistent_ns, scoped_ns)` medians for the dump.
-fn bench_dispatch_ablation(h: &mut Harness) -> (u128, u128) {
+/// Dispatch cost: a fixed 64-item map job pushed through the persistent
+/// parked pool (threshold forced to zero so it cannot fall back inline).
+/// This is the number the sequential-fallback threshold is calibrated
+/// against.
+fn bench_dispatch(h: &mut Harness) {
     let items: Vec<u64> = (0..64).collect();
     let work = |i: usize, x: u64| -> u64 {
         // A couple of µs of deterministic integer churn per item.
@@ -192,13 +199,6 @@ fn bench_dispatch_ablation(h: &mut Harness) -> (u128, u128) {
         let got = pool.map(&items, dex_core::Cost::Light, |i, &x| work(i, x));
         assert_eq!(got, want);
     });
-    let persistent_ns = h.results().last().unwrap().median_ns();
-    h.bench("dispatch/per_call_scope", || {
-        let got = dex_core::scoped_map_for_ablation(2, &items, |i, &x| work(i, x));
-        assert_eq!(got, want);
-    });
-    let scoped_ns = h.results().last().unwrap().median_ns();
-    (persistent_ns, scoped_ns)
 }
 
 fn measurement_json(m: &Measurement) -> JsonValue {
@@ -212,13 +212,7 @@ fn measurement_json(m: &Measurement) -> JsonValue {
         .with("runs", JsonValue::uint(m.samples_ns.len() as u64))
 }
 
-fn dump_json(
-    measurements: &[Measurement],
-    rows: &[ScalingRow],
-    cpus: usize,
-    gate_armed: bool,
-    ablation: (u128, u128),
-) {
+fn dump_json(measurements: &[Measurement], rows: &[ScalingRow], cpus: usize, gate_armed: bool) {
     let base = |workload: &str| {
         rows.iter()
             .find(|r| r.workload == workload && r.threads == 1)
@@ -250,16 +244,6 @@ fn dump_json(
                     })
                     .collect(),
             ),
-        )
-        .with(
-            "dispatch_ablation",
-            JsonValue::obj()
-                .with("persistent_pool_ns", JsonValue::UInt(ablation.0))
-                .with("per_call_scope_ns", JsonValue::UInt(ablation.1))
-                .with(
-                    "reuse_speedup",
-                    JsonValue::Float(ablation.1 as f64 / ablation.0.max(1) as f64),
-                ),
         );
     let out = doc.pretty() + "\n";
     dex_obs::parse(&out).expect("BENCH_par.json must be valid JSON");
@@ -279,7 +263,7 @@ fn main() {
     bench_core(&mut h, &mut rows);
     bench_certain_answers(&mut h, &mut rows);
     bench_core_large(&mut h, &mut rows);
-    let ablation = bench_dispatch_ablation(&mut h);
+    bench_dispatch(&mut h);
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     // The acceptance gate: ≥2× at 4 threads on the large-core workload
     // (the one sized past the fallback threshold) — only meaningful with
@@ -308,6 +292,6 @@ fn main() {
             smoke()
         );
     }
-    dump_json(h.results(), &rows, cpus, gate_armed, ablation);
+    dump_json(h.results(), &rows, cpus, gate_armed);
     h.finish();
 }

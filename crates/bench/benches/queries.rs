@@ -11,10 +11,10 @@
 //! (oracle vs residual valuation counts), and the propagation-vs-oracle
 //! agreement checks, which are asserted on every run.
 
-use dex_core::Pool;
+use dex_core::{Governor, Pool};
 use dex_datagen::random_3cnf;
 use dex_logic::{parse_instance, parse_query};
-use dex_obs::{JsonValue, Tracer};
+use dex_obs::JsonValue;
 use dex_query::{
     answer_pool, answers, certain_answers, certain_answers_propagated, maybe_answers,
     maybe_answers_propagated, ModalLimits, PropagationReport, Semantics,
@@ -25,8 +25,8 @@ use dex_reductions::{
 };
 use dex_testkit::bench::{sizes, smoke, Harness, Measurement};
 
-fn tr() -> Tracer {
-    Tracer::off()
+fn gov() -> Governor {
+    Governor::unlimited()
 }
 
 fn bench_ucq_certain_pathsys(h: &mut Harness) {
@@ -126,22 +126,22 @@ fn bench_propagation_vs_oracle(h: &mut Harness, rows: &mut Vec<PropRow>) {
     let t = dex_datagen::keyed_pinned_instance(2, 1);
     for (q, tag) in [(&q_f, "F"), (&q_g, "G")] {
         let pool = answer_pool(&t, q, []);
-        let oracle_box = certain_answers(&setting, q, &t, &pool, &limits).unwrap();
-        let oracle_dia = maybe_answers(&setting, q, &t, &pool, &limits).unwrap();
+        let oracle_box = certain_answers(&setting, q, &t, &pool, &limits, &gov(), &exec).unwrap();
+        let oracle_dia = maybe_answers(&setting, q, &t, &pool, &limits, &gov(), &exec).unwrap();
         h.bench(&format!("oracle_certain/{tag}/2p1f"), || {
-            let got = certain_answers(&setting, q, &t, &pool, &limits).unwrap();
+            let got = certain_answers(&setting, q, &t, &pool, &limits, &gov(), &exec).unwrap();
             assert_eq!(got, oracle_box);
         });
         let oracle_median_ns = h.results().last().unwrap().median_ns();
         let mut report = PropagationReport::default();
         h.bench(&format!("propagate_certain/{tag}/2p1f"), || {
             let (got, r) =
-                certain_answers_propagated(&setting, q, &t, &pool, &limits, &exec, &tr()).unwrap();
+                certain_answers_propagated(&setting, q, &t, &pool, &limits, &gov(), &exec).unwrap();
             assert_eq!(got, oracle_box, "propagation disagrees with the oracle");
             report = r;
         });
         let (dia, _) =
-            maybe_answers_propagated(&setting, q, &t, &pool, &limits, &exec, &tr()).unwrap();
+            maybe_answers_propagated(&setting, q, &t, &pool, &limits, &gov(), &exec).unwrap();
         assert_eq!(dia, oracle_dia, "◇ propagation disagrees with the oracle");
         rows.push(PropRow {
             name: format!("propagate_certain/{tag}/2p1f"),
@@ -159,15 +159,15 @@ fn bench_propagation_vs_oracle(h: &mut Harness, rows: &mut Vec<PropRow>) {
     for (q, tag) in [(&q_f, "F"), (&q_g, "G")] {
         let pool = answer_pool(&t, q, []);
         assert!(
-            certain_answers(&setting, q, &t, &pool, &limits).is_err(),
+            certain_answers(&setting, q, &t, &pool, &limits, &gov(), &exec).is_err(),
             "the oracle should be out of reach at {pinned}+{free} nulls"
         );
         let mut report = PropagationReport::default();
         h.bench(&format!("propagate_certain/{tag}/{pinned}p{free}f"), || {
             let (got, r) =
-                certain_answers_propagated(&setting, q, &t, &pool, &limits, &exec, &tr()).unwrap();
+                certain_answers_propagated(&setting, q, &t, &pool, &limits, &gov(), &exec).unwrap();
             let got = got.expect("Rep is nonempty");
-            assert_eq!(got.len(), if tag == "F" { pinned } else { 0 });
+            assert_eq!(got.proven.len(), if tag == "F" { pinned } else { 0 });
             report = r;
         });
         let median_ns = h.results().last().unwrap().median_ns();
@@ -219,12 +219,12 @@ fn assert_example_2_1_agreement() {
         let q = parse_query(qt).unwrap();
         let pool = answer_pool(&t, &q, []);
         let (pb, _) =
-            certain_answers_propagated(&setting, &q, &t, &pool, &limits, &exec, &tr()).unwrap();
-        let ob = certain_answers(&setting, &q, &t, &pool, &limits).unwrap();
+            certain_answers_propagated(&setting, &q, &t, &pool, &limits, &gov(), &exec).unwrap();
+        let ob = certain_answers(&setting, &q, &t, &pool, &limits, &gov(), &exec).unwrap();
         assert_eq!(pb, ob, "□ disagreement on example 2.1 for {qt}");
         let (pd, _) =
-            maybe_answers_propagated(&setting, &q, &t, &pool, &limits, &exec, &tr()).unwrap();
-        let od = maybe_answers(&setting, &q, &t, &pool, &limits).unwrap();
+            maybe_answers_propagated(&setting, &q, &t, &pool, &limits, &gov(), &exec).unwrap();
+        let od = maybe_answers(&setting, &q, &t, &pool, &limits, &gov(), &exec).unwrap();
         assert_eq!(pd, od, "◇ disagreement on example 2.1 for {qt}");
     }
 }

@@ -21,12 +21,14 @@ use std::time::{Duration, Instant};
 
 use dex_chase::ChaseBudget;
 use dex_core::govern::{Governor, InterruptReason};
-use dex_core::{core_governed, hom_equivalent, is_core, Atom, HomFinder, Instance, Value};
+use dex_core::{
+    core_parallel_governed, hom_equivalent, is_core, Atom, GovernedCore, HomFinder, Instance, Pool,
+    Value,
+};
 use dex_cwa::{is_cwa_presolution, is_cwa_presolution_governed, SearchLimits};
 use dex_logic::{parse_instance, parse_setting, Setting};
 use dex_query::{
-    answer_pool, certain_answers_governed, AnswerConfig, AnswerEngine, ModalLimits, Semantics,
-    Verdict,
+    answer_pool, certain_answers, AnswerConfig, AnswerEngine, ModalLimits, Semantics, Verdict,
 };
 use dex_reductions::halting::forever_right;
 use dex_reductions::{cnf_to_source, probe_halting, sat_setting, unsat_query, Cnf, HaltProbe};
@@ -46,6 +48,11 @@ fn reason_for(idx: u8) -> InterruptReason {
 
 fn fault_gov(plan: &FaultPlan) -> Governor {
     Governor::unlimited().with_fault(plan.trip_at, reason_for(plan.reason_idx))
+}
+
+/// The sequential governed core.
+fn seq_core(inst: &Instance, gov: &Governor) -> GovernedCore {
+    core_parallel_governed(inst, gov, &Pool::seq())
 }
 
 fn example_2_1() -> Setting {
@@ -104,7 +111,7 @@ fn interrupted_core_is_still_a_retract() {
     let inst = redundant_instance(10);
     for seed in FaultPlan::sweep(SEED_BASE, SEED_COUNT) {
         let plan = FaultPlan::from_seed(seed, 512);
-        let g = core_governed(&inst, &fault_gov(&plan));
+        let g = seq_core(&inst, &fault_gov(&plan));
         assert!(
             g.instance.is_subinstance_of(&inst),
             "seed {seed}: core left the instance"
@@ -181,7 +188,7 @@ fn fifty_ms_deadline_yields_clean_interrupts() {
     );
 
     // Core under deadline: clean either way (minimal or tagged).
-    let g = core_governed(
+    let g = seq_core(
         &redundant_instance(24),
         &Governor::unlimited().with_deadline(deadline),
     );
@@ -212,7 +219,7 @@ fn fifty_ms_deadline_yields_clean_interrupts() {
     };
     let gov = Governor::unlimited().with_deadline(deadline);
     let start = Instant::now();
-    let g = certain_answers_governed(&d, &q, can, &pool, &limits, &gov)
+    let g = certain_answers(&d, &q, can, &pool, &limits, &gov, &Pool::seq())
         .unwrap()
         .expect("Rep is never empty here");
     assert!(
@@ -236,7 +243,7 @@ fn one_tick_fuel_trips_every_governed_api_cleanly() {
     let to = parse_instance("E(a,a).").unwrap();
     assert!(HomFinder::new(&inst, &to).find_governed(&fuel1()).is_err());
 
-    let g = core_governed(&inst, &fuel1());
+    let g = seq_core(&inst, &fuel1());
     assert!(!g.is_minimal());
     assert!(hom_equivalent(&g.instance, &inst));
 

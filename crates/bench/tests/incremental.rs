@@ -15,7 +15,8 @@
 //! at pool widths {1, 2, 8}.
 
 use dex_chase::{ChaseBudget, ChaseEngine, ChaseSuccess};
-use dex_core::{core_parallel, isomorphic, Instance, Pool, SourceDelta};
+use dex_core::govern::Governor;
+use dex_core::{core_parallel_governed, isomorphic, Instance, Pool, SourceDelta};
 use dex_datagen::{
     layered_setting, mapping_scenario, random_source, update_stream, LayeredConfig, ScenarioConfig,
     SourceConfig, UpdateStreamConfig,
@@ -126,9 +127,10 @@ fn resume_is_deterministic_and_width_invariant_downstream() {
         );
         assert_eq!(once.steps, twice.steps);
         let rechased = engine.run(&delta.applied(&source)).unwrap();
-        let reference = core_parallel(&rechased.target, &pools[0]);
+        let reference =
+            core_parallel_governed(&rechased.target, &Governor::unlimited(), &pools[0]).instance;
         for pool in &pools {
-            let c = core_parallel(&once.target, pool);
+            let c = core_parallel_governed(&once.target, &Governor::unlimited(), pool).instance;
             assert!(
                 isomorphic(&c, &reference),
                 "seed {seed}: core of resumed target diverged at width {}",

@@ -13,19 +13,13 @@
 
 use dex_chase::{canonical_universal_solution, ChaseBudget};
 use dex_core::govern::{Governor, InterruptReason};
-use dex_core::{
-    core, core_parallel, core_parallel_governed, hom_equivalent, Atom, HomFinder, Instance, Pool,
-    Value,
-};
+use dex_core::{core, core_parallel_governed, hom_equivalent, Atom, Instance, Pool, Value};
 use dex_cwa::{
     enumerate_cwa_presolutions_opts, enumerate_cwa_solutions_opts, EnumLimits, EnumOpts,
 };
 use dex_datagen::{mapping_scenario, random_source, ScenarioConfig, SourceConfig};
 use dex_logic::{parse_query, parse_setting, Setting};
-use dex_query::{
-    answer_pool, certain_answers, certain_answers_governed_par, certain_answers_par, maybe_answers,
-    maybe_answers_governed_par, maybe_answers_par, ModalLimits,
-};
+use dex_query::{answer_pool, certain_answers, maybe_answers, Answers, ModalLimits};
 use dex_testkit::rng::TestRng;
 use dex_testkit::FaultPlan;
 
@@ -159,29 +153,21 @@ fn redundant_instance(seed: u64) -> Instance {
     Instance::from_atoms(atoms)
 }
 
-/// Core and homomorphism search: identical instance / equal success at
-/// every thread count; faulted governed runs keep the retract invariant
-/// and surface the plan's interrupt reason.
+/// Core retraction: identical instance at every thread count; faulted
+/// governed runs keep the retract invariant and surface the plan's
+/// interrupt reason.
 #[test]
-fn parallel_core_and_hom_match_sequential_per_seed() {
+fn parallel_core_matches_sequential_per_seed() {
     for seed in FaultPlan::sweep(SEED_BASE, SEED_COUNT) {
         let inst = redundant_instance(seed);
         let core_ref = core(&inst);
-        let to = redundant_instance(seed.wrapping_add(1));
-        let hom_ref = HomFinder::new(&inst, &to).find().is_some();
         let plan = FaultPlan::from_seed(seed, 256);
         let seq_core = core_parallel_governed(&inst, &fault_gov(&plan), &Pool::new(1));
         for pool in pools() {
             assert_eq!(
-                core_parallel(&inst, &pool),
+                core_parallel_governed(&inst, &Governor::unlimited(), &pool).instance,
                 core_ref,
                 "seed {seed}: core differs at {} threads",
-                pool.threads()
-            );
-            assert_eq!(
-                HomFinder::new(&inst, &to).find_parallel(&pool).is_some(),
-                hom_ref,
-                "seed {seed}: hom existence differs at {} threads",
                 pool.threads()
             );
             // Faulted governed run: the partial result must still be a
@@ -257,31 +243,38 @@ fn modal_workload(seed: u64) -> (Setting, Instance) {
 fn parallel_modal_answers_match_sequential_per_seed() {
     let q = parse_query("Q(x) :- F(a,x)").unwrap();
     let limits = ModalLimits::default();
+    let proven = |g: dex_query::GovernedAnswers| -> Answers {
+        assert!(g.is_complete());
+        g.proven
+    };
     for seed in FaultPlan::sweep(SEED_BASE, SEED_COUNT) {
         let (d, t) = modal_workload(seed);
         let pool = answer_pool(&t, &q, []);
-        let certain_ref = certain_answers(&d, &q, &t, &pool, &limits).unwrap();
-        let maybe_ref = maybe_answers(&d, &q, &t, &pool, &limits).unwrap();
+        let unlimited = Governor::unlimited();
+        let seq = Pool::seq();
+        let certain_ref = certain_answers(&d, &q, &t, &pool, &limits, &unlimited, &seq)
+            .unwrap()
+            .map(proven);
+        let maybe_ref =
+            proven(maybe_answers(&d, &q, &t, &pool, &limits, &unlimited, &seq).unwrap());
         let plan = FaultPlan::from_seed(seed, 128);
         for exec in pools() {
-            let certain = certain_answers_par(&d, &q, &t, &pool, &limits, &exec).unwrap();
+            let certain = certain_answers(&d, &q, &t, &pool, &limits, &unlimited, &exec).unwrap();
             assert_eq!(
-                certain,
+                certain.map(proven),
                 certain_ref,
                 "seed {seed}: □ differs at {} threads",
                 exec.threads()
             );
-            let maybe = maybe_answers_par(&d, &q, &t, &pool, &limits, &exec).unwrap();
+            let maybe = maybe_answers(&d, &q, &t, &pool, &limits, &unlimited, &exec).unwrap();
             assert_eq!(
-                maybe,
+                proven(maybe),
                 maybe_ref,
                 "seed {seed}: ◇ differs at {} threads",
                 exec.threads()
             );
             // Faulted governed run.
-            let g =
-                certain_answers_governed_par(&d, &q, &t, &pool, &limits, &fault_gov(&plan), &exec)
-                    .unwrap();
+            let g = certain_answers(&d, &q, &t, &pool, &limits, &fault_gov(&plan), &exec).unwrap();
             if let (Some(g), Some(truth)) = (&g, &certain_ref) {
                 g.validate()
                     .unwrap_or_else(|e| panic!("seed {seed} ({} threads): {e}", exec.threads()));
@@ -295,9 +288,7 @@ fn parallel_modal_answers_match_sequential_per_seed() {
                     assert_eq!(i.reason, reason_for(plan.reason_idx), "seed {seed}");
                 }
             }
-            let g =
-                maybe_answers_governed_par(&d, &q, &t, &pool, &limits, &fault_gov(&plan), &exec)
-                    .unwrap();
+            let g = maybe_answers(&d, &q, &t, &pool, &limits, &fault_gov(&plan), &exec).unwrap();
             g.validate()
                 .unwrap_or_else(|e| panic!("seed {seed} ({} threads): {e}", exec.threads()));
             for tuple in &g.proven {
@@ -333,5 +324,8 @@ fn env_configured_pool_matches_sequential() {
     stats.validate().unwrap();
 
     let canon = canonical_universal_solution(&d, &s, &ChaseBudget::default()).unwrap();
-    assert_eq!(core_parallel(&canon, &exec), core(&canon));
+    assert_eq!(
+        core_parallel_governed(&canon, &Governor::unlimited(), &exec).instance,
+        core(&canon)
+    );
 }

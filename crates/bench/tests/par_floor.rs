@@ -11,7 +11,10 @@
 //! perturbed by the threshold-zero differential suite in `tests/par.rs`.
 
 use dex_chase::{canonical_universal_solution, ChaseBudget};
-use dex_core::{core, core_parallel, par_jobs_dispatched, par_workers_spawned, Instance, Pool};
+use dex_core::govern::Governor;
+use dex_core::{
+    core, core_parallel_governed, par_jobs_dispatched, par_workers_spawned, Instance, Pool,
+};
 use dex_logic::{parse_setting, Setting};
 use std::time::Instant;
 
@@ -47,7 +50,7 @@ fn paper_sized_core_runs_inline() {
     let pool = Pool::new(8);
     let jobs_before = par_jobs_dispatched();
     let spawned_before = par_workers_spawned();
-    let c = core_parallel(&canon, &pool);
+    let c = core_parallel_governed(&canon, &Governor::unlimited(), &pool).instance;
     assert_eq!(c, core(&canon));
     assert_eq!(
         par_jobs_dispatched(),
@@ -84,7 +87,11 @@ fn paper_sized_parallel_core_within_noise_of_sequential() {
         std::hint::black_box(core(&canon));
     });
     let par_ns = median_of(&mut || {
-        std::hint::black_box(core_parallel(&canon, &pool));
+        std::hint::black_box(core_parallel_governed(
+            &canon,
+            &Governor::unlimited(),
+            &pool,
+        ));
     });
     assert!(
         par_ns <= seq_ns * 3 + 50_000,

@@ -16,9 +16,8 @@
 use dex_core::{Atom, Governor, Instance, Pool, Value};
 use dex_logic::{parse_query, parse_setting, Setting};
 use dex_query::{
-    answer_pool, certain_answers, certain_answers_propagated, certain_answers_propagated_governed,
-    maybe_answers, maybe_answers_propagated, maybe_answers_propagated_governed, Answers,
-    ModalLimits,
+    answer_pool, certain_answers, certain_answers_propagated, maybe_answers,
+    maybe_answers_propagated, Answers, ModalLimits,
 };
 use dex_testkit::rng::TestRng;
 
@@ -90,9 +89,10 @@ fn exact_pair(
     pool: &[dex_core::Symbol],
     limits: &ModalLimits,
 ) -> (Option<Answers>, Answers) {
-    let b = certain_answers(d, q, t, pool, limits).expect("oracle □ must complete");
-    let m = maybe_answers(d, q, t, pool, limits).expect("oracle ◇ must complete");
-    (b, m)
+    let (gov, exec) = (Governor::unlimited(), Pool::seq());
+    let b = certain_answers(d, q, t, pool, limits, &gov, &exec).expect("oracle □ must complete");
+    let m = maybe_answers(d, q, t, pool, limits, &gov, &exec).expect("oracle ◇ must complete");
+    (b.map(|g| g.proven), m.proven)
 }
 
 #[test]
@@ -115,34 +115,19 @@ fn propagation_matches_oracle_across_64_seeds() {
             let pool = answer_pool(&t, &q, []);
             let (oracle_box, oracle_dia) = exact_pair(&d, &q, &t, &pool, &limits);
             for exec in &execs {
-                let (pb, _) = certain_answers_propagated(
-                    &d,
-                    &q,
-                    &t,
-                    &pool,
-                    &limits,
-                    exec,
-                    &dex_obs::Tracer::off(),
-                )
-                .expect("propagated □");
+                let gov = Governor::unlimited();
+                let (pb, _) = certain_answers_propagated(&d, &q, &t, &pool, &limits, &gov, exec)
+                    .expect("propagated □");
                 assert_eq!(
-                    pb,
+                    pb.map(|g| g.proven),
                     oracle_box,
                     "□ mismatch: seed {seed}, query {qt}, threads {}",
                     exec.effective_threads()
                 );
-                let (pd, _) = maybe_answers_propagated(
-                    &d,
-                    &q,
-                    &t,
-                    &pool,
-                    &limits,
-                    exec,
-                    &dex_obs::Tracer::off(),
-                )
-                .expect("propagated ◇");
+                let (pd, _) = maybe_answers_propagated(&d, &q, &t, &pool, &limits, &gov, exec)
+                    .expect("propagated ◇");
                 assert_eq!(
-                    pd,
+                    pd.proven,
                     oracle_dia,
                     "◇ mismatch: seed {seed}, query {qt}, threads {}",
                     exec.effective_threads()
@@ -153,17 +138,9 @@ fn propagation_matches_oracle_across_64_seeds() {
             for fuel in [1u64, 5, 23, u64::MAX] {
                 for exec in &execs {
                     let gov = Governor::unlimited().with_fuel(fuel);
-                    let (gb, _) = certain_answers_propagated_governed(
-                        &d,
-                        &q,
-                        &t,
-                        &pool,
-                        &limits,
-                        &gov,
-                        exec,
-                        &dex_obs::Tracer::off(),
-                    )
-                    .expect("governed □");
+                    let (gb, _) =
+                        certain_answers_propagated(&d, &q, &t, &pool, &limits, &gov, exec)
+                            .expect("governed □");
                     match (&gb, &oracle_box) {
                         (None, None) => {}
                         (Some(g), None) => {
@@ -200,17 +177,8 @@ fn propagation_matches_oracle_across_64_seeds() {
                         }
                     }
                     let gov = Governor::unlimited().with_fuel(fuel);
-                    let (gd, _) = maybe_answers_propagated_governed(
-                        &d,
-                        &q,
-                        &t,
-                        &pool,
-                        &limits,
-                        &gov,
-                        exec,
-                        &dex_obs::Tracer::off(),
-                    )
-                    .expect("governed ◇");
+                    let (gd, _) = maybe_answers_propagated(&d, &q, &t, &pool, &limits, &gov, exec)
+                        .expect("governed ◇");
                     gd.validate().unwrap();
                     assert!(
                         gd.lower_bound().is_subset(&oracle_dia),

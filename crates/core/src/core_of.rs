@@ -93,64 +93,10 @@ fn atom_components(inst: &Instance) -> Vec<Vec<Atom>> {
     comps
 }
 
-/// One retract step: tries to find an atom `A` and a homomorphism
-/// `inst → inst∖{A}` that is the identity outside `A`'s component.
-/// Returns the (strictly smaller) image instance if found.
-fn retract_step(inst: &Instance) -> Option<Instance> {
-    for comp in atom_components(inst) {
-        let comp_inst = Instance::from_atoms(comp.iter().cloned());
-        for atom in &comp {
-            if let Some(h) = HomFinder::new(&comp_inst, inst).forbid_atom(atom).find() {
-                debug_assert!(!h.is_identity() || comp.len() > 1);
-                // Build the image: remap the component, keep the rest.
-                let mut out = Instance::new();
-                for a in inst.atoms() {
-                    if comp_inst.contains(&a) {
-                        out.insert(h.apply_atom(&a));
-                    } else {
-                        out.insert(a);
-                    }
-                }
-                debug_assert!(out.len() < inst.len());
-                debug_assert!(out.is_subinstance_of(inst));
-                return Some(out);
-            }
-        }
-    }
-    None
-}
-
-/// Computes the core of `inst`.
-pub fn core(inst: &Instance) -> Instance {
-    let mut t = inst.clone();
-    while let Some(smaller) = retract_step(&t) {
-        t = smaller;
-    }
-    t
-}
-
-/// The flattened retract candidates of `inst`, in the exact order the
-/// sequential [`retract_step`] tries them: components in block order,
-/// atoms in component order. Shared by the parallel retract searches so
-/// the first-in-submission-order winner is the sequential winner.
-fn retract_candidates(inst: &Instance) -> (Vec<Instance>, Vec<(usize, Atom)>) {
-    let comps = atom_components(inst);
-    let comp_insts: Vec<Instance> = comps
-        .iter()
-        .map(|c| Instance::from_atoms(c.iter().cloned()))
-        .collect();
-    let candidates: Vec<(usize, Atom)> = comps
-        .iter()
-        .enumerate()
-        .flat_map(|(ci, c)| c.iter().map(move |a| (ci, a.clone())))
-        .collect();
-    (comp_insts, candidates)
-}
-
 /// Work-size hint for one retract candidate: a hom search local to a
 /// component but screening against the whole instance — grows with the
 /// instance, so paper-example-sized cores (µs of total work) stay
-/// inline while large instances fan out.
+/// inline while wide components of large instances fan out.
 fn retract_cost(inst: &Instance) -> Cost {
     Cost::EstimateNs(inst.len() as u64)
 }
@@ -166,35 +112,79 @@ fn apply_retract(inst: &Instance, comp_inst: &Instance, h: &Homomorphism) -> Ins
             out.insert(a);
         }
     }
+    debug_assert!(out.len() < inst.len());
+    debug_assert!(out.is_subinstance_of(inst));
     out
 }
 
-/// [`retract_step`] with the per-candidate hom searches fanned out on
-/// `pool`. Keeps the first-in-submission-order successful retract, so the
-/// step — and therefore the computed core — is identical to the
-/// sequential iteration for any thread count.
-fn retract_step_parallel(inst: &Instance, pool: &Pool) -> Option<Instance> {
-    let (comp_insts, candidates) = retract_candidates(inst);
-    let (idx, h) = pool.find_first(&candidates, retract_cost(inst), |_, (ci, atom)| {
-        HomFinder::new(&comp_insts[*ci], inst)
-            .forbid_atom(atom)
-            .find()
-    })?;
-    let (ci, _) = &candidates[idx];
-    let out = apply_retract(inst, &comp_insts[*ci], &h);
-    debug_assert!(out.len() < inst.len());
-    debug_assert!(out.is_subinstance_of(inst));
-    Some(out)
+/// The first retract of `inst` in candidate order — components in block
+/// order, atoms in component order — as the winning component plus a
+/// homomorphism `inst → inst∖{A}` that is the identity outside it, or the
+/// interrupt that stopped the search at that candidate.
+///
+/// Components are walked lazily: each component instance is built only
+/// when the walk reaches it, and the walk stops at the first component
+/// with a retract. Within a component the candidate atoms go through one
+/// [`Pool::find_first`], whose first-in-submission-order winner is the
+/// sequential winner, so the step is identical for any thread count.
+fn first_retract(
+    inst: &Instance,
+    gov: &Governor,
+    pool: &Pool,
+) -> Option<(Instance, Result<Homomorphism, Interrupt>)> {
+    atom_components(inst).into_iter().find_map(|comp| {
+        let comp_inst = Instance::from_atoms(comp.iter().cloned());
+        let (_, found) = pool.find_first(&comp, retract_cost(inst), |_, atom| {
+            HomFinder::new(&comp_inst, inst)
+                .forbid_atom(atom)
+                .find_governed(gov)
+                .transpose()
+        })?;
+        Some((comp_inst, found))
+    })
 }
 
-/// [`core`] with every retract step's candidate searches run on `pool`.
-/// Byte-identical to [`core`] for any thread count.
-pub fn core_parallel(inst: &Instance, pool: &Pool) -> Instance {
-    let mut t = inst.clone();
-    while let Some(smaller) = retract_step_parallel(&t, pool) {
-        t = smaller;
+/// One retract step: the strictly smaller image `h(inst)` of the first
+/// retract found, `Ok(None)` at a fixpoint (`inst` is a core), or `Err`
+/// when the governor interrupted the search before any retract of
+/// `inst` was found.
+fn retract_step(
+    inst: &Instance,
+    gov: &Governor,
+    pool: &Pool,
+) -> Result<Option<Instance>, Interrupt> {
+    // One span per retract step groups its candidate hom searches.
+    let sp = gov.tracer().span("retract_step", gov.clock().now_ns());
+    let found = first_retract(inst, gov, pool);
+    sp.close(gov.clock().now_ns());
+    let Some((comp_inst, h)) = found else {
+        return Ok(None);
+    };
+    let out = apply_retract(inst, &comp_inst, &h?);
+    let tracer = gov.tracer();
+    if tracer.enabled() {
+        tracer.emit(
+            gov.clock().now_ns(),
+            dex_obs::EventKind::RetractFound {
+                atoms_before: inst.len(),
+                atoms_after: out.len(),
+            },
+        );
     }
-    t
+    Ok(Some(out))
+}
+
+/// Computes the core of `inst`.
+pub fn core(inst: &Instance) -> Instance {
+    core_parallel_governed(inst, &Governor::unlimited(), &Pool::seq()).instance
+}
+
+/// True iff `inst` is its own core (no proper retract exists).
+pub fn is_core(inst: &Instance) -> bool {
+    matches!(
+        retract_step(inst, &Governor::unlimited(), &Pool::seq()),
+        Ok(None)
+    )
 }
 
 /// Whether a governed core computation ran to the fixpoint.
@@ -222,229 +212,28 @@ impl GovernedCore {
     }
 }
 
-/// Emits a `RetractFound` trace event through the governor's tracer.
-fn emit_retract(gov: &Governor, atoms_before: usize, atoms_after: usize) {
-    let tracer = gov.tracer();
-    if tracer.enabled() {
-        tracer.emit(
-            gov.clock().now_ns(),
-            dex_obs::EventKind::RetractFound {
-                atoms_before,
-                atoms_after,
-            },
-        );
-    }
-}
-
-/// `retract_step` under a governor: `Err` means the hom search was
-/// interrupted before any retract of the current instance was found.
-fn retract_step_governed(inst: &Instance, gov: &Governor) -> Result<Option<Instance>, Interrupt> {
-    // One span per retract step groups its candidate hom searches; the
-    // span leaks open if the governor interrupts mid-step (the analyzer
-    // treats that like a truncated trace).
-    let sp = gov.tracer().span("retract_step", gov.clock().now_ns());
-    for comp in atom_components(inst) {
-        let comp_inst = Instance::from_atoms(comp.iter().cloned());
-        for atom in &comp {
-            if let Some(h) = HomFinder::new(&comp_inst, inst)
-                .forbid_atom(atom)
-                .find_governed(gov)?
-            {
-                let mut out = Instance::new();
-                for a in inst.atoms() {
-                    if comp_inst.contains(&a) {
-                        out.insert(h.apply_atom(&a));
-                    } else {
-                        out.insert(a);
-                    }
-                }
-                emit_retract(gov, inst.len(), out.len());
-                sp.close(gov.clock().now_ns());
-                return Ok(Some(out));
-            }
-        }
-    }
-    sp.close(gov.clock().now_ns());
-    Ok(None)
-}
-
-/// [`retract_step_parallel`] under a shared [`Governor`]: every worker
-/// ticks the same budget. `Err` means the winning candidate — the
-/// first-in-submission-order one that returned anything — was interrupted
-/// before a retract of the current instance was found.
-fn retract_step_parallel_governed(
-    inst: &Instance,
-    gov: &Governor,
-    pool: &Pool,
-) -> Result<Option<Instance>, Interrupt> {
-    let (comp_insts, candidates) = retract_candidates(inst);
-    let sp = gov.tracer().span("retract_step", gov.clock().now_ns());
-    let winner =
-        pool.find_first(
-            &candidates,
-            retract_cost(inst),
-            |_, (ci, atom)| match HomFinder::new(&comp_insts[*ci], inst)
-                .forbid_atom(atom)
-                .find_governed(gov)
-            {
-                Ok(Some(h)) => Some(Ok(h)),
-                Ok(None) => None,
-                Err(i) => Some(Err(i)),
-            },
-        );
-    sp.close(gov.clock().now_ns());
-    match winner {
-        None => Ok(None),
-        Some((_, Err(i))) => Err(i),
-        Some((idx, Ok(h))) => {
-            let (ci, _) = &candidates[idx];
-            let out = apply_retract(inst, &comp_insts[*ci], &h);
-            emit_retract(gov, inst.len(), out.len());
-            Ok(Some(out))
-        }
-    }
-}
-
-/// [`core_governed`] with the candidate searches on `pool`, one governor
-/// budget shared by all workers via its atomic counters. Completed runs
-/// are byte-identical to the sequential core; interrupted runs degrade
-/// the same way [`core_governed`] does (best retract so far, tagged
-/// [`CoreStatus::MaybeNotMinimal`]).
+/// The core of `inst` under a [`Governor`], with the retract candidates
+/// of each null component searched on `pool` (one governor budget
+/// shared by all workers via its atomic counters). Completed runs are byte-identical
+/// for any thread count. Interruption degrades gracefully instead of
+/// erroring: each completed retract step strictly shrinks the instance
+/// and yields a hom-equivalent subinstance, so the best retract so far
+/// is returned, tagged [`CoreStatus::MaybeNotMinimal`].
 pub fn core_parallel_governed(inst: &Instance, gov: &Governor, pool: &Pool) -> GovernedCore {
     let mut t = inst.clone();
     loop {
-        match retract_step_parallel_governed(&t, gov, pool) {
-            Ok(Some(smaller)) => t = smaller,
-            Ok(None) => {
-                return GovernedCore {
-                    instance: t,
-                    status: CoreStatus::Minimal,
-                }
+        let status = match retract_step(&t, gov, pool) {
+            Ok(Some(smaller)) => {
+                t = smaller;
+                continue;
             }
-            Err(i) => {
-                return GovernedCore {
-                    instance: t,
-                    status: CoreStatus::MaybeNotMinimal(i),
-                }
-            }
-        }
-    }
-}
-
-/// [`core`] under a [`Governor`]: graceful degradation instead of an
-/// error. Each completed retract step strictly shrinks the instance and
-/// yields a hom-equivalent subinstance, so interruption at any point
-/// still returns a sound (if possibly non-minimal) result, tagged
-/// [`CoreStatus::MaybeNotMinimal`].
-pub fn core_governed(inst: &Instance, gov: &Governor) -> GovernedCore {
-    let mut t = inst.clone();
-    loop {
-        match retract_step_governed(&t, gov) {
-            Ok(Some(smaller)) => t = smaller,
-            Ok(None) => {
-                return GovernedCore {
-                    instance: t,
-                    status: CoreStatus::Minimal,
-                }
-            }
-            Err(i) => {
-                return GovernedCore {
-                    instance: t,
-                    status: CoreStatus::MaybeNotMinimal(i),
-                }
-            }
-        }
-    }
-}
-
-/// [`core_with_hom`] under a [`Governor`]: like [`core_governed`], and
-/// additionally returns the composed homomorphism `inst → result`.
-pub fn core_with_hom_governed(inst: &Instance, gov: &Governor) -> (GovernedCore, Homomorphism) {
-    let mut t = inst.clone();
-    let mut acc = Homomorphism::identity();
-    loop {
-        let mut advanced = false;
-        'comp: for comp in atom_components(&t) {
-            let comp_inst = Instance::from_atoms(comp.iter().cloned());
-            for atom in &comp {
-                match HomFinder::new(&comp_inst, &t)
-                    .forbid_atom(atom)
-                    .find_governed(gov)
-                {
-                    Ok(Some(h)) => {
-                        let mut out = Instance::new();
-                        for a in t.atoms() {
-                            if comp_inst.contains(&a) {
-                                out.insert(h.apply_atom(&a));
-                            } else {
-                                out.insert(a);
-                            }
-                        }
-                        acc = acc.then(&h);
-                        emit_retract(gov, t.len(), out.len());
-                        t = out;
-                        advanced = true;
-                        break 'comp;
-                    }
-                    Ok(None) => {}
-                    Err(i) => {
-                        return (
-                            GovernedCore {
-                                instance: t,
-                                status: CoreStatus::MaybeNotMinimal(i),
-                            },
-                            acc,
-                        )
-                    }
-                }
-            }
-        }
-        if !advanced {
-            return (
-                GovernedCore {
-                    instance: t,
-                    status: CoreStatus::Minimal,
-                },
-                acc,
-            );
-        }
-    }
-}
-
-/// True iff `inst` is its own core (no proper retract exists).
-pub fn is_core(inst: &Instance) -> bool {
-    retract_step(inst).is_none()
-}
-
-/// Computes the core together with the homomorphism `inst → core`.
-pub fn core_with_hom(inst: &Instance) -> (Instance, Homomorphism) {
-    // Re-run the retraction, composing the per-step homomorphisms.
-    let mut t = inst.clone();
-    let mut acc = Homomorphism::identity();
-    loop {
-        let mut advanced = false;
-        'comp: for comp in atom_components(&t) {
-            let comp_inst = Instance::from_atoms(comp.iter().cloned());
-            for atom in &comp {
-                if let Some(h) = HomFinder::new(&comp_inst, &t).forbid_atom(atom).find() {
-                    let mut out = Instance::new();
-                    for a in t.atoms() {
-                        if comp_inst.contains(&a) {
-                            out.insert(h.apply_atom(&a));
-                        } else {
-                            out.insert(a);
-                        }
-                    }
-                    acc = acc.then(&h);
-                    t = out;
-                    advanced = true;
-                    break 'comp;
-                }
-            }
-        }
-        if !advanced {
-            return (t, acc);
-        }
+            Ok(None) => CoreStatus::Minimal,
+            Err(i) => CoreStatus::MaybeNotMinimal(i),
+        };
+        return GovernedCore {
+            instance: t,
+            status,
+        };
     }
 }
 
@@ -561,19 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn core_with_hom_maps_onto_core() {
-        let i = Instance::from_atoms([
-            Atom::of("E", vec![c("a"), c("b")]),
-            Atom::of("E", vec![c("a"), n(1)]),
-            Atom::of("F", vec![n(1), n(2)]),
-            Atom::of("F", vec![c("b"), c("d")]),
-        ]);
-        let (k, h) = core_with_hom(&i);
-        assert_eq!(h.apply(&i), k);
-        assert!(is_core(&k));
-    }
-
-    #[test]
     fn governed_core_matches_ungoverned_when_not_tripped() {
         let i = Instance::from_atoms([
             Atom::of("E", vec![c("a"), c("b")]),
@@ -583,12 +359,10 @@ mod tests {
             Atom::of("G", vec![n(3), n(4)]),
         ]);
         let gov = Governor::unlimited();
-        let gc = core_governed(&i, &gov);
+        let gc = core_parallel_governed(&i, &gov, &Pool::seq());
         assert!(gc.is_minimal());
         assert_eq!(gc.instance, core(&i));
-        let (gc2, h) = core_with_hom_governed(&i, &Governor::unlimited());
-        assert!(gc2.is_minimal());
-        assert_eq!(h.apply(&i), gc2.instance);
+        assert!(gov.ticks() > 0, "the plain core runs the governed search");
     }
 
     #[test]
@@ -601,7 +375,7 @@ mod tests {
             Atom::of("G", vec![n(3), n(4)]),
         ]);
         let gov = Governor::unlimited().with_fuel(3);
-        let gc = core_governed(&i, &gov);
+        let gc = core_parallel_governed(&i, &gov, &Pool::seq());
         let CoreStatus::MaybeNotMinimal(int) = &gc.status else {
             panic!("tiny fuel must interrupt: {:?}", gc.status)
         };
@@ -626,8 +400,9 @@ mod tests {
         ]);
         let seq = core(&i);
         for threads in [1, 2, 4, 8] {
-            let par = core_parallel(&i, &Pool::new(threads));
-            assert_eq!(par, seq, "threads = {threads}");
+            let pool = Pool::new(threads).with_threshold_ns(0);
+            let par = core_parallel_governed(&i, &Governor::unlimited(), &pool);
+            assert_eq!(par.instance, seq, "threads = {threads}");
         }
     }
 

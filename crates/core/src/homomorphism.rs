@@ -14,15 +14,14 @@
 //! Internally the backtracker binds nulls in a dense `Vec<Option<Value>>`
 //! slab indexed by `NullId` (O(1) bind/unbind/lookup in the innermost
 //! loop); the public [`Homomorphism`] keeps its `BTreeMap` representation
-//! and is only materialized ("frozen") per complete solution. The
-//! `BTreeMap`-backed search survives as an ablation path
-//! ([`HomFinder::tree_bindings`]) so the benches can measure the delta.
+//! and is only materialized ("frozen") per complete solution. A
+//! pathologically sparse null-id range falls back to binding in a
+//! `BTreeMap` instead of allocating the whole span.
 
 use crate::atom::Atom;
 use crate::govern::{Governor, Interrupt};
 use crate::instance::Instance;
 use crate::value::{NullId, Value};
-use dex_par::{Cost, Pool};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
@@ -120,8 +119,6 @@ pub struct HomFinder<'a> {
     nulls_to_nulls: bool,
     injective_on_nulls: bool,
     preset: Homomorphism,
-    static_order: bool,
-    tree_bindings: bool,
 }
 
 impl<'a> HomFinder<'a> {
@@ -135,25 +132,7 @@ impl<'a> HomFinder<'a> {
             nulls_to_nulls: false,
             injective_on_nulls: false,
             preset: Homomorphism::identity(),
-            static_order: false,
-            tree_bindings: false,
         }
-    }
-
-    /// Disables the fail-first dynamic atom ordering (atoms are expanded
-    /// in listing order instead). Exists for the ablation benchmarks —
-    /// production callers should keep the heuristic.
-    pub fn static_order(mut self) -> Self {
-        self.static_order = true;
-        self
-    }
-
-    /// Forces the `BTreeMap`-backed binding store in the backtracker
-    /// instead of the dense slab. Exists for the ablation benchmarks —
-    /// production callers should keep the default.
-    pub fn tree_bindings(mut self) -> Self {
-        self.tree_bindings = true;
-        self
     }
 
     /// Forbid one atom of the target: every image atom must differ from it.
@@ -222,175 +201,6 @@ impl<'a> HomFinder<'a> {
         self.run(Some(gov), f)
     }
 
-    /// Parallel [`HomFinder::find`]: the root atom (chosen by the same
-    /// fail-first heuristic) has its candidate rows split across the
-    /// pool's workers, each running an independent sub-search seeded with
-    /// that row's bindings. The returned homomorphism is the one reached
-    /// through the first-in-submission-order successful row, so the
-    /// result is identical for any thread count (including 1).
-    pub fn find_parallel(self, pool: &Pool) -> Option<Homomorphism> {
-        let cost = self.row_cost();
-        match self.root_split() {
-            RootSplit::Fail => None,
-            RootSplit::Done(h) => Some(h),
-            RootSplit::Split { root, rows } => pool
-                .find_first(&rows, cost, |_, row| {
-                    let preset = self.bind_root(&root, row)?;
-                    self.sub(preset).find()
-                })
-                .map(|(_, h)| h),
-        }
-    }
-
-    /// [`HomFinder::find_parallel`] under a shared [`Governor`]: all
-    /// workers tick the same budget (its counters are relaxed atomics).
-    /// An interrupt in the winning row — the smallest-index row that
-    /// returned anything — surfaces as `Err`, like the sequential search
-    /// interrupted at that row.
-    pub fn find_parallel_governed(
-        self,
-        pool: &Pool,
-        gov: &Governor,
-    ) -> Result<Option<Homomorphism>, Interrupt> {
-        let cost = self.row_cost();
-        match self.root_split() {
-            RootSplit::Fail => Ok(None),
-            RootSplit::Done(h) => Ok(Some(h)),
-            RootSplit::Split { root, rows } => pool
-                .find_first(&rows, cost, |_, row| {
-                    let preset = self.bind_root(&root, row)?;
-                    match self.sub(preset).find_governed(gov) {
-                        Ok(Some(h)) => Some(Ok(h)),
-                        Ok(None) => None,
-                        Err(i) => Some(Err(i)),
-                    }
-                })
-                .map(|(_, r)| r)
-                .transpose(),
-        }
-    }
-
-    /// Work-size hint for one root-row sub-search: a backtracking join
-    /// over the remaining pattern atoms. Tiny patterns (paper examples)
-    /// stay inline; row splits over large instances fan out.
-    fn row_cost(&self) -> Cost {
-        Cost::EstimateNs((self.from.len() as u64).saturating_mul(100))
-    }
-
-    /// A sub-finder sharing every flag of `self` but with its own preset.
-    fn sub(&self, preset: Homomorphism) -> HomFinder<'a> {
-        HomFinder {
-            from: self.from,
-            to: self.to,
-            forbidden: self.forbidden,
-            nulls_to_nulls: self.nulls_to_nulls,
-            injective_on_nulls: self.injective_on_nulls,
-            preset,
-            static_order: self.static_order,
-            tree_bindings: self.tree_bindings,
-        }
-    }
-
-    /// Shared preamble of the parallel searches: fast-fail, ground-atom
-    /// screening, and the choice of root atom + its candidate rows.
-    fn root_split(&self) -> RootSplit {
-        for rel in self.from.relations() {
-            if self.from.rows_of_len(rel) > 0 {
-                match self.to.arity_of(rel) {
-                    Some(a) if a == self.from.arity_of(rel).unwrap() => {}
-                    _ => return RootSplit::Fail,
-                }
-            }
-        }
-        let mut pending: Vec<Atom> = Vec::new();
-        for a in self.from.atoms() {
-            let img = self.preset.apply_atom(&a);
-            if img.is_ground() {
-                if !self.to.contains(&img) || Some(&img) == self.forbidden {
-                    return RootSplit::Fail;
-                }
-            } else {
-                pending.push(a);
-            }
-        }
-        if pending.is_empty() {
-            return RootSplit::Done(self.preset.clone());
-        }
-        let preset_pattern = |a: &Atom| -> Vec<Option<Value>> {
-            a.args
-                .iter()
-                .map(|&v| match v {
-                    Value::Const(_) => Some(v),
-                    Value::Null(n) => self.preset.get(n),
-                })
-                .collect()
-        };
-        let slot = if self.static_order {
-            0
-        } else {
-            pending
-                .iter()
-                .enumerate()
-                .map(|(slot, a)| {
-                    let pat = preset_pattern(a);
-                    (slot, self.to.rows_matching(a.rel, &pat).take(16).count())
-                })
-                .min_by_key(|&(_, c)| c)
-                .expect("pending is non-empty")
-                .0
-        };
-        let root = pending.swap_remove(slot);
-        let pat = preset_pattern(&root);
-        let rows: Vec<Vec<Value>> = self
-            .to
-            .rows_matching(root.rel, &pat)
-            .map(|r| r.to_vec())
-            .collect();
-        RootSplit::Split { root, rows }
-    }
-
-    /// Extends the preset so the root atom maps onto `row`, enforcing the
-    /// same constraints `try_unify` would (forbidden atom, nulls-to-nulls,
-    /// injectivity). `None` means this row cannot start a solution.
-    fn bind_root(&self, root: &Atom, row: &[Value]) -> Option<Homomorphism> {
-        if let Some(fb) = self.forbidden {
-            if fb.rel == root.rel && *fb.args == row[..] {
-                return None;
-            }
-        }
-        let mut h = self.preset.clone();
-        let mut used: HashSet<Value> = HashSet::new();
-        if self.injective_on_nulls {
-            used.extend(self.preset.bindings().map(|(_, v)| v));
-        }
-        for (&arg, &img) in root.args.iter().zip(row) {
-            match arg {
-                Value::Const(_) => {
-                    if arg != img {
-                        return None;
-                    }
-                }
-                Value::Null(n) => match h.get(n) {
-                    Some(bound) => {
-                        if bound != img {
-                            return None;
-                        }
-                    }
-                    None => {
-                        if self.nulls_to_nulls && !img.is_null() {
-                            return None;
-                        }
-                        if self.injective_on_nulls && !used.insert(img) {
-                            return None;
-                        }
-                        h.bind(n, img);
-                    }
-                },
-            }
-        }
-        Some(h)
-    }
-
     fn run(
         self,
         gov: Option<&Governor>,
@@ -426,27 +236,23 @@ impl<'a> HomFinder<'a> {
         // The dense slab covers the id range of the nulls the search can
         // touch; a pathologically sparse range (huge span, few nulls)
         // falls back to the tree store rather than allocating the span.
-        let dense_range = if self.tree_bindings {
-            None
-        } else {
-            let mut ids: Vec<u32> = pending
-                .iter()
-                .flat_map(|&i| atoms[i].args.iter())
-                .filter_map(|&v| match v {
-                    Value::Null(n) => Some(n.0),
-                    Value::Const(_) => None,
-                })
-                .chain(self.preset.bindings().map(|(n, _)| n.0))
-                .collect();
-            ids.sort_unstable();
-            ids.dedup();
-            match (ids.first(), ids.last()) {
-                (Some(&lo), Some(&hi)) => {
-                    let span = (hi - lo) as usize + 1;
-                    (span <= ids.len() * 8 + 64).then_some((lo, span))
-                }
-                _ => None,
+        let mut ids: Vec<u32> = pending
+            .iter()
+            .flat_map(|&i| atoms[i].args.iter())
+            .filter_map(|&v| match v {
+                Value::Null(n) => Some(n.0),
+                Value::Const(_) => None,
+            })
+            .chain(self.preset.bindings().map(|(n, _)| n.0))
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let dense_range = match (ids.first(), ids.last()) {
+            (Some(&lo), Some(&hi)) => {
+                let span = (hi - lo) as usize + 1;
+                (span <= ids.len() * 8 + 64).then_some((lo, span))
             }
+            _ => None,
         };
         // A span per backtracking search groups the HomExtended events
         // it emits; only governed searches carry a tracer.
@@ -465,7 +271,6 @@ impl<'a> HomFinder<'a> {
                     atoms: &atoms,
                     assignment,
                     used_images,
-                    static_order: self.static_order,
                     gov,
                 }
                 .solve(&mut pending, f)
@@ -478,7 +283,6 @@ impl<'a> HomFinder<'a> {
                 atoms: &atoms,
                 assignment: self.preset,
                 used_images,
-                static_order: self.static_order,
                 gov,
             }
             .solve(&mut pending, f),
@@ -490,20 +294,10 @@ impl<'a> HomFinder<'a> {
     }
 }
 
-/// Outcome of [`HomFinder::root_split`].
-enum RootSplit {
-    /// No homomorphism exists (relation/arity/ground-atom fast-fail).
-    Fail,
-    /// The preset already covers every atom; it is itself the answer.
-    Done(Homomorphism),
-    /// A root atom and its candidate rows to fan out over.
-    Split { root: Atom, rows: Vec<Vec<Value>> },
-}
-
 /// The backtracker's mutable binding store. Two implementations: the
-/// dense slab (default hot path) and the public `BTreeMap` representation
-/// (ablation baseline). `freeze` materializes the public representation
-/// per complete solution.
+/// dense slab (hot path) and the public `BTreeMap` representation
+/// (fallback for sparse null-id ranges). `freeze` materializes the
+/// public representation per complete solution.
 trait Bindings {
     fn get(&self, n: NullId) -> Option<Value>;
     fn bind(&mut self, n: NullId, v: Value);
@@ -585,7 +379,6 @@ struct SearchState<'a, B: Bindings> {
     atoms: &'a [Atom],
     assignment: B,
     used_images: HashSet<Value>,
-    static_order: bool,
     gov: Option<&'a Governor>,
 }
 
@@ -623,19 +416,14 @@ impl<B: Bindings> SearchState<'_, B> {
             // drawn from the instance) need no binding.
             return Ok(f(&self.assignment.freeze()));
         }
-        // Fail-first: expand the pending atom with fewest candidates
-        // (unless the ablation flag requests static listing order).
-        let slot = if self.static_order {
-            0
-        } else {
-            pending
-                .iter()
-                .enumerate()
-                .map(|(slot, &i)| (slot, self.candidate_count(&self.atoms[i], 16)))
-                .min_by_key(|&(_, c)| c)
-                .expect("pending is non-empty")
-                .0
-        };
+        // Fail-first: expand the pending atom with fewest candidates.
+        let slot = pending
+            .iter()
+            .enumerate()
+            .map(|(slot, &i)| (slot, self.candidate_count(&self.atoms[i], 16)))
+            .min_by_key(|&(_, c)| c)
+            .expect("pending is non-empty")
+            .0;
         let chosen = pending.swap_remove(slot);
         let atom = &self.atoms[chosen];
         let pat = self.pattern(atom);
@@ -913,28 +701,6 @@ mod tests {
     }
 
     #[test]
-    fn static_order_finds_the_same_answers() {
-        let from = Instance::from_atoms([
-            Atom::of("E", vec![n(1), n(2)]),
-            Atom::of("E", vec![n(2), n(3)]),
-        ]);
-        let to = Instance::from_atoms([
-            Atom::of("E", vec![c("u"), c("v")]),
-            Atom::of("E", vec![c("v"), c("u")]),
-        ]);
-        assert_eq!(
-            HomFinder::new(&from, &to).find().is_some(),
-            HomFinder::new(&from, &to).static_order().find().is_some()
-        );
-        let tri = Instance::from_atoms([
-            Atom::of("E", vec![n(1), n(2)]),
-            Atom::of("E", vec![n(2), n(3)]),
-            Atom::of("E", vec![n(3), n(1)]),
-        ]);
-        assert!(HomFinder::new(&tri, &to).static_order().find().is_none());
-    }
-
-    #[test]
     fn governed_search_agrees_with_ungoverned_when_not_tripped() {
         let from = Instance::from_atoms([
             Atom::of("E", vec![n(1), n(2)]),
@@ -968,21 +734,29 @@ mod tests {
     }
 
     #[test]
-    fn tree_bindings_ablation_agrees_with_dense() {
-        let from = Instance::from_atoms([
-            Atom::of("E", vec![n(1), n(2)]),
-            Atom::of("E", vec![n(2), n(3)]),
-            Atom::of("E", vec![n(3), n(1)]),
-        ]);
+    fn sparse_tree_fallback_agrees_with_dense_slab() {
+        // The same triangle twice: once over contiguous null ids (dense
+        // slab) and once over ids spread across the u32 range (tree
+        // fallback). Both searches must find the same images.
+        let triangle = |ids: [u32; 3]| {
+            Instance::from_atoms([
+                Atom::of("E", vec![n(ids[0]), n(ids[1])]),
+                Atom::of("E", vec![n(ids[1]), n(ids[2])]),
+                Atom::of("E", vec![n(ids[2]), n(ids[0])]),
+            ])
+        };
         let to = Instance::from_atoms([
             Atom::of("E", vec![c("u"), c("v")]),
             Atom::of("E", vec![c("v"), c("w")]),
             Atom::of("E", vec![c("w"), c("u")]),
         ]);
-        let dense = HomFinder::new(&from, &to).find();
-        let tree = HomFinder::new(&from, &to).tree_bindings().find();
-        assert_eq!(dense, tree);
-        assert!(dense.is_some());
+        let dense_ids = [1, 2, 3];
+        let sparse_ids = [1, 2_000_000_000, 4_000_000_000];
+        let dense = find_homomorphism(&triangle(dense_ids), &to).unwrap();
+        let sparse = find_homomorphism(&triangle(sparse_ids), &to).unwrap();
+        for (d, s) in dense_ids.into_iter().zip(sparse_ids) {
+            assert_eq!(dense.apply_value(n(d)), sparse.apply_value(n(s)));
+        }
     }
 
     #[test]
@@ -993,87 +767,6 @@ mod tests {
         let to = Instance::from_atoms([Atom::of("E", vec![c("a"), c("b")])]);
         let h = find_homomorphism(&from, &to).unwrap();
         assert_eq!(h.apply_value(n(3_000_000_000)), c("b"));
-    }
-
-    #[test]
-    fn find_parallel_agrees_across_thread_counts() {
-        let from = Instance::from_atoms([
-            Atom::of("E", vec![n(1), n(2)]),
-            Atom::of("E", vec![n(2), n(3)]),
-            Atom::of("E", vec![n(3), n(4)]),
-        ]);
-        let to = Instance::from_atoms([
-            Atom::of("E", vec![c("u"), c("v")]),
-            Atom::of("E", vec![c("v"), c("u")]),
-        ]);
-        let baseline = HomFinder::new(&from, &to)
-            .find_parallel(&dex_par::Pool::new(1))
-            .unwrap();
-        for threads in [2, 4, 8] {
-            let h = HomFinder::new(&from, &to)
-                .find_parallel(&dex_par::Pool::new(threads))
-                .unwrap();
-            assert_eq!(h, baseline, "threads = {threads}");
-            assert!(h.apply(&from).atoms().all(|a| to.contains(&a)));
-        }
-        // Negative case: the triangle still has no hom, in parallel.
-        let tri = Instance::from_atoms([
-            Atom::of("E", vec![n(1), n(2)]),
-            Atom::of("E", vec![n(2), n(3)]),
-            Atom::of("E", vec![n(3), n(1)]),
-        ]);
-        for threads in [1, 2, 8] {
-            assert!(HomFinder::new(&tri, &to)
-                .find_parallel(&dex_par::Pool::new(threads))
-                .is_none());
-        }
-    }
-
-    #[test]
-    fn find_parallel_respects_flags() {
-        let from = Instance::from_atoms([Atom::of("E", vec![n(1), n(2)])]);
-        let to = Instance::from_atoms([Atom::of("E", vec![c("a"), c("b")])]);
-        let pool = dex_par::Pool::new(4);
-        let forbidden = Atom::of("E", vec![c("a"), c("b")]);
-        assert!(HomFinder::new(&from, &to)
-            .forbid_atom(&forbidden)
-            .find_parallel(&pool)
-            .is_none());
-        assert!(HomFinder::new(&from, &to)
-            .nulls_to_nulls()
-            .find_parallel(&pool)
-            .is_none());
-        let inj_to = Instance::from_atoms([Atom::of("E", vec![n(7), n(7)])]);
-        assert!(HomFinder::new(&from, &inj_to)
-            .injective_on_nulls()
-            .find_parallel(&pool)
-            .is_none());
-    }
-
-    #[test]
-    fn find_parallel_governed_trips_on_fuel() {
-        let from = Instance::from_atoms([
-            Atom::of("E", vec![n(1), n(2)]),
-            Atom::of("E", vec![n(2), n(3)]),
-            Atom::of("E", vec![n(3), n(1)]),
-        ]);
-        let to = Instance::from_atoms([
-            Atom::of("E", vec![c("u"), c("v")]),
-            Atom::of("E", vec![c("v"), c("u")]),
-        ]);
-        for threads in [1, 4] {
-            let gov = crate::govern::Governor::unlimited().with_fuel(2);
-            let err = HomFinder::new(&from, &to)
-                .find_parallel_governed(&dex_par::Pool::new(threads), &gov)
-                .unwrap_err();
-            assert_eq!(err.reason, crate::govern::InterruptReason::Fuel);
-        }
-        // And with fuel to spare it agrees with the sequential search.
-        let gov = crate::govern::Governor::unlimited();
-        let got = HomFinder::new(&from, &to)
-            .find_parallel_governed(&dex_par::Pool::new(4), &gov)
-            .unwrap();
-        assert_eq!(got.is_some(), HomFinder::new(&from, &to).find().is_some());
     }
 
     #[test]

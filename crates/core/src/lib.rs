@@ -28,15 +28,10 @@ pub mod valuation;
 pub mod value;
 
 pub use atom::Atom;
-pub use core_of::{
-    core, core_governed, core_parallel, core_parallel_governed, core_with_hom,
-    core_with_hom_governed, is_core, null_blocks, CoreStatus, GovernedCore,
-};
+pub use core_of::{core, core_parallel_governed, is_core, null_blocks, CoreStatus, GovernedCore};
 pub use delta::SourceDelta;
 // Re-exported so higher layers can size worker pools without a separate
 // `dex-par` dependency line.
-#[doc(hidden)]
-pub use dex_par::scoped_map_for_ablation;
 pub use dex_par::{
     chunk_ranges, export_metrics as par_export_metrics, jobs_dispatched as par_jobs_dispatched,
     jobs_inline as par_jobs_inline, range_cost, set_pool_tracer,

@@ -6,7 +6,9 @@
 use crate::presolution::{is_cwa_presolution, is_cwa_presolution_governed, SearchLimits};
 use dex_chase::{canonical_universal_solution, ChaseBudget, ChaseError};
 use dex_core::govern::Governor;
-use dex_core::{core, core_governed, has_homomorphism, isomorphic, GovernedCore, Instance};
+use dex_core::{
+    core, core_parallel_governed, has_homomorphism, isomorphic, GovernedCore, Instance, Pool,
+};
 use dex_logic::Setting;
 
 /// True iff `t` is a *universal* solution for `source` under `setting`:
@@ -124,7 +126,7 @@ pub fn core_solution_governed(
     gov: &Governor,
 ) -> Result<GovernedCore, ChaseError> {
     let canon = canonical_universal_solution(setting, source, budget)?;
-    Ok(core_governed(&canon, gov))
+    Ok(core_parallel_governed(&canon, gov, &Pool::seq()))
 }
 
 /// A CWA-solution `t` is *minimal* if it is contained, up to renaming of

@@ -509,46 +509,6 @@ pub fn range_cost(ranges: &[(u64, u64)], per_item_ns: u64) -> Cost {
     Cost::EstimateNs(widest.saturating_mul(per_item_ns))
 }
 
-/// The previous per-call `std::thread::scope` implementation of `map`,
-/// retained **only** as the baseline of the dispatch-overhead ablation
-/// (`benches/par.rs`): it pays the thread-spawn floor on every call,
-/// which is exactly the regression the persistent pool removes. Not
-/// used by any engine path.
-#[doc(hidden)]
-pub fn scoped_map_for_ablation<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let workers = threads.min(items.len());
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = f(i, &items[i]);
-                *slots[i].lock().unwrap() = Some(r);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap()
-                .expect("every submitted index was filled by a worker")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -799,14 +759,6 @@ mod tests {
         });
         assert_eq!(out.len(), 200);
         assert_eq!(calls.into_inner(), 200);
-    }
-
-    #[test]
-    fn scoped_ablation_baseline_matches_map() {
-        let items: Vec<u32> = (0..40).collect();
-        let want: Vec<u32> = items.iter().map(|&x| x ^ 5).collect();
-        assert_eq!(scoped_map_for_ablation(4, &items, |_, &x| x ^ 5), want);
-        assert_eq!(forced(4).map(&items, Cost::Light, |_, &x| x ^ 5), want);
     }
 
     #[test]

@@ -22,15 +22,13 @@ pub mod semantics;
 pub use classical::{certain_upper_bound, classical_certain_ucq};
 pub use eval::{drop_null_tuples, eval_cq, eval_fo, eval_query, eval_ucq, Answers};
 pub use modal::{
-    answer_pool, certain_answers, certain_answers_governed, certain_answers_governed_par,
-    certain_answers_par, for_each_rep, maybe_answers, maybe_answers_governed,
-    maybe_answers_governed_par, maybe_answers_par, ucq_certain_answers, GovernedAnswers,
-    ModalError, ModalLimits,
+    answer_pool, certain_answers, for_each_rep, maybe_answers, ucq_certain_answers,
+    GovernedAnswers, ModalError, ModalLimits,
 };
 pub use possible::{cq_is_maybe_answer, cq_maybe_holds};
 pub use propagate::{
-    certain_answers_propagated, certain_answers_propagated_governed, certain_ground_witnesses,
-    maybe_answers_propagated, maybe_answers_propagated_governed, PropagationReport,
+    certain_answers_propagated, certain_ground_witnesses, maybe_answers_propagated,
+    PropagationReport,
 };
 pub use semantics::{answers, AnswerConfig, AnswerEngine, AnswerError, EvalEngine, Semantics};
 

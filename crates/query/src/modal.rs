@@ -13,7 +13,7 @@
 use crate::eval::{drop_null_tuples, eval_query, Answers};
 use dex_core::govern::{Governor, Interrupt, InterruptReason, Verdict};
 use dex_core::{
-    chunk_ranges, range_cost, BoundedExt, Instance, Pool, Symbol, ValuationIter, Value,
+    chunk_ranges, range_cost, BoundedExt, Instance, Pool, Symbol, Valuation, ValuationIter, Value,
 };
 use dex_logic::{Query, Setting};
 use std::collections::BTreeSet;
@@ -119,25 +119,10 @@ pub fn for_each_rep(
     Ok(count)
 }
 
-/// `□Q(T)`: tuples in `Q(R)` for every `R ∈ Rep_D(T)`. Returns the
-/// answers, or `None` if `Rep_D(T)` is empty (then `□Q(T)` is the set of
-/// all tuples; the paper's solutions always have nonempty `Rep` since
-/// valuations of solutions satisfying `Σ_t` exist, but arbitrary `T` may
-/// not).
-pub fn certain_answers(
-    setting: &Setting,
-    q: &Query,
-    t: &Instance,
-    pool: &[Symbol],
-    limits: &ModalLimits,
-) -> Result<Option<Answers>, ModalError> {
-    certain_answers_par(setting, q, t, pool, limits, &Pool::seq())
-}
-
 /// Contiguous valuation-index ranges for a worker pool. Oversplit 4×
 /// relative to the *effective* thread count (requested width capped at
 /// the machine's CPUs) so the work-stealing injector balances uneven
-/// ranges and the □ early-exit token takes effect sooner. Splitting by
+/// ranges and the shared cancel token takes effect sooner. Splitting by
 /// the requested width would be pure overhead past the cap: each extra
 /// range restarts the □ intersection accumulator, so oversplitting adds
 /// valuation work that no extra worker exists to absorb.
@@ -151,113 +136,265 @@ fn valuation_ranges(exec: &Pool, total: u64) -> Vec<(u64, u64)> {
 /// Per-valuation cost estimate for [`dex_core::range_cost`] hints: each
 /// valuation grounds the target and evaluates the query — around half a
 /// microsecond on paper-sized instances.
-pub(crate) const VALUATION_COST_NS: u64 = 500;
+const VALUATION_COST_NS: u64 = 500;
 
-/// [`certain_answers`] with valuation ranges fanned out on `exec`.
-/// Intersection is commutative and associative, so per-range partial
-/// results merge to the same answer for every range layout and thread
-/// count. Early exit: once any range's running intersection hits ∅ the
-/// global answer is ∅ (⋂ only shrinks), so the worker flips a shared
-/// cancel token and every other worker stops at its next valuation.
-pub fn certain_answers_par(
-    setting: &Setting,
-    q: &Query,
-    t: &Instance,
-    pool: &[Symbol],
-    limits: &ModalLimits,
+/// One range's share of a □ fold.
+struct BoxPartial {
+    /// Intersection of the range's fully evaluated representatives.
+    acc: Option<Answers>,
+    /// Tuples some representative of the range dropped from `acc`.
+    refuted: Answers,
+    interrupt: Option<Interrupt>,
+}
+
+/// The range-split □ fold shared by the oracle and propagation: `vals(lo)`
+/// enumerates candidate valuations from index `lo` of a `total`-sized
+/// space, and `eval` returns a candidate's answers, or `None` when the
+/// candidate is not a representative. The governor ticks once per
+/// candidate. Intersection is commutative and associative, so the
+/// partial results merge to the same answer for every range layout and
+/// thread count.
+///
+/// One cancel token stops every range early, both once some range's
+/// intersection hits ∅ (⋂ only shrinks, so the answer is then a complete
+/// ∅) and once the governor trips — so a one-wide run ticks exactly like
+/// a single sequential loop. On interrupt, tuples dropped by a fully
+/// evaluated representative are refuted and the survivors undetermined
+/// ([`box_partial`]). Returns `None` only when a complete run finds no
+/// representative (`Rep_D(T) = ∅`).
+pub(crate) fn box_fold<I>(
     exec: &Pool,
-) -> Result<Option<Answers>, ModalError> {
-    let nulls: Vec<_> = t.nulls().into_iter().collect();
-    let total = ValuationIter::new(nulls.iter().copied(), pool.to_vec()).total();
-    let total = checked_total(total, nulls.len(), pool.len(), limits)?;
+    gov: &Governor,
+    total: u64,
+    vals: impl Fn(u64) -> I + Sync,
+    eval: impl Fn(&Valuation) -> Option<Answers> + Sync,
+) -> Option<GovernedAnswers>
+where
+    I: Iterator<Item = Valuation>,
+{
     let ranges = valuation_ranges(exec, total);
     let cancel = AtomicBool::new(false);
     let partials = exec.map(
         &ranges,
         range_cost(&ranges, VALUATION_COST_NS),
         |_, &(lo, hi)| {
-            let mut acc: Option<Answers> = None;
-            let vals =
-                ValuationIter::from_index(nulls.iter().copied(), pool.to_vec(), u128::from(lo));
-            for v in vals.bounded(hi - lo) {
+            let mut p = BoxPartial {
+                acc: None,
+                refuted: Answers::new(),
+                interrupt: None,
+            };
+            for v in vals(lo).bounded(hi - lo) {
                 if cancel.load(Ordering::Relaxed) {
                     break;
                 }
-                let ground = v.apply(t);
-                if setting.satisfies_target(&ground) {
-                    let ans = eval_query(q, &ground);
-                    let next: Answers = match acc.take() {
-                        None => ans,
-                        Some(prev) => prev.intersection(&ans).cloned().collect(),
-                    };
-                    let hit_bottom = next.is_empty();
-                    acc = Some(next);
-                    if hit_bottom {
-                        cancel.store(true, Ordering::Relaxed);
-                        break;
-                    }
+                if let Err(i) = gov.check() {
+                    p.interrupt = Some(i);
+                    cancel.store(true, Ordering::Relaxed);
+                    break;
+                }
+                let Some(ans) = eval(&v) else { continue };
+                let next = match p.acc.take() {
+                    None => ans,
+                    Some(prev) => intersect(prev, &ans, &mut p.refuted),
+                };
+                let hit_bottom = next.is_empty();
+                p.acc = Some(next);
+                if hit_bottom {
+                    cancel.store(true, Ordering::Relaxed);
+                    break;
                 }
             }
-            acc
+            p
         },
     );
+    // Merge in submission order. Every range's `acc` is the intersection
+    // of its *fully evaluated* representatives, so cross-range drops are
+    // definite refutations even when some range was interrupted.
     let mut acc: Option<Answers> = None;
-    for p in partials.into_iter().flatten() {
-        acc = Some(match acc.take() {
-            None => p,
-            Some(prev) => prev.intersection(&p).cloned().collect(),
-        });
+    let mut refuted = Answers::new();
+    let mut interrupt: Option<Interrupt> = None;
+    for p in partials {
+        refuted.extend(p.refuted);
+        interrupt = interrupt.or(p.interrupt);
+        if let Some(part) = p.acc {
+            acc = Some(match acc.take() {
+                None => part,
+                Some(prev) => {
+                    let kept = intersect(prev, &part, &mut refuted);
+                    refuted.extend(part.difference(&kept).cloned());
+                    kept
+                }
+            });
+        }
     }
-    Ok(acc)
+    match interrupt {
+        // An emptied intersection is exact whatever was left unexplored.
+        Some(i) if !acc.as_ref().is_some_and(Answers::is_empty) => {
+            Some(box_partial(acc, refuted, i))
+        }
+        _ => acc.map(GovernedAnswers::complete),
+    }
 }
 
-/// `◇Q(T)`: tuples in `Q(R)` for some `R ∈ Rep_D(T)`.
+/// `prev ∩ next`, moving the tuples `next` drops into `refuted`.
+fn intersect(prev: Answers, next: &Answers, refuted: &mut Answers) -> Answers {
+    let (kept, dropped): (Answers, Answers) = prev.into_iter().partition(|t| next.contains(t));
+    refuted.extend(dropped);
+    kept
+}
+
+/// Assembles the interrupted-□ verdicts: survivors of the partial
+/// intersection are unknown; with at least one fully-evaluated
+/// representative everything else already failed a ⋂-factor.
+fn box_partial(acc: Option<Answers>, refuted: Answers, i: Interrupt) -> GovernedAnswers {
+    match acc {
+        Some(survivors) => GovernedAnswers {
+            proven: Answers::new(),
+            refuted,
+            undetermined: survivors,
+            default: Verdict::False,
+            interrupt: Some(i),
+        },
+        None => GovernedAnswers {
+            proven: Answers::new(),
+            refuted: Answers::new(),
+            undetermined: Answers::new(),
+            default: Verdict::Unknown(i.reason),
+            interrupt: Some(i),
+        },
+    }
+}
+
+/// The range-split ◇ fold shared by the oracle and propagation, with the
+/// same candidate enumeration, filter and ticking as [`box_fold`]. Union
+/// is commutative, so the merged answer is range- and thread-count
+/// independent. Every candidate can contribute, so only an interrupt
+/// stops the other ranges; tuples found by then are proven and every
+/// other tuple is `Unknown` (an unexplored representative might still
+/// produce it).
+pub(crate) fn diamond_fold<I>(
+    exec: &Pool,
+    gov: &Governor,
+    total: u64,
+    vals: impl Fn(u64) -> I + Sync,
+    eval: impl Fn(&Valuation) -> Option<Answers> + Sync,
+) -> GovernedAnswers
+where
+    I: Iterator<Item = Valuation>,
+{
+    let ranges = valuation_ranges(exec, total);
+    let cancel = AtomicBool::new(false);
+    let partials = exec.map(
+        &ranges,
+        range_cost(&ranges, VALUATION_COST_NS),
+        |_, &(lo, hi)| {
+            let mut acc = Answers::new();
+            for v in vals(lo).bounded(hi - lo) {
+                if cancel.load(Ordering::Relaxed) {
+                    break;
+                }
+                if let Err(i) = gov.check() {
+                    cancel.store(true, Ordering::Relaxed);
+                    return (acc, Some(i));
+                }
+                if let Some(ans) = eval(&v) {
+                    acc.extend(ans);
+                }
+            }
+            (acc, None)
+        },
+    );
+    let mut proven = Answers::new();
+    let mut interrupt: Option<Interrupt> = None;
+    for (p, i) in partials {
+        proven.extend(p);
+        interrupt = interrupt.or(i);
+    }
+    match interrupt {
+        None => GovernedAnswers::complete(proven),
+        Some(i) => GovernedAnswers {
+            proven,
+            refuted: Answers::new(),
+            undetermined: Answers::new(),
+            default: Verdict::Unknown(i.reason),
+            interrupt: Some(i),
+        },
+    }
+}
+
+/// The oracle's per-candidate step: ground `t` under `v` and answer `q`
+/// on it iff the result satisfies `Σ_t`.
+pub(crate) fn rep_answers(
+    setting: &Setting,
+    q: &Query,
+    t: &Instance,
+    v: &Valuation,
+) -> Option<Answers> {
+    let ground = v.apply(t);
+    setting
+        .satisfies_target(&ground)
+        .then(|| eval_query(q, &ground))
+}
+
+/// `□Q(T)`: tuples in `Q(R)` for every `R ∈ Rep_D(T)`, by enumerating
+/// every valuation into `pool` ([`box_fold`], ranges on `exec`, one tick
+/// of `gov` per valuation). Returns `None` if a complete run finds
+/// `Rep_D(T)` empty (then `□Q(T)` is the set of all tuples; the paper's
+/// solutions always have nonempty `Rep` since valuations of solutions
+/// satisfying `Σ_t` exist, but arbitrary `T` may not).
+///
+/// When the governor trips, tuples already dropped from the running
+/// intersection are `False` (some fully-evaluated representative refutes
+/// them), the surviving candidates are `Unknown`, and everything else is
+/// `False` if at least one representative was evaluated (it already
+/// failed that ⋂-factor) or `Unknown` otherwise. At one thread the trip
+/// lands on the same valuation as a plain sequential loop; under
+/// parallelism it depends on worker interleaving, but every definite
+/// verdict is still sound and the interrupt reason is merged
+/// deterministically (first in submission order).
+pub fn certain_answers(
+    setting: &Setting,
+    q: &Query,
+    t: &Instance,
+    pool: &[Symbol],
+    limits: &ModalLimits,
+    gov: &Governor,
+    exec: &Pool,
+) -> Result<Option<GovernedAnswers>, ModalError> {
+    let nulls: Vec<_> = t.nulls().into_iter().collect();
+    let total = ValuationIter::new(nulls.iter().copied(), pool.to_vec()).total();
+    let total = checked_total(total, nulls.len(), pool.len(), limits)?;
+    Ok(box_fold(
+        exec,
+        gov,
+        total,
+        |lo| ValuationIter::from_index(nulls.iter().copied(), pool.to_vec(), u128::from(lo)),
+        |v| rep_answers(setting, q, t, v),
+    ))
+}
+
+/// `◇Q(T)`: tuples in `Q(R)` for some `R ∈ Rep_D(T)`, by enumerating
+/// every valuation into `pool` ([`diamond_fold`], ranges on `exec`, one
+/// tick of `gov` per valuation).
 pub fn maybe_answers(
     setting: &Setting,
     q: &Query,
     t: &Instance,
     pool: &[Symbol],
     limits: &ModalLimits,
-) -> Result<Answers, ModalError> {
-    maybe_answers_par(setting, q, t, pool, limits, &Pool::seq())
-}
-
-/// [`maybe_answers`] with valuation ranges fanned out on `exec`. Union
-/// is commutative, so the merged answer is range- and thread-count
-/// independent. No early exit: every representative can contribute.
-pub fn maybe_answers_par(
-    setting: &Setting,
-    q: &Query,
-    t: &Instance,
-    pool: &[Symbol],
-    limits: &ModalLimits,
+    gov: &Governor,
     exec: &Pool,
-) -> Result<Answers, ModalError> {
+) -> Result<GovernedAnswers, ModalError> {
     let nulls: Vec<_> = t.nulls().into_iter().collect();
     let total = ValuationIter::new(nulls.iter().copied(), pool.to_vec()).total();
     let total = checked_total(total, nulls.len(), pool.len(), limits)?;
-    let ranges = valuation_ranges(exec, total);
-    let partials = exec.map(
-        &ranges,
-        range_cost(&ranges, VALUATION_COST_NS),
-        |_, &(lo, hi)| {
-            let mut acc = Answers::new();
-            let vals =
-                ValuationIter::from_index(nulls.iter().copied(), pool.to_vec(), u128::from(lo));
-            for v in vals.bounded(hi - lo) {
-                let ground = v.apply(t);
-                if setting.satisfies_target(&ground) {
-                    acc.extend(eval_query(q, &ground));
-                }
-            }
-            acc
-        },
-    );
-    let mut out = Answers::new();
-    for p in partials {
-        out.extend(p);
-    }
-    Ok(out)
+    Ok(diamond_fold(
+        exec,
+        gov,
+        total,
+        |lo| ValuationIter::from_index(nulls.iter().copied(), pool.to_vec(), u128::from(lo)),
+        |v| rep_answers(setting, q, t, v),
+    ))
 }
 
 /// Three-valued per-tuple answers from a governed modal evaluation: each
@@ -415,278 +552,6 @@ impl GovernedAnswers {
     }
 }
 
-/// [`certain_answers`] under a [`Governor`], ticked once per enumerated
-/// valuation. When the governor trips: tuples already dropped from the
-/// running intersection are `False` (some fully-evaluated representative
-/// refutes them), the surviving candidates are `Unknown`, and everything
-/// else is `False` if at least one representative was evaluated (it
-/// already failed that ⋂-factor) or `Unknown` otherwise. Returns
-/// `Ok(None)` only on a *complete* run finding `Rep_D(T)` empty.
-pub fn certain_answers_governed(
-    setting: &Setting,
-    q: &Query,
-    t: &Instance,
-    pool: &[Symbol],
-    limits: &ModalLimits,
-    gov: &Governor,
-) -> Result<Option<GovernedAnswers>, ModalError> {
-    let nulls: Vec<_> = t.nulls().into_iter().collect();
-    let it = ValuationIter::new(nulls.iter().copied(), pool.to_vec());
-    checked_total(it.total(), nulls.len(), pool.len(), limits)?;
-    let mut acc: Option<Answers> = None;
-    let mut refuted = Answers::new();
-    for v in it {
-        if let Err(i) = gov.check() {
-            return Ok(Some(match acc {
-                // At least one representative fully evaluated: survivors
-                // unknown, everything else refuted by that factor.
-                Some(survivors) => GovernedAnswers {
-                    proven: Answers::new(),
-                    refuted,
-                    undetermined: survivors,
-                    default: Verdict::False,
-                    interrupt: Some(i),
-                },
-                // Interrupted before the first representative: nothing
-                // is known about any tuple.
-                None => GovernedAnswers {
-                    proven: Answers::new(),
-                    refuted: Answers::new(),
-                    undetermined: Answers::new(),
-                    default: Verdict::Unknown(i.reason),
-                    interrupt: Some(i),
-                },
-            }));
-        }
-        let ground = v.apply(t);
-        if setting.satisfies_target(&ground) {
-            let ans = eval_query(q, &ground);
-            acc = Some(match acc.take() {
-                None => ans,
-                Some(prev) => {
-                    let kept: Answers = prev.intersection(&ans).cloned().collect();
-                    refuted.extend(prev.difference(&kept).cloned());
-                    kept
-                }
-            });
-        }
-    }
-    Ok(acc.map(GovernedAnswers::complete))
-}
-
-/// [`maybe_answers`] under a [`Governor`], ticked once per enumerated
-/// valuation. When the governor trips, tuples found so far are `True` and
-/// every other tuple is `Unknown` (an unexplored representative might
-/// still produce it).
-pub fn maybe_answers_governed(
-    setting: &Setting,
-    q: &Query,
-    t: &Instance,
-    pool: &[Symbol],
-    limits: &ModalLimits,
-    gov: &Governor,
-) -> Result<GovernedAnswers, ModalError> {
-    let nulls: Vec<_> = t.nulls().into_iter().collect();
-    let it = ValuationIter::new(nulls.iter().copied(), pool.to_vec());
-    checked_total(it.total(), nulls.len(), pool.len(), limits)?;
-    let mut acc = Answers::new();
-    for v in it {
-        if let Err(i) = gov.check() {
-            return Ok(GovernedAnswers {
-                proven: acc,
-                refuted: Answers::new(),
-                undetermined: Answers::new(),
-                default: Verdict::Unknown(i.reason),
-                interrupt: Some(i),
-            });
-        }
-        let ground = v.apply(t);
-        if setting.satisfies_target(&ground) {
-            acc.extend(eval_query(q, &ground));
-        }
-    }
-    Ok(GovernedAnswers::complete(acc))
-}
-
-/// [`certain_answers_governed`] with valuation ranges fanned out on
-/// `exec`; the one `gov` budget is shared by every worker through its
-/// relaxed atomics. At one thread this *is* the sequential governed
-/// evaluation (same tick positions); under parallelism the trip point
-/// depends on worker interleaving, but every definite verdict handed out
-/// is still sound (a tuple is only refuted by a fully-evaluated
-/// representative) and the interrupt reason is merged deterministically
-/// (first in submission order).
-pub fn certain_answers_governed_par(
-    setting: &Setting,
-    q: &Query,
-    t: &Instance,
-    pool: &[Symbol],
-    limits: &ModalLimits,
-    gov: &Governor,
-    exec: &Pool,
-) -> Result<Option<GovernedAnswers>, ModalError> {
-    if !exec.is_parallel() {
-        return certain_answers_governed(setting, q, t, pool, limits, gov);
-    }
-    let nulls: Vec<_> = t.nulls().into_iter().collect();
-    let total = ValuationIter::new(nulls.iter().copied(), pool.to_vec()).total();
-    let total = checked_total(total, nulls.len(), pool.len(), limits)?;
-    struct BoxPartial {
-        acc: Option<Answers>,
-        refuted: Answers,
-        interrupt: Option<Interrupt>,
-    }
-    let ranges = valuation_ranges(exec, total);
-    let partials = exec.map(
-        &ranges,
-        range_cost(&ranges, VALUATION_COST_NS),
-        |_, &(lo, hi)| {
-            let mut acc: Option<Answers> = None;
-            let mut refuted = Answers::new();
-            let vals =
-                ValuationIter::from_index(nulls.iter().copied(), pool.to_vec(), u128::from(lo));
-            for v in vals.bounded(hi - lo) {
-                if let Err(i) = gov.check() {
-                    return BoxPartial {
-                        acc,
-                        refuted,
-                        interrupt: Some(i),
-                    };
-                }
-                let ground = v.apply(t);
-                if setting.satisfies_target(&ground) {
-                    let ans = eval_query(q, &ground);
-                    acc = Some(match acc.take() {
-                        None => ans,
-                        Some(prev) => {
-                            let kept: Answers = prev.intersection(&ans).cloned().collect();
-                            refuted.extend(prev.difference(&kept).cloned());
-                            kept
-                        }
-                    });
-                }
-            }
-            BoxPartial {
-                acc,
-                refuted,
-                interrupt: None,
-            }
-        },
-    );
-    // Merge in submission order. Every chunk's `acc` is the intersection
-    // of its *fully evaluated* representatives, so cross-chunk drops are
-    // definite refutations even when some chunk was interrupted.
-    let mut acc: Option<Answers> = None;
-    let mut refuted = Answers::new();
-    let mut interrupt: Option<Interrupt> = None;
-    for p in partials {
-        refuted.extend(p.refuted);
-        if interrupt.is_none() {
-            interrupt = p.interrupt;
-        }
-        if let Some(part) = p.acc {
-            acc = Some(match acc.take() {
-                None => part,
-                Some(prev) => {
-                    let kept: Answers = prev.intersection(&part).cloned().collect();
-                    refuted.extend(prev.difference(&kept).cloned());
-                    refuted.extend(part.difference(&kept).cloned());
-                    kept
-                }
-            });
-        }
-    }
-    Ok(match interrupt {
-        None => acc.map(GovernedAnswers::complete),
-        Some(i) => Some(checked_box_partial(acc, refuted, i)),
-    })
-}
-
-/// Assembles the interrupted-□ verdicts: survivors of the partial
-/// intersection are unknown; with at least one fully-evaluated
-/// representative everything else already failed a ⋂-factor.
-pub(crate) fn checked_box_partial(
-    acc: Option<Answers>,
-    refuted: Answers,
-    i: Interrupt,
-) -> GovernedAnswers {
-    match acc {
-        Some(survivors) => GovernedAnswers {
-            proven: Answers::new(),
-            refuted,
-            undetermined: survivors,
-            default: Verdict::False,
-            interrupt: Some(i),
-        },
-        None => GovernedAnswers {
-            proven: Answers::new(),
-            refuted: Answers::new(),
-            undetermined: Answers::new(),
-            default: Verdict::Unknown(i.reason),
-            interrupt: Some(i),
-        },
-    }
-}
-
-/// [`maybe_answers_governed`] with valuation ranges fanned out on
-/// `exec`, sharing the one `gov` budget across workers. Sound for the
-/// same reason as the sequential version: everything proven was found
-/// in an explored representative, everything else stays unknown.
-pub fn maybe_answers_governed_par(
-    setting: &Setting,
-    q: &Query,
-    t: &Instance,
-    pool: &[Symbol],
-    limits: &ModalLimits,
-    gov: &Governor,
-    exec: &Pool,
-) -> Result<GovernedAnswers, ModalError> {
-    if !exec.is_parallel() {
-        return maybe_answers_governed(setting, q, t, pool, limits, gov);
-    }
-    let nulls: Vec<_> = t.nulls().into_iter().collect();
-    let total = ValuationIter::new(nulls.iter().copied(), pool.to_vec()).total();
-    let total = checked_total(total, nulls.len(), pool.len(), limits)?;
-    let ranges = valuation_ranges(exec, total);
-    let partials = exec.map(
-        &ranges,
-        range_cost(&ranges, VALUATION_COST_NS),
-        |_, &(lo, hi)| {
-            let mut acc = Answers::new();
-            let vals =
-                ValuationIter::from_index(nulls.iter().copied(), pool.to_vec(), u128::from(lo));
-            for v in vals.bounded(hi - lo) {
-                if let Err(i) = gov.check() {
-                    return (acc, Some(i));
-                }
-                let ground = v.apply(t);
-                if setting.satisfies_target(&ground) {
-                    acc.extend(eval_query(q, &ground));
-                }
-            }
-            (acc, None)
-        },
-    );
-    let mut proven = Answers::new();
-    let mut interrupt: Option<Interrupt> = None;
-    for (p, i) in partials {
-        proven.extend(p);
-        if interrupt.is_none() {
-            interrupt = i;
-        }
-    }
-    Ok(match interrupt {
-        None => GovernedAnswers::complete(proven),
-        Some(i) => GovernedAnswers {
-            proven,
-            refuted: Answers::new(),
-            undetermined: Answers::new(),
-            default: Verdict::Unknown(i.reason),
-            interrupt: Some(i),
-        },
-    })
-}
-
 /// Lemma 7.7's polynomial fast path, generalized to the largest fragment
 /// it soundly covers: for a UCQ `Q` whose inequalities mention only head
 /// variables and constants ([`Query::is_head_safe_ucq`]; plain UCQs are
@@ -739,6 +604,44 @@ mod tests {
         .unwrap()
     }
 
+    /// Sequential, ungoverned `□Q(T)`.
+    fn box_q(
+        d: &Setting,
+        q: &Query,
+        t: &Instance,
+        pool: &[Symbol],
+    ) -> Result<Option<Answers>, ModalError> {
+        let g = certain_answers(
+            d,
+            q,
+            t,
+            pool,
+            &ModalLimits::default(),
+            &Governor::unlimited(),
+            &Pool::seq(),
+        )?;
+        Ok(g.map(|g| {
+            assert!(g.is_complete());
+            g.proven
+        }))
+    }
+
+    /// Sequential, ungoverned `◇Q(T)`.
+    fn diamond_q(d: &Setting, q: &Query, t: &Instance, pool: &[Symbol]) -> Answers {
+        let g = maybe_answers(
+            d,
+            q,
+            t,
+            pool,
+            &ModalLimits::default(),
+            &Governor::unlimited(),
+            &Pool::seq(),
+        )
+        .unwrap();
+        assert!(g.is_complete());
+        g.proven
+    }
+
     #[test]
     fn certain_answers_quantify_over_all_valuations() {
         let d = free_setting();
@@ -746,15 +649,11 @@ mod tests {
         let q = parse_query("Q(x) :- F(a,x)").unwrap();
         let pool = answer_pool(&t, &q, []);
         // _1 can be anything: no certain F-successor value.
-        let ans = certain_answers(&d, &q, &t, &pool, &ModalLimits::default())
-            .unwrap()
-            .unwrap();
+        let ans = box_q(&d, &q, &t, &pool).unwrap().unwrap();
         assert!(ans.is_empty());
         // But the Boolean "a has an F-successor" is certain.
         let qb = parse_query("Q() :- F(a,x)").unwrap();
-        let ans = certain_answers(&d, &qb, &t, &pool, &ModalLimits::default())
-            .unwrap()
-            .unwrap();
+        let ans = box_q(&d, &qb, &t, &pool).unwrap().unwrap();
         assert_eq!(ans.len(), 1);
     }
 
@@ -764,7 +663,7 @@ mod tests {
         let t = parse_instance("F(a,_1).").unwrap();
         let q = parse_query("Q(x) :- F(a,x)").unwrap();
         let pool = answer_pool(&t, &q, [Symbol::intern("b")]);
-        let ans = maybe_answers(&d, &q, &t, &pool, &ModalLimits::default()).unwrap();
+        let ans = diamond_q(&d, &q, &t, &pool);
         // _1 ranges over the whole pool: a, b and one fresh constant.
         assert_eq!(ans.len(), pool.len());
     }
@@ -780,14 +679,11 @@ mod tests {
         let t = parse_instance("F(a,_1). F(a,_2).").unwrap();
         let q = parse_query("Q() :- F(a,x), F(a,y), x != y").unwrap();
         let pool = answer_pool(&t, &q, []);
-        let ans = certain_answers(&d, &q, &t, &pool, &ModalLimits::default())
-            .unwrap()
-            .unwrap();
+        let ans = box_q(&d, &q, &t, &pool).unwrap().unwrap();
         // In every R ∈ Rep the two atoms collapse, so the query is never
         // true — certainly empty, and not even maybe.
         assert!(ans.is_empty());
-        let maybe = maybe_answers(&d, &q, &t, &pool, &ModalLimits::default()).unwrap();
-        assert!(maybe.is_empty());
+        assert!(diamond_q(&d, &q, &t, &pool).is_empty());
     }
 
     #[test]
@@ -799,8 +695,7 @@ mod tests {
         let t = parse_instance("F(a,b). F(a,c).").unwrap();
         let q = parse_query("Q() :- F(a,x)").unwrap();
         let pool = answer_pool(&t, &q, []);
-        let ans = certain_answers(&d, &q, &t, &pool, &ModalLimits::default()).unwrap();
-        assert!(ans.is_none()); // Rep_D(T) = ∅
+        assert!(box_q(&d, &q, &t, &pool).unwrap().is_none()); // Rep_D(T) = ∅
     }
 
     #[test]
@@ -811,9 +706,7 @@ mod tests {
         let q = parse_query("Q(x) :- F(x,y)").unwrap();
         let fast = ucq_certain_answers(&q, &t);
         let pool = answer_pool(&t, &q, s.constants());
-        let oracle = certain_answers(&d, &q, &t, &pool, &ModalLimits::default())
-            .unwrap()
-            .unwrap();
+        let oracle = box_q(&d, &q, &t, &pool).unwrap().unwrap();
         assert_eq!(fast, oracle);
         assert_eq!(fast, Answers::from([vec![c("a")]]));
     }
@@ -826,7 +719,7 @@ mod tests {
         let t = parse_instance(&atoms).unwrap();
         let q = parse_query("Q() :- G(x,x)").unwrap();
         let pool = answer_pool(&t, &q, []);
-        let r = certain_answers(&d, &q, &t, &pool, &ModalLimits::default());
+        let r = box_q(&d, &q, &t, &pool);
         assert!(matches!(r, Err(ModalError::TooManyValuations { .. })));
     }
 
@@ -837,14 +730,14 @@ mod tests {
         // layout silently dropped every valuation above the clamp — the
         // suffix of Rep_D(T) was never visited (unsound □, incomplete ◇).
         // Now any space that cannot be indexed in u64 is a hard error on
-        // every oracle entry point, governed or not, at any thread count.
+        // every oracle entry point, at any thread count.
         let d = free_setting();
         // 40 nulls over a pool of ≥41 constants: 41^40 ≈ 3.2·10^64 > 2^64.
         let atoms: String = (0..40).map(|i| format!("G(_{i},_{i}). ")).collect();
         let t = parse_instance(&atoms).unwrap();
         let q = parse_query("Q() :- G(x,x)").unwrap();
         let pool = answer_pool(&t, &q, []);
-        let total = ValuationIter::new(t.nulls().into_iter(), pool.clone()).total();
+        let total = ValuationIter::new(t.nulls(), pool.clone()).total();
         assert!(
             total > u128::from(u64::MAX),
             "test instance must overflow the u64 index space (got {total})"
@@ -853,56 +746,20 @@ mod tests {
             max_valuations: u128::MAX,
         };
         let gov = Governor::unlimited();
-        let exec = Pool::new(2).with_threshold_ns(0);
-        assert!(matches!(
-            certain_answers_par(&d, &q, &t, &pool, &lim, &exec),
-            Err(ModalError::TooManyValuations { .. })
-        ));
-        assert!(matches!(
-            maybe_answers_par(&d, &q, &t, &pool, &lim, &exec),
-            Err(ModalError::TooManyValuations { .. })
-        ));
-        assert!(matches!(
-            certain_answers_governed_par(&d, &q, &t, &pool, &lim, &gov, &exec),
-            Err(ModalError::TooManyValuations { .. })
-        ));
-        assert!(matches!(
-            maybe_answers_governed_par(&d, &q, &t, &pool, &lim, &gov, &exec),
-            Err(ModalError::TooManyValuations { .. })
-        ));
-        assert!(matches!(
-            certain_answers_governed(&d, &q, &t, &pool, &lim, &gov),
-            Err(ModalError::TooManyValuations { .. })
-        ));
+        for exec in [Pool::seq(), Pool::new(2).with_threshold_ns(0)] {
+            assert!(matches!(
+                certain_answers(&d, &q, &t, &pool, &lim, &gov, &exec),
+                Err(ModalError::TooManyValuations { .. })
+            ));
+            assert!(matches!(
+                maybe_answers(&d, &q, &t, &pool, &lim, &gov, &exec),
+                Err(ModalError::TooManyValuations { .. })
+            ));
+        }
         assert!(matches!(
             for_each_rep(&d, &t, &pool, &lim, &mut |_| {}),
             Err(ModalError::TooManyValuations { .. })
         ));
-    }
-
-    #[test]
-    fn governed_modal_matches_ungoverned_when_unlimited() {
-        let d = keyed_setting();
-        let t = parse_instance("F(a,_1). F(a,_2).").unwrap();
-        let q = parse_query("Q(x) :- F(a,x)").unwrap();
-        let pool = answer_pool(&t, &q, []);
-        let lim = ModalLimits::default();
-        let gov = Governor::unlimited();
-        let certain = certain_answers_governed(&d, &q, &t, &pool, &lim, &gov)
-            .unwrap()
-            .unwrap();
-        assert!(certain.is_complete());
-        assert_eq!(
-            certain.proven,
-            certain_answers(&d, &q, &t, &pool, &lim).unwrap().unwrap()
-        );
-        let gov = Governor::unlimited();
-        let maybe = maybe_answers_governed(&d, &q, &t, &pool, &lim, &gov).unwrap();
-        assert!(maybe.is_complete());
-        assert_eq!(
-            maybe.proven,
-            maybe_answers(&d, &q, &t, &pool, &lim).unwrap()
-        );
     }
 
     #[test]
@@ -916,7 +773,8 @@ mod tests {
         let pool = answer_pool(&t, &q, []);
         assert!(pool.len() >= 2);
         let gov = Governor::unlimited().with_fuel(2);
-        let g = certain_answers_governed(&d, &q, &t, &pool, &ModalLimits::default(), &gov)
+        let lim = ModalLimits::default();
+        let g = certain_answers(&d, &q, &t, &pool, &lim, &gov, &Pool::seq())
             .unwrap()
             .unwrap();
         assert!(!g.is_complete());
@@ -928,25 +786,65 @@ mod tests {
     #[test]
     fn interrupted_box_marks_dropped_tuples_false() {
         let d = free_setting();
-        // Non-Boolean query: each rep answers with its own valuation of
-        // _1, so after two reps the first rep's tuple is refuted — a
-        // *definite* False that survives the interrupt at rep three.
-        let t = parse_instance("F(a,_1).").unwrap();
+        // `_1` ranges over the pool while `b` is fixed: after two reps
+        // the first rep's own valuation of `_1` is refuted — a *definite*
+        // False that survives the interrupt at rep three — while `b`
+        // survives every rep and stays undetermined. (Over `F(a,_1)`
+        // alone the second rep would empty the intersection, which is a
+        // complete ∅ rather than an interrupted run.)
+        let t = parse_instance("F(a,_1). F(a,b).").unwrap();
         let q = parse_query("Q(x) :- F(a,x)").unwrap();
-        let pool = answer_pool(&t, &q, [Symbol::intern("b"), Symbol::intern("c")]);
+        let pool = answer_pool(&t, &q, [Symbol::intern("c")]);
         assert!(pool.len() >= 3);
         // Fuel 3: the first two reps are evaluated (ticks 1 and 2), the
         // trip lands on the check before rep three.
         let gov = Governor::unlimited().with_fuel(3);
-        let g = certain_answers_governed(&d, &q, &t, &pool, &ModalLimits::default(), &gov)
+        let lim = ModalLimits::default();
+        let g = certain_answers(&d, &q, &t, &pool, &lim, &gov, &Pool::seq())
             .unwrap()
             .unwrap();
         assert!(!g.is_complete());
+        g.validate().unwrap();
         assert_eq!(g.refuted.len(), 1);
         let refuted = g.refuted.iter().next().unwrap().clone();
+        assert_ne!(refuted, vec![c("b")]);
         assert_eq!(g.verdict(&refuted), Verdict::False);
+        assert_eq!(g.undetermined, Answers::from([vec![c("b")]]));
+        assert!(g.verdict(&[c("b")]).is_unknown());
         // Unseen tuples already failed a fully-evaluated rep: False.
         assert_eq!(g.verdict(&[Value::konst("zzz")]), Verdict::False);
+    }
+
+    #[test]
+    fn emptied_box_intersection_exits_early_and_complete() {
+        let d = free_setting();
+        // Every rep answers with its own valuation of `_1`, so the second
+        // rep already empties ⋂: the run stops there with a *complete* ∅
+        // instead of ticking through the rest of the valuation space.
+        let t = parse_instance("F(a,_1).").unwrap();
+        let q = parse_query("Q(x) :- F(a,x)").unwrap();
+        // Twenty extra constants give every range of a two-wide split at
+        // least two valuations, so each range can empty on its own.
+        let extra = (0..20).map(|i| Symbol::intern(&format!("k{i}")));
+        let pool = answer_pool(&t, &q, extra);
+        let space = pool.len() as u64;
+        let lim = ModalLimits::default();
+        for exec in [Pool::seq(), Pool::new(2).with_threshold_ns(0)] {
+            let gov = Governor::unlimited();
+            let g = certain_answers(&d, &q, &t, &pool, &lim, &gov, &exec)
+                .unwrap()
+                .unwrap();
+            g.validate().unwrap();
+            assert!(g.is_complete());
+            assert!(g.proven.is_empty());
+            assert!(gov.ticks() < space, "{} ticks", gov.ticks());
+            // The same holds with a budget that would trip later on.
+            let gov = Governor::unlimited().with_fuel(space);
+            let g = certain_answers(&d, &q, &t, &pool, &lim, &gov, &exec)
+                .unwrap()
+                .unwrap();
+            assert!(g.is_complete() && g.proven.is_empty());
+        }
     }
 
     #[test]
@@ -957,7 +855,8 @@ mod tests {
         let pool = answer_pool(&t, &q, [Symbol::intern("b")]);
         // Fuel 2: exactly one rep is evaluated before the trip.
         let gov = Governor::unlimited().with_fuel(2);
-        let g = maybe_answers_governed(&d, &q, &t, &pool, &ModalLimits::default(), &gov).unwrap();
+        let lim = ModalLimits::default();
+        let g = maybe_answers(&d, &q, &t, &pool, &lim, &gov, &Pool::seq()).unwrap();
         assert!(!g.is_complete());
         assert_eq!(g.proven.len(), 1, "one rep explored before the trip");
         let found = g.proven.iter().next().unwrap().clone();
@@ -985,48 +884,39 @@ mod tests {
             let t = parse_instance(inst).unwrap();
             let q = parse_query(query).unwrap();
             let pool = answer_pool(&t, &q, [Symbol::intern("b")]);
-            let certain_seq = certain_answers(d, &q, &t, &pool, &lim).unwrap();
-            let maybe_seq = maybe_answers(d, &q, &t, &pool, &lim).unwrap();
+            let certain_seq = box_q(d, &q, &t, &pool).unwrap();
+            let maybe_seq = diamond_q(d, &q, &t, &pool);
             for threads in [2usize, 4, 8] {
-                let exec = Pool::new(threads);
-                let certain = certain_answers_par(d, &q, &t, &pool, &lim, &exec).unwrap();
-                assert_eq!(certain, certain_seq, "□ {query} at {threads} threads");
-                let maybe = maybe_answers_par(d, &q, &t, &pool, &lim, &exec).unwrap();
-                assert_eq!(maybe, maybe_seq, "◇ {query} at {threads} threads");
+                let exec = Pool::new(threads).with_threshold_ns(0);
+                let gov = Governor::unlimited();
+                let certain = certain_answers(d, &q, &t, &pool, &lim, &gov, &exec).unwrap();
+                assert_eq!(
+                    certain.map(|g| g.proven),
+                    certain_seq,
+                    "□ {query} at {threads} threads"
+                );
+                let maybe = maybe_answers(d, &q, &t, &pool, &lim, &gov, &exec).unwrap();
+                assert_eq!(maybe.proven, maybe_seq, "◇ {query} at {threads} threads");
             }
         }
     }
 
-    /// Governed parallel □/◇ with an unlimited governor are complete and
-    /// equal to the ungoverned answers; with a tripping governor every
-    /// definite verdict stays sound and the interrupt reason matches.
+    /// Parallel □/◇ with a tripping governor: every definite verdict
+    /// stays sound and the interrupt reason matches.
     #[test]
-    fn governed_parallel_modal_is_sound_and_complete_when_unlimited() {
+    fn tripped_parallel_modal_stays_sound() {
         let d = keyed_setting();
         let t = parse_instance("F(a,_1). F(a,_2).").unwrap();
         let q = parse_query("Q(x) :- F(a,x)").unwrap();
         let pool = answer_pool(&t, &q, []);
         let lim = ModalLimits::default();
-        let truth_certain = certain_answers(&d, &q, &t, &pool, &lim).unwrap().unwrap();
-        let truth_maybe = maybe_answers(&d, &q, &t, &pool, &lim).unwrap();
+        let truth_certain = box_q(&d, &q, &t, &pool).unwrap().unwrap();
+        let truth_maybe = diamond_q(&d, &q, &t, &pool);
         for threads in [1usize, 2, 8] {
-            let exec = Pool::new(threads);
-            let gov = Governor::unlimited();
-            let g = certain_answers_governed_par(&d, &q, &t, &pool, &lim, &gov, &exec)
-                .unwrap()
-                .unwrap();
-            g.validate().unwrap();
-            assert!(g.is_complete());
-            assert_eq!(g.proven, truth_certain);
-            let gov = Governor::unlimited();
-            let g = maybe_answers_governed_par(&d, &q, &t, &pool, &lim, &gov, &exec).unwrap();
-            g.validate().unwrap();
-            assert!(g.is_complete());
-            assert_eq!(g.proven, truth_maybe);
-            // A tripping budget: no bogus definite verdicts, same reason.
+            let exec = Pool::new(threads).with_threshold_ns(0);
             for fuel in [1u64, 2, 5, 13] {
                 let gov = Governor::unlimited().with_fuel(fuel);
-                let g = certain_answers_governed_par(&d, &q, &t, &pool, &lim, &gov, &exec)
+                let g = certain_answers(&d, &q, &t, &pool, &lim, &gov, &exec)
                     .unwrap()
                     .unwrap();
                 g.validate().unwrap();
@@ -1040,7 +930,7 @@ mod tests {
                     assert_eq!(i.reason, InterruptReason::Fuel);
                 }
                 let gov = Governor::unlimited().with_fuel(fuel);
-                let g = maybe_answers_governed_par(&d, &q, &t, &pool, &lim, &gov, &exec).unwrap();
+                let g = maybe_answers(&d, &q, &t, &pool, &lim, &gov, &exec).unwrap();
                 g.validate().unwrap();
                 for tuple in &g.proven {
                     assert!(truth_maybe.contains(tuple));
@@ -1055,10 +945,8 @@ mod tests {
         let t = parse_instance("F(a,b).").unwrap();
         let q = parse_query("Q(x) :- F(a,x)").unwrap();
         let pool = answer_pool(&t, &q, []);
-        let certain = certain_answers(&d, &q, &t, &pool, &ModalLimits::default())
-            .unwrap()
-            .unwrap();
-        let maybe = maybe_answers(&d, &q, &t, &pool, &ModalLimits::default()).unwrap();
+        let certain = box_q(&d, &q, &t, &pool).unwrap().unwrap();
+        let maybe = diamond_q(&d, &q, &t, &pool);
         assert_eq!(certain, maybe);
         assert_eq!(certain, Answers::from([vec![c("b")]]));
     }

@@ -328,8 +328,17 @@ mod tests {
             let q = parse_query(qt).unwrap();
             let Query::Cq(cq_ast) = &q else { panic!() };
             let pool = crate::modal::answer_pool(&t, &q, []);
-            let oracle =
-                crate::modal::maybe_answers(&setting, &q, &t, &pool, &Default::default()).unwrap();
+            let oracle = crate::modal::maybe_answers(
+                &setting,
+                &q,
+                &t,
+                &pool,
+                &Default::default(),
+                &dex_core::Governor::unlimited(),
+                &dex_core::Pool::seq(),
+            )
+            .unwrap()
+            .proven;
             // Every oracle answer must be confirmed by the fast path, and
             // pool-tuples rejected by the fast path must be absent.
             for tuple in &oracle {

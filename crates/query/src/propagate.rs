@@ -39,32 +39,27 @@
 //!    space.
 //!
 //! Above a propagation-width cutoff the analysis is skipped and the old
-//! oracle runs unchanged ([`PropagationReport::fell_back`]). Governed
-//! variants tick the [`Governor`] once per residual candidate and, when
-//! interrupted, return refinable sound/complete bound pairs
+//! oracle runs unchanged ([`PropagationReport::fell_back`]). The
+//! [`Governor`] ticks once per residual candidate and stamps the stage
+//! spans from its clock; when it interrupts a run, the answers are
+//! refinable sound/complete bound pairs
 //! ([`GovernedAnswers::lower_bound`]/[`GovernedAnswers::upper_bound`]):
 //! the lower bound is seeded with ground witnesses that survive every
 //! valuation, the ◇ upper bound with the dependency-free unification
 //! check of [`crate::possible`].
 
-use crate::eval::{eval_query, Answers};
+use crate::eval::Answers;
 use crate::modal::{
-    certain_answers_governed_par, certain_answers_par, checked_box_partial, checked_total,
-    maybe_answers_governed_par, maybe_answers_par, GovernedAnswers, ModalError, ModalLimits,
-    VALUATION_COST_NS,
+    box_fold, certain_answers, checked_total, diamond_fold, maybe_answers, rep_answers,
+    GovernedAnswers, ModalError, ModalLimits,
 };
 use crate::possible::cq_is_maybe_answer;
-use dex_core::govern::{Governor, Interrupt, Verdict};
-use dex_core::{
-    chunk_ranges, range_cost, BoundedExt, Instance, MixedRadixValuations, NullId, Pool, Symbol,
-    Valuation, Value,
-};
+use dex_core::govern::{Governor, Verdict};
+use dex_core::{Instance, MixedRadixValuations, NullId, Pool, Symbol, Valuation, Value};
 use dex_logic::dependency::Body;
 use dex_logic::formula::Assignment;
 use dex_logic::{matcher, ConjunctiveQuery, Query, Setting};
-use dex_obs::Tracer;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Above this `|Null(T)| × |pool|` product the per-null analysis is
 /// skipped and the brute-force oracle runs unchanged. The analysis does
@@ -137,11 +132,22 @@ impl Residual {
             .fold(1u128, u128::saturating_mul)
     }
 
-    /// True iff `w` respects every forced disequality.
-    fn diseqs_ok(&self, w: &Valuation) -> bool {
-        self.diseqs
+    /// The candidate valuations from index `lo` of the residual product.
+    fn valuations(&self, lo: u64) -> MixedRadixValuations {
+        MixedRadixValuations::from_index(self.nulls.clone(), self.domains.clone(), u128::from(lo))
+    }
+
+    /// A candidate's answers: `None` when it violates a forced
+    /// disequality or its grounding fails `Σ_t`.
+    fn rep_answers(&self, setting: &Setting, q: &Query, w: &Valuation) -> Option<Answers> {
+        let diseqs_ok = self
+            .diseqs
             .iter()
-            .all(|&(i, j)| w.get(self.nulls[i]) != w.get(self.nulls[j]))
+            .all(|&(i, j)| w.get(self.nulls[i]) != w.get(self.nulls[j]));
+        if !diseqs_ok {
+            return None;
+        }
+        rep_answers(setting, q, &self.t, w)
     }
 }
 
@@ -269,24 +275,19 @@ fn forced_diseqs(setting: &Setting, t: &Instance, nulls: &[NullId]) -> Vec<(usiz
     out
 }
 
-/// Timestamp for pipeline-stage spans: the governor's clock when one is
-/// available, otherwise 0 — the ungoverned path has no time source, so
-/// its spans carry structure (nesting, event counts) but zero duration.
-fn span_now(gov: Option<&Governor>) -> u64 {
-    gov.map_or(0, |g| g.clock().now_ns())
-}
-
 /// The symbolic analysis phase: merge fixpoint, inert elimination,
 /// admissible sets, forced disequalities. Each stage is wrapped in a
-/// span on `tracer` so `dex trace` can break propagation time down.
+/// span on the governor's tracer, stamped from its clock, so `dex trace`
+/// can break propagation time down.
 fn analyze(
     setting: &Setting,
     q: &Query,
     t: &Instance,
     pool: &[Symbol],
-    tracer: &Tracer,
-    gov: Option<&Governor>,
+    gov: &Governor,
 ) -> Analysis {
+    let tracer = gov.tracer();
+    let now = || gov.clock().now_ns();
     let all_nulls = t.nulls();
     let mut report = PropagationReport {
         nulls: all_nulls.len(),
@@ -303,14 +304,14 @@ fn analyze(
         return Analysis::TooWide(report);
     }
     let mut tq = t.clone();
-    let sp = tracer.span("merge_fixpoint", span_now(gov));
+    let sp = tracer.span("merge_fixpoint", now());
     let merged = merge_fixpoint(setting, &mut tq);
-    sp.close(span_now(gov));
+    sp.close(now());
     match merged {
         None => return Analysis::EmptyRep(report),
         Some(merged) => report.merged = merged,
     }
-    let sp = tracer.span("inert_elim", span_now(gov));
+    let sp = tracer.span("inert_elim", now());
     let remaining: Vec<NullId> = tq.nulls().into_iter().collect();
     let mut residual_nulls = Vec::with_capacity(remaining.len());
     if let Some(obs) = observable_relations(setting, q) {
@@ -329,8 +330,8 @@ fn analyze(
     } else {
         residual_nulls = remaining;
     }
-    sp.close(span_now(gov));
-    let sp = tracer.span("admissible_sets", span_now(gov));
+    sp.close(now());
+    let sp = tracer.span("admissible_sets", now());
     let mut domains = Vec::with_capacity(residual_nulls.len());
     let mut empty_domain = false;
     for &nu in &residual_nulls {
@@ -341,17 +342,17 @@ fn analyze(
         }
         domains.push(dom);
     }
-    sp.close(span_now(gov));
+    sp.close(now());
     if empty_domain {
         return Analysis::EmptyRep(report);
     }
-    let sp = tracer.span("forced_diseqs", span_now(gov));
+    let sp = tracer.span("forced_diseqs", now());
     let diseqs = if residual_nulls.len() <= DISEQ_PAIR_CAP {
         forced_diseqs(setting, &tq, &residual_nulls)
     } else {
         Vec::new()
     };
-    sp.close(span_now(gov));
+    sp.close(now());
     report.residual_nulls = residual_nulls.len();
     report.diseqs = diseqs.len();
     let residual = Residual {
@@ -461,131 +462,13 @@ fn diamond_upper_bound(q: &Query, t: &Instance, pool: &[Symbol]) -> Option<(Answ
 }
 
 /// `□Q(T)` by constraint propagation — answer-identical to
-/// [`certain_answers_par`], enumerating only the residual space. Returns
-/// `None` iff `Rep_D(T)` is empty, plus the propagation report.
+/// [`certain_answers`], enumerating only the residual space (ranges on
+/// `exec`, one tick of `gov` per residual candidate). Returns `None` iff
+/// `Rep_D(T)` is empty, plus the propagation report. On interrupt the
+/// verdicts are assembled exactly as the oracle's and the refinable
+/// lower bound is seeded with [`certain_ground_witnesses`] — tuples every
+/// representative answers, whatever was left unexplored.
 pub fn certain_answers_propagated(
-    setting: &Setting,
-    q: &Query,
-    t: &Instance,
-    pool: &[Symbol],
-    limits: &ModalLimits,
-    exec: &Pool,
-    tracer: &Tracer,
-) -> Result<(Option<Answers>, PropagationReport), ModalError> {
-    let r = match analyze(setting, q, t, pool, tracer, None) {
-        Analysis::EmptyRep(report) => return Ok((None, report)),
-        Analysis::TooWide(report) => {
-            return certain_answers_par(setting, q, t, pool, limits, exec).map(|a| (a, report));
-        }
-        Analysis::Residual(r) => r,
-    };
-    let total = checked_total(r.total(), r.nulls.len(), pool.len(), limits)?;
-    let sp = tracer.span("residual_enum", 0);
-    let ranges = chunk_ranges(total, exec.effective_threads() * 4);
-    let cancel = AtomicBool::new(false);
-    let partials = exec.map(
-        &ranges,
-        range_cost(&ranges, VALUATION_COST_NS),
-        |_, &(lo, hi)| {
-            let mut acc: Option<Answers> = None;
-            let vals = MixedRadixValuations::from_index(
-                r.nulls.clone(),
-                r.domains.clone(),
-                u128::from(lo),
-            );
-            for w in vals.bounded(hi - lo) {
-                if cancel.load(Ordering::Relaxed) {
-                    break;
-                }
-                if !r.diseqs_ok(&w) {
-                    continue;
-                }
-                let ground = w.apply(&r.t);
-                if setting.satisfies_target(&ground) {
-                    let ans = eval_query(q, &ground);
-                    let next: Answers = match acc.take() {
-                        None => ans,
-                        Some(prev) => prev.intersection(&ans).cloned().collect(),
-                    };
-                    let hit_bottom = next.is_empty();
-                    acc = Some(next);
-                    if hit_bottom {
-                        cancel.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                }
-            }
-            acc
-        },
-    );
-    let mut acc: Option<Answers> = None;
-    for p in partials.into_iter().flatten() {
-        acc = Some(match acc.take() {
-            None => p,
-            Some(prev) => prev.intersection(&p).cloned().collect(),
-        });
-    }
-    sp.close(0);
-    Ok((acc, r.report))
-}
-
-/// `◇Q(T)` by constraint propagation — answer-identical to
-/// [`maybe_answers_par`].
-pub fn maybe_answers_propagated(
-    setting: &Setting,
-    q: &Query,
-    t: &Instance,
-    pool: &[Symbol],
-    limits: &ModalLimits,
-    exec: &Pool,
-    tracer: &Tracer,
-) -> Result<(Answers, PropagationReport), ModalError> {
-    let r = match analyze(setting, q, t, pool, tracer, None) {
-        Analysis::EmptyRep(report) => return Ok((Answers::new(), report)),
-        Analysis::TooWide(report) => {
-            return maybe_answers_par(setting, q, t, pool, limits, exec).map(|a| (a, report));
-        }
-        Analysis::Residual(r) => r,
-    };
-    let total = checked_total(r.total(), r.nulls.len(), pool.len(), limits)?;
-    let sp = tracer.span("residual_enum", 0);
-    let ranges = chunk_ranges(total, exec.effective_threads() * 4);
-    let partials = exec.map(
-        &ranges,
-        range_cost(&ranges, VALUATION_COST_NS),
-        |_, &(lo, hi)| {
-            let mut acc = Answers::new();
-            let vals = MixedRadixValuations::from_index(
-                r.nulls.clone(),
-                r.domains.clone(),
-                u128::from(lo),
-            );
-            for w in vals.bounded(hi - lo) {
-                if !r.diseqs_ok(&w) {
-                    continue;
-                }
-                let ground = w.apply(&r.t);
-                if setting.satisfies_target(&ground) {
-                    acc.extend(eval_query(q, &ground));
-                }
-            }
-            acc
-        },
-    );
-    let mut out = Answers::new();
-    for p in partials {
-        out.extend(p);
-    }
-    sp.close(0);
-    Ok((out, r.report))
-}
-
-/// Governed [`certain_answers_propagated`]: ticks once per residual
-/// candidate. On interrupt the verdicts are assembled exactly as the
-/// oracle's ([`checked_box_partial`]) and the refinable lower bound is
-/// seeded with [`certain_ground_witnesses`] — tuples every representative
-/// answers, whatever was left unexplored.
-pub fn certain_answers_propagated_governed(
     setting: &Setting,
     q: &Query,
     t: &Instance,
@@ -593,95 +476,26 @@ pub fn certain_answers_propagated_governed(
     limits: &ModalLimits,
     gov: &Governor,
     exec: &Pool,
-    tracer: &Tracer,
 ) -> Result<(Option<GovernedAnswers>, PropagationReport), ModalError> {
-    let r = match analyze(setting, q, t, pool, tracer, Some(gov)) {
+    let r = match analyze(setting, q, t, pool, gov) {
         Analysis::EmptyRep(report) => return Ok((None, report)),
         Analysis::TooWide(report) => {
-            let g = certain_answers_governed_par(setting, q, t, pool, limits, gov, exec)?;
-            let g = g.map(|g| seed_box_lower_bound(g, q, t));
-            return Ok((g, report));
+            let g = certain_answers(setting, q, t, pool, limits, gov, exec)?;
+            return Ok((g.map(|g| seed_box_lower_bound(g, q, t)), report));
         }
         Analysis::Residual(r) => r,
     };
     let total = checked_total(r.total(), r.nulls.len(), pool.len(), limits)?;
-    let sp = tracer.span("residual_enum", span_now(Some(gov)));
-    struct BoxPartial {
-        acc: Option<Answers>,
-        refuted: Answers,
-        interrupt: Option<Interrupt>,
-    }
-    let ranges = chunk_ranges(total, exec.effective_threads() * 4);
-    let partials = exec.map(
-        &ranges,
-        range_cost(&ranges, VALUATION_COST_NS),
-        |_, &(lo, hi)| {
-            let mut acc: Option<Answers> = None;
-            let mut refuted = Answers::new();
-            let vals = MixedRadixValuations::from_index(
-                r.nulls.clone(),
-                r.domains.clone(),
-                u128::from(lo),
-            );
-            for w in vals.bounded(hi - lo) {
-                if let Err(i) = gov.check() {
-                    return BoxPartial {
-                        acc,
-                        refuted,
-                        interrupt: Some(i),
-                    };
-                }
-                if !r.diseqs_ok(&w) {
-                    continue;
-                }
-                let ground = w.apply(&r.t);
-                if setting.satisfies_target(&ground) {
-                    let ans = eval_query(q, &ground);
-                    acc = Some(match acc.take() {
-                        None => ans,
-                        Some(prev) => {
-                            let kept: Answers = prev.intersection(&ans).cloned().collect();
-                            refuted.extend(prev.difference(&kept).cloned());
-                            kept
-                        }
-                    });
-                }
-            }
-            BoxPartial {
-                acc,
-                refuted,
-                interrupt: None,
-            }
-        },
+    let sp = gov.tracer().span("residual_enum", gov.clock().now_ns());
+    let g = box_fold(
+        exec,
+        gov,
+        total,
+        |lo| r.valuations(lo),
+        |w| r.rep_answers(setting, q, w),
     );
-    let mut acc: Option<Answers> = None;
-    let mut refuted = Answers::new();
-    let mut interrupt: Option<Interrupt> = None;
-    for p in partials {
-        refuted.extend(p.refuted);
-        if interrupt.is_none() {
-            interrupt = p.interrupt;
-        }
-        if let Some(part) = p.acc {
-            acc = Some(match acc.take() {
-                None => part,
-                Some(prev) => {
-                    let kept: Answers = prev.intersection(&part).cloned().collect();
-                    refuted.extend(prev.difference(&kept).cloned());
-                    refuted.extend(part.difference(&kept).cloned());
-                    kept
-                }
-            });
-        }
-    }
-    sp.close(span_now(Some(gov)));
-    Ok(match interrupt {
-        None => (acc.map(GovernedAnswers::complete), r.report),
-        Some(i) => {
-            let g = seed_box_lower_bound(checked_box_partial(acc, refuted, i), q, &r.t);
-            (Some(g), r.report)
-        }
-    })
+    sp.close(gov.clock().now_ns());
+    Ok((g.map(|g| seed_box_lower_bound(g, q, &r.t)), r.report))
 }
 
 /// Moves [`certain_ground_witnesses`] into `proven` on an interrupted □
@@ -702,13 +516,14 @@ fn seed_box_lower_bound(mut g: GovernedAnswers, q: &Query, t: &Instance) -> Gove
     g
 }
 
-/// Governed [`maybe_answers_propagated`]: ticks once per residual
-/// candidate. On interrupt, instead of the oracle's unbounded `Unknown`
-/// default, the verdicts are completed with the dependency-free ◇ upper
-/// bound when affordable: tuples failing the unification check are
-/// *refuted*, the rest stay undetermined — giving interrupted ◇ runs a
-/// finite `upper_bound()`.
-pub fn maybe_answers_propagated_governed(
+/// `◇Q(T)` by constraint propagation — answer-identical to
+/// [`maybe_answers`], enumerating only the residual space (ranges on
+/// `exec`, one tick of `gov` per residual candidate). On interrupt,
+/// instead of the oracle's unbounded `Unknown` default, the verdicts are
+/// completed with the dependency-free ◇ upper bound when affordable:
+/// tuples failing the unification check are *refuted*, the rest stay
+/// undetermined — giving interrupted ◇ runs a finite `upper_bound()`.
+pub fn maybe_answers_propagated(
     setting: &Setting,
     q: &Query,
     t: &Instance,
@@ -716,68 +531,28 @@ pub fn maybe_answers_propagated_governed(
     limits: &ModalLimits,
     gov: &Governor,
     exec: &Pool,
-    tracer: &Tracer,
 ) -> Result<(GovernedAnswers, PropagationReport), ModalError> {
-    let r = match analyze(setting, q, t, pool, tracer, Some(gov)) {
+    let r = match analyze(setting, q, t, pool, gov) {
         Analysis::EmptyRep(report) => {
             return Ok((GovernedAnswers::complete(Answers::new()), report));
         }
         Analysis::TooWide(report) => {
-            let g = maybe_answers_governed_par(setting, q, t, pool, limits, gov, exec)?;
+            let g = maybe_answers(setting, q, t, pool, limits, gov, exec)?;
             return Ok((seed_diamond_upper_bound(g, q, t, pool), report));
         }
         Analysis::Residual(r) => r,
     };
     let total = checked_total(r.total(), r.nulls.len(), pool.len(), limits)?;
-    let sp = tracer.span("residual_enum", span_now(Some(gov)));
-    let ranges = chunk_ranges(total, exec.effective_threads() * 4);
-    let partials = exec.map(
-        &ranges,
-        range_cost(&ranges, VALUATION_COST_NS),
-        |_, &(lo, hi)| {
-            let mut acc = Answers::new();
-            let vals = MixedRadixValuations::from_index(
-                r.nulls.clone(),
-                r.domains.clone(),
-                u128::from(lo),
-            );
-            for w in vals.bounded(hi - lo) {
-                if let Err(i) = gov.check() {
-                    return (acc, Some(i));
-                }
-                if !r.diseqs_ok(&w) {
-                    continue;
-                }
-                let ground = w.apply(&r.t);
-                if setting.satisfies_target(&ground) {
-                    acc.extend(eval_query(q, &ground));
-                }
-            }
-            (acc, None)
-        },
+    let sp = gov.tracer().span("residual_enum", gov.clock().now_ns());
+    let g = diamond_fold(
+        exec,
+        gov,
+        total,
+        |lo| r.valuations(lo),
+        |w| r.rep_answers(setting, q, w),
     );
-    let mut proven = Answers::new();
-    let mut interrupt: Option<Interrupt> = None;
-    for (p, i) in partials {
-        proven.extend(p);
-        if interrupt.is_none() {
-            interrupt = i;
-        }
-    }
-    sp.close(span_now(Some(gov)));
-    Ok(match interrupt {
-        None => (GovernedAnswers::complete(proven), r.report),
-        Some(i) => {
-            let g = GovernedAnswers {
-                proven,
-                refuted: Answers::new(),
-                undetermined: Answers::new(),
-                default: Verdict::Unknown(i.reason),
-                interrupt: Some(i),
-            };
-            (seed_diamond_upper_bound(g, q, &r.t, pool), r.report)
-        }
-    })
+    sp.close(gov.clock().now_ns());
+    Ok((seed_diamond_upper_bound(g, q, &r.t, pool), r.report))
 }
 
 /// Upgrades an interrupted ◇ run's unbounded `Unknown` default to a
@@ -808,7 +583,10 @@ fn seed_diamond_upper_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dex_core::govern::Clock;
     use dex_logic::{parse_instance, parse_query, parse_setting};
+    use dex_obs::{Collector, EventKind, RingRecorder, Tracer};
+    use std::sync::Arc;
 
     fn c(name: &str) -> Value {
         Value::konst(name)
@@ -828,12 +606,48 @@ mod tests {
         crate::modal::answer_pool(t, q, [])
     }
 
-    fn exec() -> Pool {
-        Pool::seq()
+    fn lim() -> ModalLimits {
+        ModalLimits::default()
     }
 
-    fn tr() -> Tracer {
-        Tracer::off()
+    /// Ungoverned propagated `□Q(T)` on `exec`.
+    fn prop_box(
+        d: &Setting,
+        q: &Query,
+        t: &Instance,
+        pool: &[Symbol],
+        exec: &Pool,
+    ) -> (Option<Answers>, PropagationReport) {
+        let gov = Governor::unlimited();
+        let (g, report) = certain_answers_propagated(d, q, t, pool, &lim(), &gov, exec).unwrap();
+        (g.map(|g| g.proven), report)
+    }
+
+    /// Ungoverned propagated `◇Q(T)` on `exec`.
+    fn prop_dia(d: &Setting, q: &Query, t: &Instance, pool: &[Symbol], exec: &Pool) -> Answers {
+        let gov = Governor::unlimited();
+        maybe_answers_propagated(d, q, t, pool, &lim(), &gov, exec)
+            .unwrap()
+            .0
+            .proven
+    }
+
+    /// The sequential oracle's `□Q(T)`.
+    fn oracle_box(
+        d: &Setting,
+        q: &Query,
+        t: &Instance,
+        pool: &[Symbol],
+    ) -> Result<Option<Answers>, ModalError> {
+        let g = certain_answers(d, q, t, pool, &lim(), &Governor::unlimited(), &Pool::seq())?;
+        Ok(g.map(|g| g.proven))
+    }
+
+    /// The sequential oracle's `◇Q(T)`.
+    fn oracle_dia(d: &Setting, q: &Query, t: &Instance, pool: &[Symbol]) -> Answers {
+        maybe_answers(d, q, t, pool, &lim(), &Governor::unlimited(), &Pool::seq())
+            .unwrap()
+            .proven
     }
 
     #[test]
@@ -872,20 +686,17 @@ mod tests {
         let t = parse_instance("F(a,_1). F(a,c). G(_2,b).").unwrap();
         let q = parse_query("Q(x,y) :- F(x,y)").unwrap();
         let pool = pool_for(&t, &q);
-        let lim = ModalLimits::default();
-        let (prop, report) =
-            certain_answers_propagated(&d, &q, &t, &pool, &lim, &exec(), &tr()).unwrap();
-        let oracle = crate::modal::certain_answers(&d, &q, &t, &pool, &lim).unwrap();
-        assert_eq!(prop, oracle);
+        let (prop, report) = prop_box(&d, &q, &t, &pool, &Pool::seq());
+        assert_eq!(prop, oracle_box(&d, &q, &t, &pool).unwrap());
         // _1 pinned by the egd; _2 inert (G is not in the query or Σ_t
         // bodies — the st-tgd head F only): nothing left to enumerate.
         assert_eq!(report.merged, 1);
         assert_eq!(report.inert, 1);
         assert_eq!(report.residual_valuations, 1);
-        let (prop_maybe, _) =
-            maybe_answers_propagated(&d, &q, &t, &pool, &lim, &exec(), &tr()).unwrap();
-        let oracle_maybe = crate::modal::maybe_answers(&d, &q, &t, &pool, &lim).unwrap();
-        assert_eq!(prop_maybe, oracle_maybe);
+        assert_eq!(
+            prop_dia(&d, &q, &t, &pool, &Pool::seq()),
+            oracle_dia(&d, &q, &t, &pool)
+        );
     }
 
     #[test]
@@ -894,15 +705,9 @@ mod tests {
         let t = parse_instance("F(a,b). F(a,c).").unwrap();
         let q = parse_query("Q(x) :- F(x,y)").unwrap();
         let pool = pool_for(&t, &q);
-        let lim = ModalLimits::default();
-        let (ans, _) = certain_answers_propagated(&d, &q, &t, &pool, &lim, &exec(), &tr()).unwrap();
-        assert_eq!(ans, None);
-        assert_eq!(
-            crate::modal::certain_answers(&d, &q, &t, &pool, &lim).unwrap(),
-            None
-        );
-        let (maybe, _) = maybe_answers_propagated(&d, &q, &t, &pool, &lim, &exec(), &tr()).unwrap();
-        assert!(maybe.is_empty());
+        assert_eq!(prop_box(&d, &q, &t, &pool, &Pool::seq()).0, None);
+        assert_eq!(oracle_box(&d, &q, &t, &pool).unwrap(), None);
+        assert!(prop_dia(&d, &q, &t, &pool, &Pool::seq()).is_empty());
     }
 
     #[test]
@@ -918,10 +723,8 @@ mod tests {
         let t = parse_instance(&text).unwrap();
         let q = parse_query("Q(x,y) :- F(x,y)").unwrap();
         let pool = pool_for(&t, &q);
-        let lim = ModalLimits::default();
-        assert!(crate::modal::certain_answers(&d, &q, &t, &pool, &lim).is_err());
-        let (ans, report) =
-            certain_answers_propagated(&d, &q, &t, &pool, &lim, &exec(), &tr()).unwrap();
+        assert!(oracle_box(&d, &q, &t, &pool).is_err());
+        let (ans, report) = prop_box(&d, &q, &t, &pool, &Pool::seq());
         let ans = ans.unwrap();
         assert_eq!(ans.len(), 12);
         assert_eq!(report.merged, 12);
@@ -937,15 +740,13 @@ mod tests {
         let t = parse_instance("F(_1,b). F(_2,d).").unwrap();
         let q = parse_query("Q() :- F(x,b), F(x,d)").unwrap();
         let pool = pool_for(&t, &q);
-        let lim = ModalLimits::default();
-        let (prop, report) =
-            certain_answers_propagated(&d, &q, &t, &pool, &lim, &exec(), &tr()).unwrap();
+        let (prop, report) = prop_box(&d, &q, &t, &pool, &Pool::seq());
         assert_eq!(report.diseqs, 1);
-        let oracle = crate::modal::certain_answers(&d, &q, &t, &pool, &lim).unwrap();
-        assert_eq!(prop, oracle);
-        let (pm, _) = maybe_answers_propagated(&d, &q, &t, &pool, &lim, &exec(), &tr()).unwrap();
-        let om = crate::modal::maybe_answers(&d, &q, &t, &pool, &lim).unwrap();
-        assert_eq!(pm, om);
+        assert_eq!(prop, oracle_box(&d, &q, &t, &pool).unwrap());
+        assert_eq!(
+            prop_dia(&d, &q, &t, &pool, &Pool::seq()),
+            oracle_dia(&d, &q, &t, &pool)
+        );
     }
 
     #[test]
@@ -964,19 +765,14 @@ mod tests {
         // G is mentioned by the query, so its nulls are residual.
         let q = parse_query("Q(x,y) :- F(x,y); Q(x,y) :- G(x,y)").unwrap();
         let pool = pool_for(&t, &q);
-        let lim = ModalLimits::default();
-        let exec = exec();
+        let exec = Pool::seq();
         // Exact answers for reference.
-        let (exact_box, _) =
-            certain_answers_propagated(&d, &q, &t, &pool, &lim, &exec, &tr()).unwrap();
-        let exact_box = exact_box.unwrap();
-        let (exact_dia, _) =
-            maybe_answers_propagated(&d, &q, &t, &pool, &lim, &exec, &tr()).unwrap();
+        let exact_box = prop_box(&d, &q, &t, &pool, &exec).0.unwrap();
+        let exact_dia = prop_dia(&d, &q, &t, &pool, &exec);
         for fuel in [1u64, 3, 7, 20] {
             let gov = Governor::unlimited().with_fuel(fuel);
             let (g, _) =
-                certain_answers_propagated_governed(&d, &q, &t, &pool, &lim, &gov, &exec, &tr())
-                    .unwrap();
+                certain_answers_propagated(&d, &q, &t, &pool, &lim(), &gov, &exec).unwrap();
             let g = g.unwrap();
             g.validate().unwrap();
             assert!(g.lower_bound().is_subset(&exact_box), "fuel {fuel}");
@@ -987,9 +783,7 @@ mod tests {
             assert!(g.lower_bound().contains(&vec![c("a"), c("b")]));
 
             let gov = Governor::unlimited().with_fuel(fuel);
-            let (g, _) =
-                maybe_answers_propagated_governed(&d, &q, &t, &pool, &lim, &gov, &exec, &tr())
-                    .unwrap();
+            let (g, _) = maybe_answers_propagated(&d, &q, &t, &pool, &lim(), &gov, &exec).unwrap();
             g.validate().unwrap();
             assert!(g.lower_bound().is_subset(&exact_dia), "fuel {fuel}");
             if let Some(upper) = g.upper_bound() {
@@ -1000,9 +794,7 @@ mod tests {
         }
         // Unlimited fuel: complete and exact.
         let gov = Governor::unlimited();
-        let (g, _) =
-            certain_answers_propagated_governed(&d, &q, &t, &pool, &lim, &gov, &exec, &tr())
-                .unwrap();
+        let (g, _) = certain_answers_propagated(&d, &q, &t, &pool, &lim(), &gov, &exec).unwrap();
         let g = g.unwrap();
         assert!(g.is_complete() && !g.is_refinable());
         assert_eq!(g.proven, exact_box);
@@ -1016,15 +808,13 @@ mod tests {
         // FO query with negation: sensitive to the active domain.
         let q = parse_query("Q(x) := exists y . (F(x,y) & !G(y,x))").unwrap();
         let pool = pool_for(&t, &q);
-        let lim = ModalLimits::default();
-        let (prop, report) =
-            certain_answers_propagated(&d, &q, &t, &pool, &lim, &exec(), &tr()).unwrap();
+        let (prop, report) = prop_box(&d, &q, &t, &pool, &Pool::seq());
         assert_eq!(report.inert, 0);
-        let oracle = crate::modal::certain_answers(&d, &q, &t, &pool, &lim).unwrap();
-        assert_eq!(prop, oracle);
-        let (pm, _) = maybe_answers_propagated(&d, &q, &t, &pool, &lim, &exec(), &tr()).unwrap();
-        let om = crate::modal::maybe_answers(&d, &q, &t, &pool, &lim).unwrap();
-        assert_eq!(pm, om);
+        assert_eq!(prop, oracle_box(&d, &q, &t, &pool).unwrap());
+        assert_eq!(
+            prop_dia(&d, &q, &t, &pool, &Pool::seq()),
+            oracle_dia(&d, &q, &t, &pool)
+        );
     }
 
     #[test]
@@ -1033,16 +823,48 @@ mod tests {
         let t = parse_instance("F(a,_1). F(a,c). G(_2,_3). G(b,_2).").unwrap();
         let q = parse_query("Q(x,y) :- G(x,y)").unwrap();
         let pool = pool_for(&t, &q);
-        let lim = ModalLimits::default();
-        let seq = certain_answers_propagated(&d, &q, &t, &pool, &lim, &Pool::seq(), &tr()).unwrap();
+        let seq = prop_box(&d, &q, &t, &pool, &Pool::seq());
+        let seq_dia = prop_dia(&d, &q, &t, &pool, &Pool::seq());
         for threads in [2usize, 8] {
             let exec = Pool::new(threads).with_threshold_ns(0);
-            let par = certain_answers_propagated(&d, &q, &t, &pool, &lim, &exec, &tr()).unwrap();
-            assert_eq!(seq.0, par.0, "threads {threads}");
-            let sm =
-                maybe_answers_propagated(&d, &q, &t, &pool, &lim, &Pool::seq(), &tr()).unwrap();
-            let pm = maybe_answers_propagated(&d, &q, &t, &pool, &lim, &exec, &tr()).unwrap();
-            assert_eq!(sm.0, pm.0, "threads {threads}");
+            assert_eq!(seq, prop_box(&d, &q, &t, &pool, &exec), "threads {threads}");
+            assert_eq!(
+                seq_dia,
+                prop_dia(&d, &q, &t, &pool, &exec),
+                "threads {threads}"
+            );
+        }
+    }
+
+    /// Every propagation stage span is stamped from the governor's clock:
+    /// on a mock clock parked at a nonzero instant, `residual_enum` (and
+    /// every analysis stage) opens exactly there.
+    #[test]
+    fn stage_spans_take_the_governor_clock() {
+        let d = keyed_setting();
+        let t = parse_instance("F(a,b). G(_1,_2).").unwrap();
+        let q = parse_query("Q(x,y) :- G(x,y)").unwrap();
+        let pool = pool_for(&t, &q);
+        let (clock, mock) = Clock::mock();
+        mock.set_ns(7_000);
+        let ring = Arc::new(RingRecorder::new(1 << 12));
+        let gov = Governor::with_clock_now(clock)
+            .with_tracer(Tracer::new(Arc::clone(&ring) as Arc<dyn Collector>));
+        certain_answers_propagated(&d, &q, &t, &pool, &lim(), &gov, &Pool::seq()).unwrap();
+        let opened: Vec<(String, u64)> = ring
+            .events()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::SpanOpened { name } => Some((name, e.at_ns)),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            opened.iter().any(|(name, _)| name == "residual_enum"),
+            "no residual_enum span in {opened:?}"
+        );
+        for (name, at) in &opened {
+            assert_eq!(*at, 7_000, "span {name} opened at {at}");
         }
     }
 }

@@ -16,14 +16,11 @@
 
 use crate::eval::Answers;
 use crate::modal::{
-    answer_pool, certain_answers_governed_par, certain_answers_par, maybe_answers_governed_par,
-    maybe_answers_par, ucq_certain_answers, GovernedAnswers, ModalError, ModalLimits,
+    answer_pool, certain_answers, maybe_answers, ucq_certain_answers, GovernedAnswers, ModalError,
+    ModalLimits,
 };
 use crate::possible::cq_is_maybe_answer;
-use crate::propagate::{
-    certain_answers_propagated, certain_answers_propagated_governed, maybe_answers_propagated,
-    maybe_answers_propagated_governed, PropagationReport,
-};
+use crate::propagate::{certain_answers_propagated, maybe_answers_propagated, PropagationReport};
 use dex_chase::{ChaseBudget, ChaseError, ChaseSuccess};
 use dex_core::govern::{Governor, Verdict};
 use dex_core::{Instance, Value};
@@ -74,10 +71,6 @@ pub struct AnswerConfig {
     /// Modal evaluator: constraint propagation (default) or the
     /// brute-force oracle.
     pub engine: EvalEngine,
-    /// Trace sink: the propagation pipeline emits per-stage spans
-    /// (merge_fixpoint, inert_elim, admissible_sets, forced_diseqs,
-    /// residual_enum) through it. Disabled by default.
-    pub tracer: dex_obs::Tracer,
 }
 
 impl Default for AnswerConfig {
@@ -88,7 +81,6 @@ impl Default for AnswerConfig {
             enum_limits: EnumLimits::default(),
             pool: dex_core::Pool::seq(),
             engine: EvalEngine::default(),
-            tracer: dex_obs::Tracer::off(),
         }
     }
 }
@@ -238,79 +230,33 @@ impl<'a> AnswerEngine<'a> {
         *self.last_report.borrow_mut() = Some(report);
     }
 
-    fn box_q(&self, q: &Query, t: &Instance) -> Result<Answers, AnswerError> {
-        self.box_q_impl(q, t, None).map(|g| g.proven)
-    }
-
-    fn box_q_impl(
+    /// `□Q(T)` under `gov`, on the configured evaluator and pool.
+    fn box_q(
         &self,
         q: &Query,
         t: &Instance,
-        gov: Option<&Governor>,
+        gov: &Governor,
     ) -> Result<GovernedAnswers, AnswerError> {
         let pool = answer_pool(t, q, self.source.constants());
-        match (self.config.engine, gov) {
-            (EvalEngine::Propagate, None) => {
-                let (ans, report) = certain_answers_propagated(
-                    self.setting,
-                    q,
-                    t,
-                    &pool,
-                    &self.config.modal_limits,
-                    &self.config.pool,
-                    &self.config.tracer,
-                )?;
+        let (setting, limits, exec) = (self.setting, &self.config.modal_limits, &self.config.pool);
+        let ans = match self.config.engine {
+            EvalEngine::Propagate => {
+                let (ans, report) =
+                    certain_answers_propagated(setting, q, t, &pool, limits, gov, exec)?;
                 self.record(report);
-                ans.map(GovernedAnswers::complete)
-                    .ok_or(AnswerError::EmptyRep)
+                ans
             }
-            (EvalEngine::Propagate, Some(g)) => {
-                let (ans, report) = certain_answers_propagated_governed(
-                    self.setting,
-                    q,
-                    t,
-                    &pool,
-                    &self.config.modal_limits,
-                    g,
-                    &self.config.pool,
-                    &self.config.tracer,
-                )?;
-                self.record(report);
-                ans.ok_or(AnswerError::EmptyRep)
-            }
-            (EvalEngine::Oracle, None) => certain_answers_par(
-                self.setting,
-                q,
-                t,
-                &pool,
-                &self.config.modal_limits,
-                &self.config.pool,
-            )?
-            .map(GovernedAnswers::complete)
-            .ok_or(AnswerError::EmptyRep),
-            (EvalEngine::Oracle, Some(g)) => certain_answers_governed_par(
-                self.setting,
-                q,
-                t,
-                &pool,
-                &self.config.modal_limits,
-                g,
-                &self.config.pool,
-            )?
-            .ok_or(AnswerError::EmptyRep),
-        }
-        .map(checked)
+            EvalEngine::Oracle => certain_answers(setting, q, t, &pool, limits, gov, exec)?,
+        };
+        ans.map(checked).ok_or(AnswerError::EmptyRep)
     }
 
-    fn diamond_q(&self, q: &Query, t: &Instance) -> Result<Answers, AnswerError> {
-        self.diamond_q_impl(q, t, None).map(|g| g.proven)
-    }
-
-    fn diamond_q_impl(
+    /// `◇Q(T)` under `gov`, on the configured evaluator and pool.
+    fn diamond_q(
         &self,
         q: &Query,
         t: &Instance,
-        gov: Option<&Governor>,
+        gov: &Governor,
     ) -> Result<GovernedAnswers, AnswerError> {
         let pool = answer_pool(t, q, self.source.constants());
         // Fast path: with no target dependencies `Rep(T)` is unconstrained,
@@ -322,96 +268,54 @@ impl<'a> AnswerEngine<'a> {
                 let arity = q.arity();
                 let total = (pool.len() as u128).saturating_pow(arity as u32);
                 if total <= self.config.modal_limits.max_valuations {
+                    // Tuple `n` of `pool^arity`, first position fastest.
+                    let tuple_at = |mut n: u128| -> Vec<Value> {
+                        (0..arity)
+                            .map(|_| {
+                                let digit = (n % pool.len() as u128) as usize;
+                                n /= pool.len() as u128;
+                                Value::Const(pool[digit])
+                            })
+                            .collect()
+                    };
                     let mut out = Answers::new();
-                    let mut rejected = Answers::new();
-                    let mut idx = vec![0usize; arity];
-                    loop {
-                        if let Some(g) = gov {
-                            if let Err(i) = g.check() {
-                                // The membership test is per tuple, so
-                                // every examined tuple is decided; only
-                                // unexamined ones are unknown.
-                                return Ok(checked(GovernedAnswers {
-                                    proven: out,
-                                    refuted: rejected,
-                                    undetermined: Answers::new(),
-                                    default: Verdict::Unknown(i.reason),
-                                    interrupt: Some(i),
-                                }));
-                            }
+                    for n in 0..total {
+                        if let Err(i) = gov.check() {
+                            // The membership test is per tuple, so every
+                            // tuple before `n` is decided; only unexamined
+                            // ones are unknown.
+                            let refuted = (0..n)
+                                .map(tuple_at)
+                                .filter(|tuple| !out.contains(tuple))
+                                .collect();
+                            return Ok(checked(GovernedAnswers {
+                                proven: out,
+                                refuted,
+                                undetermined: Answers::new(),
+                                default: Verdict::Unknown(i.reason),
+                                interrupt: Some(i),
+                            }));
                         }
-                        let tuple: Vec<dex_core::Value> = idx
-                            .iter()
-                            .map(|&i| dex_core::Value::Const(pool[i]))
-                            .collect();
+                        let tuple = tuple_at(n);
                         if disjuncts.iter().any(|cq| cq_is_maybe_answer(cq, t, &tuple)) {
                             out.insert(tuple);
-                        } else if gov.is_some() {
-                            rejected.insert(tuple);
-                        }
-                        let mut k = 0;
-                        loop {
-                            if k == arity {
-                                return Ok(checked(GovernedAnswers::complete(out)));
-                            }
-                            idx[k] += 1;
-                            if idx[k] < pool.len() {
-                                break;
-                            }
-                            idx[k] = 0;
-                            k += 1;
                         }
                     }
+                    return Ok(checked(GovernedAnswers::complete(out)));
                 }
             }
         }
-        match (self.config.engine, gov) {
-            (EvalEngine::Propagate, None) => {
-                let (ans, report) = maybe_answers_propagated(
-                    self.setting,
-                    q,
-                    t,
-                    &pool,
-                    &self.config.modal_limits,
-                    &self.config.pool,
-                    &self.config.tracer,
-                )?;
+        let (setting, limits, exec) = (self.setting, &self.config.modal_limits, &self.config.pool);
+        let ans = match self.config.engine {
+            EvalEngine::Propagate => {
+                let (ans, report) =
+                    maybe_answers_propagated(setting, q, t, &pool, limits, gov, exec)?;
                 self.record(report);
-                Ok(GovernedAnswers::complete(ans))
+                ans
             }
-            (EvalEngine::Propagate, Some(g)) => {
-                let (ans, report) = maybe_answers_propagated_governed(
-                    self.setting,
-                    q,
-                    t,
-                    &pool,
-                    &self.config.modal_limits,
-                    g,
-                    &self.config.pool,
-                    &self.config.tracer,
-                )?;
-                self.record(report);
-                Ok(ans)
-            }
-            (EvalEngine::Oracle, None) => Ok(GovernedAnswers::complete(maybe_answers_par(
-                self.setting,
-                q,
-                t,
-                &pool,
-                &self.config.modal_limits,
-                &self.config.pool,
-            )?)),
-            (EvalEngine::Oracle, Some(g)) => Ok(maybe_answers_governed_par(
-                self.setting,
-                q,
-                t,
-                &pool,
-                &self.config.modal_limits,
-                g,
-                &self.config.pool,
-            )?),
-        }
-        .map(checked)
+            EvalEngine::Oracle => maybe_answers(setting, q, t, &pool, limits, gov, exec)?,
+        };
+        Ok(checked(ans))
     }
 
     /// All CWA-solutions, for the brute-force fallback.
@@ -432,55 +336,14 @@ impl<'a> AnswerEngine<'a> {
         Ok(sols)
     }
 
-    /// Computes the answers under the chosen semantics.
+    /// Computes the answers under the chosen semantics: the `proven` set
+    /// of [`Self::answers_governed`] under [`Governor::unlimited`]. To
+    /// trace the propagation stages, call `answers_governed` with a
+    /// governor that carries a tracer.
     pub fn answers(&self, q: &Query, semantics: Semantics) -> Result<Answers, AnswerError> {
-        match semantics {
-            // Theorem 7.1: certain⇑ = □Q(Core), maybe⇓ = ◇Q(Core).
-            Semantics::PotentialCertain => {
-                if q.is_head_safe_ucq() {
-                    // Lemma 7.7 (generalized to head-safe inequalities):
-                    // equal to Q(Core)↓, no valuations needed.
-                    Ok(ucq_certain_answers(q, &self.core))
-                } else {
-                    self.box_q(q, &self.core)
-                }
-            }
-            Semantics::PersistentMaybe => self.diamond_q(q, &self.core),
-            Semantics::Certain => {
-                if q.is_head_safe_ucq() {
-                    // Lemma 7.7 (generalized): certain⇓ = certain⇑ =
-                    // Q(T)↓ on any CWA-solution; use the core.
-                    return Ok(ucq_certain_answers(q, &self.core));
-                }
-                if let Some(can) = &self.cansol {
-                    // Theorem 7.1's restricted classes: certain⇓ = □Q(CanSol).
-                    return self.box_q(q, can);
-                }
-                // Brute force: ⋂ over all CWA-solutions.
-                let sols = self.all_solutions()?;
-                let mut acc: Option<Answers> = None;
-                for t in &sols {
-                    let a = self.box_q(q, t)?;
-                    acc = Some(match acc.take() {
-                        None => a,
-                        Some(prev) => prev.intersection(&a).cloned().collect(),
-                    });
-                }
-                Ok(acc.expect("at least one CWA-solution"))
-            }
-            Semantics::Maybe => {
-                if let Some(can) = &self.cansol {
-                    // Theorem 7.1's restricted classes: maybe⇑ = ◇Q(CanSol).
-                    return self.diamond_q(q, can);
-                }
-                let sols = self.all_solutions()?;
-                let mut acc = Answers::new();
-                for t in &sols {
-                    acc.extend(self.diamond_q(q, t)?);
-                }
-                Ok(acc)
-            }
-        }
+        Ok(self
+            .answers_governed(q, semantics, &Governor::unlimited())?
+            .proven)
     }
 
     /// Boolean-query convenience: is the empty tuple an answer?
@@ -492,7 +355,10 @@ impl<'a> AnswerEngine<'a> {
     /// (co-NP/NP-hard) evaluation to completion or erroring, degrades
     /// gracefully to three-valued per-tuple [`Verdict`]s. Tuples whose
     /// status was settled before the governor tripped keep their definite
-    /// `True`/`False`; the rest are `Unknown` with the trip reason.
+    /// `True`/`False`; the rest are `Unknown` with the trip reason. The
+    /// propagation pipeline's per-stage spans (merge_fixpoint,
+    /// inert_elim, admissible_sets, forced_diseqs, residual_enum) go to
+    /// `gov`'s tracer, stamped from `gov`'s clock.
     pub fn answers_governed(
         &self,
         q: &Query,
@@ -509,26 +375,31 @@ impl<'a> AnswerEngine<'a> {
         gov: &Governor,
     ) -> Result<GovernedAnswers, AnswerError> {
         match semantics {
+            // Theorem 7.1: certain⇑ = □Q(Core), maybe⇓ = ◇Q(Core).
             Semantics::PotentialCertain => {
                 if q.is_head_safe_ucq() {
-                    // Lemma 7.7 (generalized) is polynomial: always runs
+                    // Lemma 7.7 (generalized to head-safe inequalities):
+                    // equal to Q(Core)↓ — polynomial, so it always runs
                     // to completion.
                     Ok(GovernedAnswers::complete(ucq_certain_answers(
                         q, &self.core,
                     )))
                 } else {
-                    self.box_q_impl(q, &self.core, Some(gov))
+                    self.box_q(q, &self.core, gov)
                 }
             }
-            Semantics::PersistentMaybe => self.diamond_q_impl(q, &self.core, Some(gov)),
+            Semantics::PersistentMaybe => self.diamond_q(q, &self.core, gov),
             Semantics::Certain => {
                 if q.is_head_safe_ucq() {
+                    // Lemma 7.7 (generalized): certain⇓ = certain⇑ =
+                    // Q(T)↓ on any CWA-solution; use the core.
                     return Ok(GovernedAnswers::complete(ucq_certain_answers(
                         q, &self.core,
                     )));
                 }
                 if let Some(can) = &self.cansol {
-                    return self.box_q_impl(q, can, Some(gov));
+                    // Theorem 7.1's restricted classes: certain⇓ = □Q(CanSol).
+                    return self.box_q(q, can, gov);
                 }
                 // Brute force ⋂ over all CWA-solutions, folding partial
                 // verdicts: a tuple refuted by any fully-evaluated
@@ -537,7 +408,7 @@ impl<'a> AnswerEngine<'a> {
                 let mut candidates: Option<Answers> = None;
                 let mut refuted = Answers::new();
                 for t in &sols {
-                    let g = self.box_q_impl(q, t, Some(gov))?;
+                    let g = self.box_q(q, t, gov)?;
                     if g.is_complete() {
                         candidates = Some(match candidates.take() {
                             None => g.proven,
@@ -599,12 +470,13 @@ impl<'a> AnswerEngine<'a> {
             }
             Semantics::Maybe => {
                 if let Some(can) = &self.cansol {
-                    return self.diamond_q_impl(q, can, Some(gov));
+                    // Theorem 7.1's restricted classes: maybe⇑ = ◇Q(CanSol).
+                    return self.diamond_q(q, can, gov);
                 }
                 let sols = self.all_solutions()?;
                 let mut proven = Answers::new();
                 for t in &sols {
-                    let g = self.diamond_q_impl(q, t, Some(gov))?;
+                    let g = self.diamond_q(q, t, gov)?;
                     proven.extend(g.proven);
                     if let Some(i) = g.interrupt {
                         // Tuples found so far are maybe answers in some
@@ -795,10 +667,34 @@ mod tests {
             let fast = engine.answers(&q, Semantics::PersistentMaybe).unwrap();
             // Oracle on the same core instance.
             let pool = answer_pool(engine.core(), &q, s.constants());
-            let oracle =
-                crate::modal::maybe_answers(&d, &q, engine.core(), &pool, &ModalLimits::default())
+            let oracle = maybe_answers(
+                &d,
+                &q,
+                engine.core(),
+                &pool,
+                &ModalLimits::default(),
+                &Governor::unlimited(),
+                &dex_core::Pool::seq(),
+            )
+            .unwrap();
+            assert_eq!(fast, oracle.proven, "query {qt}");
+            // Interrupted: the tuples examined before the trip are
+            // decided (proven or refuted, soundly), the rest unknown.
+            for fuel in [1u64, 2, 5, 13] {
+                let gov = Governor::unlimited().with_fuel(fuel);
+                let g = engine
+                    .answers_governed(&q, Semantics::PersistentMaybe, &gov)
                     .unwrap();
-            assert_eq!(fast, oracle, "query {qt}");
+                g.validate().unwrap();
+                assert!(g.proven.is_subset(&fast), "query {qt}, fuel {fuel}");
+                assert!(g.refuted.is_disjoint(&fast), "query {qt}, fuel {fuel}");
+                let decided = (g.proven.len() + g.refuted.len()) as u64;
+                if g.is_complete() {
+                    assert_eq!(g.proven, fast, "query {qt}, fuel {fuel}");
+                } else {
+                    assert_eq!(decided, fuel - 1, "query {qt}, fuel {fuel}");
+                }
+            }
         }
     }
 

@@ -9,7 +9,7 @@
 
 use crate::engine::{RepairEngine, RepairOutcome};
 use dex_core::govern::{Governor, Interrupt, Verdict};
-use dex_core::{Instance, Pool};
+use dex_core::Instance;
 use dex_logic::{Query, Setting};
 use dex_obs::{JsonValue, Tracer};
 use dex_query::{AnswerConfig, AnswerEngine, AnswerError, Answers, GovernedAnswers, Semantics};
@@ -93,7 +93,8 @@ impl<'a> XrEngine<'a> {
         XrEngine::with_tracer(setting, source, config, gov, Tracer::off())
     }
 
-    /// [`XrEngine::new`] with a tracer attached to the repair search.
+    /// [`XrEngine::new`] with a tracer attached to the repair search and
+    /// to the XR intersection spans of [`XrEngine::certain_governed`].
     pub fn with_tracer(
         setting: &'a Setting,
         source: &Instance,
@@ -101,13 +102,8 @@ impl<'a> XrEngine<'a> {
         gov: &Governor,
         tracer: Tracer,
     ) -> Result<XrEngine<'a>, XrError> {
-        // Thread the tracer into the per-repair answer engines too, so
-        // each factor's propagation stages show up under its xr_factor
-        // span in the trace.
-        let mut config = config;
-        config.tracer = tracer.clone();
         let engine = RepairEngine::new(setting, &config.chase_budget)
-            .with_pool(pool_of(&config))
+            .with_pool(config.pool)
             .with_tracer(tracer.clone());
         let outcome = engine.repairs_governed(source, gov);
         if outcome.repairs.is_empty() {
@@ -138,43 +134,44 @@ impl<'a> XrEngine<'a> {
     /// XR-certain answers: `⋂_repairs certain⇓(Q, repair)`. Requires a
     /// complete repair set (the intersection over a partial set is only
     /// an upper bound) and fails with [`XrError::IncompleteRepairs`]
-    /// otherwise; returns the certain answers of each repair's own
-    /// answer engine, intersected.
+    /// otherwise. The `proven` set of [`XrEngine::certain_governed`]
+    /// under an unlimited governor carrying the engine's tracer, so each
+    /// factor's propagation stages nest under its `xr_factor` span.
     pub fn certain(&self, q: &Query) -> Result<Answers, XrError> {
         if !self.outcome.complete {
-            return Err(XrError::IncompleteRepairs(self.outcome.interrupt.clone()));
+            return Err(XrError::IncompleteRepairs(self.outcome.interrupt));
         }
-        // One span over the whole intersection, one per factor. The
-        // engine has no clock of its own, so span timestamps are 0 —
-        // the analyzer still recovers the tree shape and counts.
-        let sp_intersect = self.tracer.span("xr_intersect", 0);
-        let mut acc: Option<Answers> = None;
-        for repair in &self.outcome.repairs {
-            let sp_factor = self.tracer.span("xr_factor", 0);
-            let engine = AnswerEngine::new(self.setting, &repair.kept, self.config.clone())?;
-            let result = engine.answers(q, Semantics::Certain);
-            sp_factor.close(0);
-            let a = result?;
-            acc = Some(match acc.take() {
-                None => a,
-                Some(prev) => prev.intersection(&a).cloned().collect(),
-            });
-        }
-        sp_intersect.close(0);
-        Ok(acc.expect("XrEngine holds at least one repair"))
+        let gov = Governor::unlimited().with_tracer(self.tracer.clone());
+        Ok(self.certain_governed(q, &gov)?.proven)
     }
 
     /// Governed XR-certain answers with sound three-valued partials:
     /// a tuple is proven only when every repair of a *complete* repair
     /// set certified it; refuted as soon as any fully-evaluated repair
     /// rejects it (sound even over a partial repair set — adding
-    /// repairs only shrinks the intersection).
+    /// repairs only shrinks the intersection). One `xr_intersect` span
+    /// covers the whole intersection and one `xr_factor` span each
+    /// repair, both on the engine's tracer and stamped from `gov`'s
+    /// clock. Each factor's propagation stages go to `gov`'s tracer
+    /// only, so pass a governor carrying the engine's tracer to nest
+    /// them under their `xr_factor` span (as [`XrEngine::certain`] does).
     pub fn certain_governed(&self, q: &Query, gov: &Governor) -> Result<GovernedAnswers, XrError> {
+        let now = || gov.clock().now_ns();
+        let sp_intersect = self.tracer.span("xr_intersect", now());
+        let result = self.intersect_repairs(q, gov);
+        sp_intersect.close(now());
+        result
+    }
+
+    fn intersect_repairs(&self, q: &Query, gov: &Governor) -> Result<GovernedAnswers, XrError> {
         let mut candidates: Option<Answers> = None;
         let mut refuted = Answers::new();
         for repair in &self.outcome.repairs {
-            let engine = AnswerEngine::new(self.setting, &repair.kept, self.config.clone())?;
-            let g = engine.answers_governed(q, Semantics::Certain, gov)?;
+            let sp_factor = self.tracer.span("xr_factor", gov.clock().now_ns());
+            let g = AnswerEngine::new(self.setting, &repair.kept, self.config.clone())
+                .and_then(|engine| engine.answers_governed(q, Semantics::Certain, gov));
+            sp_factor.close(gov.clock().now_ns());
+            let g = g?;
             if g.is_complete() {
                 candidates = Some(match candidates.take() {
                     None => g.proven,
@@ -188,7 +185,7 @@ impl<'a> XrEngine<'a> {
             }
             // Interrupted inside this repair's evaluation: surviving
             // candidates are undetermined; its own refutations stand.
-            let interrupt = g.interrupt.clone();
+            let interrupt = g.interrupt;
             let mut undetermined = Answers::new();
             match candidates.take() {
                 None => {
@@ -242,7 +239,7 @@ impl<'a> XrEngine<'a> {
                     .map(|i| i.reason)
                     .unwrap_or(dex_core::govern::InterruptReason::Cancelled),
             ),
-            interrupt: self.outcome.interrupt.clone(),
+            interrupt: self.outcome.interrupt,
         })
     }
 
@@ -250,10 +247,6 @@ impl<'a> XrEngine<'a> {
     pub fn to_json(&self) -> JsonValue {
         self.outcome.to_json()
     }
-}
-
-fn pool_of(config: &AnswerConfig) -> Pool {
-    config.pool
 }
 
 /// One-shot convenience: the XR-certain answers of `q` for `source`.
@@ -329,6 +322,43 @@ mod tests {
         assert!(g.is_complete());
         assert_eq!(g.proven, engine.certain(&q).unwrap());
         g.validate().unwrap();
+    }
+
+    #[test]
+    fn xr_spans_take_the_governor_clock() {
+        use dex_core::govern::Clock;
+        use dex_obs::{Collector, EventKind, RingRecorder};
+        use std::sync::Arc;
+        let d = keyed();
+        let s = parse_instance("P(a,b). P(a,c). R(u,v).").unwrap();
+        let ring = Arc::new(RingRecorder::new(1 << 12));
+        let tracer = Tracer::new(Arc::clone(&ring) as Arc<dyn Collector>);
+        let engine = XrEngine::with_tracer(
+            &d,
+            &s,
+            AnswerConfig::default(),
+            &Governor::unlimited(),
+            tracer,
+        )
+        .unwrap();
+        let (clock, mock) = Clock::mock();
+        mock.set_ns(9_000);
+        let q = parse_query("Q(x,y) :- G(x,y)").unwrap();
+        let g = engine
+            .certain_governed(&q, &Governor::with_clock_now(clock))
+            .unwrap();
+        assert!(g.is_complete());
+        let xr_spans: Vec<u64> = ring
+            .events()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::SpanOpened { name } if name.starts_with("xr_") => Some(e.at_ns),
+                _ => None,
+            })
+            .collect();
+        // One intersection span plus one factor span per repair.
+        assert_eq!(xr_spans.len(), 1 + engine.repair_count());
+        assert!(xr_spans.iter().all(|&at| at == 9_000), "{xr_spans:?}");
     }
 
     #[test]

@@ -370,10 +370,10 @@ fn cmd_answer(setting: &str, source: &str, query: &str, rest: &[String]) -> Resu
     if tracer.enabled() {
         cwa_dex::core::set_pool_tracer(tracer.clone());
     }
+    let gov = cwa_dex::core::govern::Governor::unlimited().with_tracer(tracer.clone());
     let config = AnswerConfig {
         pool,
         engine: eval_engine,
-        tracer: tracer.clone(),
         ..AnswerConfig::default()
     };
     if repair_mode {
@@ -382,7 +382,6 @@ fn cmd_answer(setting: &str, source: &str, query: &str, rest: &[String]) -> Resu
                 "--repair computes XR-certain answers; only `--semantics certain` applies".into(),
             );
         }
-        let gov = cwa_dex::core::govern::Governor::unlimited().with_tracer(tracer.clone());
         let xr = XrEngine::with_tracer(&d, &s, config, &gov, tracer).map_err(|e| e.to_string())?;
         if !xr.outcome().complete {
             // The search was undecided (a candidate chase exhausted its
@@ -433,7 +432,10 @@ fn cmd_answer(setting: &str, source: &str, query: &str, rest: &[String]) -> Resu
         return Ok(());
     }
     let engine = AnswerEngine::new(&d, &s, config).map_err(|e| e.to_string())?;
-    let ans = engine.answers(&q, semantics).map_err(|e| e.to_string())?;
+    let ans = engine
+        .answers_governed(&q, semantics, &gov)
+        .map_err(|e| e.to_string())?
+        .proven;
     if q.arity() == 0 {
         println!("{}", !ans.is_empty());
     } else {

@@ -173,9 +173,12 @@ fn lemma_7_7_ucq_certain_answers_agree_with_brute_force() {
         let mut acc: Option<Answers> = None;
         for t in &sols {
             let pool = dex_query::answer_pool(t, &q, s.constants());
-            let a = dex_query::certain_answers(&d, &q, t, &pool, &Default::default())
+            let gov = dex_query::Governor::unlimited();
+            let exec = cwa_dex::core::Pool::seq();
+            let a = dex_query::certain_answers(&d, &q, t, &pool, &Default::default(), &gov, &exec)
                 .unwrap()
-                .expect("Rep nonempty");
+                .expect("Rep nonempty")
+                .proven;
             acc = Some(match acc {
                 None => a,
                 Some(prev) => prev.intersection(&a).cloned().collect(),

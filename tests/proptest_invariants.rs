@@ -232,8 +232,12 @@ fn possible_fast_path_agrees_with_oracle() {
                 unreachable!()
             };
             let pool = dex_query::answer_pool(&t, &q, []);
-            let oracle = dex_query::maybe_answers(&setting, &q, &t, &pool, &Default::default())
-                .map_err(|e| format!("oracle failed: {e}"))?;
+            let gov = dex_query::Governor::unlimited();
+            let exec = cwa_dex::core::Pool::seq();
+            let oracle =
+                dex_query::maybe_answers(&setting, &q, &t, &pool, &Default::default(), &gov, &exec)
+                    .map_err(|e| format!("oracle failed: {e}"))?
+                    .proven;
             // Check both directions over the pool tuples.
             for a in pool.iter() {
                 for b in pool.iter() {
