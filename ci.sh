@@ -15,6 +15,20 @@ cargo build --release --locked --offline --workspace
 # breaks it fail CI instead of the next benchmark run.
 cargo build --release --locked --offline --manifest-path perfbench/Cargo.toml
 
+echo "== perfbench smoke (keyed, update: every output check passes) =="
+# One short run of each egd-heavy workload: the benchmark checks every
+# request's output (isomorphism against the naive chase included), so
+# this runs those checks on the egd fixpoint in every CI pass.
+for workload in keyed update; do
+  PB_OUT=$(cargo run --release --locked --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0)
+  PB_LAST=$(tail -n 1 <<< "$PB_OUT")
+  grep -q '"correct":true' <<< "$PB_LAST" \
+    || { echo "perfbench smoke: $workload run is not correct: $PB_LAST"; exit 1; }
+  grep -q '"failed":0[,}]' <<< "$PB_LAST" \
+    || { echo "perfbench smoke: $workload run has failed requests: $PB_LAST"; exit 1; }
+done
+
 echo "== test (locked, offline) =="
 cargo test -q --locked --offline --workspace
 

@@ -266,6 +266,12 @@ fn chase_profiles_reconcile_and_are_deterministic_across_64_seeds() {
                     ));
                 }
             }
+            if profile.egd_rows_scanned != stats.egd_rows_scanned as u64 {
+                return Err(format!(
+                    "seed {seed}: traced egd_rows_scanned {} != ChaseStats {}",
+                    profile.egd_rows_scanned, stats.egd_rows_scanned
+                ));
+            }
             Ok(())
         },
     );

@@ -57,6 +57,9 @@ fn jsonl_trace_reconciles_with_chase_stats() {
     assert_eq!(count("tgd_fired"), stats.triggers_fired);
     assert_eq!(count("egd_merged"), stats.egd_steps);
     assert_eq!(count("round_completed"), stats.rounds);
+    let lines = dex_obs::parse_trace(&text).unwrap();
+    let profile = dex_obs::TraceProfile::from_lines(&lines);
+    assert_eq!(profile.egd_rows_scanned, stats.egd_rows_scanned as u64);
     // The workload actually exercises the mirrored counters.
     assert!(stats.triggers_examined > 0);
     assert!(stats.triggers_fired > 0);

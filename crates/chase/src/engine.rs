@@ -16,25 +16,41 @@
 //! so they re-enter the delta window. Seeding each body atom with each
 //! delta row thus reaches every genuinely new trigger.
 //!
+//! The egd side is semi-naive too ([`EgdScan`]). An egd violation needs
+//! all its body rows present with two unequal values, so once the egd
+//! fixpoint has run, every later violation has a row appended after it:
+//! a tgd insert, or a row a merge re-appended. The scan keeps one cursor
+//! for the whole fixpoint and moves each relation's mark past every row
+//! it has checked clean; it never restarts after a merge. Its invariant
+//! — every violation has a row past the marks — survives a merge because
+//! the merge re-appends every row it rewrites past all marks, and a
+//! match over unchanged rows was already a violation before. Egds whose
+//! two body atoms are exchanged by a variable swap that fixes
+//! `{lhs, rhs}` (keys, FDs) are seeded at one of the two atoms only.
+//! See [`crate::egd_scan`] for both arguments in full.
+//!
 //! # Why the α-chase needs a full reset after merges
 //!
 //! An ᾱ-head is a *specific* set of atoms, not an existential: a merge
 //! can rewrite one of them away and re-enable the trigger (the engine of
 //! Example 4.4's α₃ loop). Inserts still never disable satisfaction, so
-//! the α-run is delta-driven between merges and rewinds its cursor to
-//! the origin (and re-examines the s-t matches) after every merge. The
+//! the α-run is delta-driven between merges and rewinds its tgd cursor
+//! to the origin (and re-examines the s-t matches) after every merge.
+//! Its egd fixpoint is the same [`EgdScan`] as the standard chase's. The
 //! α-run also keeps the naive driver's per-step state hashing so
 //! provably-infinite runs are still reported as `CycleDetected`.
 
 use crate::alpha::{AlphaOutcome, AlphaSource, AlphaSuccess, ChaseStep, Justification};
 use crate::budget::ChaseBudget;
+use crate::egd_scan::{EgdScan, EgdViolation};
 use crate::provenance::Provenance;
 use crate::standard::{ChaseError, ChaseSuccess};
 use crate::stats::ChaseStats;
 use crate::witness::ConflictWitness;
 use dex_core::govern::Clock;
 use dex_core::{
-    merge_policy, Atom, DeltaCursor, Instance, NullGen, SourceDelta, Symbol, Value, ValueUnionFind,
+    merge_policy, Atom, DeltaCursor, Instance, MergeOutcome, NullGen, SourceDelta, Symbol, Value,
+    ValueUnionFind,
 };
 use dex_logic::matcher;
 use dex_logic::{Assignment, Body, FAtom, Setting, Term, Tgd};
@@ -55,6 +71,7 @@ pub struct ChaseEngine<'a> {
     clock: Clock,
     tracer: Tracer,
     provenance: bool,
+    egd_scan: EgdScan<'a>,
 }
 
 /// The full trigger valuation of a body match, as (variable, value)
@@ -63,15 +80,6 @@ fn valuation_of(env: &Assignment) -> Vec<(String, Value)> {
     env.bindings()
         .map(|(v, val)| (v.to_string(), val))
         .collect()
-}
-
-/// An egd trigger whose two sides are unequal, as found by
-/// [`ChaseEngine::find_violation_seeded`].
-struct EgdViolation {
-    egd_index: usize,
-    env: Assignment,
-    left: Value,
-    right: Value,
 }
 
 fn state_hash(inst: &Instance) -> u64 {
@@ -139,6 +147,7 @@ impl<'a> ChaseEngine<'a> {
             clock: Clock::real(),
             tracer: Tracer::off(),
             provenance: false,
+            egd_scan: EgdScan::new(&setting.egds),
         }
     }
 
@@ -187,46 +196,6 @@ impl<'a> ChaseEngine<'a> {
         Ok(())
     }
 
-    /// The first egd violation involving at least one row appended since
-    /// `seed` (after an egd fixpoint every later violation must: new
-    /// violations need a new or rewritten row). Returns the violating
-    /// trigger: egd index, full body match, and the two unequal values.
-    fn find_violation_seeded(&self, inst: &Instance, seed: &DeltaCursor) -> Option<EgdViolation> {
-        for (ei, egd) in self.setting.egds.iter().enumerate() {
-            for (i, batom) in egd.body.iter().enumerate() {
-                for row in inst.delta_rows(batom.rel, seed) {
-                    let mut hit = None;
-                    matcher::for_each_match_seeded(
-                        &egd.body,
-                        i,
-                        row,
-                        inst,
-                        &Assignment::new(),
-                        &mut |env| {
-                            let l = env.get(egd.lhs).expect("egd body binds lhs");
-                            let r = env.get(egd.rhs).expect("egd body binds rhs");
-                            if l != r {
-                                hit = Some((env.clone(), l, r));
-                                false
-                            } else {
-                                true
-                            }
-                        },
-                    );
-                    if let Some((env, left, right)) = hit {
-                        return Some(EgdViolation {
-                            egd_index: ei,
-                            env,
-                            left,
-                            right,
-                        });
-                    }
-                }
-            }
-        }
-        None
-    }
-
     /// Builds the structured conflict witness for an egd trigger that
     /// equated the distinct constants `c` and `d`, with justification
     /// chains when the run records provenance.
@@ -261,6 +230,34 @@ impl<'a> ChaseEngine<'a> {
                 )
             })
             .collect()
+    }
+
+    /// Applies the merge `m` the violation `v` called for: rewrites the
+    /// instance in place and records the step in the counters, the
+    /// provenance and the trace.
+    fn apply_merge(
+        &self,
+        inst: &mut Instance,
+        v: &EgdViolation,
+        m: MergeOutcome,
+        stats: &mut ChaseStats,
+        prov: Option<&mut Provenance>,
+    ) {
+        let egd = &self.setting.egds[v.egd_index];
+        let rewritten = inst.merge_value(m.loser, m.winner);
+        stats.rows_rewritten += rewritten;
+        stats.egd_steps += 1;
+        if let Some(p) = prov {
+            p.record_merge(&egd.name, m.loser, m.winner, &Self::egd_premises(egd, v));
+        }
+        if self.tracer.enabled() {
+            self.emit(EventKind::EgdMerged {
+                dep: egd.name.clone(),
+                loser: m.loser.to_string(),
+                winner: m.winner.to_string(),
+                rows_rewritten: rewritten,
+            });
+        }
     }
 
     /// Fires one restricted-chase trigger: fresh nulls for the
@@ -387,7 +384,6 @@ impl<'a> ChaseEngine<'a> {
             &mut stats,
             &mut prov,
             DeltaCursor::origin(),
-            None,
         )?;
 
         stats.total_time_ns = (self.clock.now_ns() - t_total) as u128;
@@ -396,6 +392,7 @@ impl<'a> ChaseEngine<'a> {
             self.emit(EventKind::ChaseCompleted {
                 atoms: inst.len(),
                 steps,
+                egd_rows_scanned: stats.egd_rows_scanned,
             });
         }
         Ok(ChaseSuccess {
@@ -409,9 +406,9 @@ impl<'a> ChaseEngine<'a> {
 
     /// The semi-naive egd/target-tgd fixpoint (Phase B of [`run`] and
     /// the continuation phase of [`resume`]): alternate an egd fixpoint
-    /// (seeded at `egd_clean`, or the origin when `None`) with one
-    /// seeded tgd round over the delta window past `processed`, until a
-    /// round adds nothing.
+    /// with one seeded tgd round over the delta window past `processed`,
+    /// until a round adds nothing. Everything before `processed` must
+    /// already satisfy the egds: the first egd fixpoint starts there.
     ///
     /// [`run`]: ChaseEngine::run
     /// [`resume`]: ChaseEngine::resume
@@ -426,10 +423,9 @@ impl<'a> ChaseEngine<'a> {
         mut stats: &mut ChaseStats,
         prov: &mut Option<Provenance>,
         mut processed: DeltaCursor,
-        egd_seed: Option<DeltaCursor>,
     ) -> Result<(), ChaseError> {
         let mut steps = *steps_ref;
-        let mut egd_clean: Option<DeltaCursor> = egd_seed;
+        let mut egd_clean = processed.clone();
         let out = (|| -> Result<(), ChaseError> {
             let t_rels = self.t_body_rels();
             loop {
@@ -441,55 +437,47 @@ impl<'a> ChaseEngine<'a> {
                 // budget error unwinds out of the round; the analyzer
                 // treats that like a truncated trace.
                 let sp_round = self.tracer.span("round", self.clock.now_ns());
-                // Egds first, to a fixpoint. The seed stays put while the
-                // fixpoint runs: merges re-append the rows they rewrite, so
-                // follow-on violations stay inside the window.
+                // Egds first, to a fixpoint, over the rows appended since
+                // the last one.
                 let t_phase = self.clock.now_ns();
                 let sp_egd = self.tracer.span("egd_fixpoint", t_phase);
-                let seed = egd_clean.take().unwrap_or_default();
-                while let Some(v) = self.find_violation_seeded(&inst, &seed) {
-                    gov.check()?;
-                    self.check_steps(steps, &inst).map_err(|e| {
-                        stats.egd_time_ns += (self.clock.now_ns() - t_phase) as u128;
-                        e
-                    })?;
-                    match uf.union(v.left, v.right) {
-                        Err((c, d)) => {
-                            return Err(ChaseError::EgdConflict {
-                                witness: self.conflict_witness(
-                                    &v,
-                                    Value::Const(c),
-                                    Value::Const(d),
-                                    prov.as_ref(),
-                                ),
-                            })
-                        }
-                        Ok(Some(m)) => {
-                            let egd = &self.setting.egds[v.egd_index].name;
-                            let rewritten = inst.merge_value(m.loser, m.winner);
-                            stats.rows_rewritten += rewritten;
-                            steps += 1;
-                            stats.egd_steps += 1;
-                            if let Some(p) = prov.as_mut() {
-                                let premises =
-                                    Self::egd_premises(&self.setting.egds[v.egd_index], &v);
-                                p.record_merge(egd, m.loser, m.winner, &premises);
+                let scanned = self.egd_scan.fixpoint(
+                    inst,
+                    std::mem::take(&mut egd_clean),
+                    |inst, v| -> Result<bool, ChaseError> {
+                        gov.check()?;
+                        self.check_steps(steps, inst).inspect_err(|_| {
+                            stats.egd_time_ns += (self.clock.now_ns() - t_phase) as u128;
+                        })?;
+                        let m = match uf.union(v.left, v.right) {
+                            Err((c, d)) => {
+                                return Err(ChaseError::EgdConflict {
+                                    witness: self.conflict_witness(
+                                        &v,
+                                        Value::Const(c),
+                                        Value::Const(d),
+                                        prov.as_ref(),
+                                    ),
+                                })
                             }
-                            if self.tracer.enabled() {
-                                self.emit(EventKind::EgdMerged {
-                                    dep: egd.clone(),
-                                    loser: m.loser.to_string(),
-                                    winner: m.winner.to_string(),
-                                    rows_rewritten: rewritten,
-                                });
+                            Ok(Some(m)) => m,
+                            // Both sides are live values, and losers are
+                            // rewritten out of every live row, so they are
+                            // never one class. Should that break, leave the
+                            // match and keep scanning rather than end the
+                            // fixpoint with violations unprocessed.
+                            Ok(None) => {
+                                debug_assert!(false, "egd violation inside one union-find class");
+                                return Ok(false);
                             }
-                        }
-                        // Same class but both still live cannot happen (losers
-                        // are rewritten out of every live row); bail defensively.
-                        Ok(None) => break,
-                    }
-                }
-                egd_clean = Some(inst.cursor());
+                        };
+                        self.apply_merge(inst, &v, m, stats, prov.as_mut());
+                        steps += 1;
+                        Ok(true)
+                    },
+                )?;
+                stats.egd_rows_scanned += scanned;
+                egd_clean = inst.cursor();
                 sp_egd.close(self.clock.now_ns());
                 stats.egd_time_ns += (self.clock.now_ns() - t_phase) as u128;
 
@@ -695,6 +683,7 @@ impl<'a> ChaseEngine<'a> {
                 clock: self.clock.clone(),
                 tracer: self.tracer.clone(),
                 provenance: prior.provenance.is_some(),
+                egd_scan: self.egd_scan.clone(),
             };
             return fallback.run(&updated);
         }
@@ -715,11 +704,12 @@ impl<'a> ChaseEngine<'a> {
         // The updated σ-part, for FO s-t re-examination and the final
         // target split.
         let sigma_new = delta.applied(&sigma_old);
-        // Cursors taken before any mutation: every row this resume
+        // The cursor taken before any mutation: every row this resume
         // appends (re-derivations, new source rows, their consequences)
-        // is inside the windows the fixpoint consumes.
+        // is inside the windows the fixpoint consumes. The prior result
+        // satisfied the egds, and retraction cannot create a violation,
+        // so the egd fixpoint can start here too.
         let processed = inst.cursor();
-        let egd_seed = inst.cursor();
 
         // Deletions: retract everything whose justifications all died,
         // then re-derive survivors head-first — each newly-unsatisfied
@@ -890,15 +880,7 @@ impl<'a> ChaseEngine<'a> {
         // appended — the same loop a from-scratch run uses, so governed
         // interruption and budget behavior are identical.
         self.run_fixpoint(
-            &gov,
-            &mut inst,
-            &mut nulls,
-            &mut uf,
-            &mut steps,
-            &mut stats,
-            &mut prov,
-            processed,
-            Some(egd_seed),
+            &gov, &mut inst, &mut nulls, &mut uf, &mut steps, &mut stats, &mut prov, processed,
         )?;
 
         stats.total_time_ns = (self.clock.now_ns() - t_total) as u128;
@@ -913,6 +895,7 @@ impl<'a> ChaseEngine<'a> {
             self.emit(EventKind::ChaseCompleted {
                 atoms: inst.len(),
                 steps,
+                egd_rows_scanned: stats.egd_rows_scanned,
             });
         }
         sp_resume.close(self.clock.now_ns());
@@ -1058,7 +1041,7 @@ impl<'a> ChaseEngine<'a> {
         let t_rels = self.t_body_rels();
 
         let mut processed = DeltaCursor::origin();
-        let mut egd_clean: Option<DeltaCursor> = None;
+        let mut egd_clean = DeltaCursor::origin();
         let mut st_dirty = true;
         loop {
             // Per round, consult deadline/cancel unconditionally (the
@@ -1075,24 +1058,24 @@ impl<'a> ChaseEngine<'a> {
             // cursor and the s-t examination.
             let t_phase = self.clock.now_ns();
             let sp_egd = self.tracer.span("egd_fixpoint", t_phase);
-            let seed = egd_clean.take().unwrap_or_default();
-            while let Some(v) = self.find_violation_seeded(&inst, &seed) {
-                if let Err(i) = gov.check() {
-                    return AlphaOutcome::Interrupted(i);
-                }
+            let clean = std::mem::take(&mut egd_clean);
+            // The error side is the run's terminal outcome, built once.
+            #[allow(clippy::result_large_err)]
+            let scanned = self.egd_scan.fixpoint(&mut inst, clean, |inst, v| {
+                gov.check().map_err(AlphaOutcome::Interrupted)?;
                 if steps >= self.budget.max_steps {
-                    return AlphaOutcome::BudgetExceeded {
+                    return Err(AlphaOutcome::BudgetExceeded {
                         steps,
                         atoms: inst.len(),
-                    };
+                    });
                 }
                 // Merge policy applied to the raw pair, NOT a persistent
                 // union-find: a fixed α can re-introduce a merged-away
                 // null (Example 4.4's α₃), which a union-find would treat
                 // as "already merged" and silently drop.
-                match merge_policy(v.left, v.right) {
+                let m = match merge_policy(v.left, v.right) {
                     Err((c, d)) => {
-                        return AlphaOutcome::Failing {
+                        return Err(AlphaOutcome::Failing {
                             witness: self.conflict_witness(
                                 &v,
                                 Value::Const(c),
@@ -1100,41 +1083,30 @@ impl<'a> ChaseEngine<'a> {
                                 prov.as_ref(),
                             ),
                             steps,
-                        }
+                        })
                     }
-                    Ok(Some(m)) => {
-                        let egd = self.setting.egds[v.egd_index].name.clone();
-                        let rewritten = inst.merge_value(m.loser, m.winner);
-                        stats.rows_rewritten += rewritten;
-                        steps += 1;
-                        stats.egd_steps += 1;
-                        if let Some(p) = prov.as_mut() {
-                            let premises = Self::egd_premises(&self.setting.egds[v.egd_index], &v);
-                            p.record_merge(&egd, m.loser, m.winner, &premises);
-                        }
-                        if self.tracer.enabled() {
-                            self.emit(EventKind::EgdMerged {
-                                dep: egd.clone(),
-                                loser: m.loser.to_string(),
-                                winner: m.winner.to_string(),
-                                rows_rewritten: rewritten,
-                            });
-                        }
-                        trace.push(ChaseStep::EgdApplied {
-                            dep: egd,
-                            from: m.loser,
-                            to: m.winner,
-                        });
-                        st_dirty = true;
-                        processed = DeltaCursor::origin();
-                        if !seen_states.insert(state_hash(&inst)) {
-                            return AlphaOutcome::CycleDetected { steps };
-                        }
-                    }
-                    Ok(None) => break,
+                    Ok(Some(m)) => m,
+                    Ok(None) => unreachable!("the egd scan reports unequal sides only"),
+                };
+                self.apply_merge(inst, &v, m, &mut stats, prov.as_mut());
+                steps += 1;
+                trace.push(ChaseStep::EgdApplied {
+                    dep: self.setting.egds[v.egd_index].name.clone(),
+                    from: m.loser,
+                    to: m.winner,
+                });
+                st_dirty = true;
+                processed = DeltaCursor::origin();
+                if !seen_states.insert(state_hash(inst)) {
+                    return Err(AlphaOutcome::CycleDetected { steps });
                 }
+                Ok(true)
+            });
+            match scanned {
+                Ok(n) => stats.egd_rows_scanned += n,
+                Err(out) => return out,
             }
-            egd_clean = Some(inst.cursor());
+            egd_clean = inst.cursor();
             sp_egd.close(self.clock.now_ns());
             stats.egd_time_ns += (self.clock.now_ns() - t_phase) as u128;
 
@@ -1148,6 +1120,7 @@ impl<'a> ChaseEngine<'a> {
                     self.emit(EventKind::ChaseCompleted {
                         atoms: inst.len(),
                         steps,
+                        egd_rows_scanned: stats.egd_rows_scanned,
                     });
                 }
                 return AlphaOutcome::Success(AlphaSuccess {

@@ -14,6 +14,7 @@
 
 pub mod alpha;
 pub mod budget;
+pub mod egd_scan;
 pub mod engine;
 pub mod provenance;
 pub mod standard;
@@ -25,6 +26,7 @@ pub use alpha::{
     AlphaSource, AlphaSuccess, ChaseStep, FreshAlpha, Justification, TableAlpha,
 };
 pub use budget::{ChaseBudget, ChaseLimitsExt};
+pub use egd_scan::{EgdScan, EgdViolation};
 pub use engine::ChaseEngine;
 pub use provenance::{ChainStep, Derivation, JustificationChain, MergeRecord, Provenance};
 pub use standard::{

@@ -29,6 +29,9 @@ pub struct ChaseStats {
     pub atoms_inserted: usize,
     /// Rows rewritten in place by egd merges.
     pub rows_rewritten: usize,
+    /// Rows seeded into the egd matcher, once per seed position and
+    /// re-check: linear in the rows appended, not rows × merges.
+    pub egd_rows_scanned: usize,
     /// Atoms retracted by incremental deletion propagation (0 for
     /// from-scratch runs).
     pub atoms_retracted: usize,
@@ -118,6 +121,7 @@ impl ChaseStats {
         self.max_round_delta_rows = self.max_round_delta_rows.max(other.max_round_delta_rows);
         self.atoms_inserted += other.atoms_inserted;
         self.rows_rewritten += other.rows_rewritten;
+        self.egd_rows_scanned += other.egd_rows_scanned;
         self.atoms_retracted += other.atoms_retracted;
         self.atoms_rederived += other.atoms_rederived;
         self.peak_atoms += other.peak_atoms;
@@ -158,6 +162,10 @@ impl ChaseStats {
                 JsonValue::uint(self.rows_rewritten as u64),
             )
             .with(
+                "egd_rows_scanned",
+                JsonValue::uint(self.egd_rows_scanned as u64),
+            )
+            .with(
                 "atoms_retracted",
                 JsonValue::uint(self.atoms_retracted as u64),
             )
@@ -181,7 +189,7 @@ impl ChaseStats {
     /// `prefix` (e.g. `prefix = "chase"` yields `chase.rounds`), with
     /// phase times recorded into log₂ latency histograms.
     pub fn export_metrics(&self, registry: &mut dex_obs::MetricsRegistry, prefix: &str) {
-        let counters: [(&str, usize); 11] = [
+        let counters: [(&str, usize); 12] = [
             ("tgd_steps", self.tgd_steps),
             ("egd_steps", self.egd_steps),
             ("triggers_examined", self.triggers_examined),
@@ -191,6 +199,7 @@ impl ChaseStats {
             ("max_round_delta_rows", self.max_round_delta_rows),
             ("atoms_inserted", self.atoms_inserted),
             ("rows_rewritten", self.rows_rewritten),
+            ("egd_rows_scanned", self.egd_rows_scanned),
             ("atoms_retracted", self.atoms_retracted),
             ("atoms_rederived", self.atoms_rederived),
         ];
@@ -407,6 +416,7 @@ mod tests {
             "max_round_delta_rows",
             "atoms_inserted",
             "rows_rewritten",
+            "egd_rows_scanned",
             "atoms_retracted",
             "atoms_rederived",
             "peak_atoms",

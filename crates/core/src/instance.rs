@@ -161,6 +161,12 @@ impl DeltaCursor {
     pub fn mark(&self, rel: Symbol) -> usize {
         self.marks.get(&rel).copied().unwrap_or(0)
     }
+
+    /// Moves `rel`'s mark to log position `mark`: the rows before it
+    /// leave this cursor's delta.
+    pub fn set_mark(&mut self, rel: Symbol, mark: usize) {
+        self.marks.insert(rel, mark);
+    }
 }
 
 /// A relational instance: a finite set of atoms.
@@ -256,12 +262,24 @@ impl Instance {
         rel: Symbol,
         cursor: &DeltaCursor,
     ) -> impl Iterator<Item = &'a [Value]> + 'a {
+        self.delta_rows_indexed(rel, cursor).map(|(_, row)| row)
+    }
+
+    /// [`Instance::delta_rows`] with each row's log index, the position
+    /// [`DeltaCursor::set_mark`] counts in.
+    pub fn delta_rows_indexed<'a>(
+        &'a self,
+        rel: Symbol,
+        cursor: &DeltaCursor,
+    ) -> impl Iterator<Item = (usize, &'a [Value])> + 'a {
         let mark = cursor.mark(rel);
-        self.rels
-            .get(&rel)
-            .into_iter()
-            .flat_map(move |r| r.rows[mark.min(r.rows.len())..].iter())
-            .filter_map(|r| r.as_deref())
+        self.rels.get(&rel).into_iter().flat_map(move |r| {
+            let from = mark.min(r.rows.len());
+            r.rows[from..]
+                .iter()
+                .enumerate()
+                .filter_map(move |(i, row)| row.as_deref().map(|row| (from + i, row)))
+        })
     }
 
     /// True iff some relation has a live row appended since `cursor`.
@@ -761,6 +779,26 @@ mod tests {
         assert!(i.has_delta_since(&cur));
         let delta: Vec<_> = i.delta_rows(Symbol::intern("E"), &cur).collect();
         assert_eq!(delta, vec![&[v("a"), v("x")][..]]);
+    }
+
+    #[test]
+    fn indexed_delta_skips_tombstones_and_honours_set_mark() {
+        let e = Symbol::intern("E");
+        let mut i = sample();
+        i.merge_value(Value::null(1), v("x"));
+        // Log: 0 = E(a,b), 1 = tombstone of E(a,⊥1), 2 = E(a,x).
+        let all: Vec<_> = i.delta_rows_indexed(e, &DeltaCursor::origin()).collect();
+        assert_eq!(
+            all,
+            vec![(0, &[v("a"), v("b")][..]), (2, &[v("a"), v("x")][..])]
+        );
+        let mut cur = DeltaCursor::origin();
+        cur.set_mark(e, 1);
+        assert_eq!(cur.mark(e), 1);
+        let rest: Vec<_> = i.delta_rows_indexed(e, &cur).map(|(idx, _)| idx).collect();
+        assert_eq!(rest, vec![2]);
+        cur.set_mark(e, 3);
+        assert_eq!(i.delta_rows(e, &cur).count(), 0);
     }
 
     #[test]

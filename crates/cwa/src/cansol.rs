@@ -8,12 +8,14 @@
 //! justification instantiated with its own fresh nulls) followed by egd
 //! merging: the merge is folded *into* α (each justification maps directly
 //! to the merged value), which is exactly why the naive fresh-α chase may
-//! diverge while `CanSol` still exists. For class 2 there are no
-//! existential variables at all, so the (unique) CWA-presolution is the
-//! standard chase result.
+//! diverge while `CanSol` still exists. The merging runs through the
+//! chase's semi-naive [`EgdScan`]: one pass over the presolution that
+//! re-checks only the rows each merge rewrites, instead of a full egd
+//! join per merge. For class 2 there are no existential variables at
+//! all, so the (unique) CWA-presolution is the standard chase result.
 
-use dex_chase::{ChaseBudget, ChaseError};
-use dex_core::{merge_policy, Instance, NullGen, Value};
+use dex_chase::{ChaseBudget, ChaseError, EgdScan};
+use dex_core::{merge_policy, DeltaCursor, Instance, NullGen, Value};
 use dex_logic::Setting;
 
 /// Which of Proposition 5.4's classes a setting falls into.
@@ -73,13 +75,15 @@ pub fn cansol(
                     }
                 }
             }
-            // 2. Egd merging to fixpoint, in place: each violation is
-            //    resolved by the footnote-4 policy and applied through
-            //    `Instance::merge_value`, instead of cloning the whole
-            //    instance per repair. The merge homomorphism composed
-            //    with the fresh α is the witnessing α for the result.
+            // 2. Egd merging to fixpoint, in place: each violation the
+            //    scan finds is resolved by the footnote-4 policy (the raw
+            //    pair, as in the α-chase) and applied through
+            //    `Instance::merge_value`, whose re-appended rows are all
+            //    the scan re-checks. The merge homomorphism composed with
+            //    the fresh α is the witnessing α for the result.
+            gov.force_check()?;
             let mut steps = 0usize;
-            loop {
+            EgdScan::new(&setting.egds).fixpoint(&mut inst, DeltaCursor::origin(), |inst, v| {
                 gov.force_check()?;
                 if steps >= budget.max_steps {
                     return Err(ChaseError::BudgetExceeded {
@@ -87,38 +91,24 @@ pub fn cansol(
                         atoms: inst.len(),
                     });
                 }
-                let mut violation = None;
-                for (ei, egd) in setting.egds.iter().enumerate() {
-                    if let Some(env) = egd.first_violation(&inst) {
-                        let l = env.get(egd.lhs).expect("egd body binds lhs");
-                        let r = env.get(egd.rhs).expect("egd body binds rhs");
-                        violation = Some((ei, env, l, r));
-                        break;
-                    }
-                }
-                let Some((ei, env, l, r)) = violation else {
-                    break;
-                };
-                match merge_policy(l, r) {
-                    Err((c, d)) => {
-                        return Err(ChaseError::EgdConflict {
-                            witness: Box::new(dex_chase::ConflictWitness::from_trigger(
-                                &setting.egds[ei],
-                                ei,
-                                &env,
-                                Value::Const(c),
-                                Value::Const(d),
-                            )),
-                        })
-                    }
+                match merge_policy(v.left, v.right) {
+                    Err((c, d)) => Err(ChaseError::EgdConflict {
+                        witness: Box::new(dex_chase::ConflictWitness::from_trigger(
+                            &setting.egds[v.egd_index],
+                            v.egd_index,
+                            &v.env,
+                            Value::Const(c),
+                            Value::Const(d),
+                        )),
+                    }),
                     Ok(Some(m)) => {
                         inst.merge_value(m.loser, m.winner);
                         steps += 1;
+                        Ok(true)
                     }
-                    // first_violation only reports l != r.
-                    Ok(None) => unreachable!("violation with equal sides"),
+                    Ok(None) => unreachable!("the egd scan reports unequal sides only"),
                 }
-            }
+            })?;
             Ok(Some(inst.difference(source)))
         }
     }

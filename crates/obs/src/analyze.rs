@@ -86,6 +86,9 @@ pub struct TraceProfile {
     pub deps: Vec<DepAgg>,
     /// Governor trips by reason.
     pub governor: BTreeMap<String, u64>,
+    /// Rows seeded into the egd matcher, summed over `chase_completed`
+    /// events — equals the runs' `ChaseStats.egd_rows_scanned`.
+    pub egd_rows_scanned: u64,
     /// Total count carried by `events_dropped` markers.
     pub dropped: u64,
     pub truncated: bool,
@@ -270,6 +273,11 @@ impl TraceProfile {
                         None => p.roots.push(open.node),
                     }
                 }
+                "chase_completed" => {
+                    let n = u64_of(line, "egd_rows_scanned");
+                    p.egd_rows_scanned += n;
+                    p.metrics.inc("trace.chase.egd_rows_scanned", u128::from(n));
+                }
                 "governor_tripped" => {
                     let reason = str_of(line, "reason").unwrap_or("?").to_string();
                     *p.governor.entry(reason).or_insert(0) += 1;
@@ -398,6 +406,14 @@ impl TraceProfile {
         for (name, n) in &self.events {
             let _ = writeln!(out, "  {name:<24} {n:>8}");
         }
+        if self.events.contains_key("chase_completed") {
+            let _ = writeln!(out, "\nchase counters:");
+            let _ = writeln!(
+                out,
+                "  {:<24} {:>8}",
+                "egd_rows_scanned", self.egd_rows_scanned
+            );
+        }
         if tree && !self.roots.is_empty() {
             let _ = writeln!(out, "\nspan tree:");
             for root in &self.roots {
@@ -457,6 +473,7 @@ impl TraceProfile {
             .with("phases", JsonValue::Arr(phases))
             .with("deps", JsonValue::Arr(deps))
             .with("governor", JsonValue::Obj(governor))
+            .with("egd_rows_scanned", JsonValue::uint(self.egd_rows_scanned))
             .with("pool", pool)
             .with(
                 "tree",
@@ -558,6 +575,32 @@ mod tests {
                 .unwrap()
                 .count(),
             2
+        );
+    }
+
+    #[test]
+    fn egd_rows_scanned_sums_over_completed_chases() {
+        let ring = Arc::new(RingRecorder::new(8));
+        let t = Tracer::new(ring.clone());
+        for (at, scanned) in [(1, 5), (2, 7)] {
+            t.emit(
+                at,
+                EventKind::ChaseCompleted {
+                    atoms: 3,
+                    steps: 2,
+                    egd_rows_scanned: scanned,
+                },
+            );
+        }
+        let p = TraceProfile::from_lines(&lines_of(&ring));
+        assert_eq!(p.egd_rows_scanned, 12);
+        assert_eq!(p.metrics.counter("trace.chase.egd_rows_scanned"), 12);
+        assert!(p.render_text(5, false).contains("egd_rows_scanned"));
+        assert_eq!(
+            p.to_json()
+                .get("egd_rows_scanned")
+                .and_then(JsonValue::as_u128),
+            Some(12)
         );
     }
 

@@ -50,8 +50,13 @@ pub enum EventKind {
     },
     /// A semi-naive round finished having processed `delta_rows`.
     RoundCompleted { round: usize, delta_rows: usize },
-    /// A chase driver finished with `atoms` atoms after `steps` steps.
-    ChaseCompleted { atoms: usize, steps: usize },
+    /// A chase driver finished with `atoms` atoms after `steps` steps,
+    /// having seeded `egd_rows_scanned` rows into the egd matcher.
+    ChaseCompleted {
+        atoms: usize,
+        steps: usize,
+        egd_rows_scanned: usize,
+    },
     /// An incremental resume applied a netted source delta: `inserts`
     /// new and `deletes` retracted source atoms, with `atoms_retracted`
     /// target atoms withdrawn and `atoms_rederived` re-fired back in.
@@ -177,9 +182,17 @@ impl Event {
                 o.push("round", JsonValue::uint(*round as u64));
                 o.push("delta_rows", JsonValue::uint(*delta_rows as u64));
             }
-            EventKind::ChaseCompleted { atoms, steps } => {
+            EventKind::ChaseCompleted {
+                atoms,
+                steps,
+                egd_rows_scanned,
+            } => {
                 o.push("atoms", JsonValue::uint(*atoms as u64));
                 o.push("steps", JsonValue::uint(*steps as u64));
+                o.push(
+                    "egd_rows_scanned",
+                    JsonValue::uint(*egd_rows_scanned as u64),
+                );
             }
             EventKind::ResumeApplied {
                 inserts,
@@ -287,7 +300,11 @@ mod tests {
                 round: 1,
                 delta_rows: 5,
             },
-            EventKind::ChaseCompleted { atoms: 9, steps: 4 },
+            EventKind::ChaseCompleted {
+                atoms: 9,
+                steps: 4,
+                egd_rows_scanned: 6,
+            },
             EventKind::ResumeApplied {
                 inserts: 3,
                 deletes: 2,

@@ -54,8 +54,12 @@ use crate::modal::{
     GovernedAnswers, ModalError, ModalLimits,
 };
 use crate::possible::cq_is_maybe_answer;
+use dex_chase::EgdScan;
 use dex_core::govern::{Governor, Verdict};
-use dex_core::{Instance, MixedRadixValuations, NullId, Pool, Symbol, Valuation, Value};
+use dex_core::{
+    merge_policy, DeltaCursor, Instance, MixedRadixValuations, NullId, Pool, Symbol, Valuation,
+    Value,
+};
 use dex_logic::dependency::Body;
 use dex_logic::formula::Assignment;
 use dex_logic::{matcher, ConjunctiveQuery, Query, Setting};
@@ -168,43 +172,24 @@ fn const_conflict(setting: &Setting, inst: &Instance) -> bool {
 /// Applies every *forced* equality to `t` in place: egd violations whose
 /// sides involve a null merge the two values (the equality holds in
 /// every representative, so every representative factors through the
-/// quotient); a const/const violation returns `None` (`Rep_D(T) = ∅`).
-/// Returns the number of nulls eliminated. Terminates because each merge
-/// removes one distinct value from the instance.
+/// quotient; the null folds onto the constant, or the larger null id
+/// onto the smaller); a const/const violation returns `None`
+/// (`Rep_D(T) = ∅`). Returns the number of nulls eliminated. Terminates
+/// because each merge removes one distinct value from the instance; the
+/// chase's semi-naive [`EgdScan`] re-checks only the rewritten rows.
 fn merge_fixpoint(setting: &Setting, t: &mut Instance) -> Option<usize> {
     let mut eliminated = 0usize;
-    loop {
-        let mut changed = false;
-        for egd in &setting.egds {
-            while let Some(env) = egd.first_violation(t) {
-                let a = env.get(egd.lhs).expect("egd lhs is body-bound");
-                let b = env.get(egd.rhs).expect("egd rhs is body-bound");
-                match (a, b) {
-                    (Value::Const(_), Value::Const(_)) => return None,
-                    (Value::Null(_), Value::Const(_)) => {
-                        t.merge_value(a, b);
-                    }
-                    (Value::Const(_), Value::Null(_)) => {
-                        t.merge_value(b, a);
-                    }
-                    (Value::Null(x), Value::Null(y)) => {
-                        // Deterministic orientation: larger id folds onto
-                        // the smaller.
-                        if x < y {
-                            t.merge_value(b, a);
-                        } else {
-                            t.merge_value(a, b);
-                        }
-                    }
-                }
-                eliminated += 1;
-                changed = true;
-            }
-        }
-        if !changed {
-            return Some(eliminated);
-        }
-    }
+    EgdScan::new(&setting.egds)
+        .fixpoint(t, DeltaCursor::origin(), |t, v| -> Result<bool, ()> {
+            let m = merge_policy(v.left, v.right)
+                .map_err(|_| ())?
+                .expect("the egd scan reports unequal sides only");
+            t.merge_value(m.loser, m.winner);
+            eliminated += 1;
+            Ok(true)
+        })
+        .ok()?;
+    Some(eliminated)
 }
 
 /// The relations whose rows `Σ_t` or the query can observe, or `None`
@@ -678,6 +663,60 @@ mod tests {
         assert_eq!(merged, 2);
         assert!(t.is_ground());
         assert!(t.contains(&dex_core::Atom::of("F", vec![c("c"), c("d")])));
+    }
+
+    /// `merge_fixpoint` against the naive reference ([`dex_chase::egd_step`]
+    /// to fixpoint): same quotient, same number of merges, same verdict.
+    fn assert_matches_egd_step(d: &Setting, t: &str) {
+        let mut fast = parse_instance(t).unwrap();
+        let merged = merge_fixpoint(d, &mut fast);
+        let mut slow = parse_instance(t).unwrap();
+        let mut steps = 0usize;
+        let reference = loop {
+            match dex_chase::egd_step(d, &slow) {
+                Ok(Some(r)) => {
+                    slow = r.instance;
+                    steps += 1;
+                }
+                Ok(None) => break Some(steps),
+                Err(_) => break None,
+            }
+        };
+        assert_eq!(merged, reference, "{t}");
+        if merged.is_some() {
+            assert_eq!(fast, slow, "{t}");
+        }
+    }
+
+    #[test]
+    fn merge_fixpoint_follows_the_scan_cases() {
+        let chain = parse_setting(
+            "source { L/3 } target { A/2, B/2 }
+             t { ka: A(x,y) & A(x,z) -> y = z; kb: B(x,y) & B(x,z) -> y = z; }",
+        )
+        .unwrap();
+        // A B-merge rewrites A-rows into a new A-violation, and back.
+        let branches = "B(c,_1). A(_1,_2). B(_2,_3). A(_3,d). B(c,_4). A(_4,_5). B(_5,_6).";
+        assert_matches_egd_step(&chain, &format!("{branches} A(_6,d)."));
+        assert_matches_egd_step(&chain, &format!("{branches} A(_6,e)."));
+        // The merge ⊥ ↦ c tombstones the row the violation was found at.
+        let two_keys = parse_setting(
+            "source { P/1 } target { F/2, G/2 }
+             t { kf: F(x,y) & F(x,z) -> y = z; kg: G(x,y) & G(x,z) -> y = z; }",
+        )
+        .unwrap();
+        assert_matches_egd_step(&two_keys, "F(a,_1). G(_1,_2). F(a,c). G(c,d).");
+        // One row in two violations of a non-symmetric egd.
+        let chain =
+            parse_setting("source { P/1 } target { R/2 } t { e: R(x,y) & R(y,z) -> x = z; }")
+                .unwrap();
+        assert_matches_egd_step(&chain, "R(d,_1). R(_2,c). R(c,d).");
+        // Example 2.1's canonical presolution, plus a row that carries the
+        // merged-away null in key position.
+        assert_matches_egd_step(
+            &keyed_setting(),
+            "F(a,_2). F(a,_4). G(_2,_5). G(_4,_6). F(_4,_7).",
+        );
     }
 
     #[test]

@@ -365,6 +365,7 @@ fn trace_subcommand_profiles_a_chase_run() {
     assert!(stdout.contains("st_tgds"));
     assert!(stdout.contains("hottest dependencies"));
     assert!(stdout.contains("chase_completed"));
+    assert!(stdout.contains("egd_rows_scanned"));
     assert!(!stdout.contains("span tree:"), "--tree is opt-in");
 
     let (ok, with_tree, _) = dex(&["trace", p, "--tree"]);
@@ -393,12 +394,17 @@ fn trace_subcommand_profiles_a_chase_run() {
         events.get("chase_completed").and_then(|n| n.as_u128()),
         Some(1)
     );
+    assert!(v
+        .get("egd_rows_scanned")
+        .and_then(|n| n.as_u128())
+        .is_some_and(|n| n > 0));
 
     // --metrics passes the in-tree exposition-format check.
     let (ok, metrics, _) = dex(&["trace", p, "--metrics"]);
     assert!(ok);
     cwa_dex::obs::validate_prometheus_text(&metrics).expect("valid exposition text");
     assert!(metrics.contains("# TYPE"));
+    assert!(metrics.contains("egd_rows_scanned"));
 
     let (ok, _, stderr) = dex(&["trace", p, "--bogus"]);
     assert!(!ok);
