@@ -15,11 +15,12 @@ cargo build --release --locked --offline --workspace
 # breaks it fail CI instead of the next benchmark run.
 cargo build --release --locked --offline --manifest-path perfbench/Cargo.toml
 
-echo "== perfbench smoke (keyed, update: every output check passes) =="
-# One short run of each egd-heavy workload: the benchmark checks every
-# request's output (isomorphism against the naive chase included), so
-# this runs those checks on the egd fixpoint in every CI pass.
-for workload in keyed update; do
+echo "== perfbench smoke (all four workloads: every output check passes) =="
+# One short run of each workload: the benchmark checks every request's
+# output (core isomorphism against the naive chase on exchange/keyed,
+# brute-force repairs on repair), so every CI pass runs those checks on
+# the chase loop each workload writes through.
+for workload in exchange keyed update repair; do
   PB_OUT=$(cargo run --release --locked --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload "$workload" --seed 1 --seconds 1 --trace 0)
   PB_LAST=$(tail -n 1 <<< "$PB_OUT")

@@ -1,7 +1,7 @@
 //! The delta-driven chase engine: semi-naive trigger discovery over
 //! [`dex_core::DeltaCursor`] windows instead of the naive drivers'
 //! per-step full rescan, with in-place egd merging through
-//! [`dex_core::ValueUnionFind`] + [`dex_core::Instance::merge_value`].
+//! [`dex_core::Instance::merge_value`].
 //!
 //! # Why semi-naive search is sound for the standard chase
 //!
@@ -29,16 +29,42 @@
 //! `{lhs, rhs}` (keys, FDs) are seeded at one of the two atoms only.
 //! See [`crate::egd_scan`] for both arguments in full.
 //!
-//! # Why the α-chase needs a full reset after merges
+//! # One skeleton, two firing policies
 //!
-//! An ᾱ-head is a *specific* set of atoms, not an existential: a merge
-//! can rewrite one of them away and re-enable the trigger (the engine of
-//! Example 4.4's α₃ loop). Inserts still never disable satisfaction, so
-//! the α-run is delta-driven between merges and rewinds its tgd cursor
-//! to the origin (and re-examines the s-t matches) after every merge.
-//! Its egd fixpoint is the same [`EgdScan`] as the standard chase's. The
-//! α-run also keeps the naive driver's per-step state hashing so
-//! provably-infinite runs are still reported as `CycleDetected`.
+//! [`ChaseEngine::run`], [`ChaseEngine::resume`] and
+//! [`ChaseEngine::run_alpha`] drive one loop: a pass over every s-t
+//! trigger (σ never changes), then rounds of an egd fixpoint through
+//! [`EgdScan`] followed by one seeded tgd round over the rows appended
+//! since the last round, until a round finds nothing new. Every trigger
+//! goes through one examine-and-fire step. `resume` enters the same loop
+//! after retraction and head-seeded re-derivation (both through the same
+//! step), seeding s-t discovery with its net source inserts as the
+//! delta. The α-chase (Def. 4.1/4.2) is the standard chase with its tgd
+//! witnesses taken from α(justification), so the two differ only in the
+//! firing policy, at exactly these points:
+//!
+//! - *Active trigger.* Restricted: the head `∃z̄ ψ` is not satisfiable,
+//!   and the existentials get fresh nulls. α: some atom of the ᾱ-head,
+//!   its `z̄` taken from the [`AlphaSource`], is missing.
+//! - *Provenance valuation.* Restricted: the body match plus the fresh
+//!   witnesses. α: the body match alone — the justification (d, ū, v̄).
+//! - *Merge.* Restricted: a persistent [`ValueUnionFind`]. α: the raw
+//!   pair through [`merge_policy`], because a fixed α can re-introduce a
+//!   merged-away null (Example 4.4's α₃), which a union-find would treat
+//!   as already merged and silently drop.
+//! - *After a merge.* An ᾱ-head is a *specific* set of atoms, not an
+//!   existential: a merge can rewrite one of them away and re-enable the
+//!   trigger. The α-chase therefore rewinds its tgd cursor to the origin
+//!   and repeats the s-t pass over the σ-matches it computed once (σ is
+//!   ground and merges rewrite only nulls); the restricted chase needs
+//!   neither and passes σ once.
+//! - *Per step.* The α-chase records each step as a [`ChaseStep`] and
+//!   hashes the instance, so a provably infinite run (a revisited state)
+//!   ends as `CycleDetected`.
+//!
+//! A run that stops short of its fixpoint carries one internal stop
+//! value, mapped once to [`ChaseError`] or [`AlphaOutcome`] by the
+//! public entry point.
 
 use crate::alpha::{AlphaOutcome, AlphaSource, AlphaSuccess, ChaseStep, Justification};
 use crate::budget::ChaseBudget;
@@ -47,10 +73,10 @@ use crate::provenance::Provenance;
 use crate::standard::{ChaseError, ChaseSuccess};
 use crate::stats::ChaseStats;
 use crate::witness::ConflictWitness;
-use dex_core::govern::Clock;
+use dex_core::govern::{Clock, Interrupt};
 use dex_core::{
-    merge_policy, Atom, DeltaCursor, Instance, MergeOutcome, NullGen, SourceDelta, Symbol, Value,
-    ValueUnionFind,
+    merge_policy, Atom, DeltaCursor, Governor, Instance, MergeOutcome, NullGen, SourceDelta,
+    Symbol, Value, ValueUnionFind,
 };
 use dex_logic::matcher;
 use dex_logic::{Assignment, Body, FAtom, Setting, Term, Tgd};
@@ -74,6 +100,209 @@ pub struct ChaseEngine<'a> {
     egd_scan: EgdScan<'a>,
 }
 
+/// Per relation, owned copies of the rows a round seeds trigger
+/// discovery with.
+type Delta = HashMap<Symbol, Vec<Box<[Value]>>>;
+
+/// Why a run stopped short of its fixpoint.
+enum Stop {
+    /// An egd equated two distinct constants.
+    Conflict {
+        witness: Box<ConflictWitness>,
+        steps: usize,
+    },
+    /// The step or atom budget ran out.
+    Budget { steps: usize, atoms: usize },
+    /// The α-chase revisited an earlier state.
+    Cycle { steps: usize },
+    /// The governor's deadline passed or its cancel flag was raised.
+    Interrupted(Interrupt),
+}
+
+impl From<Interrupt> for Stop {
+    fn from(i: Interrupt) -> Stop {
+        Stop::Interrupted(i)
+    }
+}
+
+impl Stop {
+    fn into_chase_error(self) -> ChaseError {
+        match self {
+            Stop::Conflict { witness, .. } => ChaseError::EgdConflict { witness },
+            Stop::Budget { steps, atoms } => ChaseError::BudgetExceeded { steps, atoms },
+            Stop::Interrupted(i) => ChaseError::Interrupted(i),
+            Stop::Cycle { .. } => unreachable!("only the α-chase hashes its states"),
+        }
+    }
+
+    fn into_alpha_outcome(self) -> AlphaOutcome {
+        match self {
+            Stop::Conflict { witness, steps } => AlphaOutcome::Failing { witness, steps },
+            Stop::Budget { steps, atoms } => AlphaOutcome::BudgetExceeded { steps, atoms },
+            Stop::Cycle { steps } => AlphaOutcome::CycleDetected { steps },
+            Stop::Interrupted(i) => AlphaOutcome::Interrupted(i),
+        }
+    }
+}
+
+/// How a run fires triggers and merges values (see the module docs for
+/// the points where the two differ).
+enum Policy<'p> {
+    /// The restricted chase with fresh-null witnesses.
+    Restricted { nulls: NullGen, uf: ValueUnionFind },
+    /// The α-chase with witnesses from `alpha`, recording each step in
+    /// `log` and each state's hash in `seen`. `added` collects the atoms
+    /// the current tgd step inserts; `st_matches` keeps σ's s-t body
+    /// matches for the repeated s-t passes (σ is ground and merges only
+    /// rewrite nulls, so they never change).
+    Alpha {
+        alpha: &'p mut dyn AlphaSource,
+        log: &'p mut Vec<ChaseStep>,
+        added: Vec<Atom>,
+        seen: HashSet<u64>,
+        st_matches: Vec<Vec<Assignment>>,
+    },
+}
+
+impl<'p> Policy<'p> {
+    /// Fresh nulls start above every value of `inst`.
+    fn restricted(inst: &Instance) -> Policy<'p> {
+        Policy::Restricted {
+            nulls: NullGen::above(inst.active_domain().iter()),
+            uf: ValueUnionFind::new(),
+        }
+    }
+
+    fn alpha(
+        alpha: &'p mut dyn AlphaSource,
+        log: &'p mut Vec<ChaseStep>,
+        start: &Instance,
+    ) -> Policy<'p> {
+        Policy::Alpha {
+            alpha,
+            log,
+            added: Vec::new(),
+            seen: HashSet::from([state_hash(start)]),
+            st_matches: Vec::new(),
+        }
+    }
+
+    /// The head atoms an active trigger adds; `None` when the trigger is
+    /// not active. On `Some`, `env` holds the valuation its provenance
+    /// records: the restricted chase binds the fresh witnesses into it,
+    /// the α-chase leaves the body match alone.
+    fn active_head(
+        &mut self,
+        tgd: &Tgd,
+        dep: usize,
+        env: &mut Assignment,
+        inst: &Instance,
+    ) -> Option<Vec<Atom>> {
+        match self {
+            Policy::Restricted { nulls, .. } => {
+                if tgd.head_holds(inst, env) {
+                    return None;
+                }
+                for &z in &tgd.exist_vars {
+                    env.bind(z, nulls.fresh_value());
+                }
+                Some(tgd.instantiate_head(env))
+            }
+            Policy::Alpha { alpha, .. } => {
+                let head = alpha_head(tgd, dep, env, &mut **alpha, inst);
+                head.iter().any(|a| !inst.contains(a)).then_some(head)
+            }
+        }
+    }
+
+    /// Inserts one head atom of a firing trigger; the α-chase keeps a
+    /// copy of each new one for the step's log entry.
+    fn insert(&mut self, inst: &mut Instance, atom: Atom) -> bool {
+        match self {
+            Policy::Restricted { .. } => inst.insert(atom),
+            Policy::Alpha { added, .. } => {
+                let new = inst.insert(atom.clone());
+                if new {
+                    added.push(atom);
+                }
+                new
+            }
+        }
+    }
+
+    fn merge(
+        &mut self,
+        left: Value,
+        right: Value,
+    ) -> Result<Option<MergeOutcome>, (Symbol, Symbol)> {
+        match self {
+            Policy::Restricted { uf, .. } => uf.union(left, right),
+            Policy::Alpha { .. } => merge_policy(left, right),
+        }
+    }
+
+    /// Called once an egd fixpoint has merged: a merge may have
+    /// rewritten an examined ᾱ-head away, so the α-chase rewinds the tgd
+    /// cursor to the origin and repeats the s-t pass.
+    fn after_merge(&self, processed: &mut DeltaCursor, st_pending: &mut bool) {
+        if let Policy::Alpha { .. } = self {
+            *processed = DeltaCursor::origin();
+            *st_pending = true;
+        }
+    }
+
+    /// Swaps `matches` with the s-t matches the α-chase keeps between
+    /// its passes; the restricted chase passes σ once and keeps none.
+    fn swap_st_matches(&mut self, matches: &mut Vec<Vec<Assignment>>) {
+        if let Policy::Alpha { st_matches, .. } = self {
+            std::mem::swap(st_matches, matches);
+        }
+    }
+
+    /// Records a step the run just took: the α-chase logs it, handing
+    /// `step` the atoms [`Policy::insert`] kept, and stops when the
+    /// instance is back in a state it has been in before.
+    fn stepped(
+        &mut self,
+        inst: &Instance,
+        steps: usize,
+        step: impl FnOnce(Vec<Atom>) -> ChaseStep,
+    ) -> Result<(), Stop> {
+        if let Policy::Alpha {
+            log, added, seen, ..
+        } = self
+        {
+            log.push(step(std::mem::take(added)));
+            if !seen.insert(state_hash(inst)) {
+                return Err(Stop::Cycle { steps });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The mutable state of one run.
+struct Run<'p> {
+    gov: Governor,
+    inst: Instance,
+    stats: ChaseStats,
+    steps: usize,
+    prov: Option<Provenance>,
+    policy: Policy<'p>,
+}
+
+impl Run<'_> {
+    fn success(self, sigma: &Instance) -> ChaseSuccess {
+        ChaseSuccess {
+            target: self.inst.difference(sigma),
+            result: self.inst,
+            steps: self.steps,
+            stats: self.stats,
+            provenance: self.prov,
+        }
+    }
+}
+
 /// The full trigger valuation of a body match, as (variable, value)
 /// pairs in the assignment's (sorted) order.
 fn valuation_of(env: &Assignment) -> Vec<(String, Value)> {
@@ -92,11 +321,7 @@ fn state_hash(inst: &Instance) -> u64 {
 /// Owned copies of the delta rows of the body relations: firing mutates
 /// the instance (reallocating row logs), so the round works off a
 /// snapshot.
-fn snapshot_delta(
-    inst: &Instance,
-    cursor: &DeltaCursor,
-    rels: &HashSet<Symbol>,
-) -> HashMap<Symbol, Vec<Box<[Value]>>> {
+fn snapshot_delta(inst: &Instance, cursor: &DeltaCursor, rels: &HashSet<Symbol>) -> Delta {
     let mut out = HashMap::new();
     for &rel in rels {
         let rows: Vec<Box<[Value]>> = inst.delta_rows(rel, cursor).map(Box::from).collect();
@@ -109,10 +334,11 @@ fn snapshot_delta(
 
 /// Instantiates the ᾱ-head of `tgd` (at index `dep` in `all_tgds`
 /// order) for the body match `env`, querying `alpha` per justification.
+/// The witnesses are bound into `env` only while the head is built.
 fn alpha_head(
     tgd: &Tgd,
     dep: usize,
-    env: &Assignment,
+    env: &mut Assignment,
     alpha: &mut dyn AlphaSource,
     inst: &Instance,
 ) -> Vec<Atom> {
@@ -126,7 +352,6 @@ fn alpha_head(
         .iter()
         .map(|&v| env.get(v).expect("body match binds body vars"))
         .collect();
-    let mut full = env.clone();
     for (zi, &z) in tgd.exist_vars.iter().enumerate() {
         let j = Justification {
             dep,
@@ -134,9 +359,13 @@ fn alpha_head(
             body_only: body_only.clone(),
             z_index: zi,
         };
-        full.bind(z, alpha.value(&j, inst));
+        env.bind(z, alpha.value(&j, inst));
     }
-    tgd.instantiate_head(&full)
+    let head = tgd.instantiate_head(env);
+    for &z in &tgd.exist_vars {
+        env.unbind(z);
+    }
+    head
 }
 
 impl<'a> ChaseEngine<'a> {
@@ -178,6 +407,21 @@ impl<'a> ChaseEngine<'a> {
         self.tracer.emit(self.clock.now_ns(), kind);
     }
 
+    fn governor(&self) -> Governor {
+        self.budget
+            .governor(&self.clock)
+            .with_tracer(self.tracer.clone())
+    }
+
+    /// Every tgd with its index in `all_tgds` order: s-t, then target.
+    fn tgds(&self) -> impl Iterator<Item = (usize, &'a Tgd)> {
+        self.setting
+            .st_tgds
+            .iter()
+            .chain(&self.setting.t_tgds)
+            .enumerate()
+    }
+
     fn t_body_rels(&self) -> HashSet<Symbol> {
         self.setting
             .t_tgds
@@ -186,9 +430,9 @@ impl<'a> ChaseEngine<'a> {
             .collect()
     }
 
-    fn check_steps(&self, steps: usize, inst: &Instance) -> Result<(), ChaseError> {
+    fn check_steps(&self, steps: usize, inst: &Instance) -> Result<(), Stop> {
         if steps >= self.budget.max_steps {
-            return Err(ChaseError::BudgetExceeded {
+            return Err(Stop::Budget {
                 steps,
                 atoms: inst.len(),
             });
@@ -260,343 +504,328 @@ impl<'a> ChaseEngine<'a> {
         }
     }
 
-    /// Fires one restricted-chase trigger: fresh nulls for the
-    /// existentials, head atoms inserted with the atom budget enforced
-    /// per insertion (one wide head cannot overshoot unboundedly).
-    #[allow(clippy::too_many_arguments)]
-    fn fire_standard(
+    /// Opens a run over `inst` under `policy`.
+    fn start<'p>(
         &self,
+        gov: Governor,
+        inst: Instance,
+        prov: Option<Provenance>,
+        policy: Policy<'p>,
+        driver: &str,
+    ) -> Run<'p> {
+        let stats = ChaseStats {
+            peak_atoms: inst.len(),
+            ..ChaseStats::default()
+        };
+        if self.tracer.enabled() {
+            self.emit(EventKind::ChaseStarted {
+                driver: driver.to_string(),
+                atoms: inst.len(),
+            });
+        }
+        Run {
+            gov,
+            inst,
+            stats,
+            steps: 0,
+            prov,
+            policy,
+        }
+    }
+
+    /// Closes a run that reached its fixpoint.
+    fn completed(&self, run: &mut Run, t_total: u64) {
+        run.stats.total_time_ns = (self.clock.now_ns() - t_total) as u128;
+        if self.tracer.enabled() {
+            self.emit(EventKind::ChaseCompleted {
+                atoms: run.inst.len(),
+                steps: run.steps,
+                egd_rows_scanned: run.stats.egd_rows_scanned,
+            });
+        }
+    }
+
+    /// Chases `source` from scratch under `policy`.
+    fn chase_source<'p>(
+        &self,
+        source: &Instance,
+        policy: Policy<'p>,
+        provenance: bool,
+        driver: &str,
+    ) -> Result<Run<'p>, Stop> {
+        let gov = self.governor();
+        let t_total = self.clock.now_ns();
+        let prov = provenance.then(|| Provenance::for_source(source));
+        let mut run = self.start(gov, source.clone(), prov, policy, driver);
+        self.fixpoint(&mut run, source, DeltaCursor::origin(), true)?;
+        self.completed(&mut run, t_total);
+        Ok(run)
+    }
+
+    /// The chase loop every driver runs: an s-t pass over σ whenever one
+    /// is pending (`st_pending` at the start of a from-scratch run, and
+    /// after an α-chase merge), then an egd fixpoint and one seeded tgd
+    /// round over the rows appended past `processed`, until an iteration
+    /// finds nothing new. Everything before `processed` must already
+    /// satisfy the egds: the first egd fixpoint starts there.
+    fn fixpoint(
+        &self,
+        run: &mut Run,
+        sigma: &Instance,
+        mut processed: DeltaCursor,
+        mut st_pending: bool,
+    ) -> Result<(), Stop> {
+        let t_rels = self.t_body_rels();
+        let st_count = self.setting.st_tgds.len();
+        let mut egd_clean = processed.clone();
+        loop {
+            if std::mem::take(&mut st_pending) {
+                self.st_pass(run, sigma)?;
+            }
+            // Per round, consult deadline/cancel unconditionally — the
+            // amortized `check()` only reaches them every 1024 ticks,
+            // too coarse for small instances.
+            run.gov.force_check()?;
+            // Spans leak (stay open) when a stop unwinds out of the
+            // round; the analyzer treats that like a truncated trace.
+            let sp_round = self.tracer.span("round", self.clock.now_ns());
+            if self.egd_fixpoint(run, std::mem::take(&mut egd_clean))? {
+                run.policy.after_merge(&mut processed, &mut st_pending);
+            }
+            egd_clean = run.inst.cursor();
+            if !st_pending && !run.inst.has_delta_since(&processed) {
+                sp_round.close(self.clock.now_ns());
+                return Ok(());
+            }
+
+            let t_phase = self.clock.now_ns();
+            let sp_tgd = self.tracer.span("tgd_round", t_phase);
+            run.stats.rounds += 1;
+            let delta = snapshot_delta(&run.inst, &processed, &t_rels);
+            processed = run.inst.cursor();
+            let round_rows: usize = delta.values().map(Vec::len).sum();
+            run.stats.delta_rows_processed += round_rows;
+            run.stats.max_round_delta_rows = run.stats.max_round_delta_rows.max(round_rows);
+            self.round(run, self.tgds().skip(st_count), &delta, sigma)?;
+            sp_tgd.close(self.clock.now_ns());
+            run.stats.tgd_time_ns += (self.clock.now_ns() - t_phase) as u128;
+            if self.tracer.enabled() {
+                self.emit(EventKind::RoundCompleted {
+                    round: run.stats.rounds,
+                    delta_rows: round_rows,
+                });
+            }
+            sp_round.close(self.clock.now_ns());
+        }
+    }
+
+    /// Runs the egd fixpoint over the rows appended past `clean`,
+    /// merging each violation as the policy says. Returns whether
+    /// anything merged.
+    fn egd_fixpoint(&self, run: &mut Run, clean: DeltaCursor) -> Result<bool, Stop> {
+        let t_phase = self.clock.now_ns();
+        let sp_egd = self.tracer.span("egd_fixpoint", t_phase);
+        let Run {
+            gov,
+            inst,
+            stats,
+            steps,
+            prov,
+            policy,
+        } = run;
+        let mut merged = false;
+        let scanned = self.egd_scan.fixpoint(inst, clean, |inst, v| {
+            gov.check()?;
+            self.check_steps(*steps, inst)?;
+            let m = match policy.merge(v.left, v.right) {
+                Err((c, d)) => {
+                    return Err(Stop::Conflict {
+                        witness: self.conflict_witness(
+                            &v,
+                            Value::Const(c),
+                            Value::Const(d),
+                            prov.as_ref(),
+                        ),
+                        steps: *steps,
+                    })
+                }
+                Ok(Some(m)) => m,
+                // Both sides are live values, and losers are rewritten
+                // out of every live row, so they are never one class.
+                // Should that break, leave the match and keep scanning
+                // rather than end the fixpoint with violations
+                // unprocessed.
+                Ok(None) => {
+                    debug_assert!(false, "egd violation inside one union-find class");
+                    return Ok(false);
+                }
+            };
+            self.apply_merge(inst, &v, m, stats, prov.as_mut());
+            *steps += 1;
+            merged = true;
+            policy.stepped(inst, *steps, |_| ChaseStep::EgdApplied {
+                dep: self.setting.egds[v.egd_index].name.clone(),
+                from: m.loser,
+                to: m.winner,
+            })?;
+            Ok(true)
+        })?;
+        stats.egd_rows_scanned += scanned;
+        sp_egd.close(self.clock.now_ns());
+        stats.egd_time_ns += (self.clock.now_ns() - t_phase) as u128;
+        Ok(merged)
+    }
+
+    /// Examines every s-t trigger: the body matches over σ, whose domain
+    /// the quantifiers of FO bodies range over.
+    fn st_pass(&self, run: &mut Run, sigma: &Instance) -> Result<(), Stop> {
+        let t_phase = self.clock.now_ns();
+        let sp_st = self.tracer.span("st_tgds", t_phase);
+        let mut matches = Vec::new();
+        run.policy.swap_st_matches(&mut matches);
+        if matches.is_empty() {
+            let st_tgds = self.setting.st_tgds.iter();
+            matches = st_tgds.map(|t| t.body.matches(sigma)).collect();
+        }
+        for ((dep, tgd), envs) in self.tgds().zip(&mut matches) {
+            for env in envs {
+                self.examine(run, tgd, dep, env)?;
+            }
+        }
+        run.policy.swap_st_matches(&mut matches);
+        sp_st.close(self.clock.now_ns());
+        run.stats.tgd_time_ns += (self.clock.now_ns() - t_phase) as u128;
+        Ok(())
+    }
+
+    /// Examines the triggers of `tgds` whose body match uses a row of
+    /// `delta`: each row is seeded at each body position of its relation,
+    /// and its matches are examined before the next row is seeded. FO
+    /// bodies have no seedable decomposition; `Setting::new` admits them
+    /// on s-t tgds only, whose delta is new σ-rows (`resume`), so they are
+    /// matched in full over σ, whose domain their quantifiers range over,
+    /// whenever the delta has a row.
+    fn round(
+        &self,
+        run: &mut Run,
+        tgds: impl Iterator<Item = (usize, &'a Tgd)>,
+        delta: &Delta,
+        sigma: &Instance,
+    ) -> Result<(), Stop> {
+        let mut envs: Vec<Assignment> = Vec::new();
+        for (dep, tgd) in tgds {
+            let Body::Conj(atoms) = &tgd.body else {
+                assert!(
+                    dep < self.setting.st_tgds.len(),
+                    "FO body on target tgd {}",
+                    tgd.name
+                );
+                if !delta.is_empty() {
+                    for mut env in tgd.body.matches(sigma) {
+                        self.examine(run, tgd, dep, &mut env)?;
+                    }
+                }
+                continue;
+            };
+            for (i, batom) in atoms.iter().enumerate() {
+                for row in delta.get(&batom.rel).into_iter().flatten() {
+                    matcher::for_each_match_seeded(
+                        atoms,
+                        i,
+                        row,
+                        &run.inst,
+                        &Assignment::new(),
+                        &mut |env| {
+                            envs.push(env.clone());
+                            true
+                        },
+                    );
+                    for mut env in envs.drain(..) {
+                        self.examine(run, tgd, dep, &mut env)?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The one examine-and-fire step: counts and traces the trigger,
+    /// asks the policy whether it is active, and fires it — head atoms
+    /// inserted with the atom budget enforced per insertion (one wide
+    /// head cannot overshoot unboundedly). `env` is left the body match
+    /// it came in as, so a kept s-t match can be examined again.
+    fn examine(
+        &self,
+        run: &mut Run,
         tgd: &Tgd,
-        dep_index: usize,
-        mut env: Assignment,
-        inst: &mut Instance,
-        nulls: &mut NullGen,
-        steps: usize,
-        stats: &mut ChaseStats,
-        prov: Option<&mut Provenance>,
-    ) -> Result<(), ChaseError> {
-        // Premises come from the body match alone, so capture them
-        // before the existentials are bound (FO bodies decompose into
-        // no premise atoms).
-        let premises = prov
-            .as_ref()
-            .map(|_| tgd.body.instantiate(&env).unwrap_or_default());
+        dep: usize,
+        env: &mut Assignment,
+    ) -> Result<(), Stop> {
+        run.gov.check()?;
+        run.stats.triggers_examined += 1;
+        if self.tracer.enabled() {
+            self.emit(EventKind::TriggerExamined {
+                dep: tgd.name.clone(),
+            });
+        }
+        let Some(head) = run.policy.active_head(tgd, dep, env, &run.inst) else {
+            return Ok(());
+        };
+        self.check_steps(run.steps, &run.inst)?;
+        if let Some(p) = run.prov.as_mut() {
+            // Premises come from the body match alone (FO bodies
+            // decompose into none). Every head atom is recorded:
+            // already-present ones keep their earlier derivation
+            // (`record_derived` is first-write-wins).
+            let premises = tgd.body.instantiate(env).unwrap_or_default();
+            let valuation = valuation_of(env);
+            for a in &head {
+                p.record_derived(a.clone(), &tgd.name, dep, &valuation, &premises);
+            }
+        }
         for &z in &tgd.exist_vars {
-            env.bind(z, nulls.fresh_value());
+            env.unbind(z);
         }
         let mut atoms_added = 0usize;
-        for atom in tgd.instantiate_head(&env) {
-            if inst.insert(atom) {
+        for atom in head {
+            if run.policy.insert(&mut run.inst, atom) {
                 atoms_added += 1;
-                stats.atoms_inserted += 1;
-                stats.peak_atoms = stats.peak_atoms.max(inst.len());
-                if inst.len() > self.budget.max_atoms {
-                    return Err(ChaseError::BudgetExceeded {
-                        steps,
-                        atoms: inst.len(),
+                run.stats.atoms_inserted += 1;
+                run.stats.peak_atoms = run.stats.peak_atoms.max(run.inst.len());
+                if run.inst.len() > self.budget.max_atoms {
+                    return Err(Stop::Budget {
+                        steps: run.steps,
+                        atoms: run.inst.len(),
                     });
                 }
             }
         }
-        if let Some(p) = prov {
-            let valuation = valuation_of(&env);
-            let premises = premises.unwrap_or_default();
-            // Record every head atom: already-present ones keep their
-            // earlier derivation (`record_derived` is first-write-wins).
-            for atom in tgd.instantiate_head(&env) {
-                p.record_derived(atom, &tgd.name, dep_index, &valuation, &premises);
-            }
-        }
+        run.steps += 1;
+        run.stats.tgd_steps += 1;
+        run.stats.triggers_fired += 1;
         if self.tracer.enabled() {
             self.emit(EventKind::TgdFired {
                 dep: tgd.name.clone(),
                 atoms_added,
             });
         }
-        Ok(())
+        run.policy
+            .stepped(&run.inst, run.steps, |added| ChaseStep::TgdApplied {
+                dep: tgd.name.clone(),
+                added,
+            })
     }
 
     /// The standard restricted chase (same contract as [`crate::chase`]).
     pub fn run(&self, source: &Instance) -> Result<ChaseSuccess, ChaseError> {
-        let gov = self
-            .budget
-            .governor(&self.clock)
-            .with_tracer(self.tracer.clone());
-        let t_total = self.clock.now_ns();
-        let mut stats = ChaseStats::default();
-        let sigma_part = source.clone();
-        let mut inst = source.clone();
-        stats.peak_atoms = inst.len();
-        let mut nulls = NullGen::above(source.active_domain().iter());
-        let mut uf = ValueUnionFind::new();
-        let mut steps = 0usize;
-        let mut prov = self.provenance.then(|| Provenance::for_source(source));
-        if self.tracer.enabled() {
-            self.emit(EventKind::ChaseStarted {
-                driver: "delta_standard".to_string(),
-                atoms: inst.len(),
-            });
-        }
-
-        // Phase A: s-t tgds. σ never changes, so each body is matched
-        // exactly once (FO bodies compute their quantification domain
-        // once inside `matches`); the restricted head check still runs
-        // against the evolving instance.
-        let t_phase = self.clock.now_ns();
-        let sp_st = self.tracer.span("st_tgds", t_phase);
-        for (ti, tgd) in self.setting.st_tgds.iter().enumerate() {
-            for env in tgd.body.matches(&sigma_part) {
-                gov.check()?;
-                stats.triggers_examined += 1;
-                if self.tracer.enabled() {
-                    self.emit(EventKind::TriggerExamined {
-                        dep: tgd.name.clone(),
-                    });
-                }
-                if !tgd.head_holds(&inst, &env) {
-                    self.check_steps(steps, &inst)?;
-                    self.fire_standard(
-                        tgd,
-                        ti,
-                        env,
-                        &mut inst,
-                        &mut nulls,
-                        steps,
-                        &mut stats,
-                        prov.as_mut(),
-                    )?;
-                    steps += 1;
-                    stats.tgd_steps += 1;
-                    stats.triggers_fired += 1;
-                }
-            }
-        }
-        sp_st.close(self.clock.now_ns());
-        stats.tgd_time_ns += (self.clock.now_ns() - t_phase) as u128;
-
-        // Phase B: semi-naive fixpoint over egds and target tgds.
-        self.run_fixpoint(
-            &gov,
-            &mut inst,
-            &mut nulls,
-            &mut uf,
-            &mut steps,
-            &mut stats,
-            &mut prov,
-            DeltaCursor::origin(),
-        )?;
-
-        stats.total_time_ns = (self.clock.now_ns() - t_total) as u128;
-        let target = inst.difference(&sigma_part);
-        if self.tracer.enabled() {
-            self.emit(EventKind::ChaseCompleted {
-                atoms: inst.len(),
-                steps,
-                egd_rows_scanned: stats.egd_rows_scanned,
-            });
-        }
-        Ok(ChaseSuccess {
-            result: inst,
-            target,
-            steps,
-            stats,
-            provenance: prov,
-        })
+        self.run_restricted(source, self.provenance)
+            .map_err(Stop::into_chase_error)
     }
 
-    /// The semi-naive egd/target-tgd fixpoint (Phase B of [`run`] and
-    /// the continuation phase of [`resume`]): alternate an egd fixpoint
-    /// with one seeded tgd round over the delta window past `processed`,
-    /// until a round adds nothing. Everything before `processed` must
-    /// already satisfy the egds: the first egd fixpoint starts there.
-    ///
-    /// [`run`]: ChaseEngine::run
-    /// [`resume`]: ChaseEngine::resume
-    #[allow(clippy::too_many_arguments)]
-    fn run_fixpoint(
-        &self,
-        gov: &dex_core::Governor,
-        mut inst: &mut Instance,
-        mut nulls: &mut NullGen,
-        uf: &mut ValueUnionFind,
-        steps_ref: &mut usize,
-        mut stats: &mut ChaseStats,
-        prov: &mut Option<Provenance>,
-        mut processed: DeltaCursor,
-    ) -> Result<(), ChaseError> {
-        let mut steps = *steps_ref;
-        let mut egd_clean = processed.clone();
-        let out = (|| -> Result<(), ChaseError> {
-            let t_rels = self.t_body_rels();
-            loop {
-                // Per round, consult deadline/cancel unconditionally — the
-                // amortized `check()` only reaches them every 1024 ticks,
-                // too coarse for small instances.
-                gov.force_check()?;
-                // Spans leak (stay open) when a governor interrupt or
-                // budget error unwinds out of the round; the analyzer
-                // treats that like a truncated trace.
-                let sp_round = self.tracer.span("round", self.clock.now_ns());
-                // Egds first, to a fixpoint, over the rows appended since
-                // the last one.
-                let t_phase = self.clock.now_ns();
-                let sp_egd = self.tracer.span("egd_fixpoint", t_phase);
-                let scanned = self.egd_scan.fixpoint(
-                    inst,
-                    std::mem::take(&mut egd_clean),
-                    |inst, v| -> Result<bool, ChaseError> {
-                        gov.check()?;
-                        self.check_steps(steps, inst).inspect_err(|_| {
-                            stats.egd_time_ns += (self.clock.now_ns() - t_phase) as u128;
-                        })?;
-                        let m = match uf.union(v.left, v.right) {
-                            Err((c, d)) => {
-                                return Err(ChaseError::EgdConflict {
-                                    witness: self.conflict_witness(
-                                        &v,
-                                        Value::Const(c),
-                                        Value::Const(d),
-                                        prov.as_ref(),
-                                    ),
-                                })
-                            }
-                            Ok(Some(m)) => m,
-                            // Both sides are live values, and losers are
-                            // rewritten out of every live row, so they are
-                            // never one class. Should that break, leave the
-                            // match and keep scanning rather than end the
-                            // fixpoint with violations unprocessed.
-                            Ok(None) => {
-                                debug_assert!(false, "egd violation inside one union-find class");
-                                return Ok(false);
-                            }
-                        };
-                        self.apply_merge(inst, &v, m, stats, prov.as_mut());
-                        steps += 1;
-                        Ok(true)
-                    },
-                )?;
-                stats.egd_rows_scanned += scanned;
-                egd_clean = inst.cursor();
-                sp_egd.close(self.clock.now_ns());
-                stats.egd_time_ns += (self.clock.now_ns() - t_phase) as u128;
-
-                if !inst.has_delta_since(&processed) {
-                    sp_round.close(self.clock.now_ns());
-                    break;
-                }
-
-                // One semi-naive round: only triggers touching a delta row
-                // can be new, so seed the matcher with each delta row at
-                // each body position.
-                let t_phase = self.clock.now_ns();
-                let sp_tgd = self.tracer.span("tgd_round", t_phase);
-                stats.rounds += 1;
-                let delta = snapshot_delta(&inst, &processed, &t_rels);
-                processed = inst.cursor();
-                let round_rows: usize = delta.values().map(Vec::len).sum();
-                stats.delta_rows_processed += round_rows;
-                stats.max_round_delta_rows = stats.max_round_delta_rows.max(round_rows);
-                let st_count = self.setting.st_tgds.len();
-                for (ti, tgd) in self.setting.t_tgds.iter().enumerate() {
-                    let dep_index = st_count + ti;
-                    match &tgd.body {
-                        Body::Conj(atoms) => {
-                            let mut row_envs: Vec<Assignment> = Vec::new();
-                            for (i, batom) in atoms.iter().enumerate() {
-                                let Some(rows) = delta.get(&batom.rel) else {
-                                    continue;
-                                };
-                                for row in rows {
-                                    row_envs.clear();
-                                    matcher::for_each_match_seeded(
-                                        atoms,
-                                        i,
-                                        row,
-                                        &inst,
-                                        &Assignment::new(),
-                                        &mut |env| {
-                                            row_envs.push(env.clone());
-                                            true
-                                        },
-                                    );
-                                    for env in row_envs.drain(..) {
-                                        gov.check()?;
-                                        stats.triggers_examined += 1;
-                                        if self.tracer.enabled() {
-                                            self.emit(EventKind::TriggerExamined {
-                                                dep: tgd.name.clone(),
-                                            });
-                                        }
-                                        if !tgd.head_holds(&inst, &env) {
-                                            self.check_steps(steps, &inst).map_err(|e| {
-                                                stats.tgd_time_ns +=
-                                                    (self.clock.now_ns() - t_phase) as u128;
-                                                e
-                                            })?;
-                                            self.fire_standard(
-                                                tgd,
-                                                dep_index,
-                                                env,
-                                                &mut inst,
-                                                &mut nulls,
-                                                steps,
-                                                &mut stats,
-                                                prov.as_mut(),
-                                            )?;
-                                            steps += 1;
-                                            stats.tgd_steps += 1;
-                                            stats.triggers_fired += 1;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        // Target bodies are conjunctive by construction; if
-                        // one ever is not, fall back to a full examination.
-                        body => {
-                            for env in body.matches(&inst) {
-                                gov.check()?;
-                                stats.triggers_examined += 1;
-                                if self.tracer.enabled() {
-                                    self.emit(EventKind::TriggerExamined {
-                                        dep: tgd.name.clone(),
-                                    });
-                                }
-                                if !tgd.head_holds(&inst, &env) {
-                                    self.check_steps(steps, &inst)?;
-                                    self.fire_standard(
-                                        tgd,
-                                        dep_index,
-                                        env,
-                                        &mut inst,
-                                        &mut nulls,
-                                        steps,
-                                        &mut stats,
-                                        prov.as_mut(),
-                                    )?;
-                                    steps += 1;
-                                    stats.tgd_steps += 1;
-                                    stats.triggers_fired += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-                sp_tgd.close(self.clock.now_ns());
-                stats.tgd_time_ns += (self.clock.now_ns() - t_phase) as u128;
-                if self.tracer.enabled() {
-                    self.emit(EventKind::RoundCompleted {
-                        round: stats.rounds,
-                        delta_rows: round_rows,
-                    });
-                }
-                sp_round.close(self.clock.now_ns());
-            }
-            Ok(())
-        })();
-        *steps_ref = steps;
-        out
+    fn run_restricted(&self, source: &Instance, provenance: bool) -> Result<ChaseSuccess, Stop> {
+        let policy = Policy::restricted(source);
+        let run = self.chase_source(source, policy, provenance, "delta_standard")?;
+        Ok(run.success(source))
     }
 
     /// Incremental data exchange: continues a prior chase result under a
@@ -632,10 +861,12 @@ impl<'a> ChaseEngine<'a> {
         prior: &ChaseSuccess,
         delta: &SourceDelta,
     ) -> Result<ChaseSuccess, ChaseError> {
-        let gov = self
-            .budget
-            .governor(&self.clock)
-            .with_tracer(self.tracer.clone());
+        self.resume_run(prior, delta)
+            .map_err(Stop::into_chase_error)
+    }
+
+    fn resume_run(&self, prior: &ChaseSuccess, delta: &SourceDelta) -> Result<ChaseSuccess, Stop> {
+        let gov = self.governor();
         let t_total = self.clock.now_ns();
         let sp_resume = self.tracer.span("resume", t_total);
 
@@ -663,12 +894,7 @@ impl<'a> ChaseEngine<'a> {
             .collect();
         drop(seen);
 
-        let has_fo_body = self
-            .setting
-            .st_tgds
-            .iter()
-            .chain(&self.setting.t_tgds)
-            .any(|t| !matches!(t.body, Body::Conj(_)));
+        let has_fo_body = self.tgds().any(|(_, t)| !matches!(t.body, Body::Conj(_)));
         if !sigma_old.is_ground()
             || (!net_deletes.is_empty() && (prior.provenance.is_none() || has_fo_body))
         {
@@ -677,30 +903,12 @@ impl<'a> ChaseEngine<'a> {
             // from a plain re-chase of the updated source.
             let updated = delta.applied(&sigma_old);
             sp_resume.close(self.clock.now_ns());
-            let fallback = ChaseEngine {
-                setting: self.setting,
-                budget: self.budget.clone(),
-                clock: self.clock.clone(),
-                tracer: self.tracer.clone(),
-                provenance: prior.provenance.is_some(),
-                egd_scan: self.egd_scan.clone(),
-            };
-            return fallback.run(&updated);
+            return self.run_restricted(&updated, prior.provenance.is_some());
         }
 
-        let mut inst = prior.result.clone();
-        let mut prov = prior.provenance.clone();
-        let mut stats = ChaseStats::default();
-        stats.peak_atoms = inst.len();
-        let mut nulls = NullGen::above(prior.result.active_domain().iter());
-        let mut uf = ValueUnionFind::new();
-        let mut steps = 0usize;
-        if self.tracer.enabled() {
-            self.emit(EventKind::ChaseStarted {
-                driver: "resume".to_string(),
-                atoms: inst.len(),
-            });
-        }
+        let policy = Policy::restricted(&prior.result);
+        let prov = prior.provenance.clone();
+        let mut run = self.start(gov, prior.result.clone(), prov, policy, "resume");
         // The updated σ-part, for FO s-t re-examination and the final
         // target split.
         let sigma_new = delta.applied(&sigma_old);
@@ -709,37 +917,23 @@ impl<'a> ChaseEngine<'a> {
         // is inside the windows the fixpoint consumes. The prior result
         // satisfied the egds, and retraction cannot create a violation,
         // so the egd fixpoint can start here too.
-        let processed = inst.cursor();
+        let processed = run.inst.cursor();
 
         // Deletions: retract everything whose justifications all died,
         // then re-derive survivors head-first — each newly-unsatisfied
         // trigger's prior head witness intersects the removed set, so
         // seeding body matches from removed atoms' head positions
         // reaches every such trigger.
-        let removed = if net_deletes.is_empty() {
-            Vec::new()
-        } else {
-            let p = prov
-                .as_mut()
-                .expect("fallback handled the provenance-free case");
-            let removed = p.retract_sources(&net_deletes);
-            for a in &removed {
-                inst.remove(a);
-            }
-            stats.atoms_retracted = removed.len();
-            removed
+        let removed = match run.prov.as_mut() {
+            Some(p) if !net_deletes.is_empty() => p.retract_sources(&net_deletes),
+            _ => Vec::new(),
         };
-        let inserted_before_refire = stats.atoms_inserted;
-        let st_count = self.setting.st_tgds.len();
+        for a in &removed {
+            run.inst.remove(a);
+        }
+        run.stats.atoms_retracted = removed.len();
         for r in &removed {
-            let all = self.setting.st_tgds.iter().enumerate().chain(
-                self.setting
-                    .t_tgds
-                    .iter()
-                    .enumerate()
-                    .map(|(ti, t)| (st_count + ti, t)),
-            );
-            for (dep_index, tgd) in all {
+            for (dep, tgd) in self.tgds() {
                 let Body::Conj(body_atoms) = &tgd.body else {
                     continue; // FO bodies forced the fallback above.
                 };
@@ -747,165 +941,46 @@ impl<'a> ChaseEngine<'a> {
                     let Some(env0) = Self::seed_from_head(tgd, h, r) else {
                         continue;
                     };
-                    let mut envs: Vec<Assignment> = Vec::new();
-                    matcher::for_each_match(body_atoms, &inst, &env0, &mut |env| {
-                        envs.push(env.clone());
-                        true
-                    });
-                    for env in envs {
-                        gov.check()?;
-                        stats.triggers_examined += 1;
-                        if self.tracer.enabled() {
-                            self.emit(EventKind::TriggerExamined {
-                                dep: tgd.name.clone(),
-                            });
-                        }
-                        if !tgd.head_holds(&inst, &env) {
-                            self.check_steps(steps, &inst)?;
-                            self.fire_standard(
-                                tgd,
-                                dep_index,
-                                env,
-                                &mut inst,
-                                &mut nulls,
-                                steps,
-                                &mut stats,
-                                prov.as_mut(),
-                            )?;
-                            steps += 1;
-                            stats.tgd_steps += 1;
-                            stats.triggers_fired += 1;
-                        }
+                    for mut env in matcher::all_matches(body_atoms, &run.inst, &env0) {
+                        self.examine(&mut run, tgd, dep, &mut env)?;
                     }
                 }
             }
         }
-        stats.atoms_rederived = stats.atoms_inserted - inserted_before_refire;
+        run.stats.atoms_rederived = run.stats.atoms_inserted;
 
         // Insertions: add the new source rows, then seed s-t trigger
         // discovery from exactly those rows (σ never changes otherwise,
         // so no other s-t trigger can be new).
+        let mut inserted = Delta::new();
         for a in &net_inserts {
-            if inst.insert(a.clone()) {
-                stats.peak_atoms = stats.peak_atoms.max(inst.len());
-                if let Some(p) = prov.as_mut() {
+            if run.inst.insert(a.clone()) {
+                run.stats.peak_atoms = run.stats.peak_atoms.max(run.inst.len());
+                if let Some(p) = run.prov.as_mut() {
                     p.record_source(a.clone());
                 }
             }
+            inserted.entry(a.rel).or_default().push(a.args.clone());
         }
-        for (ti, tgd) in self.setting.st_tgds.iter().enumerate() {
-            match &tgd.body {
-                Body::Conj(body_atoms) => {
-                    let mut row_envs: Vec<Assignment> = Vec::new();
-                    for (i, batom) in body_atoms.iter().enumerate() {
-                        for a in net_inserts.iter().filter(|a| a.rel == batom.rel) {
-                            row_envs.clear();
-                            matcher::for_each_match_seeded(
-                                body_atoms,
-                                i,
-                                &a.args,
-                                &inst,
-                                &Assignment::new(),
-                                &mut |env| {
-                                    row_envs.push(env.clone());
-                                    true
-                                },
-                            );
-                            for env in row_envs.drain(..) {
-                                gov.check()?;
-                                stats.triggers_examined += 1;
-                                if self.tracer.enabled() {
-                                    self.emit(EventKind::TriggerExamined {
-                                        dep: tgd.name.clone(),
-                                    });
-                                }
-                                if !tgd.head_holds(&inst, &env) {
-                                    self.check_steps(steps, &inst)?;
-                                    self.fire_standard(
-                                        tgd,
-                                        ti,
-                                        env,
-                                        &mut inst,
-                                        &mut nulls,
-                                        steps,
-                                        &mut stats,
-                                        prov.as_mut(),
-                                    )?;
-                                    steps += 1;
-                                    stats.tgd_steps += 1;
-                                    stats.triggers_fired += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-                // FO s-t bodies have no seedable decomposition: new
-                // matches can only mention new constants, but finding
-                // them takes a full re-examination over the updated
-                // σ-part (quantification ranges over σ's domain only).
-                body => {
-                    if net_inserts.is_empty() {
-                        continue;
-                    }
-                    for env in body.matches(&sigma_new) {
-                        gov.check()?;
-                        stats.triggers_examined += 1;
-                        if self.tracer.enabled() {
-                            self.emit(EventKind::TriggerExamined {
-                                dep: tgd.name.clone(),
-                            });
-                        }
-                        if !tgd.head_holds(&inst, &env) {
-                            self.check_steps(steps, &inst)?;
-                            self.fire_standard(
-                                tgd,
-                                ti,
-                                env,
-                                &mut inst,
-                                &mut nulls,
-                                steps,
-                                &mut stats,
-                                prov.as_mut(),
-                            )?;
-                            steps += 1;
-                            stats.tgd_steps += 1;
-                            stats.triggers_fired += 1;
-                        }
-                    }
-                }
-            }
-        }
+        let st_count = self.setting.st_tgds.len();
+        self.round(&mut run, self.tgds().take(st_count), &inserted, &sigma_new)?;
 
         // Continue the target fixpoint over everything this resume
         // appended — the same loop a from-scratch run uses, so governed
         // interruption and budget behavior are identical.
-        self.run_fixpoint(
-            &gov, &mut inst, &mut nulls, &mut uf, &mut steps, &mut stats, &mut prov, processed,
-        )?;
+        self.fixpoint(&mut run, &sigma_new, processed, false)?;
 
-        stats.total_time_ns = (self.clock.now_ns() - t_total) as u128;
-        let target = inst.difference(&sigma_new);
         if self.tracer.enabled() {
             self.emit(EventKind::ResumeApplied {
                 inserts: net_inserts.len(),
                 deletes: net_deletes.len(),
-                atoms_retracted: stats.atoms_retracted,
-                atoms_rederived: stats.atoms_rederived,
-            });
-            self.emit(EventKind::ChaseCompleted {
-                atoms: inst.len(),
-                steps,
-                egd_rows_scanned: stats.egd_rows_scanned,
+                atoms_retracted: run.stats.atoms_retracted,
+                atoms_rederived: run.stats.atoms_rederived,
             });
         }
+        self.completed(&mut run, t_total);
         sp_resume.close(self.clock.now_ns());
-        Ok(ChaseSuccess {
-            result: inst,
-            target,
-            steps,
-            stats,
-            provenance: prov,
-        })
+        Ok(run.success(&sigma_new))
     }
 
     /// Unifies the head atom `h` against the retracted ground atom `r`:
@@ -942,305 +1017,24 @@ impl<'a> ChaseEngine<'a> {
         Some(env)
     }
 
-    /// Fires one ᾱ-trigger. `Err` carries the terminal outcome.
-    #[allow(clippy::too_many_arguments)]
-    fn alpha_fire(
-        &self,
-        tgd: &Tgd,
-        dep_index: usize,
-        env: &Assignment,
-        head: Vec<Atom>,
-        inst: &mut Instance,
-        steps: &mut usize,
-        trace: &mut Vec<ChaseStep>,
-        seen: &mut HashSet<u64>,
-        stats: &mut ChaseStats,
-        prov: Option<&mut Provenance>,
-    ) -> Result<(), AlphaOutcome> {
-        if *steps >= self.budget.max_steps {
-            return Err(AlphaOutcome::BudgetExceeded {
-                steps: *steps,
-                atoms: inst.len(),
-            });
-        }
-        if let Some(p) = prov {
-            // The α-justification is (d, ū, v̄): the body match alone —
-            // the z̄ witnesses come from the α-source, not the trigger.
-            let valuation = valuation_of(env);
-            let premises = tgd.body.instantiate(env).unwrap_or_default();
-            for a in &head {
-                p.record_derived(a.clone(), &tgd.name, dep_index, &valuation, &premises);
-            }
-        }
-        let mut added = Vec::new();
-        for a in head {
-            if inst.insert(a.clone()) {
-                stats.atoms_inserted += 1;
-                stats.peak_atoms = stats.peak_atoms.max(inst.len());
-                added.push(a);
-                if inst.len() > self.budget.max_atoms {
-                    return Err(AlphaOutcome::BudgetExceeded {
-                        steps: *steps,
-                        atoms: inst.len(),
-                    });
-                }
-            }
-        }
-        *steps += 1;
-        stats.tgd_steps += 1;
-        stats.triggers_fired += 1;
-        if self.tracer.enabled() {
-            self.emit(EventKind::TgdFired {
-                dep: tgd.name.clone(),
-                atoms_added: added.len(),
-            });
-        }
-        trace.push(ChaseStep::TgdApplied {
-            dep: tgd.name.clone(),
-            added,
-        });
-        if !seen.insert(state_hash(inst)) {
-            return Err(AlphaOutcome::CycleDetected { steps: *steps });
-        }
-        Ok(())
-    }
-
     /// The α-chase (same contract as [`crate::alpha_chase`]).
     pub fn run_alpha(&self, source: &Instance, alpha: &mut dyn AlphaSource) -> AlphaOutcome {
         debug_assert!(source.is_ground(), "α-chase starts from ground instances");
-        let gov = self
-            .budget
-            .governor(&self.clock)
-            .with_tracer(self.tracer.clone());
-        let t_total = self.clock.now_ns();
-        let mut stats = ChaseStats::default();
-        let sigma_part = source.clone();
-        let mut inst = source.clone();
-        stats.peak_atoms = inst.len();
-        let st_count = self.setting.st_tgds.len();
-        let mut steps = 0usize;
-        let mut trace: Vec<ChaseStep> = Vec::new();
-        let mut seen_states: HashSet<u64> = HashSet::new();
-        seen_states.insert(state_hash(&inst));
-        let mut prov = self.provenance.then(|| Provenance::for_source(source));
-        if self.tracer.enabled() {
-            self.emit(EventKind::ChaseStarted {
-                driver: "delta_alpha".to_string(),
-                atoms: inst.len(),
-            });
-        }
-
-        // σ is ground and merges only ever rewrite nulls, so the s-t
-        // body matches are computed exactly once for the whole run.
-        let st_matches: Vec<Vec<Assignment>> = self
-            .setting
-            .st_tgds
-            .iter()
-            .map(|t| t.body.matches(&sigma_part))
-            .collect();
-        let t_rels = self.t_body_rels();
-
-        let mut processed = DeltaCursor::origin();
-        let mut egd_clean = DeltaCursor::origin();
-        let mut st_dirty = true;
-        loop {
-            // Per round, consult deadline/cancel unconditionally (the
-            // amortized `check()` is too coarse for small instances).
-            if let Err(i) = gov.force_check() {
-                return AlphaOutcome::Interrupted(i);
-            }
-            // Spans leak on terminal outcomes mid-round (interrupt,
-            // budget, conflict, cycle) — the analyzer treats the trace
-            // like a truncated one.
-            let sp_round = self.tracer.span("round", self.clock.now_ns());
-            // Egd applications, eagerly to a fixpoint. Any merge can
-            // remove a fixed ᾱ-head, so it rewinds both the target
-            // cursor and the s-t examination.
-            let t_phase = self.clock.now_ns();
-            let sp_egd = self.tracer.span("egd_fixpoint", t_phase);
-            let clean = std::mem::take(&mut egd_clean);
-            // The error side is the run's terminal outcome, built once.
-            #[allow(clippy::result_large_err)]
-            let scanned = self.egd_scan.fixpoint(&mut inst, clean, |inst, v| {
-                gov.check().map_err(AlphaOutcome::Interrupted)?;
-                if steps >= self.budget.max_steps {
-                    return Err(AlphaOutcome::BudgetExceeded {
-                        steps,
-                        atoms: inst.len(),
-                    });
-                }
-                // Merge policy applied to the raw pair, NOT a persistent
-                // union-find: a fixed α can re-introduce a merged-away
-                // null (Example 4.4's α₃), which a union-find would treat
-                // as "already merged" and silently drop.
-                let m = match merge_policy(v.left, v.right) {
-                    Err((c, d)) => {
-                        return Err(AlphaOutcome::Failing {
-                            witness: self.conflict_witness(
-                                &v,
-                                Value::Const(c),
-                                Value::Const(d),
-                                prov.as_ref(),
-                            ),
-                            steps,
-                        })
-                    }
-                    Ok(Some(m)) => m,
-                    Ok(None) => unreachable!("the egd scan reports unequal sides only"),
-                };
-                self.apply_merge(inst, &v, m, &mut stats, prov.as_mut());
-                steps += 1;
-                trace.push(ChaseStep::EgdApplied {
-                    dep: self.setting.egds[v.egd_index].name.clone(),
-                    from: m.loser,
-                    to: m.winner,
-                });
-                st_dirty = true;
-                processed = DeltaCursor::origin();
-                if !seen_states.insert(state_hash(inst)) {
-                    return Err(AlphaOutcome::CycleDetected { steps });
-                }
-                Ok(true)
-            });
-            match scanned {
-                Ok(n) => stats.egd_rows_scanned += n,
-                Err(out) => return out,
-            }
-            egd_clean = inst.cursor();
-            sp_egd.close(self.clock.now_ns());
-            stats.egd_time_ns += (self.clock.now_ns() - t_phase) as u128;
-
-            if !st_dirty && !inst.has_delta_since(&processed) {
-                // Fixpoint: egds hold and every examined trigger's
-                // ᾱ-head is (still) present.
-                sp_round.close(self.clock.now_ns());
-                stats.total_time_ns = (self.clock.now_ns() - t_total) as u128;
-                let target = inst.difference(&sigma_part);
-                if self.tracer.enabled() {
-                    self.emit(EventKind::ChaseCompleted {
-                        atoms: inst.len(),
-                        steps,
-                        egd_rows_scanned: stats.egd_rows_scanned,
-                    });
-                }
-                return AlphaOutcome::Success(AlphaSuccess {
-                    result: inst,
-                    target,
-                    steps,
+        let mut trace = Vec::new();
+        let policy = Policy::alpha(alpha, &mut trace, source);
+        match self.chase_source(source, policy, self.provenance, "delta_alpha") {
+            Err(stop) => stop.into_alpha_outcome(),
+            Ok(run) => {
+                let s = run.success(source);
+                AlphaOutcome::Success(AlphaSuccess {
+                    result: s.result,
+                    target: s.target,
+                    steps: s.steps,
                     trace,
-                    stats,
-                    provenance: prov,
-                });
+                    stats: s.stats,
+                    provenance: s.provenance,
+                })
             }
-
-            let t_phase = self.clock.now_ns();
-            let sp_tgd = self.tracer.span("tgd_round", t_phase);
-            if st_dirty {
-                st_dirty = false;
-                for (ti, tgd) in self.setting.st_tgds.iter().enumerate() {
-                    for env in &st_matches[ti] {
-                        if let Err(i) = gov.check() {
-                            return AlphaOutcome::Interrupted(i);
-                        }
-                        stats.triggers_examined += 1;
-                        if self.tracer.enabled() {
-                            self.emit(EventKind::TriggerExamined {
-                                dep: tgd.name.clone(),
-                            });
-                        }
-                        let head = alpha_head(tgd, ti, env, alpha, &inst);
-                        if head.iter().any(|a| !inst.contains(a)) {
-                            if let Err(out) = self.alpha_fire(
-                                tgd,
-                                ti,
-                                env,
-                                head,
-                                &mut inst,
-                                &mut steps,
-                                &mut trace,
-                                &mut seen_states,
-                                &mut stats,
-                                prov.as_mut(),
-                            ) {
-                                return out;
-                            }
-                        }
-                    }
-                }
-            }
-            if inst.has_delta_since(&processed) {
-                stats.rounds += 1;
-                let delta = snapshot_delta(&inst, &processed, &t_rels);
-                processed = inst.cursor();
-                let round_rows: usize = delta.values().map(Vec::len).sum();
-                stats.delta_rows_processed += round_rows;
-                stats.max_round_delta_rows = stats.max_round_delta_rows.max(round_rows);
-                for (ti, tgd) in self.setting.t_tgds.iter().enumerate() {
-                    let dep = st_count + ti;
-                    let envs: Vec<Assignment> = match &tgd.body {
-                        Body::Conj(atoms) => {
-                            let mut envs = Vec::new();
-                            for (i, batom) in atoms.iter().enumerate() {
-                                let Some(rows) = delta.get(&batom.rel) else {
-                                    continue;
-                                };
-                                for row in rows {
-                                    matcher::for_each_match_seeded(
-                                        atoms,
-                                        i,
-                                        row,
-                                        &inst,
-                                        &Assignment::new(),
-                                        &mut |env| {
-                                            envs.push(env.clone());
-                                            true
-                                        },
-                                    );
-                                }
-                            }
-                            envs
-                        }
-                        body => body.matches(&inst),
-                    };
-                    for env in envs {
-                        if let Err(i) = gov.check() {
-                            return AlphaOutcome::Interrupted(i);
-                        }
-                        stats.triggers_examined += 1;
-                        if self.tracer.enabled() {
-                            self.emit(EventKind::TriggerExamined {
-                                dep: tgd.name.clone(),
-                            });
-                        }
-                        let head = alpha_head(tgd, dep, &env, alpha, &inst);
-                        if head.iter().any(|a| !inst.contains(a)) {
-                            if let Err(out) = self.alpha_fire(
-                                tgd,
-                                dep,
-                                &env,
-                                head,
-                                &mut inst,
-                                &mut steps,
-                                &mut trace,
-                                &mut seen_states,
-                                &mut stats,
-                                prov.as_mut(),
-                            ) {
-                                return out;
-                            }
-                        }
-                    }
-                }
-                if self.tracer.enabled() {
-                    self.emit(EventKind::RoundCompleted {
-                        round: stats.rounds,
-                        delta_rows: round_rows,
-                    });
-                }
-            }
-            sp_tgd.close(self.clock.now_ns());
-            stats.tgd_time_ns += (self.clock.now_ns() - t_phase) as u128;
-            sp_round.close(self.clock.now_ns());
         }
     }
 }
@@ -1294,6 +1088,28 @@ mod tests {
         assert!(out.stats.egd_steps >= 1);
         assert!(out.stats.rows_rewritten >= 1);
         assert!(out.stats.validate().is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "FO body on target tgd")]
+    fn engine_refuses_an_fo_target_body_that_bypassed_setting_new() {
+        // `Setting::new` rejects FO target bodies; one put in by hand
+        // must stop the run rather than be matched over σ and never fire.
+        let mut d = parse_setting(
+            "source { P/1 }
+             target { T/1, U/1, V/1 }
+             st { P(x) -> T(x); }",
+        )
+        .unwrap();
+        let fo = parse_setting(
+            "source { T/1, U/1 }
+             target { V/1 }
+             st { d: T(x) & !U(x) -> V(x); }",
+        )
+        .unwrap();
+        d.t_tgds.extend(fo.st_tgds);
+        let s = parse_instance("P(a).").unwrap();
+        let _ = ChaseEngine::new(&d, &ChaseBudget::default()).run(&s);
     }
 
     #[test]

@@ -22,8 +22,7 @@
 //! are byte-identical for every thread count.
 
 use dex_chase::{
-    alpha_chase, AlphaOutcome, AlphaSource, ChaseBudget, ChaseEngine, ChaseError, ChaseStats,
-    Justification,
+    AlphaOutcome, AlphaSource, ChaseBudget, ChaseEngine, ChaseError, ChaseStats, Justification,
 };
 use dex_core::govern::Interrupt;
 use dex_core::{has_homomorphism, Clock, Instance, IsoDeduper, NullGen, Pool, Symbol, Value};
@@ -324,8 +323,10 @@ struct Replay {
 
 /// Replays one choice script through the α-chase. Pure in `script` for
 /// fixed setting/source/limits — this is what makes wave fan-out safe:
-/// workers share nothing but read-only inputs. With `traced`, events go
-/// to a private ring for deterministic re-emission after the join.
+/// workers share nothing but read-only inputs. The chase reads `clock`
+/// (deadline and timings) whether or not it is traced; with `traced`,
+/// events go to a private ring for deterministic re-emission after the
+/// join.
 fn replay_script(
     setting: &Setting,
     source: &Instance,
@@ -350,24 +351,18 @@ fn replay_script(
         nulls_only: limits.nulls_only,
         overrun_menu: None,
     };
-    let (outcome, ring) = if traced {
-        let ring = Arc::new(RingRecorder::new(REPLAY_RING_CAPACITY));
-        let tracer = Tracer::new(Arc::clone(&ring) as _);
-        let engine = ChaseEngine::new(setting, &limits.chase_budget)
-            .with_clock(clock.clone())
-            .with_tracer(tracer.clone());
-        let outcome = engine.run_alpha(source, &mut alpha);
-        // A terminal outcome mid-round (budget, conflict, cycle) leaks
-        // the round's span guards; close them so every replayed ring is
-        // a well-formed stream.
-        tracer.close_open_spans(clock.now_ns());
-        (outcome, Some(ring))
-    } else {
-        (
-            alpha_chase(setting, source, &mut alpha, &limits.chase_budget),
-            None,
-        )
-    };
+    let ring = traced.then(|| Arc::new(RingRecorder::new(REPLAY_RING_CAPACITY)));
+    let tracer = ring
+        .as_ref()
+        .map_or_else(Tracer::off, |r| Tracer::new(Arc::clone(r) as _));
+    let outcome = ChaseEngine::new(setting, &limits.chase_budget)
+        .with_clock(clock.clone())
+        .with_tracer(tracer.clone())
+        .run_alpha(source, &mut alpha);
+    // A terminal outcome mid-round (budget, conflict, cycle) leaks the
+    // round's span guards; close them so every replayed ring is a
+    // well-formed stream.
+    tracer.close_open_spans(clock.now_ns());
     Replay {
         outcome,
         overrun_menu: alpha.overrun_menu,
@@ -416,11 +411,10 @@ pub fn enumerate_cwa_presolutions_opts(
             .min(WAVE)
             .min(limits.max_scripts - stats.scripts_explored);
         let wave: Vec<Vec<usize>> = (0..batch).map(|_| stack.pop().unwrap()).collect();
-        // One span per wave wraps the replayed event stream. The
-        // enumerator has no clock (determinism across thread counts is
-        // the whole point), so wave spans carry timestamp 0; Option so
-        // every exit path below can close it exactly once.
-        let mut sp_wave = Some(opts.tracer.span("wave", 0));
+        // One span per wave wraps the replayed event stream, stamped
+        // from the enumeration clock like the replays inside it; Option
+        // so every exit path below can close it exactly once.
+        let mut sp_wave = Some(opts.tracer.span("wave", opts.clock.now_ns()));
         // Each wave item is a full α-chase replay — heavy enough that
         // any multi-script wave clears the pool's inline threshold.
         let replays = opts.pool.map(&wave, dex_core::Cost::Heavy, |_, script| {
@@ -443,7 +437,7 @@ pub fn enumerate_cwa_presolutions_opts(
             if stats.scripts_explored >= limits.max_scripts || results.len() >= limits.max_results {
                 stats.truncated = true;
                 if let Some(sp) = sp_wave.take() {
-                    sp.close(0);
+                    sp.close(opts.clock.now_ns());
                 }
                 break 'enumerate;
             }
@@ -488,14 +482,14 @@ pub fn enumerate_cwa_presolutions_opts(
                     stats.chases_interrupted += 1;
                     stats.interrupted = Some(i);
                     if let Some(sp) = sp_wave.take() {
-                        sp.close(0);
+                        sp.close(opts.clock.now_ns());
                     }
                     break 'enumerate;
                 }
             }
         }
         if let Some(sp) = sp_wave.take() {
-            sp.close(0);
+            sp.close(opts.clock.now_ns());
         }
     }
     (results.into_representatives(), stats)
@@ -692,6 +686,68 @@ mod tests {
         let t3 = parse_instance("E(a,b). F(a,_1). G(_1,_2).").unwrap();
         assert!(sols.iter().any(|x| isomorphic(x, &t2)), "T2 missing");
         assert!(sols.iter().any(|x| isomorphic(x, &t3)), "T3 missing");
+    }
+
+    /// Replays read the enumeration clock whether or not they are
+    /// traced: on a parked mock clock a 1 ns chase deadline never passes,
+    /// so the traced and untraced runs agree and neither is interrupted.
+    #[test]
+    fn untraced_replays_take_the_enumeration_clock() {
+        let d = example_5_3();
+        let s = parse_instance("P(1).").unwrap();
+        let limits = EnumLimits {
+            nulls_only: true,
+            chase_budget: ChaseBudget::probe().with_deadline(std::time::Duration::from_nanos(1)),
+            ..EnumLimits::default()
+        };
+        let (clock, _mock) = Clock::mock();
+        let ring = Arc::new(RingRecorder::new(1 << 16));
+        let untraced = EnumOpts::seq().with_clock(clock.clone());
+        let traced = EnumOpts::seq()
+            .with_clock(clock)
+            .with_tracer(Tracer::new(ring as _));
+        let (sols_u, stats_u) = enumerate_cwa_presolutions_opts(&d, &s, &limits, &untraced);
+        let (sols_t, stats_t) = enumerate_cwa_presolutions_opts(&d, &s, &limits, &traced);
+        assert!(stats_u.interrupted.is_none(), "{stats_u:?}");
+        assert_eq!(stats_u.chases_interrupted, 0);
+        assert_eq!(format!("{stats_u:?}"), format!("{stats_t:?}"));
+        assert_eq!(sols_u, sols_t);
+    }
+
+    /// Wave spans are stamped from the enumeration clock: on a mock
+    /// clock parked at a nonzero instant, every wave opens and closes
+    /// exactly there.
+    #[test]
+    fn wave_spans_take_the_enumeration_clock() {
+        let d = example_5_3();
+        let s = parse_instance("P(1).").unwrap();
+        let limits = EnumLimits {
+            nulls_only: true,
+            ..EnumLimits::default()
+        };
+        let (clock, mock) = Clock::mock();
+        mock.set_ns(7_000);
+        let ring = Arc::new(RingRecorder::new(1 << 16));
+        let opts = EnumOpts::seq()
+            .with_clock(clock)
+            .with_tracer(Tracer::new(Arc::clone(&ring) as _));
+        enumerate_cwa_presolutions_opts(&d, &s, &limits, &opts);
+        assert_eq!(ring.dropped(), 0);
+        let waves: Vec<u64> = ring
+            .events()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                dex_obs::EventKind::SpanOpened { name }
+                | dex_obs::EventKind::SpanClosed { name, .. }
+                    if name == "wave" =>
+                {
+                    Some(e.at_ns)
+                }
+                _ => None,
+            })
+            .collect();
+        assert!(!waves.is_empty(), "no wave span");
+        assert!(waves.iter().all(|&at| at == 7_000), "{waves:?}");
     }
 
     #[test]
