@@ -86,6 +86,11 @@ echo "== parallel smoke (DEX_THREADS=2 and 8; determinism mismatch fails) =="
 # machines reporting ≥4 CPUs, outside smoke).
 DEX_THREADS=2 cargo test -q --locked --offline -p dex-bench --test par
 DEX_THREADS=8 cargo test -q --locked --offline -p dex-bench --test par
+# The core differential (worklist core vs the naive reference) also runs
+# each core on Pool::from_env(), so each retract pass's Pool::map runs on
+# DEX_THREADS real workers.
+DEX_THREADS=2 cargo test -q --locked --offline -p dex-bench --test core_retraction
+DEX_THREADS=8 cargo test -q --locked --offline -p dex-bench --test core_retraction
 # Smoke bench dumps go to target/bench-smoke — never the workspace root,
 # where the committed full-run baselines live.
 DEX_BENCH_SMOKE=1 DEX_BENCH_OUT="$PWD/target/bench-smoke" \

@@ -10,6 +10,7 @@
 //! families.
 
 use dex_chase::{ChaseBudget, ChaseEngine};
+use dex_core::{core, isomorphic};
 use dex_datagen::{
     layered_setting, mapping_scenario, random_source, update_stream, LayeredConfig, ScenarioConfig,
     SourceConfig, UpdateStreamConfig,
@@ -127,14 +128,17 @@ fn bench_family(
         // existential witnesses (whichever fires first suppresses or
         // multiplies fresh nulls), so at these sizes resume can
         // legitimately land on a *smaller*, homomorphically equivalent
-        // target than a fresh re-chase. Per-step isomorphism is the
-        // 64-seed differential suite's job (tests/incremental.rs), on
-        // order-confluent families at tractable sizes.
+        // target than a fresh re-chase. Homomorphically equivalent
+        // instances have isomorphic cores, so the cores must agree.
         let resumed = engine.resume(&prior, &delta).unwrap();
         let rechased = engine.run(&updated).unwrap();
         assert!(
             setting.is_solution(&updated, &resumed.target),
             "{tag}: resumed target is not a solution for the updated source"
+        );
+        assert!(
+            isomorphic(&core(&resumed.target), &core(&rechased.target)),
+            "{tag}: core of the resumed target is not isomorphic to the re-chase's"
         );
         resumed.stats.validate().unwrap();
         rows.push(IncRow {

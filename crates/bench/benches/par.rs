@@ -4,8 +4,9 @@
 //! threads on the same inputs, with the byte-identical-output contract
 //! asserted on every measured configuration. Two additions probe the
 //! retract loop and the persistent pool directly: a large-core workload
-//! (`redundant_null_instance`, 544 atoms in single-atom components), and
-//! the dispatch cost of a fixed job through the parked pool.
+//! (`redundant_null_instance`, 544 atoms in 512 single-atom components,
+//! all searched in one pass), and the dispatch cost of a fixed job
+//! through the parked pool.
 //!
 //! `cargo bench -p dex-bench --bench par`; set `DEX_BENCH_SMOKE=1` for a
 //! tiny-size smoke run (any panic exits nonzero). Every run dumps
@@ -156,10 +157,9 @@ fn bench_certain_answers(h: &mut Harness, rows: &mut Vec<ScalingRow>) {
 }
 
 /// Large-core workload: the `redundant_null_instance` family, 544 atoms
-/// at full size. Its null components are single atoms, and the retract
-/// step fans out only the candidates inside one component, so this row
-/// runs inline at every width: it measures the sequential retract loop
-/// at scale, and the 4-thread speedup gate below cannot pass on it.
+/// at full size. Its 512 null components are single atoms, all searched
+/// in one retract pass whose `Pool::map` is sized past the inline
+/// threshold, so the pass fans out at every width above one.
 fn bench_core_large(h: &mut Harness, rows: &mut Vec<ScalingRow>) {
     let (blocks, width) = if smoke() { (4, 2) } else { (32, 16) };
     let inst = dex_datagen::redundant_null_instance(blocks, width);

@@ -170,6 +170,11 @@ impl Provenance {
         self.next_merge_id += 1;
         let subst = |v: Value| if v == loser { winner } else { v };
         let old = std::mem::take(&mut self.how);
+        // Re-keyed atoms can collide with each other or with an atom the
+        // merge left alone. They are folded in after every unchanged
+        // atom, in atom order, so a collided atom's justification order
+        // does not depend on the map's iteration order.
+        let mut moved: Vec<(Atom, Atom, Vec<Just>)> = Vec::new();
         for (atom, mut justs) in old {
             let new_atom = atom.map_values(subst);
             let atom_rekeyed = new_atom != atom;
@@ -200,6 +205,14 @@ impl Provenance {
                     j.merge_deps.push(id);
                 }
             }
+            if atom_rekeyed {
+                moved.push((atom, new_atom, justs));
+            } else {
+                self.how.insert(new_atom, justs);
+            }
+        }
+        moved.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        for (_, new_atom, justs) in moved {
             // Two atoms can collapse into one; the surviving atom keeps
             // every distinct justification of both.
             let slot = self.how.entry(new_atom).or_default();
@@ -494,19 +507,22 @@ impl Provenance {
 
     /// Drops everything the retraction killed: dead atoms, their
     /// justifications, dead justifications of surviving atoms, and the
-    /// suspect merge records. Returns the removed atoms.
+    /// suspect merge records. Returns the removed atoms in atom order.
     fn apply_retraction(
         &mut self,
         deleted: &HashSet<Atom>,
         suspect: &HashSet<u64>,
         alive: &HashSet<Atom>,
     ) -> Vec<Atom> {
-        let removed: Vec<Atom> = self
+        // Sorted: the caller re-derives in this order, and map order
+        // differs between processes.
+        let mut removed: Vec<Atom> = self
             .how
             .keys()
             .filter(|a| !alive.contains(*a))
             .cloned()
             .collect();
+        removed.sort_unstable();
         for a in &removed {
             self.how.remove(a);
         }

@@ -4,174 +4,148 @@
 //! homomorphism from `I` to `J`, but none from `J` to a proper subinstance
 //! of `J`. Every finite instance has a core, unique up to renaming of nulls.
 //!
-//! The algorithm here is the classical retract iteration: repeatedly look
-//! for an atom `A` such that some homomorphism `h: I → I∖{A}` exists, and
-//! replace `I` by `h(I)`. We exploit the *block decomposition* used by
-//! Fagin, Kolaitis and Popa: nulls co-occurring in atoms form blocks, and a
-//! homomorphism into `I∖{A}` exists iff one exists that acts only on the
-//! connected component of atoms sharing `A`'s blocks and is the identity
-//! everywhere else — so each search is local to a component.
+//! The algorithm is the retract iteration of Fagin, Kolaitis and Popa, run
+//! as a worklist over *null components* (the non-ground atoms connected by
+//! shared nulls): `T → T∖{A}` has a homomorphism iff one moves only the
+//! nulls of `A`'s component `C`, so each search is `C → T∖{A}`. The
+//! components are computed once. A pass searches every pending component
+//! against the same `T`, then applies the retracts in component order, in
+//! place: a retract `h` maps `T` onto `T∖(C∖h(C))`, so only `C∖h(C)` is
+//! removed, and only the survivors `C∩h(C)` are re-split and searched in
+//! the next pass — the removed atoms carry no other component's nulls. A
+//! retract whose image lost an atom earlier in the pass is searched anew
+//! at once. A component found retract-free is never searched again: `T`
+//! only shrinks, and no homomorphism into `T∖{A}` means none into a
+//! subinstance of it.
 
 use crate::atom::Atom;
 use crate::govern::{Governor, Interrupt};
 use crate::homomorphism::{HomFinder, Homomorphism};
 use crate::instance::Instance;
-use crate::value::NullId;
+use crate::unionfind::ValueUnionFind;
+use crate::value::{NullId, Value};
+use dex_obs::EventKind;
 use dex_par::{Cost, Pool};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Union-find over null ids.
-struct UnionFind {
-    parent: BTreeMap<NullId, NullId>,
-}
-
-impl UnionFind {
-    fn new() -> UnionFind {
-        UnionFind {
-            parent: BTreeMap::new(),
-        }
-    }
-
-    fn find(&mut self, x: NullId) -> NullId {
-        let p = *self.parent.entry(x).or_insert(x);
-        if p == x {
-            return x;
-        }
-        let root = self.find(p);
-        self.parent.insert(x, root);
-        root
-    }
-
-    fn union(&mut self, a: NullId, b: NullId) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            self.parent.insert(ra, rb);
-        }
-    }
-}
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The blocks of `inst`: connected components of the graph on `Null(inst)`
 /// where two nulls are adjacent iff they co-occur in some atom.
 pub fn null_blocks(inst: &Instance) -> Vec<BTreeSet<NullId>> {
-    let mut uf = UnionFind::new();
-    for atom in inst.atoms() {
-        let nulls: Vec<NullId> = atom.nulls().collect();
+    let nulls = |c: &Vec<Atom>| c.iter().flat_map(Atom::nulls).collect();
+    atom_components(inst.atoms().collect())
+        .iter()
+        .map(nulls)
+        .collect()
+}
+
+/// The null components of `atoms`: the non-ground ones grouped by block,
+/// ordered by each block's smallest null. Ground atoms belong to none.
+fn atom_components(atoms: Vec<Atom>) -> Vec<Vec<Atom>> {
+    let mut uf = ValueUnionFind::new();
+    for atom in &atoms {
+        let nulls: Vec<Value> = atom.args.iter().copied().filter(Value::is_null).collect();
         for w in nulls.windows(2) {
-            uf.union(w[0], w[1]);
-        }
-        if let Some(&first) = nulls.first() {
-            uf.find(first);
+            uf.union(w[0], w[1]).expect("nulls never conflict");
         }
     }
-    let mut blocks: BTreeMap<NullId, BTreeSet<NullId>> = BTreeMap::new();
-    let keys: Vec<NullId> = uf.parent.keys().copied().collect();
-    for n in keys {
-        let root = uf.find(n);
-        blocks.entry(root).or_default().insert(n);
-    }
-    blocks.into_values().collect()
-}
-
-/// Groups the non-ground atoms of `inst` into connected components of the
-/// "shares a null" graph. Ground atoms belong to no component.
-fn atom_components(inst: &Instance) -> Vec<Vec<Atom>> {
-    let blocks = null_blocks(inst);
-    let mut block_of: BTreeMap<NullId, usize> = BTreeMap::new();
-    for (i, b) in blocks.iter().enumerate() {
-        for &n in b {
-            block_of.insert(n, i);
-        }
-    }
-    let mut comps: Vec<Vec<Atom>> = vec![Vec::new(); blocks.len()];
-    for atom in inst.atoms() {
-        let first_null = atom.nulls().next();
+    let mut comps: BTreeMap<Value, Vec<Atom>> = BTreeMap::new();
+    for atom in atoms {
+        let first_null = atom.args.iter().copied().find(Value::is_null);
         if let Some(n) = first_null {
-            comps[block_of[&n]].push(atom);
+            comps.entry(uf.find(n)).or_default().push(atom);
         }
     }
-    comps.retain(|c| !c.is_empty());
-    comps
+    comps.into_values().collect()
 }
 
-/// Work-size hint for one retract candidate: a hom search local to a
+/// Work-size hint for one component's retract search: local to the
 /// component but screening against the whole instance — grows with the
 /// instance, so paper-example-sized cores (µs of total work) stay
-/// inline while wide components of large instances fan out.
-fn retract_cost(inst: &Instance) -> Cost {
-    Cost::EstimateNs(inst.len() as u64)
+/// inline while passes over many components of large instances fan out.
+fn retract_cost(t: &Instance) -> Cost {
+    Cost::EstimateNs(t.len() as u64)
 }
 
-/// Applies the winning retract homomorphism: remap the component, keep
-/// the rest of the instance untouched.
-fn apply_retract(inst: &Instance, comp_inst: &Instance, h: &Homomorphism) -> Instance {
-    let mut out = Instance::new();
-    for a in inst.atoms() {
-        if comp_inst.contains(&a) {
-            out.insert(h.apply_atom(&a));
-        } else {
-            out.insert(a);
-        }
-    }
-    debug_assert!(out.len() < inst.len());
-    debug_assert!(out.is_subinstance_of(inst));
-    out
-}
-
-/// The first retract of `inst` in candidate order — components in block
-/// order, atoms in component order — as the winning component plus a
-/// homomorphism `inst → inst∖{A}` that is the identity outside it, or the
-/// interrupt that stopped the search at that candidate.
-///
-/// Components are walked lazily: each component instance is built only
-/// when the walk reaches it, and the walk stops at the first component
-/// with a retract. Within a component the candidate atoms go through one
-/// [`Pool::find_first`], whose first-in-submission-order winner is the
-/// sequential winner, so the step is identical for any thread count.
-fn first_retract(
-    inst: &Instance,
+/// A homomorphism `comp → t∖{A}` for the first atom `A` of `comp` that
+/// has one (identity outside `comp`), `None` if there is none. The
+/// component's instance lives only as long as its search.
+fn component_retract(
+    comp: &[Atom],
+    t: &Instance,
     gov: &Governor,
-    pool: &Pool,
-) -> Option<(Instance, Result<Homomorphism, Interrupt>)> {
-    atom_components(inst).into_iter().find_map(|comp| {
-        let comp_inst = Instance::from_atoms(comp.iter().cloned());
-        let (_, found) = pool.find_first(&comp, retract_cost(inst), |_, atom| {
-            HomFinder::new(&comp_inst, inst)
-                .forbid_atom(atom)
-                .find_governed(gov)
-                .transpose()
-        })?;
-        Some((comp_inst, found))
+) -> Option<Result<Homomorphism, Interrupt>> {
+    let from = Instance::from_atoms(comp.iter().cloned());
+    comp.iter().find_map(|a| {
+        HomFinder::new(&from, t)
+            .forbid_atom(a)
+            .find_governed(gov)
+            .transpose()
     })
 }
 
-/// One retract step: the strictly smaller image `h(inst)` of the first
-/// retract found, `Ok(None)` at a fixpoint (`inst` is a core), or `Err`
-/// when the governor interrupted the search before any retract of
-/// `inst` was found.
-fn retract_step(
-    inst: &Instance,
+/// One pass: every pending component's retract search against the same
+/// `t`, in submission order, so a pass is identical for any thread count.
+/// Searches not started before an interrupt are skipped (`None`); the
+/// caller stops at the interrupt, so none is taken for retract-free.
+fn search_pass(
+    pending: &[Vec<Atom>],
+    t: &Instance,
     gov: &Governor,
     pool: &Pool,
-) -> Result<Option<Instance>, Interrupt> {
-    // One span per retract step groups its candidate hom searches.
+) -> Vec<Option<Result<Homomorphism, Interrupt>>> {
     let sp = gov.tracer().span("retract_step", gov.clock().now_ns());
-    let found = first_retract(inst, gov, pool);
+    let tripped = AtomicBool::new(false);
+    let found = pool.map(pending, retract_cost(t), |_, comp| {
+        if tripped.load(Ordering::Relaxed) {
+            return None;
+        }
+        let found = component_retract(comp, t, gov);
+        tripped.fetch_or(matches!(found, Some(Err(_))), Ordering::Relaxed);
+        found
+    });
     sp.close(gov.clock().now_ns());
-    let Some((comp_inst, h)) = found else {
-        return Ok(None);
-    };
-    let out = apply_retract(inst, &comp_inst, &h?);
-    let tracer = gov.tracer();
-    if tracer.enabled() {
-        tracer.emit(
-            gov.clock().now_ns(),
-            dex_obs::EventKind::RetractFound {
-                atoms_before: inst.len(),
-                atoms_after: out.len(),
-            },
-        );
+    found
+}
+
+/// Applies `found`, `comp`'s search result, to `t` in place: a retract `h`
+/// removes `comp∖h(comp)` (`h(comp)` already lies in `t`), and the
+/// survivors' components go on `next`. When an earlier retract of the pass
+/// removed part of `h(comp)`, `comp` is searched again against the current
+/// `t` at once; re-queueing it would fold a row of isomorphic components
+/// one per pass.
+fn settle(
+    t: &mut Instance,
+    comp: Vec<Atom>,
+    mut found: Option<Result<Homomorphism, Interrupt>>,
+    gov: &Governor,
+    next: &mut Vec<Vec<Atom>>,
+    searched: &mut usize,
+) -> Result<(), Interrupt> {
+    while let Some(h) = found.transpose()? {
+        let image: Instance = comp.iter().map(|a| h.apply_atom(a)).collect();
+        if image.is_subinstance_of(t) {
+            let atoms_before = t.len();
+            let (survivors, removed): (Vec<_>, Vec<_>) =
+                comp.into_iter().partition(|a| image.contains(a));
+            for a in &removed {
+                t.remove(a);
+            }
+            if gov.tracer().enabled() {
+                let atoms_after = t.len();
+                let kind = EventKind::RetractFound {
+                    atoms_before,
+                    atoms_after,
+                };
+                gov.tracer().emit(gov.clock().now_ns(), kind);
+            }
+            next.extend(atom_components(survivors));
+            return Ok(());
+        }
+        *searched += 1;
+        found = component_retract(&comp, t, gov);
     }
-    Ok(Some(out))
+    Ok(())
 }
 
 /// Computes the core of `inst`.
@@ -179,12 +153,11 @@ pub fn core(inst: &Instance) -> Instance {
     core_parallel_governed(inst, &Governor::unlimited(), &Pool::seq()).instance
 }
 
-/// True iff `inst` is its own core (no proper retract exists).
+/// True iff `inst` is its own core: one pass finds no retract.
 pub fn is_core(inst: &Instance) -> bool {
-    matches!(
-        retract_step(inst, &Governor::unlimited(), &Pool::seq()),
-        Ok(None)
-    )
+    let (gov, pool) = (Governor::unlimited(), Pool::seq());
+    let found = search_pass(&atom_components(inst.atoms().collect()), inst, &gov, &pool);
+    found.iter().all(Option::is_none)
 }
 
 /// Whether a governed core computation ran to the fixpoint.
@@ -203,6 +176,9 @@ pub enum CoreStatus {
 pub struct GovernedCore {
     pub instance: Instance,
     pub status: CoreStatus,
+    /// Retract searches of a null component: every initial component and
+    /// every piece a retract leaves once, plus one per invalidated retract.
+    pub components_searched: usize,
 }
 
 impl GovernedCore {
@@ -212,28 +188,51 @@ impl GovernedCore {
     }
 }
 
-/// The core of `inst` under a [`Governor`], with the retract candidates
-/// of each null component searched on `pool` (one governor budget
-/// shared by all workers via its atomic counters). Completed runs are byte-identical
-/// for any thread count. Interruption degrades gracefully instead of
-/// erroring: each completed retract step strictly shrinks the instance
-/// and yields a hom-equivalent subinstance, so the best retract so far
-/// is returned, tagged [`CoreStatus::MaybeNotMinimal`].
+/// The core of `inst` under a [`Governor`], with each pass's component
+/// searches run on `pool` (one governor budget shared by all workers via
+/// its atomic counters). Completed runs are byte-identical for any thread
+/// count. Interruption degrades gracefully instead of erroring: every
+/// retract applied before the interrupt leaves a hom-equivalent, strictly
+/// smaller subinstance, and the last one is returned, tagged
+/// [`CoreStatus::MaybeNotMinimal`].
 pub fn core_parallel_governed(inst: &Instance, gov: &Governor, pool: &Pool) -> GovernedCore {
     let mut t = inst.clone();
-    loop {
-        let status = match retract_step(&t, gov, pool) {
-            Ok(Some(smaller)) => {
-                t = smaller;
-                continue;
-            }
-            Ok(None) => CoreStatus::Minimal,
-            Err(i) => CoreStatus::MaybeNotMinimal(i),
-        };
-        return GovernedCore {
-            instance: t,
-            status,
-        };
+    let mut pending = atom_components(t.atoms().collect());
+    let mut components_searched = 0;
+    let status = loop {
+        if pending.is_empty() {
+            break CoreStatus::Minimal;
+        }
+        components_searched += pending.len();
+        let found = search_pass(&pending, &t, gov, pool);
+        let mut next = Vec::new();
+        let settled = pending
+            .into_iter()
+            .zip(found)
+            .try_for_each(|(comp, found)| {
+                settle(
+                    &mut t,
+                    comp,
+                    found,
+                    gov,
+                    &mut next,
+                    &mut components_searched,
+                )
+            });
+        if let Err(i) = settled {
+            break CoreStatus::MaybeNotMinimal(i);
+        }
+        pending = next;
+    };
+    let kind = EventKind::CoreCompleted {
+        atoms: t.len(),
+        components_searched,
+    };
+    gov.tracer().emit(gov.clock().now_ns(), kind);
+    GovernedCore {
+        instance: t,
+        status,
+        components_searched,
     }
 }
 

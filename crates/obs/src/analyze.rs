@@ -89,6 +89,10 @@ pub struct TraceProfile {
     /// Rows seeded into the egd matcher, summed over `chase_completed`
     /// events — equals the runs' `ChaseStats.egd_rows_scanned`.
     pub egd_rows_scanned: u64,
+    /// Retract searches of null components, summed over
+    /// `core_completed` events — equals the runs'
+    /// `GovernedCore.components_searched`.
+    pub components_searched: u64,
     /// Total count carried by `events_dropped` markers.
     pub dropped: u64,
     pub truncated: bool,
@@ -278,6 +282,12 @@ impl TraceProfile {
                     p.egd_rows_scanned += n;
                     p.metrics.inc("trace.chase.egd_rows_scanned", u128::from(n));
                 }
+                "core_completed" => {
+                    let n = u64_of(line, "components_searched");
+                    p.components_searched += n;
+                    p.metrics
+                        .inc("trace.core.components_searched", u128::from(n));
+                }
                 "governor_tripped" => {
                     let reason = str_of(line, "reason").unwrap_or("?").to_string();
                     *p.governor.entry(reason).or_insert(0) += 1;
@@ -414,6 +424,14 @@ impl TraceProfile {
                 "egd_rows_scanned", self.egd_rows_scanned
             );
         }
+        if self.events.contains_key("core_completed") {
+            let _ = writeln!(out, "\ncore counters:");
+            let _ = writeln!(
+                out,
+                "  {:<24} {:>8}",
+                "components_searched", self.components_searched
+            );
+        }
         if tree && !self.roots.is_empty() {
             let _ = writeln!(out, "\nspan tree:");
             for root in &self.roots {
@@ -474,6 +492,10 @@ impl TraceProfile {
             .with("deps", JsonValue::Arr(deps))
             .with("governor", JsonValue::Obj(governor))
             .with("egd_rows_scanned", JsonValue::uint(self.egd_rows_scanned))
+            .with(
+                "components_searched",
+                JsonValue::uint(self.components_searched),
+            )
             .with("pool", pool)
             .with(
                 "tree",
@@ -601,6 +623,31 @@ mod tests {
                 .get("egd_rows_scanned")
                 .and_then(JsonValue::as_u128),
             Some(12)
+        );
+    }
+
+    #[test]
+    fn components_searched_sums_over_completed_cores() {
+        let ring = Arc::new(RingRecorder::new(8));
+        let t = Tracer::new(ring.clone());
+        for (at, searched) in [(1, 4), (2, 9)] {
+            t.emit(
+                at,
+                EventKind::CoreCompleted {
+                    atoms: 3,
+                    components_searched: searched,
+                },
+            );
+        }
+        let p = TraceProfile::from_lines(&lines_of(&ring));
+        assert_eq!(p.components_searched, 13);
+        assert_eq!(p.metrics.counter("trace.core.components_searched"), 13);
+        assert!(p.render_text(5, false).contains("components_searched"));
+        assert_eq!(
+            p.to_json()
+                .get("components_searched")
+                .and_then(JsonValue::as_u128),
+            Some(13)
         );
     }
 

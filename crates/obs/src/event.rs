@@ -75,6 +75,12 @@ pub enum EventKind {
         atoms_before: usize,
         atoms_after: usize,
     },
+    /// A core computation ended with `atoms` atoms after
+    /// `components_searched` retract searches of null components.
+    CoreCompleted {
+        atoms: usize,
+        components_searched: usize,
+    },
     /// A named span opened.
     SpanOpened { name: String },
     /// A named span closed after `dur_ns`.
@@ -128,6 +134,7 @@ impl EventKind {
             EventKind::GovernorTripped { .. } => "governor_tripped",
             EventKind::HomExtended { .. } => "hom_extended",
             EventKind::RetractFound { .. } => "retract_found",
+            EventKind::CoreCompleted { .. } => "core_completed",
             EventKind::SpanOpened { .. } => "span_opened",
             EventKind::SpanClosed { .. } => "span_closed",
             EventKind::RepairSearchStarted { .. } => "repair_search_started",
@@ -218,6 +225,16 @@ impl Event {
             } => {
                 o.push("atoms_before", JsonValue::uint(*atoms_before as u64));
                 o.push("atoms_after", JsonValue::uint(*atoms_after as u64));
+            }
+            EventKind::CoreCompleted {
+                atoms,
+                components_searched,
+            } => {
+                o.push("atoms", JsonValue::uint(*atoms as u64));
+                o.push(
+                    "components_searched",
+                    JsonValue::uint(*components_searched as u64),
+                );
             }
             EventKind::SpanOpened { name } => {
                 o.push("span", JsonValue::str(name.clone()));
@@ -319,6 +336,10 @@ mod tests {
             EventKind::RetractFound {
                 atoms_before: 5,
                 atoms_after: 4,
+            },
+            EventKind::CoreCompleted {
+                atoms: 4,
+                components_searched: 3,
             },
             EventKind::SpanOpened { name: "st".into() },
             EventKind::SpanClosed {

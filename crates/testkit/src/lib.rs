@@ -14,12 +14,16 @@
 //!   `crates/bench/benches/`;
 //! - [`fault`]: seeded fault-injection plans (`FaultPlan`) that decide,
 //!   deterministically per seed, where a governed search gets tripped —
-//!   replayable via `DEX_FAULT_SEED`.
+//!   replayable via `DEX_FAULT_SEED`;
+//! - [`core_ref`]: a naive reference core (the whole-instance retract
+//!   iteration) over plain atoms, the oracle core retraction is
+//!   differential-tested against.
 //!
 //! Everything is deterministic given a seed; nothing here reads the
 //! system RNG or the clock except the bench timer.
 
 pub mod bench;
+pub mod core_ref;
 pub mod fault;
 pub mod prop;
 pub mod rng;

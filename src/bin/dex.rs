@@ -3,7 +3,7 @@
 //! ```text
 //! dex analyze   <setting>                      acyclicity + classification
 //! dex chase     <setting> <source>             canonical universal solution
-//! dex update    <setting> <source> <delta>     incremental re-exchange (resume)
+//! dex update    <setting> <source> <delta> [--stats] incremental re-exchange (resume)
 //! dex explain   <setting> <source> [--conflict] chase + justification chains (§4)
 //! dex core      <setting> <source>             minimal CWA-solution (Thm 5.1)
 //! dex cansol    <setting> <source>             maximal CWA-solution (Prop 5.4)
@@ -17,7 +17,7 @@
 //! `<setting>`, `<source>`, `<target>` and `<query>` are file paths; if a
 //! path does not exist the argument itself is parsed as inline DSL text.
 //!
-//! `DEX_TRACE=<path>` makes `chase`, `explain`, `core`, `answer`,
+//! `DEX_TRACE=<path>` makes `chase`, `update`, `explain`, `core`, `answer`,
 //! `enumerate` and `repair` write a JSONL event trace of the run (see
 //! `dex-obs`); `dex trace <path>` aggregates it into a profile.
 //!
@@ -47,7 +47,7 @@ fn usage() -> ExitCode {
         "usage:
   dex analyze   <setting>
   dex chase     <setting> <source>
-  dex update    <setting> <source> <delta>
+  dex update    <setting> <source> <delta> [--stats]
   dex explain   <setting> <source> [--conflict]
   dex core      <setting> <source> [--threads N]
   dex cansol    <setting> <source>
@@ -60,7 +60,7 @@ fn usage() -> ExitCode {
 Arguments are file paths, or inline DSL when no such file exists.
 `update` chases the source, then applies the delta (`+ P(a).` inserts,
 `- Q(b,c).` deletes) by incremental maintenance instead of re-chasing,
-and prints the updated target;
+and prints the updated target (--stats adds the resume's counters as JSON);
 --threads defaults to $DEX_THREADS (sequential when unset); results are
 identical for every thread count.
 `answer --repair` computes XR-certain answers (certain answers
@@ -105,7 +105,7 @@ fn main() -> ExitCode {
     let result = match (cmd.as_str(), &args[1..]) {
         ("analyze", [setting]) => cmd_analyze(setting),
         ("chase", [setting, source]) => cmd_chase(setting, source),
-        ("update", [setting, source, delta]) => cmd_update(setting, source, delta),
+        ("update", [setting, source, delta, rest @ ..]) => cmd_update(setting, source, delta, rest),
         ("explain", [setting, source, rest @ ..]) => cmd_explain(setting, source, rest),
         ("core", [setting, source, rest @ ..]) => cmd_core(setting, source, rest),
         ("cansol", [setting, source]) => cmd_cansol(setting, source),
@@ -171,7 +171,14 @@ fn cmd_chase(setting: &str, source: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_update(setting: &str, source: &str, delta: &str) -> Result<(), String> {
+fn cmd_update(setting: &str, source: &str, delta: &str, rest: &[String]) -> Result<(), String> {
+    let mut stats = false;
+    for flag in rest {
+        match flag.as_str() {
+            "--stats" => stats = true,
+            other => return Err(format!("unknown flag `{other}`")),
+        }
+    }
     let d = parse_setting_arg(setting)?;
     let s = parse_instance_arg(source)?;
     let delta = parse_delta(&load(delta)).map_err(|e| format!("delta: {e}"))?;
@@ -200,6 +207,9 @@ fn cmd_update(setting: &str, source: &str, delta: &str) -> Result<(), String> {
         "resume: {} steps, {} atoms retracted, {} re-derived",
         resumed.steps, resumed.stats.atoms_retracted, resumed.stats.atoms_rederived
     );
+    if stats {
+        println!("stats: {}", resumed.stats.to_json());
+    }
     println!("{}", cwa_dex::logic::instance_to_dsl(&resumed.target));
     Ok(())
 }

@@ -300,6 +300,20 @@ fn dex_trace_env_covers_core() {
     // The chase phases and the core's retract search both land in one file.
     assert!(trace.contains("\"st_tgds\""), "no chase spans: {trace}");
     assert!(trace.contains("\"retract_step\""), "no core spans: {trace}");
+    // The core's search count lands in the trace and in its profile.
+    assert!(
+        trace.contains("\"event\":\"core_completed\""),
+        "no core_completed event: {trace}"
+    );
+    let lines: Vec<_> = trace
+        .lines()
+        .map(|l| cwa_dex::obs::parse(l).unwrap())
+        .collect();
+    let profile = cwa_dex::obs::TraceProfile::from_lines(&lines);
+    assert!(profile.components_searched > 0, "no components searched");
+    assert!(profile
+        .render_text(5, false)
+        .contains("components_searched"));
 }
 
 #[test]
@@ -445,4 +459,77 @@ fn trace_subcommand_flags_truncated_traces() {
     assert_eq!(v.get("dropped").and_then(|n| n.as_u128()), Some(3));
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Zeroes every `…_ns` number of a JSON text (timestamps and wall
+/// times), leaving everything a run decides for itself to compare.
+fn zero_ns_fields(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    let mut rest = text;
+    while let Some(i) = rest.find("_ns\":") {
+        let (head, tail) = rest.split_at(i + "_ns\":".len());
+        out.push_str(head);
+        out.push('0');
+        rest = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    out.push_str(rest);
+    out
+}
+
+/// Every group of two P-rows sharing a y gets its surrogate keys merged
+/// by `k`, which collapses the two G-atoms of the group into one.
+const MERGING_SETTING: &str = "source { P/2 } target { F/2, G/2 }
+    st { d1: P(x,y) -> exists k . F(k,x) & G(k,y); }
+    t { k: G(k,y) & G(m,y) -> k = m; }";
+
+fn merging_source(groups: usize) -> String {
+    (0..groups)
+        .map(|g| format!("P(a{g},b{g}). P(c{g},b{g}). "))
+        .collect()
+}
+
+#[test]
+fn update_with_deletions_is_deterministic_across_processes() {
+    // Deleting one row of each group makes every merge suspect, so the
+    // resume over-deletes and re-derives all groups. The re-derivation
+    // order decides the fresh null ids, the counters and the trace, and it
+    // must not depend on a process's hash seed.
+    let setting = MERGING_SETTING;
+    let groups = 8;
+    let source = merging_source(groups);
+    let delta: String = (0..groups).map(|g| format!("- P(c{g},b{g}). ")).collect();
+    let runs: Vec<(String, String)> = (0..3)
+        .map(|i| {
+            let (ok, stdout, stderr, trace) = dex_traced(
+                &["update", setting, &source, &delta, "--stats"],
+                &format!("update-det-{i}"),
+            );
+            assert!(ok, "dex update failed: {stderr}");
+            assert!(stdout.contains("stats: {"), "no --stats line: {stdout}");
+            assert_valid_trace(&trace);
+            assert!(trace.contains("\"event\":\"resume_applied\""));
+            (zero_ns_fields(&stdout), zero_ns_fields(&trace))
+        })
+        .collect();
+    for (i, (stdout, trace)) in runs.iter().enumerate().skip(1) {
+        assert_eq!(stdout, &runs[0].0, "process {i}: stdout differs");
+        assert_eq!(trace, &runs[0].1, "process {i}: trace differs");
+    }
+}
+
+#[test]
+fn explain_after_egd_merges_is_deterministic_across_processes() {
+    // A collapsed G-atom keeps the justifications of both atoms; which one
+    // `explain` reports first must not depend on a process's hash seed.
+    let source = merging_source(8);
+    let runs: Vec<String> = (0..3)
+        .map(|_| {
+            let (ok, stdout, stderr) = dex(&["explain", MERGING_SETTING, &source]);
+            assert!(ok, "dex explain failed: {stderr}");
+            stdout
+        })
+        .collect();
+    for (i, stdout) in runs.iter().enumerate().skip(1) {
+        assert_eq!(stdout, &runs[0], "process {i}: explain output differs");
+    }
 }
