@@ -15,6 +15,11 @@ cargo build --release --locked --offline --workspace
 # breaks it fail CI instead of the next benchmark run.
 cargo build --release --locked --offline --manifest-path perfbench/Cargo.toml
 
+echo "== doc (locked, offline, warnings denied) =="
+# Broken or private intra-doc links fail here, so a doc comment cannot
+# keep pointing at an item that was renamed or removed.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --locked
+
 echo "== perfbench smoke (all four workloads: every output check passes) =="
 # One short run of each workload: the benchmark checks every request's
 # output (core isomorphism against the naive chase on exchange/keyed,

@@ -8,7 +8,7 @@
 //! `cargo bench -p dex-bench --bench ablation`; set `DEX_BENCH_SMOKE=1`
 //! for a tiny-size smoke run (any panic exits nonzero).
 
-use dex_core::{isomorphic, Atom, HomFinder, Instance, IsoDeduper, Value};
+use dex_core::{isomorphic, Atom, Governor, HomFinder, Instance, IsoDeduper, Value};
 use dex_testkit::bench::{sizes, Harness};
 
 /// A hom-search instance where ordering matters: a long null chain whose
@@ -41,7 +41,8 @@ fn bench_hom_ordering(h: &mut Harness) {
     for n in sizes(&[6, 8, 10], &[4]) {
         let (from, to) = chain_with_anchor(n);
         h.bench(&format!("hom_ordering/fail_first/{n}"), || {
-            assert!(HomFinder::new(&from, &to).find().is_some());
+            let gov = Governor::unlimited();
+            assert!(HomFinder::new(&from, &to).find(&gov).unwrap().is_some());
         });
     }
 }

@@ -6,7 +6,7 @@
 //! tiny-size smoke run (any panic exits nonzero, so CI can gate on it).
 
 use dex_chase::{canonical_universal_solution, ChaseBudget};
-use dex_core::core;
+use dex_core::{core, Governor};
 use dex_cwa::{enumerate_cwa_solutions, is_cwa_presolution, EnumLimits, SearchLimits};
 use dex_datagen::example_2_1_scaled;
 use dex_logic::{parse_instance, parse_setting, Setting};
@@ -46,7 +46,11 @@ fn bench_presolution_check(h: &mut Harness) {
     let t2 = parse_instance("E(a,b). E(a,_1). E(a,_2). F(a,_3). G(_3,_4).").unwrap();
     let limits = SearchLimits::default();
     h.bench("is_cwa_presolution_t2", || {
-        assert_eq!(is_cwa_presolution(&setting, &s, &t2, &limits), Some(true));
+        let gov = Governor::unlimited();
+        assert_eq!(
+            is_cwa_presolution(&setting, &s, &t2, &limits, &gov),
+            Ok(Some(true))
+        );
     });
 }
 

@@ -42,7 +42,7 @@ fn bench_guided_vs_naive(h: &mut Harness, rows: &mut Vec<MarginRow>) {
         let mut guided_chases = 0;
         let mut repairs = 0;
         h.bench(&format!("repair_guided/{keys}k{extra}x"), || {
-            let out = engine.repairs(&s);
+            let out = engine.repairs(&s, &Governor::unlimited());
             assert!(out.complete);
             guided_chases = out.stats.candidates_chased;
             repairs = out.repairs.len();
@@ -73,11 +73,11 @@ fn bench_governed_overhead(h: &mut Harness) {
     let (keys, extra) = if smoke() { (3, 2) } else { (5, 3) };
     let s = conflicting_keyed_instance(keys, extra, 11);
     let engine = RepairEngine::new(&d, &budget);
-    let baseline = engine.repairs(&s).repairs.len();
+    let baseline = engine.repairs(&s, &Governor::unlimited()).repairs.len();
     h.bench(
         &format!("repair_governed_unlimited/{keys}k{extra}x"),
         || {
-            let out = engine.repairs_governed(&s, &Governor::unlimited().with_fuel(1_000_000));
+            let out = engine.repairs(&s, &Governor::unlimited().with_fuel(1_000_000));
             assert!(out.complete);
             assert_eq!(out.repairs.len(), baseline);
         },

@@ -25,7 +25,7 @@ use dex_core::{
     core_parallel_governed, hom_equivalent, is_core, Atom, GovernedCore, HomFinder, Instance, Pool,
     Value,
 };
-use dex_cwa::{is_cwa_presolution, is_cwa_presolution_governed, SearchLimits};
+use dex_cwa::{is_cwa_presolution, SearchLimits};
 use dex_logic::{parse_instance, parse_setting, Setting};
 use dex_query::{
     answer_pool, certain_answers, AnswerConfig, AnswerEngine, ModalLimits, Semantics, Verdict,
@@ -89,7 +89,7 @@ fn fault_trips_are_deterministic_per_seed() {
     for seed in FaultPlan::sweep(SEED_BASE, SEED_COUNT) {
         let plan = FaultPlan::from_seed(seed, 64);
         let run = |gov: &Governor| {
-            let out = HomFinder::new(&from, &to).find_governed(gov);
+            let out = HomFinder::new(&from, &to).find(gov);
             (out.map(|h| h.is_some()), gov.ticks())
         };
         let (r1, t1) = run(&fault_gov(&plan));
@@ -134,23 +134,23 @@ fn rerun_after_interrupt_agrees_with_ungoverned() {
     let s = parse_instance("M(a,b). N(a,b).").unwrap();
     let t = parse_instance("E(a,b). E(a,_1). F(a,_2). G(_2,_3).").unwrap();
     let limits = SearchLimits::default();
-    let truth = is_cwa_presolution(&d, &s, &t, &limits);
+    let truth = is_cwa_presolution(&d, &s, &t, &limits, &Governor::unlimited());
     for seed in FaultPlan::sweep(SEED_BASE, SEED_COUNT) {
         let plan = FaultPlan::from_seed(seed, 48);
-        let faulted = is_cwa_presolution_governed(&d, &s, &t, &limits, &fault_gov(&plan));
+        let faulted = is_cwa_presolution(&d, &s, &t, &limits, &fault_gov(&plan));
         if let Err(i) = faulted {
             assert_eq!(i.reason, reason_for(plan.reason_idx), "seed {seed}");
         }
         // Recovery: drop the fault, keep a governor armed with ample
         // fuel — must reproduce the ungoverned answer.
-        let recovered = is_cwa_presolution_governed(
+        let recovered = is_cwa_presolution(
             &d,
             &s,
             &t,
             &limits,
             &Governor::unlimited().with_fuel(1_000_000),
         );
-        assert_eq!(recovered, Ok(truth), "seed {seed}");
+        assert_eq!(recovered, truth, "seed {seed}");
     }
 }
 
@@ -241,7 +241,7 @@ fn one_tick_fuel_trips_every_governed_api_cleanly() {
 
     let inst = redundant_instance(6);
     let to = parse_instance("E(a,a).").unwrap();
-    assert!(HomFinder::new(&inst, &to).find_governed(&fuel1()).is_err());
+    assert!(HomFinder::new(&inst, &to).find(&fuel1()).is_err());
 
     let g = seq_core(&inst, &fuel1());
     assert!(!g.is_minimal());
@@ -250,7 +250,7 @@ fn one_tick_fuel_trips_every_governed_api_cleanly() {
     let d = example_2_1();
     let s = parse_instance("M(a,b). N(a,b).").unwrap();
     let t = parse_instance("E(a,b). E(a,_1). F(a,_2). G(_2,_3).").unwrap();
-    assert!(is_cwa_presolution_governed(&d, &s, &t, &SearchLimits::default(), &fuel1()).is_err());
+    assert!(is_cwa_presolution(&d, &s, &t, &SearchLimits::default(), &fuel1()).is_err());
 
     let engine = AnswerEngine::new(&d, &s, AnswerConfig::default()).unwrap();
     let q = dex_logic::parse_query("Q(x) :- E(x,y), F(x,z), y != z").unwrap();

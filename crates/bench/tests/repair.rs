@@ -42,7 +42,7 @@ fn seeds() -> Vec<u64> {
 }
 
 fn repairs_of(d: &Setting, s: &Instance) -> RepairOutcome {
-    RepairEngine::new(d, &ChaseBudget::default()).repairs(s)
+    RepairEngine::new(d, &ChaseBudget::default()).repairs(s, &Governor::unlimited())
 }
 
 /// Every seed produces an inconsistent source whose failure is fully
@@ -279,7 +279,7 @@ fn faulted_repair_search_yields_sound_partials_per_seed() {
         let engine = RepairEngine::new(&d, &budget);
         let run = || {
             let gov = Governor::unlimited().with_fault(plan.trip_at, reason_for(plan.reason_idx));
-            engine.repairs_governed(&s, &gov)
+            engine.repairs(&s, &gov)
         };
         let faulted = run();
         faulted
@@ -318,10 +318,12 @@ fn repair_search_is_thread_count_invariant() {
     let budget = ChaseBudget::default();
     for seed in [3u64, 17, 59] {
         let s = conflicting_keyed_instance(KEYS + 1, EXTRA + 1, seed);
-        let base = RepairEngine::new(&d, &budget).repairs(&s);
+        let base = RepairEngine::new(&d, &budget).repairs(&s, &Governor::unlimited());
         for threads in [2usize, 8] {
             let pool = dex_core::Pool::new(threads).with_threshold_ns(0);
-            let out = RepairEngine::new(&d, &budget).with_pool(pool).repairs(&s);
+            let out = RepairEngine::new(&d, &budget)
+                .with_pool(pool)
+                .repairs(&s, &Governor::unlimited());
             assert_eq!(base.repairs.len(), out.repairs.len(), "seed {seed}");
             for (a, b) in base.repairs.iter().zip(&out.repairs) {
                 assert_eq!(a.kept, b.kept, "seed {seed} threads {threads}");

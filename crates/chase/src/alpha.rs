@@ -13,18 +13,25 @@
 //!
 //! By Lemma 4.5, for a fixed `α` either some (equivalently: every) α-chase
 //! of a ground instance succeeds with one common result, or some α-chase
-//! is failing or infinite. The driver below uses a deterministic strategy
-//! (egds eagerly, tgds in declaration order) and reports the three
-//! outcomes as success / failing / budget-exceeded.
+//! is failing or infinite. [`alpha_chase`] runs the delta-driven
+//! [`ChaseEngine`]. This module also holds the one naive reference
+//! driver, `naive_chase`, behind both [`alpha_chase_naive`] and
+//! [`crate::chase_naive`]: it uses a deterministic strategy (egds
+//! eagerly, tgds in declaration order) under an α policy or a restricted
+//! policy, and reports the outcomes as success / failing /
+//! budget-exceeded / cycle / interrupted.
 
 use crate::budget::ChaseBudget;
 use crate::engine::ChaseEngine;
+use crate::standard::{egd_step, ChaseError};
 use crate::stats::ChaseStats;
-use dex_core::govern::{Clock, Interrupt};
+use dex_core::govern::{Clock, Governor, Interrupt};
 use dex_core::{Atom, Instance, NullGen, Value};
-use dex_logic::{Setting, Tgd};
-use std::collections::HashMap;
+use dex_logic::{Assignment, Setting, Tgd};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A potential justification `(d, ū, v̄, z)` for introducing a value:
 /// tgd index (in `Σ_st` then `Σ_t` order), the values `ū` of the frontier
@@ -226,101 +233,69 @@ pub fn alpha_chase(
     ChaseEngine::new(setting, budget).run_alpha(source, alpha)
 }
 
-/// The naive reference α-chase driver: a full trigger rescan per step and
-/// clone-per-repair egd handling. Retained as the differential-testing
-/// and ablation baseline for [`alpha_chase`]; same outcome contract.
+/// The naive reference α-chase: `naive_chase` under the α policy.
+/// Retained as the differential-testing and ablation baseline for
+/// [`alpha_chase`]; same outcome contract.
 pub fn alpha_chase_naive(
     setting: &Setting,
     source: &Instance,
     alpha: &mut dyn AlphaSource,
     budget: &ChaseBudget,
 ) -> AlphaOutcome {
-    alpha_chase_naive_clocked(setting, source, alpha, budget, &Clock::real())
+    naive_chase(
+        setting,
+        source,
+        NaivePolicy::alpha(alpha),
+        budget,
+        &budget.governor(&Clock::real()),
+    )
 }
 
-/// [`alpha_chase_naive`] with an explicit time source, so deadline
-/// behaviour and phase timings are testable with a mock clock.
-pub fn alpha_chase_naive_clocked(
-    setting: &Setting,
-    source: &Instance,
-    alpha: &mut dyn AlphaSource,
-    budget: &ChaseBudget,
-    clock: &Clock,
-) -> AlphaOutcome {
-    debug_assert!(source.is_ground(), "α-chase starts from ground instances");
-    let gov = budget.governor(clock);
-    let t_total = clock.now_ns();
-    let mut stats = ChaseStats::default();
-    let sigma_part = source.clone();
-    let tgds: Vec<&Tgd> = setting.all_tgds().collect();
-    let st_count = setting.st_tgds.len();
-    let mut inst = source.clone();
-    stats.peak_atoms = inst.len();
-    let mut steps = 0usize;
-    let mut trace: Vec<ChaseStep> = Vec::new();
-    let mut seen_states: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    loop {
-        if let Err(i) = gov.force_check() {
-            return AlphaOutcome::Interrupted(i);
+/// How `naive_chase` fires a trigger.
+pub(crate) enum NaivePolicy<'p> {
+    /// The restricted chase: a trigger fires when its head does not hold,
+    /// with fresh nulls for the existential variables.
+    Restricted(NullGen),
+    /// The α-chase (Definition 4.1): a trigger fires when its ᾱ-head is
+    /// not already present. Each step is logged in `log` and each
+    /// state's hash kept in `seen`.
+    Alpha {
+        alpha: &'p mut dyn AlphaSource,
+        log: Vec<ChaseStep>,
+        seen: HashSet<u64>,
+    },
+}
+
+impl<'p> NaivePolicy<'p> {
+    fn alpha(alpha: &'p mut dyn AlphaSource) -> NaivePolicy<'p> {
+        NaivePolicy::Alpha {
+            alpha,
+            log: Vec::new(),
+            seen: HashSet::new(),
         }
-        if steps >= budget.max_steps {
-            return AlphaOutcome::BudgetExceeded {
-                steps,
-                atoms: inst.len(),
-            };
-        }
-        // Cycle detection: the chase is a deterministic function of the
-        // current instance (given α), so a repeated state proves it runs
-        // forever.
-        {
-            use std::hash::{Hash, Hasher};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            inst.sorted_atoms().hash(&mut h);
-            if !seen_states.insert(h.finish()) {
-                return AlphaOutcome::CycleDetected { steps };
-            }
-        }
-        // Egd application (Definition 4.1). Applied eagerly; by Lemma 4.5
-        // the strategy does not affect the outcome.
-        let t_phase = clock.now_ns();
-        let egd_result = crate::standard::egd_step(setting, &inst);
-        stats.egd_time_ns += (clock.now_ns() - t_phase) as u128;
-        match egd_result {
-            Err(crate::standard::ChaseError::EgdConflict { witness }) => {
-                return AlphaOutcome::Failing { witness, steps };
-            }
-            // `egd_step` performs a single bounded repair pass, so it can
-            // never exhaust a step budget or trip a governor itself; still,
-            // propagate rather than panic if its contract ever widens.
-            Err(crate::standard::ChaseError::BudgetExceeded { steps, atoms }) => {
-                return AlphaOutcome::BudgetExceeded { steps, atoms };
-            }
-            Err(crate::standard::ChaseError::Interrupted(i)) => {
-                return AlphaOutcome::Interrupted(i);
-            }
-            Ok(Some(repair)) => {
-                trace.push(ChaseStep::EgdApplied {
-                    dep: repair.egd,
-                    from: repair.from,
-                    to: repair.to,
-                });
-                inst = repair.instance;
-                steps += 1;
-                stats.egd_steps += 1;
-                continue;
-            }
-            Ok(None) => {}
-        }
-        // Find an α-applicable tgd trigger (condition (1) of Def 4.1).
-        let t_phase = clock.now_ns();
-        let mut fired: Option<(String, Vec<Atom>)> = None;
-        'search: for (idx, tgd) in tgds.iter().enumerate() {
-            let body_inst = if idx < st_count { &sigma_part } else { &inst };
-            for env in tgd.body.matches(body_inst) {
-                if let Err(i) = gov.check() {
-                    return AlphaOutcome::Interrupted(i);
+    }
+
+    /// The head atoms that trigger `env` of tgd number `dep` adds to
+    /// `inst`, or `None` when the trigger is not applicable.
+    fn fire(
+        &mut self,
+        dep: usize,
+        tgd: &Tgd,
+        env: &Assignment,
+        inst: &Instance,
+    ) -> Option<Vec<Atom>> {
+        match self {
+            NaivePolicy::Restricted(nulls) => {
+                if tgd.head_holds(inst, env) {
+                    return None;
                 }
-                stats.triggers_examined += 1;
+                let mut full = env.clone();
+                for &z in &tgd.exist_vars {
+                    full.bind(z, nulls.fresh_value());
+                }
+                Some(tgd.instantiate_head(&full))
+            }
+            NaivePolicy::Alpha { alpha, .. } => {
                 let frontier: Vec<Value> = tgd
                     .frontier()
                     .iter()
@@ -334,60 +309,167 @@ pub fn alpha_chase_naive_clocked(
                 let mut full = env.clone();
                 for (zi, &z) in tgd.exist_vars.iter().enumerate() {
                     let j = Justification {
-                        dep: idx,
+                        dep,
                         frontier: frontier.clone(),
                         body_only: body_only.clone(),
                         z_index: zi,
                     };
-                    full.bind(z, alpha.value(&j, &inst));
+                    full.bind(z, alpha.value(&j, inst));
                 }
-                let head_atoms = tgd.instantiate_head(&full);
-                if head_atoms.iter().any(|a| !inst.contains(a)) {
-                    fired = Some((tgd.name.clone(), head_atoms));
+                let head = tgd.instantiate_head(&full);
+                head.iter().any(|a| !inst.contains(a)).then_some(head)
+            }
+        }
+    }
+
+    /// True iff the α policy met `inst` before: the α-chase is a
+    /// deterministic function of the current instance (given α), so a
+    /// repeated state proves it runs forever.
+    fn repeats(&mut self, inst: &Instance) -> bool {
+        let NaivePolicy::Alpha { seen, .. } = self else {
+            return false;
+        };
+        let mut h = DefaultHasher::new();
+        inst.sorted_atoms().hash(&mut h);
+        !seen.insert(h.finish())
+    }
+
+    /// Records a step in the α policy's log.
+    fn log(&mut self, step: impl FnOnce() -> ChaseStep) {
+        if let NaivePolicy::Alpha { log, .. } = self {
+            log.push(step());
+        }
+    }
+
+    fn into_log(self) -> Vec<ChaseStep> {
+        match self {
+            NaivePolicy::Alpha { log, .. } => log,
+            NaivePolicy::Restricted(_) => Vec::new(),
+        }
+    }
+}
+
+/// The naive reference driver behind [`alpha_chase_naive`] and
+/// [`crate::chase_naive`]: a full trigger rescan per step and
+/// clone-per-repair egd handling, under a deterministic strategy (egds
+/// eagerly, then the first applicable trigger in tgd declaration
+/// order). It shares nothing with [`ChaseEngine`] beyond
+/// [`egd_step`], so it stays an independent oracle. `gov` carries the
+/// budget's deadline and cancel flag and times the phases; the step
+/// and atom limits are enforced exactly.
+pub(crate) fn naive_chase(
+    setting: &Setting,
+    source: &Instance,
+    mut policy: NaivePolicy<'_>,
+    budget: &ChaseBudget,
+    gov: &Governor,
+) -> AlphaOutcome {
+    debug_assert!(
+        matches!(policy, NaivePolicy::Restricted(_)) || source.is_ground(),
+        "α-chase starts from ground instances"
+    );
+    let clock = gov.clock();
+    let t_total = clock.now_ns();
+    let mut stats = ChaseStats::default();
+    let sigma_part = source.clone();
+    let tgds: Vec<&Tgd> = setting.all_tgds().collect();
+    let st_count = setting.st_tgds.len();
+    let mut inst = source.clone();
+    stats.peak_atoms = inst.len();
+    let mut steps = 0usize;
+    loop {
+        if let Err(i) = gov.force_check() {
+            return AlphaOutcome::Interrupted(i);
+        }
+        if steps >= budget.max_steps {
+            return AlphaOutcome::BudgetExceeded {
+                steps,
+                atoms: inst.len(),
+            };
+        }
+        if policy.repeats(&inst) {
+            return AlphaOutcome::CycleDetected { steps };
+        }
+        // Egds first: they only shrink the instance, and by Lemma 4.5 the
+        // strategy does not affect the α-chase's outcome.
+        let t_phase = clock.now_ns();
+        let repair = egd_step(setting, &inst);
+        stats.egd_time_ns += (clock.now_ns() - t_phase) as u128;
+        match repair {
+            Ok(Some(repair)) => {
+                policy.log(|| ChaseStep::EgdApplied {
+                    dep: repair.egd,
+                    from: repair.from,
+                    to: repair.to,
+                });
+                inst = repair.instance;
+                steps += 1;
+                stats.egd_steps += 1;
+                continue;
+            }
+            Ok(None) => {}
+            Err(ChaseError::EgdConflict { witness }) => {
+                return AlphaOutcome::Failing { witness, steps };
+            }
+            // `egd_step` performs a single bounded repair pass, so it can
+            // never exhaust a step budget or trip a governor itself; still,
+            // propagate rather than panic if its contract ever widens.
+            Err(ChaseError::BudgetExceeded { steps, atoms }) => {
+                return AlphaOutcome::BudgetExceeded { steps, atoms };
+            }
+            Err(ChaseError::Interrupted(i)) => return AlphaOutcome::Interrupted(i),
+        }
+        // Then the first applicable tgd trigger, s-t (matched over σ)
+        // before target.
+        let t_phase = clock.now_ns();
+        let mut fired: Option<(&Tgd, Vec<Atom>)> = None;
+        'search: for (dep, tgd) in tgds.iter().enumerate() {
+            let body_inst = if dep < st_count { &sigma_part } else { &inst };
+            for env in tgd.body.matches(body_inst) {
+                if let Err(i) = gov.check() {
+                    return AlphaOutcome::Interrupted(i);
+                }
+                stats.triggers_examined += 1;
+                if let Some(head) = policy.fire(dep, tgd, &env, &inst) {
+                    fired = Some((tgd, head));
                     break 'search;
                 }
             }
         }
         stats.tgd_time_ns += (clock.now_ns() - t_phase) as u128;
-        match fired {
-            Some((dep, atoms)) => {
-                let added: Vec<Atom> = atoms
-                    .iter()
-                    .filter(|a| !inst.contains(a))
-                    .cloned()
-                    .collect();
-                for a in atoms {
-                    if inst.insert(a) {
-                        stats.atoms_inserted += 1;
-                        stats.peak_atoms = stats.peak_atoms.max(inst.len());
-                        if inst.len() > budget.max_atoms {
-                            return AlphaOutcome::BudgetExceeded {
-                                steps,
-                                atoms: inst.len(),
-                            };
-                        }
-                    }
+        let Some((tgd, head)) = fired else {
+            // Egds hold and no trigger is applicable, so every tgd is
+            // satisfied: success.
+            stats.total_time_ns = (clock.now_ns() - t_total) as u128;
+            let target = inst.difference(&sigma_part);
+            return AlphaOutcome::Success(AlphaSuccess {
+                result: inst,
+                target,
+                steps,
+                trace: policy.into_log(),
+                stats,
+                provenance: None,
+            });
+        };
+        policy.log(|| ChaseStep::TgdApplied {
+            dep: tgd.name.clone(),
+            added: head.iter().filter(|a| !inst.contains(a)).cloned().collect(),
+        });
+        for atom in head {
+            if inst.insert(atom) {
+                stats.atoms_inserted += 1;
+                stats.peak_atoms = stats.peak_atoms.max(inst.len());
+                if inst.len() > budget.max_atoms {
+                    return AlphaOutcome::BudgetExceeded {
+                        steps,
+                        atoms: inst.len(),
+                    };
                 }
-                trace.push(ChaseStep::TgdApplied { dep, added });
-                steps += 1;
-                stats.tgd_steps += 1;
-                stats.triggers_fired += 1;
-            }
-            None => {
-                // No tgd α-applicable and egds hold: success. (Every body
-                // match has its ᾱ-head present, so all tgds are satisfied.)
-                stats.total_time_ns = (clock.now_ns() - t_total) as u128;
-                let target = inst.difference(&sigma_part);
-                return AlphaOutcome::Success(AlphaSuccess {
-                    result: inst,
-                    target,
-                    steps,
-                    trace,
-                    stats,
-                    provenance: None,
-                });
             }
         }
+        steps += 1;
+        stats.tgd_steps += 1;
+        stats.triggers_fired += 1;
     }
 }
 
@@ -603,6 +685,37 @@ mod tests {
         // Target: E(a,b) plus one F-atom; no E(a,null).
         assert_eq!(success.target.rows_of_len("E".into()), 1);
         assert_eq!(success.target.rows_of_len("F".into()), 1);
+    }
+
+    /// The naive driver's governor path: a raised cancel flag interrupts
+    /// both policies before their first step, and a step limit of 0
+    /// stops both before any step.
+    #[test]
+    fn naive_driver_honors_cancel_flag_and_step_limit() {
+        use crate::standard::{chase_naive, ChaseError};
+        use dex_core::govern::InterruptReason;
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+        let d = example_2_1();
+        let s = s_star();
+        let cancelled = ChaseBudget::default().with_cancel(Arc::new(AtomicBool::new(true)));
+        match chase_naive(&d, &s, &cancelled) {
+            Err(ChaseError::Interrupted(i)) => assert_eq!(i.reason, InterruptReason::Cancelled),
+            other => panic!("expected a cancelled chase, got {other:?}"),
+        }
+        match alpha_chase_naive(&d, &s, &mut FreshAlpha::above(&s), &cancelled) {
+            AlphaOutcome::Interrupted(i) => assert_eq!(i.reason, InterruptReason::Cancelled),
+            other => panic!("expected a cancelled α-chase, got {other:?}"),
+        }
+        let no_steps = ChaseBudget::new(0, 1_000);
+        assert!(matches!(
+            chase_naive(&d, &s, &no_steps),
+            Err(ChaseError::BudgetExceeded { steps: 0, .. })
+        ));
+        assert!(matches!(
+            alpha_chase_naive(&d, &s, &mut FreshAlpha::above(&s), &no_steps),
+            AlphaOutcome::BudgetExceeded { steps: 0, .. }
+        ));
     }
 
     #[test]

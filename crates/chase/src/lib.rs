@@ -22,16 +22,15 @@ pub mod stats;
 pub mod witness;
 
 pub use alpha::{
-    alpha_chase, alpha_chase_naive, alpha_chase_naive_clocked, canonical_presolution, AlphaOutcome,
-    AlphaSource, AlphaSuccess, ChaseStep, FreshAlpha, Justification, TableAlpha,
+    alpha_chase, alpha_chase_naive, canonical_presolution, AlphaOutcome, AlphaSource, AlphaSuccess,
+    ChaseStep, FreshAlpha, Justification, TableAlpha,
 };
 pub use budget::{ChaseBudget, ChaseLimitsExt};
 pub use egd_scan::{EgdScan, EgdViolation};
 pub use engine::ChaseEngine;
 pub use provenance::{ChainStep, Derivation, JustificationChain, MergeRecord, Provenance};
 pub use standard::{
-    canonical_universal_solution, chase, chase_naive, chase_naive_clocked, egd_step, ChaseError,
-    ChaseSuccess, EgdRepair,
+    canonical_universal_solution, chase, chase_naive, egd_step, ChaseError, ChaseSuccess, EgdRepair,
 };
 pub use stats::ChaseStats;
 pub use witness::ConflictWitness;

@@ -1,5 +1,5 @@
 //! The standard (restricted) chase with tgds and egds (Section 2, as in
-//! [FKMP05]): from a ground source instance it computes the canonical
+//! \[FKMP05\]): from a ground source instance it computes the canonical
 //! universal solution, fails on an egd equating distinct constants, or
 //! exceeds its budget (necessarily so for non-terminating settings).
 //!
@@ -7,14 +7,19 @@
 //! already satisfiable in the current instance (condition (2) of the
 //! paper's Remark 4.3) — the classical procedure that terminates in
 //! polynomially many steps on weakly acyclic settings.
+//!
+//! [`chase`] runs the delta-driven [`ChaseEngine`]. The reference
+//! [`chase_naive`] runs the one naive driver of [`crate::alpha`] under
+//! its restricted policy (fresh nulls, fire when the head does not hold).
 
+use crate::alpha::{naive_chase, AlphaOutcome, NaivePolicy};
 use crate::budget::ChaseBudget;
 use crate::engine::ChaseEngine;
 use crate::stats::ChaseStats;
 use crate::witness::ConflictWitness;
 use dex_core::govern::{Clock, Interrupt};
 use dex_core::{Instance, NullGen, Value};
-use dex_logic::{Assignment, Setting, Tgd, Var};
+use dex_logic::Setting;
 use std::fmt;
 
 /// Why a chase run did not produce a solution.
@@ -124,48 +129,6 @@ pub fn egd_step(setting: &Setting, inst: &Instance) -> Result<Option<EgdRepair>,
     Ok(None)
 }
 
-/// One restricted-chase tgd pass: finds the first trigger whose head is
-/// not yet satisfied and fires it with fresh nulls. `body_inst` is where
-/// the body is matched (`σ`-part for s-t tgds, the full instance for
-/// target tgds); heads are checked and inserted in `inst`, with the atom
-/// budget enforced per insertion so a wide head cannot overshoot by more
-/// than one atom.
-fn fire_first_unsatisfied(
-    tgd: &Tgd,
-    body_inst: &Instance,
-    inst: &mut Instance,
-    nulls: &mut NullGen,
-    budget: &ChaseBudget,
-    steps: usize,
-    stats: &mut ChaseStats,
-) -> Result<bool, ChaseError> {
-    for env in tgd.body.matches(body_inst) {
-        stats.triggers_examined += 1;
-        if !tgd.head_holds(inst, &env) {
-            let mut full = env.clone();
-            for &z in &tgd.exist_vars {
-                full.bind(z, nulls.fresh_value());
-            }
-            for atom in tgd.instantiate_head(&full) {
-                if inst.insert(atom) {
-                    stats.atoms_inserted += 1;
-                    stats.peak_atoms = stats.peak_atoms.max(inst.len());
-                    if inst.len() > budget.max_atoms {
-                        return Err(ChaseError::BudgetExceeded {
-                            steps,
-                            atoms: inst.len(),
-                        });
-                    }
-                }
-            }
-            stats.triggers_fired += 1;
-            stats.tgd_steps += 1;
-            return Ok(true);
-        }
-    }
-    Ok(false)
-}
-
 /// Runs the standard restricted chase of `source` with the dependencies of
 /// `setting`, using the delta-driven [`ChaseEngine`].
 pub fn chase(
@@ -176,113 +139,37 @@ pub fn chase(
     ChaseEngine::new(setting, budget).run(source)
 }
 
-/// The naive reference driver: a full trigger rescan per step and
-/// clone-per-repair egd handling. Retained as the differential-testing
-/// and ablation baseline for [`chase`]; same outcome contract.
+/// The naive reference chase: `alpha::naive_chase` under the
+/// restricted policy. Retained as the differential-testing and ablation
+/// baseline for [`chase`]; same outcome contract.
 pub fn chase_naive(
     setting: &Setting,
     source: &Instance,
     budget: &ChaseBudget,
 ) -> Result<ChaseSuccess, ChaseError> {
-    chase_naive_clocked(setting, source, budget, &Clock::real())
-}
-
-/// [`chase_naive`] with an explicit [`Clock`]: the single time source for
-/// both the budget's deadline checks and the `ChaseStats` phase timings.
-pub fn chase_naive_clocked(
-    setting: &Setting,
-    source: &Instance,
-    budget: &ChaseBudget,
-    clock: &Clock,
-) -> Result<ChaseSuccess, ChaseError> {
-    let gov = budget.governor(clock);
-    let t_total = clock.now_ns();
-    let mut stats = ChaseStats::default();
-    let sigma_part = source.clone();
-    let mut inst = source.clone();
-    stats.peak_atoms = inst.len();
-    let mut nulls = NullGen::above(source.active_domain().iter());
-    let mut steps = 0usize;
-    loop {
-        gov.force_check()?;
-        if steps >= budget.max_steps {
-            return Err(ChaseError::BudgetExceeded {
-                steps,
-                atoms: inst.len(),
-            });
-        }
-        // Egds first: they only shrink the instance.
-        let t_phase = clock.now_ns();
-        let repair = egd_step(setting, &inst)?;
-        stats.egd_time_ns += (clock.now_ns() - t_phase) as u128;
-        if let Some(repair) = repair {
-            inst = repair.instance;
-            steps += 1;
-            stats.egd_steps += 1;
-            continue;
-        }
-        // Then tgds, s-t before target, first unsatisfied trigger.
-        let t_phase = clock.now_ns();
-        let mut fired = false;
-        for tgd in &setting.st_tgds {
-            if fire_first_unsatisfied(
-                tgd,
-                &sigma_part,
-                &mut inst,
-                &mut nulls,
-                budget,
-                steps,
-                &mut stats,
-            )? {
-                fired = true;
-                break;
-            }
-        }
-        if !fired {
-            // Find the trigger against the immutable instance, then apply.
-            let trigger = setting.t_tgds.iter().find_map(|tgd| {
-                let envs = tgd.body.matches(&inst);
-                stats.triggers_examined += envs.len();
-                envs.into_iter()
-                    .find(|env| !tgd.head_holds(&inst, env))
-                    .map(|env| (tgd, env))
-            });
-            if let Some((tgd, mut env)) = trigger {
-                for &z in &tgd.exist_vars {
-                    env.bind(z, nulls.fresh_value());
-                }
-                for atom in tgd.instantiate_head(&env) {
-                    if inst.insert(atom) {
-                        stats.atoms_inserted += 1;
-                        stats.peak_atoms = stats.peak_atoms.max(inst.len());
-                        if inst.len() > budget.max_atoms {
-                            return Err(ChaseError::BudgetExceeded {
-                                steps,
-                                atoms: inst.len(),
-                            });
-                        }
-                    }
-                }
-                stats.triggers_fired += 1;
-                stats.tgd_steps += 1;
-                fired = true;
-            }
-        }
-        stats.tgd_time_ns += (clock.now_ns() - t_phase) as u128;
-        if fired {
-            steps += 1;
-            continue;
-        }
-        // Fixpoint: no egd violation, no unsatisfied tgd trigger.
-        stats.total_time_ns = (clock.now_ns() - t_total) as u128;
-        let target = inst.difference(&sigma_part);
-        return Ok(ChaseSuccess {
-            result: inst,
-            target,
-            steps,
-            stats,
+    let nulls = NullGen::above(source.active_domain().iter());
+    match naive_chase(
+        setting,
+        source,
+        NaivePolicy::Restricted(nulls),
+        budget,
+        &budget.governor(&Clock::real()),
+    ) {
+        AlphaOutcome::Success(s) => Ok(ChaseSuccess {
+            result: s.result,
+            target: s.target,
+            steps: s.steps,
+            stats: s.stats,
             provenance: None,
-        });
+        }),
+        AlphaOutcome::Failing { witness, .. } => Err(ChaseError::EgdConflict { witness }),
+        AlphaOutcome::BudgetExceeded { steps, atoms } => {
+            Err(ChaseError::BudgetExceeded { steps, atoms })
+        }
+        AlphaOutcome::Interrupted(i) => Err(ChaseError::Interrupted(i)),
+        AlphaOutcome::CycleDetected { .. } => {
+            unreachable!("the restricted policy keeps no state hashes")
+        }
     }
 }
 
@@ -294,35 +181,6 @@ pub fn canonical_universal_solution(
     budget: &ChaseBudget,
 ) -> Result<Instance, ChaseError> {
     chase(setting, source, budget).map(|s| s.target)
-}
-
-/// Fires a tgd trigger *obliviously* for every body match regardless of
-/// head satisfaction, used by tooling that needs the naive/oblivious chase
-/// for comparison (one fresh tuple per body match). Returns the number of
-/// firings.
-pub fn oblivious_round(
-    tgd: &Tgd,
-    body_inst: &Instance,
-    inst: &mut Instance,
-    nulls: &mut NullGen,
-    already: &mut std::collections::HashSet<Vec<(Var, Value)>>,
-) -> usize {
-    let mut fired = 0usize;
-    for env in tgd.body.matches(body_inst) {
-        let key: Vec<(Var, Value)> = env.bindings().collect();
-        if !already.insert(key) {
-            continue;
-        }
-        let mut full: Assignment = env.clone();
-        for &z in &tgd.exist_vars {
-            full.bind(z, nulls.fresh_value());
-        }
-        for atom in tgd.instantiate_head(&full) {
-            inst.insert(atom);
-        }
-        fired += 1;
-    }
-    fired
 }
 
 #[cfg(test)]
@@ -481,45 +339,6 @@ mod tests {
         let out = chase(&d, &Instance::new(), &ChaseBudget::default()).unwrap();
         assert!(out.target.is_empty());
         assert_eq!(out.steps, 0);
-    }
-
-    #[test]
-    fn oblivious_round_fires_once_per_body_match() {
-        // The oblivious chase creates one head per body match regardless
-        // of satisfaction — on the no-target-deps fragment of Example 2.1
-        // it coincides with the fresh-α canonical presolution.
-        let d = parse_setting(
-            "source { M/2, N/2 }
-             target { E/2, F/2 }
-             st {
-               d1: M(x1,x2) -> E(x1,x2);
-               d2: N(x,y) -> exists z1,z2 . E(x,z1) & F(x,z2);
-             }",
-        )
-        .unwrap();
-        let s = parse_instance("M(a,b). N(a,b). N(a,c).").unwrap();
-        let mut inst = s.clone();
-        let mut nulls = dex_core::NullGen::new();
-        let mut seen = std::collections::HashSet::new();
-        let mut fired = 0;
-        for tgd in &d.st_tgds {
-            fired += oblivious_round(tgd, &s, &mut inst, &mut nulls, &mut seen);
-        }
-        assert_eq!(fired, 3); // one M-trigger + two N-triggers
-        let target = inst.difference(&s);
-        assert_eq!(target.len(), 5); // E(a,b), 2×E(a,·), 2×F(a,·)
-                                     // Re-running fires nothing (memoized triggers).
-        let again: usize = d
-            .st_tgds
-            .iter()
-            .map(|t| oblivious_round(t, &s, &mut inst, &mut nulls, &mut seen))
-            .sum();
-        assert_eq!(again, 0);
-        // Matches the fresh-α canonical presolution up to renaming.
-        let pre = crate::alpha::canonical_presolution(&d, &s, &ChaseBudget::default())
-            .success()
-            .unwrap();
-        assert!(dex_core::isomorphic(&target, &pre.target));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Cores of instances (Section 2, [HN92], [FKP05]).
+//! Cores of instances (Section 2, \[HN92\], \[FKP05\]).
 //!
 //! A core of an instance `I` is a subinstance `J ⊆ I` such that there is a
 //! homomorphism from `I` to `J`, but none from `J` to a proper subinstance
@@ -79,7 +79,7 @@ fn component_retract(
     comp.iter().find_map(|a| {
         HomFinder::new(&from, t)
             .forbid_atom(a)
-            .find_governed(gov)
+            .find(gov)
             .transpose()
     })
 }

@@ -2,7 +2,7 @@
 //!
 //! A homomorphism `h: I → J` maps `Dom(I) → Dom(J)` such that every atom
 //! `R(ū) ∈ I` has `R(h(ū)) ∈ J` and `h(c) = c` for every constant `c`.
-//! This is the notion of [FKP05] used by the paper (nulls may be mapped to
+//! This is the notion of \[FKP05\] used by the paper (nulls may be mapped to
 //! nulls *or* constants); the more restrictive Libkin variant (nulls map to
 //! nulls) is available via [`HomFinder::nulls_to_nulls`].
 //!
@@ -161,49 +161,34 @@ impl<'a> HomFinder<'a> {
         self
     }
 
-    /// Runs the search, returning the first homomorphism found.
-    pub fn find(self) -> Option<Homomorphism> {
+    /// Runs the search under `gov`, returning the first homomorphism
+    /// found. The NP-hard search ticks once per search node and per
+    /// candidate row, so fuel, deadline and cancellation interrupt it
+    /// mid-backtrack; the partial search is then discarded and the
+    /// `Interrupt` returned.
+    pub fn find(self, gov: &Governor) -> Result<Option<Homomorphism>, Interrupt> {
         let mut found = None;
-        self.for_each(&mut |h| {
-            found = Some(h.clone());
-            false
-        });
-        found
-    }
-
-    /// [`HomFinder::find`] under a [`Governor`]: the NP-hard search ticks
-    /// once per search node and per candidate row, so fuel, deadline and
-    /// cancellation interrupt it mid-backtrack. On interrupt the partial
-    /// search is discarded and the `Interrupt` returned.
-    pub fn find_governed(self, gov: &Governor) -> Result<Option<Homomorphism>, Interrupt> {
-        let mut found = None;
-        self.run(Some(gov), &mut |h| {
+        self.run(gov, &mut |h| {
             found = Some(h.clone());
             false
         })?;
         Ok(found)
     }
 
-    /// Enumerates homomorphisms, calling `f` on each; `f` returns `false`
-    /// to stop. Returns `false` iff stopped early.
-    pub fn for_each(self, f: &mut dyn FnMut(&Homomorphism) -> bool) -> bool {
-        self.run(None, f)
-            .expect("ungoverned search cannot be interrupted")
-    }
-
-    /// [`HomFinder::for_each`] under a [`Governor`]. Returns `Ok(false)`
-    /// iff `f` stopped the enumeration, `Err` iff the governor tripped.
-    pub fn for_each_governed(
+    /// Enumerates homomorphisms under `gov`, calling `f` on each; `f`
+    /// returns `false` to stop. Returns `Ok(false)` iff `f` stopped the
+    /// enumeration, `Err` iff the governor tripped.
+    pub fn for_each(
         self,
         gov: &Governor,
         f: &mut dyn FnMut(&Homomorphism) -> bool,
     ) -> Result<bool, Interrupt> {
-        self.run(Some(gov), f)
+        self.run(gov, f)
     }
 
     fn run(
         self,
-        gov: Option<&Governor>,
+        gov: &Governor,
         f: &mut dyn FnMut(&Homomorphism) -> bool,
     ) -> Result<bool, Interrupt> {
         // Fast failure: every relation of `from` must appear in `to` with
@@ -255,8 +240,11 @@ impl<'a> HomFinder<'a> {
             _ => None,
         };
         // A span per backtracking search groups the HomExtended events
-        // it emits; only governed searches carry a tracer.
-        let sp = gov.map(|g| g.tracer().span("hom_search", g.clock().now_ns()));
+        // it emits.
+        let tracer = gov.tracer();
+        let sp = tracer
+            .enabled()
+            .then(|| tracer.span("hom_search", gov.clock().now_ns()));
         let result = match dense_range {
             Some((base, span)) => {
                 let mut assignment = DenseBindings::new(base, span);
@@ -287,8 +275,8 @@ impl<'a> HomFinder<'a> {
             }
             .solve(&mut pending, f),
         };
-        if let (Some(sp), Some(g)) = (sp, gov) {
-            sp.close(g.clock().now_ns());
+        if let Some(sp) = sp {
+            sp.close(gov.clock().now_ns());
         }
         result
     }
@@ -379,7 +367,7 @@ struct SearchState<'a, B: Bindings> {
     atoms: &'a [Atom],
     assignment: B,
     used_images: HashSet<Value>,
-    gov: Option<&'a Governor>,
+    gov: &'a Governor,
 }
 
 impl<B: Bindings> SearchState<'_, B> {
@@ -408,9 +396,7 @@ impl<B: Bindings> SearchState<'_, B> {
         pending: &mut Vec<usize>,
         f: &mut dyn FnMut(&Homomorphism) -> bool,
     ) -> Result<bool, Interrupt> {
-        if let Some(gov) = self.gov {
-            gov.check()?;
-        }
+        self.gov.check()?;
         if pending.is_empty() {
             // Nulls of `from` occurring in no atom (impossible for nulls
             // drawn from the instance) need no binding.
@@ -434,11 +420,9 @@ impl<B: Bindings> SearchState<'_, B> {
             .collect();
         let mut keep_going = Ok(true);
         for row in rows {
-            if let Some(gov) = self.gov {
-                if let Err(i) = gov.check() {
-                    keep_going = Err(i);
-                    break;
-                }
+            if let Err(i) = self.gov.check() {
+                keep_going = Err(i);
+                break;
             }
             if let Some(fb) = self.forbidden {
                 if fb.rel == atom.rel && *fb.args == row[..] {
@@ -446,16 +430,14 @@ impl<B: Bindings> SearchState<'_, B> {
                 }
             }
             if let Some(newly) = self.try_unify(atom, &row) {
-                if let Some(gov) = self.gov {
-                    let tracer = gov.tracer();
-                    if tracer.enabled() {
-                        tracer.emit(
-                            gov.clock().now_ns(),
-                            dex_obs::EventKind::HomExtended {
-                                depth: self.atoms.len() - pending.len(),
-                            },
-                        );
-                    }
+                let tracer = self.gov.tracer();
+                if tracer.enabled() {
+                    tracer.emit(
+                        self.gov.clock().now_ns(),
+                        dex_obs::EventKind::HomExtended {
+                            depth: self.atoms.len() - pending.len(),
+                        },
+                    );
                 }
                 keep_going = self.solve(pending, f);
                 self.undo(&newly);
@@ -517,7 +499,9 @@ impl<B: Bindings> SearchState<'_, B> {
 
 /// Finds some homomorphism `from → to`, if one exists.
 pub fn find_homomorphism(from: &Instance, to: &Instance) -> Option<Homomorphism> {
-    HomFinder::new(from, to).find()
+    HomFinder::new(from, to)
+        .find(&Governor::unlimited())
+        .expect("an unlimited governor never trips")
 }
 
 /// True iff a homomorphism `from → to` exists.
@@ -540,6 +524,10 @@ mod tests {
 
     fn n(id: u32) -> Value {
         Value::null(id)
+    }
+
+    fn find(finder: HomFinder<'_>) -> Option<Homomorphism> {
+        finder.find(&Governor::unlimited()).unwrap()
     }
 
     #[test]
@@ -632,10 +620,7 @@ mod tests {
         let from = Instance::from_atoms([Atom::of("E", vec![n(1), n(2)])]);
         let to = Instance::from_atoms([Atom::of("E", vec![c("a"), c("b")])]);
         let forbidden = Atom::of("E", vec![c("a"), c("b")]);
-        assert!(HomFinder::new(&from, &to)
-            .forbid_atom(&forbidden)
-            .find()
-            .is_none());
+        assert!(find(HomFinder::new(&from, &to).forbid_atom(&forbidden)).is_none());
     }
 
     #[test]
@@ -643,7 +628,7 @@ mod tests {
         let from = Instance::from_atoms([Atom::of("E", vec![c("a"), n(1)])]);
         let to = Instance::from_atoms([Atom::of("E", vec![c("a"), c("b")])]);
         assert!(has_homomorphism(&from, &to));
-        assert!(HomFinder::new(&from, &to).nulls_to_nulls().find().is_none());
+        assert!(find(HomFinder::new(&from, &to).nulls_to_nulls()).is_none());
     }
 
     #[test]
@@ -651,10 +636,7 @@ mod tests {
         let from = Instance::from_atoms([Atom::of("E", vec![n(1), n(2)])]);
         let to = Instance::from_atoms([Atom::of("E", vec![n(7), n(7)])]);
         assert!(has_homomorphism(&from, &to));
-        assert!(HomFinder::new(&from, &to)
-            .injective_on_nulls()
-            .find()
-            .is_none());
+        assert!(find(HomFinder::new(&from, &to).injective_on_nulls()).is_none());
     }
 
     #[test]
@@ -666,7 +648,7 @@ mod tests {
         ]);
         let mut preset = Homomorphism::identity();
         preset.bind(NullId(1), c("x"));
-        let h = HomFinder::new(&from, &to).preset(preset).find().unwrap();
+        let h = find(HomFinder::new(&from, &to).preset(preset)).unwrap();
         assert_eq!(h.apply_value(n(1)), c("x"));
         assert_eq!(h.apply_value(n(2)), c("y"));
     }
@@ -701,7 +683,7 @@ mod tests {
     }
 
     #[test]
-    fn governed_search_agrees_with_ungoverned_when_not_tripped() {
+    fn unlimited_search_ticks_the_governor() {
         let from = Instance::from_atoms([
             Atom::of("E", vec![n(1), n(2)]),
             Atom::of("E", vec![n(2), n(3)]),
@@ -710,10 +692,8 @@ mod tests {
             Atom::of("E", vec![c("u"), c("v")]),
             Atom::of("E", vec![c("v"), c("u")]),
         ]);
-        let gov = crate::govern::Governor::unlimited();
-        let governed = HomFinder::new(&from, &to).find_governed(&gov).unwrap();
-        let plain = HomFinder::new(&from, &to).find();
-        assert_eq!(governed.is_some(), plain.is_some());
+        let gov = Governor::unlimited();
+        assert!(HomFinder::new(&from, &to).find(&gov).unwrap().is_some());
         assert!(gov.ticks() > 0);
     }
 
@@ -728,8 +708,8 @@ mod tests {
             Atom::of("E", vec![c("u"), c("v")]),
             Atom::of("E", vec![c("v"), c("u")]),
         ]);
-        let gov = crate::govern::Governor::unlimited().with_fuel(2);
-        let err = HomFinder::new(&from, &to).find_governed(&gov).unwrap_err();
+        let gov = Governor::unlimited().with_fuel(2);
+        let err = HomFinder::new(&from, &to).find(&gov).unwrap_err();
         assert_eq!(err.reason, crate::govern::InterruptReason::Fuel);
     }
 

@@ -5,7 +5,7 @@
 //! Settings with Target Dependencies* (PODS 2007), Section 2:
 //!
 //! - the value universe `Dom = Const ∪ Null` ([`value`], [`symbol`]),
-//! - atoms, schemas and instances ([`atom`], [`schema`], [`instance`]),
+//! - atoms, schemas and instances ([`atom`](mod@atom), [`schema`], [`instance`]),
 //! - homomorphisms and homomorphic equivalence ([`homomorphism`]),
 //! - cores of instances ([`core_of`]),
 //! - isomorphism up to renaming of nulls ([`isomorphism`]),

@@ -119,7 +119,7 @@ mod tests {
     use super::*;
     use crate::presolution::{is_cwa_presolution, SearchLimits};
     use crate::solution::{is_cwa_solution, is_homomorphic_image_of};
-    use dex_core::Value;
+    use dex_core::{Governor, Value};
     use dex_logic::{parse_instance, parse_setting};
 
     #[test]
@@ -176,7 +176,8 @@ mod tests {
                 &s,
                 &t,
                 &ChaseBudget::default(),
-                &SearchLimits::default()
+                &SearchLimits::default(),
+                &Governor::unlimited(),
             )
             .unwrap(),
             Some(true)
@@ -204,8 +205,8 @@ mod tests {
         for t in ["E(a,b). F(a,_1).", "E(a,b). E(a,_1). F(a,_2)."] {
             let t = parse_instance(t).unwrap();
             assert_eq!(
-                is_cwa_presolution(&d, &s, &t, &SearchLimits::default()),
-                Some(true)
+                is_cwa_presolution(&d, &s, &t, &SearchLimits::default(), &Governor::unlimited()),
+                Ok(Some(true))
             );
             assert!(is_homomorphic_image_of(&t, &can));
         }

@@ -64,7 +64,7 @@ impl Default for EnumLimits {
 #[derive(Clone, Debug)]
 pub struct EnumOpts {
     /// Pool that α-chase replays are fanned out on. Any thread count
-    /// produces byte-identical results; see [`WAVE`].
+    /// produces byte-identical results; see `WAVE`.
     pub pool: Pool,
     /// Sink for chase trace events. When enabled, each replay records
     /// into a private ring re-emitted after the join in submission

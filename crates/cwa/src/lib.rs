@@ -9,7 +9,7 @@
 //!   and the core as the unique minimal CWA-solution per Theorem 5.1
 //!   ([`solution`]);
 //! - the canonical maximal solution `CanSol` for Proposition 5.4's
-//!   restricted setting classes ([`cansol`]);
+//!   restricted setting classes ([`cansol`](mod@cansol));
 //! - exhaustive enumeration of CWA-solutions up to isomorphism, used to
 //!   reproduce Example 5.3's exponentially many incomparable solutions
 //!   ([`enumerate`]).
@@ -25,11 +25,9 @@ pub use enumerate::{
     enumerate_cwa_solutions_opts, maximal_under_image, EnumLimits, EnumOpts, EnumStats,
 };
 pub use presolution::{
-    is_cwa_presolution, is_cwa_presolution_governed, presolution_alpha_table,
-    presolution_justifications, SearchLimits,
+    is_cwa_presolution, presolution_alpha_table, presolution_justifications, SearchLimits,
 };
 pub use solution::{
     core_solution, core_solution_governed, cwa_solution_exists, is_cwa_solution,
-    is_cwa_solution_governed, is_homomorphic_image_of, is_minimal_cwa_solution,
-    is_universal_solution, is_universal_solution_governed,
+    is_homomorphic_image_of, is_minimal_cwa_solution, is_universal_solution,
 };

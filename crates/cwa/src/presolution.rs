@@ -41,37 +41,17 @@ struct Trigger {
 }
 
 /// Decides whether `target` is a CWA-presolution for `source` under
-/// `setting`. Conservative under resource exhaustion: returns `None` if
-/// the search hits `limits` without an answer.
+/// `setting`. Conservative under resource exhaustion: returns `Ok(None)`
+/// if the search hits `limits` without an answer. The NP-hard derivation
+/// search ticks `gov` per explored node and per enumerated trigger,
+/// returning `Err` with the interrupt when fuel, deadline or a cancel
+/// flag trips before the node limit does.
 pub fn is_cwa_presolution(
     setting: &Setting,
     source: &Instance,
     target: &Instance,
     limits: &SearchLimits,
-) -> Option<bool> {
-    decide(setting, source, target, limits, None).expect("ungoverned search cannot be interrupted")
-}
-
-/// [`is_cwa_presolution`] under a [`Governor`]: the NP-hard derivation
-/// search ticks the governor per explored node and per enumerated
-/// trigger, returning `Err` with the interrupt when fuel, deadline or a
-/// cancel flag trips before the node limit does.
-pub fn is_cwa_presolution_governed(
-    setting: &Setting,
-    source: &Instance,
-    target: &Instance,
-    limits: &SearchLimits,
     gov: &Governor,
-) -> Result<Option<bool>, Interrupt> {
-    decide(setting, source, target, limits, Some(gov))
-}
-
-fn decide(
-    setting: &Setting,
-    source: &Instance,
-    target: &Instance,
-    limits: &SearchLimits,
-    gov: Option<&Governor>,
 ) -> Result<Option<bool>, Interrupt> {
     // The result of a successful chase satisfies Σ; cheap rejections first.
     if target.check_against(&setting.target).is_err() {
@@ -89,9 +69,7 @@ fn decide(
     for (ti, tgd) in tgds.iter().enumerate() {
         let body_inst = if ti < st_count { source } else { &universe };
         for env in tgd.body.matches(body_inst) {
-            if let Some(g) = gov {
-                g.check()?;
-            }
+            gov.check()?;
             let options = head_options(tgd, &universe, &env);
             if options.is_empty() {
                 // Some trigger can never have its ᾱ-head inside S ∪ T:
@@ -181,7 +159,7 @@ pub fn presolution_alpha_table(
         seen: HashSet::new(),
         exhausted: false,
         solution: None,
-        gov: None,
+        gov: &Governor::unlimited(),
         interrupt: None,
     };
     let found = search.dfs(source.clone(), vec![None; triggers.len()]);
@@ -225,7 +203,7 @@ pub fn presolution_alpha_table(
 /// the replayed result `S ∪ T` carries a recorded justification chain.
 /// Returns the provenance on success; `None` if `target` is not a
 /// presolution (or the search hit its limits). A `Some` answer is
-/// strictly stronger than [`is_cwa_presolution`] returning `Some(true)`:
+/// strictly stronger than [`is_cwa_presolution`] returning `Ok(Some(true))`:
 /// the witnessing α has actually been replayed and audited atom by atom.
 pub fn presolution_justifications(
     setting: &Setting,
@@ -298,8 +276,8 @@ struct Search<'a> {
     exhausted: bool,
     /// On success: the option index chosen per fired trigger.
     solution: Option<Vec<Option<usize>>>,
-    /// Optional governor, ticked once per explored node.
-    gov: Option<&'a Governor>,
+    /// Ticked once per explored node.
+    gov: &'a Governor,
     /// Set when the governor trips; the search unwinds without an answer.
     interrupt: Option<Interrupt>,
 }
@@ -318,11 +296,9 @@ impl Search<'_> {
     }
 
     fn dfs(&mut self, mut derived: Instance, mut fired: Vec<Option<usize>>) -> bool {
-        if let Some(g) = self.gov {
-            if let Err(i) = g.check() {
-                self.interrupt = Some(i);
-                return false;
-            }
+        if let Err(i) = self.gov.check() {
+            self.interrupt = Some(i);
+            return false;
         }
         if self.nodes >= self.max_nodes {
             self.exhausted = true;
@@ -430,7 +406,9 @@ mod tests {
             &s_star(),
             &parse_instance(t).unwrap(),
             &SearchLimits::default(),
+            &Governor::unlimited(),
         )
+        .unwrap()
         .expect("search within limits")
     }
 
@@ -495,15 +473,16 @@ mod tests {
     }
 
     #[test]
-    fn governed_search_matches_ungoverned_when_unlimited() {
+    fn unlimited_search_ticks_the_governor() {
         let d = example_2_1();
         let s = s_star();
         let t2 = parse_instance("E(a,b). E(a,_1). E(a,_2). F(a,_3). G(_3,_4).").unwrap();
         let gov = Governor::unlimited();
         assert_eq!(
-            is_cwa_presolution_governed(&d, &s, &t2, &SearchLimits::default(), &gov),
+            is_cwa_presolution(&d, &s, &t2, &SearchLimits::default(), &gov),
             Ok(Some(true))
         );
+        assert!(gov.ticks() > 0);
     }
 
     #[test]
@@ -512,7 +491,7 @@ mod tests {
         let s = s_star();
         let t2 = parse_instance("E(a,b). E(a,_1). E(a,_2). F(a,_3). G(_3,_4).").unwrap();
         let gov = Governor::unlimited().with_fuel(2);
-        let err = is_cwa_presolution_governed(&d, &s, &t2, &SearchLimits::default(), &gov)
+        let err = is_cwa_presolution(&d, &s, &t2, &SearchLimits::default(), &gov)
             .expect_err("2 ticks cannot finish the search");
         assert_eq!(err.reason, dex_core::govern::InterruptReason::Fuel);
     }
@@ -568,14 +547,15 @@ mod tests {
         .unwrap();
         let s = s_star();
         let lim = SearchLimits::default();
+        let check = |t: &Instance| is_cwa_presolution(&d, &s, t, &lim, &Governor::unlimited());
         let t_full = parse_instance("E(a,b). E(a,_1). F(a,_2). E(a,_3). F(a,_4).").unwrap();
-        assert_eq!(is_cwa_presolution(&d, &s, &t_full, &lim), Some(true));
+        assert_eq!(check(&t_full), Ok(Some(true)));
         // Libkin's Section 3 list: {E(a,b), E(a,_1), F(a,_2)} (z1 of both
         // triggers folded onto existing values).
         let t_small = parse_instance("E(a,b). E(a,_1), F(a,_2).").unwrap();
-        assert_eq!(is_cwa_presolution(&d, &s, &t_small, &lim), Some(true));
+        assert_eq!(check(&t_small), Ok(Some(true)));
         // But dropping the F-atom is not (d2's head needs an F-atom).
         let t_bad = parse_instance("E(a,b). E(a,_1).").unwrap();
-        assert_eq!(is_cwa_presolution(&d, &s, &t_bad, &lim), Some(false));
+        assert_eq!(check(&t_bad), Ok(Some(false)));
     }
 }

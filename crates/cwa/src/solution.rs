@@ -3,29 +3,29 @@
 //! (Theorem 5.1, Corollary 5.2), and the minimal/maximal relations between
 //! CWA-solutions.
 
-use crate::presolution::{is_cwa_presolution, is_cwa_presolution_governed, SearchLimits};
+use crate::presolution::{is_cwa_presolution, SearchLimits};
 use dex_chase::{canonical_universal_solution, ChaseBudget, ChaseError};
 use dex_core::govern::Governor;
-use dex_core::{
-    core, core_parallel_governed, has_homomorphism, isomorphic, GovernedCore, Instance, Pool,
-};
+use dex_core::{core, core_parallel_governed, isomorphic, GovernedCore, HomFinder, Instance, Pool};
 use dex_logic::Setting;
 
 /// True iff `t` is a *universal* solution for `source` under `setting`:
 /// a solution admitting a homomorphism into every solution — equivalently
 /// (given that the canonical universal solution exists) into the canonical
-/// universal solution.
+/// universal solution. The NP-hard homomorphism test ticks `gov`,
+/// surfacing trips as [`ChaseError::Interrupted`].
 pub fn is_universal_solution(
     setting: &Setting,
     source: &Instance,
     t: &Instance,
     budget: &ChaseBudget,
+    gov: &Governor,
 ) -> Result<bool, ChaseError> {
     if !setting.is_solution(source, t) {
         return Ok(false);
     }
     match canonical_universal_solution(setting, source, budget) {
-        Ok(canon) => Ok(has_homomorphism(t, &canon)),
+        Ok(canon) => Ok(HomFinder::new(t, &canon).find(gov)?.is_some()),
         // Chase failure means no solution exists at all — contradiction
         // with `t` being one, so only budget/interrupt errors propagate.
         Err(ChaseError::EgdConflict { .. }) => Ok(false),
@@ -33,60 +33,23 @@ pub fn is_universal_solution(
     }
 }
 
-/// [`is_universal_solution`] under a [`Governor`]: the NP-hard
-/// homomorphism test into the canonical universal solution ticks the
-/// governor, surfacing trips as [`ChaseError::Interrupted`].
-pub fn is_universal_solution_governed(
-    setting: &Setting,
-    source: &Instance,
-    t: &Instance,
-    budget: &ChaseBudget,
-    gov: &Governor,
-) -> Result<bool, ChaseError> {
-    if !setting.is_solution(source, t) {
-        return Ok(false);
-    }
-    match canonical_universal_solution(setting, source, budget) {
-        Ok(canon) => Ok(dex_core::HomFinder::new(t, &canon)
-            .find_governed(gov)?
-            .is_some()),
-        Err(ChaseError::EgdConflict { .. }) => Ok(false),
-        Err(e) => Err(e),
-    }
-}
-
 /// Theorem 4.8: `t` is a CWA-solution iff it is a universal solution *and*
-/// a CWA-presolution. `None` when a search limit was hit.
+/// a CWA-presolution. `None` when a search limit was hit. `gov` governs
+/// both NP-hard legs (the hom test of universality and the presolution
+/// derivation search); the chase itself honors the budget's
+/// deadline/cancel.
 pub fn is_cwa_solution(
     setting: &Setting,
     source: &Instance,
     t: &Instance,
     budget: &ChaseBudget,
     limits: &SearchLimits,
-) -> Result<Option<bool>, ChaseError> {
-    if !is_universal_solution(setting, source, t, budget)? {
-        return Ok(Some(false));
-    }
-    Ok(is_cwa_presolution(setting, source, t, limits))
-}
-
-/// [`is_cwa_solution`] under a [`Governor`] governing both NP-hard legs
-/// (the hom test of universality and the presolution derivation search).
-/// The chase itself additionally honors the budget's deadline/cancel.
-pub fn is_cwa_solution_governed(
-    setting: &Setting,
-    source: &Instance,
-    t: &Instance,
-    budget: &ChaseBudget,
-    limits: &SearchLimits,
     gov: &Governor,
 ) -> Result<Option<bool>, ChaseError> {
-    if !is_universal_solution_governed(setting, source, t, budget, gov)? {
+    if !is_universal_solution(setting, source, t, budget, gov)? {
         return Ok(Some(false));
     }
-    Ok(is_cwa_presolution_governed(
-        setting, source, t, limits, gov,
-    )?)
+    Ok(is_cwa_presolution(setting, source, t, limits, gov)?)
 }
 
 /// Corollary 5.2: CWA-solutions exist iff universal solutions exist iff
@@ -159,14 +122,16 @@ fn image_search(a: &Instance, b: &Instance) -> bool {
         return a == b;
     }
     let mut found = false;
-    dex_core::HomFinder::new(a, b).for_each(&mut |h| {
-        if h.apply(a) == *b {
-            found = true;
-            false
-        } else {
-            true
-        }
-    });
+    HomFinder::new(a, b)
+        .for_each(&Governor::unlimited(), &mut |h| {
+            if h.apply(a) == *b {
+                found = true;
+                false
+            } else {
+                true
+            }
+        })
+        .expect("an unlimited governor never trips");
     found
 }
 
@@ -211,24 +176,29 @@ mod tests {
         SearchLimits::default()
     }
 
+    fn universal(d: &Setting, s: &Instance, t: &Instance) -> bool {
+        is_universal_solution(d, s, t, &budget(), &Governor::unlimited()).unwrap()
+    }
+
+    fn cwa(d: &Setting, s: &Instance, t: &Instance) -> Option<bool> {
+        is_cwa_solution(d, s, t, &budget(), &limits(), &Governor::unlimited()).unwrap()
+    }
+
     #[test]
     fn t2_and_t3_are_universal_t1_is_not() {
         let d = example_2_1();
         let s = s_star();
-        assert!(is_universal_solution(&d, &s, &t2(), &budget()).unwrap());
-        assert!(is_universal_solution(&d, &s, &t3(), &budget()).unwrap());
+        assert!(universal(&d, &s, &t2()));
+        assert!(universal(&d, &s, &t3()));
         let t1 = parse_instance("E(a,b). E(a,_1). E(c,_2). F(a,d). G(d,_3).").unwrap();
-        assert!(!is_universal_solution(&d, &s, &t1, &budget()).unwrap());
+        assert!(!universal(&d, &s, &t1));
     }
 
     /// Example 4.9: T₂ is a CWA-solution.
     #[test]
     fn t2_is_a_cwa_solution() {
         let d = example_2_1();
-        assert_eq!(
-            is_cwa_solution(&d, &s_star(), &t2(), &budget(), &limits()).unwrap(),
-            Some(true)
-        );
+        assert_eq!(cwa(&d, &s_star(), &t2()), Some(true));
     }
 
     /// Example 4.9: T' = {E(a,b), F(a,_1), G(_1,b)} is a CWA-presolution
@@ -240,13 +210,10 @@ mod tests {
         let s = s_star();
         let t = parse_instance("E(a,b). F(a,_1). G(_1,b).").unwrap();
         assert_eq!(
-            crate::presolution::is_cwa_presolution(&d, &s, &t, &limits()),
-            Some(true)
+            is_cwa_presolution(&d, &s, &t, &limits(), &Governor::unlimited()),
+            Ok(Some(true))
         );
-        assert_eq!(
-            is_cwa_solution(&d, &s, &t, &budget(), &limits()).unwrap(),
-            Some(false)
-        );
+        assert_eq!(cwa(&d, &s, &t), Some(false));
     }
 
     /// Example 4.9: T'' = {E(a,b), E(_3,b), F(b,_1), G(_1,_2)} is a
@@ -256,11 +223,8 @@ mod tests {
         let d = example_2_1();
         let s = s_star();
         let t = parse_instance("E(a,b). E(_3,b). F(a,_1). G(_1,_2).").unwrap();
-        assert!(is_universal_solution(&d, &s, &t, &budget()).unwrap());
-        assert_eq!(
-            is_cwa_solution(&d, &s, &t, &budget(), &limits()).unwrap(),
-            Some(false)
-        );
+        assert!(universal(&d, &s, &t));
+        assert_eq!(cwa(&d, &s, &t), Some(false));
     }
 
     /// Theorem 5.1 on Example 2.1: the core (= T₃ up to renaming) is a
@@ -271,24 +235,21 @@ mod tests {
         let s = s_star();
         let c = core_solution(&d, &s, &budget()).unwrap();
         assert!(isomorphic(&c, &t3()));
-        assert_eq!(
-            is_cwa_solution(&d, &s, &c, &budget(), &limits()).unwrap(),
-            Some(true)
-        );
+        assert_eq!(cwa(&d, &s, &c), Some(true));
         assert!(is_minimal_cwa_solution(&d, &s, &c, &budget()).unwrap());
         assert!(!is_minimal_cwa_solution(&d, &s, &t2(), &budget()).unwrap());
     }
 
     #[test]
-    fn governed_checks_match_ungoverned_when_unlimited() {
+    fn unlimited_checks_tick_the_governor() {
         let d = example_2_1();
         let s = s_star();
         let gov = Governor::unlimited();
-        assert!(is_universal_solution_governed(&d, &s, &t2(), &budget(), &gov).unwrap());
         assert_eq!(
-            is_cwa_solution_governed(&d, &s, &t2(), &budget(), &limits(), &gov).unwrap(),
+            is_cwa_solution(&d, &s, &t2(), &budget(), &limits(), &gov).unwrap(),
             Some(true)
         );
+        assert!(gov.ticks() > 0);
         let core = core_solution_governed(&d, &s, &budget(), &gov).unwrap();
         assert!(core.is_minimal());
         assert!(isomorphic(&core.instance, &t3()));
@@ -301,7 +262,7 @@ mod tests {
         // Exhausted fuel: the solution checks report the interrupt...
         let gov = Governor::unlimited().with_fuel(0);
         assert!(matches!(
-            is_cwa_solution_governed(&d, &s, &t2(), &budget(), &limits(), &gov),
+            is_cwa_solution(&d, &s, &t2(), &budget(), &limits(), &gov),
             Err(ChaseError::Interrupted(_))
         ));
         // ...while the core degrades to a sound, possibly-non-minimal
@@ -309,7 +270,7 @@ mod tests {
         let gov = Governor::unlimited().with_fuel(0);
         let core = core_solution_governed(&d, &s, &budget(), &gov).unwrap();
         assert!(!core.is_minimal());
-        assert!(is_universal_solution(&d, &s, &core.instance, &budget()).unwrap());
+        assert!(universal(&d, &s, &core.instance));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Weak acyclicity (Definition 6.5, [FKMP05]/[DT03]) and rich acyclicity
+//! Weak acyclicity (Definition 6.5, \[FKMP05\]/\[DT03\]) and rich acyclicity
 //! (Definition 7.3) of the target dependencies of a setting.
 //!
 //! Positions over the target schema are nodes of the *dependency graph*;

@@ -19,7 +19,7 @@ use crate::json::JsonValue;
 ///
 /// [`Histogram::quantile`] is nearest-rank over the bucket counts,
 /// reported as the *inclusive upper bound* of the bucket the rank
-/// lands in ([`Histogram::bucket_hi`]): `0` for bucket 0, `2^k - 1`
+/// lands in (`Histogram::bucket_hi`): `0` for bucket 0, `2^k - 1`
 /// for bucket `k`, saturating at `u64::MAX`. Consequences callers can
 /// rely on:
 ///

@@ -26,7 +26,7 @@
 //! ## Execution model: persistent pool + calibrated inline fallback
 //!
 //! Combinators dispatch through a process-wide **persistent** worker set
-//! ([`pool_core`]): threads are spawned lazily on the first parallel job
+//! (`pool_core`): threads are spawned lazily on the first parallel job
 //! and *parked* between jobs, so a dispatch costs an unpark round-trip
 //! (~10µs on the reference container) instead of the ~70µs-per-call
 //! `std::thread::scope` spawn floor of the previous implementation.
@@ -520,8 +520,19 @@ mod tests {
         Pool::new(threads).with_threshold_ns(0)
     }
 
+    /// Serializes the tests that dispatch to the process-wide pool or
+    /// install its tracer: a job submitted while another test's job
+    /// holds the pool runs inline, and a tracer sees every test's jobs.
+    fn global_pool_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        // The lock guards no data, so a test that panicked while holding
+        // it leaves nothing to repair.
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     #[test]
     fn map_preserves_submission_order() {
+        let _pool = global_pool_lock();
         let items: Vec<usize> = (0..100).collect();
         for threads in [1, 2, 4, 8] {
             let pool = forced(threads);
@@ -535,6 +546,7 @@ mod tests {
 
     #[test]
     fn map_matches_sequential_for_any_thread_count() {
+        let _pool = global_pool_lock();
         let items: Vec<u64> = (0..37).map(|i| i * 7 % 13).collect();
         let seq: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
         for threads in [2, 3, 8] {
@@ -572,6 +584,7 @@ mod tests {
 
     #[test]
     fn above_threshold_jobs_use_pool_workers() {
+        let _pool = global_pool_lock();
         // 8 × 1ms (Heavy) estimated ≫ threshold: must dispatch — unless
         // the machine has a single CPU, where the width cap (rightly)
         // keeps even heavy jobs on the caller. Probe by thread id: with
@@ -614,6 +627,7 @@ mod tests {
 
     #[test]
     fn find_first_returns_smallest_success_index() {
+        let _pool = global_pool_lock();
         // Successes at 2 and 5; index 2 sleeps so a parallel run is
         // tempted to finish 5 first — the combinator must still pick 2.
         let items: Vec<usize> = (0..8).collect();
@@ -630,6 +644,7 @@ mod tests {
 
     #[test]
     fn find_first_evaluates_everything_below_the_winner() {
+        let _pool = global_pool_lock();
         let items: Vec<usize> = (0..50).collect();
         for threads in [1, 4] {
             let seen = AtomicU64::new(0);
@@ -646,6 +661,7 @@ mod tests {
 
     #[test]
     fn find_first_winner_under_speculation_is_smallest() {
+        let _pool = global_pool_lock();
         // Many successes scattered everywhere; fast ones at high indices
         // race slow ones at low indices. The smallest successful index
         // (1) must always win, at every thread count.
@@ -667,6 +683,7 @@ mod tests {
 
     #[test]
     fn find_first_none_when_no_success() {
+        let _pool = global_pool_lock();
         let items: Vec<u8> = (0..20).collect();
         for threads in [1, 4] {
             assert_eq!(
@@ -678,6 +695,7 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates() {
+        let _pool = global_pool_lock();
         let items: Vec<usize> = (0..16).collect();
         let res = std::panic::catch_unwind(|| {
             forced(4).map(&items, Cost::Light, |_, &x| {
@@ -751,6 +769,7 @@ mod tests {
 
     #[test]
     fn map_runs_closure_once_per_item() {
+        let _pool = global_pool_lock();
         let items: Vec<usize> = (0..200).collect();
         let calls = AtomicU64::new(0);
         let out = forced(8).map(&items, Cost::Light, |_, &x| {
@@ -763,6 +782,7 @@ mod tests {
 
     #[test]
     fn nested_parallel_calls_fall_back_inline() {
+        let _pool = global_pool_lock();
         // A map inside a map: the inner call finds the core busy and
         // runs inline — identical results, no deadlock.
         let outer: Vec<usize> = (0..8).collect();
@@ -782,6 +802,7 @@ mod tests {
 
     #[test]
     fn exported_metrics_include_pool_histograms_after_a_dispatch() {
+        let _pool = global_pool_lock();
         // Any dispatched job must leave dispatch-latency and queue-wait
         // samples behind, and the exposition must pass the in-tree
         // Prometheus grammar check. (Global counters are shared across
@@ -806,6 +827,7 @@ mod tests {
 
     #[test]
     fn pool_tracer_emits_job_events_in_deterministic_slot_order() {
+        let _pool = global_pool_lock();
         use dex_obs::{EventKind, RingRecorder, Tracer};
         use std::sync::Arc;
         let ring = Arc::new(RingRecorder::new(1 << 12));

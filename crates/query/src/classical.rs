@@ -3,7 +3,7 @@
 //!
 //! - `certain_D(Q,S)`: tuples in `Q(T)` for **every** solution `T`;
 //! - `u-certain_D(Q,S)`: tuples in `Q(T)` for every **universal**
-//!   solution `T` ([FKP05]).
+//!   solution `T` (\[FKP05\]).
 //!
 //! Neither is directly computable by enumeration (there are infinitely
 //! many solutions), but for unions of conjunctive queries the classical

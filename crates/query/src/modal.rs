@@ -337,7 +337,7 @@ pub(crate) fn rep_answers(
 }
 
 /// `□Q(T)`: tuples in `Q(R)` for every `R ∈ Rep_D(T)`, by enumerating
-/// every valuation into `pool` ([`box_fold`], ranges on `exec`, one tick
+/// every valuation into `pool` (`box_fold`, ranges on `exec`, one tick
 /// of `gov` per valuation). Returns `None` if a complete run finds
 /// `Rep_D(T)` empty (then `□Q(T)` is the set of all tuples; the paper's
 /// solutions always have nonempty `Rep` since valuations of solutions
@@ -374,7 +374,7 @@ pub fn certain_answers(
 }
 
 /// `◇Q(T)`: tuples in `Q(R)` for some `R ∈ Rep_D(T)`, by enumerating
-/// every valuation into `pool` ([`diamond_fold`], ranges on `exec`, one
+/// every valuation into `pool` (`diamond_fold`, ranges on `exec`, one
 /// tick of `gov` per valuation).
 pub fn maybe_answers(
     setting: &Setting,

@@ -201,9 +201,8 @@ mod tests {
         assert!(d.is_solution(&s, &t));
         // But not universal: it has no homomorphism into the plain copy
         // (constants are fixed, and Pp(a0) is absent there).
-        assert!(
-            !dex_cwa::is_universal_solution(&d, &s, &t, &dex_chase::ChaseBudget::default())
-                .unwrap()
-        );
+        let budget = dex_chase::ChaseBudget::default();
+        let gov = dex_core::Governor::unlimited();
+        assert!(!dex_cwa::is_universal_solution(&d, &s, &t, &budget, &gov).unwrap());
     }
 }

@@ -11,7 +11,7 @@ use crate::engine::{RepairEngine, RepairOutcome};
 use dex_core::govern::{Governor, Interrupt, Verdict};
 use dex_core::Instance;
 use dex_logic::{Query, Setting};
-use dex_obs::{JsonValue, Tracer};
+use dex_obs::JsonValue;
 use dex_query::{AnswerConfig, AnswerEngine, AnswerError, Answers, GovernedAnswers, Semantics};
 use std::fmt;
 
@@ -75,7 +75,6 @@ pub struct XrEngine<'a> {
     setting: &'a Setting,
     config: AnswerConfig,
     outcome: RepairOutcome,
-    tracer: Tracer,
 }
 
 impl<'a> XrEngine<'a> {
@@ -83,29 +82,16 @@ impl<'a> XrEngine<'a> {
     /// repairs. Fails only if the search was stopped before finding a
     /// single repair; an incomplete-but-nonempty repair set is usable —
     /// governed answering then reports every tuple as undetermined
-    /// rather than proven.
+    /// rather than proven. The search traces on `gov`'s tracer.
     pub fn new(
         setting: &'a Setting,
         source: &Instance,
         config: AnswerConfig,
         gov: &Governor,
     ) -> Result<XrEngine<'a>, XrError> {
-        XrEngine::with_tracer(setting, source, config, gov, Tracer::off())
-    }
-
-    /// [`XrEngine::new`] with a tracer attached to the repair search and
-    /// to the XR intersection spans of [`XrEngine::certain_governed`].
-    pub fn with_tracer(
-        setting: &'a Setting,
-        source: &Instance,
-        config: AnswerConfig,
-        gov: &Governor,
-        tracer: Tracer,
-    ) -> Result<XrEngine<'a>, XrError> {
-        let engine = RepairEngine::new(setting, &config.chase_budget)
+        let outcome = RepairEngine::new(setting, &config.chase_budget)
             .with_pool(config.pool)
-            .with_tracer(tracer.clone());
-        let outcome = engine.repairs_governed(source, gov);
+            .repairs(source, gov);
         if outcome.repairs.is_empty() {
             return Err(XrError::NoRepairs(outcome.interrupt));
         }
@@ -117,7 +103,6 @@ impl<'a> XrEngine<'a> {
             setting,
             config,
             outcome,
-            tracer,
         })
     }
 
@@ -135,14 +120,13 @@ impl<'a> XrEngine<'a> {
     /// complete repair set (the intersection over a partial set is only
     /// an upper bound) and fails with [`XrError::IncompleteRepairs`]
     /// otherwise. The `proven` set of [`XrEngine::certain_governed`]
-    /// under an unlimited governor carrying the engine's tracer, so each
-    /// factor's propagation stages nest under its `xr_factor` span.
+    /// under [`Governor::unlimited`]; to trace the intersection, call
+    /// `certain_governed` with a traced governor.
     pub fn certain(&self, q: &Query) -> Result<Answers, XrError> {
         if !self.outcome.complete {
             return Err(XrError::IncompleteRepairs(self.outcome.interrupt));
         }
-        let gov = Governor::unlimited().with_tracer(self.tracer.clone());
-        Ok(self.certain_governed(q, &gov)?.proven)
+        Ok(self.certain_governed(q, &Governor::unlimited())?.proven)
     }
 
     /// Governed XR-certain answers with sound three-valued partials:
@@ -151,13 +135,11 @@ impl<'a> XrEngine<'a> {
     /// rejects it (sound even over a partial repair set — adding
     /// repairs only shrinks the intersection). One `xr_intersect` span
     /// covers the whole intersection and one `xr_factor` span each
-    /// repair, both on the engine's tracer and stamped from `gov`'s
-    /// clock. Each factor's propagation stages go to `gov`'s tracer
-    /// only, so pass a governor carrying the engine's tracer to nest
-    /// them under their `xr_factor` span (as [`XrEngine::certain`] does).
+    /// repair, on `gov`'s tracer and stamped from `gov`'s clock, so each
+    /// factor's propagation stages nest under its `xr_factor` span.
     pub fn certain_governed(&self, q: &Query, gov: &Governor) -> Result<GovernedAnswers, XrError> {
         let now = || gov.clock().now_ns();
-        let sp_intersect = self.tracer.span("xr_intersect", now());
+        let sp_intersect = gov.tracer().span("xr_intersect", now());
         let result = self.intersect_repairs(q, gov);
         sp_intersect.close(now());
         result
@@ -167,7 +149,7 @@ impl<'a> XrEngine<'a> {
         let mut candidates: Option<Answers> = None;
         let mut refuted = Answers::new();
         for repair in &self.outcome.repairs {
-            let sp_factor = self.tracer.span("xr_factor", gov.clock().now_ns());
+            let sp_factor = gov.tracer().span("xr_factor", gov.clock().now_ns());
             let g = AnswerEngine::new(self.setting, &repair.kept, self.config.clone())
                 .and_then(|engine| engine.answers_governed(q, Semantics::Certain, gov));
             sp_factor.close(gov.clock().now_ns());
@@ -327,38 +309,65 @@ mod tests {
     #[test]
     fn xr_spans_take_the_governor_clock() {
         use dex_core::govern::Clock;
-        use dex_obs::{Collector, EventKind, RingRecorder};
+        use dex_obs::{Collector, EventKind, RingRecorder, Tracer};
+        use std::collections::BTreeSet;
         use std::sync::Arc;
         let d = keyed();
         let s = parse_instance("P(a,b). P(a,c). R(u,v).").unwrap();
         let ring = Arc::new(RingRecorder::new(1 << 12));
-        let tracer = Tracer::new(Arc::clone(&ring) as Arc<dyn Collector>);
-        let engine = XrEngine::with_tracer(
-            &d,
-            &s,
-            AnswerConfig::default(),
-            &Governor::unlimited(),
-            tracer,
-        )
-        .unwrap();
         let (clock, mock) = Clock::mock();
         mock.set_ns(9_000);
-        let q = parse_query("Q(x,y) :- G(x,y)").unwrap();
-        let g = engine
-            .certain_governed(&q, &Governor::with_clock_now(clock))
-            .unwrap();
+        let gov = Governor::with_clock_now(clock)
+            .with_tracer(Tracer::new(Arc::clone(&ring) as Arc<dyn Collector>));
+        let engine = XrEngine::new(&d, &s, AnswerConfig::default(), &gov).unwrap();
+        // Not a UCQ, so each factor runs the □-propagation pipeline.
+        let q = parse_query("Q(x) := exists y . (G(x,y) & !(y = 'b'))").unwrap();
+        let g = engine.certain_governed(&q, &gov).unwrap();
         assert!(g.is_complete());
-        let xr_spans: Vec<u64> = ring
+        let opened: Vec<(String, u64, u64, u64)> = ring
             .events()
             .into_iter()
             .filter_map(|e| match e.kind {
-                EventKind::SpanOpened { name } if name.starts_with("xr_") => Some(e.at_ns),
+                EventKind::SpanOpened { name } => Some((name, e.span_id, e.parent, e.at_ns)),
                 _ => None,
             })
             .collect();
-        // One intersection span plus one factor span per repair.
-        assert_eq!(xr_spans.len(), 1 + engine.repair_count());
-        assert!(xr_spans.iter().all(|&at| at == 9_000), "{xr_spans:?}");
+        // The repair search traced on the same governor.
+        assert!(opened.iter().any(|(name, ..)| name == "hs_level"));
+        // One intersection span plus one factor span per repair, all
+        // stamped from the governor's clock.
+        let xr: Vec<&(String, u64, u64, u64)> = opened
+            .iter()
+            .filter(|(name, ..)| name.starts_with("xr_"))
+            .collect();
+        assert_eq!(xr.len(), 1 + engine.repair_count());
+        assert!(xr.iter().all(|&&(.., at)| at == 9_000), "{xr:?}");
+        // Every propagation stage nests under an xr_factor span, and
+        // every factor has its stages.
+        let factors: BTreeSet<u64> = opened
+            .iter()
+            .filter(|(name, ..)| name == "xr_factor")
+            .map(|&(_, id, ..)| id)
+            .collect();
+        let stages = [
+            "merge_fixpoint",
+            "inert_elim",
+            "admissible_sets",
+            "forced_diseqs",
+        ];
+        let stage_parents: Vec<u64> = opened
+            .iter()
+            .filter(|(name, ..)| stages.contains(&name.as_str()))
+            .map(|&(_, _, parent, _)| parent)
+            .collect();
+        assert!(
+            stage_parents.iter().all(|p| factors.contains(p)),
+            "{opened:?}"
+        );
+        assert_eq!(
+            stage_parents.iter().copied().collect::<BTreeSet<u64>>(),
+            factors
+        );
     }
 
     #[test]

@@ -37,10 +37,10 @@
 //! non-maximal pseudo-repair.
 
 use dex_chase::{ChaseBudget, ChaseEngine, ChaseError, ChaseSuccess};
-use dex_core::govern::{Clock, Governor, Interrupt};
+use dex_core::govern::{Governor, Interrupt};
 use dex_core::{Atom, Cost, Instance, Pool};
 use dex_logic::Setting;
-use dex_obs::{EventKind, JsonValue, Tracer};
+use dex_obs::{EventKind, JsonValue};
 use std::collections::{HashMap, HashSet};
 
 /// One ⊆-maximal repair: the kept source subset, what was removed, and
@@ -157,12 +157,12 @@ impl RepairOutcome {
 }
 
 /// Governed, provenance-guided repair search for one setting + budget.
+/// Its `hs_level` spans and `repair_*` events go to the governor's
+/// tracer, stamped from the governor's clock.
 pub struct RepairEngine<'a> {
     setting: &'a Setting,
     budget: ChaseBudget,
     pool: Pool,
-    tracer: Tracer,
-    clock: Clock,
 }
 
 impl<'a> RepairEngine<'a> {
@@ -171,8 +171,6 @@ impl<'a> RepairEngine<'a> {
             setting,
             budget: budget.clone(),
             pool: Pool::seq(),
-            tracer: Tracer::off(),
-            clock: Clock::real(),
         }
     }
 
@@ -183,33 +181,12 @@ impl<'a> RepairEngine<'a> {
         self
     }
 
-    /// Attaches a tracer for repair-search events.
-    pub fn with_tracer(mut self, tracer: Tracer) -> RepairEngine<'a> {
-        self.tracer = tracer;
-        self
-    }
-
-    /// Substitutes the time source for trace timestamps.
-    pub fn with_clock(mut self, clock: Clock) -> RepairEngine<'a> {
-        self.clock = clock;
-        self
-    }
-
-    fn emit(&self, kind: EventKind) {
-        self.tracer.emit(self.clock.now_ns(), kind);
-    }
-
-    /// All ⊆-maximal repairs of `source`, ungoverned.
-    pub fn repairs(&self, source: &Instance) -> RepairOutcome {
-        self.repairs_governed(source, &Governor::unlimited())
-    }
-
     /// All ⊆-maximal repairs of `source` under `gov`. On interrupt the
     /// outcome is a sound partial: every listed repair is maximal and
     /// chaseable, `complete` is false.
-    pub fn repairs_governed(&self, source: &Instance, gov: &Governor) -> RepairOutcome {
+    pub fn repairs(&self, source: &Instance, gov: &Governor) -> RepairOutcome {
         let mut repairs = Vec::new();
-        let outcome = self.for_each_repair_governed(source, gov, |r| {
+        let outcome = self.for_each_repair(source, gov, |r| {
             repairs.push(r.clone());
             true
         });
@@ -220,12 +197,14 @@ impl<'a> RepairEngine<'a> {
     /// accepted; a `false` return stops the search (the returned
     /// outcome is then marked incomplete and carries no repairs — the
     /// caller saw them). Useful for serving the first repair fast.
-    pub fn for_each_repair_governed(
+    pub fn for_each_repair(
         &self,
         source: &Instance,
         gov: &Governor,
         mut visit: impl FnMut(&Repair) -> bool,
     ) -> RepairOutcome {
+        let tracer = gov.tracer();
+        let emit = |kind: EventKind| tracer.emit(gov.clock().now_ns(), kind);
         let atoms: Vec<Atom> = source.sorted_atoms();
         let index_of: HashMap<&Atom, usize> =
             atoms.iter().enumerate().map(|(i, a)| (a, i)).collect();
@@ -236,8 +215,8 @@ impl<'a> RepairEngine<'a> {
         // Removal sets (sorted index vectors) of accepted repairs.
         let mut success_removals: Vec<Vec<usize>> = Vec::new();
         let mut seen: HashSet<Vec<usize>> = HashSet::new();
-        if self.tracer.enabled() {
-            self.emit(EventKind::RepairSearchStarted { source_atoms: n });
+        if tracer.enabled() {
+            emit(EventKind::RepairSearchStarted { source_atoms: n });
         }
 
         // BFS frontier: removal sets of size `level` still to chase.
@@ -253,7 +232,7 @@ impl<'a> RepairEngine<'a> {
             }
             // Span per BFS level; leaks open if the governor interrupts
             // mid-level (the analyzer treats that like a truncated trace).
-            let sp_level = self.tracer.span("hs_level", self.clock.now_ns());
+            let sp_level = tracer.span("hs_level", gov.clock().now_ns());
             // Chase the whole level in parallel; chase cost scales with
             // the kept-instance size, which is uniform across the level.
             let cost = Cost::EstimateNs(20_000u64.saturating_mul((n.max(1) - level) as u64));
@@ -283,12 +262,12 @@ impl<'a> RepairEngine<'a> {
                 stats.candidates_chased += 1;
                 match result {
                     Ok(chase) => {
-                        if self.tracer.enabled() {
-                            self.emit(EventKind::RepairCandidateChased {
+                        if tracer.enabled() {
+                            emit(EventKind::RepairCandidateChased {
                                 removed: removal.len(),
                                 outcome: "success".into(),
                             });
-                            self.emit(EventKind::RepairFound {
+                            emit(EventKind::RepairFound {
                                 removed: removal.len(),
                                 kept: n - removal.len(),
                             });
@@ -314,8 +293,8 @@ impl<'a> RepairEngine<'a> {
                         }
                     }
                     Err(ChaseError::EgdConflict { witness }) => {
-                        if self.tracer.enabled() {
-                            self.emit(EventKind::RepairCandidateChased {
+                        if tracer.enabled() {
+                            emit(EventKind::RepairCandidateChased {
                                 removed: removal.len(),
                                 outcome: "conflict".into(),
                             });
@@ -349,8 +328,8 @@ impl<'a> RepairEngine<'a> {
                         }
                     }
                     Err(ChaseError::BudgetExceeded { .. }) => {
-                        if self.tracer.enabled() {
-                            self.emit(EventKind::RepairCandidateChased {
+                        if tracer.enabled() {
+                            emit(EventKind::RepairCandidateChased {
                                 removed: removal.len(),
                                 outcome: "budget".into(),
                             });
@@ -386,12 +365,12 @@ impl<'a> RepairEngine<'a> {
                 }
             });
             frontier = next;
-            sp_level.close(self.clock.now_ns());
+            sp_level.close(gov.clock().now_ns());
             level += 1;
         }
 
-        if self.tracer.enabled() {
-            self.emit(EventKind::RepairSearchCompleted {
+        if tracer.enabled() {
+            emit(EventKind::RepairSearchCompleted {
                 repairs: success_removals.len(),
                 candidates: stats.candidates_chased,
                 complete,
@@ -479,7 +458,8 @@ mod tests {
     fn consistent_source_has_identity_repair() {
         let d = keyed();
         let s = parse_instance("P(a,b). P(c,d). R(a,b).").unwrap();
-        let out = RepairEngine::new(&d, &ChaseBudget::default()).repairs(&s);
+        let out =
+            RepairEngine::new(&d, &ChaseBudget::default()).repairs(&s, &Governor::unlimited());
         assert!(out.complete);
         assert_eq!(out.repairs.len(), 1);
         assert_eq!(out.repairs[0].kept, s);
@@ -492,7 +472,8 @@ mod tests {
     fn two_way_key_conflict_has_two_repairs() {
         let d = keyed();
         let s = parse_instance("P(a,b). P(a,c). R(u,v).").unwrap();
-        let out = RepairEngine::new(&d, &ChaseBudget::default()).repairs(&s);
+        let out =
+            RepairEngine::new(&d, &ChaseBudget::default()).repairs(&s, &Governor::unlimited());
         assert!(out.complete);
         assert_eq!(out.repairs.len(), 2);
         for r in &out.repairs {
@@ -513,7 +494,8 @@ mod tests {
         // Two independent clashing keys: 2 × 2 repairs.
         let d = keyed();
         let s = parse_instance("P(a,b). P(a,c). P(d,e). P(d,f).").unwrap();
-        let out = RepairEngine::new(&d, &ChaseBudget::default()).repairs(&s);
+        let out =
+            RepairEngine::new(&d, &ChaseBudget::default()).repairs(&s, &Governor::unlimited());
         assert!(out.complete);
         assert_eq!(out.repairs.len(), 4);
         for r in &out.repairs {
@@ -527,7 +509,8 @@ mod tests {
     fn engine_matches_naive_baseline() {
         let d = keyed();
         let s = parse_instance("P(a,b). P(a,c). P(a,d). R(u,v). P(w,x).").unwrap();
-        let out = RepairEngine::new(&d, &ChaseBudget::default()).repairs(&s);
+        let out =
+            RepairEngine::new(&d, &ChaseBudget::default()).repairs(&s, &Governor::unlimited());
         let (naive, naive_chased) = naive_repairs(&d, &s, &ChaseBudget::default());
         assert_eq!(out.repairs.len(), naive.len());
         for r in &out.repairs {
@@ -551,11 +534,12 @@ mod tests {
     fn parallel_pool_gives_identical_outcome() {
         let d = keyed();
         let s = parse_instance("P(a,b). P(a,c). P(d,e). P(d,f). R(u,v).").unwrap();
-        let seq = RepairEngine::new(&d, &ChaseBudget::default()).repairs(&s);
+        let seq =
+            RepairEngine::new(&d, &ChaseBudget::default()).repairs(&s, &Governor::unlimited());
         for threads in [2usize, 8] {
             let par = RepairEngine::new(&d, &ChaseBudget::default())
                 .with_pool(Pool::new(threads).with_threshold_ns(0))
-                .repairs(&s);
+                .repairs(&s, &Governor::unlimited());
             assert_eq!(par.repairs.len(), seq.repairs.len());
             for (a, b) in par.repairs.iter().zip(&seq.repairs) {
                 assert_eq!(a.kept, b.kept);
@@ -590,7 +574,8 @@ mod tests {
         )
         .unwrap();
         let s = parse_instance("P(a,b). P(a,c). R(c,q).").unwrap();
-        let out = RepairEngine::new(&d, &ChaseBudget::default()).repairs(&s);
+        let out =
+            RepairEngine::new(&d, &ChaseBudget::default()).repairs(&s, &Governor::unlimited());
         assert!(out.complete);
         out.validate(&s).unwrap();
         // Exactly the hitting-set duals of the two conflicts: keep
@@ -611,10 +596,11 @@ mod tests {
     fn governed_interrupt_yields_sound_partial() {
         let d = keyed();
         let s = parse_instance("P(a,b). P(a,c). P(d,e). P(d,f).").unwrap();
-        let full = RepairEngine::new(&d, &ChaseBudget::default()).repairs(&s);
+        let full =
+            RepairEngine::new(&d, &ChaseBudget::default()).repairs(&s, &Governor::unlimited());
         for fuel in 1u64..8 {
             let gov = Governor::unlimited().with_fuel(fuel);
-            let out = RepairEngine::new(&d, &ChaseBudget::default()).repairs_governed(&s, &gov);
+            let out = RepairEngine::new(&d, &ChaseBudget::default()).repairs(&s, &gov);
             if out.complete {
                 assert_eq!(out.repairs.len(), full.repairs.len());
             } else {
@@ -633,7 +619,7 @@ mod tests {
         let d = keyed();
         let s = parse_instance("P(a,b). P(a,c). P(d,e). P(d,f).").unwrap();
         let mut seen = 0usize;
-        let out = RepairEngine::new(&d, &ChaseBudget::default()).for_each_repair_governed(
+        let out = RepairEngine::new(&d, &ChaseBudget::default()).for_each_repair(
             &s,
             &Governor::unlimited(),
             |_| {
@@ -646,9 +632,52 @@ mod tests {
     }
 
     #[test]
+    fn search_traces_on_the_governor_tracer_and_clock() {
+        use dex_core::govern::Clock;
+        use dex_obs::{Collector, RingRecorder, Tracer};
+        use std::sync::Arc;
+        let d = keyed();
+        let s = parse_instance("P(a,b). P(a,c). R(u,v).").unwrap();
+        let ring = Arc::new(RingRecorder::new(1 << 10));
+        let (clock, mock) = Clock::mock();
+        mock.set_ns(7_000);
+        let gov = Governor::with_clock_now(clock)
+            .with_tracer(Tracer::new(Arc::clone(&ring) as Arc<dyn Collector>));
+        let out = RepairEngine::new(&d, &ChaseBudget::default()).repairs(&s, &gov);
+        assert!(out.complete);
+        let events = ring.events();
+        let levels = events
+            .iter()
+            .filter(|e| matches!(&e.kind, EventKind::SpanOpened { name } if name == "hs_level"))
+            .count();
+        assert_eq!(levels, out.stats.max_level + 1);
+        let started = events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::RepairSearchStarted { source_atoms: 3 }))
+            .count();
+        let completed = events
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    EventKind::RepairSearchCompleted {
+                        repairs: 2,
+                        complete: true,
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert_eq!((started, completed), (1, 1));
+        // Every event of the search is stamped from the governor's clock.
+        assert!(events.iter().all(|e| e.at_ns == 7_000), "{events:?}");
+    }
+
+    #[test]
     fn empty_source_is_its_own_repair() {
         let d = keyed();
-        let out = RepairEngine::new(&d, &ChaseBudget::default()).repairs(&Instance::new());
+        let out = RepairEngine::new(&d, &ChaseBudget::default())
+            .repairs(&Instance::new(), &Governor::unlimited());
         assert!(out.complete);
         assert_eq!(out.repairs.len(), 1);
         assert!(out.repairs[0].kept.is_empty());

@@ -9,7 +9,7 @@
 //! - [`prop`]: a minimal property-testing harness — composable
 //!   generators, a seeded case runner that reports the failing case's
 //!   seed, and greedy input shrinking for `Vec`-shaped inputs;
-//! - [`bench`]: a wall-clock bench harness (warmup + median/p95 over N
+//! - [`bench`](mod@bench): a wall-clock bench harness (warmup + median/p95 over N
 //!   runs, text report) for the `harness = false` bench mains in
 //!   `crates/bench/benches/`;
 //! - [`fault`]: seeded fault-injection plans (`FaultPlan`) that decide,

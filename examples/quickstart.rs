@@ -7,6 +7,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use cwa_dex::core::Governor;
 use cwa_dex::prelude::*;
 
 fn main() {
@@ -41,10 +42,11 @@ fn main() {
 
     let budget = ChaseBudget::default();
     let limits = SearchLimits::default();
+    let gov = Governor::unlimited();
     for (name, t) in [("T1", &t1), ("T2", &t2), ("T3", &t3)] {
         let sol = setting.is_solution(&source, t);
-        let uni = is_universal_solution(&setting, &source, t, &budget).unwrap();
-        let cwa = is_cwa_solution(&setting, &source, t, &budget, &limits)
+        let uni = is_universal_solution(&setting, &source, t, &budget, &gov).unwrap();
+        let cwa = is_cwa_solution(&setting, &source, t, &budget, &limits, &gov)
             .unwrap()
             .expect("search within limits");
         println!("{name} = {t}");

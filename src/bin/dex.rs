@@ -26,6 +26,7 @@
 //! `DEX_THREADS` environment variable decides (default: sequential).
 //! Output is byte-identical for every thread count.
 
+use cwa_dex::core::govern::Governor;
 use cwa_dex::cwa::maximal_under_image;
 use cwa_dex::prelude::*;
 use std::process::ExitCode;
@@ -285,7 +286,7 @@ fn cmd_core(setting: &str, source: &str, rest: &[String]) -> Result<(), String> 
         .with_tracer(tracer.clone())
         .run(&s)
         .map_err(|e| e.to_string())?;
-    let gov = cwa_dex::core::govern::Governor::unlimited().with_tracer(tracer);
+    let gov = Governor::unlimited().with_tracer(tracer);
     let gc = cwa_dex::core::core_parallel_governed(&out.target, &gov, &pool);
     println!("{}", cwa_dex::logic::instance_to_dsl(&gc.instance));
     Ok(())
@@ -320,8 +321,9 @@ fn cmd_check(setting: &str, source: &str, target: &str) -> Result<(), String> {
         println!("CWA-solution:    false");
         return Ok(());
     }
-    let universal = is_universal_solution(&d, &s, &t, &budget).map_err(|e| e.to_string())?;
-    let presolution = is_cwa_presolution(&d, &s, &t, &limits);
+    let gov = Governor::unlimited();
+    let universal = is_universal_solution(&d, &s, &t, &budget, &gov).map_err(|e| e.to_string())?;
+    let presolution = is_cwa_presolution(&d, &s, &t, &limits, &gov).map_err(|e| e.to_string())?;
     println!("universal:       {universal}");
     match presolution {
         Some(p) => println!("CWA-presolution: {p}"),
@@ -380,7 +382,7 @@ fn cmd_answer(setting: &str, source: &str, query: &str, rest: &[String]) -> Resu
     if tracer.enabled() {
         cwa_dex::core::set_pool_tracer(tracer.clone());
     }
-    let gov = cwa_dex::core::govern::Governor::unlimited().with_tracer(tracer.clone());
+    let gov = Governor::unlimited().with_tracer(tracer);
     let config = AnswerConfig {
         pool,
         engine: eval_engine,
@@ -392,14 +394,14 @@ fn cmd_answer(setting: &str, source: &str, query: &str, rest: &[String]) -> Resu
                 "--repair computes XR-certain answers; only `--semantics certain` applies".into(),
             );
         }
-        let xr = XrEngine::with_tracer(&d, &s, config, &gov, tracer).map_err(|e| e.to_string())?;
+        let xr = XrEngine::new(&d, &s, config, &gov).map_err(|e| e.to_string())?;
+        let g = xr.certain_governed(&q, &gov).map_err(|e| e.to_string())?;
         if !xr.outcome().complete {
             // The search was undecided (a candidate chase exhausted its
             // budget), so maximal repairs may be missing and the
             // intersection is only an upper bound. certain_governed
             // reports that soundly: nothing proven, survivors
             // undetermined — never print the upper bound as exact.
-            let g = xr.certain_governed(&q, &gov).map_err(|e| e.to_string())?;
             if q.arity() == 0 {
                 // An empty upper bound refutes the boolean query;
                 // a non-empty one decides nothing.
@@ -425,7 +427,7 @@ fn cmd_answer(setting: &str, source: &str, query: &str, rest: &[String]) -> Resu
             }
             return Ok(());
         }
-        let ans = xr.certain(&q).map_err(|e| e.to_string())?;
+        let ans = g.proven;
         if q.arity() == 0 {
             println!("{}", !ans.is_empty());
         } else {
@@ -530,10 +532,10 @@ fn cmd_repair(setting: &str, source: &str, rest: &[String]) -> Result<(), String
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    let engine = RepairEngine::new(&d, &ChaseBudget::default())
+    let gov = Governor::unlimited().with_tracer(cwa_dex::obs::Tracer::from_env());
+    let outcome = RepairEngine::new(&d, &ChaseBudget::default())
         .with_pool(pool)
-        .with_tracer(cwa_dex::obs::Tracer::from_env());
-    let outcome = engine.repairs(&s);
+        .repairs(&s, &gov);
     outcome.validate(&s)?;
     if json {
         use cwa_dex::obs::JsonValue;

@@ -2,6 +2,7 @@
 //! public facade (exercising parser → chase → cores → CWA machinery →
 //! query answering across all crates).
 
+use cwa_dex::core::Governor;
 use cwa_dex::cwa::maximal_under_image;
 use cwa_dex::prelude::*;
 
@@ -31,12 +32,13 @@ fn example_2_1_solution_classification() {
     let t2 = parse_instance("E(a,b). E(a,_1). E(a,_2). F(a,_3). G(_3,_4).").unwrap();
     let t3 = parse_instance("E(a,b). F(a,_1). G(_1,_2).").unwrap();
     let budget = ChaseBudget::default();
+    let gov = Governor::unlimited();
     for t in [&t1, &t2, &t3] {
         assert!(d.is_solution(&s, t));
     }
-    assert!(!is_universal_solution(&d, &s, &t1, &budget).unwrap());
-    assert!(is_universal_solution(&d, &s, &t2, &budget).unwrap());
-    assert!(is_universal_solution(&d, &s, &t3, &budget).unwrap());
+    assert!(!is_universal_solution(&d, &s, &t1, &budget, &gov).unwrap());
+    assert!(is_universal_solution(&d, &s, &t2, &budget, &gov).unwrap());
+    assert!(is_universal_solution(&d, &s, &t3, &budget, &gov).unwrap());
 }
 
 /// Example 4.9's full classification grid, via Theorem 4.8.
@@ -45,6 +47,7 @@ fn example_4_9_classification_grid() {
     let (d, s) = example_2_1();
     let budget = ChaseBudget::default();
     let limits = SearchLimits::default();
+    let gov = Governor::unlimited();
     // (instance, is_presolution, is_cwa_solution)
     let cases = [
         // T2: CWA-solution.
@@ -59,12 +62,12 @@ fn example_4_9_classification_grid() {
     for (text, pre, cwa) in cases {
         let t = parse_instance(text).unwrap();
         assert_eq!(
-            is_cwa_presolution(&d, &s, &t, &limits),
-            Some(pre),
+            is_cwa_presolution(&d, &s, &t, &limits, &gov),
+            Ok(Some(pre)),
             "presolution status of {text}"
         );
         assert_eq!(
-            is_cwa_solution(&d, &s, &t, &budget, &limits).unwrap(),
+            is_cwa_solution(&d, &s, &t, &budget, &limits, &gov).unwrap(),
             Some(cwa),
             "CWA status of {text}"
         );

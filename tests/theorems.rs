@@ -1,6 +1,7 @@
 //! The paper's theorems checked on *generated* (seeded random) inputs —
 //! beyond the worked examples.
 
+use cwa_dex::core::Governor;
 use cwa_dex::datagen::{layered_setting, random_source, LayeredConfig, SourceConfig};
 use cwa_dex::prelude::*;
 
@@ -28,7 +29,9 @@ fn core_is_a_cwa_solution_on_random_settings() {
         let s = random_source(&d.source, &small_sources(seed));
         match core_solution(&d, &s, &budget) {
             Ok(core) => {
-                let verdict = is_cwa_solution(&d, &s, &core, &budget, &limits).unwrap();
+                let verdict =
+                    is_cwa_solution(&d, &s, &core, &budget, &limits, &Governor::unlimited())
+                        .unwrap();
                 assert_eq!(
                     verdict,
                     Some(true),
@@ -130,7 +133,7 @@ fn enumerated_solutions_pass_independent_checks() {
     let limits = SearchLimits::default();
     for t in &sols {
         assert_eq!(
-            is_cwa_solution(&d, &s, t, &budget, &limits).unwrap(),
+            is_cwa_solution(&d, &s, t, &budget, &limits, &Governor::unlimited()).unwrap(),
             Some(true),
             "enumerated instance {t} must be a CWA-solution"
         );
