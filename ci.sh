@@ -80,6 +80,18 @@ grep -q '"truncated":false' <<< "$TRACE_JSON" \
 TRACE_METRICS=$("$DEX" trace target/trace-analyze.jsonl --metrics)
 grep -q "# TYPE" <<< "$TRACE_METRICS" \
   || { echo "trace analyze smoke: --metrics emitted no exposition text"; exit 1; }
+# CanSol is built only when a query needs it: on an egd-only setting a
+# UCQ answers from the core (no `cansol` span), a query with an
+# inequality on a non-head variable builds CanSol exactly once.
+CANSOL_SETTING='source { P/1, Q/2 } target { F/2 } st { d1: P(x) -> exists z . F(x,z); d2: Q(x,y) -> F(x,y); } t { key: F(x,y) & F(x,z) -> y = z; }'
+rm -f target/trace-cansol-ucq.jsonl target/trace-cansol-fo.jsonl
+DEX_TRACE="$PWD/target/trace-cansol-ucq.jsonl" "$DEX" answer "$CANSOL_SETTING" 'P(a). P(b). Q(a,c).' 'Q(x,y) :- F(x,y)' >/dev/null
+DEX_TRACE="$PWD/target/trace-cansol-fo.jsonl" "$DEX" answer "$CANSOL_SETTING" 'P(a). P(b). Q(a,c).' "Q(x) :- F(x,y), y != 'zzz'" >/dev/null 2>&1
+if "$DEX" trace target/trace-cansol-ucq.jsonl --json | grep -q '"span":"cansol"'; then
+  echo "trace analyze smoke: a UCQ built CanSol"; exit 1
+fi
+"$DEX" trace target/trace-cansol-fo.jsonl --json | grep -q '"span":"cansol","count":1,' \
+  || { echo "trace analyze smoke: the non-UCQ query did not build CanSol exactly once"; exit 1; }
 
 echo "== parallel smoke (DEX_THREADS=2 and 8; determinism mismatch fails) =="
 # The differential suite asserts parallel ≡ sequential per seed; running

@@ -212,7 +212,10 @@ fn fifty_ms_deadline_yields_clean_interrupts() {
     let s = cnf_to_source(&cnf);
     let q = unsat_query();
     let engine = AnswerEngine::new(&d, &s, AnswerConfig::default()).unwrap();
-    let can = engine.cansol().expect("sat setting has no target deps");
+    let can = engine
+        .cansol()
+        .unwrap()
+        .expect("sat setting has no target deps");
     let pool = answer_pool(can, &q, s.constants());
     let limits = ModalLimits {
         max_valuations: u128::MAX,

@@ -38,28 +38,45 @@ struct Trigger {
     /// The possible instantiated heads (each a choice of `w̄` keeping all
     /// head atoms inside `S ∪ T`), deduplicated.
     options: Vec<Vec<Atom>>,
+    /// The existential witnesses `w̄` of each option, in the same order.
+    witnesses: Vec<Vec<Value>>,
 }
 
-/// Decides whether `target` is a CWA-presolution for `source` under
-/// `setting`. Conservative under resource exhaustion: returns `Ok(None)`
-/// if the search hits `limits` without an answer. The NP-hard derivation
-/// search ticks `gov` per explored node and per enumerated trigger,
-/// returning `Err` with the interrupt when fuel, deadline or a cancel
-/// flag trips before the node limit does.
-pub fn is_cwa_presolution(
+/// What the derivation search concluded about a target.
+enum Derivation {
+    /// A witnessing α: every trigger over `S ∪ T`, and per trigger the
+    /// option it fired with (`None`: not fired).
+    Found {
+        triggers: Vec<Trigger>,
+        choices: Vec<Option<usize>>,
+    },
+    /// No α-chase staying inside `S ∪ T` derives `T`.
+    Refuted,
+    /// The search hit its node limit without an answer.
+    Undecided,
+}
+
+/// The derivation search shared by [`is_cwa_presolution`] and
+/// [`presolution_alpha_table`]: cheap rejections, then every trigger
+/// over the final universe with its head options, then the DFS over
+/// witness choices. Ticks `gov` per enumerated trigger and per explored
+/// node, and checks it (cancel flag and deadline included) once before
+/// starting.
+fn derive(
     setting: &Setting,
     source: &Instance,
     target: &Instance,
     limits: &SearchLimits,
     gov: &Governor,
-) -> Result<Option<bool>, Interrupt> {
+) -> Result<Derivation, Interrupt> {
+    gov.force_check()?;
     // The result of a successful chase satisfies Σ; cheap rejections first.
     if target.check_against(&setting.target).is_err() {
-        return Ok(Some(false));
+        return Ok(Derivation::Refuted);
     }
     let universe = source.union(target);
     if !setting.egds.iter().all(|e| e.satisfied(&universe)) {
-        return Ok(Some(false));
+        return Ok(Derivation::Refuted);
     }
     let tgds: Vec<&Tgd> = setting.all_tgds().collect();
     let st_count = setting.st_tgds.len();
@@ -70,16 +87,17 @@ pub fn is_cwa_presolution(
         let body_inst = if ti < st_count { source } else { &universe };
         for env in tgd.body.matches(body_inst) {
             gov.check()?;
-            let options = head_options(tgd, &universe, &env);
+            let (options, witnesses) = head_options(tgd, &universe, &env);
             if options.is_empty() {
                 // Some trigger can never have its ᾱ-head inside S ∪ T:
                 // no α-chase staying within the universe satisfies it.
-                return Ok(Some(false));
+                return Ok(Derivation::Refuted);
             }
             triggers.push(Trigger {
                 env,
                 tgd: ti,
                 options,
+                witnesses,
             });
         }
     }
@@ -99,78 +117,58 @@ pub fn is_cwa_presolution(
         gov,
         interrupt: None,
     };
-    let fired = vec![None; triggers.len()];
-    let derived = source.clone();
-    let found = search.dfs(derived, fired);
+    let found = search.dfs(source.clone(), vec![None; triggers.len()]);
     if let Some(i) = search.interrupt {
         debug_assert!(!found);
         return Err(i);
     }
-    if search.exhausted && !found {
-        Ok(None)
-    } else {
-        Ok(Some(found))
-    }
+    Ok(match search.solution {
+        Some(choices) => Derivation::Found { triggers, choices },
+        None if search.exhausted => Derivation::Undecided,
+        None => Derivation::Refuted,
+    })
+}
+
+/// Decides whether `target` is a CWA-presolution for `source` under
+/// `setting`. Conservative under resource exhaustion: returns `Ok(None)`
+/// if the search hits `limits` without an answer. The NP-hard derivation
+/// search ticks `gov` per explored node and per enumerated trigger,
+/// returning `Err` with the interrupt when fuel, deadline or a cancel
+/// flag trips before the node limit does.
+pub fn is_cwa_presolution(
+    setting: &Setting,
+    source: &Instance,
+    target: &Instance,
+    limits: &SearchLimits,
+    gov: &Governor,
+) -> Result<Option<bool>, Interrupt> {
+    Ok(match derive(setting, source, target, limits, gov)? {
+        Derivation::Found { .. } => Some(true),
+        Derivation::Refuted => Some(false),
+        Derivation::Undecided => None,
+    })
 }
 
 /// Like [`is_cwa_presolution`], but on success also returns the witnessing
 /// per-trigger choices as an α-table: one entry per fired justification
-/// `(d, ū, v̄, zᵢ)` mapping to the chosen witness value.
+/// `(d, ū, v̄, zᵢ)` mapping to the chosen witness value. `Ok(None)` when
+/// `target` is not a presolution or the search hit `limits`; `Err` when
+/// `gov` trips first.
 pub fn presolution_alpha_table(
     setting: &Setting,
     source: &Instance,
     target: &Instance,
     limits: &SearchLimits,
-) -> Option<Vec<(dex_chase::Justification, Value)>> {
-    if target.check_against(&setting.target).is_err() {
-        return None;
-    }
-    let universe = source.union(target);
-    if !setting.egds.iter().all(|e| e.satisfied(&universe)) {
-        return None;
-    }
-    let tgds: Vec<&Tgd> = setting.all_tgds().collect();
-    let st_count = setting.st_tgds.len();
-    let mut triggers: Vec<Trigger> = Vec::new();
-    let mut witnesses: Vec<Vec<Vec<Value>>> = Vec::new();
-    for (ti, tgd) in tgds.iter().enumerate() {
-        let body_inst = if ti < st_count { source } else { &universe };
-        for env in tgd.body.matches(body_inst) {
-            let (options, ws) = head_options_with_witnesses(tgd, &universe, &env);
-            if options.is_empty() {
-                return None;
-            }
-            triggers.push(Trigger {
-                env,
-                tgd: ti,
-                options,
-            });
-            witnesses.push(ws);
-        }
-    }
-    let mut search = Search {
-        tgds: &tgds,
-        st_count,
-        source,
-        universe: &universe,
-        triggers: &triggers,
-        nodes: 0,
-        max_nodes: limits.max_nodes,
-        seen: HashSet::new(),
-        exhausted: false,
-        solution: None,
-        gov: &Governor::unlimited(),
-        interrupt: None,
+    gov: &Governor,
+) -> Result<Option<Vec<(dex_chase::Justification, Value)>>, Interrupt> {
+    let Derivation::Found { triggers, choices } = derive(setting, source, target, limits, gov)?
+    else {
+        return Ok(None);
     };
-    let found = search.dfs(source.clone(), vec![None; triggers.len()]);
-    if !found {
-        return None;
-    }
-    let choices = search.solution.expect("dfs success records choices");
+    let tgds: Vec<&Tgd> = setting.all_tgds().collect();
     let mut table = Vec::new();
-    for (i, choice) in choices.iter().enumerate() {
+    for (t, choice) in triggers.iter().zip(&choices) {
         let Some(opt_idx) = choice else { continue };
-        let t = &triggers[i];
         let tgd = tgds[t.tgd];
         let frontier: Vec<Value> = tgd
             .frontier()
@@ -182,7 +180,7 @@ pub fn presolution_alpha_table(
             .iter()
             .map(|&v| t.env.get(v).expect("bound"))
             .collect();
-        for (zi, &w) in witnesses[i][*opt_idx].iter().enumerate() {
+        for (zi, &w) in t.witnesses[*opt_idx].iter().enumerate() {
             table.push((
                 dex_chase::Justification {
                     dep: t.tgd,
@@ -194,35 +192,42 @@ pub fn presolution_alpha_table(
             ));
         }
     }
-    Some(table)
+    Ok(Some(table))
 }
 
 /// The justification cross-check of Definition 4.6 made executable:
 /// extract a witnessing α-table for `target`, replay it through the
 /// provenance-recording delta engine, and verify that *every* atom of
 /// the replayed result `S ∪ T` carries a recorded justification chain.
-/// Returns the provenance on success; `None` if `target` is not a
-/// presolution (or the search hit its limits). A `Some` answer is
-/// strictly stronger than [`is_cwa_presolution`] returning `Ok(Some(true))`:
-/// the witnessing α has actually been replayed and audited atom by atom.
+/// Returns the provenance on success; `Ok(None)` if `target` is not a
+/// presolution (or the search hit its limits), `Err` if `gov` tripped
+/// during the search. A `Some` answer is strictly stronger than
+/// [`is_cwa_presolution`] returning `Ok(Some(true))`: the witnessing α
+/// has actually been replayed and audited atom by atom.
 pub fn presolution_justifications(
     setting: &Setting,
     source: &Instance,
     target: &Instance,
     limits: &SearchLimits,
-) -> Option<dex_chase::Provenance> {
-    let table = presolution_alpha_table(setting, source, target, limits)?;
+    gov: &Governor,
+) -> Result<Option<dex_chase::Provenance>, Interrupt> {
+    let Some(table) = presolution_alpha_table(setting, source, target, limits, gov)? else {
+        return Ok(None);
+    };
     let mut alpha = dex_chase::TableAlpha::new(table);
     let engine = dex_chase::ChaseEngine::new(setting, &dex_chase::ChaseBudget::default())
         .with_provenance(true);
-    let success = engine.run_alpha(source, &mut alpha).success()?;
+    let Some(success) = engine.run_alpha(source, &mut alpha).success() else {
+        return Ok(None);
+    };
     let prov = success.provenance.expect("provenance was enabled");
-    prov.verify_justified(&success.result).ok()?;
-    Some(prov)
+    Ok(prov.verify_justified(&success.result).ok().map(|()| prov))
 }
 
-/// Head options together with the existential witness tuples `w̄`.
-fn head_options_with_witnesses(
+/// All distinct instantiated heads of `tgd` under `env` whose atoms lie in
+/// `universe` (one per choice of existential witnesses `w̄`), together
+/// with those witness tuples.
+fn head_options(
     tgd: &Tgd,
     universe: &Instance,
     env: &Assignment,
@@ -243,25 +248,6 @@ fn head_options_with_witnesses(
         }
     }
     (opts, ws)
-}
-
-/// All distinct instantiated heads of `tgd` under `env` whose atoms lie in
-/// `universe` (one per choice of existential witnesses `w̄`).
-fn head_options(tgd: &Tgd, universe: &Instance, env: &Assignment) -> Vec<Vec<Atom>> {
-    let matches = dex_logic::matcher::all_matches(&tgd.head, universe, env);
-    let mut seen: HashSet<Vec<Value>> = HashSet::new();
-    let mut out = Vec::new();
-    for m in matches {
-        let w: Vec<Value> = tgd
-            .exist_vars
-            .iter()
-            .map(|&z| m.get(z).expect("head match binds existentials"))
-            .collect();
-        if seen.insert(w) {
-            out.push(tgd.instantiate_head(&m));
-        }
-    }
-    out
 }
 
 struct Search<'a> {
@@ -501,8 +487,15 @@ mod tests {
         let d = example_2_1();
         let s = s_star();
         let t2 = parse_instance("E(a,b). E(a,_1). E(a,_2). F(a,_3). G(_3,_4).").unwrap();
-        let table = presolution_alpha_table(&d, &s, &t2, &SearchLimits::default())
-            .expect("T2 is a presolution");
+        let table = presolution_alpha_table(
+            &d,
+            &s,
+            &t2,
+            &SearchLimits::default(),
+            &Governor::unlimited(),
+        )
+        .unwrap()
+        .expect("T2 is a presolution");
         assert!(!table.is_empty());
         // Replaying the extracted α through the real α-chase reproduces
         // S ∪ T₂ exactly (Definition 4.6).
@@ -510,6 +503,35 @@ mod tests {
         let out = dex_chase::alpha_chase(&d, &s, &mut alpha, &dex_chase::ChaseBudget::default());
         let success = out.success().expect("replay succeeds");
         assert_eq!(success.target, t2);
+    }
+
+    /// The α-table search and the audit built on it stop on the
+    /// governor: one tick of fuel or a cancel flag raised before the
+    /// call interrupts them, and nothing is reported as a presolution.
+    #[test]
+    fn alpha_table_search_stops_on_the_governor() {
+        use dex_core::govern::InterruptReason;
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+        let d = example_2_1();
+        let s = s_star();
+        let t2 = parse_instance("E(a,b). E(a,_1). E(a,_2). F(a,_3). G(_3,_4).").unwrap();
+        let lim = SearchLimits::default();
+        fn cancelled() -> Governor {
+            Governor::unlimited().with_cancel(Arc::new(AtomicBool::new(true)))
+        }
+        fn fuel1() -> Governor {
+            Governor::unlimited().with_fuel(1)
+        }
+        for (gov, reason) in [
+            (fuel1 as fn() -> Governor, InterruptReason::Fuel),
+            (cancelled, InterruptReason::Cancelled),
+        ] {
+            let err = presolution_alpha_table(&d, &s, &t2, &lim, &gov()).unwrap_err();
+            assert_eq!(err.reason, reason);
+            let err = presolution_justifications(&d, &s, &t2, &lim, &gov()).unwrap_err();
+            assert_eq!(err.reason, reason);
+        }
     }
 
     /// The provenance cross-check: replaying T₂'s witnessing α records a
@@ -520,15 +542,18 @@ mod tests {
         let d = example_2_1();
         let s = s_star();
         let t2 = parse_instance("E(a,b). E(a,_1). E(a,_2). F(a,_3). G(_3,_4).").unwrap();
-        let prov = presolution_justifications(&d, &s, &t2, &SearchLimits::default())
-            .expect("T2 is a presolution with a full justification audit");
+        let audit = |t: &Instance| {
+            presolution_justifications(&d, &s, t, &SearchLimits::default(), &Governor::unlimited())
+                .unwrap()
+        };
+        let prov = audit(&t2).expect("T2 is a presolution with a full justification audit");
         for atom in s.union(&t2).atoms() {
             let chain = prov.explain(&atom).expect("every atom is justified");
             assert!(chain.ends_in_sources(), "chain for {atom} has dead ends");
         }
         // A non-presolution yields no audit at all.
         let t_bad = parse_instance("E(a,b). E(_3,b). F(b,_1). G(_1,_2).").unwrap();
-        assert!(presolution_justifications(&d, &s, &t_bad, &SearchLimits::default()).is_none());
+        assert!(audit(&t_bad).is_none());
     }
 
     /// Settings without target dependencies coincide with Libkin's notion:

@@ -24,9 +24,10 @@ use crate::propagate::{certain_answers_propagated, maybe_answers_propagated, Pro
 use dex_chase::{ChaseBudget, ChaseError, ChaseSuccess};
 use dex_core::govern::{Governor, Verdict};
 use dex_core::{Instance, Value};
-use dex_cwa::{cansol, core_solution, EnumLimits};
+use dex_cwa::{cansol, cansol_class, CanSolClass, EnumLimits};
 use dex_logic::{Query, Setting};
-use std::cell::RefCell;
+use std::borrow::Cow;
+use std::cell::{OnceCell, RefCell};
 use std::fmt;
 
 /// Which of the four semantics to compute.
@@ -128,6 +129,15 @@ fn checked(g: GovernedAnswers) -> GovernedAnswers {
     g
 }
 
+/// A chase (or `CanSol` build) that hits an egd conflict proves that no
+/// solution exists; any other chase failure stays a chase error.
+fn no_solutions_on_conflict(e: ChaseError) -> AnswerError {
+    match e {
+        ChaseError::EgdConflict { .. } => AnswerError::NoSolutions,
+        e => AnswerError::Chase(e),
+    }
+}
+
 impl From<ChaseError> for AnswerError {
     fn from(e: ChaseError) -> AnswerError {
         AnswerError::Chase(e)
@@ -141,14 +151,20 @@ impl From<ModalError> for AnswerError {
 }
 
 /// The query answering engine for a fixed setting and source instance.
-/// Caches the core solution (and `CanSol`, when the setting class admits
-/// one) across queries.
+/// Caches the core solution across queries, and `CanSol` (when the
+/// setting class admits one) from the first query that needs it.
 pub struct AnswerEngine<'a> {
     setting: &'a Setting,
-    source: &'a Instance,
+    /// Borrowed from the caller, or owned when the engine outlives the
+    /// caller's copy (the XR engine keeps one engine per repair).
+    source: Cow<'a, Instance>,
     config: AnswerConfig,
     core: Instance,
-    cansol: Option<Instance>,
+    /// `CanSol_D(S)` (`None` outside Proposition 5.4's classes), built
+    /// on the first □/◇ evaluation that needs it: `Maybe`, or `Certain`
+    /// on a query off the Lemma 7.7 UCQ path. `Certain` UCQ reads never
+    /// pay for it.
+    cansol: OnceCell<Option<Instance>>,
     /// What propagation did on the most recent modal evaluation, for
     /// observability (the CLI prints it). `None` until the propagation
     /// engine has run once.
@@ -156,32 +172,40 @@ pub struct AnswerEngine<'a> {
 }
 
 impl<'a> AnswerEngine<'a> {
-    /// Builds the engine: runs the chase, takes the core (Theorem 5.1's
-    /// minimal CWA-solution) and computes `CanSol` when Proposition 5.4
-    /// guarantees it.
+    /// Builds the engine: runs the chase, then [`Self::from_chase`].
     pub fn new(
         setting: &'a Setting,
         source: &'a Instance,
         config: AnswerConfig,
     ) -> Result<AnswerEngine<'a>, AnswerError> {
-        let core = match core_solution(setting, source, &config.chase_budget) {
-            Ok(c) => c,
-            Err(ChaseError::EgdConflict { .. }) => return Err(AnswerError::NoSolutions),
-            Err(e) => return Err(e.into()),
-        };
-        let cansol = match cansol(setting, source, &config.chase_budget) {
-            Ok(c) => c,
-            Err(ChaseError::EgdConflict { .. }) => return Err(AnswerError::NoSolutions),
-            Err(e) => return Err(e.into()),
-        };
-        Ok(AnswerEngine {
+        let chased = dex_chase::chase(setting, source, &config.chase_budget)
+            .map_err(no_solutions_on_conflict)?;
+        Ok(AnswerEngine::from_chase(
+            setting,
+            Cow::Borrowed(source),
+            &chased,
+            config,
+        ))
+    }
+
+    /// Builds the engine from a chase of `source` that has already run:
+    /// its target is a universal solution, whose core is Theorem 5.1's
+    /// minimal CWA-solution. Chases nothing; `CanSol` waits for the first
+    /// query that needs it.
+    pub fn from_chase(
+        setting: &'a Setting,
+        source: Cow<'a, Instance>,
+        chased: &ChaseSuccess,
+        config: AnswerConfig,
+    ) -> AnswerEngine<'a> {
+        AnswerEngine {
             setting,
             source,
             config,
-            core,
-            cansol,
+            core: dex_core::core(&chased.target),
+            cansol: OnceCell::new(),
             last_report: RefCell::new(None),
-        })
+        }
     }
 
     /// The minimal CWA-solution (the core of the universal solutions).
@@ -189,9 +213,30 @@ impl<'a> AnswerEngine<'a> {
         &self.core
     }
 
-    /// `CanSol_D(S)` when the setting is in Proposition 5.4's classes.
-    pub fn cansol(&self) -> Option<&Instance> {
-        self.cansol.as_ref()
+    /// `CanSol_D(S)` when the setting is in Proposition 5.4's classes,
+    /// `None` otherwise. Built on first use; a build that finds no
+    /// solution or exceeds the chase budget is an error, and the next
+    /// call tries again.
+    pub fn cansol(&self) -> Result<Option<&Instance>, AnswerError> {
+        self.cansol_traced(&Governor::unlimited())
+    }
+
+    /// [`Self::cansol`], with the build (when it runs) in a `cansol` span
+    /// on `gov`'s tracer, stamped from `gov`'s clock.
+    fn cansol_traced(&self, gov: &Governor) -> Result<Option<&Instance>, AnswerError> {
+        if let Some(built) = self.cansol.get() {
+            return Ok(built.as_ref());
+        }
+        let built = if cansol_class(self.setting) == CanSolClass::NotGuaranteed {
+            None
+        } else {
+            let now = || gov.clock().now_ns();
+            let span = gov.tracer().span("cansol", now());
+            let built = cansol(self.setting, &self.source, &self.config.chase_budget);
+            span.close(now());
+            built.map_err(no_solutions_on_conflict)?
+        };
+        Ok(self.cansol.get_or_init(|| built).as_ref())
     }
 
     /// The [`PropagationReport`] of the most recent modal evaluation,
@@ -203,26 +248,19 @@ impl<'a> AnswerEngine<'a> {
 
     /// Refreshes the engine after an incremental
     /// [`dex_chase::ChaseEngine::resume`], instead of rebuilding it
-    /// (which re-chases from scratch). The core is recomputed directly
-    /// from the resumed target — resume already did the chase work —
-    /// while `CanSol` is rebuilt from the updated source (its
-    /// construction does not go through the standard chase result) and
-    /// the cached propagation report is invalidated. On error the
-    /// engine is left unchanged.
+    /// (which re-chases from scratch): [`Self::from_chase`] on the
+    /// resumed chase and the updated source. The core is recomputed from
+    /// the resumed target, the cached `CanSol` and propagation report are
+    /// dropped, and `CanSol` is rebuilt only if a later query needs it.
+    /// Nothing here can fail; a `CanSol` build error surfaces at that
+    /// query.
     pub fn refresh_from_resume(
         &mut self,
         resumed: &ChaseSuccess,
         source: &'a Instance,
     ) -> Result<(), AnswerError> {
-        let cansol = match cansol(self.setting, source, &self.config.chase_budget) {
-            Ok(c) => c,
-            Err(ChaseError::EgdConflict { .. }) => return Err(AnswerError::NoSolutions),
-            Err(e) => return Err(e.into()),
-        };
-        self.core = dex_core::core(&resumed.target);
-        self.cansol = cansol;
-        self.source = source;
-        *self.last_report.borrow_mut() = None;
+        let config = std::mem::take(&mut self.config);
+        *self = AnswerEngine::from_chase(self.setting, Cow::Borrowed(source), resumed, config);
         Ok(())
     }
 
@@ -323,7 +361,7 @@ impl<'a> AnswerEngine<'a> {
         let opts = dex_cwa::EnumOpts::seq().with_pool(self.config.pool);
         let (sols, stats) = dex_cwa::enumerate_cwa_solutions_opts(
             self.setting,
-            self.source,
+            &self.source,
             &self.config.enum_limits,
             &opts,
         );
@@ -397,7 +435,7 @@ impl<'a> AnswerEngine<'a> {
                         q, &self.core,
                     )));
                 }
-                if let Some(can) = &self.cansol {
+                if let Some(can) = self.cansol_traced(gov)? {
                     // Theorem 7.1's restricted classes: certain⇓ = □Q(CanSol).
                     return self.box_q(q, can, gov);
                 }
@@ -469,7 +507,7 @@ impl<'a> AnswerEngine<'a> {
                 ))
             }
             Semantics::Maybe => {
-                if let Some(can) = &self.cansol {
+                if let Some(can) = self.cansol_traced(gov)? {
                     // Theorem 7.1's restricted classes: maybe⇑ = ◇Q(CanSol).
                     return self.diamond_q(q, can, gov);
                 }
@@ -894,7 +932,7 @@ mod tests {
         .unwrap();
         let s = parse_instance("P(a). Q(a,c).").unwrap();
         let engine = AnswerEngine::new(&d, &s, AnswerConfig::default()).unwrap();
-        assert!(engine.cansol().is_some());
+        assert!(engine.cansol().unwrap().is_some());
         // The F-successor of a is certainly c (the egd forces the null).
         let q = parse_query("Q(x) :- F(a,x), x != 'zzz'").unwrap();
         let ans = engine.answers(&q, Semantics::Certain).unwrap();
@@ -904,41 +942,180 @@ mod tests {
     }
 
     /// `refresh_from_resume` leaves the engine indistinguishable from
-    /// one built fresh on the updated source, and drops the stale
-    /// propagation report.
+    /// one built fresh on the updated source — core and `CanSol` up to
+    /// isomorphism, answers under every semantics — and drops the stale
+    /// propagation report and `CanSol`. Example 2.1 has no `CanSol`; the
+    /// egd-only setting builds one before the delta and after it.
     #[test]
     fn refresh_from_resume_matches_a_fresh_engine() {
-        let d = example_2_1();
-        let s = parse_instance("M(a,b). N(a,b). N(a,c).").unwrap();
+        let cases = [
+            (
+                example_2_1(),
+                "M(a,b). N(a,b). N(a,c).",
+                ["M(c,d).", "N(a,c)."],
+                "Q(x,y) :- E(x,y)",
+            ),
+            (
+                keyed_egd_only(),
+                "P(a). P(b). Q(a,c).",
+                ["Q(b,d).", "P(a)."],
+                "Q(x) :- F(x,y), y != 'zzz'",
+            ),
+        ];
+        for (d, s, [inserted, deleted], q) in cases {
+            let s = parse_instance(s).unwrap();
+            let q = parse_query(q).unwrap();
+            let budget = ChaseBudget::default();
+            let chaser = dex_chase::ChaseEngine::new(&d, &budget).with_provenance(true);
+            let prior = chaser.run(&s).unwrap();
+            let mut engine = AnswerEngine::new(&d, &s, AnswerConfig::default()).unwrap();
+            engine.answers(&q, Semantics::Certain).unwrap();
+
+            let mut delta = dex_core::SourceDelta::new();
+            let atom = |text: &str| parse_instance(text).unwrap().sorted_atoms().pop().unwrap();
+            delta.insert(atom(inserted));
+            delta.delete(atom(deleted));
+            let updated = delta.applied(&s);
+            let resumed = chaser.resume(&prior, &delta).unwrap();
+            engine.refresh_from_resume(&resumed, &updated).unwrap();
+            assert!(engine.last_propagation().is_none());
+
+            let fresh = AnswerEngine::new(&d, &updated, AnswerConfig::default()).unwrap();
+            assert!(dex_core::isomorphic(engine.core(), fresh.core()));
+            match (engine.cansol().unwrap(), fresh.cansol().unwrap()) {
+                (Some(a), Some(b)) => assert!(dex_core::isomorphic(a, b), "{q}"),
+                (a, b) => assert_eq!(a.is_none(), b.is_none(), "{q}"),
+            }
+            for sem in [
+                Semantics::Certain,
+                Semantics::PotentialCertain,
+                Semantics::PersistentMaybe,
+                Semantics::Maybe,
+            ] {
+                assert_eq!(
+                    engine.answers(&q, sem).unwrap(),
+                    fresh.answers(&q, sem).unwrap(),
+                    "{q} {sem:?}"
+                );
+            }
+        }
+    }
+
+    /// An egd-only setting (Proposition 5.4's first class) with a key on
+    /// `F`.
+    fn keyed_egd_only() -> Setting {
+        parse_setting(
+            "source { P/1, Q/2 }
+             target { F/2 }
+             st {
+               d1: P(x) -> exists z . F(x,z);
+               d2: Q(x,y) -> F(x,y);
+             }
+             t { key: F(x,y) & F(x,z) -> y = z; }",
+        )
+        .unwrap()
+    }
+
+    /// `CanSol` is built lazily, once per engine state: UCQs never build
+    /// it, the first non-UCQ `Certain` query builds it inside one
+    /// `cansol` span on the governor's tracer and clock, later queries
+    /// reuse it, and `refresh_from_resume` drops it.
+    #[test]
+    fn cansol_is_built_once_by_the_first_query_that_needs_it() {
+        use dex_core::govern::Clock;
+        use dex_obs::{Collector, EventKind, RingRecorder, Tracer};
+        use std::sync::Arc;
+        let d = keyed_egd_only();
+        let s = parse_instance("P(a). P(b). Q(a,c).").unwrap();
+        let ring = Arc::new(RingRecorder::new(1 << 12));
+        let (clock, mock) = Clock::mock();
+        mock.set_ns(4_000);
+        let gov = Governor::with_clock_now(clock)
+            .with_tracer(Tracer::new(Arc::clone(&ring) as Arc<dyn Collector>));
+        let cansol_spans = || {
+            ring.events()
+                .into_iter()
+                .filter(|e| matches!(&e.kind, EventKind::SpanOpened { name } if name == "cansol"))
+                .map(|e| e.at_ns)
+                .collect::<Vec<u64>>()
+        };
         let budget = ChaseBudget::default();
         let chaser = dex_chase::ChaseEngine::new(&d, &budget).with_provenance(true);
         let prior = chaser.run(&s).unwrap();
-        let mut engine = AnswerEngine::new(&d, &s, AnswerConfig::default()).unwrap();
-        let q = parse_query("Q(x,y) :- E(x,y)").unwrap();
-        engine.answers(&q, Semantics::Certain).unwrap();
+        let mut engine =
+            AnswerEngine::from_chase(&d, Cow::Borrowed(&s), &prior, AnswerConfig::default());
+        let ucqs = [
+            "Q(x,y) :- F(x,y)",
+            "Q(x) :- F(x,y), F(y,z)",
+            "Q() :- F(a,c)",
+        ];
+        for text in ucqs {
+            let q = parse_query(text).unwrap();
+            for sem in [Semantics::Certain, Semantics::PotentialCertain] {
+                engine.answers_governed(&q, sem, &gov).unwrap();
+            }
+        }
+        assert!(cansol_spans().is_empty(), "a UCQ built CanSol");
+        // The inequality names a non-head variable: off the UCQ path.
+        let non_ucq = parse_query("Q(x) :- F(x,y), y != 'zzz'").unwrap();
+        for _ in 0..2 {
+            let g = engine
+                .answers_governed(&non_ucq, Semantics::Certain, &gov)
+                .unwrap();
+            assert_eq!(g.proven, Answers::from([vec![c("a")]]));
+        }
+        assert_eq!(cansol_spans(), vec![4_000]);
 
         let mut delta = dex_core::SourceDelta::new();
-        let atom = |text: &str| parse_instance(text).unwrap().sorted_atoms().pop().unwrap();
-        delta.insert(atom("M(c,d)."));
-        delta.delete(atom("N(a,c)."));
+        delta.insert(
+            parse_instance("P(e).")
+                .unwrap()
+                .sorted_atoms()
+                .pop()
+                .unwrap(),
+        );
         let updated = delta.applied(&s);
         let resumed = chaser.resume(&prior, &delta).unwrap();
         engine.refresh_from_resume(&resumed, &updated).unwrap();
-        assert!(engine.last_propagation().is_none());
+        assert_eq!(cansol_spans().len(), 1, "refresh built CanSol eagerly");
+        engine
+            .answers_governed(&non_ucq, Semantics::Certain, &gov)
+            .unwrap();
+        assert_eq!(cansol_spans().len(), 2, "refresh kept a stale CanSol");
+    }
 
-        let fresh = AnswerEngine::new(&d, &updated, AnswerConfig::default()).unwrap();
-        assert!(dex_core::isomorphic(engine.core(), fresh.core()));
-        for sem in [
-            Semantics::Certain,
-            Semantics::PotentialCertain,
-            Semantics::PersistentMaybe,
-            Semantics::Maybe,
-        ] {
-            assert_eq!(
-                engine.answers(&q, sem).unwrap(),
-                fresh.answers(&q, sem).unwrap(),
-                "{sem:?}"
-            );
-        }
+    /// A `CanSol` that exceeds the chase budget where the restricted
+    /// chase does not: the engine still builds, UCQs answer from the
+    /// core, and only the query that needs `CanSol` fails.
+    #[test]
+    fn cansol_over_budget_fails_only_the_query_that_needs_it() {
+        // Every P-atom justifies `∃y T(y)`: the restricted chase fires
+        // once, CanSol fires ten times and needs nine merges.
+        let d = parse_setting(
+            "source { P/1 }
+             target { T/1 }
+             st { P(x) -> exists y . T(y); }
+             t { T(x) & T(y) -> x = y; }",
+        )
+        .unwrap();
+        let s =
+            parse_instance("P(a0). P(a1). P(a2). P(a3). P(a4). P(a5). P(a6). P(a7). P(a8). P(a9).")
+                .unwrap();
+        let config = AnswerConfig {
+            chase_budget: ChaseBudget::new(3, 1_000),
+            ..AnswerConfig::default()
+        };
+        let engine = AnswerEngine::new(&d, &s, config).unwrap();
+        let ucq = parse_query("Q() :- T(y)").unwrap();
+        assert!(engine.holds(&ucq, Semantics::Certain).unwrap());
+        let non_ucq = parse_query("Q() := exists y . (T(y) & !(y = 'a0'))").unwrap();
+        assert!(matches!(
+            engine.answers(&non_ucq, Semantics::Certain),
+            Err(AnswerError::Chase(ChaseError::BudgetExceeded { .. }))
+        ));
+        assert!(matches!(
+            engine.cansol(),
+            Err(AnswerError::Chase(ChaseError::BudgetExceeded { .. }))
+        ));
     }
 }

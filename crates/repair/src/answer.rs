@@ -13,6 +13,8 @@ use dex_core::Instance;
 use dex_logic::{Query, Setting};
 use dex_obs::JsonValue;
 use dex_query::{AnswerConfig, AnswerEngine, AnswerError, Answers, GovernedAnswers, Semantics};
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::fmt;
 
 /// Errors from XR-certain answering.
@@ -75,6 +77,11 @@ pub struct XrEngine<'a> {
     setting: &'a Setting,
     config: AnswerConfig,
     outcome: RepairOutcome,
+    /// One answer engine per repair, built from the repair's cached
+    /// chase by the first query that reaches it, so each repair's core
+    /// is searched at most once and the repair search itself pays for
+    /// none of them.
+    factors: Vec<OnceCell<AnswerEngine<'a>>>,
 }
 
 impl<'a> XrEngine<'a> {
@@ -99,10 +106,12 @@ impl<'a> XrEngine<'a> {
         // would silently poison every intersection below; fail loudly
         // instead.
         outcome.validate(source).map_err(XrError::Corrupt)?;
+        let factors = outcome.repairs.iter().map(|_| OnceCell::new()).collect();
         Ok(XrEngine {
             setting,
             config,
             outcome,
+            factors,
         })
     }
 
@@ -148,10 +157,19 @@ impl<'a> XrEngine<'a> {
     fn intersect_repairs(&self, q: &Query, gov: &Governor) -> Result<GovernedAnswers, XrError> {
         let mut candidates: Option<Answers> = None;
         let mut refuted = Answers::new();
-        for repair in &self.outcome.repairs {
+        for (repair, factor) in self.outcome.repairs.iter().zip(&self.factors) {
             let sp_factor = gov.tracer().span("xr_factor", gov.clock().now_ns());
-            let g = AnswerEngine::new(self.setting, &repair.kept, self.config.clone())
-                .and_then(|engine| engine.answers_governed(q, Semantics::Certain, gov));
+            // The repair's chase target is a universal solution for its
+            // kept source, so its core is the one a fresh chase would give.
+            let engine = factor.get_or_init(|| {
+                AnswerEngine::from_chase(
+                    self.setting,
+                    Cow::Owned(repair.kept.clone()),
+                    &repair.chase,
+                    self.config.clone(),
+                )
+            });
+            let g = engine.answers_governed(q, Semantics::Certain, gov);
             sp_factor.close(gov.clock().now_ns());
             let g = g?;
             if g.is_complete() {
