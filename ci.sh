@@ -177,6 +177,15 @@ grep -q "F(" <<< "$UPDATE_OUT" \
 # through the DEX_FAULT_SEED replay path (the full sweep already ran
 # under `cargo test` above).
 DEX_FAULT_SEED=7 cargo test -q --locked --offline -p dex-bench --test incremental
+# The indexed provenance against the whole-map reference it replaced,
+# one seed per family through the same replay path.
+DEX_FAULT_SEED=7 cargo test -q --locked --offline -p dex-chase --lib provenance::reference
+# A delta that kills a key-egd merge: the resume's counters report the
+# provenance entries it visited.
+KEY_SETTING='source { P/2, Q/2 } target { F/2 } st { d1: P(x,y) -> exists z . F(x,z); d2: Q(x,y) -> F(x,y); } t { key: F(x,y) & F(x,z) -> y = z; }'
+KEY_OUT=$("$DEX" update "$KEY_SETTING" 'P(a,b). Q(a,c). P(d,e).' '- Q(a,c).' --stats)
+grep -q '"prov_entries_visited":[1-9]' <<< "$KEY_OUT" \
+  || { echo "incremental smoke: dex update --stats did not report provenance entries visited"; exit 1; }
 # The incremental bench asserts resumed-vs-rechased target cardinalities
 # agree on every run; its >=10x speedup gate arms on full runs only.
 DEX_BENCH_SMOKE=1 DEX_BENCH_OUT="$PWD/target/bench-smoke" \

@@ -203,22 +203,28 @@ fn bench_ablation(h: &mut Harness) -> Vec<AblationRow> {
 /// "Ungoverned" is the default budget: the governor exists but arms no
 /// deadline/cancel, so `check()` stays on the cached-comparison fast
 /// path. "Governed" arms a far-future deadline, forcing the amortized
-/// slow path to consult the clock every 1024 ticks. The target is <2%
-/// overhead; the number is recorded, not asserted, so a loaded CI box
-/// cannot flake the build.
+/// slow path to consult the clock every 1024 ticks. The two run in
+/// alternating pairs and the overhead is the median of the per-pair
+/// ratios, with their quartiles beside it. The target is <2% overhead;
+/// the number is recorded, not asserted, so a loaded CI box cannot
+/// flake the build.
 struct GovernedRow {
     bench: String,
     ungoverned_median_ns: u128,
     governed_median_ns: u128,
+    /// Sorted per-pair `governed / ungoverned` ratios.
+    ratios: Vec<f64>,
     trips: usize,
 }
 
 impl GovernedRow {
-    fn overhead_pct(&self) -> f64 {
-        if self.ungoverned_median_ns == 0 {
+    /// The ratio quantile `q` as a percent overhead (0 without pairs).
+    fn overhead_pct(&self, q: f64) -> f64 {
+        if self.ratios.is_empty() {
             return 0.0;
         }
-        (self.governed_median_ns as f64 / self.ungoverned_median_ns as f64 - 1.0) * 100.0
+        let i = ((self.ratios.len() - 1) as f64 * q).round() as usize;
+        (self.ratios[i] - 1.0) * 100.0
     }
 }
 
@@ -239,12 +245,16 @@ fn bench_governed(h: &mut Harness) -> Vec<GovernedRow> {
         let s = dex_logic::parse_instance(&atoms).unwrap();
         let plain = ChaseBudget::default();
         let armed = ChaseBudget::default().with_deadline(std::time::Duration::from_secs(3600));
-        h.bench(&format!("tc_ungoverned/{n}"), || {
-            chase(&tc, &s, &plain).unwrap();
-        });
-        h.bench(&format!("tc_governed/{n}"), || {
-            chase(&tc, &s, &armed).unwrap();
-        });
+        let ratios = h.bench_pair(
+            &format!("tc_ungoverned/{n}"),
+            &format!("tc_governed/{n}"),
+            || {
+                chase(&tc, &s, &plain).unwrap();
+            },
+            || {
+                chase(&tc, &s, &armed).unwrap();
+            },
+        );
         let (u, g) = {
             let r = h.results();
             (r[r.len() - 2].median_ns(), r[r.len() - 1].median_ns())
@@ -253,6 +263,7 @@ fn bench_governed(h: &mut Harness) -> Vec<GovernedRow> {
             bench: format!("transitive_closure/{n}"),
             ungoverned_median_ns: u,
             governed_median_ns: g,
+            ratios,
             trips: 0,
         });
     }
@@ -274,6 +285,7 @@ fn bench_governed(h: &mut Harness) -> Vec<GovernedRow> {
         bench: format!("d_halt_forever_right_5ms/{runs}"),
         ungoverned_median_ns: 0,
         governed_median_ns: 0,
+        ratios: Vec::new(),
         trips,
     });
     rows
@@ -338,7 +350,10 @@ fn dump_json(
                                 JsonValue::UInt(r.ungoverned_median_ns),
                             )
                             .with("governed_median_ns", JsonValue::UInt(r.governed_median_ns))
-                            .with("overhead_pct", JsonValue::Float(r.overhead_pct()))
+                            .with("overhead_pct", JsonValue::Float(r.overhead_pct(0.5)))
+                            .with("overhead_pct_q1", JsonValue::Float(r.overhead_pct(0.25)))
+                            .with("overhead_pct_q3", JsonValue::Float(r.overhead_pct(0.75)))
+                            .with("pairs", JsonValue::uint(r.ratios.len() as u64))
                             .with("governor_trips", JsonValue::uint(r.trips as u64))
                     })
                     .collect(),
@@ -373,11 +388,15 @@ fn main() {
     let governed = bench_governed(&mut h);
     for r in &governed {
         println!(
-            "governed {}: ungoverned {}ns vs governed {}ns — {:+.2}% ({} trips)",
+            "governed {}: ungoverned {}ns vs governed {}ns — {:+.2}% per pair \
+             [{:+.2}%, {:+.2}%] over {} pairs ({} trips)",
             r.bench,
             r.ungoverned_median_ns,
             r.governed_median_ns,
-            r.overhead_pct(),
+            r.overhead_pct(0.5),
+            r.overhead_pct(0.25),
+            r.overhead_pct(0.75),
+            r.ratios.len(),
             r.trips
         );
     }

@@ -21,7 +21,7 @@ use dex_datagen::{
     layered_setting, mapping_scenario, random_source, update_stream, LayeredConfig, ScenarioConfig,
     SourceConfig, UpdateStreamConfig,
 };
-use dex_logic::Setting;
+use dex_logic::{parse_instance, parse_setting, Setting};
 use dex_testkit::FaultPlan;
 
 const SEED_BASE: u64 = 0;
@@ -224,5 +224,42 @@ fn faulted_resumes_are_transactional_and_recoverable() {
             plan.to_json().dump()
         );
         check_justified(&retried, seed, 0);
+    }
+}
+
+/// One single-atom deletion visits a size-independent number of
+/// provenance entries: the deleted atom's cone (its `F`-row and the key
+/// merge it justified), not the map. Each group is `P(a,b)`, `Q(a,c)`:
+/// `d1` invents `F(a,⊥)`, `d2` adds `F(a,c)`, and the key egd merges
+/// `⊥ ↦ c`. Deleting `Q(a0,c0)` kills that merge; the resume re-derives
+/// `F(a0,⊥')`. The base instance grows 1× → 8×.
+#[test]
+fn one_deletion_visits_a_size_independent_number_of_provenance_entries() {
+    let setting = parse_setting(
+        "source { P/2, Q/2 } target { F/2 }
+         st { d1: P(x,y) -> exists z . F(x,z); d2: Q(x,y) -> F(x,y); }
+         t { key: F(x,y) & F(x,z) -> y = z; }",
+    )
+    .unwrap();
+    let engine = ChaseEngine::new(&setting, &ChaseBudget::default()).with_provenance(true);
+    let visits = |groups: usize| {
+        let text: String = (0..groups)
+            .map(|g| format!("P(a{g},b). Q(a{g},c{g}). "))
+            .collect();
+        let prior = engine.run(&parse_instance(&text).unwrap()).unwrap();
+        let delta = dex_logic::parse_delta("- Q(a0,c0).").unwrap();
+        let resumed = engine.resume(&prior, &delta).unwrap();
+        assert_eq!(resumed.stats.atoms_retracted, 2, "Q(a0,c0) and F(a0,c0)");
+        assert_eq!(resumed.target.len(), prior.target.len());
+        resumed.stats.prov_entries_visited
+    };
+    let base = visits(16);
+    assert!(base > 0, "the resume visited no provenance entry");
+    for scale in [2, 4, 8] {
+        let scaled = visits(16 * scale);
+        assert_eq!(
+            scaled, base,
+            "{scale}x instance: {scaled} provenance entries visited, {base} at 1x"
+        );
     }
 }

@@ -98,6 +98,8 @@ pub struct ChaseEngine<'a> {
     tracer: Tracer,
     provenance: bool,
     egd_scan: EgdScan<'a>,
+    /// Each tgd's name, interned once, in `st_tgds ++ t_tgds` order.
+    tgd_names: Vec<Symbol>,
 }
 
 /// Per relation, owned copies of the rows a round seeds trigger
@@ -288,10 +290,14 @@ struct Run<'p> {
     stats: ChaseStats,
     steps: usize,
     prov: Option<Provenance>,
+    /// The provenance's visit count when the run opened.
+    prov_visited: u64,
     policy: Policy<'p>,
 }
 
 impl Run<'_> {
+    /// The run's result and its target `result ∖ σ`; the difference
+    /// copies every relation σ has no row of whole.
     fn success(self, sigma: &Instance) -> ChaseSuccess {
         ChaseSuccess {
             target: self.inst.difference(sigma),
@@ -305,10 +311,8 @@ impl Run<'_> {
 
 /// The full trigger valuation of a body match, as (variable, value)
 /// pairs in the assignment's (sorted) order.
-fn valuation_of(env: &Assignment) -> Vec<(String, Value)> {
-    env.bindings()
-        .map(|(v, val)| (v.to_string(), val))
-        .collect()
+fn valuation_of(env: &Assignment) -> Vec<(Symbol, Value)> {
+    env.bindings().map(|(v, val)| (v.0, val)).collect()
 }
 
 fn state_hash(inst: &Instance) -> u64 {
@@ -377,6 +381,12 @@ impl<'a> ChaseEngine<'a> {
             tracer: Tracer::off(),
             provenance: false,
             egd_scan: EgdScan::new(&setting.egds),
+            tgd_names: setting
+                .st_tgds
+                .iter()
+                .chain(&setting.t_tgds)
+                .map(|t| Symbol::intern(&t.name))
+                .collect(),
         }
     }
 
@@ -528,6 +538,7 @@ impl<'a> ChaseEngine<'a> {
             inst,
             stats,
             steps: 0,
+            prov_visited: prov.as_ref().map_or(0, Provenance::entries_visited),
             prov,
             policy,
         }
@@ -536,6 +547,9 @@ impl<'a> ChaseEngine<'a> {
     /// Closes a run that reached its fixpoint.
     fn completed(&self, run: &mut Run, t_total: u64) {
         run.stats.total_time_ns = (self.clock.now_ns() - t_total) as u128;
+        if let Some(p) = &run.prov {
+            run.stats.prov_entries_visited = (p.entries_visited() - run.prov_visited) as usize;
+        }
         if self.tracer.enabled() {
             self.emit(EventKind::ChaseCompleted {
                 atoms: run.inst.len(),
@@ -632,6 +646,7 @@ impl<'a> ChaseEngine<'a> {
             steps,
             prov,
             policy,
+            ..
         } = run;
         let mut merged = false;
         let scanned = self.egd_scan.fixpoint(inst, clean, |inst, v| {
@@ -780,7 +795,7 @@ impl<'a> ChaseEngine<'a> {
             let premises = tgd.body.instantiate(env).unwrap_or_default();
             let valuation = valuation_of(env);
             for a in &head {
-                p.record_derived(a.clone(), &tgd.name, dep, &valuation, &premises);
+                p.record_derived(a.clone(), self.tgd_names[dep], dep, &valuation, &premises);
             }
         }
         for &z in &tgd.exist_vars {
@@ -873,6 +888,8 @@ impl<'a> ChaseEngine<'a> {
         // The σ-part of the prior result. Source instances are ground
         // and source/target schemas are disjoint, so egd merges never
         // rewrote a σ-row: the difference recovers the chased source.
+        // It is taken relation by relation: the σ relations, which the
+        // target has no row of, are copied whole.
         let sigma_old = prior.result.difference(&prior.target);
 
         // Net the batch against the current source: deletes apply

@@ -25,12 +25,42 @@
 //! [`Provenance::verify_justified`] is the CWA-presolution
 //! cross-check: *every* atom of a claimed presolution must carry a
 //! recorded justification.
+//!
+//! # Two indexes, and what each operation costs
+//!
+//! Each atom's entry sits in a slot table. Two indexes over it keep
+//! maintenance proportional to what an operation touches, never to the
+//! size of the map:
+//!
+//! - The **value index** maps every value to the entries whose atom,
+//!   premises or valuations mention it (with a side list of the merges
+//!   that rewrote each merged-away value, in order).
+//! - The **premise index** maps every atom to the entries, and the
+//!   merge records, that cite it as a premise.
+//!
+//! [`Provenance::record_source`] and [`Provenance::record_derived`] cost
+//! one index insert per value and premise of the new justification.
+//! [`Provenance::record_merge`] visits only the entries the loser
+//! occurs in and the merge records citing them: it rewrites those,
+//! then folds the re-keyed atoms in atom order after the unchanged
+//! ones, so a collided atom's justification order is the same in every
+//! process. [`Provenance::retract_sources`] works inside the *affected
+//! cone*: the deleted source atoms, every entry that mentions a value
+//! tainted by a suspect merge, and everything that cites those,
+//! transitively through the premise index. Every atom outside the cone
+//! keeps all its justifications and stays alive, so the least fixpoint
+//! runs over the cone alone, and only merges citing a cone atom are
+//! re-examined. Both count the entries and merge records they inspect
+//! ([`Provenance::entries_visited`]).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 
-use dex_core::{Atom, Instance, Value};
+use dex_core::{Atom, Instance, Symbol, Value};
 use dex_obs::JsonValue;
+
+#[cfg(test)]
+mod reference;
 
 /// How one atom got into the chase result.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -40,12 +70,12 @@ pub enum Derivation {
     /// Inserted by firing dependency `dep` under `valuation`.
     Tgd {
         /// The dependency's name (`d2`, …).
-        dep: String,
+        dep: Symbol,
         /// Its index in the setting's `st_tgds ++ t_tgds` order.
         dep_index: usize,
         /// The full trigger valuation: frontier, body-only and
-        /// existential variables, in variable-name order of recording.
-        valuation: Vec<(String, Value)>,
+        /// existential variables, in variable order of recording.
+        valuation: Vec<(Symbol, Value)>,
         /// The instantiated body atoms (empty for FO bodies, which
         /// have no canonical atom decomposition).
         premises: Vec<Atom>,
@@ -56,6 +86,61 @@ impl Derivation {
     pub fn is_source(&self) -> bool {
         matches!(self, Derivation::Source)
     }
+
+    /// The instantiated body atoms (none for a source atom).
+    fn premises(&self) -> &[Atom] {
+        match self {
+            Derivation::Source => &[],
+            Derivation::Tgd { premises, .. } => premises,
+        }
+    }
+
+    /// Every value the premises and the valuation mention.
+    fn values(&self) -> impl Iterator<Item = Value> + '_ {
+        let valuation = match self {
+            Derivation::Source => &[][..],
+            Derivation::Tgd { valuation, .. } => &valuation[..],
+        };
+        self.premises()
+            .iter()
+            .flat_map(|p| p.args.iter().copied())
+            .chain(valuation.iter().map(|&(_, v)| v))
+    }
+
+    /// Rewrites premises and valuation through `subst`; true iff
+    /// anything changed.
+    fn rewrite(&mut self, subst: impl Fn(Value) -> Value) -> bool {
+        let Derivation::Tgd {
+            premises,
+            valuation,
+            ..
+        } = self
+        else {
+            return false;
+        };
+        let mut touched = rewrite_atoms(premises, &subst);
+        for (_, v) in valuation.iter_mut() {
+            let nv = subst(*v);
+            if nv != *v {
+                *v = nv;
+                touched = true;
+            }
+        }
+        touched
+    }
+}
+
+/// Rewrites `atoms` through `subst`; true iff any of them changed.
+fn rewrite_atoms(atoms: &mut [Atom], subst: impl Fn(Value) -> Value) -> bool {
+    let mut touched = false;
+    for a in atoms {
+        let rewritten = a.map_values(&subst);
+        if rewritten != *a {
+            *a = rewritten;
+            touched = true;
+        }
+    }
+    touched
 }
 
 /// One recorded justification of an atom: a derivation plus the egd
@@ -104,31 +189,107 @@ impl MergeRecord {
     }
 }
 
+/// A slot of the entry table.
+type Id = u32;
+
+/// One atom of the map with its justifications.
+#[derive(Clone, Debug)]
+struct Entry {
+    atom: Atom,
+    justs: Vec<Just>,
+}
+
+impl Entry {
+    /// Every value the atom, its premises and its valuations mention.
+    fn values(&self) -> impl Iterator<Item = Value> + '_ {
+        self.atom
+            .args
+            .iter()
+            .copied()
+            .chain(self.justs.iter().flat_map(|j| j.derivation.values()))
+    }
+
+    fn premises(&self) -> impl Iterator<Item = &Atom> {
+        self.justs.iter().flat_map(|j| j.derivation.premises())
+    }
+}
+
+/// True iff the justification is not structurally dead: not a deleted
+/// source entry and not conditional on a suspect merge. (Premise
+/// aliveness is the fixpoint's job, not this check's.)
+fn usable(j: &Just, atom: &Atom, deleted: &HashSet<Atom>, suspect: &HashSet<u64>) -> bool {
+    if j.merge_deps.iter().any(|d| suspect.contains(d)) {
+        return false;
+    }
+    match &j.derivation {
+        Derivation::Source => !deleted.contains(atom),
+        Derivation::Tgd { .. } => true,
+    }
+}
+
+/// One round of retraction: the affected cone and the atoms of it found
+/// alive. Every atom outside the cone is alive.
+struct Cone {
+    members: HashSet<Id>,
+    alive: HashSet<Id>,
+}
+
 /// Per-atom derivations for one chase run.
 #[derive(Clone, Debug, Default)]
 pub struct Provenance {
-    how: HashMap<Atom, Vec<Just>>,
+    /// The entry table; a `None` slot is free and listed in `free`.
+    entries: Vec<Option<Entry>>,
+    free: Vec<Id>,
+    ids: HashMap<Atom, Id>,
+    /// Ascending by id.
     merges: Vec<MergeRecord>,
     next_merge_id: u64,
+    /// Whether the indexes below are built. The first merge or
+    /// retraction builds them and every later call maintains them, so a
+    /// run that never merges or retracts never pays for them.
+    indexed: bool,
+    /// The value index: each value → the entries that mention it.
+    by_value: HashMap<Value, HashSet<Id>>,
+    /// Each merged-away value → the ids of the merges that rewrote it,
+    /// ascending.
+    by_loser: HashMap<Value, Vec<u64>>,
+    /// The premise index, by slot: the entries with a justification
+    /// citing the slot's atom as a premise ...
+    cited_by: Vec<HashSet<Id>>,
+    /// ... and the ids of the merge records citing it.
+    merges_citing: Vec<HashSet<u64>>,
+    /// Entries and merge records re-keying and retraction inspected.
+    visited: u64,
+    /// The whole-map maintenance this one replaced, run beside it so
+    /// tests can compare the two.
+    #[cfg(test)]
+    reference: reference::Reference,
 }
 
 impl Provenance {
     /// Seeds the map: every source atom derives as [`Derivation::Source`].
     pub fn for_source(source: &Instance) -> Provenance {
-        Provenance {
-            how: source.atoms().map(|a| (a, vec![Just::source()])).collect(),
-            merges: Vec::new(),
-            next_merge_id: 0,
+        let mut p = Provenance::default();
+        for a in source.atoms() {
+            p.record_source(a);
         }
+        p
     }
 
     /// Records an atom as (now also) present in the source — used when
     /// incremental maintenance inserts new source atoms into a prior
     /// chase result.
     pub fn record_source(&mut self, atom: Atom) {
-        let justs = self.how.entry(atom).or_default();
-        if !justs.iter().any(|j| j.derivation.is_source()) {
-            justs.push(Just::source());
+        #[cfg(test)]
+        self.reference.record_source(atom.clone());
+        let id = self.entry_id(atom);
+        if !self
+            .entry(id)
+            .justs
+            .iter()
+            .any(|j| j.derivation.is_source())
+        {
+            self.push_just(id, Just::source());
         }
     }
 
@@ -139,23 +300,33 @@ impl Provenance {
     pub fn record_derived(
         &mut self,
         atom: Atom,
-        dep: &str,
+        dep: Symbol,
         dep_index: usize,
-        valuation: &[(String, Value)],
+        valuation: &[(Symbol, Value)],
         premises: &[Atom],
     ) {
         let derivation = Derivation::Tgd {
-            dep: dep.to_string(),
+            dep,
             dep_index,
             valuation: valuation.to_vec(),
             premises: premises.to_vec(),
         };
-        let justs = self.how.entry(atom).or_default();
-        if !justs.iter().any(|j| j.derivation == derivation) {
-            justs.push(Just {
-                derivation,
-                merge_deps: Vec::new(),
-            });
+        #[cfg(test)]
+        self.reference.record_derived(atom.clone(), &derivation);
+        let id = self.entry_id(atom);
+        if !self
+            .entry(id)
+            .justs
+            .iter()
+            .any(|j| j.derivation == derivation)
+        {
+            self.push_just(
+                id,
+                Just {
+                    derivation,
+                    merge_deps: Vec::new(),
+                },
+            );
         }
     }
 
@@ -165,94 +336,134 @@ impl Provenance {
     /// `Instance::merge_value` rewrites the instance's rows. Every
     /// justification the rewrite touches becomes conditional on this
     /// merge (its id lands in the justification's `merge_deps`).
+    ///
+    /// Only the entries the value index lists under `loser` are
+    /// visited, with the merge records citing their atoms.
     pub fn record_merge(&mut self, dep: &str, loser: Value, winner: Value, premises: &[Atom]) {
+        #[cfg(test)]
+        self.reference.record_merge(dep, loser, winner, premises);
+        self.build_index();
         let id = self.next_merge_id;
         self.next_merge_id += 1;
         let subst = |v: Value| if v == loser { winner } else { v };
-        let old = std::mem::take(&mut self.how);
-        // Re-keyed atoms can collide with each other or with an atom the
-        // merge left alone. They are folded in after every unchanged
-        // atom, in atom order, so a collided atom's justification order
-        // does not depend on the map's iteration order.
-        let mut moved: Vec<(Atom, Atom, Vec<Just>)> = Vec::new();
-        for (atom, mut justs) in old {
-            let new_atom = atom.map_values(subst);
-            let atom_rekeyed = new_atom != atom;
-            for j in &mut justs {
-                let mut touched = atom_rekeyed;
-                if let Derivation::Tgd {
-                    premises,
-                    valuation,
-                    ..
-                } = &mut j.derivation
-                {
-                    for p in premises.iter_mut() {
-                        let np = p.map_values(subst);
-                        if np != *p {
-                            *p = np;
-                            touched = true;
-                        }
-                    }
-                    for (_, v) in valuation.iter_mut() {
-                        let nv = subst(*v);
-                        if nv != *v {
-                            *v = nv;
-                            touched = true;
-                        }
-                    }
-                }
-                if touched {
+        let touched: Vec<Id> = match self.by_value.remove(&loser) {
+            Some(ids) if loser != winner => ids.into_iter().collect(),
+            Some(ids) => {
+                self.by_value.insert(loser, ids);
+                Vec::new()
+            }
+            None => Vec::new(),
+        };
+        let mut merges_touched: BTreeSet<u64> = BTreeSet::new();
+        let mut moved: Vec<(Atom, Id)> = Vec::new();
+        for &eid in &touched {
+            let entry = self.entry_mut(eid);
+            let rekeyed = entry.atom.args.contains(&loser);
+            for j in &mut entry.justs {
+                if j.derivation.rewrite(subst) || rekeyed {
                     j.merge_deps.push(id);
                 }
             }
-            if atom_rekeyed {
-                moved.push((atom, new_atom, justs));
-            } else {
-                self.how.insert(new_atom, justs);
+            if rekeyed {
+                moved.push((entry.atom.clone(), eid));
+                merges_touched.extend(&self.merges_citing[eid as usize]);
             }
         }
+        // Re-keyed atoms can collide with each other or with an atom the
+        // merge left alone. They are folded in after every unchanged
+        // atom, in atom order, so a collided atom's justification order
+        // does not depend on any map's iteration order.
         moved.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        for (_, new_atom, justs) in moved {
-            // Two atoms can collapse into one; the surviving atom keeps
-            // every distinct justification of both.
-            let slot = self.how.entry(new_atom).or_default();
-            for j in justs {
-                if !slot.contains(&j) {
-                    slot.push(j);
+        for (old, _) in &moved {
+            self.ids.remove(old);
+        }
+        let mut folded: Vec<(Id, Id, Entry)> = Vec::new();
+        for (old, mid) in moved {
+            let new_atom = old.map_values(subst);
+            match self.ids.get(&new_atom).copied() {
+                None => {
+                    self.ids.insert(new_atom.clone(), mid);
+                    let entry = self.entry_mut(mid);
+                    entry.atom = new_atom;
+                    for j in std::mem::take(&mut entry.justs) {
+                        if !entry.justs.contains(&j) {
+                            entry.justs.push(j);
+                        }
+                    }
+                }
+                // Two atoms collapse into one; the surviving atom keeps
+                // every distinct justification of both.
+                Some(sid) => {
+                    let m = self.entries[mid as usize]
+                        .take()
+                        .expect("moved entry is live");
+                    let s = self.entry_mut(sid);
+                    for j in &m.justs {
+                        if !s.justs.contains(j) {
+                            s.justs.push(j.clone());
+                        }
+                    }
+                    let cited_by = std::mem::take(&mut self.cited_by[mid as usize]);
+                    self.cited_by[sid as usize].extend(cited_by);
+                    let citing = std::mem::take(&mut self.merges_citing[mid as usize]);
+                    self.merges_citing[sid as usize].extend(citing);
+                    folded.push((mid, sid, m));
                 }
             }
         }
-        for m in &mut self.merges {
-            let mut touched = false;
-            for p in m.premises.iter_mut() {
-                let np = p.map_values(subst);
-                if np != *p {
-                    *p = np;
-                    touched = true;
+        // A folded entry's id is replaced by its target's wherever the
+        // indexes list it: under the values it mentions, and in the
+        // citations of its premises (all renamed by now).
+        let mut remap: HashMap<Id, Id> = HashMap::new();
+        for (mid, sid, m) in folded {
+            for v in m.values() {
+                if let Some(set) = self.by_value.get_mut(&v) {
+                    set.remove(&mid);
+                    set.insert(sid);
                 }
             }
-            if touched {
+            for p in m.premises() {
+                if let Some(&pid) = self.ids.get(p) {
+                    let cited_by = &mut self.cited_by[pid as usize];
+                    cited_by.remove(&mid);
+                    cited_by.insert(sid);
+                }
+            }
+            self.free.push(mid);
+            remap.insert(mid, sid);
+        }
+        if !touched.is_empty() {
+            let winners = self.by_value.entry(winner).or_default();
+            winners.extend(touched.iter().map(|t| remap.get(t).copied().unwrap_or(*t)));
+        }
+        self.visited += (touched.len() + merges_touched.len()) as u64;
+        for mid in merges_touched {
+            let pos = self.merge_pos(mid);
+            let m = &mut self.merges[pos];
+            if rewrite_atoms(&mut m.premises, subst) {
                 m.merge_deps.push(id);
             }
         }
+        // The trigger's own atoms are rewritten by the merge too.
+        let premises: Vec<Atom> = premises.iter().map(|p| p.map_values(subst)).collect();
+        self.index_merge(id, loser, &premises);
         self.merges.push(MergeRecord {
             dep: dep.to_string(),
             loser,
             winner,
             id,
-            // The trigger's own atoms are rewritten by the merge too.
-            premises: premises.iter().map(|p| p.map_values(subst)).collect(),
+            premises,
             merge_deps: Vec::new(),
         });
     }
 
     /// Number of atoms with a recorded derivation.
     pub fn len(&self) -> usize {
-        self.how.len()
+        self.ids.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.how.is_empty()
+        self.ids.is_empty()
     }
 
     /// The egd merges applied and still justified, in order.
@@ -260,18 +471,22 @@ impl Provenance {
         &self.merges
     }
 
+    /// Entries and merge records that egd re-keying and deletion
+    /// retraction have inspected over this map's life (clones included).
+    pub fn entries_visited(&self) -> u64 {
+        self.visited
+    }
+
     /// The first recorded derivation of `atom`, if any.
     pub fn derivation(&self, atom: &Atom) -> Option<&Derivation> {
-        self.how
-            .get(atom)
+        self.justs(atom)
             .and_then(|js| js.first())
             .map(|j| &j.derivation)
     }
 
     /// Every recorded derivation of `atom`, in recording order.
     pub fn derivations(&self, atom: &Atom) -> impl Iterator<Item = &Derivation> {
-        self.how
-            .get(atom)
+        self.justs(atom)
             .into_iter()
             .flat_map(|js| js.iter().map(|j| &j.derivation))
     }
@@ -279,7 +494,7 @@ impl Provenance {
     /// The number of recorded justifications of `atom` (its support
     /// count in the counting/DRed sense).
     pub fn support(&self, atom: &Atom) -> usize {
-        self.how.get(atom).map_or(0, Vec::len)
+        self.justs(atom).map_or(0, <[Just]>::len)
     }
 
     /// The justification chain of `atom`: the atom's own (first)
@@ -298,9 +513,7 @@ impl Provenance {
                 continue;
             }
             let derivation = self.derivation(&a)?.clone();
-            if let Derivation::Tgd { premises, .. } = &derivation {
-                queue.extend(premises.iter().cloned());
-            }
+            queue.extend(derivation.premises().iter().cloned());
             steps.push(ChainStep {
                 atom: a,
                 derivation,
@@ -321,9 +534,9 @@ impl Provenance {
     }
 
     /// DRed-style deletion propagation: retracts the `deleted` source
-    /// atoms and returns every atom that loses its last justification —
-    /// the caller removes exactly those atoms from the instance and
-    /// re-fires triggers whose heads they satisfied.
+    /// atoms and returns every atom that loses its last justification,
+    /// in atom order — the caller removes exactly those atoms from the
+    /// instance and re-fires triggers whose heads they satisfied.
     ///
     /// Aliveness is a *least* fixpoint grounded in the surviving source
     /// atoms (a cycle of atoms justifying each other with no external
@@ -336,52 +549,305 @@ impl Provenance {
     /// winner is over-deleted — re-derivation re-fires and re-merges
     /// whatever still holds. This is the documented egd over-delete
     /// boundary of incremental maintenance.
+    ///
+    /// The fixpoint runs inside the affected cone (see the module docs):
+    /// an atom outside it cites no atom inside it, is not deleted, and
+    /// mentions no tainted value, so it keeps every justification.
     pub fn retract_sources(&mut self, deleted: &[Atom]) -> Vec<Atom> {
+        #[cfg(test)]
+        let expected = self.reference.retract_sources(deleted);
+        self.build_index();
         let deleted: HashSet<Atom> = deleted.iter().cloned().collect();
         let mut suspect: HashSet<u64> = HashSet::new();
-        loop {
-            let alive = self.alive_fixpoint(&deleted, &suspect);
+        let removed = loop {
+            let cone = self.cone(&deleted, &suspect);
             // Grow the suspect-merge set against this aliveness; if it
-            // grows, aliveness must be recomputed (monotone, so the
-            // outer loop terminates after at most |merges| rounds).
-            let mut grew = false;
-            loop {
-                let mut inner = false;
-                for m in &self.merges {
-                    if suspect.contains(&m.id) {
-                        continue;
-                    }
-                    let bad = m.merge_deps.iter().any(|d| suspect.contains(d))
-                        || m.premises.iter().any(|p| {
-                            !alive.contains(p) || self.lost_support(p, &deleted, &suspect, &alive)
-                        });
-                    if bad {
-                        suspect.insert(m.id);
-                        inner = true;
-                        grew = true;
-                    }
+            // grows, the cone and its aliveness must be recomputed
+            // (monotone, so this terminates after at most |merges|
+            // rounds).
+            if !self.grow_suspect(&cone, &deleted, &mut suspect) {
+                break self.apply_retraction(&cone, &deleted, &suspect);
+            }
+        };
+        #[cfg(test)]
+        self.reference.compare_removed(&removed, &expected);
+        removed
+    }
+
+    fn entry(&self, id: Id) -> &Entry {
+        self.entries[id as usize]
+            .as_ref()
+            .expect("indexed entry is live")
+    }
+
+    fn entry_mut(&mut self, id: Id) -> &mut Entry {
+        self.entries[id as usize]
+            .as_mut()
+            .expect("indexed entry is live")
+    }
+
+    fn justs(&self, atom: &Atom) -> Option<&[Just]> {
+        self.ids.get(atom).map(|&id| &self.entry(id).justs[..])
+    }
+
+    fn merge_pos(&self, id: u64) -> usize {
+        self.merges
+            .binary_search_by_key(&id, |m| m.id)
+            .expect("indexed merge is recorded")
+    }
+
+    /// The entry of `atom`, created empty (and its values indexed) when
+    /// the atom has none yet.
+    fn entry_id(&mut self, atom: Atom) -> Id {
+        if let Some(&id) = self.ids.get(&atom) {
+            return id;
+        }
+        let entry = Entry {
+            atom: atom.clone(),
+            justs: Vec::new(),
+        };
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.entries[id as usize] = Some(entry);
+                id
+            }
+            None => {
+                self.entries.push(Some(entry));
+                Id::try_from(self.entries.len() - 1).expect("fewer than 2^32 atoms")
+            }
+        };
+        self.ids.insert(atom, id);
+        if self.indexed {
+            if self.cited_by.len() < self.entries.len() {
+                self.cited_by.resize_with(self.entries.len(), HashSet::new);
+                self.merges_citing
+                    .resize_with(self.entries.len(), HashSet::new);
+            }
+            self.link(id, true);
+        }
+        id
+    }
+
+    /// Builds the indexes from the entries and merge records, once.
+    fn build_index(&mut self) {
+        if self.indexed {
+            return;
+        }
+        self.indexed = true;
+        self.cited_by = vec![HashSet::new(); self.entries.len()];
+        self.merges_citing = vec![HashSet::new(); self.entries.len()];
+        for id in 0..self.entries.len() {
+            if self.entries[id].is_some() {
+                self.link(id as Id, true);
+            }
+        }
+        let merges = std::mem::take(&mut self.merges);
+        for m in &merges {
+            self.index_merge(m.id, m.loser, &m.premises);
+        }
+        self.merges = merges;
+        self.visited += (self.ids.len() + self.merges.len()) as u64;
+    }
+
+    /// Indexes merge `id`: under its loser, and as citing each premise.
+    fn index_merge(&mut self, id: u64, loser: Value, premises: &[Atom]) {
+        for p in premises {
+            match self.ids.get(p) {
+                Some(&pid) => {
+                    self.merges_citing[pid as usize].insert(id);
                 }
-                if !inner {
-                    break;
+                None => debug_assert!(false, "merge premise {p} has no entry"),
+            }
+        }
+        self.by_loser.entry(loser).or_default().push(id);
+    }
+
+    /// Appends a justification to entry `id`, indexing its values and
+    /// premises.
+    fn push_just(&mut self, id: Id, just: Just) {
+        debug_assert!(
+            just.derivation
+                .premises()
+                .iter()
+                .all(|p| self.ids.contains_key(p)),
+            "a premise of {} has no entry",
+            self.entry(id).atom
+        );
+        if self.indexed {
+            for v in just.derivation.values() {
+                self.by_value.entry(v).or_default().insert(id);
+            }
+            for p in just.derivation.premises() {
+                if let Some(&pid) = self.ids.get(p) {
+                    self.cited_by[pid as usize].insert(id);
                 }
             }
-            if !grew {
-                return self.apply_retraction(&deleted, &suspect, &alive);
+        }
+        self.entry_mut(id).justs.push(just);
+    }
+
+    /// Adds (`on`) or removes entry `id` in the index sets of every
+    /// value it mentions and every premise it cites.
+    fn link(&mut self, id: Id, on: bool) {
+        let entry = self.entry(id);
+        let values: HashSet<Value> = entry.values().collect();
+        let cited: HashSet<Id> = entry
+            .premises()
+            .filter_map(|p| self.ids.get(p).copied())
+            .collect();
+        for v in values {
+            if on {
+                self.by_value.entry(v).or_default().insert(id);
+            } else if let Some(set) = self.by_value.get_mut(&v) {
+                set.remove(&id);
+                if set.is_empty() {
+                    self.by_value.remove(&v);
+                }
+            }
+        }
+        for pid in cited {
+            let cited_by = &mut self.cited_by[pid as usize];
+            if on {
+                cited_by.insert(id);
+            } else {
+                cited_by.remove(&id);
             }
         }
     }
 
-    /// True iff the justification is not structurally dead: not a
-    /// deleted source entry and not conditional on a suspect merge.
-    /// (Premise aliveness is the fixpoint's job, not this check's.)
-    fn usable(j: &Just, atom: &Atom, deleted: &HashSet<Atom>, suspect: &HashSet<u64>) -> bool {
-        if j.merge_deps.iter().any(|d| suspect.contains(d)) {
-            return false;
+    /// The value live rows inherited from merge `id`: its winner,
+    /// resolved through the later merges that rewrote it.
+    fn resolved_winner(&self, id: u64) -> Value {
+        let mut w = self.merges[self.merge_pos(id)].winner;
+        let mut after = id;
+        while let Some(t) = self
+            .by_loser
+            .get(&w)
+            .and_then(|ids| ids.iter().copied().find(|&t| t > after))
+        {
+            w = self.merges[self.merge_pos(t)].winner;
+            after = t;
         }
-        match &j.derivation {
-            Derivation::Source => !deleted.contains(atom),
-            Derivation::Tgd { .. } => true,
+        w
+    }
+
+    /// `p` has an entry, and it is outside the cone or alive inside it.
+    fn premise_alive(&self, p: &Atom, cone: &Cone) -> bool {
+        self.ids
+            .get(p)
+            .is_some_and(|id| !cone.members.contains(id) || cone.alive.contains(id))
+    }
+
+    /// The affected cone under the current `suspect` set, with its
+    /// least-fixpoint aliveness.
+    ///
+    /// The cone's seeds are the deleted atoms and every entry mentioning
+    /// a tainted value (a suspect merge's resolved winner). Every
+    /// justification conditional on a suspect merge mentions that merge's
+    /// resolved winner (each later merge that rewrote the winner rewrote
+    /// the justification too), so the seeds cover every atom with a dead
+    /// justification; the cone closes them under the premise index.
+    ///
+    /// Inside the cone, an atom is alive iff it has a usable Source
+    /// justification, or a usable tgd justification whose premises are
+    /// all alive — and it is not over-deleted by merge taint. FO-derived
+    /// justifications (empty premise list) count as unconditionally
+    /// satisfied; callers that maintain deletions fall back to a full
+    /// re-chase when FO bodies are in play.
+    fn cone(&mut self, deleted: &HashSet<Atom>, suspect: &HashSet<u64>) -> Cone {
+        let tainted: HashSet<Value> = suspect.iter().map(|&s| self.resolved_winner(s)).collect();
+        let mut members: HashSet<Id> = HashSet::new();
+        let mut stack: Vec<Id> = deleted
+            .iter()
+            .filter_map(|a| self.ids.get(a).copied())
+            .collect();
+        for v in &tainted {
+            stack.extend(self.by_value.get(v).into_iter().flatten().copied());
         }
+        while let Some(id) = stack.pop() {
+            if members.insert(id) {
+                stack.extend(self.cited_by[id as usize].iter().copied());
+            }
+        }
+        self.visited += members.len() as u64;
+        let mut cone = Cone {
+            members,
+            alive: HashSet::new(),
+        };
+        let mut queue: VecDeque<Id> = VecDeque::new();
+        // Pending tgd justifications: (atom, #premises not yet alive).
+        struct Pending {
+            id: Id,
+            missing: usize,
+        }
+        let mut pending: Vec<Pending> = Vec::new();
+        // premise -> indices into `pending` waiting on it.
+        let mut waiters: HashMap<Id, Vec<usize>> = HashMap::new();
+        'atoms: for &id in &cone.members {
+            let entry = self.entry(id);
+            let source_alive = entry
+                .justs
+                .iter()
+                .any(|j| j.derivation.is_source() && usable(j, &entry.atom, deleted, suspect));
+            if source_alive {
+                cone.alive.insert(id);
+                queue.push_back(id);
+                continue;
+            }
+            // Merge taint over-deletes derived atoms outright.
+            if entry.atom.args.iter().any(|v| tainted.contains(v)) {
+                continue;
+            }
+            'justs: for j in &entry.justs {
+                if !usable(j, &entry.atom, deleted, suspect) || j.derivation.is_source() {
+                    continue;
+                }
+                // Register waiters only for premises not alive *now*:
+                // an already-alive premise may still be queued for its
+                // own drain, and decrementing for it again would count
+                // it twice. A premise without an entry never comes alive.
+                let mut missing: Vec<Id> = Vec::new();
+                for p in j.derivation.premises() {
+                    match self.ids.get(p) {
+                        None => continue 'justs,
+                        Some(&pid) if cone.members.contains(&pid) && !cone.alive.contains(&pid) => {
+                            missing.push(pid)
+                        }
+                        Some(_) => {}
+                    }
+                }
+                if missing.is_empty() {
+                    cone.alive.insert(id);
+                    queue.push_back(id);
+                    continue 'atoms;
+                }
+                let idx = pending.len();
+                pending.push(Pending {
+                    id,
+                    missing: missing.len(),
+                });
+                for p in missing {
+                    waiters.entry(p).or_default().push(idx);
+                }
+            }
+        }
+        while let Some(a) = queue.pop_front() {
+            let Some(waiting) = waiters.get(&a) else {
+                continue;
+            };
+            for &wi in waiting {
+                let w = &mut pending[wi];
+                if cone.alive.contains(&w.id) {
+                    continue;
+                }
+                w.missing -= 1;
+                if w.missing == 0 {
+                    cone.alive.insert(w.id);
+                    queue.push_back(w.id);
+                }
+            }
+        }
+        cone
     }
 
     /// True iff some justification of `p` is dead under the current
@@ -392,117 +858,68 @@ impl Provenance {
         p: &Atom,
         deleted: &HashSet<Atom>,
         suspect: &HashSet<u64>,
-        alive: &HashSet<Atom>,
+        cone: &Cone,
     ) -> bool {
-        self.how.get(p).is_none_or(|justs| {
+        self.justs(p).is_none_or(|justs| {
             justs.iter().any(|j| {
-                !Self::usable(j, p, deleted, suspect)
-                    || match &j.derivation {
-                        Derivation::Source => false,
-                        Derivation::Tgd { premises, .. } => {
-                            premises.iter().any(|q| !alive.contains(q))
-                        }
-                    }
+                !usable(j, p, deleted, suspect)
+                    || j.derivation
+                        .premises()
+                        .iter()
+                        .any(|q| !self.premise_alive(q, cone))
             })
         })
     }
 
-    /// The values live rows inherited from suspect merges: each suspect
-    /// winner resolved through the later merges that rewrote it.
-    fn tainted_values(&self, suspect: &HashSet<u64>) -> HashSet<Value> {
-        let mut out = HashSet::new();
-        for (i, m) in self.merges.iter().enumerate() {
-            if !suspect.contains(&m.id) {
-                continue;
-            }
-            let mut w = m.winner;
-            for later in &self.merges[i + 1..] {
-                if later.loser == w {
-                    w = later.winner;
+    /// Grows `suspect` to its fixpoint against the cone's aliveness;
+    /// true iff it grew. A merge can only turn suspect through a premise
+    /// in the cone, or through a premise mentioning the resolved winner
+    /// of a merge that just turned suspect, so only the merges citing
+    /// those atoms are examined.
+    fn grow_suspect(
+        &mut self,
+        cone: &Cone,
+        deleted: &HashSet<Atom>,
+        suspect: &mut HashSet<u64>,
+    ) -> bool {
+        let mut candidates: BTreeSet<u64> = self.merges_citing(cone.members.iter().copied());
+        let mut grew = false;
+        let mut examined = 0u64;
+        loop {
+            let mut inner = false;
+            let mut more: Vec<u64> = Vec::new();
+            for &mid in &candidates {
+                if suspect.contains(&mid) {
+                    continue;
+                }
+                examined += 1;
+                let m = &self.merges[self.merge_pos(mid)];
+                let bad = m.merge_deps.iter().any(|d| suspect.contains(d))
+                    || m.premises.iter().any(|p| {
+                        !self.premise_alive(p, cone) || self.lost_support(p, deleted, suspect, cone)
+                    });
+                if bad {
+                    suspect.insert(mid);
+                    inner = true;
+                    grew = true;
+                    let w = self.resolved_winner(mid);
+                    let mentioning = self.by_value.get(&w).into_iter().flatten().copied();
+                    more.extend(self.merges_citing(mentioning));
                 }
             }
-            out.insert(w);
+            candidates.extend(more);
+            if !inner {
+                break;
+            }
         }
-        out
+        self.visited += examined;
+        grew
     }
 
-    /// Least-fixpoint aliveness: an atom is alive iff it has a usable
-    /// Source justification, or a usable tgd justification whose
-    /// premises are all alive — and it is not over-deleted by merge
-    /// taint. FO-derived justifications (empty premise list) count as
-    /// unconditionally satisfied; callers that maintain deletions fall
-    /// back to a full re-chase when FO bodies are in play.
-    fn alive_fixpoint(&self, deleted: &HashSet<Atom>, suspect: &HashSet<u64>) -> HashSet<Atom> {
-        let tainted = self.tainted_values(suspect);
-        let source_alive = |atom: &Atom, justs: &[Just]| {
-            justs
-                .iter()
-                .any(|j| j.derivation.is_source() && Self::usable(j, atom, deleted, suspect))
-        };
-        let mut alive: HashSet<Atom> = HashSet::new();
-        let mut queue: VecDeque<&Atom> = VecDeque::new();
-        // Pending tgd justifications: (atom, #premises not yet alive).
-        struct Pending<'p> {
-            atom: &'p Atom,
-            missing: usize,
-        }
-        let mut pending: Vec<Pending> = Vec::new();
-        // premise -> indices into `pending` waiting on it.
-        let mut waiters: HashMap<&Atom, Vec<usize>> = HashMap::new();
-        for (atom, justs) in &self.how {
-            if source_alive(atom, justs) {
-                alive.insert(atom.clone());
-                queue.push_back(atom);
-                continue;
-            }
-            // Merge taint over-deletes derived atoms outright.
-            if atom.args.iter().any(|v| tainted.contains(v)) {
-                continue;
-            }
-            for j in justs {
-                if !Self::usable(j, atom, deleted, suspect) {
-                    continue;
-                }
-                let Derivation::Tgd { premises, .. } = &j.derivation else {
-                    continue;
-                };
-                // Register waiters only for premises not alive *now*:
-                // an already-alive premise may still be queued for its
-                // own drain, and decrementing for it again would count
-                // it twice.
-                let missing: Vec<&Atom> = premises.iter().filter(|p| !alive.contains(*p)).collect();
-                if missing.is_empty() {
-                    alive.insert(atom.clone());
-                    queue.push_back(atom);
-                    break;
-                }
-                let idx = pending.len();
-                pending.push(Pending {
-                    atom,
-                    missing: missing.len(),
-                });
-                for p in missing {
-                    waiters.entry(p).or_default().push(idx);
-                }
-            }
-        }
-        while let Some(a) = queue.pop_front() {
-            let Some(waiting) = waiters.get(a) else {
-                continue;
-            };
-            for &wi in waiting {
-                let w = &mut pending[wi];
-                if alive.contains(w.atom) {
-                    continue;
-                }
-                w.missing -= 1;
-                if w.missing == 0 {
-                    alive.insert(w.atom.clone());
-                    queue.push_back(w.atom);
-                }
-            }
-        }
-        alive
+    /// The merges citing any of the atoms of `ids`.
+    fn merges_citing(&self, ids: impl Iterator<Item = Id>) -> BTreeSet<u64> {
+        ids.flat_map(|id| self.merges_citing[id as usize].iter().copied())
+            .collect()
     }
 
     /// Drops everything the retraction killed: dead atoms, their
@@ -510,38 +927,76 @@ impl Provenance {
     /// suspect merge records. Returns the removed atoms in atom order.
     fn apply_retraction(
         &mut self,
+        cone: &Cone,
         deleted: &HashSet<Atom>,
         suspect: &HashSet<u64>,
-        alive: &HashSet<Atom>,
     ) -> Vec<Atom> {
+        let mut dead: Vec<Id> = Vec::new();
+        for &id in &cone.members {
+            if !cone.alive.contains(&id) {
+                dead.push(id);
+                continue;
+            }
+            let entry = self.entry(id);
+            let keep: Vec<bool> = entry
+                .justs
+                .iter()
+                .map(|j| {
+                    usable(j, &entry.atom, deleted, suspect)
+                        && j.derivation
+                            .premises()
+                            .iter()
+                            .all(|p| self.premise_alive(p, cone))
+                })
+                .collect();
+            if keep.iter().all(|&k| k) {
+                continue;
+            }
+            self.link(id, false);
+            let entry = self.entry_mut(id);
+            let mut keep = keep.into_iter();
+            entry.justs.retain(|_| keep.next() == Some(true));
+            debug_assert!(
+                !entry.justs.is_empty(),
+                "surviving atom {} retained no justification",
+                entry.atom
+            );
+            self.link(id, true);
+        }
+        for &id in &dead {
+            self.link(id, false);
+        }
         // Sorted: the caller re-derives in this order, and map order
         // differs between processes.
-        let mut removed: Vec<Atom> = self
-            .how
-            .keys()
-            .filter(|a| !alive.contains(*a))
-            .cloned()
-            .collect();
+        let mut removed: Vec<Atom> = Vec::with_capacity(dead.len());
+        for id in dead {
+            let entry = self.entries[id as usize]
+                .take()
+                .expect("dead entry is live");
+            self.ids.remove(&entry.atom);
+            self.cited_by[id as usize].clear();
+            self.merges_citing[id as usize].clear();
+            self.free.push(id);
+            removed.push(entry.atom);
+        }
         removed.sort_unstable();
-        for a in &removed {
-            self.how.remove(a);
+        let mut dropped: Vec<u64> = suspect.iter().copied().collect();
+        dropped.sort_unstable();
+        for &mid in dropped.iter().rev() {
+            let pos = self.merge_pos(mid);
+            let m = self.merges.remove(pos);
+            for p in &m.premises {
+                if let Some(&pid) = self.ids.get(p) {
+                    self.merges_citing[pid as usize].remove(&mid);
+                }
+            }
+            if let Some(ids) = self.by_loser.get_mut(&m.loser) {
+                ids.retain(|&t| t != mid);
+                if ids.is_empty() {
+                    self.by_loser.remove(&m.loser);
+                }
+            }
         }
-        for (atom, justs) in &mut self.how {
-            justs.retain(|j| {
-                Self::usable(j, atom, deleted, suspect)
-                    && match &j.derivation {
-                        Derivation::Source => true,
-                        Derivation::Tgd { premises, .. } => {
-                            premises.iter().all(|p| alive.contains(p))
-                        }
-                    }
-            });
-            debug_assert!(
-                !justs.is_empty(),
-                "surviving atom {atom} retained no justification"
-            );
-        }
-        self.merges.retain(|m| !suspect.contains(&m.id));
         removed
     }
 }
@@ -599,7 +1054,7 @@ impl JustificationChain {
                             valuation,
                             premises,
                         } => {
-                            o.push("by", JsonValue::str(dep.clone()));
+                            o.push("by", JsonValue::str(dep.to_string()));
                             o.push("dep_index", JsonValue::uint(*dep_index as u64));
                             o.push(
                                 "valuation",
@@ -607,7 +1062,7 @@ impl JustificationChain {
                                     valuation
                                         .iter()
                                         .map(|(var, v)| {
-                                            (var.clone(), JsonValue::str(v.to_string()))
+                                            (var.to_string(), JsonValue::str(v.to_string()))
                                         })
                                         .collect(),
                                 ),
@@ -666,6 +1121,17 @@ mod tests {
         Value::konst(s)
     }
 
+    fn sym(s: &str) -> Symbol {
+        Symbol::intern(s)
+    }
+
+    /// The indexed map agrees with the whole-map reference run beside it.
+    fn assert_agrees(p: &Provenance) {
+        if let Some(d) = p.reference_divergence() {
+            panic!("{d}");
+        }
+    }
+
     #[test]
     fn explain_walks_premises_to_sources() {
         let a = atom("E", &[konst("a"), konst("b")]);
@@ -674,9 +1140,9 @@ mod tests {
         let t = atom("T", &[konst("a"), konst("b")]);
         p.record_derived(
             t.clone(),
-            "d1",
+            sym("d1"),
             0,
-            &[("x".into(), konst("a")), ("y".into(), konst("b"))],
+            &[(sym("x"), konst("a")), (sym("y"), konst("b"))],
             std::slice::from_ref(&a),
         );
         let chain = p.explain(&t).unwrap();
@@ -706,10 +1172,28 @@ mod tests {
         let mut p = Provenance::for_source(&source);
         let f0 = atom("F", &[konst("a"), n0]);
         let f1 = atom("F", &[konst("a"), n1]);
-        p.record_derived(f0.clone(), "d2", 1, &[("z".into(), n0)], &[src.clone()]);
-        p.record_derived(f1.clone(), "d2", 1, &[("z".into(), n1)], &[src.clone()]);
+        p.record_derived(
+            f0.clone(),
+            sym("d2"),
+            1,
+            &[(sym("z"), n0)],
+            std::slice::from_ref(&src),
+        );
+        p.record_derived(
+            f1.clone(),
+            sym("d2"),
+            1,
+            &[(sym("z"), n1)],
+            std::slice::from_ref(&src),
+        );
         let g = atom("G", &[n1]);
-        p.record_derived(g.clone(), "d3", 2, &[("y".into(), n1)], &[f1.clone()]);
+        p.record_derived(
+            g.clone(),
+            sym("d3"),
+            2,
+            &[(sym("y"), n1)],
+            std::slice::from_ref(&f1),
+        );
         // d4 merges ⊥1 into ⊥0: F-atoms collapse, G(⊥1) becomes G(⊥0).
         p.record_merge("d4", n1, n0, &[f0.clone(), f1.clone()]);
         assert_eq!(p.merges().len(), 1);
@@ -725,6 +1209,7 @@ mod tests {
             Derivation::Tgd { premises, .. } => assert_eq!(premises, &[f0]),
             other => panic!("unexpected derivation {other:?}"),
         }
+        assert_agrees(&p);
     }
 
     #[test]
@@ -736,31 +1221,31 @@ mod tests {
         let t = atom("T", &[konst("a")]);
         p.record_derived(
             t.clone(),
-            "d1",
+            sym("d1"),
             0,
-            &[("x".into(), konst("a"))],
+            &[(sym("x"), konst("a"))],
             &[s1.clone()],
         );
         p.record_derived(
             t.clone(),
-            "d2",
+            sym("d2"),
             1,
-            &[("x".into(), konst("a"))],
+            &[(sym("x"), konst("a"))],
             &[s2.clone()],
         );
         // Identical re-recording is a no-op.
         p.record_derived(
             t.clone(),
-            "d2",
+            sym("d2"),
             1,
-            &[("x".into(), konst("a"))],
+            &[(sym("x"), konst("a"))],
             &[s2.clone()],
         );
         assert_eq!(p.support(&t), 2);
         assert_eq!(p.derivations(&t).count(), 2);
         // The first derivation is still what explain() reports.
         match p.derivation(&t).unwrap() {
-            Derivation::Tgd { dep, .. } => assert_eq!(dep, "d1"),
+            Derivation::Tgd { dep, .. } => assert_eq!(dep.to_string(), "d1"),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -776,24 +1261,24 @@ mod tests {
         let t = atom("T", &[konst("a")]);
         p.record_derived(
             t.clone(),
-            "d1",
+            sym("d1"),
             0,
-            &[("x".into(), konst("a"))],
+            &[(sym("x"), konst("a"))],
             &[s1.clone()],
         );
         p.record_derived(
             t.clone(),
-            "d2",
+            sym("d2"),
             1,
-            &[("x".into(), konst("a"))],
+            &[(sym("x"), konst("a"))],
             &[s2.clone()],
         );
         let u = atom("U", &[konst("a")]);
         p.record_derived(
             u.clone(),
-            "d3",
+            sym("d3"),
             2,
-            &[("x".into(), konst("a"))],
+            &[(sym("x"), konst("a"))],
             &[t.clone()],
         );
         let removed = p.retract_sources(std::slice::from_ref(&s1));
@@ -807,6 +1292,7 @@ mod tests {
         expect.sort();
         assert_eq!(removed, expect);
         assert!(p.derivation(&t).is_none());
+        assert_agrees(&p);
     }
 
     #[test]
@@ -821,23 +1307,23 @@ mod tests {
         let b = atom("B", &[konst("a")]);
         p.record_derived(
             a.clone(),
-            "d1",
+            sym("d1"),
             0,
-            &[("x".into(), konst("a"))],
+            &[(sym("x"), konst("a"))],
             &[s.clone()],
         );
         p.record_derived(
             b.clone(),
-            "d2",
+            sym("d2"),
             1,
-            &[("x".into(), konst("a"))],
+            &[(sym("x"), konst("a"))],
             &[a.clone()],
         );
         p.record_derived(
             a.clone(),
-            "d3",
+            sym("d3"),
             2,
-            &[("x".into(), konst("a"))],
+            &[(sym("x"), konst("a"))],
             &[b.clone()],
         );
         assert_eq!(p.support(&a), 2);
@@ -846,6 +1332,7 @@ mod tests {
         let mut expect = vec![s, a, b];
         expect.sort();
         assert_eq!(removed, expect);
+        assert_agrees(&p);
     }
 
     #[test]
@@ -863,16 +1350,16 @@ mod tests {
         let f_c = atom("F", &[konst("a"), konst("c")]);
         p.record_derived(
             f_null.clone(),
-            "d1",
+            sym("d1"),
             0,
-            &[("x".into(), konst("a")), ("z".into(), n1)],
+            &[(sym("x"), konst("a")), (sym("z"), n1)],
             &[pa.clone()],
         );
         p.record_derived(
             f_c.clone(),
-            "d2",
+            sym("d2"),
             1,
-            &[("x".into(), konst("a")), ("y".into(), konst("c"))],
+            &[(sym("x"), konst("a")), (sym("y"), konst("c"))],
             &[qac.clone()],
         );
         p.record_merge("e1", n1, konst("c"), &[f_null.clone(), f_c.clone()]);
@@ -887,6 +1374,7 @@ mod tests {
         // The dead merge is dropped from the record.
         assert!(p.merges().is_empty());
         assert!(p.derivation(&f_c).is_none());
+        assert_agrees(&p);
     }
 
     #[test]
@@ -902,24 +1390,24 @@ mod tests {
         let g_b = atom("G", &[konst("b")]);
         p.record_derived(
             f_null.clone(),
-            "d1",
+            sym("d1"),
             0,
-            &[("x".into(), konst("a")), ("z".into(), n1)],
+            &[(sym("x"), konst("a")), (sym("z"), n1)],
             &[pa.clone()],
         );
         p.record_derived(
             f_c.clone(),
-            "d2",
+            sym("d2"),
             1,
-            &[("x".into(), konst("a")), ("y".into(), konst("c"))],
+            &[(sym("x"), konst("a")), (sym("y"), konst("c"))],
             &[qac.clone()],
         );
         p.record_merge("e1", n1, konst("c"), &[f_null, f_c.clone()]);
         p.record_derived(
             g_b.clone(),
-            "d3",
+            sym("d3"),
             2,
-            &[("x".into(), konst("b"))],
+            &[(sym("x"), konst("b"))],
             &[rb.clone()],
         );
         let removed = p.retract_sources(std::slice::from_ref(&rb));
@@ -930,5 +1418,101 @@ mod tests {
         assert_eq!(removed, expect);
         assert_eq!(p.merges().len(), 1);
         assert_eq!(p.support(&f_c), 2);
+        assert_agrees(&p);
+    }
+
+    /// Seven atoms over {⊥1, ⊥2} collapse into `H(⊥1,⊥1,⊥1)`, which
+    /// also exists unchanged: its justifications stay first, then the
+    /// re-keyed atoms' follow in atom order, whatever order the value
+    /// index hands them out in.
+    #[test]
+    fn colliding_rekeyed_atoms_fold_in_atom_order() {
+        let (n1, n2) = (Value::null(1), Value::null(2));
+        let sources: Vec<Atom> = (0..8)
+            .map(|i| atom("S", &[konst(&format!("s{i}"))]))
+            .collect();
+        let mut p = Provenance::for_source(&Instance::from_atoms(sources.clone()));
+        let mut moved = Vec::new();
+        for (i, src) in sources.iter().enumerate() {
+            let args: Vec<Value> = (0..3)
+                .map(|b| if i >> b & 1 == 1 { n2 } else { n1 })
+                .collect();
+            let h = atom("H", &args);
+            p.record_derived(h.clone(), sym("d"), i, &[], std::slice::from_ref(src));
+            if i > 0 {
+                moved.push((h, i));
+            }
+        }
+        p.record_merge("key", n2, n1, &[]);
+        assert_agrees(&p);
+        moved.sort();
+        let order: Vec<usize> = p
+            .derivations(&atom("H", &[n1, n1, n1]))
+            .map(|d| match d {
+                Derivation::Tgd { dep_index, .. } => *dep_index,
+                Derivation::Source => unreachable!("H is derived"),
+            })
+            .collect();
+        let expect: Vec<usize> = std::iter::once(0)
+            .chain(moved.iter().map(|m| m.1))
+            .collect();
+        assert_eq!(order, expect);
+    }
+
+    /// A map that never merges or retracts never builds its indexes;
+    /// the first merge builds them from what was recorded so far.
+    #[test]
+    fn indexes_are_built_by_the_first_merge() {
+        let n1 = Value::null(1);
+        let src = atom("P", &[konst("a")]);
+        let mut p = Provenance::for_source(&Instance::from_atoms([src.clone()]));
+        let f = atom("F", &[konst("a"), n1]);
+        p.record_derived(
+            f.clone(),
+            sym("d1"),
+            0,
+            &[(sym("z"), n1)],
+            std::slice::from_ref(&src),
+        );
+        assert!(!p.indexed && p.by_value.is_empty() && p.cited_by.is_empty());
+        assert_eq!(p.entries_visited(), 0);
+        p.record_merge("e", n1, konst("c"), std::slice::from_ref(&f));
+        assert!(p.indexed);
+        assert_agrees(&p);
+        p.record_derived(
+            atom("G", &[konst("c")]),
+            sym("d2"),
+            1,
+            &[],
+            &[atom("F", &[konst("a"), konst("c")])],
+        );
+        assert_agrees(&p);
+    }
+
+    /// Deleting one source atom of one group visits the same entries
+    /// whether there are 4 groups or 32: the cone, not the map.
+    #[test]
+    fn retraction_visits_only_the_affected_cone() {
+        let visits = |groups: usize| {
+            let mut p = Provenance::default();
+            for g in 0..groups {
+                let (a, c) = (konst(&format!("a{g}")), konst(&format!("c{g}")));
+                let null = Value::null(g as u32);
+                let (pa, qac) = (atom("P", &[a]), atom("Q", &[a, c]));
+                p.record_source(pa.clone());
+                p.record_source(qac.clone());
+                let (f_null, f_c) = (atom("F", &[a, null]), atom("F", &[a, c]));
+                p.record_derived(f_null.clone(), sym("d1"), 0, &[(sym("z"), null)], &[pa]);
+                p.record_derived(f_c.clone(), sym("d2"), 1, &[], &[qac]);
+                p.record_merge("key", null, c, &[f_null, f_c]);
+            }
+            let before = p.entries_visited();
+            let removed = p.retract_sources(&[atom("Q", &[konst("a0"), konst("c0")])]);
+            assert_eq!(removed.len(), 2, "Q(a0,c0) and the merged F(a0,c0) die");
+            assert_eq!(p.merges().len(), groups - 1);
+            assert_agrees(&p);
+            p.entries_visited() - before
+        };
+        assert_eq!(visits(4), visits(32));
     }
 }

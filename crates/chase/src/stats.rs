@@ -38,6 +38,11 @@ pub struct ChaseStats {
     /// Atoms re-inserted by re-firing triggers after a retraction
     /// over-deleted them (0 for from-scratch runs).
     pub atoms_rederived: usize,
+    /// Provenance entries and merge records that egd re-keying and
+    /// deletion retraction inspected ([`crate::Provenance::entries_visited`]):
+    /// bounded by what a merge or a deletion touches, not by the size of
+    /// the map (0 without provenance).
+    pub prov_entries_visited: usize,
     /// Largest instance size observed during the run.
     pub peak_atoms: usize,
     /// Wall time spent searching/applying egds.
@@ -124,6 +129,7 @@ impl ChaseStats {
         self.egd_rows_scanned += other.egd_rows_scanned;
         self.atoms_retracted += other.atoms_retracted;
         self.atoms_rederived += other.atoms_rederived;
+        self.prov_entries_visited += other.prov_entries_visited;
         self.peak_atoms += other.peak_atoms;
         self.egd_time_ns += other.egd_time_ns;
         self.tgd_time_ns += other.tgd_time_ns;
@@ -173,6 +179,10 @@ impl ChaseStats {
                 "atoms_rederived",
                 JsonValue::uint(self.atoms_rederived as u64),
             )
+            .with(
+                "prov_entries_visited",
+                JsonValue::uint(self.prov_entries_visited as u64),
+            )
             .with("peak_atoms", JsonValue::uint(self.peak_atoms as u64))
             .with("egd_time_ns", JsonValue::UInt(self.egd_time_ns))
             .with("tgd_time_ns", JsonValue::UInt(self.tgd_time_ns))
@@ -189,7 +199,7 @@ impl ChaseStats {
     /// `prefix` (e.g. `prefix = "chase"` yields `chase.rounds`), with
     /// phase times recorded into log₂ latency histograms.
     pub fn export_metrics(&self, registry: &mut dex_obs::MetricsRegistry, prefix: &str) {
-        let counters: [(&str, usize); 12] = [
+        let counters: [(&str, usize); 13] = [
             ("tgd_steps", self.tgd_steps),
             ("egd_steps", self.egd_steps),
             ("triggers_examined", self.triggers_examined),
@@ -202,6 +212,7 @@ impl ChaseStats {
             ("egd_rows_scanned", self.egd_rows_scanned),
             ("atoms_retracted", self.atoms_retracted),
             ("atoms_rederived", self.atoms_rederived),
+            ("prov_entries_visited", self.prov_entries_visited),
         ];
         for (name, v) in counters {
             registry.inc(&format!("{prefix}.{name}"), v as u128);
@@ -316,6 +327,7 @@ mod tests {
             delta_rows_processed: 10,
             max_round_delta_rows: 6,
             atoms_inserted: 3,
+            prov_entries_visited: 5,
             peak_atoms: 12,
             egd_time_ns: 5,
             tgd_time_ns: 7,
@@ -332,6 +344,7 @@ mod tests {
             max_round_delta_rows: 4,
             atoms_inserted: 1,
             rows_rewritten: 2,
+            prov_entries_visited: 2,
             peak_atoms: 5,
             egd_time_ns: 1,
             tgd_time_ns: 2,
@@ -350,6 +363,7 @@ mod tests {
         assert_eq!(ab.max_round_delta_rows, 6); // max, not sum
         assert_eq!(ab.peak_atoms, 17); // sum: replays run concurrently
         assert_eq!(ab.total_time_ns, 29);
+        assert_eq!(ab.prov_entries_visited, 7);
         // Merging the default is the identity.
         let mut id = a.clone();
         id.merge(&ChaseStats::default());
@@ -385,12 +399,14 @@ mod tests {
             rounds: 1,
             peak_atoms: 9,
             atoms_inserted: 4,
+            prov_entries_visited: 6,
             total_time_ns: 1000,
             ..Default::default()
         };
         let mut reg = dex_obs::MetricsRegistry::new();
         s.export_metrics(&mut reg, "chase");
         assert_eq!(reg.counter("chase.triggers_examined"), 3);
+        assert_eq!(reg.counter("chase.prov_entries_visited"), 6);
         assert_eq!(reg.gauge("chase.peak_atoms"), Some(9));
         assert_eq!(reg.histogram("chase.total_time_ns").unwrap().count(), 1);
     }
@@ -419,6 +435,7 @@ mod tests {
             "egd_rows_scanned",
             "atoms_retracted",
             "atoms_rederived",
+            "prov_entries_visited",
             "peak_atoms",
             "egd_time_ns",
             "tgd_time_ns",

@@ -49,6 +49,36 @@ impl Relation {
         self.set.contains(row)
     }
 
+    /// A copy without tombstones: live rows renumbered densely in log
+    /// order, the set and index copied and renumbered rather than
+    /// rebuilt, so the copy equals re-inserting the live rows.
+    fn compacted(&self) -> Relation {
+        if self.live == self.rows.len() {
+            return self.clone();
+        }
+        let mut renumber = vec![u32::MAX; self.rows.len()];
+        let mut rows = Vec::with_capacity(self.live);
+        for (i, row) in self.rows.iter().enumerate() {
+            if let Some(row) = row {
+                renumber[i] = rows.len() as u32;
+                rows.push(Some(row.clone()));
+            }
+        }
+        let mut index = self.index.clone();
+        for bucket in index.values_mut() {
+            for i in bucket.iter_mut() {
+                *i = renumber[*i as usize];
+            }
+        }
+        Relation {
+            arity: self.arity,
+            rows,
+            live: self.live,
+            set: self.set.clone(),
+            index,
+        }
+    }
+
     fn live_rows(&self) -> impl Iterator<Item = &[Value]> + '_ {
         self.rows.iter().filter_map(|r| r.as_deref())
     }
@@ -496,9 +526,32 @@ impl Instance {
         out
     }
 
-    /// The set difference `I ∖ J`.
+    /// The set difference `I ∖ J`, relation by relation: a relation `J`
+    /// has no row of is copied whole (its tombstones dropped) without
+    /// hashing its rows, so splitting a chase result into its σ-part and
+    /// its target costs the rows of the relations the two share, not the
+    /// whole instance.
     pub fn difference(&self, other: &Instance) -> Instance {
-        Instance::from_atoms(self.atoms().filter(|a| !other.contains(a)))
+        let mut out = Instance::new();
+        for (&rel, r) in self.rels.iter().filter(|(_, r)| r.live > 0) {
+            match other
+                .rels
+                .get(&rel)
+                .filter(|o| o.live > 0 && o.arity == r.arity)
+            {
+                None => {
+                    out.atom_count += r.live;
+                    out.rels.insert(rel, r.compacted());
+                }
+                Some(o) => {
+                    for row in r.live_rows().filter(|row| !o.contains(row)) {
+                        out.insert(Atom::new(rel, row));
+                    }
+                }
+            }
+        }
+        out.generation = out.atom_count as u64;
+        out
     }
 
     /// The `σ`-reduct: atoms whose relation is in `schema`.
@@ -840,6 +893,36 @@ mod tests {
         let w = i.without_atom(&Atom::of("F", vec![v("a"), Value::null(2)]));
         assert_eq!(w.len(), 2);
         assert!(w.is_subinstance_of(&i));
+    }
+
+    #[test]
+    fn difference_copies_unshared_relations_without_tombstones() {
+        let n1 = Value::null(1);
+        let mut i = Instance::from_atoms([
+            Atom::of("E", vec![n1, v("a")]),
+            Atom::of("E", vec![v("b"), n1]),
+            Atom::of("E", vec![v("c"), v("d")]),
+            Atom::of("F", vec![v("a"), v("b")]),
+            Atom::of("F", vec![n1, v("c")]),
+        ]);
+        // Tombstones in both relations: rewritten rows are re-appended.
+        i.merge_value(n1, v("a"));
+        i.remove(&Atom::of("E", vec![v("c"), v("d")]));
+        // F is shared and filtered row by row; E is copied whole.
+        let other = Instance::from_atoms([Atom::of("F", vec![v("a"), v("c")])]);
+        let d = i.difference(&other);
+        let rebuilt = Instance::from_atoms(i.atoms().filter(|a| !other.contains(a)));
+        assert_eq!(d, rebuilt);
+        assert_eq!(
+            d.atoms().collect::<Vec<_>>(),
+            rebuilt.atoms().collect::<Vec<_>>()
+        );
+        for (rel, r) in &d.rels {
+            let b = &rebuilt.rels[rel];
+            assert_eq!(r.rows, b.rows, "{rel}: rows differ from a rebuild");
+            assert_eq!(r.index, b.index, "{rel}: index differs from a rebuild");
+            assert_eq!(r.live, r.rows.len());
+        }
     }
 
     #[test]

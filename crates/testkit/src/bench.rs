@@ -156,6 +156,11 @@ impl Harness {
             })
             .collect();
         samples.sort_unstable();
+        self.record(name, samples);
+    }
+
+    /// Stores one measurement of sorted samples and prints its line.
+    fn record(&mut self, name: &str, samples: Vec<u128>) {
         let m = Measurement {
             name: format!("{}/{}", self.group, name),
             samples_ns: samples,
@@ -168,6 +173,51 @@ impl Harness {
             self.runs
         );
         self.results.push(m);
+    }
+
+    /// Times `fa` and `fb` in alternating pairs, flipping which runs
+    /// first every pair, and records both as measurements. Returns the
+    /// per-pair ratios `fb / fa`, sorted: the host's speed drifts less
+    /// within one pair than between two separately timed benchmarks, so
+    /// the ratios resolve a difference of a few percent that two
+    /// medians taken minutes apart cannot.
+    pub fn bench_pair(
+        &mut self,
+        a: &str,
+        b: &str,
+        mut fa: impl FnMut(),
+        mut fb: impl FnMut(),
+    ) -> Vec<f64> {
+        for _ in 0..self.warmup {
+            fa();
+            fb();
+        }
+        let time = |f: &mut dyn FnMut()| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_nanos()
+        };
+        let mut pairs: Vec<(u128, u128)> = Vec::with_capacity(self.runs);
+        for i in 0..self.runs {
+            pairs.push(if i % 2 == 0 {
+                let ta = time(&mut fa);
+                (ta, time(&mut fb))
+            } else {
+                let tb = time(&mut fb);
+                (time(&mut fa), tb)
+            });
+        }
+        let mut ratios: Vec<f64> = pairs
+            .iter()
+            .map(|&(ta, tb)| tb as f64 / ta.max(1) as f64)
+            .collect();
+        ratios.sort_unstable_by(f64::total_cmp);
+        let (mut sa, mut sb): (Vec<u128>, Vec<u128>) = pairs.into_iter().unzip();
+        sa.sort_unstable();
+        sb.sort_unstable();
+        self.record(a, sa);
+        self.record(b, sb);
+        ratios
     }
 
     /// All measurements so far.
@@ -236,6 +286,29 @@ mod tests {
         assert!(count > 0);
         assert_eq!(h.results().len(), 1);
         assert!(h.results()[0].samples_ns.len() >= 1);
+    }
+
+    #[test]
+    fn paired_runs_alternate_and_record_both_sides() {
+        let mut h = Harness::new("t").with_budget(0, 1).with_min_runs(6);
+        let order = std::cell::RefCell::new(String::new());
+        let ratios = h.bench_pair(
+            "a",
+            "b",
+            || order.borrow_mut().push('a'),
+            || order.borrow_mut().push('b'),
+        );
+        let runs = h.results()[0].samples_ns.len();
+        assert_eq!(ratios.len(), runs);
+        assert!(
+            ratios.windows(2).all(|w| w[0] <= w[1]),
+            "ratios come sorted"
+        );
+        assert_eq!(h.results().len(), 2);
+        assert_eq!(h.results()[1].name, "t/b");
+        // Timed pairs flip their order: ab, ba, ab, ...
+        let timed = &order.borrow()[order.borrow().len() - 2 * runs..];
+        assert!(timed.starts_with("abbaab"), "{timed}");
     }
 
     #[test]

@@ -506,6 +506,10 @@ fn update_with_deletions_is_deterministic_across_processes() {
             );
             assert!(ok, "dex update failed: {stderr}");
             assert!(stdout.contains("stats: {"), "no --stats line: {stdout}");
+            assert!(
+                !stdout.contains("\"prov_entries_visited\":0,"),
+                "the resume retracted merges but visited no provenance entry: {stdout}"
+            );
             assert_valid_trace(&trace);
             assert!(trace.contains("\"event\":\"resume_applied\""));
             (zero_ns_fields(&stdout), zero_ns_fields(&trace))
