@@ -92,6 +92,13 @@ if "$DEX" trace target/trace-cansol-ucq.jsonl --json | grep -q '"span":"cansol"'
 fi
 "$DEX" trace target/trace-cansol-fo.jsonl --json | grep -q '"span":"cansol","count":1,' \
   || { echo "trace analyze smoke: the non-UCQ query did not build CanSol exactly once"; exit 1; }
+# Outside CanSol's classes a non-UCQ `certain` query falls back to
+# enumerating the CWA-solutions, under the answering governor: its
+# replay waves must show up in the same trace.
+rm -f target/trace-enum-fallback.jsonl
+DEX_TRACE="$PWD/target/trace-enum-fallback.jsonl" "$DEX" answer "$TRACE_SETTING" 'N(a,b). N(a,c).' 'Q(x) :- E(x,y), F(x,z), y != z' >/dev/null
+"$DEX" trace target/trace-enum-fallback.jsonl --json | grep -q '"span":"wave"' \
+  || { echo "trace analyze smoke: the enumeration fallback traced no wave"; exit 1; }
 
 echo "== parallel smoke (DEX_THREADS=2 and 8; determinism mismatch fails) =="
 # The differential suite asserts parallel ≡ sequential per seed; running

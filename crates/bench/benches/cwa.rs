@@ -6,7 +6,7 @@
 //! tiny-size smoke run (any panic exits nonzero, so CI can gate on it).
 
 use dex_chase::{canonical_universal_solution, ChaseBudget};
-use dex_core::{core, Governor};
+use dex_core::{core, Governor, Pool};
 use dex_cwa::{enumerate_cwa_solutions, is_cwa_presolution, EnumLimits, SearchLimits};
 use dex_datagen::example_2_1_scaled;
 use dex_logic::{parse_instance, parse_setting, Setting};
@@ -66,11 +66,12 @@ fn bench_enumeration_example_5_3(h: &mut Harness) {
         nulls_only: true,
         ..EnumLimits::default()
     };
+    let (gov, seq) = (Governor::unlimited(), Pool::seq());
     for n in sizes(&[1, 2], &[1]) {
         let atoms: String = (1..=n).map(|i| format!("P({i}). ")).collect();
         let s = parse_instance(&atoms).unwrap();
         h.bench(&format!("enumerate_example_5_3/{n}"), || {
-            let (sols, _) = enumerate_cwa_solutions(&setting, &s, &limits);
+            let (sols, _) = enumerate_cwa_solutions(&setting, &s, &limits, &gov, &seq);
             assert_eq!(sols.len(), [4usize, 16][n - 1]);
         });
     }

@@ -80,8 +80,9 @@ fn bench_chase(h: &mut Harness) -> Vec<u128> {
         .iter()
         .map(|which| {
             h.bench(&format!("chase/{which}"), || {
+                let gov = Governor::unlimited().with_tracer(tracer_for(which));
                 let out = ChaseEngine::new(&setting, &budget)
-                    .with_tracer(tracer_for(which))
+                    .with_governor(&gov)
                     .run(&source)
                     .unwrap();
                 assert_eq!(out.target, baseline.target, "tracing changed the chase");

@@ -21,7 +21,7 @@
 use dex_chase::{canonical_universal_solution, ChaseBudget};
 use dex_core::govern::Governor;
 use dex_core::{core, core_parallel_governed, Instance, Pool};
-use dex_cwa::{enumerate_cwa_solutions_opts, EnumLimits, EnumOpts};
+use dex_cwa::{enumerate_cwa_solutions, EnumLimits};
 use dex_logic::{parse_instance, parse_query, parse_setting};
 use dex_obs::JsonValue;
 use dex_query::{answer_pool, certain_answers, Answers, ModalLimits};
@@ -63,11 +63,12 @@ fn bench_enumeration(h: &mut Harness, rows: &mut Vec<ScalingRow>) {
         nulls_only: true,
         ..EnumLimits::default()
     };
-    let baseline = enumerate_cwa_solutions_opts(&setting, &s, &limits, &EnumOpts::seq()).0;
+    let gov = Governor::unlimited();
+    let baseline = enumerate_cwa_solutions(&setting, &s, &limits, &gov, &Pool::seq()).0;
     for t in THREADS {
-        let opts = EnumOpts::seq().with_pool(Pool::new(t));
+        let pool = Pool::new(t);
         h.bench(&format!("enumerate_example_5_3/threads/{t}"), || {
-            let (sols, _) = enumerate_cwa_solutions_opts(&setting, &s, &limits, &opts);
+            let (sols, _) = enumerate_cwa_solutions(&setting, &s, &limits, &gov, &pool);
             assert_eq!(sols, baseline, "enumeration output differs at {t} threads");
         });
         rows.push(ScalingRow {

@@ -5,7 +5,7 @@
 
 use dex_bench::time_micros;
 use dex_chase::{alpha_chase, chase, AlphaOutcome, ChaseBudget, TableAlpha};
-use dex_core::{isomorphic, Value};
+use dex_core::{isomorphic, Governor, Pool, Value};
 use dex_cwa::{core_solution, enumerate_cwa_solutions, maximal_under_image, EnumLimits};
 use dex_datagen::{example_2_1_scaled, sat_family};
 use dex_logic::{parse_instance, parse_setting};
@@ -116,7 +116,8 @@ fn main() {
     for n in 1..=2usize {
         let src =
             parse_instance(&(1..=n).map(|i| format!("P({i}). ")).collect::<String>()).unwrap();
-        let (sols, _) = enumerate_cwa_solutions(&d53, &src, &limits);
+        let (sols, _) =
+            enumerate_cwa_solutions(&d53, &src, &limits, &Governor::unlimited(), &Pool::seq());
         let maximal = maximal_under_image(&sols).len();
         println!(
             "n = {n}: {} CWA-solutions, {} incomparable maximal (paper: ≥ 2^{n} = {})",

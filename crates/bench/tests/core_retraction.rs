@@ -80,7 +80,7 @@ fn from_ref(atoms: &[RefAtom]) -> Instance {
 /// is shared and the egds are left unrepaired — on Example 2.1 this is
 /// the paper's redundant `T₂` shape, one copy per `N`-atom.
 fn oblivious_target(d: &Setting, s: &Instance) -> Instance {
-    let mut nulls = NullGen::above(s.active_domain().iter());
+    let mut nulls = NullGen::above(s.values());
     let mut fire = |tgds: &[Tgd], over: &Instance, into: &mut Instance| {
         for tgd in tgds {
             for env in tgd.body.matches(over) {

@@ -28,7 +28,7 @@ use dex_testkit::rng::TestRng;
 /// its own fresh nulls.
 fn libkin_presolution(d: &Setting, s: &Instance) -> Instance {
     let mut inst = s.clone();
-    let mut nulls = NullGen::above(s.active_domain().iter());
+    let mut nulls = NullGen::above(s.values());
     for tgd in &d.st_tgds {
         for env in tgd.body.matches(s) {
             let mut full = env.clone();

@@ -271,9 +271,10 @@ fn one_tick_fuel_trips_every_governed_api_cleanly() {
 }
 
 /// EnumStats bookkeeping stays consistent across fault-perturbed
-/// enumeration runs: seeded tight step budgets and pre-raised cancel
-/// flags cover the complete / truncated / unfinished / interrupted
-/// outcome classes, and every outcome validates and serialises.
+/// enumeration runs: seeded tight step budgets, pre-raised cancel flags
+/// and fault plans on the enumeration's own governor cover the complete
+/// / truncated / unfinished / interrupted outcome classes, and every
+/// outcome validates and serialises.
 #[test]
 fn faulted_enumeration_stats_stay_consistent() {
     use std::sync::atomic::AtomicBool;
@@ -292,16 +293,28 @@ fn faulted_enumeration_stats_stay_consistent() {
             max_scripts: 200,
             ..dex_cwa::EnumLimits::default()
         };
-        let runs = [
-            dex_cwa::enumerate_cwa_presolutions(&d, &s, &limits).1,
-            dex_cwa::enumerate_cwa_solutions(&d, &s, &limits).1,
-        ];
-        for stats in runs {
-            stats
-                .validate()
-                .unwrap_or_else(|e| panic!("seed {seed} (plan {}): {e}", plan.to_json().dump()));
-            let j = stats.to_json();
-            assert_eq!(dex_obs::parse(&j.dump()).unwrap(), j);
+        for faulted in [false, true] {
+            let gov = || {
+                if faulted {
+                    fault_gov(&plan)
+                } else {
+                    Governor::unlimited()
+                }
+            };
+            let runs = [
+                dex_cwa::enumerate_cwa_presolutions(&d, &s, &limits, &gov(), &Pool::seq()).1,
+                dex_cwa::enumerate_cwa_solutions(&d, &s, &limits, &gov(), &Pool::seq()).1,
+            ];
+            for stats in runs {
+                if let Some(i) = &stats.interrupted {
+                    assert_eq!(i.reason, reason_for(plan.reason_idx), "seed {seed}");
+                }
+                stats.validate().unwrap_or_else(|e| {
+                    panic!("seed {seed} (plan {}): {e}", plan.to_json().dump())
+                });
+                let j = stats.to_json();
+                assert_eq!(dex_obs::parse(&j.dump()).unwrap(), j);
+            }
         }
     }
 }

@@ -12,13 +12,14 @@
 //! A failing seed replays alone with `DEX_FAULT_SEED=<seed>`.
 
 use dex_chase::{canonical_universal_solution, ChaseBudget};
-use dex_core::govern::{Governor, InterruptReason};
+use std::sync::Arc;
+
+use dex_core::govern::{Clock, Governor, InterruptReason};
 use dex_core::{core, core_parallel_governed, hom_equivalent, Atom, Instance, Pool, Value};
-use dex_cwa::{
-    enumerate_cwa_presolutions_opts, enumerate_cwa_solutions_opts, EnumLimits, EnumOpts,
-};
+use dex_cwa::{enumerate_cwa_presolutions, enumerate_cwa_solutions, EnumLimits};
 use dex_datagen::{mapping_scenario, random_source, ScenarioConfig, SourceConfig};
 use dex_logic::{parse_query, parse_setting, Setting};
+use dex_obs::{RingRecorder, Tracer};
 use dex_query::{answer_pool, certain_answers, maybe_answers, Answers, ModalLimits};
 use dex_testkit::rng::TestRng;
 use dex_testkit::FaultPlan;
@@ -71,8 +72,12 @@ fn scenario(seed: u64) -> (Setting, Instance) {
     (d, s)
 }
 
-/// Enumeration: solutions, presolutions and every deterministic counter
-/// agree across thread counts, per seed.
+/// Enumeration, plain and under a fault-injected governor: solutions,
+/// presolutions, the whole `EnumStats` (interrupt progress included)
+/// and the mock-clock trace on the governor's tracer are identical at
+/// 1, 2 and 8 threads, per seed, and every outcome validates. A fault
+/// trips on the same replay at every thread count; the parked mock
+/// clock zeroes the merged chase timings, so the stats compare whole.
 #[test]
 fn parallel_enumeration_matches_sequential_per_seed() {
     let limits = EnumLimits {
@@ -81,52 +86,39 @@ fn parallel_enumeration_matches_sequential_per_seed() {
     };
     for seed in FaultPlan::sweep(SEED_BASE, SEED_COUNT) {
         let (d, s) = scenario(seed);
-        let (sols_ref, stats_ref) = enumerate_cwa_solutions_opts(&d, &s, &limits, &EnumOpts::seq());
-        let (pres_ref, _) = enumerate_cwa_presolutions_opts(&d, &s, &limits, &EnumOpts::seq());
-        stats_ref
-            .validate()
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        for pool in pools() {
-            let opts = EnumOpts::seq().with_pool(pool);
-            let (sols, stats) = enumerate_cwa_solutions_opts(&d, &s, &limits, &opts);
-            assert_eq!(
-                sols,
-                sols_ref,
-                "seed {seed}: solutions differ at {} threads",
-                pool.threads()
-            );
-            stats
-                .validate()
-                .unwrap_or_else(|e| panic!("seed {seed} ({} threads): {e}", pool.threads()));
-            assert_eq!(
-                stats.scripts_explored, stats_ref.scripts_explored,
-                "seed {seed}"
-            );
-            assert_eq!(
-                stats.chases_succeeded, stats_ref.chases_succeeded,
-                "seed {seed}"
-            );
-            assert_eq!(stats.chases_failed, stats_ref.chases_failed, "seed {seed}");
-            assert_eq!(
-                stats.chases_unfinished, stats_ref.chases_unfinished,
-                "seed {seed}"
-            );
-            assert_eq!(stats.truncated, stats_ref.truncated, "seed {seed}");
-            assert_eq!(
-                stats.chase.tgd_steps, stats_ref.chase.tgd_steps,
-                "seed {seed}"
-            );
-            assert_eq!(
-                stats.chase.atoms_inserted, stats_ref.chase.atoms_inserted,
-                "seed {seed}"
-            );
-            let (pres, _) = enumerate_cwa_presolutions_opts(&d, &s, &limits, &opts);
-            assert_eq!(
-                pres,
-                pres_ref,
-                "seed {seed}: presolutions differ at {} threads",
-                pool.threads()
-            );
+        let plan = FaultPlan::from_seed(seed, 32);
+        for faulted in [false, true] {
+            let run = |pool: &Pool| {
+                let ring = Arc::new(RingRecorder::new(1 << 18));
+                let gov = || {
+                    let gov = Governor::with_clock_now(Clock::mock().0)
+                        .with_tracer(Tracer::new(ring.clone()));
+                    if faulted {
+                        gov.with_fault(plan.trip_at, reason_for(plan.reason_idx))
+                    } else {
+                        gov
+                    }
+                };
+                let (sols, stats) = enumerate_cwa_solutions(&d, &s, &limits, &gov(), pool);
+                stats
+                    .validate()
+                    .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+                if let Some(i) = &stats.interrupted {
+                    assert_eq!(i.reason, reason_for(plan.reason_idx), "seed {seed}");
+                }
+                let (pres, _) = enumerate_cwa_presolutions(&d, &s, &limits, &gov(), pool);
+                assert_eq!(ring.dropped(), 0, "seed {seed}: ring too small");
+                (sols, pres, format!("{stats:?}"), ring.to_jsonl())
+            };
+            let reference = run(&Pool::seq());
+            for pool in pools() {
+                let threads = pool.threads();
+                let differs = run(&pool) != reference;
+                assert!(
+                    !differs,
+                    "seed {seed} (faulted: {faulted}): {threads} threads differ"
+                );
+            }
         }
     }
 }
@@ -314,12 +306,12 @@ fn env_configured_pool_matches_sequential() {
         max_scripts: 200,
         ..EnumLimits::default()
     };
-    let (sols_ref, _) = enumerate_cwa_solutions_opts(&d, &s, &limits, &EnumOpts::seq());
+    let gov = Governor::unlimited();
+    let (sols_ref, _) = enumerate_cwa_solutions(&d, &s, &limits, &gov, &Pool::seq());
     // Threshold zero: the CI workload is paper-sized, and the point of
     // this test is the `DEX_THREADS` worker path, not the inline fallback.
     let exec = Pool::from_env().with_threshold_ns(0);
-    let opts = EnumOpts::seq().with_pool(exec);
-    let (sols, stats) = enumerate_cwa_solutions_opts(&d, &s, &limits, &opts);
+    let (sols, stats) = enumerate_cwa_solutions(&d, &s, &limits, &gov, &exec);
     assert_eq!(sols, sols_ref, "DEX_THREADS enumeration differs");
     stats.validate().unwrap();
 

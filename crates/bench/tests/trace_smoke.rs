@@ -10,6 +10,7 @@
 use std::collections::BTreeMap;
 
 use dex_chase::{ChaseBudget, ChaseEngine};
+use dex_core::Governor;
 use dex_logic::{parse_instance, parse_setting};
 use dex_obs::{JsonlWriter, Tracer};
 
@@ -27,11 +28,12 @@ fn jsonl_trace_reconciles_with_chase_stats() {
 
     let path = std::env::var("DEX_TRACE")
         .unwrap_or_else(|_| format!("{}/trace_smoke.jsonl", env!("CARGO_TARGET_TMPDIR")));
-    let budget = ChaseBudget::default();
-    let engine =
-        ChaseEngine::new(&tc, &budget).with_tracer(Tracer::to(JsonlWriter::create(&path).unwrap()));
-    let out = engine.run(&s).unwrap();
-    drop(engine); // close the trace file before reading it back
+    let gov = Governor::unlimited().with_tracer(Tracer::to(JsonlWriter::create(&path).unwrap()));
+    let out = ChaseEngine::new(&tc, &ChaseBudget::default())
+        .with_governor(&gov)
+        .run(&s)
+        .unwrap();
+    drop(gov); // close the trace file before reading it back
 
     let text = std::fs::read_to_string(&path).unwrap();
     let mut counts: BTreeMap<String, usize> = BTreeMap::new();

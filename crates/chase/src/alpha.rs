@@ -83,7 +83,7 @@ impl FreshAlpha {
 
     /// Starts fresh nulls above everything in `inst`.
     pub fn above(inst: &Instance) -> FreshAlpha {
-        FreshAlpha::new(NullGen::above(inst.active_domain().iter()))
+        FreshAlpha::new(NullGen::above(inst.values()))
     }
 
     /// Number of justifications assigned so far.
@@ -115,7 +115,7 @@ impl TableAlpha {
     /// mentioned in the table so they never collide.
     pub fn new(entries: impl IntoIterator<Item = (Justification, Value)>) -> TableAlpha {
         let table: HashMap<Justification, Value> = entries.into_iter().collect();
-        let gen = NullGen::above(table.values());
+        let gen = NullGen::above(table.values().copied());
         TableAlpha {
             table,
             fallback: FreshAlpha::new(gen),

@@ -7,23 +7,17 @@
 //!
 //! Step and atom limits are enforced *exactly* (the historical
 //! `BudgetExceeded` contract). A budget may additionally carry a
-//! wall-clock deadline and a cooperative cancel flag; those are enforced
-//! through a [`dex_core::Governor`] built by [`ChaseBudget::governor`]
-//! and surface as `Interrupted` outcomes.
+//! wall-clock deadline and a cooperative cancel flag; a chase run
+//! without a caller's governor enforces those through a
+//! [`dex_core::Governor`] built by [`ChaseBudget::governor`], and they
+//! surface as `Interrupted` outcomes. Under
+//! [`crate::ChaseEngine::with_governor`] the caller's governor replaces
+//! them.
 
 use dex_core::govern::{Clock, Governor};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Limits on a chase run.
-#[derive(Clone, Debug, Default)]
-pub struct ChaseLimitsExt {
-    /// Optional wall-clock deadline for the whole run.
-    pub deadline: Option<Duration>,
-    /// Optional cooperative cancel flag (raised by another thread).
-    pub cancel: Option<Arc<AtomicBool>>,
-}
 
 /// Limits on a chase run.
 #[derive(Clone, Debug)]
@@ -32,8 +26,10 @@ pub struct ChaseBudget {
     pub max_steps: usize,
     /// Maximum number of atoms in the evolving instance.
     pub max_atoms: usize,
-    /// Optional deadline/cancellation, defaulting to none.
-    pub ext: ChaseLimitsExt,
+    /// Optional wall-clock deadline for the whole run.
+    pub deadline: Option<Duration>,
+    /// Optional cooperative cancel flag (raised by another thread).
+    pub cancel: Option<Arc<AtomicBool>>,
 }
 
 impl ChaseBudget {
@@ -41,7 +37,8 @@ impl ChaseBudget {
         ChaseBudget {
             max_steps,
             max_atoms,
-            ext: ChaseLimitsExt::default(),
+            deadline: None,
+            cancel: None,
         }
     }
 
@@ -52,13 +49,13 @@ impl ChaseBudget {
 
     /// Adds a wall-clock deadline (counted from when the chase starts).
     pub fn with_deadline(mut self, deadline: Duration) -> ChaseBudget {
-        self.ext.deadline = Some(deadline);
+        self.deadline = Some(deadline);
         self
     }
 
     /// Adds a cooperative cancel flag.
     pub fn with_cancel(mut self, cancel: Arc<AtomicBool>) -> ChaseBudget {
-        self.ext.cancel = Some(cancel);
+        self.cancel = Some(cancel);
         self
     }
 
@@ -68,10 +65,10 @@ impl ChaseBudget {
     /// exactly rather than amortized.
     pub fn governor(&self, clock: &Clock) -> Governor {
         let mut gov = Governor::with_clock_now(clock.clone());
-        if let Some(d) = self.ext.deadline {
+        if let Some(d) = self.deadline {
             gov = gov.with_deadline(d);
         }
-        if let Some(c) = &self.ext.cancel {
+        if let Some(c) = &self.cancel {
             gov = gov.with_cancel(Arc::clone(c));
         }
         gov
@@ -95,7 +92,7 @@ mod tests {
         let b = ChaseBudget::default();
         assert!(b.max_steps >= 10_000);
         assert!(b.max_atoms >= b.max_steps);
-        assert!(b.ext.deadline.is_none() && b.ext.cancel.is_none());
+        assert!(b.deadline.is_none() && b.cancel.is_none());
     }
 
     #[test]

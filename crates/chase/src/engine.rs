@@ -80,22 +80,24 @@ use dex_core::{
 };
 use dex_logic::matcher;
 use dex_logic::{Assignment, Body, FAtom, Setting, Term, Tgd};
-use dex_obs::{EventKind, Tracer};
+use dex_obs::EventKind;
 use std::collections::{HashMap, HashSet};
 
 /// A reusable chase driver for one setting + budget.
 ///
-/// The engine reads all time — the budget's deadline *and* the
-/// [`ChaseStats`] phase timings — from one [`Clock`]
-/// ([`ChaseEngine::with_clock`] substitutes a mock), so deadline
-/// decisions and reported timings can never disagree. The same clock
-/// stamps every trace event, which is what makes two same-seed runs
-/// under a mock clock byte-identical.
+/// Every run is governed by one [`Governor`]: the caller's
+/// ([`ChaseEngine::with_governor`]) or, without one, a governor built
+/// per run from the budget's deadline and cancel flag on the real
+/// clock. That governor is the run's only source of fuel, faults,
+/// deadline, cancellation, time and tracing: deadline decisions, the
+/// [`ChaseStats`] phase timings and every trace event read its
+/// [`Clock`], so they can never disagree, and two same-seed runs under
+/// a mock clock trace byte-identically. The budget contributes only its
+/// exact step and atom limits.
 pub struct ChaseEngine<'a> {
     setting: &'a Setting,
     budget: ChaseBudget,
-    clock: Clock,
-    tracer: Tracer,
+    gov: Option<&'a Governor>,
     provenance: bool,
     egd_scan: EgdScan<'a>,
     /// Each tgd's name, interned once, in `st_tgds ++ t_tgds` order.
@@ -170,7 +172,7 @@ impl<'p> Policy<'p> {
     /// Fresh nulls start above every value of `inst`.
     fn restricted(inst: &Instance) -> Policy<'p> {
         Policy::Restricted {
-            nulls: NullGen::above(inst.active_domain().iter()),
+            nulls: NullGen::above(inst.values()),
             uf: ValueUnionFind::new(),
         }
     }
@@ -284,8 +286,8 @@ impl<'p> Policy<'p> {
 }
 
 /// The mutable state of one run.
-struct Run<'p> {
-    gov: Governor,
+struct Run<'g, 'p> {
+    gov: &'g Governor,
     inst: Instance,
     stats: ChaseStats,
     steps: usize,
@@ -295,7 +297,7 @@ struct Run<'p> {
     policy: Policy<'p>,
 }
 
-impl Run<'_> {
+impl Run<'_, '_> {
     /// The run's result and its target `result ∖ σ`; the difference
     /// copies every relation σ has no row of whole.
     fn success(self, sigma: &Instance) -> ChaseSuccess {
@@ -306,6 +308,17 @@ impl Run<'_> {
             stats: self.stats,
             provenance: self.prov,
         }
+    }
+}
+
+/// Emits the event `kind` builds, stamped with `gov`'s clock, on
+/// `gov`'s tracer. With the tracer off this is one branch: no clock
+/// read, no payload.
+#[inline]
+fn emit(gov: &Governor, kind: impl FnOnce() -> EventKind) {
+    let tracer = gov.tracer();
+    if tracer.enabled() {
+        tracer.emit(gov.clock().now_ns(), kind());
     }
 }
 
@@ -377,8 +390,7 @@ impl<'a> ChaseEngine<'a> {
         ChaseEngine {
             setting,
             budget: budget.clone(),
-            clock: Clock::real(),
-            tracer: Tracer::off(),
+            gov: None,
             provenance: false,
             egd_scan: EgdScan::new(&setting.egds),
             tgd_names: setting
@@ -390,16 +402,12 @@ impl<'a> ChaseEngine<'a> {
         }
     }
 
-    /// Substitutes the time source (deadline checks + stats timings).
-    pub fn with_clock(mut self, clock: Clock) -> ChaseEngine<'a> {
-        self.clock = clock;
-        self
-    }
-
-    /// Attaches a tracer. The default is off, in which case every
-    /// emission site reduces to one branch (no clock read, no payload).
-    pub fn with_tracer(mut self, tracer: Tracer) -> ChaseEngine<'a> {
-        self.tracer = tracer;
+    /// Runs every chase under `gov`: its fuel, faults, deadline, cancel
+    /// flag, clock and tracer, in place of the budget's deadline and
+    /// cancel flag (build it with [`ChaseBudget::governor`] to keep
+    /// those). Ticks accumulate on `gov` across runs.
+    pub fn with_governor(mut self, gov: &'a Governor) -> ChaseEngine<'a> {
+        self.gov = Some(gov);
         self
     }
 
@@ -411,16 +419,14 @@ impl<'a> ChaseEngine<'a> {
         self
     }
 
-    /// Emits `kind` stamped with the engine clock (call sites gate on
-    /// `self.tracer.enabled()` before building the payload).
-    fn emit(&self, kind: EventKind) {
-        self.tracer.emit(self.clock.now_ns(), kind);
-    }
-
-    fn governor(&self) -> Governor {
-        self.budget
-            .governor(&self.clock)
-            .with_tracer(self.tracer.clone())
+    /// Runs `f` under the caller's governor or, without one, under a
+    /// fresh governor for the budget's deadline and cancel flag on the
+    /// real clock.
+    fn governed<R>(&self, f: impl FnOnce(&Governor) -> R) -> R {
+        match self.gov {
+            Some(gov) => f(gov),
+            None => f(&self.budget.governor(&Clock::real())),
+        }
     }
 
     /// Every tgd with its index in `all_tgds` order: s-t, then target.
@@ -491,6 +497,7 @@ impl<'a> ChaseEngine<'a> {
     /// provenance and the trace.
     fn apply_merge(
         &self,
+        gov: &Governor,
         inst: &mut Instance,
         v: &EgdViolation,
         m: MergeOutcome,
@@ -504,35 +511,31 @@ impl<'a> ChaseEngine<'a> {
         if let Some(p) = prov {
             p.record_merge(&egd.name, m.loser, m.winner, &Self::egd_premises(egd, v));
         }
-        if self.tracer.enabled() {
-            self.emit(EventKind::EgdMerged {
-                dep: egd.name.clone(),
-                loser: m.loser.to_string(),
-                winner: m.winner.to_string(),
-                rows_rewritten: rewritten,
-            });
-        }
+        emit(gov, || EventKind::EgdMerged {
+            dep: egd.name.clone(),
+            loser: m.loser.to_string(),
+            winner: m.winner.to_string(),
+            rows_rewritten: rewritten,
+        });
     }
 
     /// Opens a run over `inst` under `policy`.
-    fn start<'p>(
+    fn start<'g, 'p>(
         &self,
-        gov: Governor,
+        gov: &'g Governor,
         inst: Instance,
         prov: Option<Provenance>,
         policy: Policy<'p>,
         driver: &str,
-    ) -> Run<'p> {
+    ) -> Run<'g, 'p> {
         let stats = ChaseStats {
             peak_atoms: inst.len(),
             ..ChaseStats::default()
         };
-        if self.tracer.enabled() {
-            self.emit(EventKind::ChaseStarted {
-                driver: driver.to_string(),
-                atoms: inst.len(),
-            });
-        }
+        emit(gov, || EventKind::ChaseStarted {
+            driver: driver.to_string(),
+            atoms: inst.len(),
+        });
         Run {
             gov,
             inst,
@@ -546,29 +549,27 @@ impl<'a> ChaseEngine<'a> {
 
     /// Closes a run that reached its fixpoint.
     fn completed(&self, run: &mut Run, t_total: u64) {
-        run.stats.total_time_ns = (self.clock.now_ns() - t_total) as u128;
+        run.stats.total_time_ns = (run.gov.clock().now_ns() - t_total) as u128;
         if let Some(p) = &run.prov {
             run.stats.prov_entries_visited = (p.entries_visited() - run.prov_visited) as usize;
         }
-        if self.tracer.enabled() {
-            self.emit(EventKind::ChaseCompleted {
-                atoms: run.inst.len(),
-                steps: run.steps,
-                egd_rows_scanned: run.stats.egd_rows_scanned,
-            });
-        }
+        emit(run.gov, || EventKind::ChaseCompleted {
+            atoms: run.inst.len(),
+            steps: run.steps,
+            egd_rows_scanned: run.stats.egd_rows_scanned,
+        });
     }
 
     /// Chases `source` from scratch under `policy`.
-    fn chase_source<'p>(
+    fn chase_source<'g, 'p>(
         &self,
+        gov: &'g Governor,
         source: &Instance,
         policy: Policy<'p>,
         provenance: bool,
         driver: &str,
-    ) -> Result<Run<'p>, Stop> {
-        let gov = self.governor();
-        let t_total = self.clock.now_ns();
+    ) -> Result<Run<'g, 'p>, Stop> {
+        let t_total = gov.clock().now_ns();
         let prov = provenance.then(|| Provenance::for_source(source));
         let mut run = self.start(gov, source.clone(), prov, policy, driver);
         self.fixpoint(&mut run, source, DeltaCursor::origin(), true)?;
@@ -591,6 +592,7 @@ impl<'a> ChaseEngine<'a> {
     ) -> Result<(), Stop> {
         let t_rels = self.t_body_rels();
         let st_count = self.setting.st_tgds.len();
+        let (clock, tracer) = (run.gov.clock(), run.gov.tracer());
         let mut egd_clean = processed.clone();
         loop {
             if std::mem::take(&mut st_pending) {
@@ -602,18 +604,18 @@ impl<'a> ChaseEngine<'a> {
             run.gov.force_check()?;
             // Spans leak (stay open) when a stop unwinds out of the
             // round; the analyzer treats that like a truncated trace.
-            let sp_round = self.tracer.span("round", self.clock.now_ns());
+            let sp_round = tracer.span("round", clock.now_ns());
             if self.egd_fixpoint(run, std::mem::take(&mut egd_clean))? {
                 run.policy.after_merge(&mut processed, &mut st_pending);
             }
             egd_clean = run.inst.cursor();
             if !st_pending && !run.inst.has_delta_since(&processed) {
-                sp_round.close(self.clock.now_ns());
+                sp_round.close(clock.now_ns());
                 return Ok(());
             }
 
-            let t_phase = self.clock.now_ns();
-            let sp_tgd = self.tracer.span("tgd_round", t_phase);
+            let t_phase = clock.now_ns();
+            let sp_tgd = tracer.span("tgd_round", t_phase);
             run.stats.rounds += 1;
             let delta = snapshot_delta(&run.inst, &processed, &t_rels);
             processed = run.inst.cursor();
@@ -621,15 +623,13 @@ impl<'a> ChaseEngine<'a> {
             run.stats.delta_rows_processed += round_rows;
             run.stats.max_round_delta_rows = run.stats.max_round_delta_rows.max(round_rows);
             self.round(run, self.tgds().skip(st_count), &delta, sigma)?;
-            sp_tgd.close(self.clock.now_ns());
-            run.stats.tgd_time_ns += (self.clock.now_ns() - t_phase) as u128;
-            if self.tracer.enabled() {
-                self.emit(EventKind::RoundCompleted {
-                    round: run.stats.rounds,
-                    delta_rows: round_rows,
-                });
-            }
-            sp_round.close(self.clock.now_ns());
+            sp_tgd.close(clock.now_ns());
+            run.stats.tgd_time_ns += (clock.now_ns() - t_phase) as u128;
+            emit(run.gov, || EventKind::RoundCompleted {
+                round: run.stats.rounds,
+                delta_rows: round_rows,
+            });
+            sp_round.close(clock.now_ns());
         }
     }
 
@@ -637,8 +637,9 @@ impl<'a> ChaseEngine<'a> {
     /// merging each violation as the policy says. Returns whether
     /// anything merged.
     fn egd_fixpoint(&self, run: &mut Run, clean: DeltaCursor) -> Result<bool, Stop> {
-        let t_phase = self.clock.now_ns();
-        let sp_egd = self.tracer.span("egd_fixpoint", t_phase);
+        let clock = run.gov.clock();
+        let t_phase = clock.now_ns();
+        let sp_egd = run.gov.tracer().span("egd_fixpoint", t_phase);
         let Run {
             gov,
             inst,
@@ -675,7 +676,7 @@ impl<'a> ChaseEngine<'a> {
                     return Ok(false);
                 }
             };
-            self.apply_merge(inst, &v, m, stats, prov.as_mut());
+            self.apply_merge(gov, inst, &v, m, stats, prov.as_mut());
             *steps += 1;
             merged = true;
             policy.stepped(inst, *steps, |_| ChaseStep::EgdApplied {
@@ -686,16 +687,17 @@ impl<'a> ChaseEngine<'a> {
             Ok(true)
         })?;
         stats.egd_rows_scanned += scanned;
-        sp_egd.close(self.clock.now_ns());
-        stats.egd_time_ns += (self.clock.now_ns() - t_phase) as u128;
+        sp_egd.close(clock.now_ns());
+        stats.egd_time_ns += (clock.now_ns() - t_phase) as u128;
         Ok(merged)
     }
 
     /// Examines every s-t trigger: the body matches over σ, whose domain
     /// the quantifiers of FO bodies range over.
     fn st_pass(&self, run: &mut Run, sigma: &Instance) -> Result<(), Stop> {
-        let t_phase = self.clock.now_ns();
-        let sp_st = self.tracer.span("st_tgds", t_phase);
+        let clock = run.gov.clock();
+        let t_phase = clock.now_ns();
+        let sp_st = run.gov.tracer().span("st_tgds", t_phase);
         let mut matches = Vec::new();
         run.policy.swap_st_matches(&mut matches);
         if matches.is_empty() {
@@ -708,8 +710,8 @@ impl<'a> ChaseEngine<'a> {
             }
         }
         run.policy.swap_st_matches(&mut matches);
-        sp_st.close(self.clock.now_ns());
-        run.stats.tgd_time_ns += (self.clock.now_ns() - t_phase) as u128;
+        sp_st.close(clock.now_ns());
+        run.stats.tgd_time_ns += (clock.now_ns() - t_phase) as u128;
         Ok(())
     }
 
@@ -778,11 +780,9 @@ impl<'a> ChaseEngine<'a> {
     ) -> Result<(), Stop> {
         run.gov.check()?;
         run.stats.triggers_examined += 1;
-        if self.tracer.enabled() {
-            self.emit(EventKind::TriggerExamined {
-                dep: tgd.name.clone(),
-            });
-        }
+        emit(run.gov, || EventKind::TriggerExamined {
+            dep: tgd.name.clone(),
+        });
         let Some(head) = run.policy.active_head(tgd, dep, env, &run.inst) else {
             return Ok(());
         };
@@ -818,12 +818,10 @@ impl<'a> ChaseEngine<'a> {
         run.steps += 1;
         run.stats.tgd_steps += 1;
         run.stats.triggers_fired += 1;
-        if self.tracer.enabled() {
-            self.emit(EventKind::TgdFired {
-                dep: tgd.name.clone(),
-                atoms_added,
-            });
-        }
+        emit(run.gov, || EventKind::TgdFired {
+            dep: tgd.name.clone(),
+            atoms_added,
+        });
         run.policy
             .stepped(&run.inst, run.steps, |added| ChaseStep::TgdApplied {
                 dep: tgd.name.clone(),
@@ -833,13 +831,18 @@ impl<'a> ChaseEngine<'a> {
 
     /// The standard restricted chase (same contract as [`crate::chase`]).
     pub fn run(&self, source: &Instance) -> Result<ChaseSuccess, ChaseError> {
-        self.run_restricted(source, self.provenance)
+        self.governed(|gov| self.run_restricted(gov, source, self.provenance))
             .map_err(Stop::into_chase_error)
     }
 
-    fn run_restricted(&self, source: &Instance, provenance: bool) -> Result<ChaseSuccess, Stop> {
+    fn run_restricted(
+        &self,
+        gov: &Governor,
+        source: &Instance,
+        provenance: bool,
+    ) -> Result<ChaseSuccess, Stop> {
         let policy = Policy::restricted(source);
-        let run = self.chase_source(source, policy, provenance, "delta_standard")?;
+        let run = self.chase_source(gov, source, policy, provenance, "delta_standard")?;
         Ok(run.success(source))
     }
 
@@ -876,14 +879,18 @@ impl<'a> ChaseEngine<'a> {
         prior: &ChaseSuccess,
         delta: &SourceDelta,
     ) -> Result<ChaseSuccess, ChaseError> {
-        self.resume_run(prior, delta)
+        self.governed(|gov| self.resume_run(gov, prior, delta))
             .map_err(Stop::into_chase_error)
     }
 
-    fn resume_run(&self, prior: &ChaseSuccess, delta: &SourceDelta) -> Result<ChaseSuccess, Stop> {
-        let gov = self.governor();
-        let t_total = self.clock.now_ns();
-        let sp_resume = self.tracer.span("resume", t_total);
+    fn resume_run(
+        &self,
+        gov: &Governor,
+        prior: &ChaseSuccess,
+        delta: &SourceDelta,
+    ) -> Result<ChaseSuccess, Stop> {
+        let t_total = gov.clock().now_ns();
+        let sp_resume = gov.tracer().span("resume", t_total);
 
         // The σ-part of the prior result. Source instances are ground
         // and source/target schemas are disjoint, so egd merges never
@@ -919,8 +926,8 @@ impl<'a> ChaseEngine<'a> {
             // atom-decomposed premises; without one, correctness comes
             // from a plain re-chase of the updated source.
             let updated = delta.applied(&sigma_old);
-            sp_resume.close(self.clock.now_ns());
-            return self.run_restricted(&updated, prior.provenance.is_some());
+            sp_resume.close(gov.clock().now_ns());
+            return self.run_restricted(gov, &updated, prior.provenance.is_some());
         }
 
         let policy = Policy::restricted(&prior.result);
@@ -987,16 +994,14 @@ impl<'a> ChaseEngine<'a> {
         // interruption and budget behavior are identical.
         self.fixpoint(&mut run, &sigma_new, processed, false)?;
 
-        if self.tracer.enabled() {
-            self.emit(EventKind::ResumeApplied {
-                inserts: net_inserts.len(),
-                deletes: net_deletes.len(),
-                atoms_retracted: run.stats.atoms_retracted,
-                atoms_rederived: run.stats.atoms_rederived,
-            });
-        }
+        emit(gov, || EventKind::ResumeApplied {
+            inserts: net_inserts.len(),
+            deletes: net_deletes.len(),
+            atoms_retracted: run.stats.atoms_retracted,
+            atoms_rederived: run.stats.atoms_rederived,
+        });
         self.completed(&mut run, t_total);
-        sp_resume.close(self.clock.now_ns());
+        sp_resume.close(gov.clock().now_ns());
         Ok(run.success(&sigma_new))
     }
 
@@ -1038,20 +1043,21 @@ impl<'a> ChaseEngine<'a> {
     pub fn run_alpha(&self, source: &Instance, alpha: &mut dyn AlphaSource) -> AlphaOutcome {
         debug_assert!(source.is_ground(), "α-chase starts from ground instances");
         let mut trace = Vec::new();
-        let policy = Policy::alpha(alpha, &mut trace, source);
-        match self.chase_source(source, policy, self.provenance, "delta_alpha") {
+        let outcome = self.governed(|gov| {
+            let policy = Policy::alpha(alpha, &mut trace, source);
+            self.chase_source(gov, source, policy, self.provenance, "delta_alpha")
+                .map(|run| run.success(source))
+        });
+        match outcome {
             Err(stop) => stop.into_alpha_outcome(),
-            Ok(run) => {
-                let s = run.success(source);
-                AlphaOutcome::Success(AlphaSuccess {
-                    result: s.result,
-                    target: s.target,
-                    steps: s.steps,
-                    trace,
-                    stats: s.stats,
-                    provenance: s.provenance,
-                })
-            }
+            Ok(s) => AlphaOutcome::Success(AlphaSuccess {
+                result: s.result,
+                target: s.target,
+                steps: s.steps,
+                trace,
+                stats: s.stats,
+                provenance: s.provenance,
+            }),
         }
     }
 }
@@ -1317,6 +1323,77 @@ mod tests {
         assert!(dex_core::isomorphic(&resumed.target, &rechased.target));
         // The fallback preserves the prior's provenance-lessness.
         assert!(resumed.provenance.is_none());
+    }
+
+    /// Under `with_governor` the run checks the caller's governor: one
+    /// tick of fuel or a pre-raised cancel flag interrupts `run`,
+    /// `run_alpha` and `resume` (the prior stays bit-identical), and
+    /// every event, `GovernorTripped` included, lands on its tracer
+    /// stamped from its clock. The budget keeps only its step and atom
+    /// limits, and the stats timings read the governor's clock too.
+    #[test]
+    fn with_governor_interrupts_every_entry_point_on_its_clock_and_tracer() {
+        use crate::alpha::FreshAlpha;
+        use dex_core::govern::{Clock, InterruptReason};
+        use dex_obs::{RingRecorder, Tracer};
+        use std::sync::{atomic::AtomicBool, Arc};
+        let d = parse_setting(
+            "source { E/2 } target { T/2 }
+             st { E(x,y) -> exists z . T(x,z); } t { T(x,y) & T(y,z) -> T(x,z); }",
+        )
+        .unwrap();
+        let s = parse_instance("E(a,b). E(b,c). E(c,d).").unwrap();
+        let budget = ChaseBudget::default();
+        let prior = ChaseEngine::new(&d, &budget).with_provenance(true);
+        let prior = prior.run(&s).unwrap();
+        let before = format!("{prior:?}");
+        let mut delta = SourceDelta::new();
+        delta.insert(ground("E", &["d", "e"]));
+        let raised = Arc::new(AtomicBool::new(true));
+        for reason in [InterruptReason::Fuel, InterruptReason::Cancelled] {
+            let (clock, mock) = Clock::mock();
+            mock.set_ns(7);
+            let ring = Arc::new(RingRecorder::new(1 << 12));
+            let gov = Governor::with_clock_now(clock).with_tracer(Tracer::new(ring.clone()));
+            let gov = match reason {
+                InterruptReason::Fuel => gov.with_fuel(1),
+                _ => gov.with_cancel(Arc::clone(&raised)),
+            };
+            let eng = ChaseEngine::new(&d, &budget).with_governor(&gov);
+            let eng = eng.with_provenance(true);
+            let outcomes = [
+                eng.run(&s).err(),
+                eng.resume(&prior, &delta).err(),
+                match eng.run_alpha(&s, &mut FreshAlpha::above(&s)) {
+                    AlphaOutcome::Interrupted(i) => Some(ChaseError::Interrupted(i)),
+                    _ => None,
+                },
+            ];
+            for o in outcomes {
+                assert!(matches!(o, Some(ChaseError::Interrupted(i)) if i.reason == reason));
+            }
+            assert_eq!(format!("{prior:?}"), before, "{reason:?}: prior changed");
+            let events = ring.events();
+            assert!(events.iter().all(|e| e.at_ns == 7), "{reason:?}");
+            let trips = events
+                .iter()
+                .filter(|e| e.kind.name() == "governor_tripped");
+            assert_eq!((trips.count(), gov.trips()), (3, 3), "{reason:?}");
+        }
+        // Under a governor the budget's own deadline and cancel flag are
+        // not consulted, and the timings read the governor's clock.
+        let gov = Governor::with_clock_now(Clock::mock().0);
+        let strict = ChaseBudget::default()
+            .with_deadline(std::time::Duration::ZERO)
+            .with_cancel(raised);
+        let eng = ChaseEngine::new(&d, &strict).with_governor(&gov);
+        let out = eng.run(&s).unwrap();
+        let resumed = eng.resume(&out, &delta).unwrap();
+        for st in [&out.stats, &resumed.stats] {
+            assert_eq!(st.total_time_ns + st.tgd_time_ns + st.egd_time_ns, 0);
+        }
+        let ungoverned = ChaseEngine::new(&d, &strict).run(&s);
+        assert!(matches!(ungoverned, Err(ChaseError::Interrupted(_))));
     }
 
     #[test]

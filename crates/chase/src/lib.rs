@@ -25,7 +25,7 @@ pub use alpha::{
     alpha_chase, alpha_chase_naive, canonical_presolution, AlphaOutcome, AlphaSource, AlphaSuccess,
     ChaseStep, FreshAlpha, Justification, TableAlpha,
 };
-pub use budget::{ChaseBudget, ChaseLimitsExt};
+pub use budget::ChaseBudget;
 pub use egd_scan::{EgdScan, EgdViolation};
 pub use engine::ChaseEngine;
 pub use provenance::{ChainStep, Derivation, JustificationChain, MergeRecord, Provenance};

@@ -147,7 +147,7 @@ pub fn chase_naive(
     source: &Instance,
     budget: &ChaseBudget,
 ) -> Result<ChaseSuccess, ChaseError> {
-    let nulls = NullGen::above(source.active_domain().iter());
+    let nulls = NullGen::above(source.values());
     match naive_chase(
         setting,
         source,

@@ -119,7 +119,7 @@ impl NullGen {
 
     /// A generator whose first fresh null is strictly larger than every
     /// null occurring in `values`.
-    pub fn above<'a>(values: impl IntoIterator<Item = &'a Value>) -> NullGen {
+    pub fn above(values: impl IntoIterator<Item = Value>) -> NullGen {
         let max = values
             .into_iter()
             .filter_map(|v| v.as_null())
@@ -183,7 +183,7 @@ mod tests {
     #[test]
     fn nullgen_above_skips_existing_labels() {
         let vals = [Value::null(4), Value::konst("a"), Value::null(1)];
-        let mut g = NullGen::above(vals.iter());
+        let mut g = NullGen::above(vals);
         assert_eq!(g.fresh(), NullId(5));
     }
 

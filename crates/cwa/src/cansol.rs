@@ -62,7 +62,7 @@ pub fn cansol(
             // 1. Libkin's canonical presolution: fire every s-t trigger
             //    once with fresh nulls (no target tgds exist).
             let mut inst = source.clone();
-            let mut nulls = NullGen::above(source.active_domain().iter());
+            let mut nulls = NullGen::above(source.values());
             for tgd in &setting.st_tgds {
                 for env in tgd.body.matches(source) {
                     gov.check()?;

@@ -16,16 +16,26 @@
 //! the limits.
 //!
 //! Replays are independent — each is a pure function of its script — so
-//! the enumerator fans waves of pending scripts out over a [`Pool`]
-//! ([`EnumOpts`]). The wave size is a fixed constant and outcomes are
-//! consumed strictly in submission order, so results, stats and traces
-//! are byte-identical for every thread count.
+//! the enumerator fans waves of pending scripts out over a [`Pool`]. The
+//! wave size is a fixed constant and outcomes are consumed strictly in
+//! submission order, so results, stats and traces are byte-identical for
+//! every thread count.
+//!
+//! The whole enumeration runs under the caller's [`Governor`]. It is
+//! force-checked once per wave and ticked once per consumed replay, on
+//! the consuming loop, so a fuel or fault trip lands on the same replay
+//! at every thread count. Replays stay private: each one's chase runs
+//! under its own governor for the per-replay [`ChaseBudget`] on the
+//! caller's clock, and traces into a private ring that is re-emitted
+//! into the caller's tracer in submission order.
 
 use dex_chase::{
     AlphaOutcome, AlphaSource, ChaseBudget, ChaseEngine, ChaseError, ChaseStats, Justification,
 };
 use dex_core::govern::Interrupt;
-use dex_core::{has_homomorphism, Clock, Instance, IsoDeduper, NullGen, Pool, Symbol, Value};
+use dex_core::{
+    has_homomorphism, Clock, Governor, Instance, IsoDeduper, NullGen, Pool, Symbol, Value,
+};
 use dex_logic::Setting;
 use dex_obs::{RingRecorder, Tracer};
 use std::collections::{BTreeSet, HashMap};
@@ -54,65 +64,6 @@ impl Default for EnumLimits {
             chase_budget: ChaseBudget::probe(),
             nulls_only: false,
         }
-    }
-}
-
-/// Execution options for the enumerator, kept separate from the logical
-/// [`EnumLimits`]: which worker pool script replays run on, and where
-/// their trace events go. The default is sequential and untraced, so the
-/// plain entry points behave exactly as before.
-#[derive(Clone, Debug)]
-pub struct EnumOpts {
-    /// Pool that α-chase replays are fanned out on. Any thread count
-    /// produces byte-identical results; see `WAVE`.
-    pub pool: Pool,
-    /// Sink for chase trace events. When enabled, each replay records
-    /// into a private ring re-emitted after the join in submission
-    /// order, so the stream is deterministic under parallelism.
-    pub tracer: Tracer,
-    /// Clock stamping the replayed chases' trace events. Substituting
-    /// a mock makes the reassembled stream byte-identical across
-    /// reruns and thread counts (real timestamps never could be).
-    pub clock: Clock,
-}
-
-impl Default for EnumOpts {
-    fn default() -> EnumOpts {
-        EnumOpts {
-            pool: Pool::seq(),
-            tracer: Tracer::off(),
-            clock: Clock::real(),
-        }
-    }
-}
-
-impl EnumOpts {
-    /// Sequential, untraced (the default).
-    pub fn seq() -> EnumOpts {
-        EnumOpts::default()
-    }
-
-    /// Pool sized from `DEX_THREADS` / available parallelism, untraced.
-    pub fn from_env() -> EnumOpts {
-        EnumOpts {
-            pool: Pool::from_env(),
-            ..EnumOpts::default()
-        }
-    }
-
-    pub fn with_pool(mut self, pool: Pool) -> EnumOpts {
-        self.pool = pool;
-        self
-    }
-
-    pub fn with_tracer(mut self, tracer: Tracer) -> EnumOpts {
-        self.tracer = tracer;
-        self
-    }
-
-    pub fn with_clock(mut self, clock: Clock) -> EnumOpts {
-        self.clock = clock;
-        self
     }
 }
 
@@ -226,12 +177,13 @@ pub struct EnumStats {
     /// `chases_failed`, these say nothing definite: a presolution
     /// reachable only through such a script is missing from the results.
     pub chases_unfinished: usize,
-    /// Replays stopped by the budget's deadline or cancel flag.
+    /// Replays stopped by an interrupt: the per-replay budget's deadline
+    /// or cancel flag, or the enumeration's governor tripping at them.
     pub chases_interrupted: usize,
     pub truncated: bool,
-    /// Set when the run was cut short by a deadline/cancel interrupt
-    /// (either inside a replay or, for [`enumerate_cwa_solutions`], while
-    /// computing the canonical universal solution).
+    /// Set when the run was cut short by an interrupt (in a replay, on
+    /// the enumeration's governor, or, for [`enumerate_cwa_solutions`],
+    /// while computing the canonical universal solution).
     pub interrupted: Option<Interrupt>,
     /// Per-replay [`ChaseStats`] of every *successful* chase, merged via
     /// [`ChaseStats::merge`] in submission order. Counter fields are
@@ -245,6 +197,14 @@ impl EnumStats {
     /// ended indeterminately.
     pub fn is_complete(&self) -> bool {
         !self.truncated && self.chases_unfinished == 0 && self.interrupted.is_none()
+    }
+
+    /// Counts one more script as explored and interrupted by `i`: the
+    /// one at which the enumeration's governor tripped.
+    fn interrupted_at(&mut self, i: Interrupt) {
+        self.scripts_explored += 1;
+        self.chases_interrupted += 1;
+        self.interrupted = Some(i);
     }
 
     /// Internal consistency invariants; the governed test sweep asserts
@@ -323,15 +283,15 @@ struct Replay {
 
 /// Replays one choice script through the α-chase. Pure in `script` for
 /// fixed setting/source/limits — this is what makes wave fan-out safe:
-/// workers share nothing but read-only inputs. The chase reads `clock`
-/// (deadline and timings) whether or not it is traced; with `traced`,
-/// events go to a private ring for deterministic re-emission after the
-/// join.
+/// workers share nothing but read-only inputs. The chase runs under its
+/// own governor for `limits.chase_budget` on `clock` (deadline and
+/// timings) whether or not it is traced; with `traced`, events go to a
+/// private ring for deterministic re-emission after the join.
 fn replay_script(
     setting: &Setting,
     source: &Instance,
     script: &[usize],
-    pool: &[Symbol],
+    vocab: &[Symbol],
     fresh_base: u32,
     limits: &EnumLimits,
     traced: bool,
@@ -347,7 +307,7 @@ fn replay_script(
         pos: 0,
         memo: HashMap::new(),
         gen,
-        pool,
+        pool: vocab,
         nulls_only: limits.nulls_only,
         overrun_menu: None,
     };
@@ -355,9 +315,12 @@ fn replay_script(
     let tracer = ring
         .as_ref()
         .map_or_else(Tracer::off, |r| Tracer::new(Arc::clone(r) as _));
+    let gov = limits
+        .chase_budget
+        .governor(clock)
+        .with_tracer(tracer.clone());
     let outcome = ChaseEngine::new(setting, &limits.chase_budget)
-        .with_clock(clock.clone())
-        .with_tracer(tracer.clone())
+        .with_governor(&gov)
         .run_alpha(source, &mut alpha);
     // A terminal outcome mid-round (budget, conflict, cycle) leaks the
     // round's span guards; close them so every replayed ring is a
@@ -371,35 +334,33 @@ fn replay_script(
 }
 
 /// Enumerates the CWA-presolutions for `source` under `setting`, up to
-/// isomorphism, within `limits`. Sequential and untraced; see
-/// [`enumerate_cwa_presolutions_opts`] for the pool-parametrized form.
+/// isomorphism, within `limits`, under `gov`. Pending scripts are
+/// replayed in waves on `pool` and their outcomes consumed strictly in
+/// submission order, so the result list, stats and trace stream (on
+/// `gov`'s tracer) are byte-identical for every thread count.
 pub fn enumerate_cwa_presolutions(
     setting: &Setting,
     source: &Instance,
     limits: &EnumLimits,
+    gov: &Governor,
+    pool: &Pool,
 ) -> (Vec<Instance>, EnumStats) {
-    enumerate_cwa_presolutions_opts(setting, source, limits, &EnumOpts::default())
-}
-
-/// [`enumerate_cwa_presolutions`] with execution options: pending
-/// scripts are replayed in waves on `opts.pool` and their outcomes
-/// consumed strictly in submission order, so the result list, stats and
-/// trace stream are byte-identical for every thread count.
-pub fn enumerate_cwa_presolutions_opts(
-    setting: &Setting,
-    source: &Instance,
-    limits: &EnumLimits,
-    opts: &EnumOpts,
-) -> (Vec<Instance>, EnumStats) {
-    let pool = vocabulary_constants(setting);
-    let fresh_base = NullGen::above(source.active_domain().iter()).peek();
-    let traced = opts.tracer.enabled();
+    let vocab = vocabulary_constants(setting);
+    let fresh_base = NullGen::above(source.values()).peek();
+    let (clock, tracer) = (gov.clock(), gov.tracer());
+    let traced = tracer.enabled();
     let mut stats = EnumStats::default();
     let mut results = IsoDeduper::new();
     let mut stack: Vec<Vec<usize>> = vec![Vec::new()];
-    'enumerate: while !stack.is_empty() {
+    while !stack.is_empty() {
         if stats.scripts_explored >= limits.max_scripts || results.len() >= limits.max_results {
             stats.truncated = true;
+            break;
+        }
+        // Deadline and cancel are evaluated at once here, not only every
+        // CHECK_INTERVAL ticks.
+        if let Err(i) = gov.force_check() {
+            stats.interrupted_at(i);
             break;
         }
         // Take a wave of scripts off the top of the stack and replay them
@@ -412,118 +373,112 @@ pub fn enumerate_cwa_presolutions_opts(
             .min(limits.max_scripts - stats.scripts_explored);
         let wave: Vec<Vec<usize>> = (0..batch).map(|_| stack.pop().unwrap()).collect();
         // One span per wave wraps the replayed event stream, stamped
-        // from the enumeration clock like the replays inside it; Option
-        // so every exit path below can close it exactly once.
-        let mut sp_wave = Some(opts.tracer.span("wave", opts.clock.now_ns()));
+        // from the enumeration clock like the replays inside it.
+        let sp_wave = tracer.span("wave", clock.now_ns());
         // Each wave item is a full α-chase replay — heavy enough that
         // any multi-script wave clears the pool's inline threshold.
-        let replays = opts.pool.map(&wave, dex_core::Cost::Heavy, |_, script| {
+        let replays = pool.map(&wave, dex_core::Cost::Heavy, |_, script| {
             replay_script(
-                setting,
-                source,
-                script,
-                &pool,
-                fresh_base,
-                limits,
-                traced,
-                &opts.clock,
+                setting, source, script, &vocab, fresh_base, limits, traced, clock,
             )
         });
         // Consume outcomes strictly in submission order — this loop is
         // the sequential enumeration verbatim. Replays past a truncation
         // or interrupt point are speculative work that is discarded
         // without being counted anywhere.
-        for (script, replay) in wave.iter().zip(replays) {
-            if stats.scripts_explored >= limits.max_scripts || results.len() >= limits.max_results {
-                stats.truncated = true;
-                if let Some(sp) = sp_wave.take() {
-                    sp.close(opts.clock.now_ns());
+        let stop = 'wave: {
+            for (script, replay) in wave.iter().zip(replays) {
+                if stats.scripts_explored >= limits.max_scripts
+                    || results.len() >= limits.max_results
+                {
+                    stats.truncated = true;
+                    break 'wave true;
                 }
-                break 'enumerate;
-            }
-            stats.scripts_explored += 1;
-            if let Some(ring) = &replay.ring {
-                ring.replay_into(&opts.tracer);
-            }
-            if let Some(menu_size) = replay.overrun_menu {
-                // The script was too short: fork one child per choice.
-                // Pushed in reverse so choice 0 (fresh) is explored first.
-                for choice in (0..menu_size).rev() {
-                    let mut child = script.clone();
-                    child.push(choice);
-                    stack.push(child);
+                // One tick per consumed replay; the replay at which the
+                // governor trips counts as explored and interrupted.
+                if let Err(i) = gov.check() {
+                    stats.interrupted_at(i);
+                    break 'wave true;
                 }
-                continue;
-            }
-            match replay.outcome {
-                AlphaOutcome::Success(s) => {
-                    stats.chases_succeeded += 1;
-                    stats.chase.merge(&s.stats);
-                    // Dedup up to isomorphism online: the raw result
-                    // stream repeats each class many times (different
-                    // scripts, same α up to renaming of nulls).
-                    results.insert(s.target);
+                stats.scripts_explored += 1;
+                if let Some(ring) = &replay.ring {
+                    ring.replay_into(tracer);
                 }
-                // Both are definite negatives: a failing chase, or one
-                // that provably runs forever — either way this α admits
-                // no successful chase, hence no presolution
-                // (Definition 4.6).
-                AlphaOutcome::Failing { .. } | AlphaOutcome::CycleDetected { .. } => {
-                    stats.chases_failed += 1
-                }
-                AlphaOutcome::BudgetExceeded { .. } => {
-                    // Indeterminate: a presolution reachable only through
-                    // this script may be missing from the results.
-                    stats.chases_unfinished += 1;
-                }
-                AlphaOutcome::Interrupted(i) => {
-                    // Deadline/cancel: stop the whole enumeration —
-                    // every further replay would trip the same way.
-                    stats.chases_interrupted += 1;
-                    stats.interrupted = Some(i);
-                    if let Some(sp) = sp_wave.take() {
-                        sp.close(opts.clock.now_ns());
+                if let Some(menu_size) = replay.overrun_menu {
+                    // The script was too short: fork one child per choice.
+                    // Pushed in reverse so choice 0 (fresh) is explored first.
+                    for choice in (0..menu_size).rev() {
+                        let mut child = script.clone();
+                        child.push(choice);
+                        stack.push(child);
                     }
-                    break 'enumerate;
+                    continue;
+                }
+                match replay.outcome {
+                    AlphaOutcome::Success(s) => {
+                        stats.chases_succeeded += 1;
+                        stats.chase.merge(&s.stats);
+                        // Dedup up to isomorphism online: the raw result
+                        // stream repeats each class many times (different
+                        // scripts, same α up to renaming of nulls).
+                        results.insert(s.target);
+                    }
+                    // Both are definite negatives: a failing chase, or one
+                    // that provably runs forever — either way this α admits
+                    // no successful chase, hence no presolution
+                    // (Definition 4.6).
+                    AlphaOutcome::Failing { .. } | AlphaOutcome::CycleDetected { .. } => {
+                        stats.chases_failed += 1
+                    }
+                    AlphaOutcome::BudgetExceeded { .. } => {
+                        // Indeterminate: a presolution reachable only through
+                        // this script may be missing from the results.
+                        stats.chases_unfinished += 1;
+                    }
+                    AlphaOutcome::Interrupted(i) => {
+                        // Deadline/cancel: stop the whole enumeration —
+                        // every further replay would trip the same way.
+                        stats.chases_interrupted += 1;
+                        stats.interrupted = Some(i);
+                        break 'wave true;
+                    }
                 }
             }
-        }
-        if let Some(sp) = sp_wave.take() {
-            sp.close(opts.clock.now_ns());
+            false
+        };
+        sp_wave.close(clock.now_ns());
+        if stop {
+            break;
         }
     }
     (results.into_representatives(), stats)
 }
 
 /// Enumerates the CWA-*solutions* (Theorem 4.8: the universal ones among
-/// the presolutions), up to isomorphism. Sequential; see
-/// [`enumerate_cwa_solutions_opts`] for the pool-parametrized form.
+/// the presolutions), up to isomorphism, under `gov`: the presolution
+/// enumeration of [`enumerate_cwa_presolutions`], then one chase for the
+/// canonical universal solution, then the universality filter, whose
+/// per-presolution checks fan out on `pool`. An interrupted run returns
+/// no solutions.
 pub fn enumerate_cwa_solutions(
     setting: &Setting,
     source: &Instance,
     limits: &EnumLimits,
+    gov: &Governor,
+    pool: &Pool,
 ) -> (Vec<Instance>, EnumStats) {
-    enumerate_cwa_solutions_opts(setting, source, limits, &EnumOpts::default())
-}
-
-/// [`enumerate_cwa_solutions`] with execution options (the universality
-/// filter itself fans the per-presolution checks out on the pool).
-pub fn enumerate_cwa_solutions_opts(
-    setting: &Setting,
-    source: &Instance,
-    limits: &EnumLimits,
-    opts: &EnumOpts,
-) -> (Vec<Instance>, EnumStats) {
-    let (pres, mut stats) = enumerate_cwa_presolutions_opts(setting, source, limits, opts);
+    let (pres, mut stats) = enumerate_cwa_presolutions(setting, source, limits, gov, pool);
+    if stats.interrupted.is_some() {
+        return (Vec::new(), stats);
+    }
     // Theorem 4.8: filter to the universal presolutions. The canonical
     // universal solution is computed once; a presolution is universal iff
     // it is a solution mapping homomorphically into it.
-    let chase_budget = ChaseBudget {
-        ext: limits.chase_budget.ext.clone(),
-        ..ChaseBudget::default()
-    };
-    let canon = match dex_chase::canonical_universal_solution(setting, source, &chase_budget) {
-        Ok(canon) => canon,
+    let canon = match ChaseEngine::new(setting, &ChaseBudget::default())
+        .with_governor(gov)
+        .run(source)
+    {
+        Ok(chased) => chased.target,
         // A failing chase is definite: no solutions at all exist.
         Err(ChaseError::EgdConflict { .. }) => return (Vec::new(), stats),
         // Budget/interrupt is NOT "no CWA-solutions" — report the run as
@@ -546,7 +501,7 @@ pub fn enumerate_cwa_solutions_opts(
     // of paper-example presolutions stay inline.
     let keep_cost =
         dex_core::Cost::EstimateNs((canon.len() as u64).saturating_mul(canon.len() as u64));
-    let keep = opts.pool.map(&pres, keep_cost, |_, t| {
+    let keep = pool.map(&pres, keep_cost, |_, t| {
         setting.is_solution(source, t) && has_homomorphism(t, &canon)
     });
     let sols = pres
@@ -580,6 +535,10 @@ mod tests {
     use dex_core::isomorphic;
     use dex_logic::{parse_instance, parse_setting};
 
+    fn unlimited() -> Governor {
+        Governor::unlimited()
+    }
+
     /// The setting of Example 5.3.
     fn example_5_3() -> Setting {
         parse_setting(
@@ -603,7 +562,7 @@ mod tests {
             nulls_only: true,
             ..EnumLimits::default()
         };
-        let (sols, stats) = enumerate_cwa_solutions(&d, &s, &limits);
+        let (sols, stats) = enumerate_cwa_solutions(&d, &s, &limits, &unlimited(), &Pool::seq());
         assert!(!stats.truncated);
         let t = parse_instance("E(1,_1,_3). E(1,_2,_4). F(1,_1,_1). F(1,_2,_2).").unwrap();
         let t_prime = parse_instance(
@@ -637,7 +596,8 @@ mod tests {
         )
         .unwrap();
         let s = parse_instance("M(a,b). N(a,b). N(a,c).").unwrap();
-        let (sols, stats) = enumerate_cwa_solutions(&d, &s, &EnumLimits::default());
+        let (sols, stats) =
+            enumerate_cwa_solutions(&d, &s, &EnumLimits::default(), &unlimited(), &Pool::seq());
         assert!(!stats.truncated);
         // By Definitions 4.6/4.7 + Theorem 4.8 the CWA-solutions are the
         // universal CWA-presolutions: E(a,b), plus 0-2 null E-successors
@@ -680,7 +640,8 @@ mod tests {
         let s = parse_instance("M(a,b). N(a,b). N(a,c).").unwrap();
         // Full menus: T3 needs d2's z1 to reuse the *constant* b so that
         // no extra E-atom is created.
-        let (sols, stats) = enumerate_cwa_solutions(&d, &s, &EnumLimits::default());
+        let (sols, stats) =
+            enumerate_cwa_solutions(&d, &s, &EnumLimits::default(), &unlimited(), &Pool::seq());
         assert!(!stats.truncated);
         let t2 = parse_instance("E(a,b). E(a,_1). E(a,_2). F(a,_3). G(_3,_4).").unwrap();
         let t3 = parse_instance("E(a,b). F(a,_1). G(_1,_2).").unwrap();
@@ -688,11 +649,13 @@ mod tests {
         assert!(sols.iter().any(|x| isomorphic(x, &t3)), "T3 missing");
     }
 
-    /// Replays read the enumeration clock whether or not they are
-    /// traced: on a parked mock clock a 1 ns chase deadline never passes,
-    /// so the traced and untraced runs agree and neither is interrupted.
+    /// The enumeration reads its governor's clock alone: replays, traced
+    /// or not, check their budget's deadline on it (parked, a 1 ns
+    /// deadline never passes, so the traced and untraced runs agree and
+    /// neither is interrupted), and every event, wave spans included, is
+    /// stamped from it.
     #[test]
-    fn untraced_replays_take_the_enumeration_clock() {
+    fn enumeration_reads_the_governor_clock() {
         let d = example_5_3();
         let s = parse_instance("P(1).").unwrap();
         let limits = EnumLimits {
@@ -700,60 +663,36 @@ mod tests {
             chase_budget: ChaseBudget::probe().with_deadline(std::time::Duration::from_nanos(1)),
             ..EnumLimits::default()
         };
-        let (clock, _mock) = Clock::mock();
-        let ring = Arc::new(RingRecorder::new(1 << 16));
-        let untraced = EnumOpts::seq().with_clock(clock.clone());
-        let traced = EnumOpts::seq()
-            .with_clock(clock)
-            .with_tracer(Tracer::new(ring as _));
-        let (sols_u, stats_u) = enumerate_cwa_presolutions_opts(&d, &s, &limits, &untraced);
-        let (sols_t, stats_t) = enumerate_cwa_presolutions_opts(&d, &s, &limits, &traced);
-        assert!(stats_u.interrupted.is_none(), "{stats_u:?}");
-        assert_eq!(stats_u.chases_interrupted, 0);
-        assert_eq!(format!("{stats_u:?}"), format!("{stats_t:?}"));
-        assert_eq!(sols_u, sols_t);
-    }
-
-    /// Wave spans are stamped from the enumeration clock: on a mock
-    /// clock parked at a nonzero instant, every wave opens and closes
-    /// exactly there.
-    #[test]
-    fn wave_spans_take_the_enumeration_clock() {
-        let d = example_5_3();
-        let s = parse_instance("P(1).").unwrap();
-        let limits = EnumLimits {
-            nulls_only: true,
-            ..EnumLimits::default()
-        };
         let (clock, mock) = Clock::mock();
         mock.set_ns(7_000);
         let ring = Arc::new(RingRecorder::new(1 << 16));
-        let opts = EnumOpts::seq()
-            .with_clock(clock)
-            .with_tracer(Tracer::new(Arc::clone(&ring) as _));
-        enumerate_cwa_presolutions_opts(&d, &s, &limits, &opts);
+        let untraced = Governor::with_clock_now(clock.clone());
+        let traced = Governor::with_clock_now(clock).with_tracer(Tracer::new(ring.clone()));
+        let seq = Pool::seq();
+        let (sols_u, stats_u) = enumerate_cwa_presolutions(&d, &s, &limits, &untraced, &seq);
+        let (sols_t, stats_t) = enumerate_cwa_presolutions(&d, &s, &limits, &traced, &seq);
+        assert!(stats_u.interrupted.is_none(), "{stats_u:?}");
+        assert_eq!(format!("{stats_u:?}"), format!("{stats_t:?}"));
+        assert_eq!(sols_u, sols_t);
+        let events = ring.events();
+        let wave = dex_obs::EventKind::SpanOpened {
+            name: "wave".into(),
+        };
+        assert!(events.iter().any(|e| e.kind == wave));
+        assert!(events.iter().all(|e| e.at_ns == 7_000));
         assert_eq!(ring.dropped(), 0);
-        let waves: Vec<u64> = ring
-            .events()
-            .into_iter()
-            .filter_map(|e| match e.kind {
-                dex_obs::EventKind::SpanOpened { name }
-                | dex_obs::EventKind::SpanClosed { name, .. }
-                    if name == "wave" =>
-                {
-                    Some(e.at_ns)
-                }
-                _ => None,
-            })
-            .collect();
-        assert!(!waves.is_empty(), "no wave span");
-        assert!(waves.iter().all(|&at| at == 7_000), "{waves:?}");
     }
 
     #[test]
     fn empty_source_has_single_empty_solution() {
         let d = example_5_3();
-        let (sols, _) = enumerate_cwa_solutions(&d, &Instance::new(), &EnumLimits::default());
+        let (sols, _) = enumerate_cwa_solutions(
+            &d,
+            &Instance::new(),
+            &EnumLimits::default(),
+            &unlimited(),
+            &Pool::seq(),
+        );
         assert_eq!(sols.len(), 1);
         assert!(sols[0].is_empty());
     }
@@ -777,13 +716,14 @@ mod tests {
             chase_budget: dex_chase::ChaseBudget::new(3, 1_000),
             ..EnumLimits::default()
         };
-        let (pres, stats) = enumerate_cwa_presolutions(&d, &s, &limits);
+        let (pres, stats) = enumerate_cwa_presolutions(&d, &s, &limits, &unlimited(), &Pool::seq());
         assert!(pres.is_empty());
         assert_eq!(stats.chases_unfinished, 1);
         assert_eq!(stats.chases_failed, 0);
         assert!(!stats.is_complete());
         // A generous budget decides the same setting completely.
-        let (pres, stats) = enumerate_cwa_presolutions(&d, &s, &EnumLimits::default());
+        let (pres, stats) =
+            enumerate_cwa_presolutions(&d, &s, &EnumLimits::default(), &unlimited(), &Pool::seq());
         assert_eq!(pres.len(), 1);
         assert!(stats.is_complete());
     }
@@ -804,14 +744,14 @@ mod tests {
             nulls_only: true,
             ..EnumLimits::default()
         };
-        let (sols, stats) = enumerate_cwa_solutions(&d, &s, &limits);
+        let (sols, stats) = enumerate_cwa_solutions(&d, &s, &limits, &unlimited(), &Pool::seq());
         assert!(sols.is_empty());
         let i = stats.interrupted.expect("cancel must be reported");
         assert_eq!(i.reason, InterruptReason::Cancelled);
         assert!(!stats.is_complete());
         // Without the flag raised the same limits enumerate normally.
         flag.store(false, Ordering::Relaxed);
-        let (sols, stats) = enumerate_cwa_solutions(&d, &s, &limits);
+        let (sols, stats) = enumerate_cwa_solutions(&d, &s, &limits, &unlimited(), &Pool::seq());
         assert!(!sols.is_empty());
         assert!(stats.is_complete());
     }
@@ -826,7 +766,7 @@ mod tests {
             nulls_only: true,
             ..EnumLimits::default()
         };
-        let (_, stats) = enumerate_cwa_solutions(&d, &s, &limits);
+        let (_, stats) = enumerate_cwa_solutions(&d, &s, &limits, &unlimited(), &Pool::seq());
         stats.validate().expect("real run validates");
         let j = stats.to_json();
         assert_eq!(
@@ -855,37 +795,6 @@ mod tests {
         assert!(bad.validate().is_err());
     }
 
-    /// The tentpole determinism property, locally: every thread count
-    /// yields byte-identical solutions and identical deterministic stat
-    /// counters (the cross-crate 64-seed sweep lives in dex-bench).
-    #[test]
-    fn parallel_enumeration_is_byte_identical_across_thread_counts() {
-        let d = example_5_3();
-        let s = parse_instance("P(1). P(2).").unwrap();
-        let limits = EnumLimits {
-            nulls_only: true,
-            ..EnumLimits::default()
-        };
-        let (base_sols, base_stats) =
-            enumerate_cwa_solutions_opts(&d, &s, &limits, &EnumOpts::default());
-        assert!(!base_sols.is_empty());
-        for threads in [2, 4, 8] {
-            let opts = EnumOpts::default().with_pool(dex_core::Pool::new(threads));
-            let (sols, stats) = enumerate_cwa_solutions_opts(&d, &s, &limits, &opts);
-            assert_eq!(sols, base_sols, "solutions differ at {threads} threads");
-            assert_eq!(stats.scripts_explored, base_stats.scripts_explored);
-            assert_eq!(stats.chases_succeeded, base_stats.chases_succeeded);
-            assert_eq!(stats.chases_failed, base_stats.chases_failed);
-            assert_eq!(stats.chases_unfinished, base_stats.chases_unfinished);
-            assert_eq!(stats.truncated, base_stats.truncated);
-            // Merged chase counters (not times) are deterministic too.
-            assert_eq!(stats.chase.tgd_steps, base_stats.chase.tgd_steps);
-            assert_eq!(stats.chase.atoms_inserted, base_stats.chase.atoms_inserted);
-            assert_eq!(stats.chase.peak_atoms, base_stats.chase.peak_atoms);
-            stats.validate().expect("parallel stats validate");
-        }
-    }
-
     /// Truncation bookkeeping must also be thread-count independent:
     /// speculative replays beyond the cut are discarded, not counted.
     #[test]
@@ -898,61 +807,15 @@ mod tests {
             ..EnumLimits::default()
         };
         let (base, base_stats) =
-            enumerate_cwa_presolutions_opts(&d, &s, &limits, &EnumOpts::default());
+            enumerate_cwa_presolutions(&d, &s, &limits, &unlimited(), &Pool::seq());
         assert!(base_stats.truncated);
         assert_eq!(base_stats.scripts_explored, 50);
         for threads in [2, 8] {
-            let opts = EnumOpts::default().with_pool(dex_core::Pool::new(threads));
-            let (pres, stats) = enumerate_cwa_presolutions_opts(&d, &s, &limits, &opts);
+            let pool = Pool::new(threads);
+            let (pres, stats) = enumerate_cwa_presolutions(&d, &s, &limits, &unlimited(), &pool);
             assert_eq!(pres, base);
             assert_eq!(stats.scripts_explored, 50);
             assert!(stats.truncated);
         }
-    }
-
-    /// Tracing under parallel enumeration re-emits per-replay rings in
-    /// submission order: the stream is identical to the sequential one.
-    #[test]
-    fn parallel_trace_stream_matches_sequential() {
-        use dex_obs::RingRecorder;
-        use std::sync::Arc;
-        let d = example_5_3();
-        let s = parse_instance("P(1).").unwrap();
-        let limits = EnumLimits {
-            nulls_only: true,
-            ..EnumLimits::default()
-        };
-        let streams: Vec<String> = [1usize, 4]
-            .into_iter()
-            .map(|threads| {
-                let ring = Arc::new(RingRecorder::new(1 << 16));
-                // A mocked clock pins every timestamp and span duration,
-                // so the reassembled stream can be compared byte-for-byte.
-                let (clock, mc) = dex_core::Clock::mock();
-                mc.set_ns(42);
-                let opts = EnumOpts::default()
-                    .with_pool(dex_core::Pool::new(threads))
-                    .with_tracer(dex_obs::Tracer::new(ring.clone()))
-                    .with_clock(clock);
-                let _ = enumerate_cwa_presolutions_opts(&d, &s, &limits, &opts);
-                assert_eq!(ring.dropped(), 0);
-                ring.to_jsonl()
-            })
-            .collect();
-        assert!(!streams[0].is_empty(), "tracing recorded nothing");
-        assert_eq!(streams[0], streams[1]);
-    }
-
-    #[test]
-    fn limits_truncate_gracefully() {
-        let d = example_5_3();
-        let s = parse_instance("P(1). P(2). P(3).").unwrap();
-        let limits = EnumLimits {
-            max_scripts: 50,
-            nulls_only: true,
-            ..EnumLimits::default()
-        };
-        let (_, stats) = enumerate_cwa_presolutions(&d, &s, &limits);
-        assert!(stats.truncated);
     }
 }

@@ -21,8 +21,7 @@ pub mod solution;
 
 pub use cansol::{cansol, cansol_class, CanSolClass};
 pub use enumerate::{
-    enumerate_cwa_presolutions, enumerate_cwa_presolutions_opts, enumerate_cwa_solutions,
-    enumerate_cwa_solutions_opts, maximal_under_image, EnumLimits, EnumOpts, EnumStats,
+    enumerate_cwa_presolutions, enumerate_cwa_solutions, maximal_under_image, EnumLimits, EnumStats,
 };
 pub use presolution::{
     is_cwa_presolution, presolution_alpha_table, presolution_justifications, SearchLimits,

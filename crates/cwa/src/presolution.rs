@@ -201,9 +201,10 @@ pub fn presolution_alpha_table(
 /// the replayed result `S ∪ T` carries a recorded justification chain.
 /// Returns the provenance on success; `Ok(None)` if `target` is not a
 /// presolution (or the search hit its limits), `Err` if `gov` tripped
-/// during the search. A `Some` answer is strictly stronger than
-/// [`is_cwa_presolution`] returning `Ok(Some(true))`: the witnessing α
-/// has actually been replayed and audited atom by atom.
+/// during the search or the replay, which both run under it. A `Some`
+/// answer is strictly stronger than [`is_cwa_presolution`] returning
+/// `Ok(Some(true))`: the witnessing α has actually been replayed and
+/// audited atom by atom.
 pub fn presolution_justifications(
     setting: &Setting,
     source: &Instance,
@@ -216,9 +217,12 @@ pub fn presolution_justifications(
     };
     let mut alpha = dex_chase::TableAlpha::new(table);
     let engine = dex_chase::ChaseEngine::new(setting, &dex_chase::ChaseBudget::default())
+        .with_governor(gov)
         .with_provenance(true);
-    let Some(success) = engine.run_alpha(source, &mut alpha).success() else {
-        return Ok(None);
+    let success = match engine.run_alpha(source, &mut alpha) {
+        dex_chase::AlphaOutcome::Success(s) => s,
+        dex_chase::AlphaOutcome::Interrupted(i) => return Err(i),
+        _ => return Ok(None),
     };
     let prov = success.provenance.expect("provenance was enabled");
     Ok(prov.verify_justified(&success.result).ok().map(|()| prov))

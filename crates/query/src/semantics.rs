@@ -22,7 +22,7 @@ use crate::modal::{
 use crate::possible::cq_is_maybe_answer;
 use crate::propagate::{certain_answers_propagated, maybe_answers_propagated, PropagationReport};
 use dex_chase::{ChaseBudget, ChaseError, ChaseSuccess};
-use dex_core::govern::{Governor, Verdict};
+use dex_core::govern::{Governor, Interrupt, Verdict};
 use dex_core::{Instance, Value};
 use dex_cwa::{cansol, cansol_class, CanSolClass, EnumLimits};
 use dex_logic::{Query, Setting};
@@ -95,7 +95,8 @@ pub enum AnswerError {
     Modal(ModalError),
     /// No CWA-solution exists for the source (the semantics are undefined).
     NoSolutions,
-    /// The CWA-solution enumeration fallback was truncated.
+    /// The CWA-solution enumeration fallback was incomplete: truncated by
+    /// its limits, or with replays that ran out of their chase budget.
     EnumerationTruncated,
     /// `Rep_D(T)` was empty for a solution (cannot happen for actual
     /// solutions; defensive).
@@ -127,6 +128,18 @@ fn checked(g: GovernedAnswers) -> GovernedAnswers {
         g.validate()
     );
     g
+}
+
+/// The answer of a run `i` interrupted with only `proven` settled: every
+/// other tuple is unknown.
+fn interrupted(proven: Answers, i: Interrupt) -> GovernedAnswers {
+    GovernedAnswers {
+        proven,
+        refuted: Answers::new(),
+        undetermined: Answers::new(),
+        default: Verdict::Unknown(i.reason),
+        interrupt: Some(i),
+    }
 }
 
 /// A chase (or `CanSol` build) that hits an egd conflict proves that no
@@ -356,22 +369,34 @@ impl<'a> AnswerEngine<'a> {
         Ok(checked(ans))
     }
 
-    /// All CWA-solutions, for the brute-force fallback.
-    fn all_solutions(&self) -> Result<Vec<Instance>, AnswerError> {
-        let opts = dex_cwa::EnumOpts::seq().with_pool(self.config.pool);
-        let (sols, stats) = dex_cwa::enumerate_cwa_solutions_opts(
+    /// All CWA-solutions, for the brute-force fallback, enumerated under
+    /// `gov` on the configured pool. An interrupted enumeration gives the
+    /// governed partial answer (`Ok(Err(..))`): nothing proven, nothing
+    /// refuted, every tuple unknown. An enumeration that is otherwise
+    /// incomplete — truncated, or with a replay out of budget — is an
+    /// error, and only a complete one that finds nothing proves that no
+    /// solution exists.
+    fn all_solutions(
+        &self,
+        gov: &Governor,
+    ) -> Result<Result<Vec<Instance>, GovernedAnswers>, AnswerError> {
+        let (sols, stats) = dex_cwa::enumerate_cwa_solutions(
             self.setting,
             &self.source,
             &self.config.enum_limits,
-            &opts,
+            gov,
+            &self.config.pool,
         );
-        if stats.truncated {
+        if let Some(i) = stats.interrupted {
+            return Ok(Err(interrupted(Answers::new(), i)));
+        }
+        if !stats.is_complete() {
             return Err(AnswerError::EnumerationTruncated);
         }
         if sols.is_empty() {
             return Err(AnswerError::NoSolutions);
         }
-        Ok(sols)
+        Ok(Ok(sols))
     }
 
     /// Computes the answers under the chosen semantics: the `proven` set
@@ -442,7 +467,10 @@ impl<'a> AnswerEngine<'a> {
                 // Brute force ⋂ over all CWA-solutions, folding partial
                 // verdicts: a tuple refuted by any fully-evaluated
                 // ⋂-factor is definitely False even after a trip.
-                let sols = self.all_solutions()?;
+                let sols = match self.all_solutions(gov)? {
+                    Ok(sols) => sols,
+                    Err(partial) => return Ok(partial),
+                };
                 let mut candidates: Option<Answers> = None;
                 let mut refuted = Answers::new();
                 for t in &sols {
@@ -511,7 +539,10 @@ impl<'a> AnswerEngine<'a> {
                     // Theorem 7.1's restricted classes: maybe⇑ = ◇Q(CanSol).
                     return self.diamond_q(q, can, gov);
                 }
-                let sols = self.all_solutions()?;
+                let sols = match self.all_solutions(gov)? {
+                    Ok(sols) => sols,
+                    Err(partial) => return Ok(partial),
+                };
                 let mut proven = Answers::new();
                 for t in &sols {
                     let g = self.diamond_q(q, t, gov)?;
@@ -520,13 +551,7 @@ impl<'a> AnswerEngine<'a> {
                         // Tuples found so far are maybe answers in some
                         // solution; anything else might still appear in
                         // an unexplored representative or solution.
-                        return Ok(GovernedAnswers {
-                            proven,
-                            refuted: Answers::new(),
-                            undetermined: Answers::new(),
-                            default: Verdict::Unknown(i.reason),
-                            interrupt: Some(i),
-                        });
+                        return Ok(interrupted(proven, i));
                     }
                 }
                 Ok(GovernedAnswers::complete(proven))
@@ -826,6 +851,52 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The enumeration fallback never folds an incomplete enumeration:
+    /// replays out of their chase budget leave solutions unfound, so
+    /// the answer is `EnumerationTruncated` — neither a complete answer
+    /// over the solutions found nor `NoSolutions`.
+    #[test]
+    fn unfinished_enumeration_is_never_complete_or_no_solutions() {
+        let d = example_2_1();
+        let s = parse_instance("N(a,b). N(a,c).").unwrap();
+        let q = parse_query("Q(x) :- E(x,y), F(x,z), y != z").unwrap();
+        for steps in [1, 2] {
+            let cfg = AnswerConfig {
+                enum_limits: EnumLimits {
+                    chase_budget: ChaseBudget::new(steps, 8_000),
+                    ..EnumLimits::default()
+                },
+                ..AnswerConfig::default()
+            };
+            let engine = AnswerEngine::new(&d, &s, cfg).unwrap();
+            for sem in [Semantics::Certain, Semantics::Maybe] {
+                let g = engine.answers_governed(&q, sem, &Governor::unlimited());
+                let truncated = matches!(g, Err(AnswerError::EnumerationTruncated));
+                assert!(truncated, "{sem:?} with {steps}-step replays: {g:?}");
+            }
+        }
+    }
+
+    /// The enumeration fallback runs under the answering governor: a
+    /// pre-cancelled one yields the governed partial — nothing proven,
+    /// nothing refuted, every tuple unknown.
+    #[test]
+    fn cancelled_governor_interrupts_the_enumeration_fallback() {
+        use dex_core::govern::InterruptReason::Cancelled;
+        use std::sync::{atomic::AtomicBool, Arc};
+        let d = example_2_1();
+        let s = parse_instance("N(a,b). N(a,c).").unwrap();
+        let engine = AnswerEngine::new(&d, &s, AnswerConfig::default()).unwrap();
+        let q = parse_query("Q(x) :- E(x,y), F(x,z), y != z").unwrap();
+        for sem in [Semantics::Certain, Semantics::Maybe] {
+            let gov = Governor::unlimited().with_cancel(Arc::new(AtomicBool::new(true)));
+            let g = engine.answers_governed(&q, sem, &gov).unwrap();
+            assert!(g.proven.is_empty() && g.refuted.is_empty(), "{sem:?}");
+            assert_eq!(g.default, Verdict::Unknown(Cancelled), "{sem:?}");
+            assert_eq!(g.interrupt.unwrap().reason, Cancelled, "{sem:?}");
         }
     }
 

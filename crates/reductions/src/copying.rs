@@ -157,7 +157,9 @@ mod tests {
         let core = dex_cwa::core_solution(&d, &s, &dex_chase::ChaseBudget::default()).unwrap();
         assert_eq!(core, copy);
         // Full s-t tgds: the only CWA-presolution is the copy itself.
-        let (sols, _) = dex_cwa::enumerate_cwa_solutions(&d, &s, &dex_cwa::EnumLimits::default());
+        let limits = dex_cwa::EnumLimits::default();
+        let (gov, seq) = (dex_core::Governor::unlimited(), dex_core::Pool::seq());
+        let (sols, _) = dex_cwa::enumerate_cwa_solutions(&d, &s, &limits, &gov, &seq);
         assert_eq!(sols.len(), 1);
         assert_eq!(sols[0], copy);
     }

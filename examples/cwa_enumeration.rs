@@ -7,6 +7,7 @@
 //!
 //! Run with: `cargo run --release --example cwa_enumeration`
 
+use cwa_dex::core::{Governor, Pool};
 use cwa_dex::cwa::{enumerate_cwa_solutions, maximal_under_image, EnumLimits};
 use cwa_dex::prelude::*;
 
@@ -32,7 +33,13 @@ fn main() {
     for n in 1..=2usize {
         let atoms: String = (1..=n).map(|i| format!("P({i}). ")).collect();
         let source = parse_instance(&atoms).unwrap();
-        let (sols, stats) = enumerate_cwa_solutions(&setting, &source, &limits);
+        let (sols, stats) = enumerate_cwa_solutions(
+            &setting,
+            &source,
+            &limits,
+            &Governor::unlimited(),
+            &Pool::seq(),
+        );
         let maximal = maximal_under_image(&sols);
         println!(
             "n = {n}: {} CWA-solutions up to renaming of nulls, {} of them ⊑-maximal \

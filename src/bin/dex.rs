@@ -147,26 +147,31 @@ fn cmd_analyze(setting: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// The message for a failed chase; an egd conflict prints its witness
+/// to stderr first.
+fn describe_chase_error(e: ChaseError) -> String {
+    match e {
+        ChaseError::EgdConflict { witness } => {
+            eprintln!("{witness}");
+            "inconsistent source: no solution exists (diagnosis above; \
+             `dex repair` enumerates the maximal consistent subsets)"
+                .to_owned()
+        }
+        e => e.to_string(),
+    }
+}
+
 fn cmd_chase(setting: &str, source: &str) -> Result<(), String> {
     let d = parse_setting_arg(setting)?;
     let s = parse_instance_arg(source)?;
-    let budget = ChaseBudget::default();
+    let gov = Governor::unlimited().with_tracer(cwa_dex::obs::Tracer::from_env());
     // Provenance is on so an egd conflict comes back with the full
     // witness (trigger, justification chains, source conflict set).
-    let out = match ChaseEngine::new(&d, &budget)
-        .with_tracer(cwa_dex::obs::Tracer::from_env())
+    let out = ChaseEngine::new(&d, &ChaseBudget::default())
+        .with_governor(&gov)
         .with_provenance(true)
         .run(&s)
-    {
-        Ok(out) => out,
-        Err(ChaseError::EgdConflict { witness }) => {
-            eprintln!("{witness}");
-            return Err("inconsistent source: no solution exists (diagnosis above; \
-                 `dex repair` enumerates the maximal consistent subsets)"
-                .to_owned());
-        }
-        Err(e) => return Err(e.to_string()),
-    };
+        .map_err(describe_chase_error)?;
     println!("steps: {}", out.steps);
     println!("{}", cwa_dex::logic::instance_to_dsl(&out.target));
     Ok(())
@@ -183,22 +188,14 @@ fn cmd_update(setting: &str, source: &str, delta: &str, rest: &[String]) -> Resu
     let d = parse_setting_arg(setting)?;
     let s = parse_instance_arg(source)?;
     let delta = parse_delta(&load(delta)).map_err(|e| format!("delta: {e}"))?;
-    let budget = ChaseBudget::default();
-    let tracer = cwa_dex::obs::Tracer::from_env();
-    let engine = ChaseEngine::new(&d, &budget)
-        .with_tracer(tracer)
+    let gov = Governor::unlimited().with_tracer(cwa_dex::obs::Tracer::from_env());
+    let engine = ChaseEngine::new(&d, &ChaseBudget::default())
+        .with_governor(&gov)
         .with_provenance(true);
-    let describe = |e: ChaseError| match e {
-        ChaseError::EgdConflict { witness } => {
-            eprintln!("{witness}");
-            "inconsistent source: no solution exists (diagnosis above; \
-             `dex repair` enumerates the maximal consistent subsets)"
-                .to_owned()
-        }
-        e => e.to_string(),
-    };
-    let prior = engine.run(&s).map_err(describe)?;
-    let resumed = engine.resume(&prior, &delta).map_err(describe)?;
+    let prior = engine.run(&s).map_err(describe_chase_error)?;
+    let resumed = engine
+        .resume(&prior, &delta)
+        .map_err(describe_chase_error)?;
     println!(
         "applied: {} insert(s), {} delete(s)",
         delta.inserts.len(),
@@ -225,9 +222,9 @@ fn cmd_explain(setting: &str, source: &str, rest: &[String]) -> Result<(), Strin
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    let budget = ChaseBudget::default();
-    let run = ChaseEngine::new(&d, &budget)
-        .with_tracer(cwa_dex::obs::Tracer::from_env())
+    let gov = Governor::unlimited().with_tracer(cwa_dex::obs::Tracer::from_env());
+    let run = ChaseEngine::new(&d, &ChaseBudget::default())
+        .with_governor(&gov)
         .with_provenance(true)
         .run(&s);
     if conflict_mode {
@@ -282,11 +279,11 @@ fn cmd_core(setting: &str, source: &str, rest: &[String]) -> Result<(), String> 
     if tracer.enabled() {
         cwa_dex::core::set_pool_tracer(tracer.clone());
     }
+    let gov = Governor::unlimited().with_tracer(tracer);
     let out = ChaseEngine::new(&d, &ChaseBudget::default())
-        .with_tracer(tracer.clone())
+        .with_governor(&gov)
         .run(&s)
         .map_err(|e| e.to_string())?;
-    let gov = Governor::unlimited().with_tracer(tracer);
     let gc = cwa_dex::core::core_parallel_governed(&out.target, &gov, &pool);
     println!("{}", cwa_dex::logic::instance_to_dsl(&gc.instance));
     Ok(())
@@ -497,10 +494,8 @@ fn cmd_enumerate(setting: &str, source: &str, rest: &[String]) -> Result<(), Str
     if tracer.enabled() {
         cwa_dex::core::set_pool_tracer(tracer.clone());
     }
-    let opts = cwa_dex::cwa::EnumOpts::seq()
-        .with_pool(pool)
-        .with_tracer(tracer);
-    let (sols, stats) = cwa_dex::cwa::enumerate_cwa_solutions_opts(&d, &s, &limits, &opts);
+    let gov = Governor::unlimited().with_tracer(tracer);
+    let (sols, stats) = cwa_dex::cwa::enumerate_cwa_solutions(&d, &s, &limits, &gov, &pool);
     let maximal = maximal_under_image(&sols);
     for t in &sols {
         let is_max = maximal.iter().any(|m| isomorphic(m, t));

@@ -2,7 +2,7 @@
 //! public facade (exercising parser → chase → cores → CWA machinery →
 //! query answering across all crates).
 
-use cwa_dex::core::Governor;
+use cwa_dex::core::{Governor, Pool};
 use cwa_dex::cwa::maximal_under_image;
 use cwa_dex::prelude::*;
 
@@ -88,7 +88,13 @@ fn section_3_libkin_solutions_fail_target_deps() {
          }",
     )
     .unwrap();
-    let (sols, stats) = enumerate_cwa_solutions(&reduced, &s, &EnumLimits::default());
+    let (sols, stats) = enumerate_cwa_solutions(
+        &reduced,
+        &s,
+        &EnumLimits::default(),
+        &Governor::unlimited(),
+        &Pool::seq(),
+    );
     assert!(!stats.truncated);
     assert!(!sols.is_empty());
     for t in &sols {
@@ -119,7 +125,13 @@ fn example_5_3_incomparable_growth() {
     for n in 1..=2usize {
         let atoms: String = (1..=n).map(|i| format!("P({i}). ")).collect();
         let source = parse_instance(&atoms).unwrap();
-        let (sols, stats) = enumerate_cwa_solutions(&setting, &source, &limits);
+        let (sols, stats) = enumerate_cwa_solutions(
+            &setting,
+            &source,
+            &limits,
+            &Governor::unlimited(),
+            &Pool::seq(),
+        );
         assert!(!stats.truncated);
         counts.push(maximal_under_image(&sols).len());
     }
@@ -140,7 +152,8 @@ fn theorem_5_1_on_example_2_1() {
         &parse_instance("E(a,b). F(a,_1). G(_1,_2).").unwrap()
     ));
     let limits = EnumLimits::default();
-    let (sols, stats) = enumerate_cwa_solutions(&d, &s, &limits);
+    let (sols, stats) =
+        enumerate_cwa_solutions(&d, &s, &limits, &Governor::unlimited(), &Pool::seq());
     assert!(!stats.truncated);
     assert!(sols.iter().any(|t| isomorphic(t, &core)));
     for t in &sols {
@@ -167,7 +180,13 @@ fn lemma_7_7_ucq_certain_answers_agree_with_brute_force() {
         "Q(x) :- E(x,y); Q(x) :- F(x,y)",
     ];
     let engine = AnswerEngine::new(&d, &s, AnswerConfig::default()).unwrap();
-    let (sols, stats) = enumerate_cwa_solutions(&d, &s, &EnumLimits::default());
+    let (sols, stats) = enumerate_cwa_solutions(
+        &d,
+        &s,
+        &EnumLimits::default(),
+        &Governor::unlimited(),
+        &Pool::seq(),
+    );
     assert!(!stats.truncated);
     for qt in queries {
         let q = parse_query(qt).unwrap();

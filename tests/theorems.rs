@@ -1,7 +1,7 @@
 //! The paper's theorems checked on *generated* (seeded random) inputs —
 //! beyond the worked examples.
 
-use cwa_dex::core::Governor;
+use cwa_dex::core::{Governor, Pool};
 use cwa_dex::datagen::{layered_setting, random_source, LayeredConfig, SourceConfig};
 use cwa_dex::prelude::*;
 
@@ -126,7 +126,13 @@ fn enumerated_solutions_pass_independent_checks() {
     )
     .unwrap();
     let s = parse_instance("P(a). Q(b,c).").unwrap();
-    let (sols, stats) = enumerate_cwa_solutions(&d, &s, &EnumLimits::default());
+    let (sols, stats) = enumerate_cwa_solutions(
+        &d,
+        &s,
+        &EnumLimits::default(),
+        &Governor::unlimited(),
+        &Pool::seq(),
+    );
     assert!(!stats.truncated);
     assert!(!sols.is_empty());
     let budget = ChaseBudget::default();
@@ -188,7 +194,13 @@ fn proposition_5_4_cansol_is_maximal() {
     let can = cansol(&d, &s, &ChaseBudget::default())
         .unwrap()
         .expect("egds-only class");
-    let (sols, stats) = enumerate_cwa_solutions(&d, &s, &EnumLimits::default());
+    let (sols, stats) = enumerate_cwa_solutions(
+        &d,
+        &s,
+        &EnumLimits::default(),
+        &Governor::unlimited(),
+        &Pool::seq(),
+    );
     assert!(!stats.truncated);
     assert!(!sols.is_empty());
     for t in &sols {
