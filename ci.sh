@@ -151,14 +151,23 @@ if "$DEX" chase "$REPAIR_SETTING" "$REPAIR_SOURCE" >/dev/null 2>&1; then
   echo "repair smoke: chase unexpectedly succeeded on a conflicted source"; exit 1
 fi
 # Outputs are captured, not piped into grep: `grep -q` closing the pipe
-# early makes the binary's next println panic on EPIPE (and the chase is
-# *supposed* to exit nonzero, which pipefail would also trip on).
+# early ends the binary before it has printed everything (it exits
+# quietly on EPIPE), and the chase is *supposed* to exit nonzero, which
+# pipefail would trip on.
 CHASE_OUT=$("$DEX" chase "$REPAIR_SETTING" "$REPAIR_SOURCE" 2>&1 || true)
 grep -q "source conflict set" <<< "$CHASE_OUT" \
   || { echo "repair smoke: chase failure lacks the conflict witness"; exit 1; }
-REPAIR_OUT=$("$DEX" repair "$REPAIR_SETTING" "$REPAIR_SOURCE")
+# Traced: every chase of the repair search runs under the caller's
+# governor, so its events reach the trace.
+REPAIR_TRACE="$PWD/target/repair-smoke-trace.jsonl"
+rm -f "$REPAIR_TRACE"
+REPAIR_OUT=$(DEX_TRACE="$REPAIR_TRACE" "$DEX" repair "$REPAIR_SETTING" "$REPAIR_SOURCE")
 grep -q "2 maximal repair(s)" <<< "$REPAIR_OUT" \
   || { echo "repair smoke: dex repair did not find both repairs"; exit 1; }
+grep -q "conflicts reused" <<< "$REPAIR_OUT" \
+  || { echo "repair smoke: dex repair summary lacks the conflicts-reused count"; exit 1; }
+grep -q '"event":"chase_started"' "$REPAIR_TRACE" \
+  || { echo "repair smoke: the dex repair trace holds no chase_started event"; exit 1; }
 ANSWER_OUT=$("$DEX" answer "$REPAIR_SETTING" "$REPAIR_SOURCE" 'Q(x,y) :- G(x,y)' --repair)
 grep -q "(u, v)" <<< "$ANSWER_OUT" \
   || { echo "repair smoke: dex answer --repair lost the unconflicted row"; exit 1; }
@@ -171,7 +180,7 @@ grep -q '"guidance_margin"' BENCH_repair.json || { echo "committed BENCH_repair.
 echo "== incremental smoke (dex update round-trip + differential seed + bench) =="
 # `dex update` applies a delta by incremental maintenance; the target it
 # prints must carry exactly the rows of a from-scratch exchange of the
-# updated source. Output captured, not piped (EPIPE, see repair smoke).
+# updated source. Output captured, not piped (see repair smoke).
 INC_SETTING='source { P/2 } target { F/2, G/2 } st { d1: P(x,y) -> exists k . F(k,x) & G(k,y); } t { key: F(k,x) & F(k,y) -> x = y; }'
 UPDATE_OUT=$("$DEX" update "$INC_SETTING" 'P(a,b). P(c,d).' '+ P(e,f). - P(c,d).')
 grep -q "applied: 1 insert(s), 1 delete(s)" <<< "$UPDATE_OUT" \

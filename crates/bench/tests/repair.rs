@@ -341,3 +341,203 @@ fn repair_search_is_thread_count_invariant() {
         }
     }
 }
+
+/// A named instance family: its setting and one source per seed.
+type Family = (&'static str, Setting, Vec<(u64, Instance)>);
+
+/// Both families the search suite runs over: the single-key cliques of
+/// `conflicting_keyed_instance` and the overlapping two-key conflicts of
+/// `overlapping_keyed_instance`.
+fn both_families() -> Vec<Family> {
+    vec![
+        (
+            "conflicting",
+            setting(),
+            seeds()
+                .into_iter()
+                .map(|seed| (seed, conflicting_keyed_instance(KEYS, EXTRA, seed)))
+                .collect(),
+        ),
+        (
+            "overlapping",
+            parse_setting(overlapping_keyed_setting()).unwrap(),
+            seeds()
+                .into_iter()
+                .map(|seed| (seed, overlapping_keyed_instance(2, seed)))
+                .collect(),
+        ),
+    ]
+}
+
+/// Every conflict set the search labels a node with — reused, from a
+/// base chase or from a resume — fails when chased alone, and no label
+/// needed the ungrounded fallback.
+#[test]
+fn labelled_conflict_sets_fail_alone_per_seed() {
+    let budget = ChaseBudget::default();
+    let mut reused = 0;
+    for (family, d, sources) in both_families() {
+        for (seed, s) in sources {
+            let out = repairs_of(&d, &s);
+            assert!(out.complete, "{family} seed {seed}");
+            assert!(!out.conflicts.is_empty(), "{family} seed {seed}");
+            assert_eq!(out.stats.ungrounded_fallbacks, 0, "{family} seed {seed}");
+            for c in &out.conflicts {
+                let alone = Instance::from_atoms(c.iter().cloned());
+                assert!(alone.is_subinstance_of(&s), "{family} seed {seed}");
+                assert!(
+                    ChaseEngine::new(&d, &budget).run(&alone).is_err(),
+                    "{family} seed {seed}: conflict set {c:?} chases cleanly"
+                );
+            }
+            // Every repair's removal set hits every labelled conflict.
+            for r in &out.repairs {
+                for c in &out.conflicts {
+                    assert!(
+                        c.iter().any(|a| r.removed.contains(a)),
+                        "{family} seed {seed}: repair misses conflict {c:?}"
+                    );
+                }
+            }
+            reused += out.stats.conflicts_reused;
+        }
+    }
+    assert!(reused > 0, "no node ever reused a known conflict set");
+}
+
+/// A resume that brings a conflict back fails with a grounded witness,
+/// the one a full chase of the same candidate gives.
+#[test]
+fn failing_resumes_return_grounded_witnesses_per_seed() {
+    let budget = ChaseBudget::default();
+    for (family, d, sources) in both_families() {
+        for (seed, s) in sources {
+            let out = repairs_of(&d, &s);
+            // `K`, the union of the labelled conflicts: every repair's
+            // removal set lies inside it, so `S \ K` is consistent.
+            let k: Vec<_> = out.conflicts.iter().flatten().cloned().collect();
+            let outside_k = Instance::from_atoms(s.atoms().filter(|a| !k.contains(a)));
+            let engine = ChaseEngine::new(&d, &budget).with_provenance(true);
+            let base = engine
+                .run(&outside_k)
+                .unwrap_or_else(|e| panic!("{family} seed {seed}: base fails: {e}"));
+            for c in &out.conflicts {
+                let delta = dex_core::SourceDelta {
+                    inserts: c.clone(),
+                    deletes: Vec::new(),
+                };
+                let Err(ChaseError::EgdConflict { witness }) = engine.resume(&base, &delta) else {
+                    panic!("{family} seed {seed}: resume with {c:?} did not conflict");
+                };
+                assert!(witness.grounded(), "{family} seed {seed}");
+                let alone = Instance::from_atoms(witness.conflict_set.iter().cloned());
+                assert!(
+                    ChaseEngine::new(&d, &budget).run(&alone).is_err(),
+                    "{family} seed {seed}: resumed conflict set chases cleanly"
+                );
+                let mut candidate = outside_k.clone();
+                for a in c {
+                    candidate.insert(a.clone());
+                }
+                let Err(ChaseError::EgdConflict { witness: full }) = engine.run(&candidate) else {
+                    panic!("{family} seed {seed}: full chase did not conflict");
+                };
+                assert_eq!(
+                    (&witness.egd, &witness.conflict_set),
+                    (&full.egd, &full.conflict_set),
+                    "{family} seed {seed}"
+                );
+            }
+        }
+    }
+}
+
+/// Repairs are emitted in BFS order: by removal-set size, then
+/// lexicographically (removal sets are sorted source-atom lists).
+#[test]
+fn repairs_are_emitted_in_bfs_order_per_seed() {
+    for (family, d, sources) in both_families() {
+        for (seed, s) in sources {
+            let out = repairs_of(&d, &s);
+            for w in out.repairs.windows(2) {
+                assert!(
+                    (w[0].removed.len(), &w[0].removed) < (w[1].removed.len(), &w[1].removed),
+                    "{family} seed {seed}: {:?} before {:?}",
+                    w[0].removed,
+                    w[1].removed
+                );
+            }
+        }
+    }
+}
+
+/// Stats (with `conflicts_reused`), repairs, labelled conflicts and the
+/// mock-clock trace are identical at 1, 2 and 8 threads, and the trace
+/// carries one `chase_started` per counted chase.
+#[test]
+fn search_is_thread_count_invariant_per_seed() {
+    use dex_core::govern::Clock;
+    use dex_obs::{Collector, EventKind, RingRecorder, Tracer};
+    use std::sync::Arc;
+    let budget = ChaseBudget::default();
+    let traced_run = |d: &Setting, s: &Instance, threads: usize| {
+        let ring = Arc::new(RingRecorder::new(1 << 16));
+        let (clock, _mock) = Clock::mock();
+        let gov = Governor::with_clock_now(clock)
+            .with_tracer(Tracer::new(Arc::clone(&ring) as Arc<dyn Collector>));
+        let out = RepairEngine::new(d, &budget)
+            .with_pool(dex_core::Pool::new(threads).with_threshold_ns(0))
+            .repairs(s, &gov);
+        (out, ring.events())
+    };
+    for (family, d, sources) in both_families() {
+        for (seed, s) in sources {
+            let (base, base_trace) = traced_run(&d, &s, 1);
+            let chases = base_trace
+                .iter()
+                .filter(|e| matches!(e.kind, EventKind::ChaseStarted { .. }))
+                .count();
+            assert_eq!(chases, base.stats.candidates_chased, "{family} seed {seed}");
+            for threads in [2usize, 8] {
+                let (out, trace) = traced_run(&d, &s, threads);
+                let at = format!("{family} seed {seed} threads {threads}");
+                assert_eq!(out.stats, base.stats, "{at}");
+                assert_eq!(out.conflicts, base.conflicts, "{at}");
+                assert_eq!(out.repairs.len(), base.repairs.len(), "{at}");
+                for (a, b) in out.repairs.iter().zip(&base.repairs) {
+                    assert_eq!((&a.kept, &a.removed), (&b.kept, &b.removed), "{at}");
+                }
+                assert_eq!(trace, base_trace, "{at}");
+            }
+        }
+    }
+}
+
+/// `candidates_chased` counts every chase the search runs — base chases
+/// plus resumes — and reads 1 on a consistent source, whose base chase
+/// is its one repair's chase. (The traced thread-invariance test above
+/// matches it against the `chase_started` events.)
+#[test]
+fn candidates_chased_counts_base_chases_and_resumes() {
+    let d = setting();
+    for seed in seeds() {
+        let s = conflicting_keyed_instance(KEYS, EXTRA, seed);
+        let out = repairs_of(&d, &s);
+        let st = &out.stats;
+        // One chase per extracted conflict and per repair, plus at most
+        // one successful base chase per level that only resumes used.
+        let decided = st.conflicts_extracted + out.repairs.len();
+        assert!(
+            (decided..=decided + st.max_level + 1).contains(&st.candidates_chased),
+            "seed {seed}: {st:?}"
+        );
+        let consistent = Instance::from_atoms(
+            s.sorted_atoms()
+                .into_iter()
+                .filter(|a| !a.to_string().contains('w')),
+        );
+        let st = repairs_of(&d, &consistent).stats;
+        assert_eq!(st.candidates_chased, 1, "seed {seed}");
+        assert_eq!(st.conflicts_reused, 0, "seed {seed}");
+    }
+}

@@ -359,6 +359,25 @@ impl Governor {
         self
     }
 
+    /// A governor for one unit of a search fanned out on a worker pool:
+    /// it shares this governor's clock, deadline, cancel flag and memory
+    /// limit, traces to `tracer` (typically a private ring re-emitted
+    /// after the join), and keeps its own counters with no fuel or
+    /// injected fault — the owner ticks those once per unit, in
+    /// submission order, so a trip point never depends on how workers
+    /// interleave.
+    pub fn worker(&self, tracer: Tracer) -> Governor {
+        Governor {
+            clock: self.clock.clone(),
+            start_ns: self.start_ns,
+            deadline_ns: self.deadline_ns,
+            mem_limit: self.mem_limit,
+            cancel: self.cancel.clone(),
+            tracer,
+            ..Governor::with_clock_now(self.clock.clone())
+        }
+    }
+
     /// The tracer attached to this governor (off by default). Searches
     /// that take a governor but no engine handle (hom/core) emit their
     /// events through this.
@@ -510,6 +529,35 @@ mod tests {
         assert_eq!(g.ticks(), 10_000);
         // The slow path ran (every CHECK_INTERVAL ticks) and passed.
         assert!(g.checks() >= 9);
+    }
+
+    #[test]
+    fn worker_shares_deadline_and_cancel_but_not_fuel() {
+        let (clock, mock) = Clock::mock();
+        let flag = Arc::new(AtomicBool::new(false));
+        let owner = Governor::with_clock_now(clock)
+            .with_deadline(Duration::from_millis(5))
+            .with_cancel(Arc::clone(&flag))
+            .with_fuel(2);
+        let w = owner.worker(Tracer::off());
+        for _ in 0..10 {
+            w.check().unwrap();
+        }
+        assert_eq!(owner.ticks(), 0);
+        mock.advance(Duration::from_millis(6));
+        assert_eq!(
+            w.force_check().unwrap_err().reason,
+            InterruptReason::Deadline
+        );
+        let w2 = Governor::unlimited()
+            .with_cancel(Arc::clone(&flag))
+            .worker(Tracer::off());
+        w2.force_check().unwrap();
+        flag.store(true, Ordering::Relaxed);
+        assert_eq!(
+            w2.force_check().unwrap_err().reason,
+            InterruptReason::Cancelled
+        );
     }
 
     #[test]

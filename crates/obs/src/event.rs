@@ -87,8 +87,10 @@ pub enum EventKind {
     SpanClosed { name: String, dur_ns: u64 },
     /// A repair search started over `source_atoms` source atoms.
     RepairSearchStarted { source_atoms: usize },
-    /// A repair candidate (source minus `removed` atoms) was re-chased;
-    /// `outcome` is `"success"`, `"conflict"` or `"budget"`.
+    /// A repair candidate (source minus `removed` atoms) was decided;
+    /// `outcome` is `"success"`, `"conflict"` or `"budget"` from its
+    /// chase, or `"reused"` when a known conflict set decided it
+    /// without one.
     RepairCandidateChased { removed: usize, outcome: String },
     /// A ⊆-maximal repair was accepted, keeping `kept` source atoms.
     RepairFound { removed: usize, kept: usize },

@@ -8,26 +8,56 @@
 //! sets `S \ S'` of the repairs are exactly the *minimal hitting sets*
 //! of the family of minimal inconsistent subsets of `S` — Reiter's
 //! diagnosis duality. The engine runs Reiter's HS-tree breadth-first
-//! by removal-set size:
+//! by removal-set size. Each node is a removal set `R`; a node whose
+//! candidate `S \ R` chases cleanly hits every conflict and (by BFS
+//! order plus superset pruning) is minimal, so its repair is emitted
+//! with the chase result cached. An inconsistent node is *labelled*
+//! with a grounded conflict set `C` disjoint from `R` and branches on
+//! `C`'s atoms: any repair's removal set must contain one of them.
 //!
-//! - chase the candidate `S \ R`; on success, `R` hits every conflict
-//!   and (by BFS order plus superset pruning) is minimal — emit the
-//!   repair with its cached chase result;
-//! - on an egd conflict, branch on the witness's source-atom conflict
-//!   set: any repair's removal set must contain one of those atoms.
-//!   The conflict set is sound because the justification chains derive
-//!   the clash from exactly those source atoms, so chasing them alone
-//!   fails too. When a chain is broken (FO-bodied st-tgds have no atom
-//!   decomposition) the engine falls back to branching on every kept
-//!   atom — complete, just unguided.
+//! # Paying only for the contested atoms
 //!
-//! Candidates of one level are re-chased in parallel through a
-//! [`Pool`] with per-candidate cost hints; results are consumed in
-//! submission order and the governor is ticked once per candidate, so
-//! fault injection and interrupts are deterministic for any thread
-//! count. Because BFS finishes level `k-1` before level `k` and
-//! same-level successes cannot dominate each other, every repair
-//! emitted before an interrupt is genuinely maximal — a sound partial.
+//! A node is decided at the cost of the atoms known to be contested,
+//! not of the whole source. Let `K` be the union of the conflict sets
+//! found so far; every removal set the guided search builds lies
+//! inside `K`.
+//!
+//! - *Reuse* (Reiter's rule). Inconsistency is closed upward, so a node
+//!   whose `R` misses a known conflict set is inconsistent without a
+//!   chase, and that set is its label.
+//! - *Base chase.* Otherwise the engine chases `S \ K` once, with
+//!   provenance, and keeps the result until `K` grows. If it fails, its
+//!   grounded conflict set lies inside `S \ K ⊆ S \ R` and labels the
+//!   node. If it succeeds, the node's chase is
+//!   [`ChaseEngine::resume`] of it with the insertions `K \ R` — the
+//!   candidate `S \ R` — or, when `K \ R` is empty, the base result
+//!   itself.
+//! - A resume that fails returns the grounded conflict set of `S \ R`,
+//!   which joins the known conflicts.
+//!
+//! Conflict sets are sound because the justification chains derive the
+//! clash from exactly those source atoms, so chasing them alone fails
+//! too. When a base chase exhausts its budget, or any chase fails with
+//! a broken chain (FO-bodied st-tgds have no atom decomposition), the
+//! engine falls back for the rest of the search: every undecided node
+//! is chased in full, and an ungrounded failure branches on every kept
+//! atom — complete, just unguided.
+//!
+//! # Determinism
+//!
+//! Each level is planned first, in frontier order: reuse decisions and
+//! base chases run on the calling thread. The level's resumes (or full
+//! chases) then run as one [`Pool`] batch with per-job cost hints, and
+//! the nodes are consumed in submission order: one governor tick per
+//! node, then its chases' counters and trace events. Every chase runs
+//! under a [`Governor::worker`] of the caller's governor (its clock,
+//! deadline and cancel flag) and traces into a private ring, re-emitted
+//! at consumption, so stats, trace stream and fault trip points are
+//! identical for any thread count. Work planned past a trip point is
+//! discarded uncounted. Because BFS finishes level `k-1` before level
+//! `k` and same-level successes cannot dominate each other, every
+//! repair emitted before an interrupt is genuinely maximal — a sound
+//! partial.
 //!
 //! Superset pruning runs twice: once at child-generation time against
 //! the successes recorded so far, and once more on the assembled next
@@ -36,12 +66,16 @@
 //! downward closure it would chase cleanly and surface as a
 //! non-maximal pseudo-repair.
 
-use dex_chase::{ChaseBudget, ChaseEngine, ChaseError, ChaseSuccess};
+use dex_chase::{ChaseBudget, ChaseEngine, ChaseError, ChaseSuccess, ConflictWitness};
 use dex_core::govern::{Governor, Interrupt};
-use dex_core::{Atom, Cost, Instance, Pool};
+use dex_core::{Atom, Cost, Instance, Pool, SourceDelta};
 use dex_logic::Setting;
-use dex_obs::{EventKind, JsonValue};
+use dex_obs::{EventKind, JsonValue, RingRecorder, Tracer};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+
+/// Capacity of the private ring each chase of the search traces into.
+const CHASE_RING_CAPACITY: usize = 4096;
 
 /// One ⊆-maximal repair: the kept source subset, what was removed, and
 /// the cached chase of the kept subset.
@@ -51,19 +85,25 @@ pub struct Repair {
     pub kept: Instance,
     /// The removed atoms `S \ S'`, sorted.
     pub removed: Vec<Atom>,
-    /// The successful chase of `kept`, cached for answering.
+    /// The successful chase of `kept`, cached for answering. It
+    /// carries no provenance: the search records provenance only to
+    /// extract conflict sets, and drops it from each accepted repair.
     pub chase: ChaseSuccess,
 }
 
 /// Counters for one repair search.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RepairStats {
-    /// Candidates whose chase was actually run.
+    /// Chases actually run: base chases, resumes and full candidate
+    /// chases.
     pub candidates_chased: usize,
-    /// Failing candidates that yielded a grounded conflict set.
+    /// Failing chases that yielded a grounded conflict set.
     pub conflicts_extracted: usize,
-    /// Failing candidates whose witness was not grounded (FO bodies),
-    /// forcing the branch-on-everything fallback.
+    /// Nodes labelled by an already-known conflict set their removal
+    /// set misses, decided without a chase.
+    pub conflicts_reused: usize,
+    /// Failing chases whose witness was not grounded (FO bodies),
+    /// forcing the unguided fallback.
     pub ungrounded_fallbacks: usize,
     /// Candidates skipped because their removal set was a superset of
     /// an already-accepted repair's (cannot be maximal).
@@ -88,6 +128,10 @@ impl RepairStats {
             .with(
                 "conflicts_extracted",
                 JsonValue::uint(self.conflicts_extracted as u64),
+            )
+            .with(
+                "conflicts_reused",
+                JsonValue::uint(self.conflicts_reused as u64),
             )
             .with(
                 "ungrounded_fallbacks",
@@ -115,6 +159,11 @@ pub struct RepairOutcome {
     /// The repairs found, in BFS order (fewest removals first, then by
     /// removal-set index order). Complete iff `complete`.
     pub repairs: Vec<Repair>,
+    /// The grounded conflict sets the search labelled nodes with, in
+    /// discovery order, each sorted. Every one is a source subset whose
+    /// chase fails on its own, and every repair's removal set hits all
+    /// of them.
+    pub conflicts: Vec<Vec<Atom>>,
     pub stats: RepairStats,
     /// True iff the search ran to exhaustion: the repairs are *all*
     /// maximal repairs. False after an interrupt or an undecided
@@ -156,9 +205,74 @@ impl RepairOutcome {
     }
 }
 
+/// A chase result with the private ring its events went to (`None`
+/// when the caller's governor does not trace).
+type Traced = (Result<ChaseSuccess, ChaseError>, Option<Arc<RingRecorder>>);
+
+/// One job of a level's batch.
+enum Job {
+    /// Resume the base chase with the kept contested atoms `K \ R`.
+    Resume(SourceDelta),
+    /// Chase the candidate `S \ R` in full (after a fallback).
+    Full(Instance),
+}
+
+/// How a frontier node is decided, fixed when its level is planned.
+enum Verdict {
+    /// `R` misses the known conflict set `index`: either an older one
+    /// (`reused`, no chase) or the one the node's base chase just failed
+    /// with, which lies in `S \ K` and so outside `R`.
+    Conflict { index: usize, reused: bool },
+    /// The base chase is the node's chase (`R = K`).
+    Base,
+    /// The node's chase is the next job of the level's batch.
+    Job,
+    /// The node's base chase was interrupted.
+    Interrupted(Interrupt),
+}
+
+/// The grounded conflict sets found so far and their union `K`.
+struct Known {
+    sets: Vec<Vec<usize>>,
+    /// `in_k[i]` iff source atom `i` lies in `K`.
+    in_k: Vec<bool>,
+    /// `|K|`. It only grows, so a base chase taken at the current size
+    /// is still the chase of `S \ K`.
+    k_len: usize,
+}
+
+impl Known {
+    /// The first known conflict set `removal` misses.
+    fn missed_by(&self, removal: &[usize]) -> Option<usize> {
+        self.sets.iter().position(|c| is_disjoint(c, removal))
+    }
+
+    /// Adds the sorted conflict set `c` unless it is known; its index.
+    fn learn(&mut self, c: Vec<usize>) -> usize {
+        if let Some(i) = self.sets.iter().position(|s| *s == c) {
+            return i;
+        }
+        for &i in &c {
+            self.k_len += usize::from(!self.in_k[i]);
+            self.in_k[i] = true;
+        }
+        self.sets.push(c);
+        self.sets.len() - 1
+    }
+}
+
+/// A planned node: its verdict and the base chase run for it while
+/// planning (ring, and whether it failed ungrounded), which is charged
+/// when the node is consumed.
+struct Planned {
+    verdict: Verdict,
+    base_run: Option<(Option<Arc<RingRecorder>>, bool)>,
+}
+
 /// Governed, provenance-guided repair search for one setting + budget.
 /// Its `hs_level` spans and `repair_*` events go to the governor's
-/// tracer, stamped from the governor's clock.
+/// tracer, stamped from the governor's clock, and so do the events of
+/// every chase it runs.
 pub struct RepairEngine<'a> {
     setting: &'a Setting,
     budget: ChaseBudget,
@@ -174,8 +288,8 @@ impl<'a> RepairEngine<'a> {
         }
     }
 
-    /// Re-chases candidates of each BFS level through `pool` (the
-    /// answers are identical for any thread count).
+    /// Runs the chases of each BFS level through `pool` (the answers
+    /// are identical for any thread count).
     pub fn with_pool(mut self, pool: Pool) -> RepairEngine<'a> {
         self.pool = pool;
         self
@@ -186,8 +300,8 @@ impl<'a> RepairEngine<'a> {
     /// chaseable, `complete` is false.
     pub fn repairs(&self, source: &Instance, gov: &Governor) -> RepairOutcome {
         let mut repairs = Vec::new();
-        let outcome = self.for_each_repair(source, gov, |r| {
-            repairs.push(r.clone());
+        let outcome = self.search(source, gov, |r| {
+            repairs.push(r);
             true
         });
         RepairOutcome { repairs, ..outcome }
@@ -203,11 +317,59 @@ impl<'a> RepairEngine<'a> {
         gov: &Governor,
         mut visit: impl FnMut(&Repair) -> bool,
     ) -> RepairOutcome {
+        self.search(source, gov, |r| visit(&r))
+    }
+
+    /// Runs `f` on a provenance-recording chase engine under a worker
+    /// of `gov`, tracing into a private ring when `gov` traces.
+    fn chase(
+        &self,
+        gov: &Governor,
+        f: impl FnOnce(&ChaseEngine) -> Result<ChaseSuccess, ChaseError>,
+    ) -> Traced {
+        let ring = gov
+            .tracer()
+            .enabled()
+            .then(|| Arc::new(RingRecorder::new(CHASE_RING_CAPACITY)));
+        let tracer = ring
+            .as_ref()
+            .map_or_else(Tracer::off, |r| Tracer::new(Arc::clone(r) as _));
+        let worker = gov.worker(tracer.clone());
+        let engine = ChaseEngine::new(self.setting, &self.budget)
+            .with_governor(&worker)
+            .with_provenance(true);
+        let result = f(&engine);
+        // A run stopped mid-round leaks its span guards; close them so
+        // every re-emitted ring is a well-formed stream.
+        tracer.close_open_spans(gov.clock().now_ns());
+        (result, ring)
+    }
+
+    fn search(
+        &self,
+        source: &Instance,
+        gov: &Governor,
+        mut visit: impl FnMut(Repair) -> bool,
+    ) -> RepairOutcome {
         let tracer = gov.tracer();
         let emit = |kind: EventKind| tracer.emit(gov.clock().now_ns(), kind);
+        let replay = |ring: Option<Arc<RingRecorder>>| {
+            if let Some(ring) = ring {
+                ring.replay_into(tracer);
+            }
+        };
         let atoms: Vec<Atom> = source.sorted_atoms();
         let index_of: HashMap<&Atom, usize> =
             atoms.iter().enumerate().map(|(i, a)| (a, i)).collect();
+        let conflict_of = |w: &ConflictWitness| -> Vec<usize> {
+            let mut c: Vec<usize> = w
+                .conflict_set
+                .iter()
+                .filter_map(|a| index_of.get(a).copied())
+                .collect();
+            c.sort_unstable();
+            c
+        };
         let n = atoms.len();
         let mut stats = RepairStats::default();
         let mut complete = true;
@@ -215,11 +377,22 @@ impl<'a> RepairEngine<'a> {
         // Removal sets (sorted index vectors) of accepted repairs.
         let mut success_removals: Vec<Vec<usize>> = Vec::new();
         let mut seen: HashSet<Vec<usize>> = HashSet::new();
+        // The known conflict sets, and the base chase of `S \ K` with the
+        // `|K|` it was taken at.
+        let mut known = Known {
+            sets: Vec::new(),
+            in_k: vec![false; n],
+            k_len: 0,
+        };
+        let mut base: Option<(ChaseSuccess, usize)> = None;
+        // Set once a chase could not guide the search: every undecided
+        // node is then chased in full.
+        let mut fallback = false;
         if tracer.enabled() {
             emit(EventKind::RepairSearchStarted { source_atoms: n });
         }
 
-        // BFS frontier: removal sets of size `level` still to chase.
+        // BFS frontier: removal sets of size `level` still to decide.
         let mut frontier: Vec<Vec<usize>> = vec![Vec::new()];
         seen.insert(Vec::new());
         let mut level = 0usize;
@@ -233,107 +406,217 @@ impl<'a> RepairEngine<'a> {
             // Span per BFS level; leaks open if the governor interrupts
             // mid-level (the analyzer treats that like a truncated trace).
             let sp_level = tracer.span("hs_level", gov.clock().now_ns());
-            // Chase the whole level in parallel; chase cost scales with
-            // the kept-instance size, which is uniform across the level.
-            let cost = Cost::EstimateNs(20_000u64.saturating_mul((n.max(1) - level) as u64));
-            let results: Vec<Result<ChaseSuccess, ChaseError>> =
-                self.pool.map(&frontier, cost, |_, removal| {
-                    let kept = Instance::from_atoms(
+
+            // Plan the level in frontier order. Only a base chase can
+            // grow `K` here, and it runs only while no valid base
+            // exists, so every resume job of the level starts from the
+            // same base.
+            let mut plans: Vec<Planned> = Vec::with_capacity(frontier.len());
+            let mut jobs: Vec<Job> = Vec::new();
+            for removal in &frontier {
+                if let Some(index) = known.missed_by(removal) {
+                    plans.push(Planned {
+                        verdict: Verdict::Conflict {
+                            index,
+                            reused: true,
+                        },
+                        base_run: None,
+                    });
+                    continue;
+                }
+                let mut base_run = None;
+                if !fallback && base.as_ref().is_none_or(|(_, k)| *k != known.k_len) {
+                    let outside_k = Instance::from_atoms(
                         atoms
                             .iter()
-                            .enumerate()
-                            .filter(|(i, _)| !removal.contains(i))
-                            .map(|(_, a)| a.clone()),
+                            .zip(&known.in_k)
+                            .filter(|(_, &k)| !k)
+                            .map(|(a, _)| a.clone()),
                     );
-                    ChaseEngine::new(self.setting, &self.budget)
-                        .with_provenance(true)
-                        .run(&kept)
-                });
+                    let (result, ring) = self.chase(gov, |e| e.run(&outside_k));
+                    match result {
+                        Ok(s) => {
+                            base = Some((s, known.k_len));
+                            base_run = Some((ring, false));
+                        }
+                        Err(ChaseError::EgdConflict { witness }) if witness.grounded() => {
+                            plans.push(Planned {
+                                verdict: Verdict::Conflict {
+                                    index: known.learn(conflict_of(&witness)),
+                                    reused: false,
+                                },
+                                base_run: Some((ring, false)),
+                            });
+                            continue;
+                        }
+                        Err(ChaseError::Interrupted(i)) => {
+                            plans.push(Planned {
+                                verdict: Verdict::Interrupted(i),
+                                base_run: Some((ring, false)),
+                            });
+                            break;
+                        }
+                        Err(e) => {
+                            fallback = true;
+                            let ungrounded = matches!(e, ChaseError::EgdConflict { .. });
+                            base_run = Some((ring, ungrounded));
+                        }
+                    }
+                }
+                let verdict = if fallback {
+                    jobs.push(Job::Full(kept_of(&atoms, removal)));
+                    Verdict::Job
+                } else {
+                    let inserts: Vec<Atom> = (0..n)
+                        .filter(|i| known.in_k[*i] && removal.binary_search(i).is_err())
+                        .map(|i| atoms[i].clone())
+                        .collect();
+                    if inserts.is_empty() {
+                        Verdict::Base
+                    } else {
+                        jobs.push(Job::Resume(SourceDelta {
+                            inserts,
+                            deletes: Vec::new(),
+                        }));
+                        Verdict::Job
+                    }
+                };
+                plans.push(Planned { verdict, base_run });
+            }
+
+            // Run the level's jobs as one batch. A full chase costs in
+            // proportion to the kept atoms; a resume mostly copies its
+            // base.
+            let cost = jobs
+                .iter()
+                .map(|job| match job {
+                    Job::Resume(_) => 500 * n as u64,
+                    Job::Full(kept) => 20_000 * kept.len() as u64,
+                })
+                .max()
+                .unwrap_or(0);
+            let base_ref = base.as_ref().map(|(s, _)| s);
+            let results: Vec<Traced> =
+                self.pool
+                    .map(&jobs, Cost::EstimateNs(cost), |_, job| match job {
+                        Job::Resume(delta) => self.chase(gov, |e| {
+                            e.resume(base_ref.expect("resume jobs follow a base chase"), delta)
+                        }),
+                        Job::Full(kept) => self.chase(gov, |e| e.run(kept)),
+                    });
+            let mut done = jobs.into_iter().zip(results);
+
+            // Consume the nodes in submission order.
             let mut next: Vec<Vec<usize>> = Vec::new();
-            for (removal, result) in frontier.iter().zip(results) {
-                // One governor tick per candidate, in submission order:
-                // fault injection trips at the same candidate for every
-                // thread count.
+            for (removal, planned) in frontier.iter().zip(plans) {
+                // One governor tick per node, in submission order: fault
+                // injection trips at the same node for every thread
+                // count.
                 if let Err(i) = gov.check() {
                     complete = false;
                     interrupt = Some(i);
                     break 'search;
                 }
-                stats.candidates_chased += 1;
+                if let Some((ring, ungrounded)) = planned.base_run {
+                    stats.candidates_chased += 1;
+                    stats.ungrounded_fallbacks += usize::from(ungrounded);
+                    replay(ring);
+                }
+                let candidate_chased = |outcome: &str| {
+                    if tracer.enabled() {
+                        emit(EventKind::RepairCandidateChased {
+                            removed: removal.len(),
+                            outcome: outcome.into(),
+                        });
+                    }
+                };
+                let (result, kept) = match planned.verdict {
+                    Verdict::Conflict { index, reused } => {
+                        if reused {
+                            stats.conflicts_reused += 1;
+                            candidate_chased("reused");
+                        } else {
+                            stats.conflicts_extracted += 1;
+                            candidate_chased("conflict");
+                        }
+                        let children = branch_on(
+                            removal,
+                            &known.sets[index],
+                            &success_removals,
+                            &mut seen,
+                            &mut stats,
+                        );
+                        next.extend(children);
+                        continue;
+                    }
+                    Verdict::Interrupted(i) => {
+                        complete = false;
+                        interrupt = Some(i);
+                        break 'search;
+                    }
+                    // Plans hold at most one `Base` node per level (the
+                    // frontier is deduplicated), so the base can move.
+                    Verdict::Base => {
+                        let (s, _) = base.take().expect("a `Base` node follows a base chase");
+                        (Ok(s), None)
+                    }
+                    Verdict::Job => {
+                        let (job, (result, ring)) =
+                            done.next().expect("every `Job` node has a batch result");
+                        stats.candidates_chased += 1;
+                        replay(ring);
+                        match job {
+                            Job::Full(kept) => (result, Some(kept)),
+                            Job::Resume(_) => (result, None),
+                        }
+                    }
+                };
                 match result {
-                    Ok(chase) => {
+                    Ok(mut chase) => {
+                        // Answering never reads the provenance; freeing
+                        // it here keeps the outcome small.
+                        chase.provenance = None;
+                        candidate_chased("success");
                         if tracer.enabled() {
-                            emit(EventKind::RepairCandidateChased {
-                                removed: removal.len(),
-                                outcome: "success".into(),
-                            });
                             emit(EventKind::RepairFound {
                                 removed: removal.len(),
                                 kept: n - removal.len(),
                             });
                         }
-                        let removed: Vec<Atom> =
-                            removal.iter().map(|&i| atoms[i].clone()).collect();
-                        let kept = Instance::from_atoms(
-                            atoms
-                                .iter()
-                                .enumerate()
-                                .filter(|(i, _)| !removal.contains(i))
-                                .map(|(_, a)| a.clone()),
-                        );
                         success_removals.push(removal.clone());
                         let repair = Repair {
-                            kept,
-                            removed,
+                            kept: kept.unwrap_or_else(|| kept_of(&atoms, removal)),
+                            removed: removal.iter().map(|&i| atoms[i].clone()).collect(),
                             chase,
                         };
-                        if !visit(&repair) {
+                        if !visit(repair) {
                             complete = false;
                             break 'search;
                         }
                     }
                     Err(ChaseError::EgdConflict { witness }) => {
-                        if tracer.enabled() {
-                            emit(EventKind::RepairCandidateChased {
-                                removed: removal.len(),
-                                outcome: "conflict".into(),
-                            });
-                        }
+                        candidate_chased("conflict");
                         // Branch atoms: the provenance-extracted source
                         // conflict set, or every kept atom if ungrounded.
-                        let branch: Vec<usize> = if witness.grounded() {
+                        let branch = if witness.grounded() {
                             stats.conflicts_extracted += 1;
-                            witness
-                                .conflict_set
-                                .iter()
-                                .filter_map(|a| index_of.get(a).copied())
-                                .collect()
+                            let index = known.learn(conflict_of(&witness));
+                            known.sets[index].clone()
                         } else {
+                            // The node leaves `K`, so the base no longer
+                            // covers the nodes below it.
                             stats.ungrounded_fallbacks += 1;
-                            (0..n).filter(|i| !removal.contains(i)).collect()
+                            fallback = true;
+                            (0..n)
+                                .filter(|i| removal.binary_search(i).is_err())
+                                .collect()
                         };
-                        for b in branch {
-                            let mut child = removal.clone();
-                            let pos = child.binary_search(&b).unwrap_err();
-                            child.insert(pos, b);
-                            if success_removals.iter().any(|s| is_subset(s, &child)) {
-                                stats.pruned_superset += 1;
-                                continue;
-                            }
-                            if !seen.insert(child.clone()) {
-                                stats.pruned_duplicate += 1;
-                                continue;
-                            }
-                            next.push(child);
-                        }
+                        let children =
+                            branch_on(removal, &branch, &success_removals, &mut seen, &mut stats);
+                        next.extend(children);
                     }
                     Err(ChaseError::BudgetExceeded { .. }) => {
-                        if tracer.enabled() {
-                            emit(EventKind::RepairCandidateChased {
-                                removed: removal.len(),
-                                outcome: "budget".into(),
-                            });
-                        }
+                        candidate_chased("budget");
                         // Undecided candidate: without its verdict the
                         // repair set cannot be certified complete, and
                         // there is no conflict set to branch on.
@@ -378,11 +661,67 @@ impl<'a> RepairEngine<'a> {
         }
         RepairOutcome {
             repairs: Vec::new(),
+            conflicts: known
+                .sets
+                .iter()
+                .map(|c| c.iter().map(|&i| atoms[i].clone()).collect())
+                .collect(),
             stats,
             complete,
             interrupt,
         }
     }
+}
+
+/// The children `removal + {b}` for each branch atom `b`, without the
+/// supersets of accepted repairs and the already-generated sets.
+fn branch_on(
+    removal: &[usize],
+    branch: &[usize],
+    success_removals: &[Vec<usize>],
+    seen: &mut HashSet<Vec<usize>>,
+    stats: &mut RepairStats,
+) -> Vec<Vec<usize>> {
+    let mut children = Vec::new();
+    for &b in branch {
+        let mut child = removal.to_vec();
+        let pos = child.binary_search(&b).unwrap_err();
+        child.insert(pos, b);
+        if success_removals.iter().any(|s| is_subset(s, &child)) {
+            stats.pruned_superset += 1;
+            continue;
+        }
+        if !seen.insert(child.clone()) {
+            stats.pruned_duplicate += 1;
+            continue;
+        }
+        children.push(child);
+    }
+    children
+}
+
+/// The candidate `S \ R` for the sorted source `atoms` and sorted `removal`.
+fn kept_of(atoms: &[Atom], removal: &[usize]) -> Instance {
+    Instance::from_atoms(
+        atoms
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| removal.binary_search(i).is_err())
+            .map(|(_, a)| a.clone()),
+    )
+}
+
+/// True iff sorted `a` and sorted `b` share no element.
+fn is_disjoint(a: &[usize], b: &[usize]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return false,
+        }
+    }
+    true
 }
 
 /// True iff sorted `a` ⊆ sorted `b`.

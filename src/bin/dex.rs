@@ -31,6 +31,37 @@ use cwa_dex::cwa::maximal_under_image;
 use cwa_dex::prelude::*;
 use std::process::ExitCode;
 
+// `println!`/`print!` that end the process quietly when stdout is
+// closed (`dex chase … | head -1`) instead of panicking on the broken
+// pipe. They shadow the std macros for the rest of this file.
+macro_rules! println {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        if let Err(e) = writeln!(std::io::stdout(), $($arg)*) {
+            stdout_failed(e);
+        }
+    }};
+}
+
+macro_rules! print {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        if let Err(e) = write!(std::io::stdout(), $($arg)*) {
+            stdout_failed(e);
+        }
+    }};
+}
+
+/// Exits on a failed stdout write: silently (status 0) when the reader
+/// went away, with an error otherwise.
+fn stdout_failed(e: std::io::Error) -> ! {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    eprintln!("error: writing to stdout: {e}");
+    std::process::exit(1);
+}
+
 fn load(arg: &str) -> String {
     match std::fs::read_to_string(arg) {
         Ok(text) => text,
@@ -505,11 +536,24 @@ fn cmd_enumerate(setting: &str, source: &str, rest: &[String]) -> Result<(), Str
             cwa_dex::logic::instance_to_dsl(t)
         );
     }
+    // Any unfinished or interrupted replay may hide solutions, so the
+    // count is only exhaustive when the enumeration is complete.
+    let incomplete = if stats.truncated {
+        ", TRUNCATED".to_owned()
+    } else if let Some(i) = &stats.interrupted {
+        format!(", INCOMPLETE: interrupted ({i})")
+    } else if !stats.is_complete() {
+        format!(
+            ", INCOMPLETE: {} replay(s) exhausted the chase budget",
+            stats.chases_unfinished
+        )
+    } else {
+        String::new()
+    };
     println!(
-        "-- {} CWA-solutions up to renaming of nulls ({} scripts explored{})",
+        "-- {} CWA-solutions up to renaming of nulls ({} scripts explored{incomplete})",
         sols.len(),
         stats.scripts_explored,
-        if stats.truncated { ", TRUNCATED" } else { "" }
     );
     Ok(())
 }
@@ -564,7 +608,7 @@ fn cmd_repair(setting: &str, source: &str, rest: &[String]) -> Result<(), String
     }
     let st = &outcome.stats;
     println!(
-        "-- {} maximal repair(s){}; {} candidates chased, {} conflicts extracted, {} pruned",
+        "-- {} maximal repair(s){}; {} candidates chased, {} conflicts extracted, {} conflicts reused, {} pruned",
         outcome.repairs.len(),
         if outcome.complete {
             ""
@@ -573,6 +617,7 @@ fn cmd_repair(setting: &str, source: &str, rest: &[String]) -> Result<(), String
         },
         st.candidates_chased,
         st.conflicts_extracted,
+        st.conflicts_reused,
         st.pruned_superset + st.pruned_duplicate,
     );
     Ok(())

@@ -537,3 +537,78 @@ fn explain_after_egd_merges_is_deterministic_across_processes() {
         assert_eq!(stdout, &runs[0], "process {i}: explain output differs");
     }
 }
+
+/// A transitive-closure chain `E(c0,c1). … E(c{n-1},c{n}).` and its
+/// setting: the chase derives all `n(n+1)/2` reachability atoms.
+const CHAIN_SETTING: &str = "source { E/2 } target { T/2 }
+st { E(x,y) -> T(x,y); }
+t { T(x,y) & T(y,z) -> T(x,z); }";
+
+fn chain(edges: usize) -> String {
+    (0..edges)
+        .map(|i| format!("E(c{i},c{}). ", i + 1))
+        .collect()
+}
+
+#[test]
+fn enumerate_marks_budget_exhausted_replays_incomplete() {
+    // The one replay of the 40-edge chain runs out of the per-replay
+    // chase budget, so "0 CWA-solutions" is not a verdict.
+    let (ok, stdout, _) = dex(&["enumerate", CHAIN_SETTING, &chain(40)]);
+    assert!(ok, "stdout: {stdout}");
+    assert!(
+        stdout.contains("INCOMPLETE: 1 replay(s) exhausted the chase budget"),
+        "stdout: {stdout}"
+    );
+    // A complete enumeration carries no marker.
+    let (ok, stdout, _) = dex(&["enumerate", CHAIN_SETTING, &chain(3)]);
+    assert!(ok);
+    assert!(!stdout.contains("INCOMPLETE"), "stdout: {stdout}");
+    assert!(stdout.contains("1 CWA-solutions"), "stdout: {stdout}");
+}
+
+#[test]
+fn chase_into_a_closed_pipe_exits_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    // 130 edges print ~100 KB, more than a pipe buffers, so the writer
+    // is still writing when the reader goes away (`dex chase … | head -1`).
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dex"))
+        .args(["chase", CHAIN_SETTING, &chain(130)])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.starts_with("steps: "), "first line: {first}");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.is_empty(), "stderr: {stderr}");
+    assert!(out.status.success(), "status: {:?}", out.status);
+}
+
+#[test]
+fn dex_trace_env_covers_repair_candidate_chases() {
+    let (ok, stdout, _, trace) = dex_traced(&["repair", KEYED, CONFLICTED], "repair");
+    assert!(ok, "stdout: {stdout}");
+    assert_valid_trace(&trace);
+    assert!(stdout.contains("conflicts reused"), "stdout: {stdout}");
+    // Every chase the search runs re-emits its events into the trace.
+    let count = |event: &str| {
+        trace
+            .lines()
+            .filter(|l| l.contains(&format!("\"event\":\"{event}\"")))
+            .count()
+    };
+    let chased: usize = stdout
+        .split(" candidates chased")
+        .next()
+        .and_then(|s| s.rsplit(' ').next())
+        .and_then(|n| n.parse().ok())
+        .expect("summary counts the chases");
+    assert!(count("chase_started") >= 1, "trace: {trace}");
+    assert_eq!(count("chase_started"), chased, "trace: {trace}");
+}
