@@ -80,6 +80,14 @@ grep -q '"truncated":false' <<< "$TRACE_JSON" \
 TRACE_METRICS=$("$DEX" trace target/trace-analyze.jsonl --metrics)
 grep -q "# TYPE" <<< "$TRACE_METRICS" \
   || { echo "trace analyze smoke: --metrics emitted no exposition text"; exit 1; }
+# The core's rigid pass settles the `{F(a,_1), G(_1,_2)}` component of
+# Example 2.1's chase result without a retract search: `F(a,_)` and then
+# `G(_1,_)` are the only rows of their skeletons, so the profile must
+# count it.
+rm -f target/trace-core.jsonl
+DEX_TRACE="$PWD/target/trace-core.jsonl" "$DEX" core examples/dsl/example_2_1.setting examples/dsl/example_2_1.source >/dev/null
+"$DEX" trace target/trace-core.jsonl --json | grep -q '"components_rigid":[1-9]' \
+  || { echo "trace analyze smoke: dex core on Example 2.1 settled no component by the rigid pass"; exit 1; }
 # CanSol is built only when a query needs it: on an egd-only setting a
 # UCQ answers from the core (no `cansol` span), a query with an
 # inequality on a non-head variable builds CanSol exactly once.

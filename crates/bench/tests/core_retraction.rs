@@ -14,11 +14,17 @@
 //! fails here and not only in a timing; a traced core carries the same
 //! count to `dex trace`. Every differential failure names its family
 //! and seed.
+//!
+//! The rigid pass is checked for soundness against every endomorphism
+//! `HomFinder` enumerates on small random instances, for completeness on
+//! the mapping-scenario family (every surrogate key is rigid), and for
+//! governance on a large keyed target.
 
 use dex_chase::{ChaseBudget, ChaseEngine};
-use dex_core::govern::Governor;
+use dex_core::govern::{Governor, InterruptReason};
 use dex_core::{
-    core_parallel_governed, is_core, isomorphic, Atom, Instance, NullGen, Pool, Symbol, Value,
+    core_parallel_governed, is_core, isomorphic, null_blocks, rigid_nulls, Atom, CoreStatus,
+    HomFinder, Instance, NullGen, Pool, Symbol, Value,
 };
 use dex_datagen::{
     example_2_1_scaled, layered_setting, mapping_scenario, random_source, redundant_null_instance,
@@ -27,6 +33,7 @@ use dex_datagen::{
 use dex_logic::{parse_setting, Setting, Tgd};
 use dex_obs::{parse_trace, RingRecorder, TraceProfile, Tracer};
 use dex_testkit::core_ref::{naive_core, RefAtom, Term};
+use dex_testkit::rng::TestRng;
 use std::sync::Arc;
 
 const SEEDS: u64 = 64;
@@ -340,4 +347,154 @@ fn traced_core_reports_its_search_count() {
     assert_eq!(profile.events.get("retract_found"), Some(&4));
     let passes = profile.phases.iter().find(|p| p.name == "retract_step");
     assert_eq!(passes.map(|p| p.count), Some(2));
+}
+
+/// A small random instance over `E/2` and `U/1`: up to 10 atoms, their
+/// arguments drawn from two constants and at most 8 nulls, so repeated
+/// nulls, shared skeletons and unique rows all occur.
+fn small_random_instance(seed: u64) -> Instance {
+    let mut rng = TestRng::seed_from_u64(seed);
+    let nulls = rng.gen_range(1..=8u32);
+    let value = |rng: &mut TestRng| match rng.gen_range(0..nulls + 2) {
+        0 => Value::konst("a"),
+        1 => Value::konst("b"),
+        n => Value::null(n - 1),
+    };
+    let mut t = Instance::new();
+    for _ in 0..rng.gen_range(1..=10usize) {
+        let atom = if rng.gen_bool(0.75) {
+            Atom::of("E", vec![value(&mut rng), value(&mut rng)])
+        } else {
+            Atom::of("U", vec![value(&mut rng)])
+        };
+        t.insert(atom);
+    }
+    t
+}
+
+#[test]
+fn rigid_nulls_are_fixed_by_every_endomorphism() {
+    let (mut rigid_seen, mut free_seen) = (0, 0);
+    for seed in 0..SEEDS {
+        let t = small_random_instance(seed);
+        let rigid = rigid_nulls(&t, &Governor::unlimited()).unwrap();
+        rigid_seen += rigid.len();
+        free_seen += t.nulls().len() - rigid.len();
+        let mut moved = None;
+        HomFinder::new(&t, &t)
+            .for_each(&Governor::unlimited(), &mut |h| {
+                moved = rigid
+                    .iter()
+                    .find(|&&n| h.apply_value(Value::Null(n)) != Value::Null(n))
+                    .map(|&n| (n, h.clone()));
+                moved.is_none()
+            })
+            .unwrap();
+        if let Some((n, h)) = moved {
+            panic!("seed {seed}: rigid null {n} moved by endomorphism {h:?} of {t}");
+        }
+    }
+    // Neither side is vacuous over the seeds.
+    assert!(
+        rigid_seen > 0 && free_seen > 0,
+        "{rigid_seen} rigid, {free_seen} free"
+    );
+}
+
+#[test]
+fn mapping_scenario_components_all_come_out_rigid() {
+    for seed in 0..SEEDS {
+        let (_, t) = families(seed)
+            .into_iter()
+            .find(|(family, _)| *family == "mapping_scenario")
+            .unwrap();
+        assert_eq!(
+            rigid_nulls(&t, &Governor::unlimited()).unwrap().len(),
+            t.nulls().len(),
+            "seed {seed}"
+        );
+        let gc = core_parallel_governed(&t, &Governor::unlimited(), &Pool::seq());
+        assert!(gc.is_minimal());
+        assert_eq!(
+            gc.instance, t,
+            "seed {seed}: a chased keyed target is its own core"
+        );
+        assert_eq!(gc.components_searched, null_blocks(&t).len(), "seed {seed}");
+        assert_eq!(gc.components_rigid, gc.components_searched, "seed {seed}");
+    }
+}
+
+#[test]
+fn components_rigid_counts_only_components_settled_without_a_search() {
+    // The prefix's `F(c_i,x) ∧ G(x,y)` is rigid (`c_i` and then `x` pin
+    // each atom); a redundant component and the piece its retract leaves
+    // share `G(x,_)` skeletons, so both are searched.
+    for (prefix, redundant) in [(0, 1), (1, 0), (20, 30)] {
+        let gc = core_parallel_governed(
+            &prefix_then_redundant(prefix, redundant),
+            &Governor::unlimited(),
+            &Pool::seq(),
+        );
+        assert_eq!(gc.components_rigid as u32, prefix);
+        assert_eq!(gc.components_searched as u32, prefix + 2 * redundant);
+    }
+}
+
+#[test]
+fn rigidity_propagates_along_a_null_chain() {
+    // `P(c,_1), P(_1,_2), …, P(_29,_30)`, inserted last link first: only
+    // `P(c,_1)` is unique at the start, and each link becomes unique once
+    // the null before it is rigid, so the pass must re-queue.
+    let n = 30;
+    let link = |i: u32| {
+        let from = if i == 1 {
+            Value::konst("c")
+        } else {
+            Value::null(i - 1)
+        };
+        Atom::of("P", vec![from, Value::null(i)])
+    };
+    let t: Instance = (1..=n).rev().map(link).collect();
+    let rigid = rigid_nulls(&t, &Governor::unlimited()).unwrap();
+    assert_eq!(rigid.len(), n as usize);
+    assert!(is_core(&t));
+    let gc = core_parallel_governed(&t, &Governor::unlimited(), &Pool::seq());
+    assert_eq!((gc.components_searched, gc.components_rigid), (1, 1));
+}
+
+/// The `keyed` benchmark's mapping scenario on a large source.
+fn large_keyed_target() -> Instance {
+    let d = mapping_scenario(&ScenarioConfig {
+        copies: 2,
+        partitions: 2,
+        surrogates: 3,
+        seed: 5,
+    });
+    let s = random_source(
+        &d.source,
+        &SourceConfig {
+            num_constants: 150,
+            tuples_per_relation: 150,
+            seed: 1,
+        },
+    );
+    chase_target(&d, &s)
+}
+
+#[test]
+fn fuel_limited_core_stops_inside_the_rigid_pass() {
+    let t = large_keyed_target();
+    let probes = t.atoms().filter(|a| !a.is_ground()).count() as u64;
+    assert!(probes > 500, "{probes} non-ground atoms");
+    for threads in [1, 2, 8] {
+        let gov = Governor::unlimited().with_fuel(probes / 2);
+        let gc = core_parallel_governed(&t, &gov, &Pool::new(threads).with_threshold_ns(0));
+        let CoreStatus::MaybeNotMinimal(int) = &gc.status else {
+            panic!("fuel {} must interrupt: {:?}", probes / 2, gc.status)
+        };
+        assert_eq!(int.reason, InterruptReason::Fuel);
+        // Stopped before any component entered a pass: nothing removed.
+        assert_eq!(gc.components_searched, 0);
+        assert_eq!(gc.instance, t);
+    }
 }

@@ -17,6 +17,21 @@
 //! at once. A component found retract-free is never searched again: `T`
 //! only shrinks, and no homomorphism into `T∖{A}` means none into a
 //! subinstance of it.
+//!
+//! Before the first pass, a *rigid pass* ([`rigid_nulls`]) computes nulls
+//! that every endomorphism of `T` fixes. An atom `A` whose *skeleton* —
+//! its constants, its rigid nulls, and its remaining nulls as wildcards
+//! kept equal where they repeat — matches no other row of `T` must map to
+//! itself under every endomorphism `h`: `h(A)` lies in `T` and matches the
+//! skeleton. So `A`'s nulls are rigid too, and the atoms holding them are
+//! probed again, up to a fixpoint. A search `C → T∖{A}` extends by the
+//! identity to an endomorphism of `T`, so it fails whenever `A`'s nulls
+//! are all rigid: such atoms are skipped as forbidden atoms, and a
+//! component of such atoms is settled retract-free without a search. The
+//! pass runs once per core: a retract `h` of `T` onto `T'` fixes the rigid
+//! nulls, and for every endomorphism `g` of `T'`, `g∘h` is one of `T`, so
+//! `g` fixes every rigid null left in `T'`. The pass only removes searches
+//! that must fail; cores and retracts are those of the search alone.
 
 use crate::atom::Atom;
 use crate::govern::{Governor, Interrupt};
@@ -26,7 +41,7 @@ use crate::unionfind::ValueUnionFind;
 use crate::value::{NullId, Value};
 use dex_obs::EventKind;
 use dex_par::{Cost, Pool};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The blocks of `inst`: connected components of the graph on `Null(inst)`
@@ -67,16 +82,99 @@ fn retract_cost(t: &Instance) -> Cost {
     Cost::EstimateNs(t.len() as u64)
 }
 
+/// The nulls of `inst` that every endomorphism of `inst` fixes, as far
+/// as the rigid pass (module doc) finds them. Ticks `gov` once per probe.
+pub fn rigid_nulls(inst: &Instance, gov: &Governor) -> Result<HashSet<NullId>, Interrupt> {
+    rigid_pass(&atom_components(inst.atoms().collect()), inst, gov)
+}
+
+/// The rigid pass over the non-ground atoms of `t`, given as its null
+/// components: a worklist of atoms, each probed through the position
+/// index for one other row matching its skeleton. An atom found unique
+/// makes its nulls rigid and re-queues the atoms holding them; a unique
+/// atom stays unique, so it is never probed again.
+fn rigid_pass(
+    comps: &[Vec<Atom>],
+    t: &Instance,
+    gov: &Governor,
+) -> Result<HashSet<NullId>, Interrupt> {
+    let atoms: Vec<&Atom> = comps.iter().flatten().collect();
+    let mut holding: HashMap<NullId, Vec<usize>> = HashMap::new();
+    for (i, a) in atoms.iter().enumerate() {
+        for n in a.nulls() {
+            let at = holding.entry(n).or_default();
+            if at.last() != Some(&i) {
+                at.push(i);
+            }
+        }
+    }
+    let mut rigid = HashSet::new();
+    let mut queued = vec![true; atoms.len()];
+    let mut unique = vec![false; atoms.len()];
+    let mut queue: Vec<usize> = (0..atoms.len()).rev().collect();
+    let mut pattern = Vec::new();
+    while let Some(i) = queue.pop() {
+        queued[i] = false;
+        gov.check()?;
+        let a = atoms[i];
+        pattern.clear();
+        pattern.extend(a.args.iter().map(|&v| match v.as_null() {
+            Some(n) if !rigid.contains(&n) => None,
+            _ => Some(v),
+        }));
+        // A free null takes one value at every position that holds it.
+        let keeps_repeats = |row: &[Value]| {
+            a.args.iter().zip(row).zip(&pattern).all(|((v, r), p)| {
+                p.is_some() || a.args.iter().zip(row).all(|(w, s)| w != v || s == r)
+            })
+        };
+        let other = t
+            .rows_matching(a.rel, &pattern)
+            .any(|row| row != &a.args[..] && keeps_repeats(row));
+        if other {
+            continue;
+        }
+        unique[i] = true;
+        for n in a.nulls() {
+            if rigid.insert(n) {
+                for &k in &holding[&n] {
+                    if !unique[k] && !queued[k] {
+                        queued[k] = true;
+                        queue.push(k);
+                    }
+                }
+            }
+        }
+    }
+    Ok(rigid)
+}
+
+/// True iff every null of `a` is rigid: `a` is fixed by every
+/// endomorphism, so no retract search may forbid it.
+fn is_rigid(a: &Atom, rigid: &HashSet<NullId>) -> bool {
+    a.nulls().all(|n| rigid.contains(&n))
+}
+
+/// Drops the components whose atoms are all rigid (retract-free without
+/// a search), returning how many were dropped.
+fn settle_rigid(pending: &mut Vec<Vec<Atom>>, rigid: &HashSet<NullId>) -> usize {
+    let before = pending.len();
+    pending.retain(|comp| !comp.iter().all(|a| is_rigid(a, rigid)));
+    before - pending.len()
+}
+
 /// A homomorphism `comp → t∖{A}` for the first atom `A` of `comp` that
-/// has one (identity outside `comp`), `None` if there is none. The
-/// component's instance lives only as long as its search.
+/// has one (identity outside `comp`), `None` if there is none. Rigid
+/// atoms have none and are skipped. The component's instance lives only
+/// as long as its search.
 fn component_retract(
     comp: &[Atom],
     t: &Instance,
+    rigid: &HashSet<NullId>,
     gov: &Governor,
 ) -> Option<Result<Homomorphism, Interrupt>> {
     let from = Instance::from_atoms(comp.iter().cloned());
-    comp.iter().find_map(|a| {
+    comp.iter().filter(|a| !is_rigid(a, rigid)).find_map(|a| {
         HomFinder::new(&from, t)
             .forbid_atom(a)
             .find(gov)
@@ -91,6 +189,7 @@ fn component_retract(
 fn search_pass(
     pending: &[Vec<Atom>],
     t: &Instance,
+    rigid: &HashSet<NullId>,
     gov: &Governor,
     pool: &Pool,
 ) -> Vec<Option<Result<Homomorphism, Interrupt>>> {
@@ -100,7 +199,7 @@ fn search_pass(
         if tripped.load(Ordering::Relaxed) {
             return None;
         }
-        let found = component_retract(comp, t, gov);
+        let found = component_retract(comp, t, rigid, gov);
         tripped.fetch_or(matches!(found, Some(Err(_))), Ordering::Relaxed);
         found
     });
@@ -118,6 +217,7 @@ fn settle(
     t: &mut Instance,
     comp: Vec<Atom>,
     mut found: Option<Result<Homomorphism, Interrupt>>,
+    rigid: &HashSet<NullId>,
     gov: &Governor,
     next: &mut Vec<Vec<Atom>>,
     searched: &mut usize,
@@ -143,7 +243,7 @@ fn settle(
             return Ok(());
         }
         *searched += 1;
-        found = component_retract(&comp, t, gov);
+        found = component_retract(&comp, t, rigid, gov);
     }
     Ok(())
 }
@@ -153,10 +253,16 @@ pub fn core(inst: &Instance) -> Instance {
     core_parallel_governed(inst, &Governor::unlimited(), &Pool::seq()).instance
 }
 
-/// True iff `inst` is its own core: one pass finds no retract.
+/// True iff `inst` is its own core: one pass over the components the
+/// rigid pass leaves finds no retract.
 pub fn is_core(inst: &Instance) -> bool {
     let (gov, pool) = (Governor::unlimited(), Pool::seq());
-    let found = search_pass(&atom_components(inst.atoms().collect()), inst, &gov, &pool);
+    let mut pending = atom_components(inst.atoms().collect());
+    let Ok(rigid) = rigid_pass(&pending, inst, &gov) else {
+        return false;
+    };
+    settle_rigid(&mut pending, &rigid);
+    let found = search_pass(&pending, inst, &rigid, &gov, &pool);
     found.iter().all(Option::is_none)
 }
 
@@ -179,6 +285,9 @@ pub struct GovernedCore {
     /// Retract searches of a null component: every initial component and
     /// every piece a retract leaves once, plus one per invalidated retract.
     pub components_searched: usize,
+    /// The components among `components_searched` that the rigid pass
+    /// settled alone: all their atoms are rigid, so no search ran.
+    pub components_rigid: usize,
 }
 
 impl GovernedCore {
@@ -199,40 +308,48 @@ pub fn core_parallel_governed(inst: &Instance, gov: &Governor, pool: &Pool) -> G
     let mut t = inst.clone();
     let mut pending = atom_components(t.atoms().collect());
     let mut components_searched = 0;
-    let status = loop {
-        if pending.is_empty() {
-            break CoreStatus::Minimal;
-        }
-        components_searched += pending.len();
-        let found = search_pass(&pending, &t, gov, pool);
-        let mut next = Vec::new();
-        let settled = pending
-            .into_iter()
-            .zip(found)
-            .try_for_each(|(comp, found)| {
-                settle(
-                    &mut t,
-                    comp,
-                    found,
-                    gov,
-                    &mut next,
-                    &mut components_searched,
-                )
-            });
-        if let Err(i) = settled {
-            break CoreStatus::MaybeNotMinimal(i);
-        }
-        pending = next;
+    let mut components_rigid = 0;
+    let status = match rigid_pass(&pending, &t, gov) {
+        Err(i) => CoreStatus::MaybeNotMinimal(i),
+        Ok(rigid) => loop {
+            components_searched += pending.len();
+            components_rigid += settle_rigid(&mut pending, &rigid);
+            if pending.is_empty() {
+                break CoreStatus::Minimal;
+            }
+            let found = search_pass(&pending, &t, &rigid, gov, pool);
+            let mut next = Vec::new();
+            let settled = pending
+                .into_iter()
+                .zip(found)
+                .try_for_each(|(comp, found)| {
+                    settle(
+                        &mut t,
+                        comp,
+                        found,
+                        &rigid,
+                        gov,
+                        &mut next,
+                        &mut components_searched,
+                    )
+                });
+            if let Err(i) = settled {
+                break CoreStatus::MaybeNotMinimal(i);
+            }
+            pending = next;
+        },
     };
     let kind = EventKind::CoreCompleted {
         atoms: t.len(),
         components_searched,
+        components_rigid,
     };
     gov.tracer().emit(gov.clock().now_ns(), kind);
     GovernedCore {
         instance: t,
         status,
         components_searched,
+        components_rigid,
     }
 }
 

@@ -28,7 +28,9 @@ pub mod valuation;
 pub mod value;
 
 pub use atom::Atom;
-pub use core_of::{core, core_parallel_governed, is_core, null_blocks, CoreStatus, GovernedCore};
+pub use core_of::{
+    core, core_parallel_governed, is_core, null_blocks, rigid_nulls, CoreStatus, GovernedCore,
+};
 pub use delta::SourceDelta;
 // Re-exported so higher layers can size worker pools without a separate
 // `dex-par` dependency line.

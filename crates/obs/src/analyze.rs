@@ -93,6 +93,9 @@ pub struct TraceProfile {
     /// `core_completed` events — equals the runs'
     /// `GovernedCore.components_searched`.
     pub components_searched: u64,
+    /// The components among them settled by the rigid pass alone,
+    /// summed likewise (0 on traces older than the field).
+    pub components_rigid: u64,
     /// Total count carried by `events_dropped` markers.
     pub dropped: u64,
     pub truncated: bool,
@@ -287,6 +290,9 @@ impl TraceProfile {
                     p.components_searched += n;
                     p.metrics
                         .inc("trace.core.components_searched", u128::from(n));
+                    let n = u64_of(line, "components_rigid");
+                    p.components_rigid += n;
+                    p.metrics.inc("trace.core.components_rigid", u128::from(n));
                 }
                 "governor_tripped" => {
                     let reason = str_of(line, "reason").unwrap_or("?").to_string();
@@ -431,6 +437,11 @@ impl TraceProfile {
                 "  {:<24} {:>8}",
                 "components_searched", self.components_searched
             );
+            let _ = writeln!(
+                out,
+                "  {:<24} {:>8}",
+                "components_rigid", self.components_rigid
+            );
         }
         if tree && !self.roots.is_empty() {
             let _ = writeln!(out, "\nspan tree:");
@@ -496,6 +507,7 @@ impl TraceProfile {
                 "components_searched",
                 JsonValue::uint(self.components_searched),
             )
+            .with("components_rigid", JsonValue::uint(self.components_rigid))
             .with("pool", pool)
             .with(
                 "tree",
@@ -636,6 +648,7 @@ mod tests {
                 EventKind::CoreCompleted {
                     atoms: 3,
                     components_searched: searched,
+                    components_rigid: searched / 2,
                 },
             );
         }
@@ -649,6 +662,24 @@ mod tests {
                 .and_then(JsonValue::as_u128),
             Some(13)
         );
+        assert_eq!(p.components_rigid, 6);
+        assert_eq!(p.metrics.counter("trace.core.components_rigid"), 6);
+        assert!(p.render_text(5, false).contains("components_rigid"));
+        assert_eq!(
+            p.to_json()
+                .get("components_rigid")
+                .and_then(JsonValue::as_u128),
+            Some(6)
+        );
+    }
+
+    #[test]
+    fn traces_without_components_rigid_read_zero() {
+        let line =
+            parse(r#"{"event":"core_completed","at_ns":1,"atoms":3,"components_searched":4}"#)
+                .unwrap();
+        let p = TraceProfile::from_lines(&[line]);
+        assert_eq!((p.components_searched, p.components_rigid), (4, 0));
     }
 
     #[test]

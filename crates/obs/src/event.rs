@@ -76,10 +76,12 @@ pub enum EventKind {
         atoms_after: usize,
     },
     /// A core computation ended with `atoms` atoms after
-    /// `components_searched` retract searches of null components.
+    /// `components_searched` retract searches of null components, of
+    /// which `components_rigid` the rigid pass settled without a search.
     CoreCompleted {
         atoms: usize,
         components_searched: usize,
+        components_rigid: usize,
     },
     /// A named span opened.
     SpanOpened { name: String },
@@ -231,11 +233,16 @@ impl Event {
             EventKind::CoreCompleted {
                 atoms,
                 components_searched,
+                components_rigid,
             } => {
                 o.push("atoms", JsonValue::uint(*atoms as u64));
                 o.push(
                     "components_searched",
                     JsonValue::uint(*components_searched as u64),
+                );
+                o.push(
+                    "components_rigid",
+                    JsonValue::uint(*components_rigid as u64),
                 );
             }
             EventKind::SpanOpened { name } => {
@@ -342,6 +349,7 @@ mod tests {
             EventKind::CoreCompleted {
                 atoms: 4,
                 components_searched: 3,
+                components_rigid: 1,
             },
             EventKind::SpanOpened { name: "st".into() },
             EventKind::SpanClosed {

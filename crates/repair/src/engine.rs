@@ -34,6 +34,11 @@
 //!   itself.
 //! - A resume that fails returns the grounded conflict set of `S \ R`,
 //!   which joins the known conflicts.
+//! - While `|S \ K| ≤ |K|` the base chase would cost about as much as
+//!   the candidate chases it shortens, so candidates are chased in full
+//!   instead. On a small source that is mostly contested (`P(a,b)`,
+//!   `P(a,c)`, `R(u,v)` under a key on `P`'s image) this is one chase
+//!   per node, not one more for the base.
 //!
 //! Conflict sets are sound because the justification chains derive the
 //! clash from exactly those source atoms, so chasing them alone fails
@@ -424,8 +429,11 @@ impl<'a> RepairEngine<'a> {
                     });
                     continue;
                 }
+                // While `S \ K` is no larger than `K`, a base chase costs
+                // about as much as the candidate chases it would shorten.
+                let full = fallback || n - known.k_len <= known.k_len;
                 let mut base_run = None;
-                if !fallback && base.as_ref().is_none_or(|(_, k)| *k != known.k_len) {
+                if !full && base.as_ref().is_none_or(|(_, k)| *k != known.k_len) {
                     let outside_k = Instance::from_atoms(
                         atoms
                             .iter()
@@ -463,7 +471,7 @@ impl<'a> RepairEngine<'a> {
                         }
                     }
                 }
-                let verdict = if fallback {
+                let verdict = if full || fallback {
                     jobs.push(Job::Full(kept_of(&atoms, removal)));
                     Verdict::Job
                 } else {

@@ -236,6 +236,19 @@ fn repair_lists_maximal_consistent_subsets() {
 }
 
 #[test]
+fn repair_of_a_mostly_contested_source_chases_candidates_in_full() {
+    // `K = {P(a,b), P(a,c)}` outweighs `S \ K = {R(u,v)}`: the first chase
+    // finds the conflict, then each of the two candidates is chased in
+    // full, with no base chase of `S \ K` before them.
+    let (ok, stdout, _) = dex(&["repair", KEYED, CONFLICTED]);
+    assert!(ok, "stdout: {stdout}");
+    assert!(
+        stdout.contains("; 3 candidates chased,"),
+        "stdout: {stdout}"
+    );
+}
+
+#[test]
 fn answer_repair_intersects_over_repairs() {
     // G(u,v) survives every repair; the contested F-row survives none.
     let (ok, stdout, _) = dex(&["answer", KEYED, CONFLICTED, "Q(x,y) :- G(x,y)", "--repair"]);
