@@ -8,6 +8,22 @@ cd "$(dirname "$0")"
 echo "== fmt =="
 cargo fmt --check
 
+echo "== hasher guard (id-keyed maps use dex_core::hash, not SipHash) =="
+# Every map keyed by ids (symbols, nulls, rows, atom indices) uses the
+# word hasher of `dex_core::hash` (IdMap/IdSet); a std HashMap/HashSet
+# with the default hasher pays SipHash on every probe. Allowed:
+#   crates/core/src/hash.rs                   defines IdMap/IdSet over std's maps
+#   crates/core/src/symbol.rs                 the interner: string keys from outside
+#   crates/chase/src/provenance/reference.rs  test-only oracle, on no hot path
+HASH_ALLOWED='^(crates/core/src/hash\.rs|crates/core/src/symbol\.rs|crates/chase/src/provenance/reference\.rs):'
+HASH_HITS=$(grep -rnE --include='*.rs' '\b(HashMap|HashSet|RandomState)\b' crates/*/src src \
+  | grep -vE "$HASH_ALLOWED" | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$HASH_HITS" ]; then
+  echo "default-hasher maps outside the allow-list (use dex_core::{IdMap, IdSet}):"
+  echo "$HASH_HITS"
+  exit 1
+fi
+
 echo "== build (release, locked, offline) =="
 cargo build --release --locked --offline --workspace
 # The end-to-end benchmark is a workspace of its own that builds against

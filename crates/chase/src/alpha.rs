@@ -26,10 +26,9 @@ use crate::engine::ChaseEngine;
 use crate::standard::{egd_step, ChaseError};
 use crate::stats::ChaseStats;
 use dex_core::govern::{Clock, Governor, Interrupt};
-use dex_core::{Atom, Instance, NullGen, Value};
+use dex_core::{Atom, IdMap, IdSet, Instance, NullGen, Value};
 use dex_logic::{Assignment, Setting, Tgd};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -70,14 +69,14 @@ pub trait AlphaSource {
 /// Assigns a memoized fresh null per justification.
 pub struct FreshAlpha {
     gen: NullGen,
-    memo: HashMap<Justification, Value>,
+    memo: IdMap<Justification, Value>,
 }
 
 impl FreshAlpha {
     pub fn new(gen: NullGen) -> FreshAlpha {
         FreshAlpha {
             gen,
-            memo: HashMap::new(),
+            memo: IdMap::default(),
         }
     }
 
@@ -106,7 +105,7 @@ impl AlphaSource for FreshAlpha {
 /// Consults an explicit table first, falling back to fresh nulls for
 /// justifications outside the table (the paper's `*` entries).
 pub struct TableAlpha {
-    table: HashMap<Justification, Value>,
+    table: IdMap<Justification, Value>,
     fallback: FreshAlpha,
 }
 
@@ -114,7 +113,7 @@ impl TableAlpha {
     /// Builds a table α. Fresh fallback nulls are minted above every null
     /// mentioned in the table so they never collide.
     pub fn new(entries: impl IntoIterator<Item = (Justification, Value)>) -> TableAlpha {
-        let table: HashMap<Justification, Value> = entries.into_iter().collect();
+        let table: IdMap<Justification, Value> = entries.into_iter().collect();
         let gen = NullGen::above(table.values().copied());
         TableAlpha {
             table,
@@ -262,7 +261,7 @@ pub(crate) enum NaivePolicy<'p> {
     Alpha {
         alpha: &'p mut dyn AlphaSource,
         log: Vec<ChaseStep>,
-        seen: HashSet<u64>,
+        seen: IdSet<u64>,
     },
 }
 
@@ -271,7 +270,7 @@ impl<'p> NaivePolicy<'p> {
         NaivePolicy::Alpha {
             alpha,
             log: Vec::new(),
-            seen: HashSet::new(),
+            seen: IdSet::default(),
         }
     }
 

@@ -47,9 +47,9 @@
 //! shape, so they are seeded at their first atom only — one seeded
 //! match per row, where seeding both atoms would match every row twice.
 
-use dex_core::{DeltaCursor, Instance, Symbol, Value};
+use dex_core::{DeltaCursor, IdMap, Instance, Symbol, Value};
 use dex_logic::{matcher, Assignment, Egd, FAtom, Term, Var};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// An egd trigger whose two sides are unequal.
 #[derive(Clone, Debug)]
@@ -199,7 +199,7 @@ fn swaps_positions(egd: &Egd, i: usize, j: usize) -> bool {
     if a.rel != b.rel || a.args.len() != b.args.len() {
         return false;
     }
-    let mut sigma: HashMap<Var, Var> = HashMap::new();
+    let mut sigma: IdMap<Var, Var> = IdMap::default();
     for (&s, &t) in a.args.iter().zip(&b.args) {
         match (s, t) {
             (Term::Const(c), Term::Const(d)) if c == d => {}

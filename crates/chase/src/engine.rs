@@ -75,13 +75,12 @@ use crate::stats::ChaseStats;
 use crate::witness::ConflictWitness;
 use dex_core::govern::{Clock, Interrupt};
 use dex_core::{
-    merge_policy, Atom, DeltaCursor, Governor, Instance, MergeOutcome, NullGen, SourceDelta,
-    Symbol, Value, ValueUnionFind,
+    merge_policy, Atom, DeltaCursor, Governor, IdMap, IdSet, Instance, MergeOutcome, NullGen,
+    SourceDelta, Symbol, Value, ValueUnionFind,
 };
 use dex_logic::matcher;
 use dex_logic::{Assignment, Body, FAtom, Setting, Term, Tgd};
 use dex_obs::EventKind;
-use std::collections::{HashMap, HashSet};
 
 /// A reusable chase driver for one setting + budget.
 ///
@@ -106,7 +105,7 @@ pub struct ChaseEngine<'a> {
 
 /// Per relation, owned copies of the rows a round seeds trigger
 /// discovery with.
-type Delta = HashMap<Symbol, Vec<Box<[Value]>>>;
+type Delta = IdMap<Symbol, Vec<Box<[Value]>>>;
 
 /// Why a run stopped short of its fixpoint.
 enum Stop {
@@ -163,7 +162,7 @@ enum Policy<'p> {
         alpha: &'p mut dyn AlphaSource,
         log: &'p mut Vec<ChaseStep>,
         added: Vec<Atom>,
-        seen: HashSet<u64>,
+        seen: IdSet<u64>,
         st_matches: Vec<Vec<Assignment>>,
     },
 }
@@ -186,7 +185,7 @@ impl<'p> Policy<'p> {
             alpha,
             log,
             added: Vec::new(),
-            seen: HashSet::from([state_hash(start)]),
+            seen: IdSet::from_iter([state_hash(start)]),
             st_matches: Vec::new(),
         }
     }
@@ -338,8 +337,8 @@ fn state_hash(inst: &Instance) -> u64 {
 /// Owned copies of the delta rows of the body relations: firing mutates
 /// the instance (reallocating row logs), so the round works off a
 /// snapshot.
-fn snapshot_delta(inst: &Instance, cursor: &DeltaCursor, rels: &HashSet<Symbol>) -> Delta {
-    let mut out = HashMap::new();
+fn snapshot_delta(inst: &Instance, cursor: &DeltaCursor, rels: &IdSet<Symbol>) -> Delta {
+    let mut out = IdMap::default();
     for &rel in rels {
         let rows: Vec<Box<[Value]>> = inst.delta_rows(rel, cursor).map(Box::from).collect();
         if !rows.is_empty() {
@@ -438,7 +437,7 @@ impl<'a> ChaseEngine<'a> {
             .enumerate()
     }
 
-    fn t_body_rels(&self) -> HashSet<Symbol> {
+    fn t_body_rels(&self) -> IdSet<Symbol> {
         self.setting
             .t_tgds
             .iter()
@@ -902,7 +901,7 @@ impl<'a> ChaseEngine<'a> {
         // Net the batch against the current source: deletes apply
         // first, so delete∩insert of a present atom is a no-op, and
         // absent deletes / already-present inserts drop out entirely.
-        let mut seen: HashSet<&Atom> = HashSet::new();
+        let mut seen: IdSet<&Atom> = IdSet::default();
         let net_deletes: Vec<Atom> = delta
             .deletes
             .iter()
@@ -976,7 +975,7 @@ impl<'a> ChaseEngine<'a> {
         // Insertions: add the new source rows, then seed s-t trigger
         // discovery from exactly those rows (σ never changes otherwise,
         // so no other s-t trigger can be new).
-        let mut inserted = Delta::new();
+        let mut inserted = Delta::default();
         for a in &net_inserts {
             if run.inst.insert(a.clone()) {
                 run.stats.peak_atoms = run.stats.peak_atoms.max(run.inst.len());
@@ -1015,7 +1014,7 @@ impl<'a> ChaseEngine<'a> {
             return None;
         }
         let mut env = Assignment::new();
-        let mut exist: HashMap<dex_logic::Var, Value> = HashMap::new();
+        let mut exist: IdMap<dex_logic::Var, Value> = IdMap::default();
         for (&t, &v) in h.args.iter().zip(r.args.iter()) {
             match t {
                 Term::Const(c) => {

@@ -53,10 +53,10 @@
 //! re-examined. Both count the entries and merge records they inspect
 //! ([`Provenance::entries_visited`]).
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 
-use dex_core::{Atom, Instance, Symbol, Value};
+use dex_core::{Atom, IdMap, IdSet, Instance, Symbol, Value};
 use dex_obs::JsonValue;
 
 #[cfg(test)]
@@ -217,7 +217,7 @@ impl Entry {
 /// True iff the justification is not structurally dead: not a deleted
 /// source entry and not conditional on a suspect merge. (Premise
 /// aliveness is the fixpoint's job, not this check's.)
-fn usable(j: &Just, atom: &Atom, deleted: &HashSet<Atom>, suspect: &HashSet<u64>) -> bool {
+fn usable(j: &Just, atom: &Atom, deleted: &IdSet<Atom>, suspect: &IdSet<u64>) -> bool {
     if j.merge_deps.iter().any(|d| suspect.contains(d)) {
         return false;
     }
@@ -230,8 +230,8 @@ fn usable(j: &Just, atom: &Atom, deleted: &HashSet<Atom>, suspect: &HashSet<u64>
 /// One round of retraction: the affected cone and the atoms of it found
 /// alive. Every atom outside the cone is alive.
 struct Cone {
-    members: HashSet<Id>,
-    alive: HashSet<Id>,
+    members: IdSet<Id>,
+    alive: IdSet<Id>,
 }
 
 /// Per-atom derivations for one chase run.
@@ -240,7 +240,7 @@ pub struct Provenance {
     /// The entry table; a `None` slot is free and listed in `free`.
     entries: Vec<Option<Entry>>,
     free: Vec<Id>,
-    ids: HashMap<Atom, Id>,
+    ids: IdMap<Atom, Id>,
     /// Ascending by id.
     merges: Vec<MergeRecord>,
     next_merge_id: u64,
@@ -249,15 +249,15 @@ pub struct Provenance {
     /// run that never merges or retracts never pays for them.
     indexed: bool,
     /// The value index: each value → the entries that mention it.
-    by_value: HashMap<Value, HashSet<Id>>,
+    by_value: IdMap<Value, IdSet<Id>>,
     /// Each merged-away value → the ids of the merges that rewrote it,
     /// ascending.
-    by_loser: HashMap<Value, Vec<u64>>,
+    by_loser: IdMap<Value, Vec<u64>>,
     /// The premise index, by slot: the entries with a justification
     /// citing the slot's atom as a premise ...
-    cited_by: Vec<HashSet<Id>>,
+    cited_by: Vec<IdSet<Id>>,
     /// ... and the ids of the merge records citing it.
-    merges_citing: Vec<HashSet<u64>>,
+    merges_citing: Vec<IdSet<u64>>,
     /// Entries and merge records re-keying and retraction inspected.
     visited: u64,
     /// The whole-map maintenance this one replaced, run beside it so
@@ -414,7 +414,7 @@ impl Provenance {
         // A folded entry's id is replaced by its target's wherever the
         // indexes list it: under the values it mentions, and in the
         // citations of its premises (all renamed by now).
-        let mut remap: HashMap<Id, Id> = HashMap::new();
+        let mut remap: IdMap<Id, Id> = IdMap::default();
         for (mid, sid, m) in folded {
             for v in m.values() {
                 if let Some(set) = self.by_value.get_mut(&v) {
@@ -505,7 +505,7 @@ impl Provenance {
     /// justification).
     pub fn explain(&self, atom: &Atom) -> Option<JustificationChain> {
         let mut steps = Vec::new();
-        let mut seen: HashSet<Atom> = HashSet::new();
+        let mut seen: IdSet<Atom> = IdSet::default();
         let mut queue: VecDeque<Atom> = VecDeque::new();
         queue.push_back(atom.clone());
         while let Some(a) = queue.pop_front() {
@@ -557,8 +557,8 @@ impl Provenance {
         #[cfg(test)]
         let expected = self.reference.retract_sources(deleted);
         self.build_index();
-        let deleted: HashSet<Atom> = deleted.iter().cloned().collect();
-        let mut suspect: HashSet<u64> = HashSet::new();
+        let deleted: IdSet<Atom> = deleted.iter().cloned().collect();
+        let mut suspect: IdSet<u64> = IdSet::default();
         let removed = loop {
             let cone = self.cone(&deleted, &suspect);
             // Grow the suspect-merge set against this aliveness; if it
@@ -619,9 +619,10 @@ impl Provenance {
         self.ids.insert(atom, id);
         if self.indexed {
             if self.cited_by.len() < self.entries.len() {
-                self.cited_by.resize_with(self.entries.len(), HashSet::new);
+                self.cited_by
+                    .resize_with(self.entries.len(), IdSet::default);
                 self.merges_citing
-                    .resize_with(self.entries.len(), HashSet::new);
+                    .resize_with(self.entries.len(), IdSet::default);
             }
             self.link(id, true);
         }
@@ -634,8 +635,8 @@ impl Provenance {
             return;
         }
         self.indexed = true;
-        self.cited_by = vec![HashSet::new(); self.entries.len()];
-        self.merges_citing = vec![HashSet::new(); self.entries.len()];
+        self.cited_by = vec![IdSet::default(); self.entries.len()];
+        self.merges_citing = vec![IdSet::default(); self.entries.len()];
         for id in 0..self.entries.len() {
             if self.entries[id].is_some() {
                 self.link(id as Id, true);
@@ -690,8 +691,8 @@ impl Provenance {
     /// value it mentions and every premise it cites.
     fn link(&mut self, id: Id, on: bool) {
         let entry = self.entry(id);
-        let values: HashSet<Value> = entry.values().collect();
-        let cited: HashSet<Id> = entry
+        let values: IdSet<Value> = entry.values().collect();
+        let cited: IdSet<Id> = entry
             .premises()
             .filter_map(|p| self.ids.get(p).copied())
             .collect();
@@ -754,9 +755,9 @@ impl Provenance {
     /// justifications (empty premise list) count as unconditionally
     /// satisfied; callers that maintain deletions fall back to a full
     /// re-chase when FO bodies are in play.
-    fn cone(&mut self, deleted: &HashSet<Atom>, suspect: &HashSet<u64>) -> Cone {
-        let tainted: HashSet<Value> = suspect.iter().map(|&s| self.resolved_winner(s)).collect();
-        let mut members: HashSet<Id> = HashSet::new();
+    fn cone(&mut self, deleted: &IdSet<Atom>, suspect: &IdSet<u64>) -> Cone {
+        let tainted: IdSet<Value> = suspect.iter().map(|&s| self.resolved_winner(s)).collect();
+        let mut members: IdSet<Id> = IdSet::default();
         let mut stack: Vec<Id> = deleted
             .iter()
             .filter_map(|a| self.ids.get(a).copied())
@@ -772,7 +773,7 @@ impl Provenance {
         self.visited += members.len() as u64;
         let mut cone = Cone {
             members,
-            alive: HashSet::new(),
+            alive: IdSet::default(),
         };
         let mut queue: VecDeque<Id> = VecDeque::new();
         // Pending tgd justifications: (atom, #premises not yet alive).
@@ -782,7 +783,7 @@ impl Provenance {
         }
         let mut pending: Vec<Pending> = Vec::new();
         // premise -> indices into `pending` waiting on it.
-        let mut waiters: HashMap<Id, Vec<usize>> = HashMap::new();
+        let mut waiters: IdMap<Id, Vec<usize>> = IdMap::default();
         'atoms: for &id in &cone.members {
             let entry = self.entry(id);
             let source_alive = entry
@@ -856,8 +857,8 @@ impl Provenance {
     fn lost_support(
         &self,
         p: &Atom,
-        deleted: &HashSet<Atom>,
-        suspect: &HashSet<u64>,
+        deleted: &IdSet<Atom>,
+        suspect: &IdSet<u64>,
         cone: &Cone,
     ) -> bool {
         self.justs(p).is_none_or(|justs| {
@@ -879,8 +880,8 @@ impl Provenance {
     fn grow_suspect(
         &mut self,
         cone: &Cone,
-        deleted: &HashSet<Atom>,
-        suspect: &mut HashSet<u64>,
+        deleted: &IdSet<Atom>,
+        suspect: &mut IdSet<u64>,
     ) -> bool {
         let mut candidates: BTreeSet<u64> = self.merges_citing(cone.members.iter().copied());
         let mut grew = false;
@@ -928,8 +929,8 @@ impl Provenance {
     fn apply_retraction(
         &mut self,
         cone: &Cone,
-        deleted: &HashSet<Atom>,
-        suspect: &HashSet<u64>,
+        deleted: &IdSet<Atom>,
+        suspect: &IdSet<u64>,
     ) -> Vec<Atom> {
         let mut dead: Vec<Id> = Vec::new();
         for &id in &cone.members {

@@ -35,13 +35,14 @@
 
 use crate::atom::Atom;
 use crate::govern::{Governor, Interrupt};
+use crate::hash::{IdMap, IdSet};
 use crate::homomorphism::{HomFinder, Homomorphism};
 use crate::instance::Instance;
 use crate::unionfind::ValueUnionFind;
 use crate::value::{NullId, Value};
 use dex_obs::EventKind;
 use dex_par::{Cost, Pool};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The blocks of `inst`: connected components of the graph on `Null(inst)`
@@ -84,7 +85,7 @@ fn retract_cost(t: &Instance) -> Cost {
 
 /// The nulls of `inst` that every endomorphism of `inst` fixes, as far
 /// as the rigid pass (module doc) finds them. Ticks `gov` once per probe.
-pub fn rigid_nulls(inst: &Instance, gov: &Governor) -> Result<HashSet<NullId>, Interrupt> {
+pub fn rigid_nulls(inst: &Instance, gov: &Governor) -> Result<IdSet<NullId>, Interrupt> {
     rigid_pass(&atom_components(inst.atoms().collect()), inst, gov)
 }
 
@@ -97,9 +98,9 @@ fn rigid_pass(
     comps: &[Vec<Atom>],
     t: &Instance,
     gov: &Governor,
-) -> Result<HashSet<NullId>, Interrupt> {
+) -> Result<IdSet<NullId>, Interrupt> {
     let atoms: Vec<&Atom> = comps.iter().flatten().collect();
-    let mut holding: HashMap<NullId, Vec<usize>> = HashMap::new();
+    let mut holding: IdMap<NullId, Vec<usize>> = IdMap::default();
     for (i, a) in atoms.iter().enumerate() {
         for n in a.nulls() {
             let at = holding.entry(n).or_default();
@@ -108,7 +109,7 @@ fn rigid_pass(
             }
         }
     }
-    let mut rigid = HashSet::new();
+    let mut rigid = IdSet::default();
     let mut queued = vec![true; atoms.len()];
     let mut unique = vec![false; atoms.len()];
     let mut queue: Vec<usize> = (0..atoms.len()).rev().collect();
@@ -151,13 +152,13 @@ fn rigid_pass(
 
 /// True iff every null of `a` is rigid: `a` is fixed by every
 /// endomorphism, so no retract search may forbid it.
-fn is_rigid(a: &Atom, rigid: &HashSet<NullId>) -> bool {
+fn is_rigid(a: &Atom, rigid: &IdSet<NullId>) -> bool {
     a.nulls().all(|n| rigid.contains(&n))
 }
 
 /// Drops the components whose atoms are all rigid (retract-free without
 /// a search), returning how many were dropped.
-fn settle_rigid(pending: &mut Vec<Vec<Atom>>, rigid: &HashSet<NullId>) -> usize {
+fn settle_rigid(pending: &mut Vec<Vec<Atom>>, rigid: &IdSet<NullId>) -> usize {
     let before = pending.len();
     pending.retain(|comp| !comp.iter().all(|a| is_rigid(a, rigid)));
     before - pending.len()
@@ -170,7 +171,7 @@ fn settle_rigid(pending: &mut Vec<Vec<Atom>>, rigid: &HashSet<NullId>) -> usize 
 fn component_retract(
     comp: &[Atom],
     t: &Instance,
-    rigid: &HashSet<NullId>,
+    rigid: &IdSet<NullId>,
     gov: &Governor,
 ) -> Option<Result<Homomorphism, Interrupt>> {
     let from = Instance::from_atoms(comp.iter().cloned());
@@ -189,7 +190,7 @@ fn component_retract(
 fn search_pass(
     pending: &[Vec<Atom>],
     t: &Instance,
-    rigid: &HashSet<NullId>,
+    rigid: &IdSet<NullId>,
     gov: &Governor,
     pool: &Pool,
 ) -> Vec<Option<Result<Homomorphism, Interrupt>>> {
@@ -217,7 +218,7 @@ fn settle(
     t: &mut Instance,
     comp: Vec<Atom>,
     mut found: Option<Result<Homomorphism, Interrupt>>,
-    rigid: &HashSet<NullId>,
+    rigid: &IdSet<NullId>,
     gov: &Governor,
     next: &mut Vec<Vec<Atom>>,
     searched: &mut usize,

@@ -20,9 +20,10 @@
 
 use crate::atom::Atom;
 use crate::govern::{Governor, Interrupt};
+use crate::hash::IdSet;
 use crate::instance::Instance;
 use crate::value::{NullId, Value};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A homomorphism represented by its action on nulls (constants are fixed).
@@ -214,7 +215,7 @@ impl<'a> HomFinder<'a> {
                 pending.push(i);
             }
         }
-        let mut used_images: HashSet<Value> = HashSet::new();
+        let mut used_images: IdSet<Value> = IdSet::default();
         if self.injective_on_nulls {
             used_images.extend(self.preset.bindings().map(|(_, v)| v));
         }
@@ -366,7 +367,7 @@ struct SearchState<'a, B: Bindings> {
     injective_on_nulls: bool,
     atoms: &'a [Atom],
     assignment: B,
-    used_images: HashSet<Value>,
+    used_images: IdSet<Value>,
     gov: &'a Governor,
 }
 

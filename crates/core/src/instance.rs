@@ -9,10 +9,11 @@
 //! them again.
 
 use crate::atom::Atom;
+use crate::hash::{IdMap, IdSet};
 use crate::schema::Schema;
 use crate::symbol::Symbol;
 use crate::value::{NullId, Value};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// The tuples of one relation, with a hash set for O(1) membership and a
@@ -25,9 +26,9 @@ struct Relation {
     rows: Vec<Option<Box<[Value]>>>,
     /// Number of live (non-tombstoned) rows.
     live: usize,
-    set: HashSet<Box<[Value]>>,
+    set: IdSet<Box<[Value]>>,
     /// `(position, value) → indices of live rows`.
-    index: HashMap<(u32, Value), Vec<u32>>,
+    index: IdMap<(u32, Value), Vec<u32>>,
 }
 
 impl Relation {

@@ -8,6 +8,7 @@
 //! instances with identical per-relation cardinalities.
 
 use crate::govern::Governor;
+use crate::hash::IdMap;
 use crate::homomorphism::HomFinder;
 use crate::instance::Instance;
 use crate::value::Value;
@@ -84,7 +85,7 @@ pub fn isomorphic(a: &Instance, b: &Instance) -> bool {
 /// Removes instances isomorphic to an earlier one, preserving order.
 /// Buckets by [`iso_signature`] so only same-signature pairs are tested.
 pub fn dedup_up_to_iso(instances: Vec<Instance>) -> Vec<Instance> {
-    let mut buckets: std::collections::HashMap<u64, Vec<usize>> = std::collections::HashMap::new();
+    let mut buckets: IdMap<u64, Vec<usize>> = IdMap::default();
     let mut out: Vec<Instance> = Vec::new();
     for i in instances {
         let sig = iso_signature(&i);
@@ -103,10 +104,10 @@ pub fn dedup_up_to_iso(instances: Vec<Instance>) -> Vec<Instance> {
 /// Representatives keep *insertion order* — the hash buckets are only an
 /// index — so a deterministic input stream yields a deterministic output
 /// list (the parallel enumerator's byte-identical guarantee relies on
-/// this; `HashMap` iteration order would be seed-dependent).
+/// this; hash-map iteration order is not a contract).
 #[derive(Default)]
 pub struct IsoDeduper {
-    buckets: std::collections::HashMap<u64, Vec<usize>>,
+    buckets: IdMap<u64, Vec<usize>>,
     reps: Vec<Instance>,
 }
 

@@ -9,7 +9,8 @@
 //! - homomorphisms and homomorphic equivalence ([`homomorphism`]),
 //! - cores of instances ([`core_of`]),
 //! - isomorphism up to renaming of nulls ([`isomorphism`]),
-//! - valuations and `Rep`-style enumeration ([`valuation`]).
+//! - valuations and `Rep`-style enumeration ([`valuation`]),
+//! - the word hasher of every id-keyed map ([`hash`]).
 //!
 //! Higher layers (dependencies, the chase, CWA-solutions, query answering)
 //! live in the `dex-logic`, `dex-chase`, `dex-cwa` and `dex-query` crates.
@@ -18,6 +19,7 @@ pub mod atom;
 pub mod core_of;
 pub mod delta;
 pub mod govern;
+pub mod hash;
 pub mod homomorphism;
 pub mod instance;
 pub mod isomorphism;
@@ -32,6 +34,7 @@ pub use core_of::{
     core, core_parallel_governed, is_core, null_blocks, rigid_nulls, CoreStatus, GovernedCore,
 };
 pub use delta::SourceDelta;
+pub use hash::{IdMap, IdSet};
 // Re-exported so higher layers can size worker pools without a separate
 // `dex-par` dependency line.
 pub use dex_par::{

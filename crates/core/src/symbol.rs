@@ -118,6 +118,13 @@ impl Symbol {
     pub fn id(&self) -> u32 {
         self.0
     }
+
+    /// The symbol with raw id `id`, interned or not: lets tests hash
+    /// sequential ids without interning a string for each.
+    #[cfg(test)]
+    pub(crate) fn from_id(id: u32) -> Symbol {
+        Symbol(id)
+    }
 }
 
 impl fmt::Display for Symbol {

@@ -8,9 +8,9 @@
 //! [`crate::Instance::merge_value`], instead of cloning the whole
 //! instance per merge.
 
+use crate::hash::IdMap;
 use crate::symbol::Symbol;
 use crate::value::Value;
-use std::collections::HashMap;
 
 /// The effect of one successful union: rewrite `loser` to `winner`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,7 +51,7 @@ pub fn merge_policy(a: Value, b: Value) -> Result<Option<MergeOutcome>, (Symbol,
 /// not yet seen are implicit singleton classes.
 #[derive(Clone, Debug, Default)]
 pub struct ValueUnionFind {
-    parent: HashMap<Value, Value>,
+    parent: IdMap<Value, Value>,
 }
 
 impl ValueUnionFind {

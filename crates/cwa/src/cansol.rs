@@ -60,8 +60,10 @@ pub fn cansol(
         CanSolClass::EgdsOnlyTarget => {
             let gov = budget.governor(&dex_core::govern::Clock::real());
             // 1. Libkin's canonical presolution: fire every s-t trigger
-            //    once with fresh nulls (no target tgds exist).
-            let mut inst = source.clone();
+            //    once with fresh nulls (no target tgds exist). The target
+            //    is built alone: the schemas are disjoint and the egds
+            //    mention target relations only.
+            let mut inst = Instance::new();
             let mut nulls = NullGen::above(source.values());
             for tgd in &setting.st_tgds {
                 for env in tgd.body.matches(source) {
@@ -109,7 +111,7 @@ pub fn cansol(
                     Ok(None) => unreachable!("the egd scan reports unequal sides only"),
                 }
             })?;
-            Ok(Some(inst.difference(source)))
+            Ok(Some(inst))
         }
     }
 }

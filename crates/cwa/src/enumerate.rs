@@ -34,11 +34,11 @@ use dex_chase::{
 };
 use dex_core::govern::Interrupt;
 use dex_core::{
-    has_homomorphism, Clock, Governor, Instance, IsoDeduper, NullGen, Pool, Symbol, Value,
+    has_homomorphism, Clock, Governor, IdMap, Instance, IsoDeduper, NullGen, Pool, Symbol, Value,
 };
 use dex_logic::Setting;
 use dex_obs::{RingRecorder, Tracer};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Limits for the enumeration.
@@ -86,7 +86,7 @@ const REPLAY_RING_CAPACITY: usize = 4096;
 struct ScriptAlpha<'a> {
     script: &'a [usize],
     pos: usize,
-    memo: HashMap<Justification, Value>,
+    memo: IdMap<Justification, Value>,
     gen: NullGen,
     pool: &'a [Symbol],
     nulls_only: bool,
@@ -305,7 +305,7 @@ fn replay_script(
     let mut alpha = ScriptAlpha {
         script,
         pos: 0,
-        memo: HashMap::new(),
+        memo: IdMap::default(),
         gen,
         pool: vocab,
         nulls_only: limits.nulls_only,

@@ -12,9 +12,8 @@
 //! at the end of Section 6.
 
 use dex_core::govern::{Governor, Interrupt};
-use dex_core::{Atom, Instance, Value};
+use dex_core::{Atom, IdSet, Instance, Value};
 use dex_logic::{Assignment, Setting, Tgd, Var};
-use std::collections::HashSet;
 
 /// Limits for the derivation search.
 #[derive(Copy, Clone, Debug)]
@@ -111,7 +110,7 @@ fn derive(
         triggers: &triggers,
         nodes: 0,
         max_nodes: limits.max_nodes,
-        seen: HashSet::new(),
+        seen: IdSet::default(),
         exhausted: false,
         solution: None,
         gov,
@@ -237,7 +236,7 @@ fn head_options(
     env: &Assignment,
 ) -> (Vec<Vec<Atom>>, Vec<Vec<Value>>) {
     let matches = dex_logic::matcher::all_matches(&tgd.head, universe, env);
-    let mut seen: HashSet<Vec<Value>> = HashSet::new();
+    let mut seen: IdSet<Vec<Value>> = IdSet::default();
     let mut opts = Vec::new();
     let mut ws = Vec::new();
     for m in matches {
@@ -262,7 +261,7 @@ struct Search<'a> {
     triggers: &'a [Trigger],
     nodes: usize,
     max_nodes: usize,
-    seen: HashSet<(Vec<Atom>, Vec<bool>)>,
+    seen: IdSet<(Vec<Atom>, Vec<bool>)>,
     exhausted: bool,
     /// On success: the option index chosen per fired trigger.
     solution: Option<Vec<Option<usize>>>,

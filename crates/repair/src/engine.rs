@@ -73,10 +73,9 @@
 
 use dex_chase::{ChaseBudget, ChaseEngine, ChaseError, ChaseSuccess, ConflictWitness};
 use dex_core::govern::{Governor, Interrupt};
-use dex_core::{Atom, Cost, Instance, Pool, SourceDelta};
+use dex_core::{Atom, Cost, IdMap, IdSet, Instance, Pool, SourceDelta};
 use dex_logic::Setting;
 use dex_obs::{EventKind, JsonValue, RingRecorder, Tracer};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Capacity of the private ring each chase of the search traces into.
@@ -364,8 +363,7 @@ impl<'a> RepairEngine<'a> {
             }
         };
         let atoms: Vec<Atom> = source.sorted_atoms();
-        let index_of: HashMap<&Atom, usize> =
-            atoms.iter().enumerate().map(|(i, a)| (a, i)).collect();
+        let index_of: IdMap<&Atom, usize> = atoms.iter().enumerate().map(|(i, a)| (a, i)).collect();
         let conflict_of = |w: &ConflictWitness| -> Vec<usize> {
             let mut c: Vec<usize> = w
                 .conflict_set
@@ -381,7 +379,7 @@ impl<'a> RepairEngine<'a> {
         let mut interrupt = None;
         // Removal sets (sorted index vectors) of accepted repairs.
         let mut success_removals: Vec<Vec<usize>> = Vec::new();
-        let mut seen: HashSet<Vec<usize>> = HashSet::new();
+        let mut seen: IdSet<Vec<usize>> = IdSet::default();
         // The known conflict sets, and the base chase of `S \ K` with the
         // `|K|` it was taken at.
         let mut known = Known {
@@ -687,7 +685,7 @@ fn branch_on(
     removal: &[usize],
     branch: &[usize],
     success_removals: &[Vec<usize>],
-    seen: &mut HashSet<Vec<usize>>,
+    seen: &mut IdSet<Vec<usize>>,
     stats: &mut RepairStats,
 ) -> Vec<Vec<usize>> {
     let mut children = Vec::new();
