@@ -24,6 +24,19 @@ if [ -n "$HASH_HITS" ]; then
   exit 1
 fi
 
+echo "== knob guard (every DEX_* variable the code reads is in README, and only those) =="
+# The environment variables read through env::var in the crates and the
+# CLI are the program's knobs: each one is documented in README, and
+# README names none the code no longer reads.
+CODE_KNOBS=$(grep -rhoE --include='*.rs' 'env::var(_os)?\("DEX_[A-Z0-9_]+"' crates/*/src src \
+  | grep -oE 'DEX_[A-Z0-9_]+' | sort -u)
+README_KNOBS=$(grep -oE 'DEX_[A-Z0-9_]+' README.md | sort -u)
+if [ "$CODE_KNOBS" != "$README_KNOBS" ]; then
+  echo "knobs read by the code (<) and named in README (>) differ:"
+  diff <(echo "$CODE_KNOBS") <(echo "$README_KNOBS") || true
+  exit 1
+fi
+
 echo "== build (release, locked, offline) =="
 cargo build --release --locked --offline --workspace
 # The end-to-end benchmark is a workspace of its own that builds against

@@ -1,6 +1,6 @@
 //! Spawn-floor regression guards (ISSUE 6): paper-sized jobs must never
 //! reach the worker pool. The original scoped runtime spawned threads for
-//! every `map`/`find_first`, which made parallel `core_of` ~10× *slower*
+//! every combinator call, which made parallel `core_of` ~10× *slower*
 //! than sequential at Example 2.1 size. With the calibrated fallback,
 //! below-threshold jobs run inline on the calling thread — no job
 //! dispatch, no worker spawn, and parallel timing within noise of the

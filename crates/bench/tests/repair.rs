@@ -13,17 +13,18 @@
 //!   answers over all maximal repairs;
 //! - the provenance-guided search chases strictly fewer candidates than
 //!   the naive subset sweep;
-//! - fault-injected governed runs degrade to sound partials and replay
-//!   deterministically via `DEX_FAULT_SEED`.
+//! - fault-injected governed runs — the repair search and XR answering —
+//!   degrade to sound partials and replay deterministically via
+//!   `DEX_FAULT_SEED`.
 
 use dex_chase::{alpha_chase, AlphaOutcome, ChaseBudget, ChaseEngine, ChaseError, FreshAlpha};
-use dex_core::govern::{Governor, InterruptReason};
+use dex_core::govern::{Governor, InterruptReason, Verdict};
 use dex_core::{Instance, NullGen};
 use dex_datagen::{
     conflicting_keyed_instance, conflicting_keyed_setting, overlapping_keyed_instance,
     overlapping_keyed_setting,
 };
-use dex_logic::{parse_query, parse_setting, Setting};
+use dex_logic::{parse_query, parse_setting, Query, Setting};
 use dex_query::{AnswerConfig, AnswerEngine, Answers, Semantics};
 use dex_repair::{naive_repairs, RepairEngine, RepairOutcome, XrEngine};
 use dex_testkit::FaultPlan;
@@ -215,6 +216,47 @@ fn consistent_source_yields_the_identity_repair() {
     }
 }
 
+/// The brute-force XR-certain answers: certain answers re-chased on
+/// every maximal repair, intersected.
+fn bruteforce_xr(d: &Setting, repairs: &[Instance], q: &Query) -> Answers {
+    let mut oracle: Option<Answers> = None;
+    for kept in repairs {
+        let a = AnswerEngine::new(d, kept, AnswerConfig::default())
+            .unwrap()
+            .answers(q, Semantics::Certain)
+            .unwrap();
+        oracle = Some(match oracle {
+            None => a,
+            Some(prev) => prev.intersection(&a).cloned().collect(),
+        });
+    }
+    oracle.expect("a source has at least one maximal repair")
+}
+
+/// One query on each relation; the last two are not UCQs, so they run
+/// □-propagation over each repair's lazily built `CanSol`.
+fn xr_queries() -> Vec<Query> {
+    [
+        "Q(x,y) :- F(x,y)",
+        "Q(x,y) :- G(x,y)",
+        "Q(x) :- F(x,y)",
+        "Q(x) := exists y . (F(x,y) & !G(x,y))",
+        "Q(x,y) :- F(x,y), G(u,v), y != v",
+    ]
+    .into_iter()
+    .map(|q| parse_query(q).unwrap())
+    .collect()
+}
+
+fn reason_for(idx: u8) -> InterruptReason {
+    match idx % 4 {
+        0 => InterruptReason::Fuel,
+        1 => InterruptReason::Deadline,
+        2 => InterruptReason::Memory,
+        _ => InterruptReason::Cancelled,
+    }
+}
+
 /// XR-certain answers equal the brute-force intersection of certain
 /// answers across all maximal repairs, for a query on each relation.
 /// The XR engine answers each repair from its cached chase; the oracle
@@ -224,13 +266,7 @@ fn consistent_source_yields_the_identity_repair() {
 fn xr_certain_matches_bruteforce_intersection_per_seed() {
     let d = setting();
     let budget = ChaseBudget::default();
-    let queries = [
-        parse_query("Q(x,y) :- F(x,y)").unwrap(),
-        parse_query("Q(x,y) :- G(x,y)").unwrap(),
-        parse_query("Q(x) :- F(x,y)").unwrap(),
-        parse_query("Q(x) := exists y . (F(x,y) & !G(x,y))").unwrap(),
-        parse_query("Q(x,y) :- F(x,y), G(u,v), y != v").unwrap(),
-    ];
+    let queries = xr_queries();
     for seed in seeds() {
         let s = conflicting_keyed_instance(KEYS, EXTRA, seed);
         let engine = XrEngine::new(&d, &s, AnswerConfig::default(), &Governor::unlimited())
@@ -241,18 +277,11 @@ fn xr_certain_matches_bruteforce_intersection_per_seed() {
             let xr = engine
                 .certain(q)
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-            let mut oracle: Option<Answers> = None;
-            for kept in &oracle_repairs {
-                let a = AnswerEngine::new(&d, kept, AnswerConfig::default())
-                    .unwrap()
-                    .answers(q, Semantics::Certain)
-                    .unwrap();
-                oracle = Some(match oracle {
-                    None => a,
-                    Some(prev) => prev.intersection(&a).cloned().collect(),
-                });
-            }
-            assert_eq!(xr, oracle.unwrap(), "seed {seed} query {q}");
+            assert_eq!(
+                xr,
+                bruteforce_xr(&d, &oracle_repairs, q),
+                "seed {seed} query {q}"
+            );
         }
         // The two innocent R-rows always survive into the intersection.
         let g_all = engine
@@ -270,12 +299,6 @@ fn xr_certain_matches_bruteforce_intersection_per_seed() {
 fn faulted_repair_search_yields_sound_partials_per_seed() {
     let d = setting();
     let budget = ChaseBudget::default();
-    let reason_for = |idx: u8| match idx % 4 {
-        0 => InterruptReason::Fuel,
-        1 => InterruptReason::Deadline,
-        2 => InterruptReason::Memory,
-        _ => InterruptReason::Cancelled,
-    };
     for seed in seeds() {
         let s = conflicting_keyed_instance(KEYS, EXTRA, seed);
         let full = repairs_of(&d, &s);
@@ -313,6 +336,96 @@ fn faulted_repair_search_yields_sound_partials_per_seed() {
         }
         assert_eq!(faulted.complete, replay.complete, "seed {seed}");
     }
+}
+
+/// Fault-injected XR answering degrades to sound bound pairs. One
+/// governor runs both the repair search and the answering, and the
+/// seed's trip point lies anywhere in that run, so the trip cuts the
+/// search (a partial repair set), a factor's evaluation, or nothing.
+/// Proven tuples are exact XR answers, refuted ones are not, and a
+/// `False` default (a finite `upper_bound()`) covers every exact answer.
+#[test]
+fn faulted_xr_answers_are_sound_bound_pairs_per_seed() {
+    let d = setting();
+    let budget = ChaseBudget::default();
+    let queries = xr_queries();
+    let mut partial_sets = 0;
+    for seed in seeds() {
+        let s = conflicting_keyed_instance(KEYS, EXTRA, seed);
+        let (oracle_repairs, _) = naive_repairs(&d, &s, &budget);
+        for q in &queries {
+            let exact = bruteforce_xr(&d, &oracle_repairs, q);
+            let run = |gov: &Governor| {
+                let engine = XrEngine::new(&d, &s, AnswerConfig::default(), gov).ok()?;
+                let g = engine.certain_governed(q, gov).unwrap();
+                Some((g, engine.outcome().complete))
+            };
+            let ticks = {
+                let gov = Governor::unlimited();
+                run(&gov).unwrap();
+                gov.ticks()
+            };
+            let plan = FaultPlan::from_seed(seed, ticks.max(1));
+            let at = format!("seed {seed} query {q} plan {}", plan.to_json().dump());
+            let gov = Governor::unlimited().with_fault(plan.trip_at, reason_for(plan.reason_idx));
+            let Some((g, complete_set)) = run(&gov) else {
+                continue; // tripped before the first repair
+            };
+            partial_sets += usize::from(!complete_set);
+            g.validate().unwrap_or_else(|e| panic!("{at}: {e}"));
+            assert!(g.proven.is_subset(&exact), "{at}: unsound proven");
+            assert!(g.refuted.is_disjoint(&exact), "{at}: unsound refuted");
+            if g.default == Verdict::False {
+                let upper = g.upper_bound().unwrap();
+                assert!(exact.is_subset(&upper), "{at}: upper bound misses answers");
+            }
+            if g.is_complete() {
+                assert_eq!(g.proven, exact, "{at}");
+            }
+        }
+    }
+    if FaultPlan::env_seed().is_none() {
+        assert!(partial_sets > 0, "no plan cut the repair search");
+    }
+}
+
+/// On a partial repair set the unexplored repairs can only shrink the
+/// intersection, so XR answering has a finite upper bound that covers
+/// the exact answers.
+#[test]
+fn partial_repair_set_bounds_xr_answers_from_above() {
+    let d = parse_setting(
+        "source { P/2, R/2 }
+         target { F/2, G/2 }
+         st { dP: P(x,y) -> F(x,y); dR: R(x,y) -> G(x,y); }
+         t { key: F(x,y) & F(x,z) -> y = z; }",
+    )
+    .unwrap();
+    let s = dex_logic::parse_instance("P(a,b). P(a,c). P(d,e). P(d,f). R(u,v).").unwrap();
+    let full = XrEngine::new(&d, &s, AnswerConfig::default(), &Governor::unlimited()).unwrap();
+    let mut partial_sets = 0;
+    for fuel in 2u64..7 {
+        let gov = Governor::unlimited().with_fuel(fuel);
+        let Ok(engine) = XrEngine::new(&d, &s, AnswerConfig::default(), &gov) else {
+            continue; // no repair found before the trip
+        };
+        if engine.outcome().complete {
+            continue;
+        }
+        partial_sets += 1;
+        for q in ["Q(x,y) :- G(x,y)", "Q(x,y) :- F(x,y)"] {
+            let q = parse_query(q).unwrap();
+            let exact = full.certain(&q).unwrap();
+            let g = engine.certain_governed(&q, &Governor::unlimited()).unwrap();
+            g.validate().unwrap();
+            assert!(g.proven.is_empty(), "fuel {fuel}: partial set proved {q}");
+            let upper = g
+                .upper_bound()
+                .unwrap_or_else(|| panic!("fuel {fuel}: no upper bound for {q}"));
+            assert!(exact.is_subset(&upper), "fuel {fuel}: {q}");
+        }
+    }
+    assert!(partial_sets > 0, "no fuel left the repair set partial");
 }
 
 /// The repair search is thread-count invariant: 1, 2 and 8 workers give

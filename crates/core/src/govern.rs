@@ -5,9 +5,9 @@
 //! rides on NP-hard homomorphism checks (Theorems 5.1/5.2), and the four
 //! query semantics are coNP-hard already for ground settings (Theorem
 //! 7.5). A [`Governor`] bounds such a computation by *fuel* (a step
-//! budget), a wall-clock *deadline*, a *memory proxy* (atoms/bindings),
-//! and a cooperative *cancel* flag — and reports the trip as a structured
-//! [`Interrupt`] instead of a panic or silent divergence.
+//! budget), a wall-clock *deadline* and a cooperative *cancel* flag —
+//! and reports the trip as a structured [`Interrupt`] instead of a panic
+//! or silent divergence.
 //!
 //! The hot path is one amortized [`Governor::check`] call per unit of
 //! work (a tick): an increment plus one comparison, with the expensive
@@ -21,7 +21,7 @@
 //! deadlines without sleeping.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -40,7 +40,9 @@ pub enum InterruptReason {
     Fuel,
     /// The wall-clock deadline passed.
     Deadline,
-    /// The memory proxy (atoms/bindings) exceeded its limit.
+    /// A memory limit was exceeded. Only injected faults
+    /// ([`Governor::with_fault`]) raise it: the governor itself limits
+    /// no memory.
     Memory,
     /// The cooperative cancel flag was raised.
     Cancelled,
@@ -76,8 +78,6 @@ pub struct Progress {
     pub ticks: u64,
     /// Full (deadline/cancel) evaluations performed.
     pub checks: u64,
-    /// Largest memory proxy reported via [`Governor::check_mem`].
-    pub mem_peak: usize,
 }
 
 /// A structured interruption: the reason plus the progress made.
@@ -99,7 +99,6 @@ impl Interrupt {
             .with("reason", JsonValue::str(self.reason.tag()))
             .with("ticks", JsonValue::uint(self.progress.ticks))
             .with("checks", JsonValue::uint(self.progress.checks))
-            .with("mem_peak", JsonValue::uint(self.progress.mem_peak as u64))
     }
 }
 
@@ -231,7 +230,7 @@ impl MockClock {
     }
 }
 
-/// A resource governor: fuel + deadline + memory proxy + cancel flag,
+/// A resource governor: fuel + deadline + cancel flag,
 /// checked cooperatively by the governed computation.
 ///
 /// Construction is builder-style from [`Governor::unlimited`]; every
@@ -251,7 +250,6 @@ pub struct Governor {
     trip_at: u64,
     /// Deadline as a duration from `start_ns` (`u64::MAX` = none).
     deadline_ns: u64,
-    mem_limit: usize,
     cancel: Option<Arc<AtomicBool>>,
     tracer: Tracer,
     // Relaxed atomics, not `Cell`s, so one governor budget can be shared
@@ -263,7 +261,6 @@ pub struct Governor {
     // (every worker's own increments are observed by its own checks).
     ticks: AtomicU64,
     checks: AtomicU64,
-    mem_peak: AtomicUsize,
     trips: AtomicU64,
 }
 
@@ -273,7 +270,6 @@ impl fmt::Debug for Governor {
             .field("fuel", &self.fuel)
             .field("fault_at", &self.fault_at)
             .field("deadline_ns", &self.deadline_ns)
-            .field("mem_limit", &self.mem_limit)
             .field("cancelled", &self.is_cancelled())
             .field("ticks", &self.ticks())
             .finish()
@@ -304,12 +300,10 @@ impl Governor {
             fault_reason: InterruptReason::Fuel,
             trip_at: u64::MAX,
             deadline_ns: u64::MAX,
-            mem_limit: usize::MAX,
             cancel: None,
             tracer: Tracer::off(),
             ticks: AtomicU64::new(0),
             checks: AtomicU64::new(0),
-            mem_peak: AtomicUsize::new(0),
             trips: AtomicU64::new(0),
         }
     }
@@ -327,12 +321,6 @@ impl Governor {
     pub fn with_deadline(mut self, deadline: Duration) -> Governor {
         self.start_ns = self.clock.now_ns();
         self.deadline_ns = deadline.as_nanos() as u64;
-        self
-    }
-
-    /// Sets the memory-proxy limit enforced by [`Governor::check_mem`].
-    pub fn with_mem_limit(mut self, limit: usize) -> Governor {
-        self.mem_limit = limit;
         self
     }
 
@@ -360,18 +348,16 @@ impl Governor {
     }
 
     /// A governor for one unit of a search fanned out on a worker pool:
-    /// it shares this governor's clock, deadline, cancel flag and memory
-    /// limit, traces to `tracer` (typically a private ring re-emitted
-    /// after the join), and keeps its own counters with no fuel or
-    /// injected fault — the owner ticks those once per unit, in
-    /// submission order, so a trip point never depends on how workers
-    /// interleave.
+    /// it shares this governor's clock, deadline and cancel flag, traces
+    /// to `tracer` (typically a private ring re-emitted after the join),
+    /// and keeps its own counters with no fuel or injected fault — the
+    /// owner ticks those once per unit, in submission order, so a trip
+    /// point never depends on how workers interleave.
     pub fn worker(&self, tracer: Tracer) -> Governor {
         Governor {
             clock: self.clock.clone(),
             start_ns: self.start_ns,
             deadline_ns: self.deadline_ns,
-            mem_limit: self.mem_limit,
             cancel: self.cancel.clone(),
             tracer,
             ..Governor::with_clock_now(self.clock.clone())
@@ -411,7 +397,6 @@ impl Governor {
         Progress {
             ticks: self.ticks(),
             checks: self.checks(),
-            mem_peak: self.mem_peak.load(Ordering::Relaxed),
         }
     }
 
@@ -427,10 +412,6 @@ impl Governor {
         registry.inc(&format!("{prefix}.ticks"), u128::from(self.ticks()));
         registry.inc(&format!("{prefix}.checks"), u128::from(self.checks()));
         registry.inc(&format!("{prefix}.trips"), u128::from(self.trips()));
-        registry.set_gauge(
-            &format!("{prefix}.mem_peak"),
-            self.mem_peak.load(Ordering::Relaxed) as i128,
-        );
     }
 
     /// Builds the [`Interrupt`] this governor would report for `reason`.
@@ -474,17 +455,6 @@ impl Governor {
         } else {
             Ok(())
         }
-    }
-
-    /// Reports the current memory proxy (atom or binding count) and
-    /// fails if it exceeds the limit. Evaluated unconditionally — call
-    /// at allocation-ish granularity, not per instruction.
-    pub fn check_mem(&self, mem: usize) -> Result<(), Interrupt> {
-        self.mem_peak.fetch_max(mem, Ordering::Relaxed);
-        if mem > self.mem_limit {
-            return Err(self.interrupt(InterruptReason::Memory));
-        }
-        Ok(())
     }
 
     /// Evaluates deadline and cancel immediately, bypassing the
@@ -619,15 +589,6 @@ mod tests {
             g.force_check().unwrap_err().reason,
             InterruptReason::Cancelled
         );
-    }
-
-    #[test]
-    fn mem_limit_trips_and_records_peak() {
-        let g = Governor::unlimited().with_mem_limit(10);
-        g.check_mem(7).unwrap();
-        let err = g.check_mem(11).unwrap_err();
-        assert_eq!(err.reason, InterruptReason::Memory);
-        assert_eq!(err.progress.mem_peak, 11);
     }
 
     #[test]

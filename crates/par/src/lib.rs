@@ -1,27 +1,21 @@
 //! # dex-par
 //!
 //! A deterministic worker pool for the independent-subproblem searches
-//! of the engine (α-chase choice scripts, retract candidates, valuation
-//! chunks, root-row splits in the homomorphism search).
+//! of the engine: α-chase replay waves and the presolution filter of
+//! CWA-solution enumeration, the per-component retract searches of core
+//! retraction, the repair search's candidate chases, and the valuation
+//! ranges of □/◇ answering.
 //!
 //! The determinism contract: every task is submitted with an index, the
 //! workers claim index chunks from a shared injector (an atomic
 //! counter), and the results are re-assembled **in submission order** —
-//! so the value a combinator returns is a pure function of the task
+//! so the value [`Pool::map`] returns is a pure function of the task
 //! list, independent of the thread count or scheduling. Same-seed output
 //! is byte-identical for any `DEX_THREADS`.
 //!
-//! Two combinators cover every call site in the engine:
-//!
-//! - [`Pool::map`]: evaluate `f(i, &items[i])` for every item, return the
-//!   results in submission order (the parallel `items.iter().map(..)`).
-//! - [`Pool::find_first`]: evaluate `f(i, &items[i]) -> Option<R>` and
-//!   return the success with the **smallest index** — exactly the result
-//!   a sequential first-match loop produces. Workers skip indices beyond
-//!   the current best, so the tail is drained cheaply once a winner is
-//!   known; `f` may still be *evaluated* for indices past the final
-//!   winner (speculation), so `f`'s side effects must be tolerable to
-//!   run and discard.
+//! One combinator covers every call site in the engine: [`Pool::map`]
+//! evaluates `f(i, &items[i])` for every item and returns the results
+//! in submission order (the parallel `items.iter().map(..)`).
 //!
 //! ## Execution model: persistent pool + calibrated inline fallback
 //!
@@ -31,15 +25,15 @@
 //! (~10µs on the reference container) instead of the ~70µs-per-call
 //! `std::thread::scope` spawn floor of the previous implementation.
 //!
-//! Even an unpark is not free, so every combinator takes a [`Cost`]
+//! Even an unpark is not free, so [`Pool::map`] takes a [`Cost`]
 //! hint — item count × per-item cost class — and runs **inline on the
 //! caller's stack** when the estimated total work is below the pool's
 //! threshold ([`SEQ_FALLBACK_NS`], override per-pool with
-//! [`Pool::with_threshold_ns`] or globally with `DEX_PAR_THRESHOLD`).
+//! [`Pool::with_threshold_ns`]).
 //! Paper-example-sized jobs (µs-scale core retracts, tiny hom searches)
 //! therefore never touch a thread at all; inline execution returns the
 //! identical value, so the fallback is invisible to everything but the
-//! clock. A combinator also runs inline when the persistent core is busy
+//! clock. A job also runs inline when the persistent core is busy
 //! (e.g. a nested parallel call from inside a worker) — again identical
 //! results, and nesting can never deadlock. Dispatched jobs additionally
 //! cap their participant count at the machine's CPU count: requesting
@@ -56,7 +50,7 @@ mod pool_core;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, Once};
+use std::sync::Once;
 
 /// The hard cap on pool width (a safety clamp for absurd `DEX_THREADS`
 /// values, not a tuning knob).
@@ -82,7 +76,7 @@ fn cpus() -> usize {
 /// paper-example regime) stays on the caller's stack.
 pub const SEQ_FALLBACK_NS: u64 = 200_000;
 
-/// Per-item cost classes for the work-size hint every combinator takes.
+/// Per-item cost classes for the work-size hint [`Pool::map`] takes.
 /// These are order-of-magnitude estimates — the fallback threshold only
 /// needs to separate "micro-job, inline it" from "real work, fan out".
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -126,7 +120,7 @@ pub struct Pool {
 }
 
 impl Default for Pool {
-    /// [`Pool::from_env`]: honors `DEX_THREADS` / `DEX_PAR_THRESHOLD`.
+    /// [`Pool::from_env`]: honors `DEX_THREADS`.
     fn default() -> Pool {
         Pool::from_env()
     }
@@ -173,9 +167,8 @@ impl Pool {
     ///   stderr warning** naming it, and the width falls back to
     ///   `available_parallelism` capped at 8, as if the variable were
     ///   unset.
-    /// - `DEX_PAR_THRESHOLD=ns` overrides the sequential-fallback
-    ///   threshold (`0` disables the fallback entirely); malformed
-    ///   values warn once and keep [`SEQ_FALLBACK_NS`].
+    ///
+    /// The sequential-fallback threshold is [`SEQ_FALLBACK_NS`].
     pub fn from_env() -> Pool {
         let auto = || {
             std::thread::available_parallelism()
@@ -196,24 +189,7 @@ impl Pool {
             }),
             Err(_) => auto(),
         };
-        let threshold_ns = match std::env::var("DEX_PAR_THRESHOLD") {
-            Ok(raw) => raw.trim().parse().unwrap_or_else(|_| {
-                static WARN: Once = Once::new();
-                WARN.call_once(|| {
-                    eprintln!(
-                        "dex-par: ignoring malformed DEX_PAR_THRESHOLD={raw:?} \
-                         (accepted: estimated-work threshold in nanoseconds); \
-                         keeping the default {SEQ_FALLBACK_NS}"
-                    );
-                });
-                SEQ_FALLBACK_NS
-            }),
-            Err(_) => SEQ_FALLBACK_NS,
-        };
-        Pool {
-            threads,
-            threshold_ns,
-        }
+        Pool::new(threads)
     }
 
     /// The worker count.
@@ -226,7 +202,7 @@ impl Pool {
         self.threshold_ns
     }
 
-    /// True iff combinators *may* use pool workers (jobs below the
+    /// True iff [`Pool::map`] *may* use pool workers (jobs below the
     /// work-size threshold still execute inline).
     pub fn is_parallel(&self) -> bool {
         self.threads > 1
@@ -282,36 +258,6 @@ impl Pool {
         }
         count_inline();
         items.iter().enumerate().map(|(i, t)| f(i, t)).collect()
-    }
-
-    /// Evaluates `f(i, &items[i])` until the success with the smallest
-    /// index is known, and returns it as `(index, result)` — exactly the
-    /// answer of a sequential first-match loop, for any thread count.
-    ///
-    /// Every index below the returned one is guaranteed to have been
-    /// fully evaluated (and returned `None`); indices above it may or may
-    /// not have been evaluated (speculation that is discarded).
-    ///
-    /// `cost` is the work-size hint, as for [`Pool::map`].
-    pub fn find_first<T, R, F>(&self, items: &[T], cost: Cost, f: F) -> Option<(usize, R)>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> Option<R> + Sync,
-    {
-        let width = self.dispatch_width();
-        if width > 1 && !self.inline(items.len(), cost) {
-            if let Some(out) = pooled_find_first(width, items, &f) {
-                return out;
-            }
-        }
-        count_inline();
-        for (i, t) in items.iter().enumerate() {
-            if let Some(r) = f(i, t) {
-                return Some((i, r));
-            }
-        }
-        None
     }
 }
 
@@ -419,65 +365,6 @@ where
     )
 }
 
-/// The pooled body of [`Pool::find_first`]: at most one pending result
-/// per participant (its smallest-index success), merged at join. `None`
-/// means the core was busy — run inline.
-#[allow(clippy::type_complexity)]
-fn pooled_find_first<T, R, F>(threads: usize, items: &[T], f: &F) -> Option<Option<(usize, R)>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> Option<R> + Sync,
-{
-    let len = items.len();
-    let participants = threads.min(len);
-    debug_assert!(participants >= 2);
-    // Smallest successful index seen so far; only ever decreases.
-    let best = AtomicUsize::new(usize::MAX);
-    let next = AtomicUsize::new(0);
-    // One pending slot per participant — not one per item.
-    let pending: Vec<Mutex<Option<(usize, R)>>> =
-        (0..participants).map(|_| Mutex::new(None)).collect();
-    let chunk = claim_chunk(len, participants);
-    let body = |slot: usize| {
-        let mut local: Option<(usize, R)> = None;
-        loop {
-            let start = next.fetch_add(chunk, Ordering::Relaxed);
-            if start >= len {
-                break;
-            }
-            for i in start..(start + chunk).min(len) {
-                // An index above the current best cannot win; the best
-                // only moves *down*, so the skip is sound. A participant
-                // claims monotonically increasing indices, so its own
-                // success (if any) also bounds everything later.
-                if i > best.load(Ordering::Relaxed) || local.is_some() {
-                    continue;
-                }
-                if let Some(r) = f(i, &items[i]) {
-                    best.fetch_min(i, Ordering::Relaxed);
-                    local = Some((i, r));
-                }
-            }
-        }
-        if local.is_some() {
-            *pending[slot].lock().unwrap() = local;
-        }
-    };
-    if !pool_core::global().run_job(participants - 1, &body) {
-        return None;
-    }
-    let mut win: Option<(usize, R)> = None;
-    for m in pending {
-        if let Some((i, r)) = m.into_inner().unwrap() {
-            if win.as_ref().is_none_or(|(j, _)| i < *j) {
-                win = Some((i, r));
-            }
-        }
-    }
-    Some(win)
-}
-
 /// Splits `[0, total)` into at most `parts` contiguous half-open ranges
 /// of near-equal length, in ascending order. Deterministic; the chunk
 /// list depends only on `(total, parts)`, never on scheduling.
@@ -513,6 +400,7 @@ pub fn range_cost(ranges: &[(u64, u64)], per_item_ns: u64) -> Cost {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::Mutex;
 
     /// A pool that always dispatches multi-item jobs to real workers —
     /// what the pre-threshold implementation did unconditionally.
@@ -574,12 +462,7 @@ mod tests {
             assert_eq!(std::thread::current().id(), caller);
             x
         });
-        assert_eq!(out.len(), 100);
-        let got = Pool::new(8).find_first(&items, Cost::Light, |_, &x| {
-            assert_eq!(std::thread::current().id(), caller);
-            (x == 99).then_some(()) // worst case: full scan
-        });
-        assert_eq!(got, Some((99, ())));
+        assert_eq!(out, items);
     }
 
     #[test]
@@ -623,74 +506,6 @@ mod tests {
         let p0 = p.with_threshold_ns(0);
         assert!(!p0.inline(2, Cost::EstimateNs(0)), "0 disables fallback");
         assert!(p0.inline(1, Cost::Heavy), "singletons always inline");
-    }
-
-    #[test]
-    fn find_first_returns_smallest_success_index() {
-        let _pool = global_pool_lock();
-        // Successes at 2 and 5; index 2 sleeps so a parallel run is
-        // tempted to finish 5 first — the combinator must still pick 2.
-        let items: Vec<usize> = (0..8).collect();
-        for threads in [1, 2, 8] {
-            let got = forced(threads).find_first(&items, Cost::Light, |_, &x| {
-                if x == 2 {
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                }
-                (x == 2 || x == 5).then_some(x * 10)
-            });
-            assert_eq!(got, Some((2, 20)), "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn find_first_evaluates_everything_below_the_winner() {
-        let _pool = global_pool_lock();
-        let items: Vec<usize> = (0..50).collect();
-        for threads in [1, 4] {
-            let seen = AtomicU64::new(0);
-            let got = forced(threads).find_first(&items, Cost::Light, |_, &x| {
-                if x < 40 {
-                    seen.fetch_add(1, Ordering::Relaxed);
-                }
-                (x == 40).then_some(())
-            });
-            assert_eq!(got.map(|(i, ())| i), Some(40));
-            assert!(seen.into_inner() >= 40, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn find_first_winner_under_speculation_is_smallest() {
-        let _pool = global_pool_lock();
-        // Many successes scattered everywhere; fast ones at high indices
-        // race slow ones at low indices. The smallest successful index
-        // (1) must always win, at every thread count.
-        let items: Vec<usize> = (0..64).collect();
-        for threads in [2, 4, 8] {
-            let got = forced(threads).find_first(&items, Cost::Light, |_, &x| {
-                if x % 2 == 1 {
-                    if x < 8 {
-                        std::thread::sleep(std::time::Duration::from_millis(3));
-                    }
-                    Some(x)
-                } else {
-                    None
-                }
-            });
-            assert_eq!(got, Some((1, 1)), "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn find_first_none_when_no_success() {
-        let _pool = global_pool_lock();
-        let items: Vec<u8> = (0..20).collect();
-        for threads in [1, 4] {
-            assert_eq!(
-                forced(threads).find_first(&items, Cost::Light, |_, _| None::<()>),
-                None
-            );
-        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!    clears the job slot and propagates the first worker panic, if any.
 //!
 //! Workers loop on the epoch: a changed epoch is a new job (each
-//! `map`/`find_first` call is a new generation), an unchanged one means
+//! `map` call is a new generation), an unchanged one means
 //! "spurious wakeup, park again". A worker participates only when its
 //! slot index is below the published width, so narrow pools leave the
 //! extra workers parked. Because the caller never returns from

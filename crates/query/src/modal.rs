@@ -138,30 +138,20 @@ fn valuation_ranges(exec: &Pool, total: u64) -> Vec<(u64, u64)> {
 /// microsecond on paper-sized instances.
 const VALUATION_COST_NS: u64 = 500;
 
-/// One range's share of a □ fold.
-struct BoxPartial {
-    /// Intersection of the range's fully evaluated representatives.
-    acc: Option<Answers>,
-    /// Tuples some representative of the range dropped from `acc`.
-    refuted: Answers,
-    interrupt: Option<Interrupt>,
-}
-
 /// The range-split □ fold shared by the oracle and propagation: `vals(lo)`
 /// enumerates candidate valuations from index `lo` of a `total`-sized
 /// space, and `eval` returns a candidate's answers, or `None` when the
 /// candidate is not a representative. The governor ticks once per
-/// candidate. Intersection is commutative and associative, so the
-/// partial results merge to the same answer for every range layout and
-/// thread count.
+/// candidate. Each range meets its representatives' answers (and one
+/// [`GovernedAnswers::unknown`] factor for the rest of the range if the
+/// governor trips), and the ranges meet in submission order, so the
+/// answer is the same for every range layout and thread count.
 ///
 /// One cancel token stops every range early, both once some range's
-/// intersection hits ∅ (⋂ only shrinks, so the answer is then a complete
+/// intersection hits ∅ (⋂ only shrinks, so the meet is then a complete
 /// ∅) and once the governor trips — so a one-wide run ticks exactly like
-/// a single sequential loop. On interrupt, tuples dropped by a fully
-/// evaluated representative are refuted and the survivors undetermined
-/// ([`box_partial`]). Returns `None` only when a complete run finds no
-/// representative (`Rep_D(T) = ∅`).
+/// a single sequential loop. Returns `None` only when a complete run
+/// finds no representative (`Rep_D(T) = ∅`).
 pub(crate) fn box_fold<I>(
     exec: &Pool,
     gov: &Governor,
@@ -178,100 +168,39 @@ where
         &ranges,
         range_cost(&ranges, VALUATION_COST_NS),
         |_, &(lo, hi)| {
-            let mut p = BoxPartial {
-                acc: None,
-                refuted: Answers::new(),
-                interrupt: None,
-            };
+            let mut acc = GovernedAnswers::everything();
             for v in vals(lo).bounded(hi - lo) {
                 if cancel.load(Ordering::Relaxed) {
                     break;
                 }
                 if let Err(i) = gov.check() {
-                    p.interrupt = Some(i);
                     cancel.store(true, Ordering::Relaxed);
-                    break;
+                    return acc.meet(GovernedAnswers::unknown(i));
                 }
                 let Some(ans) = eval(&v) else { continue };
-                let next = match p.acc.take() {
-                    None => ans,
-                    Some(prev) => intersect(prev, &ans, &mut p.refuted),
-                };
-                let hit_bottom = next.is_empty();
-                p.acc = Some(next);
-                if hit_bottom {
+                acc = acc.meet(GovernedAnswers::complete(ans));
+                if acc.proven.is_empty() {
                     cancel.store(true, Ordering::Relaxed);
                     break;
                 }
             }
-            p
+            acc
         },
     );
-    // Merge in submission order. Every range's `acc` is the intersection
-    // of its *fully evaluated* representatives, so cross-range drops are
-    // definite refutations even when some range was interrupted.
-    let mut acc: Option<Answers> = None;
-    let mut refuted = Answers::new();
-    let mut interrupt: Option<Interrupt> = None;
-    for p in partials {
-        refuted.extend(p.refuted);
-        interrupt = interrupt.or(p.interrupt);
-        if let Some(part) = p.acc {
-            acc = Some(match acc.take() {
-                None => part,
-                Some(prev) => {
-                    let kept = intersect(prev, &part, &mut refuted);
-                    refuted.extend(part.difference(&kept).cloned());
-                    kept
-                }
-            });
-        }
-    }
-    match interrupt {
-        // An emptied intersection is exact whatever was left unexplored.
-        Some(i) if !acc.as_ref().is_some_and(Answers::is_empty) => {
-            Some(box_partial(acc, refuted, i))
-        }
-        _ => acc.map(GovernedAnswers::complete),
-    }
-}
-
-/// `prev ∩ next`, moving the tuples `next` drops into `refuted`.
-fn intersect(prev: Answers, next: &Answers, refuted: &mut Answers) -> Answers {
-    let (kept, dropped): (Answers, Answers) = prev.into_iter().partition(|t| next.contains(t));
-    refuted.extend(dropped);
-    kept
-}
-
-/// Assembles the interrupted-□ verdicts: survivors of the partial
-/// intersection are unknown; with at least one fully-evaluated
-/// representative everything else already failed a ⋂-factor.
-fn box_partial(acc: Option<Answers>, refuted: Answers, i: Interrupt) -> GovernedAnswers {
-    match acc {
-        Some(survivors) => GovernedAnswers {
-            proven: Answers::new(),
-            refuted,
-            undetermined: survivors,
-            default: Verdict::False,
-            interrupt: Some(i),
-        },
-        None => GovernedAnswers {
-            proven: Answers::new(),
-            refuted: Answers::new(),
-            undetermined: Answers::new(),
-            default: Verdict::Unknown(i.reason),
-            interrupt: Some(i),
-        },
-    }
+    let g = partials
+        .into_iter()
+        .fold(GovernedAnswers::everything(), GovernedAnswers::meet);
+    // Only the ⋂ of no representative at all keeps the `True` default.
+    (g.default != Verdict::True).then_some(g)
 }
 
 /// The range-split ◇ fold shared by the oracle and propagation, with the
-/// same candidate enumeration, filter and ticking as [`box_fold`]. Union
-/// is commutative, so the merged answer is range- and thread-count
-/// independent. Every candidate can contribute, so only an interrupt
-/// stops the other ranges; tuples found by then are proven and every
-/// other tuple is `Unknown` (an unexplored representative might still
-/// produce it).
+/// same candidate enumeration, filter and ticking as [`box_fold`]. Each
+/// range joins its representatives' answers (and one
+/// [`GovernedAnswers::unknown`] factor if the governor trips: an
+/// unexplored representative might still produce any tuple), and the
+/// ranges join in submission order. Every candidate can contribute, so
+/// only an interrupt stops the other ranges.
 pub(crate) fn diamond_fold<I>(
     exec: &Pool,
     gov: &Governor,
@@ -288,38 +217,26 @@ where
         &ranges,
         range_cost(&ranges, VALUATION_COST_NS),
         |_, &(lo, hi)| {
-            let mut acc = Answers::new();
+            let mut acc = GovernedAnswers::complete(Answers::new());
             for v in vals(lo).bounded(hi - lo) {
                 if cancel.load(Ordering::Relaxed) {
                     break;
                 }
                 if let Err(i) = gov.check() {
                     cancel.store(true, Ordering::Relaxed);
-                    return (acc, Some(i));
+                    return acc.join(GovernedAnswers::unknown(i));
                 }
                 if let Some(ans) = eval(&v) {
-                    acc.extend(ans);
+                    acc = acc.join(GovernedAnswers::complete(ans));
                 }
             }
-            (acc, None)
+            acc
         },
     );
-    let mut proven = Answers::new();
-    let mut interrupt: Option<Interrupt> = None;
-    for (p, i) in partials {
-        proven.extend(p);
-        interrupt = interrupt.or(i);
-    }
-    match interrupt {
-        None => GovernedAnswers::complete(proven),
-        Some(i) => GovernedAnswers {
-            proven,
-            refuted: Answers::new(),
-            undetermined: Answers::new(),
-            default: Verdict::Unknown(i.reason),
-            interrupt: Some(i),
-        },
-    }
+    partials.into_iter().fold(
+        GovernedAnswers::complete(Answers::new()),
+        GovernedAnswers::join,
+    )
 }
 
 /// The oracle's per-candidate step: ground `t` under `v` and answer `q`
@@ -429,6 +346,116 @@ impl GovernedAnswers {
             default: Verdict::False,
             interrupt: None,
         }
+    }
+
+    /// The ⋂ of no factors, [`Self::meet`]'s identity: every tuple is
+    /// `True`. (The identity of [`Self::join`] is `complete(∅)`.)
+    fn everything() -> GovernedAnswers {
+        GovernedAnswers {
+            default: Verdict::True,
+            ..GovernedAnswers::complete(Answers::new())
+        }
+    }
+
+    /// One factor of which `i` cut off everything: every tuple is
+    /// `Unknown`. A fold that stops at an interrupted factor combines
+    /// one of these for the factors it never evaluated.
+    pub fn unknown(i: Interrupt) -> GovernedAnswers {
+        GovernedAnswers {
+            default: Verdict::Unknown(i.reason),
+            interrupt: Some(i),
+            ..GovernedAnswers::complete(Answers::new())
+        }
+    }
+
+    /// The ⋂ of two factors: each tuple's verdict, the default's
+    /// included, is the Kleene ∧ of its verdicts in `self` and `other`
+    /// (`False` wins, then `Unknown`). The first interrupt is kept
+    /// unless no `Unknown` verdict remains — an emptied ⋂ is a complete
+    /// ∅ whatever was left unexplored. Two complete factors meet by a
+    /// plain set intersection, which refutes the tuples it drops from
+    /// `self`.
+    pub fn meet(mut self, other: GovernedAnswers) -> GovernedAnswers {
+        if self == GovernedAnswers::everything() {
+            other
+        } else if other == GovernedAnswers::everything() {
+            self
+        } else if self.is_plain() && other.is_plain() {
+            let dropped = self.proven.extract_if(.., |t| !other.proven.contains(t));
+            self.refuted.extend(dropped);
+            self.refuted.extend(other.refuted);
+            self
+        } else {
+            self.combine(other, |a, b| std::cmp::min_by_key(a, b, kleene_rank))
+        }
+    }
+
+    /// The ∪ of two factors: each tuple's verdict, the default's
+    /// included, is the Kleene ∨ of its verdicts in `self` and `other`
+    /// (`True` wins, then `Unknown`), with the interrupt kept as by
+    /// [`Self::meet`]. Two complete factors join by a plain set union.
+    pub(crate) fn join(mut self, other: GovernedAnswers) -> GovernedAnswers {
+        if self.is_plain() && other.is_plain() {
+            self.proven.extend(other.proven);
+            self.refuted.extend(other.refuted);
+            self.refuted.retain(|t| !self.proven.contains(t));
+            self
+        } else {
+            self.combine(other, |a, b| std::cmp::max_by_key(a, b, kleene_rank))
+        }
+    }
+
+    /// True iff this is a complete run's answer set: every tuple outside
+    /// `proven` is `False`.
+    fn is_plain(&self) -> bool {
+        self.is_complete() && self.default == Verdict::False
+    }
+
+    /// The per-tuple combination behind [`Self::meet`] and
+    /// [`Self::join`], over every tuple either factor names.
+    fn combine(
+        self,
+        other: GovernedAnswers,
+        op: fn(Verdict, Verdict) -> Verdict,
+    ) -> GovernedAnswers {
+        let mut out = GovernedAnswers {
+            default: op(self.default, other.default),
+            interrupt: self.interrupt.or(other.interrupt),
+            ..GovernedAnswers::complete(Answers::new())
+        };
+        for g in [&self, &other] {
+            for t in g.proven.iter().chain(&g.refuted).chain(&g.undetermined) {
+                let set = match op(self.verdict(t), other.verdict(t)) {
+                    Verdict::True => &mut out.proven,
+                    Verdict::False => &mut out.refuted,
+                    Verdict::Unknown(_) => &mut out.undetermined,
+                };
+                set.insert(t.clone());
+            }
+        }
+        if out.undetermined.is_empty() && !out.default.is_unknown() {
+            out.interrupt = None;
+        }
+        out
+    }
+
+    /// Evaluates the ⋂-factors of `items` in order and meets them,
+    /// stopping at the first interrupted one: the factors after it
+    /// enter as one [`Self::unknown`] factor.
+    pub fn meet_all<T, E>(
+        items: impl IntoIterator<Item = T>,
+        eval: impl FnMut(T) -> Result<GovernedAnswers, E>,
+    ) -> Result<GovernedAnswers, E> {
+        fold_factors(items, GovernedAnswers::everything(), Self::meet, eval)
+    }
+
+    /// [`Self::meet_all`] for the ∪-factors of `items`, by [`Self::join`].
+    pub(crate) fn join_all<T, E>(
+        items: impl IntoIterator<Item = T>,
+        eval: impl FnMut(T) -> Result<GovernedAnswers, E>,
+    ) -> Result<GovernedAnswers, E> {
+        let empty = GovernedAnswers::complete(Answers::new());
+        fold_factors(items, empty, Self::join, eval)
     }
 
     /// The verdict for a single tuple.
@@ -552,6 +579,40 @@ impl GovernedAnswers {
     }
 }
 
+/// Kleene's order `False < Unknown < True`: ∧ takes the lower verdict,
+/// ∨ the higher.
+fn kleene_rank(v: &Verdict) -> u8 {
+    match v {
+        Verdict::False => 0,
+        Verdict::Unknown(_) => 1,
+        Verdict::True => 2,
+    }
+}
+
+/// The fold behind [`GovernedAnswers::meet_all`] and
+/// [`GovernedAnswers::join_all`].
+fn fold_factors<T, E>(
+    items: impl IntoIterator<Item = T>,
+    identity: GovernedAnswers,
+    op: fn(GovernedAnswers, GovernedAnswers) -> GovernedAnswers,
+    mut eval: impl FnMut(T) -> Result<GovernedAnswers, E>,
+) -> Result<GovernedAnswers, E> {
+    let mut items = items.into_iter().peekable();
+    let mut acc = identity;
+    while let Some(item) = items.next() {
+        let g = eval(item)?;
+        let stop = g.interrupt;
+        acc = op(acc, g);
+        if let Some(i) = stop {
+            if items.peek().is_some() {
+                acc = op(acc, GovernedAnswers::unknown(i));
+            }
+            break;
+        }
+    }
+    Ok(acc)
+}
+
 /// Lemma 7.7's polynomial fast path, generalized to the largest fragment
 /// it soundly covers: for a UCQ `Q` whose inequalities mention only head
 /// variables and constants ([`Query::is_head_safe_ucq`]; plain UCQs are
@@ -577,6 +638,7 @@ pub fn ucq_certain_answers(q: &Query, t: &Instance) -> Answers {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dex_core::govern::Progress;
     use dex_core::Value;
     use dex_logic::{parse_instance, parse_query, parse_setting};
 
@@ -937,6 +999,135 @@ mod tests {
                 }
             }
         }
+    }
+
+    const FUEL: Interrupt = Interrupt {
+        reason: InterruptReason::Fuel,
+        progress: Progress {
+            ticks: 0,
+            checks: 0,
+        },
+    };
+
+    /// A hand-built factor: tuple `t` has verdict `v`, every other tuple
+    /// the default `d`; an `Unknown` comes with a fuel interrupt.
+    fn factor(v: Verdict, d: Verdict) -> GovernedAnswers {
+        let mut g = GovernedAnswers::complete(Answers::new());
+        g.default = d;
+        g.interrupt = (v.is_unknown() || d.is_unknown()).then_some(FUEL);
+        let t = Answers::from([vec![c("t")]]);
+        match v {
+            Verdict::True => g.proven = t,
+            Verdict::False => g.refuted = t,
+            Verdict::Unknown(_) => g.undetermined = t,
+        }
+        g
+    }
+
+    /// The verdicts of `t` and of a tuple no factor names, as letters.
+    fn letters(g: &GovernedAnswers) -> String {
+        [g.verdict(&[c("t")]), g.verdict(&[c("unnamed")])]
+            .iter()
+            .map(|v| match v {
+                Verdict::True => 'T',
+                Verdict::False => 'F',
+                Verdict::Unknown(_) => 'U',
+            })
+            .collect()
+    }
+
+    #[test]
+    fn meet_and_join_follow_kleene_per_tuple_and_default() {
+        let all = [
+            Verdict::True,
+            Verdict::False,
+            Verdict::Unknown(InterruptReason::Fuel),
+        ];
+        // Kleene's ∧ and ∨, rows and columns in `all`'s order T, F, U.
+        let and = ["TFU", "FFF", "UFU"];
+        let or = ["TTT", "TFU", "TUU"];
+        let cell = |table: [&str; 3], i: usize, j: usize| table[i].as_bytes()[j] as char;
+        for (i1, &v1) in all.iter().enumerate() {
+            for (j1, &d1) in all.iter().enumerate() {
+                for (i2, &v2) in all.iter().enumerate() {
+                    for (j2, &d2) in all.iter().enumerate() {
+                        let (a, b) = (factor(v1, d1), factor(v2, d2));
+                        let at = format!("t: {v1} · {v2}, default: {d1} · {d2}");
+                        for (table, ab, ba) in [
+                            (and, a.clone().meet(b.clone()), b.clone().meet(a.clone())),
+                            (or, a.clone().join(b.clone()), b.clone().join(a.clone())),
+                        ] {
+                            let want =
+                                String::from_iter([cell(table, i1, i2), cell(table, j1, j2)]);
+                            assert_eq!(letters(&ab), want, "{at}");
+                            assert_eq!(letters(&ba), want, "commuted: {at}");
+                            // Complete exactly when no `Unknown` is left.
+                            assert_eq!(ab.is_complete(), !want.contains('U'), "{at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn identities_and_the_unknown_remainder() {
+        let mut partial = factor(Verdict::True, Verdict::False);
+        partial.refuted = Answers::from([vec![c("r")]]);
+        partial.undetermined = Answers::from([vec![c("u")]]);
+        partial.interrupt = Some(FUEL);
+        let empty = GovernedAnswers::complete(Answers::new());
+        for x in [
+            factor(Verdict::True, Verdict::False),
+            partial,
+            GovernedAnswers::unknown(FUEL),
+        ] {
+            assert_eq!(GovernedAnswers::everything().meet(x.clone()), x);
+            assert_eq!(x.clone().meet(GovernedAnswers::everything()), x);
+            for y in [empty.clone().join(x.clone()), x.clone().join(empty.clone())] {
+                for t in ["t", "r", "u", "zzz"] {
+                    assert_eq!(y.verdict(&[c(t)]), x.verdict(&[c(t)]), "{x:?}");
+                }
+            }
+        }
+        // Meeting the remainder unsettles what a factor proved and keeps
+        // its `False` default: a finite upper bound. Joining it keeps
+        // what the factor proved and unsettles everything else.
+        let g = factor(Verdict::True, Verdict::False).meet(GovernedAnswers::unknown(FUEL));
+        g.validate().unwrap();
+        assert_eq!((letters(&g), g.interrupt), ("UF".into(), Some(FUEL)));
+        assert_eq!(g.upper_bound(), Some(Answers::from([vec![c("t")]])));
+        let g = factor(Verdict::True, Verdict::False).join(GovernedAnswers::unknown(FUEL));
+        g.validate().unwrap();
+        assert_eq!((letters(&g), g.upper_bound()), ("TU".into(), None));
+    }
+
+    #[test]
+    fn an_emptied_meet_is_complete() {
+        let empty = GovernedAnswers::complete(Answers::new());
+        let g = empty.meet(GovernedAnswers::unknown(FUEL));
+        g.validate().unwrap();
+        assert!(g.is_complete() && g.proven.is_empty());
+        // Disjoint survivors of a complete and an interrupted factor
+        // empty the ⋂; overlapping ones leave it interrupted.
+        let cut = factor(Verdict::Unknown(InterruptReason::Fuel), Verdict::False);
+        let other = GovernedAnswers::complete(Answers::from([vec![c("other")]]));
+        let g = other.meet(cut.clone());
+        g.validate().unwrap();
+        assert!(g.is_complete() && g.proven.is_empty());
+        let g = factor(Verdict::True, Verdict::False).meet(cut);
+        assert_eq!((letters(&g), g.is_complete()), ("UF".into(), false));
+    }
+
+    #[test]
+    fn complete_factors_meet_and_join_as_plain_sets() {
+        let set = |ts: &[&str]| -> Answers { ts.iter().map(|t| vec![c(t)]).collect() };
+        let a = GovernedAnswers::complete(set(&["a", "b"]));
+        let b = GovernedAnswers::complete(set(&["b", "c"]));
+        let meet = a.clone().meet(b.clone());
+        assert_eq!((meet.proven, meet.refuted), (set(&["b"]), set(&["a"])));
+        assert!(meet.interrupt.is_none());
+        assert_eq!(a.join(b), GovernedAnswers::complete(set(&["a", "b", "c"])));
     }
 
     #[test]

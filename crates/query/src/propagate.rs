@@ -465,14 +465,15 @@ pub fn certain_answers_propagated(
     let r = match analyze(setting, q, t, pool, gov) {
         Analysis::EmptyRep(report) => return Ok((None, report)),
         Analysis::TooWide(report) => {
-            let g = certain_answers(setting, q, t, pool, limits, gov, exec)?;
-            return Ok((g.map(|g| seed_box_lower_bound(g, q, t)), report));
+            let mut g = certain_answers(setting, q, t, pool, limits, gov, exec)?;
+            g.iter_mut().for_each(|g| seed_box_lower_bound(g, q, t));
+            return Ok((g, report));
         }
         Analysis::Residual(r) => r,
     };
     let total = checked_total(r.total(), r.nulls.len(), pool.len(), limits)?;
     let sp = gov.tracer().span("residual_enum", gov.clock().now_ns());
-    let g = box_fold(
+    let mut g = box_fold(
         exec,
         gov,
         total,
@@ -480,15 +481,16 @@ pub fn certain_answers_propagated(
         |w| r.rep_answers(setting, q, w),
     );
     sp.close(gov.clock().now_ns());
-    Ok((g.map(|g| seed_box_lower_bound(g, q, &r.t)), r.report))
+    g.iter_mut().for_each(|g| seed_box_lower_bound(g, q, &r.t));
+    Ok((g, r.report))
 }
 
 /// Moves [`certain_ground_witnesses`] into `proven` on an interrupted □
 /// run: they are in every representative's answer set, so they can never
 /// be refuted and need not stay undetermined.
-fn seed_box_lower_bound(mut g: GovernedAnswers, q: &Query, t: &Instance) -> GovernedAnswers {
+fn seed_box_lower_bound(g: &mut GovernedAnswers, q: &Query, t: &Instance) {
     if g.interrupt.is_none() {
-        return g;
+        return;
     }
     for w in certain_ground_witnesses(q, t) {
         debug_assert!(
@@ -498,7 +500,6 @@ fn seed_box_lower_bound(mut g: GovernedAnswers, q: &Query, t: &Instance) -> Gove
         g.undetermined.remove(&w);
         g.proven.insert(w);
     }
-    g
 }
 
 /// `◇Q(T)` by constraint propagation — answer-identical to
@@ -522,14 +523,15 @@ pub fn maybe_answers_propagated(
             return Ok((GovernedAnswers::complete(Answers::new()), report));
         }
         Analysis::TooWide(report) => {
-            let g = maybe_answers(setting, q, t, pool, limits, gov, exec)?;
-            return Ok((seed_diamond_upper_bound(g, q, t, pool), report));
+            let mut g = maybe_answers(setting, q, t, pool, limits, gov, exec)?;
+            seed_diamond_upper_bound(&mut g, q, t, pool);
+            return Ok((g, report));
         }
         Analysis::Residual(r) => r,
     };
     let total = checked_total(r.total(), r.nulls.len(), pool.len(), limits)?;
     let sp = gov.tracer().span("residual_enum", gov.clock().now_ns());
-    let g = diamond_fold(
+    let mut g = diamond_fold(
         exec,
         gov,
         total,
@@ -537,19 +539,15 @@ pub fn maybe_answers_propagated(
         |w| r.rep_answers(setting, q, w),
     );
     sp.close(gov.clock().now_ns());
-    Ok((seed_diamond_upper_bound(g, q, &r.t, pool), r.report))
+    seed_diamond_upper_bound(&mut g, q, &r.t, pool);
+    Ok((g, r.report))
 }
 
 /// Upgrades an interrupted ◇ run's unbounded `Unknown` default to a
 /// finite bound pair via [`diamond_upper_bound`], when affordable.
-fn seed_diamond_upper_bound(
-    mut g: GovernedAnswers,
-    q: &Query,
-    t: &Instance,
-    pool: &[Symbol],
-) -> GovernedAnswers {
+fn seed_diamond_upper_bound(g: &mut GovernedAnswers, q: &Query, t: &Instance, pool: &[Symbol]) {
     if g.interrupt.is_none() || !matches!(g.default, Verdict::Unknown(_)) {
-        return g;
+        return;
     }
     if let Some((inside, refuted)) = diamond_upper_bound(q, t, pool) {
         debug_assert!(
@@ -562,7 +560,6 @@ fn seed_diamond_upper_bound(
         // contains, so they are definitely out.
         g.default = Verdict::False;
     }
-    g
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ use crate::modal::{
 use crate::possible::cq_is_maybe_answer;
 use crate::propagate::{certain_answers_propagated, maybe_answers_propagated, PropagationReport};
 use dex_chase::{ChaseBudget, ChaseError, ChaseSuccess};
-use dex_core::govern::{Governor, Interrupt, Verdict};
+use dex_core::govern::{Governor, Verdict};
 use dex_core::{Instance, Value};
 use dex_cwa::{cansol, cansol_class, CanSolClass, EnumLimits};
 use dex_logic::{Query, Setting};
@@ -118,29 +118,6 @@ impl fmt::Display for AnswerError {
 }
 
 impl std::error::Error for AnswerError {}
-
-/// Debug-mode audit of every modal answer the engine hands out: the
-/// verdict sets must satisfy [`GovernedAnswers::validate`].
-fn checked(g: GovernedAnswers) -> GovernedAnswers {
-    debug_assert!(
-        g.validate().is_ok(),
-        "inconsistent governed answers: {:?}",
-        g.validate()
-    );
-    g
-}
-
-/// The answer of a run `i` interrupted with only `proven` settled: every
-/// other tuple is unknown.
-fn interrupted(proven: Answers, i: Interrupt) -> GovernedAnswers {
-    GovernedAnswers {
-        proven,
-        refuted: Answers::new(),
-        undetermined: Answers::new(),
-        default: Verdict::Unknown(i.reason),
-        interrupt: Some(i),
-    }
-}
 
 /// A chase (or `CanSol` build) that hits an egd conflict proves that no
 /// solution exists; any other chase failure stays a chase error.
@@ -299,7 +276,7 @@ impl<'a> AnswerEngine<'a> {
             }
             EvalEngine::Oracle => certain_answers(setting, q, t, &pool, limits, gov, exec)?,
         };
-        ans.map(checked).ok_or(AnswerError::EmptyRep)
+        ans.ok_or(AnswerError::EmptyRep)
     }
 
     /// `◇Q(T)` under `gov`, on the configured evaluator and pool.
@@ -335,29 +312,25 @@ impl<'a> AnswerEngine<'a> {
                             // The membership test is per tuple, so every
                             // tuple before `n` is decided; only unexamined
                             // ones are unknown.
-                            let refuted = (0..n)
+                            let mut g = GovernedAnswers::unknown(i);
+                            g.refuted = (0..n)
                                 .map(tuple_at)
                                 .filter(|tuple| !out.contains(tuple))
                                 .collect();
-                            return Ok(checked(GovernedAnswers {
-                                proven: out,
-                                refuted,
-                                undetermined: Answers::new(),
-                                default: Verdict::Unknown(i.reason),
-                                interrupt: Some(i),
-                            }));
+                            g.proven = out;
+                            return Ok(g);
                         }
                         let tuple = tuple_at(n);
                         if disjuncts.iter().any(|cq| cq_is_maybe_answer(cq, t, &tuple)) {
                             out.insert(tuple);
                         }
                     }
-                    return Ok(checked(GovernedAnswers::complete(out)));
+                    return Ok(GovernedAnswers::complete(out));
                 }
             }
         }
         let (setting, limits, exec) = (self.setting, &self.config.modal_limits, &self.config.pool);
-        let ans = match self.config.engine {
+        Ok(match self.config.engine {
             EvalEngine::Propagate => {
                 let (ans, report) =
                     maybe_answers_propagated(setting, q, t, &pool, limits, gov, exec)?;
@@ -365,8 +338,7 @@ impl<'a> AnswerEngine<'a> {
                 ans
             }
             EvalEngine::Oracle => maybe_answers(setting, q, t, &pool, limits, gov, exec)?,
-        };
-        Ok(checked(ans))
+        })
     }
 
     /// All CWA-solutions, for the brute-force fallback, enumerated under
@@ -388,7 +360,7 @@ impl<'a> AnswerEngine<'a> {
             &self.config.pool,
         );
         if let Some(i) = stats.interrupted {
-            return Ok(Err(interrupted(Answers::new(), i)));
+            return Ok(Err(GovernedAnswers::unknown(i)));
         }
         if !stats.is_complete() {
             return Err(AnswerError::EnumerationTruncated);
@@ -428,7 +400,10 @@ impl<'a> AnswerEngine<'a> {
         semantics: Semantics,
         gov: &Governor,
     ) -> Result<GovernedAnswers, AnswerError> {
-        self.answers_governed_impl(q, semantics, gov).map(checked)
+        let g = self.answers_governed_impl(q, semantics, gov)?;
+        // Debug-mode audit of every answer the engine hands out.
+        debug_assert!(g.validate().is_ok(), "inconsistent: {:?}", g.validate());
+        Ok(g)
     }
 
     fn answers_governed_impl(
@@ -464,97 +439,24 @@ impl<'a> AnswerEngine<'a> {
                     // Theorem 7.1's restricted classes: certain⇓ = □Q(CanSol).
                     return self.box_q(q, can, gov);
                 }
-                // Brute force ⋂ over all CWA-solutions, folding partial
-                // verdicts: a tuple refuted by any fully-evaluated
-                // ⋂-factor is definitely False even after a trip.
-                let sols = match self.all_solutions(gov)? {
-                    Ok(sols) => sols,
-                    Err(partial) => return Ok(partial),
-                };
-                let mut candidates: Option<Answers> = None;
-                let mut refuted = Answers::new();
-                for t in &sols {
-                    let g = self.box_q(q, t, gov)?;
-                    if g.is_complete() {
-                        candidates = Some(match candidates.take() {
-                            None => g.proven,
-                            Some(prev) => {
-                                let kept: Answers = prev.intersection(&g.proven).cloned().collect();
-                                refuted.extend(prev.difference(&kept).cloned());
-                                kept
-                            }
-                        });
-                        continue;
-                    }
-                    // Interrupted inside this solution's □: classify the
-                    // surviving candidates through its partial verdicts.
-                    return Ok(match candidates.take() {
-                        None => {
-                            // First factor: its verdicts are exact for
-                            // this ⋂-prefix; no global bound exists yet
-                            // unless the factor itself established one.
-                            let mut undetermined = g.proven;
-                            undetermined.extend(g.undetermined);
-                            GovernedAnswers {
-                                proven: Answers::new(),
-                                refuted: g.refuted,
-                                undetermined,
-                                default: match g.default {
-                                    Verdict::True => unreachable!("□ never defaults to True"),
-                                    d => d,
-                                },
-                                interrupt: g.interrupt,
-                            }
-                        }
-                        Some(prev) => {
-                            let mut undetermined = Answers::new();
-                            for tuple in prev {
-                                match g.verdict(&tuple) {
-                                    Verdict::False => {
-                                        refuted.insert(tuple);
-                                    }
-                                    _ => {
-                                        undetermined.insert(tuple);
-                                    }
-                                }
-                            }
-                            GovernedAnswers {
-                                proven: Answers::new(),
-                                refuted,
-                                // A completed factor bounds the certain
-                                // set: tuples outside `prev` are False.
-                                undetermined,
-                                default: Verdict::False,
-                                interrupt: g.interrupt,
-                            }
-                        }
-                    });
+                // Brute force: certain⇓ is the ⋂ of □Q(T) over all
+                // CWA-solutions T.
+                match self.all_solutions(gov)? {
+                    Ok(sols) => GovernedAnswers::meet_all(&sols, |t| self.box_q(q, t, gov)),
+                    Err(partial) => Ok(partial),
                 }
-                Ok(GovernedAnswers::complete(
-                    candidates.expect("at least one CWA-solution"),
-                ))
             }
             Semantics::Maybe => {
                 if let Some(can) = self.cansol_traced(gov)? {
                     // Theorem 7.1's restricted classes: maybe⇑ = ◇Q(CanSol).
                     return self.diamond_q(q, can, gov);
                 }
-                let sols = match self.all_solutions(gov)? {
-                    Ok(sols) => sols,
-                    Err(partial) => return Ok(partial),
-                };
-                let mut proven = Answers::new();
-                for t in &sols {
-                    let g = self.diamond_q(q, t, gov)?;
-                    proven.extend(g.proven);
-                    if let Some(i) = g.interrupt {
-                        // Tuples found so far are maybe answers in some
-                        // solution; anything else might still appear in
-                        // an unexplored representative or solution.
-                        return Ok(interrupted(proven, i));
-                    }
+                // Brute force: maybe⇑ is the ∪ of ◇Q(T) over all
+                // CWA-solutions T.
+                match self.all_solutions(gov)? {
+                    Ok(sols) => GovernedAnswers::join_all(&sols, |t| self.diamond_q(q, t, gov)),
+                    Err(partial) => Ok(partial),
                 }
-                Ok(GovernedAnswers::complete(proven))
             }
         }
     }

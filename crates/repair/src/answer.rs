@@ -8,7 +8,7 @@
 //! certain answers — the mode strictly generalises, never disagrees.
 
 use crate::engine::{RepairEngine, RepairOutcome};
-use dex_core::govern::{Governor, Interrupt, Verdict};
+use dex_core::govern::{Governor, Interrupt, InterruptReason, Progress};
 use dex_core::Instance;
 use dex_logic::{Query, Setting};
 use dex_obs::JsonValue;
@@ -88,8 +88,9 @@ impl<'a> XrEngine<'a> {
     /// Runs the repair search (governed by `gov`) and caches the
     /// repairs. Fails only if the search was stopped before finding a
     /// single repair; an incomplete-but-nonempty repair set is usable —
-    /// governed answering then reports every tuple as undetermined
-    /// rather than proven. The search traces on `gov`'s tracer.
+    /// governed answering then proves nothing and leaves the survivors
+    /// of the intersection undetermined. The search traces on `gov`'s
+    /// tracer.
     pub fn new(
         setting: &'a Setting,
         source: &Instance,
@@ -142,7 +143,10 @@ impl<'a> XrEngine<'a> {
     /// a tuple is proven only when every repair of a *complete* repair
     /// set certified it; refuted as soon as any fully-evaluated repair
     /// rejects it (sound even over a partial repair set — adding
-    /// repairs only shrinks the intersection). One `xr_intersect` span
+    /// repairs only shrinks the intersection). The repairs combine by
+    /// [`GovernedAnswers::meet_all`]; a partial repair set meets one
+    /// all-`Unknown` factor for the repairs never decided, so its
+    /// `upper_bound()` is the intersection so far. One `xr_intersect` span
     /// covers the whole intersection and one `xr_factor` span each
     /// repair, on `gov`'s tracer and stamped from `gov`'s clock, so each
     /// factor's propagation stages nest under its `xr_factor` span.
@@ -155,9 +159,8 @@ impl<'a> XrEngine<'a> {
     }
 
     fn intersect_repairs(&self, q: &Query, gov: &Governor) -> Result<GovernedAnswers, XrError> {
-        let mut candidates: Option<Answers> = None;
-        let mut refuted = Answers::new();
-        for (repair, factor) in self.outcome.repairs.iter().zip(&self.factors) {
+        let factors = self.outcome.repairs.iter().zip(&self.factors);
+        let g = GovernedAnswers::meet_all(factors, |(repair, factor)| {
             let sp_factor = gov.tracer().span("xr_factor", gov.clock().now_ns());
             // The repair's chase target is a universal solution for its
             // kept source, so its core is the one a fresh chase would give.
@@ -171,76 +174,19 @@ impl<'a> XrEngine<'a> {
             });
             let g = engine.answers_governed(q, Semantics::Certain, gov);
             sp_factor.close(gov.clock().now_ns());
-            let g = g?;
-            if g.is_complete() {
-                candidates = Some(match candidates.take() {
-                    None => g.proven,
-                    Some(prev) => {
-                        let kept: Answers = prev.intersection(&g.proven).cloned().collect();
-                        refuted.extend(prev.difference(&kept).cloned());
-                        kept
-                    }
-                });
-                continue;
-            }
-            // Interrupted inside this repair's evaluation: surviving
-            // candidates are undetermined; its own refutations stand.
-            let interrupt = g.interrupt;
-            let mut undetermined = Answers::new();
-            match candidates.take() {
-                None => {
-                    undetermined.extend(g.proven);
-                    undetermined.extend(g.undetermined);
-                    refuted.extend(g.refuted);
-                }
-                Some(prev) => {
-                    for tuple in prev {
-                        match g.verdict(&tuple) {
-                            Verdict::False => {
-                                refuted.insert(tuple);
-                            }
-                            _ => {
-                                undetermined.insert(tuple);
-                            }
-                        }
-                    }
-                }
-            }
-            return Ok(GovernedAnswers {
-                proven: Answers::new(),
-                refuted,
-                undetermined,
-                default: Verdict::Unknown(
-                    interrupt
-                        .as_ref()
-                        .map(|i| i.reason)
-                        .unwrap_or(dex_core::govern::InterruptReason::Cancelled),
-                ),
-                interrupt,
-            });
-        }
-        let certain = candidates.expect("XrEngine holds at least one repair");
+            g
+        })?;
         if self.outcome.complete {
-            let mut g = GovernedAnswers::complete(certain);
-            g.refuted = refuted;
             return Ok(g);
         }
-        // Partial repair set: unexplored repairs can only remove
-        // tuples, so the intersection so far is an upper bound —
-        // nothing is proven, survivors are undetermined.
-        Ok(GovernedAnswers {
-            proven: Answers::new(),
-            refuted,
-            undetermined: certain,
-            default: Verdict::Unknown(
-                self.outcome
-                    .interrupt
-                    .as_ref()
-                    .map(|i| i.reason)
-                    .unwrap_or(dex_core::govern::InterruptReason::Cancelled),
-            ),
-            interrupt: self.outcome.interrupt,
-        })
+        // Partial repair set: the repairs the search never decided are
+        // one all-Unknown factor. Without an interrupt the search stopped
+        // on a candidate chase that exhausted its budget.
+        let i = self.outcome.interrupt.unwrap_or(Interrupt {
+            reason: InterruptReason::Fuel,
+            progress: Progress::default(),
+        });
+        Ok(g.meet(GovernedAnswers::unknown(i)))
     }
 
     /// A JSON summary of the engine state (repairs + search stats).
