@@ -245,6 +245,17 @@ DEX_BENCH_SMOKE=1 DEX_BENCH_OUT="$PWD/target/bench-smoke" \
   cargo bench -q --locked --offline -p dex-bench --bench incremental
 test -f target/bench-smoke/BENCH_inc.json || { echo "incremental bench did not write target/bench-smoke/BENCH_inc.json"; exit 1; }
 grep -q '"resume_vs_rechase"' BENCH_inc.json || { echo "committed BENCH_inc.json does not record resume-vs-rechase rows"; exit 1; }
+# As for the par bench, an unarmed or failing >=10x gate must be loud:
+# the dump records whether the gate armed and, per 1% row, whether it
+# was met, and every CI run names the rows of the committed baseline
+# that miss it.
+grep -q '"gate_armed"' BENCH_inc.json || { echo "committed BENCH_inc.json does not record gate_armed"; exit 1; }
+grep -q '"gate_met": \(true\|false\)' BENCH_inc.json || { echo "committed BENCH_inc.json does not record gate_met on its 1% rows"; exit 1; }
+if grep -q '"gate_armed": false' BENCH_inc.json; then
+  echo "GATE UNARMED: committed BENCH_inc.json was recorded without the >=10x resume gate (smoke run)"
+fi
+awk -F': ' '/"bench"/ { b = $2 } /"speedup"/ { s = $2 }
+  /"gate_met": false/ { gsub(/[",]/, "", b); gsub(/,/, "", s); printf "GATE FAILING: %s %.1fx < 10x\n", b, s }' BENCH_inc.json
 
 echo "== bench smoke (tiny sizes; any panic fails the run) =="
 # Includes the chase naive-vs-delta ablation, whose ChaseStats invariant

@@ -32,7 +32,16 @@ struct IncRow {
     atoms_rederived: usize,
 }
 
+/// The batch rate at which resume must beat re-chase by [`GATE_SPEEDUP`].
+const GATE_RATE: f64 = 0.01;
+const GATE_SPEEDUP: f64 = 10.0;
+
 impl IncRow {
+    /// `Some(met)` on the rows the speedup gate judges.
+    fn gate_met(&self) -> Option<bool> {
+        (self.rate == GATE_RATE).then(|| self.speedup() >= GATE_SPEEDUP)
+    }
+
     fn speedup(&self) -> f64 {
         if self.resume_median_ns == 0 {
             return f64::INFINITY;
@@ -167,9 +176,10 @@ fn measurement_json(m: &Measurement) -> JsonValue {
         .with("runs", JsonValue::uint(m.samples_ns.len() as u64))
 }
 
-fn dump_json(measurements: &[Measurement], rows: &[IncRow]) {
+fn dump_json(measurements: &[Measurement], rows: &[IncRow], gate_armed: bool) {
     let doc = JsonValue::obj()
         .with("group", JsonValue::str("incremental"))
+        .with("gate_armed", JsonValue::Bool(gate_armed))
         .with(
             "benches",
             JsonValue::Arr(measurements.iter().map(measurement_json).collect()),
@@ -190,6 +200,10 @@ fn dump_json(measurements: &[Measurement], rows: &[IncRow]) {
                             .with("speedup", JsonValue::Float(r.speedup()))
                             .with("atoms_retracted", JsonValue::uint(r.atoms_retracted as u64))
                             .with("atoms_rederived", JsonValue::uint(r.atoms_rederived as u64))
+                            .with(
+                                "gate_met",
+                                r.gate_met().map_or(JsonValue::Null, JsonValue::Bool),
+                            )
                     })
                     .collect(),
             ),
@@ -221,17 +235,18 @@ fn main() {
             r.atoms_rederived
         );
     }
-    // The rows are written before the gate is checked, so a failing
-    // gate still leaves its measurements behind.
+    // The resume-vs-re-chase gate arms on full runs only: the smoke
+    // sizes are too tiny for the ratio to be meaningful. The rows, and
+    // whether each gated row met the gate, are written before the gate
+    // is checked, so a failing gate still leaves its measurements behind.
+    let gate_armed = !smoke();
     let measurements = h.results().to_vec();
-    dump_json(&measurements, &rows);
-    if !smoke() {
-        // The resume-vs-re-chase gate, asserted on full runs only: the smoke
-        // sizes are too tiny for the ratio to be meaningful.
-        for r in rows.iter().filter(|r| r.rate == 0.01) {
+    dump_json(&measurements, &rows, gate_armed);
+    if gate_armed {
+        for r in &rows {
             assert!(
-                r.speedup() >= 10.0,
-                "perf gate: {} resumed only {:.1}x faster than re-chase (need 10x)",
+                r.gate_met() != Some(false),
+                "perf gate: {} resumed only {:.1}x faster than re-chase (need {GATE_SPEEDUP}x)",
                 r.bench,
                 r.speedup()
             );

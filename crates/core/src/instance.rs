@@ -123,46 +123,38 @@ impl Relation {
         }
     }
 
-    /// Exact number of candidate rows an index probe for `pattern` would
-    /// visit: the smallest bound-position bucket, or the live row count
-    /// when the pattern is all-wildcard.
-    fn candidate_count(&self, pattern: &[Option<Value>]) -> usize {
-        pattern
-            .iter()
-            .enumerate()
-            .filter_map(|(pos, v)| v.map(|v| self.index.get(&(pos as u32, v)).map_or(0, Vec::len)))
-            .min()
-            .unwrap_or(self.live)
-    }
-
-    /// Iterates over rows matching `pattern` (a `None` entry is a wildcard).
-    /// Picks the most selective bound position's index bucket, then filters.
-    fn rows_matching<'a>(
-        &'a self,
-        pattern: &'a [Option<Value>],
-    ) -> Box<dyn Iterator<Item = &'a [Value]> + 'a> {
+    /// The rows an index probe for `pattern` visits: the smallest
+    /// bound-position bucket (the first such position on ties), or every
+    /// live row when the pattern is all-wildcard. One hash lookup per
+    /// bound position; the bucket is handed over, not filtered.
+    fn probe(&self, pattern: &[Option<Value>]) -> Candidates<'_> {
         debug_assert_eq!(pattern.len(), self.arity);
-        let best = pattern
-            .iter()
-            .enumerate()
-            .filter_map(|(pos, v)| v.map(|v| (pos as u32, v)))
-            .map(|key| (self.index.get(&key).map_or(0, Vec::len), key))
-            .min();
-        match best {
-            Some((_, key)) => {
-                let bucket = self.index.get(&key).map(Vec::as_slice).unwrap_or(&[]);
-                Box::new(
-                    bucket
-                        .iter()
-                        .map(move |&i| {
-                            self.rows[i as usize]
-                                .as_deref()
-                                .expect("index bucket points at tombstone")
-                        })
-                        .filter(move |row| Self::row_matches(row, pattern)),
-                )
+        let mut best: Option<&[u32]> = None;
+        for (pos, v) in pattern.iter().enumerate() {
+            let Some(v) = *v else { continue };
+            let bucket = self
+                .index
+                .get(&(pos as u32, v))
+                .map_or(&[][..], Vec::as_slice);
+            if best.is_none_or(|b| bucket.len() < b.len()) {
+                best = Some(bucket);
+                if bucket.is_empty() {
+                    break;
+                }
             }
-            None => Box::new(self.live_rows()),
+        }
+        match best {
+            Some(ids) => Candidates {
+                len: ids.len(),
+                walk: Walk::Bucket {
+                    rows: &self.rows,
+                    ids: ids.iter(),
+                },
+            },
+            None => Candidates {
+                len: self.live,
+                walk: Walk::Log(self.rows.iter()),
+            },
         }
     }
 
@@ -170,6 +162,59 @@ impl Relation {
         row.iter()
             .zip(pattern)
             .all(|(&v, p)| p.is_none_or(|pv| pv == v))
+    }
+}
+
+/// The candidate rows of one index probe ([`Instance::probe`]), borrowed
+/// from the instance in row-log order. Every row matching the probed
+/// pattern is among them; rows that do not match may be too, so callers
+/// still check each row against the pattern.
+pub struct Candidates<'a> {
+    len: usize,
+    walk: Walk<'a>,
+}
+
+enum Walk<'a> {
+    Bucket {
+        rows: &'a [Option<Box<[Value]>>],
+        ids: std::slice::Iter<'a, u32>,
+    },
+    Log(std::slice::Iter<'a, Option<Box<[Value]>>>),
+}
+
+impl<'a> Candidates<'a> {
+    /// The probe's candidates with no rows: a relation that is absent or
+    /// used at another arity.
+    fn none() -> Candidates<'a> {
+        Candidates {
+            len: 0,
+            walk: Walk::Log([].iter()),
+        }
+    }
+
+    /// The number of rows the probe visits, fixed when it was made: the
+    /// bucket length, or the live row count of an all-wildcard probe.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+impl<'a> Iterator for Candidates<'a> {
+    type Item = &'a [Value];
+
+    fn next(&mut self) -> Option<&'a [Value]> {
+        match &mut self.walk {
+            Walk::Bucket { rows, ids } => ids.next().map(|&i| {
+                rows[i as usize]
+                    .as_deref()
+                    .expect("index bucket points at tombstone")
+            }),
+            Walk::Log(rows) => rows.find_map(|r| r.as_deref()),
+        }
     }
 }
 
@@ -351,26 +396,24 @@ impl Instance {
         self.rels.get(&rel).filter(|r| r.live > 0).map(|r| r.arity)
     }
 
+    /// The candidate rows for `pattern` (`None` = wildcard) in `rel`, from
+    /// one index probe: the scoring count ([`Candidates::len`]) and the
+    /// rows to visit come from the same bucket lookup.
+    pub fn probe(&self, rel: Symbol, pattern: &[Option<Value>]) -> Candidates<'_> {
+        match self.rels.get(&rel) {
+            Some(r) if r.arity == pattern.len() => r.probe(pattern),
+            _ => Candidates::none(),
+        }
+    }
+
     /// Iterates over tuples of `rel` matching `pattern` (`None` = wildcard).
     pub fn rows_matching<'a>(
         &'a self,
         rel: Symbol,
         pattern: &'a [Option<Value>],
-    ) -> Box<dyn Iterator<Item = &'a [Value]> + 'a> {
-        match self.rels.get(&rel) {
-            Some(r) if r.arity == pattern.len() => r.rows_matching(pattern),
-            _ => Box::new(std::iter::empty()),
-        }
-    }
-
-    /// Exact number of rows an index probe for `pattern` would visit:
-    /// the smallest index bucket over the bound positions (the live row
-    /// count if none is bound). O(bound positions); never scans rows.
-    pub fn candidate_count(&self, rel: Symbol, pattern: &[Option<Value>]) -> usize {
-        match self.rels.get(&rel) {
-            Some(r) if r.arity == pattern.len() => r.candidate_count(pattern),
-            _ => 0,
-        }
+    ) -> impl Iterator<Item = &'a [Value]> + 'a {
+        self.probe(rel, pattern)
+            .filter(move |row| Relation::row_matches(row, pattern))
     }
 
     /// Replaces every occurrence of `from` by `to` *in place* (egd
@@ -688,7 +731,7 @@ mod tests {
         // Index buckets no longer reach the removed row.
         let pat = [Some(v("a")), None];
         assert_eq!(i.rows_matching(Symbol::intern("E"), &pat).count(), 1);
-        assert_eq!(i.candidate_count(Symbol::intern("E"), &pat), 1);
+        assert_eq!(i.probe(Symbol::intern("E"), &pat).len(), 1);
         // Removing again (or removing an absent/misshapen atom) is a no-op.
         let gen1 = i.generation();
         assert!(!i.remove(&Atom::of("E", vec![v("a"), v("b")])));
@@ -746,16 +789,43 @@ mod tests {
     }
 
     #[test]
-    fn candidate_count_is_exact_bucket_length() {
+    fn probe_len_is_exact_bucket_length() {
         let i = sample();
         let e = Symbol::intern("E");
-        assert_eq!(i.candidate_count(e, &[Some(v("a")), None]), 2);
-        assert_eq!(i.candidate_count(e, &[None, Some(v("b"))]), 1);
-        assert_eq!(i.candidate_count(e, &[None, None]), 2);
-        assert_eq!(i.candidate_count(e, &[Some(v("zzz")), None]), 0);
-        assert_eq!(i.candidate_count(Symbol::intern("Zzz"), &[None]), 0);
+        assert_eq!(i.probe(e, &[Some(v("a")), None]).len(), 2);
+        assert_eq!(i.probe(e, &[None, Some(v("b"))]).len(), 1);
+        assert_eq!(i.probe(e, &[None, None]).len(), 2);
+        assert_eq!(i.probe(e, &[Some(v("zzz")), None]).len(), 0);
+        assert_eq!(i.probe(Symbol::intern("Zzz"), &[None]).len(), 0);
         // Wrong arity: no candidates, matching rows_matching.
-        assert_eq!(i.candidate_count(e, &[None]), 0);
+        assert_eq!(i.probe(e, &[None]).len(), 0);
+    }
+
+    #[test]
+    fn probe_hands_over_the_scored_bucket_unfiltered() {
+        let mut i = sample();
+        let e = Symbol::intern("E");
+        let rows = |i: &Instance, pat: &[Option<Value>]| -> Vec<Vec<Value>> {
+            let probe = i.probe(e, pat);
+            let len = probe.len();
+            let rows: Vec<Vec<Value>> = probe.map(<[Value]>::to_vec).collect();
+            assert_eq!(rows.len(), len);
+            rows
+        };
+        // Both bound buckets hold one row: the first position's bucket
+        // wins the tie and is handed over as is, although its one row
+        // E(c,b) does not match the pattern.
+        i.insert(Atom::of("E", vec![v("c"), v("b")]));
+        i.insert(Atom::of("E", vec![v("a"), v("d")]));
+        assert_eq!(
+            rows(&i, &[Some(v("c")), Some(v("d"))]),
+            vec![vec![v("c"), v("b")]]
+        );
+        // An all-wildcard probe walks the row log past tombstones.
+        i.merge_value(v("d"), v("e"));
+        let all = rows(&i, &[None, None]);
+        assert_eq!(all.len(), i.rows_of_len(e));
+        assert_eq!(all.last(), Some(&vec![v("a"), v("e")]));
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use govern::{
 pub use homomorphism::{
     find_homomorphism, has_homomorphism, hom_equivalent, HomFinder, Homomorphism,
 };
-pub use instance::{DeltaCursor, Instance};
+pub use instance::{Candidates, DeltaCursor, Instance};
 pub use isomorphism::{dedup_up_to_iso, iso_signature, isomorphic, IsoDeduper};
 pub use schema::{Schema, SchemaError};
 pub use symbol::Symbol;

@@ -63,19 +63,28 @@ pub fn cansol(
             //    once with fresh nulls (no target tgds exist). The target
             //    is built alone: the schemas are disjoint and the egds
             //    mention target relations only.
+            //    The s-t matches stream from the source while the target
+            //    is written.
             let mut inst = Instance::new();
             let mut nulls = NullGen::above(source.values());
+            let mut full = dex_logic::Assignment::new();
             for tgd in &setting.st_tgds {
-                for env in tgd.body.matches(source) {
-                    gov.check()?;
-                    let mut full = env.clone();
+                let mut checked = Ok(());
+                tgd.body.for_each_match(source, &mut |env| {
+                    checked = gov.check();
+                    if checked.is_err() {
+                        return false;
+                    }
+                    full.clone_from(env);
                     for &z in &tgd.exist_vars {
                         full.bind(z, nulls.fresh_value());
                     }
                     for atom in tgd.instantiate_head(&full) {
                         inst.insert(atom);
                     }
-                }
+                    true
+                });
+                checked?;
             }
             // 2. Egd merging to fixpoint, in place: each violation the
             //    scan finds is resolved by the footnote-4 policy (the raw

@@ -69,6 +69,18 @@ impl Body {
         }
     }
 
+    /// Calls `f` on each match of the body in `inst`, in [`Body::matches`]
+    /// order, until `f` returns `false`; returns `false` iff stopped
+    /// early. Conjunctive bodies stream from the matcher, so a stopped
+    /// run never builds the matches it skips; FO bodies are collected
+    /// first.
+    pub fn for_each_match(&self, inst: &Instance, f: &mut dyn FnMut(&Assignment) -> bool) -> bool {
+        match self {
+            Body::Conj(atoms) => matcher::for_each_match(atoms, inst, &Assignment::new(), f),
+            Body::Fo(_) => self.matches(inst).iter().all(f),
+        }
+    }
+
     /// Like [`Body::matches`], but FO bodies evaluate against a
     /// caller-precomputed [`quantification_domain`] — chase loops that
     /// re-match the same body against the same instance several times per
@@ -308,9 +320,7 @@ impl Tgd {
     /// `S ∪ T`; for target tgds both are `T`).
     pub fn satisfied_across(&self, body_inst: &Instance, head_inst: &Instance) -> bool {
         self.body
-            .matches(body_inst)
-            .iter()
-            .all(|env| self.head_holds(head_inst, env))
+            .for_each_match(body_inst, &mut |env| self.head_holds(head_inst, env))
     }
 
     /// `inst ⊨ d` with body and head over the same instance.
@@ -405,10 +415,14 @@ impl Egd {
 
     /// Enumerates body matches violating the equality.
     pub fn violations(&self, inst: &Instance) -> Vec<Assignment> {
-        matcher::all_matches(&self.body, inst, &Assignment::new())
-            .into_iter()
-            .filter(|env| env.get(self.lhs) != env.get(self.rhs))
-            .collect()
+        let mut out = Vec::new();
+        matcher::for_each_match(&self.body, inst, &Assignment::new(), &mut |env| {
+            if env.get(self.lhs) != env.get(self.rhs) {
+                out.push(env.clone());
+            }
+            true
+        });
+        out
     }
 
     /// `inst ⊨ d`.

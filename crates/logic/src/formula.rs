@@ -9,7 +9,7 @@
 //! constants named in the formula, as the paper's footnote 2 requires.
 
 use dex_core::{Instance, Symbol, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A first-order variable (an interned name).
@@ -307,10 +307,26 @@ impl fmt::Debug for Formula {
     }
 }
 
-/// A variable assignment `α`.
-#[derive(Clone, Default, PartialEq, Eq)]
+/// A variable assignment `α`: its bindings as one vector sorted by
+/// variable, so a lookup is a binary search over a few words and
+/// binding allocates only when the vector outgrows its capacity.
+#[derive(Default, PartialEq, Eq)]
 pub struct Assignment {
-    map: BTreeMap<Var, Value>,
+    binds: Vec<(Var, Value)>,
+}
+
+impl Clone for Assignment {
+    fn clone(&self) -> Assignment {
+        Assignment {
+            binds: self.binds.clone(),
+        }
+    }
+
+    /// Reuses `self`'s buffer: a loop that copies each match into one
+    /// scratch assignment allocates once.
+    fn clone_from(&mut self, source: &Assignment) {
+        self.binds.clone_from(&source.binds);
+    }
 }
 
 impl Assignment {
@@ -318,22 +334,42 @@ impl Assignment {
         Assignment::default()
     }
 
-    pub fn from_bindings(map: impl IntoIterator<Item = (Var, Value)>) -> Assignment {
+    /// An assignment with room for `n` bindings.
+    pub(crate) fn with_capacity(n: usize) -> Assignment {
         Assignment {
-            map: map.into_iter().collect(),
+            binds: Vec::with_capacity(n),
         }
     }
 
+    /// The assignment binding each variable to the last value it is
+    /// paired with.
+    pub fn from_bindings(map: impl IntoIterator<Item = (Var, Value)>) -> Assignment {
+        let mut out = Assignment::new();
+        for (v, val) in map {
+            out.bind(v, val);
+        }
+        out
+    }
+
+    fn slot(&self, v: Var) -> Result<usize, usize> {
+        self.binds.binary_search_by_key(&v, |&(w, _)| w)
+    }
+
     pub fn bind(&mut self, v: Var, val: Value) {
-        self.map.insert(v, val);
+        match self.slot(v) {
+            Ok(i) => self.binds[i].1 = val,
+            Err(i) => self.binds.insert(i, (v, val)),
+        }
     }
 
     pub fn unbind(&mut self, v: Var) {
-        self.map.remove(&v);
+        if let Ok(i) = self.slot(v) {
+            self.binds.remove(i);
+        }
     }
 
     pub fn get(&self, v: Var) -> Option<Value> {
-        self.map.get(&v).copied()
+        self.slot(v).ok().map(|i| self.binds[i].1)
     }
 
     /// Resolves a term: constants to themselves, variables via the map.
@@ -345,16 +381,17 @@ impl Assignment {
         }
     }
 
+    /// The bindings in variable order.
     pub fn bindings(&self) -> impl Iterator<Item = (Var, Value)> + '_ {
-        self.map.iter().map(|(&v, &val)| (v, val))
+        self.binds.iter().copied()
     }
 
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.binds.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.binds.is_empty()
     }
 }
 

@@ -9,7 +9,10 @@
 //! instance's position indexes.
 
 use crate::formula::{Assignment, FAtom, Term, Var};
-use dex_core::{Instance, Value};
+use dex_core::{Candidates, Instance, Value};
+
+#[cfg(test)]
+mod reference;
 
 /// Calls `f` for every assignment extending `base` that maps all `atoms`
 /// into `inst`. `f` returns `false` to stop the enumeration early.
@@ -20,9 +23,7 @@ pub fn for_each_match(
     base: &Assignment,
     f: &mut dyn FnMut(&Assignment) -> bool,
 ) -> bool {
-    let mut env = base.clone();
-    let mut pending: Vec<usize> = (0..atoms.len()).collect();
-    solve(atoms, inst, &mut env, &mut pending, f)
+    Search::new(atoms, inst, base, None, f).solve()
 }
 
 /// All assignments extending `base` that map `atoms` into `inst`.
@@ -73,102 +74,136 @@ pub fn for_each_match_seeded(
     base: &Assignment,
     f: &mut dyn FnMut(&Assignment) -> bool,
 ) -> bool {
-    let seed = &atoms[seed_idx];
-    if seed.args.len() != row.len() {
+    if atoms[seed_idx].args.len() != row.len() {
         return true;
     }
-    let mut env = base.clone();
-    let Some(newly) = try_unify(seed, row, &mut env) else {
-        return true;
-    };
-    let mut pending: Vec<usize> = (0..atoms.len()).filter(|&i| i != seed_idx).collect();
-    let keep_going = solve(atoms, inst, &mut env, &mut pending, f);
-    for v in newly {
-        env.unbind(v);
-    }
-    keep_going
+    let mut search = Search::new(atoms, inst, base, Some(seed_idx), f);
+    !search.unify(&atoms[seed_idx], row) || search.solve()
 }
 
-fn pattern(atom: &FAtom, env: &Assignment) -> Vec<Option<Value>> {
-    atom.args
-        .iter()
-        .map(|&t| match t {
-            Term::Const(c) => Some(Value::Const(c)),
-            Term::Var(v) => env.get(v),
-        })
-        .collect()
+/// Atoms up to this arity build their index-probe pattern on the stack.
+const STACK_ARITY: usize = 8;
+
+/// One backtracking join. The rows it tries are borrowed from `inst`'s
+/// index buckets; every binding goes into `env` and onto `trail`, and a
+/// level undoes its row's bindings by popping the trail back to where
+/// the row started. Past the per-call setup nothing is allocated (atoms
+/// wider than [`STACK_ARITY`] aside).
+struct Search<'a, 'f> {
+    atoms: &'a [FAtom],
+    inst: &'a Instance,
+    env: Assignment,
+    /// The variables bound by the rows currently on the search path, in
+    /// binding order.
+    trail: Vec<Var>,
+    /// Indexes of the atoms not yet matched on the current path.
+    pending: Vec<usize>,
+    f: &'f mut dyn FnMut(&Assignment) -> bool,
 }
 
-fn solve(
-    atoms: &[FAtom],
-    inst: &Instance,
-    env: &mut Assignment,
-    pending: &mut Vec<usize>,
-    f: &mut dyn FnMut(&Assignment) -> bool,
-) -> bool {
-    if pending.is_empty() {
-        return f(env);
+impl<'a, 'f> Search<'a, 'f> {
+    fn new(
+        atoms: &'a [FAtom],
+        inst: &'a Instance,
+        base: &Assignment,
+        seeded: Option<usize>,
+        f: &'f mut dyn FnMut(&Assignment) -> bool,
+    ) -> Search<'a, 'f> {
+        let width: usize = atoms.iter().map(|a| a.args.len()).sum();
+        let mut env = Assignment::with_capacity(base.len() + width);
+        for (v, val) in base.bindings() {
+            env.bind(v, val);
+        }
+        Search {
+            atoms,
+            inst,
+            env,
+            trail: Vec::with_capacity(width),
+            pending: (0..atoms.len()).filter(|&i| Some(i) != seeded).collect(),
+            f,
+        }
     }
-    // Fail-first: pick the pending atom with fewest candidates, scored
-    // by the exact index-bucket length (O(1) per bound position — a
-    // truncated `rows_matching` count would make every atom with many
-    // candidates tie and degrade selection to declaration order).
-    let (slot, _) = pending
-        .iter()
-        .enumerate()
-        .map(|(slot, &i)| {
-            let pat = pattern(&atoms[i], env);
-            (slot, inst.candidate_count(atoms[i].rel, &pat))
-        })
-        .min_by_key(|&(_, c)| c)
-        .expect("pending non-empty");
-    let chosen = pending.swap_remove(slot);
-    let atom = &atoms[chosen];
-    let pat = pattern(atom, env);
-    let rows: Vec<Vec<Value>> = inst
-        .rows_matching(atom.rel, &pat)
-        .map(|r| r.to_vec())
-        .collect();
-    let mut keep_going = true;
-    for row in rows {
-        if let Some(newly) = try_unify(atom, &row, env) {
-            keep_going = solve(atoms, inst, env, pending, f);
-            for v in newly {
-                env.unbind(v);
+
+    fn solve(&mut self) -> bool {
+        if self.pending.is_empty() {
+            return (self.f)(&self.env);
+        }
+        // Fail-first: pick the pending atom with fewest candidates, scored
+        // by the exact index-bucket length (a truncated row count would
+        // make every atom with many candidates tie and degrade selection
+        // to declaration order). The first atom wins a tie, and the probe
+        // that scored the winner hands over its rows.
+        let mut best: Option<(usize, Candidates<'a>)> = None;
+        for (slot, &i) in self.pending.iter().enumerate() {
+            let rows = probe(self.inst, &self.atoms[i], &self.env);
+            if best.as_ref().is_none_or(|(_, b)| rows.len() < b.len()) {
+                let empty = rows.is_empty();
+                best = Some((slot, rows));
+                if empty {
+                    break;
+                }
             }
+        }
+        let (slot, rows) = best.expect("pending non-empty");
+        let chosen = self.pending.swap_remove(slot);
+        let atom = &self.atoms[chosen];
+        let mut keep_going = true;
+        for row in rows {
+            let mark = self.trail.len();
+            if self.unify(atom, row) {
+                keep_going = self.solve();
+            }
+            self.undo(mark);
             if !keep_going {
                 break;
             }
         }
+        self.pending.push(chosen);
+        let last = self.pending.len() - 1;
+        self.pending.swap(slot, last);
+        keep_going
     }
-    pending.push(chosen);
-    let last = pending.len() - 1;
-    pending.swap(slot, last);
-    keep_going
-}
 
-fn try_unify(atom: &FAtom, row: &[Value], env: &mut Assignment) -> Option<Vec<Var>> {
-    let mut newly: Vec<Var> = Vec::new();
-    for (&t, &val) in atom.args.iter().zip(row) {
-        let ok = match t {
+    /// Extends `env` so that `atom` maps onto `row`, trailing each new
+    /// binding. On `false` the caller undoes the partial bindings.
+    fn unify(&mut self, atom: &FAtom, row: &[Value]) -> bool {
+        atom.args.iter().zip(row).all(|(&t, &val)| match t {
             Term::Const(c) => Value::Const(c) == val,
-            Term::Var(v) => match env.get(v) {
+            Term::Var(v) => match self.env.get(v) {
                 Some(bound) => bound == val,
                 None => {
-                    env.bind(v, val);
-                    newly.push(v);
+                    self.env.bind(v, val);
+                    self.trail.push(v);
                     true
                 }
             },
-        };
-        if !ok {
-            for v in newly {
-                env.unbind(v);
-            }
-            return None;
+        })
+    }
+
+    /// Unbinds every variable trailed since `mark`.
+    fn undo(&mut self, mark: usize) {
+        for v in self.trail.drain(mark..) {
+            self.env.unbind(v);
         }
     }
-    Some(newly)
+}
+
+/// Probes `inst` for the rows `atom` can map onto under `env`, with the
+/// pattern (constants and bound variables; `None` elsewhere) on the stack.
+fn probe<'a>(inst: &'a Instance, atom: &FAtom, env: &Assignment) -> Candidates<'a> {
+    let mut stack = [None; STACK_ARITY];
+    let mut heap = Vec::new();
+    let pattern: &mut [Option<Value>] = match atom.args.len() {
+        n if n <= STACK_ARITY => &mut stack[..n],
+        n => {
+            heap.resize(n, None);
+            &mut heap
+        }
+    };
+    for (p, &t) in pattern.iter_mut().zip(&atom.args) {
+        *p = env.term(t);
+    }
+    inst.probe(atom.rel, pattern)
 }
 
 #[cfg(test)]
@@ -332,6 +367,197 @@ mod tests {
             seen.len(),
             all_matches(&atoms, &i, &Assignment::new()).len()
         );
+    }
+
+    /// What one differential case exercised; every field must be hit by
+    /// some seed.
+    #[derive(Default)]
+    struct Coverage {
+        nullary: usize,
+        wide: usize,
+        repeated: usize,
+        constants: usize,
+        based: usize,
+        seeded: usize,
+        stopped: usize,
+    }
+
+    /// Relations `(name, arity)`: a nullary one, three narrow ones and
+    /// one wider than the stack pattern.
+    const RELS: [(&str, usize); 5] = [
+        ("Z", 0),
+        ("P", 1),
+        ("E", 2),
+        ("T", 3),
+        ("W", STACK_ARITY + 2),
+    ];
+
+    fn random_value(rng: &mut dex_testkit::rng::TestRng) -> Value {
+        match rng.gen_range(0..5u32) {
+            0 => Value::konst("a"),
+            1 => Value::konst("b"),
+            2 => Value::konst("c"),
+            3 => Value::null(1),
+            _ => Value::null(2),
+        }
+    }
+
+    /// A random instance over [`RELS`], with a merge that leaves
+    /// tombstones in the row logs about half the time.
+    fn random_instance(rng: &mut dex_testkit::rng::TestRng) -> Instance {
+        let mut i = Instance::new();
+        for (rel, arity) in RELS {
+            for _ in 0..rng.gen_range(0..10usize) {
+                let row: Vec<Value> = (0..arity).map(|_| random_value(rng)).collect();
+                i.insert(Atom::of(rel, row));
+            }
+        }
+        if rng.gen_bool(0.5) {
+            i.merge_value(Value::null(1), Value::konst("a"));
+        }
+        i
+    }
+
+    /// A random conjunction of 1–4 atoms. Half the atoms abstract an
+    /// existing row (equal values share a variable across the body, so
+    /// the body joins and has matches); the rest draw variables from a
+    /// small pool. Either way a position keeps its constant 1 time in 5.
+    fn random_body(rng: &mut dex_testkit::rng::TestRng, inst: &Instance) -> Vec<FAtom> {
+        let mut named: Vec<(Value, Var)> = Vec::new();
+        let mut body = Vec::new();
+        for _ in 0..rng.gen_range(1..5usize) {
+            let (rel, arity) = RELS[rng.gen_range(0..RELS.len())];
+            let rows: Vec<&[Value]> = inst.rows_of(dex_core::Symbol::intern(rel)).collect();
+            let from_row = rng.gen_bool(0.5) && !rows.is_empty();
+            let row: Vec<Value> = if from_row {
+                rows[rng.gen_range(0..rows.len())].to_vec()
+            } else {
+                (0..arity).map(|_| random_value(rng)).collect()
+            };
+            let args = row
+                .iter()
+                .map(|&val| match val {
+                    Value::Const(c) if rng.gen_bool(0.2) => Term::Const(c),
+                    _ if !from_row => Term::Var(Var::new(&format!("v{}", rng.gen_range(0..4u32)))),
+                    _ => match named.iter().find(|&&(w, _)| w == val) {
+                        Some(&(_, v)) => Term::Var(v),
+                        None => {
+                            let v = Var::new(&format!("x{}", named.len()));
+                            named.push((val, v));
+                            Term::Var(v)
+                        }
+                    },
+                })
+                .collect();
+            body.push(FAtom {
+                rel: dex_core::Symbol::intern(rel),
+                args,
+            });
+        }
+        body
+    }
+
+    /// The matches `run` emits, stopping after `stop_after` of them.
+    fn collect(
+        stop_after: usize,
+        run: impl FnOnce(&mut dyn FnMut(&Assignment) -> bool) -> bool,
+    ) -> (Vec<Assignment>, bool) {
+        let mut out = Vec::new();
+        let finished = run(&mut |env| {
+            out.push(env.clone());
+            out.len() < stop_after
+        });
+        (out, finished)
+    }
+
+    fn differential_case(seed: u64, cov: &mut Coverage) {
+        let mut rng = dex_testkit::rng::TestRng::seed_from_u64(seed);
+        let inst = random_instance(&mut rng);
+        let body = random_body(&mut rng, &inst);
+        let mut base = Assignment::new();
+        if rng.gen_bool(0.3) {
+            let v = body.iter().flat_map(|a| a.vars()).next();
+            if let Some(v) = v {
+                base.bind(v, random_value(&mut rng));
+            }
+        }
+        let ctx = format!("seed {seed}: body {body:?}, base {base:?}");
+        let (all, done) = collect(usize::MAX, |f| for_each_match(&body, &inst, &base, f));
+        let (want, want_done) = collect(usize::MAX, |f| {
+            reference::for_each_match(&body, &inst, &base, f)
+        });
+        assert_eq!(all, want, "{ctx}");
+        assert!(done && want_done, "{ctx}");
+        // Early stop at every prefix length.
+        for stop in 1..=all.len() {
+            let got = collect(stop, |f| for_each_match(&body, &inst, &base, f));
+            let want = collect(stop, |f| reference::for_each_match(&body, &inst, &base, f));
+            assert_eq!(got, want, "{ctx}, stop after {stop}");
+            assert!(!got.1, "{ctx}, stop after {stop} reported finished");
+            cov.stopped += 1;
+        }
+        // Seeded entry: every atom with every row of its relation, plus a
+        // row of the wrong arity; stopping after the first match too.
+        for (idx, atom) in body.iter().enumerate() {
+            let mut rows: Vec<Vec<Value>> = inst.rows_of(atom.rel).map(<[Value]>::to_vec).collect();
+            rows.push(vec![Value::konst("a"); atom.args.len() + 1]);
+            for row in &rows {
+                for stop in [1, usize::MAX] {
+                    let got = collect(stop, |f| {
+                        for_each_match_seeded(&body, idx, row, &inst, &base, f)
+                    });
+                    let want = collect(stop, |f| {
+                        reference::for_each_match_seeded(&body, idx, row, &inst, &base, f)
+                    });
+                    assert_eq!(got, want, "{ctx}, seed atom {idx} on {row:?}");
+                    cov.seeded += usize::from(!got.0.is_empty());
+                }
+            }
+        }
+        let matched = !all.is_empty();
+        let vars: Vec<Var> = body.iter().flat_map(|a| a.vars()).collect();
+        let distinct: std::collections::BTreeSet<Var> = vars.iter().copied().collect();
+        cov.nullary += usize::from(matched && body.iter().any(|a| a.args.is_empty()));
+        cov.wide += usize::from(matched && body.iter().any(|a| a.args.len() > STACK_ARITY));
+        cov.repeated += usize::from(matched && distinct.len() < vars.len());
+        cov.constants += usize::from(
+            matched
+                && body
+                    .iter()
+                    .any(|a| a.args.iter().any(|t| matches!(t, Term::Const(_)))),
+        );
+        cov.based += usize::from(matched && !base.is_empty());
+    }
+
+    /// The kernel emits the reference join's matches in the reference's
+    /// order — full runs, runs stopped after every prefix, and seeded
+    /// runs — over 64 seeds of random instances and bodies.
+    #[test]
+    fn kernel_matches_the_reference_join_in_order() {
+        let mut cov = Coverage::default();
+        for seed in 0..64 {
+            differential_case(seed, &mut cov);
+        }
+        let Coverage {
+            nullary,
+            wide,
+            repeated,
+            constants,
+            based,
+            seeded,
+            stopped,
+        } = cov;
+        for (what, hits) in [
+            ("arity-0 atom", nullary),
+            ("atom wider than the stack pattern", wide),
+            ("repeated variable", repeated),
+            ("constant in an atom", constants),
+            ("pre-bound base", based),
+            ("seeded entry", seeded),
+            ("early stop", stopped),
+        ] {
+            assert!(hits > 0, "no seed with a matching body covers: {what}");
+        }
     }
 
     #[test]

@@ -472,7 +472,8 @@ impl GovernedAnswers {
     }
 
     /// True iff the evaluation ran to completion (no `Unknown` verdicts
-    /// beyond what `default` says).
+    /// beyond what `default` says). Only an incomplete run can have its
+    /// `lower_bound()`/`upper_bound()` gap shrunk by a larger budget.
     pub fn is_complete(&self) -> bool {
         self.interrupt.is_none()
     }
@@ -498,14 +499,6 @@ impl GovernedAnswers {
             Verdict::False => Some(self.proven.union(&self.undetermined).cloned().collect()),
             _ => None,
         }
-    }
-
-    /// True iff re-running with a larger budget can shrink the
-    /// `lower_bound()`/`upper_bound()` gap: the run was interrupted, so
-    /// some verdicts are still `Unknown`. Complete runs have nothing
-    /// left to refine.
-    pub fn is_refinable(&self) -> bool {
-        self.interrupt.is_some()
     }
 
     fn reason(&self) -> InterruptReason {

@@ -825,14 +825,14 @@ mod tests {
             if let Some(upper) = g.upper_bound() {
                 assert!(exact_dia.is_subset(&upper), "fuel {fuel}");
             } else {
-                assert!(g.is_refinable());
+                assert!(!g.is_complete());
             }
         }
         // Unlimited fuel: complete and exact.
         let gov = Governor::unlimited();
         let (g, _) = certain_answers_propagated(&d, &q, &t, &pool, &lim(), &gov, &exec).unwrap();
         let g = g.unwrap();
-        assert!(g.is_complete() && !g.is_refinable());
+        assert!(g.is_complete());
         assert_eq!(g.proven, exact_box);
         assert_eq!(g.upper_bound(), Some(exact_box));
     }

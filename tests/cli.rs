@@ -85,6 +85,29 @@ fn core_is_smaller_than_chase_result() {
     assert!(core.contains("E(a,b)"));
 }
 
+/// `dex chase` on a keyed mapping scenario whose chase makes 9 egd
+/// merges prints exactly the recorded dump. The fixtures are
+/// `mapping_scenario` (2 copies, 2 partitions, 3 surrogate keys, seed 5)
+/// and its `random_source` (8 constants, 8 tuples per relation, seed 2).
+/// Null numbers follow the order the chase finds its triggers, so a
+/// matcher that emits matches in another order renumbers nulls here.
+#[test]
+fn chase_dump_of_a_merging_scenario_is_pinned() {
+    let fixture = |ext: &str| {
+        format!(
+            "{}/tests/fixtures/keyed_merges.{ext}",
+            env!("CARGO_MANIFEST_DIR")
+        )
+    };
+    let (ok, stdout, stderr) = dex(&["chase", &fixture("setting"), &fixture("source")]);
+    assert!(ok, "stderr: {stderr}");
+    let pinned = std::fs::read_to_string(fixture("chase")).unwrap();
+    assert!(
+        stdout == pinned,
+        "dump drifted:\n{stdout}\nexpected:\n{pinned}"
+    );
+}
+
 #[test]
 fn check_classifies_t2_and_t1() {
     let (ok, stdout, _) = dex(&[
