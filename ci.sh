@@ -24,6 +24,23 @@ if [ -n "$HASH_HITS" ]; then
   exit 1
 fi
 
+echo "== join guard (searches that filter rows by a pattern go through dex_core::join) =="
+# `Instance::rows_matching` is an index probe plus a per-row pattern
+# filter. A backtracking search built on it would be one more join next
+# to the kernel in `dex_core::join`, which every conjunctive match,
+# homomorphism and maybe-answer search shares. Allowed:
+#   crates/core/src/instance.rs              defines it (and tests it)
+#   crates/core/src/core_of.rs               the rigid pass: one probe per atom, no backtracking
+#   crates/logic/src/matcher/reference.rs    test-only reference join the kernel is checked against
+JOIN_ALLOWED='^(crates/core/src/instance\.rs|crates/core/src/core_of\.rs|crates/logic/src/matcher/reference\.rs):'
+JOIN_HITS=$(grep -rnE --include='*.rs' '\brows_matching\b' crates src tests examples perfbench/src \
+  | grep -vE "$JOIN_ALLOWED" | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$JOIN_HITS" ]; then
+  echo "rows_matching outside the allow-list (search through dex_core::join::search):"
+  echo "$JOIN_HITS"
+  exit 1
+fi
+
 echo "== knob guard (every DEX_* variable the code reads is in README, and only those) =="
 # The environment variables read through env::var in the crates and the
 # CLI are the program's knobs: each one is documented in README, and

@@ -169,7 +169,7 @@ impl Relation {
 /// from the instance in row-log order. Every row matching the probed
 /// pattern is among them; rows that do not match may be too, so callers
 /// still check each row against the pattern.
-pub struct Candidates<'a> {
+pub(crate) struct Candidates<'a> {
     len: usize,
     walk: Walk<'a>,
 }
@@ -399,7 +399,7 @@ impl Instance {
     /// The candidate rows for `pattern` (`None` = wildcard) in `rel`, from
     /// one index probe: the scoring count ([`Candidates::len`]) and the
     /// rows to visit come from the same bucket lookup.
-    pub fn probe(&self, rel: Symbol, pattern: &[Option<Value>]) -> Candidates<'_> {
+    pub(crate) fn probe(&self, rel: Symbol, pattern: &[Option<Value>]) -> Candidates<'_> {
         match self.rels.get(&rel) {
             Some(r) if r.arity == pattern.len() => r.probe(pattern),
             _ => Candidates::none(),

@@ -7,6 +7,8 @@
 //! - the value universe `Dom = Const ∪ Null` ([`value`], [`symbol`]),
 //! - atoms, schemas and instances ([`atom`](mod@atom), [`schema`], [`instance`]),
 //! - homomorphisms and homomorphic equivalence ([`homomorphism`]),
+//! - the one backtracking search behind matches, homomorphisms and
+//!   maybe answers ([`join`]),
 //! - cores of instances ([`core_of`]),
 //! - isomorphism up to renaming of nulls ([`isomorphism`]),
 //! - valuations and `Rep`-style enumeration ([`valuation`]),
@@ -23,6 +25,7 @@ pub mod hash;
 pub mod homomorphism;
 pub mod instance;
 pub mod isomorphism;
+pub mod join;
 pub mod schema;
 pub mod symbol;
 pub mod unionfind;
@@ -48,7 +51,7 @@ pub use govern::{
 pub use homomorphism::{
     find_homomorphism, has_homomorphism, hom_equivalent, HomFinder, Homomorphism,
 };
-pub use instance::{Candidates, DeltaCursor, Instance};
+pub use instance::{DeltaCursor, Instance};
 pub use isomorphism::{dedup_up_to_iso, iso_signature, isomorphic, IsoDeduper};
 pub use schema::{Schema, SchemaError};
 pub use symbol::Symbol;

@@ -3,13 +3,14 @@
 //! trigger search, dependency satisfaction checks, and conjunctive query
 //! evaluation.
 //!
-//! The algorithm is a backtracking join: at each step the not-yet-matched
-//! atom with the fewest candidate rows under the current partial
-//! assignment is expanded (fail-first), candidates being found through the
-//! instance's position indexes.
+//! The search is `dex-core`'s one backtracking kernel
+//! ([`dex_core::join`]); this module is its front end for formula atoms.
+//! The binder is the [`Assignment`] being built plus one trail of the
+//! variables bound on the current path.
 
 use crate::formula::{Assignment, FAtom, Term, Var};
-use dex_core::{Candidates, Instance, Value};
+use dex_core::join::{self, Binder, Pattern};
+use dex_core::{Instance, Symbol, Value};
 
 #[cfg(test)]
 mod reference;
@@ -23,7 +24,7 @@ pub fn for_each_match(
     base: &Assignment,
     f: &mut dyn FnMut(&Assignment) -> bool,
 ) -> bool {
-    Search::new(atoms, inst, base, None, f).solve()
+    run(atoms, None, inst, base, f)
 }
 
 /// All assignments extending `base` that map `atoms` into `inst`.
@@ -77,97 +78,62 @@ pub fn for_each_match_seeded(
     if atoms[seed_idx].args.len() != row.len() {
         return true;
     }
-    let mut search = Search::new(atoms, inst, base, Some(seed_idx), f);
-    !search.unify(&atoms[seed_idx], row) || search.solve()
+    run(atoms, Some((seed_idx, row)), inst, base, f)
 }
 
-/// Atoms up to this arity build their index-probe pattern on the stack.
-const STACK_ARITY: usize = 8;
+/// One kernel search over `atoms` from `base`, the `seeded` atom (if
+/// any) unified with its row first.
+fn run(
+    atoms: &[FAtom],
+    seeded: Option<(usize, &[Value])>,
+    inst: &Instance,
+    base: &Assignment,
+    f: &mut dyn FnMut(&Assignment) -> bool,
+) -> bool {
+    let width: usize = atoms.iter().map(|a| a.args.len()).sum();
+    let mut env = Env {
+        env: Assignment::with_capacity(base.len() + width),
+        trail: Vec::with_capacity(width),
+    };
+    for (v, val) in base.bindings() {
+        env.env.bind(v, val);
+    }
+    let seed_idx = seeded.map(|(i, _)| i);
+    let mut pending: Vec<usize> = (0..atoms.len()).filter(|&i| Some(i) != seed_idx).collect();
+    if let Some((i, row)) = seeded {
+        if !join::unify(&mut env, &atoms[i].args, row) {
+            return true;
+        }
+    }
+    join::search(inst, atoms, &mut pending, &mut env, &mut |b| f(&b.env))
+}
 
-/// One backtracking join. The rows it tries are borrowed from `inst`'s
-/// index buckets; every binding goes into `env` and onto `trail`, and a
-/// level undoes its row's bindings by popping the trail back to where
-/// the row started. Past the per-call setup nothing is allocated (atoms
-/// wider than [`STACK_ARITY`] aside).
-struct Search<'a, 'f> {
-    atoms: &'a [FAtom],
-    inst: &'a Instance,
+impl Pattern for FAtom {
+    type Term = Term;
+
+    fn rel(&self) -> Symbol {
+        self.rel
+    }
+
+    fn terms(&self) -> &[Term] {
+        &self.args
+    }
+}
+
+/// The matcher's binder: the assignment and the variables bound on the
+/// current path, in binding order.
+struct Env {
     env: Assignment,
-    /// The variables bound by the rows currently on the search path, in
-    /// binding order.
     trail: Vec<Var>,
-    /// Indexes of the atoms not yet matched on the current path.
-    pending: Vec<usize>,
-    f: &'f mut dyn FnMut(&Assignment) -> bool,
 }
 
-impl<'a, 'f> Search<'a, 'f> {
-    fn new(
-        atoms: &'a [FAtom],
-        inst: &'a Instance,
-        base: &Assignment,
-        seeded: Option<usize>,
-        f: &'f mut dyn FnMut(&Assignment) -> bool,
-    ) -> Search<'a, 'f> {
-        let width: usize = atoms.iter().map(|a| a.args.len()).sum();
-        let mut env = Assignment::with_capacity(base.len() + width);
-        for (v, val) in base.bindings() {
-            env.bind(v, val);
-        }
-        Search {
-            atoms,
-            inst,
-            env,
-            trail: Vec::with_capacity(width),
-            pending: (0..atoms.len()).filter(|&i| Some(i) != seeded).collect(),
-            f,
-        }
+impl Binder<Term> for Env {
+    fn probe_value(&self, t: Term) -> Option<Value> {
+        self.env.term(t)
     }
 
-    fn solve(&mut self) -> bool {
-        if self.pending.is_empty() {
-            return (self.f)(&self.env);
-        }
-        // Fail-first: pick the pending atom with fewest candidates, scored
-        // by the exact index-bucket length (a truncated row count would
-        // make every atom with many candidates tie and degrade selection
-        // to declaration order). The first atom wins a tie, and the probe
-        // that scored the winner hands over its rows.
-        let mut best: Option<(usize, Candidates<'a>)> = None;
-        for (slot, &i) in self.pending.iter().enumerate() {
-            let rows = probe(self.inst, &self.atoms[i], &self.env);
-            if best.as_ref().is_none_or(|(_, b)| rows.len() < b.len()) {
-                let empty = rows.is_empty();
-                best = Some((slot, rows));
-                if empty {
-                    break;
-                }
-            }
-        }
-        let (slot, rows) = best.expect("pending non-empty");
-        let chosen = self.pending.swap_remove(slot);
-        let atom = &self.atoms[chosen];
-        let mut keep_going = true;
-        for row in rows {
-            let mark = self.trail.len();
-            if self.unify(atom, row) {
-                keep_going = self.solve();
-            }
-            self.undo(mark);
-            if !keep_going {
-                break;
-            }
-        }
-        self.pending.push(chosen);
-        let last = self.pending.len() - 1;
-        self.pending.swap(slot, last);
-        keep_going
-    }
-
-    /// Extends `env` so that `atom` maps onto `row`, trailing each new
-    /// binding. On `false` the caller undoes the partial bindings.
-    fn unify(&mut self, atom: &FAtom, row: &[Value]) -> bool {
-        atom.args.iter().zip(row).all(|(&t, &val)| match t {
+    fn unify(&mut self, t: Term, val: Value) -> bool {
+        match t {
             Term::Const(c) => Value::Const(c) == val,
             Term::Var(v) => match self.env.get(v) {
                 Some(bound) => bound == val,
@@ -177,33 +143,18 @@ impl<'a, 'f> Search<'a, 'f> {
                     true
                 }
             },
-        })
+        }
     }
 
-    /// Unbinds every variable trailed since `mark`.
+    fn mark(&self) -> usize {
+        self.trail.len()
+    }
+
     fn undo(&mut self, mark: usize) {
         for v in self.trail.drain(mark..) {
             self.env.unbind(v);
         }
     }
-}
-
-/// Probes `inst` for the rows `atom` can map onto under `env`, with the
-/// pattern (constants and bound variables; `None` elsewhere) on the stack.
-fn probe<'a>(inst: &'a Instance, atom: &FAtom, env: &Assignment) -> Candidates<'a> {
-    let mut stack = [None; STACK_ARITY];
-    let mut heap = Vec::new();
-    let pattern: &mut [Option<Value>] = match atom.args.len() {
-        n if n <= STACK_ARITY => &mut stack[..n],
-        n => {
-            heap.resize(n, None);
-            &mut heap
-        }
-    };
-    for (p, &t) in pattern.iter_mut().zip(&atom.args) {
-        *p = env.term(t);
-    }
-    inst.probe(atom.rel, pattern)
 }
 
 #[cfg(test)]
@@ -389,7 +340,7 @@ mod tests {
         ("P", 1),
         ("E", 2),
         ("T", 3),
-        ("W", STACK_ARITY + 2),
+        ("W", join::STACK_ARITY + 2),
     ];
 
     fn random_value(rng: &mut dex_testkit::rng::TestRng) -> Value {
@@ -518,7 +469,7 @@ mod tests {
         let vars: Vec<Var> = body.iter().flat_map(|a| a.vars()).collect();
         let distinct: std::collections::BTreeSet<Var> = vars.iter().copied().collect();
         cov.nullary += usize::from(matched && body.iter().any(|a| a.args.is_empty()));
-        cov.wide += usize::from(matched && body.iter().any(|a| a.args.len() > STACK_ARITY));
+        cov.wide += usize::from(matched && body.iter().any(|a| a.args.len() > join::STACK_ARITY));
         cov.repeated += usize::from(matched && distinct.len() < vars.len());
         cov.constants += usize::from(
             matched

@@ -6,12 +6,12 @@
 //! the same matches in the same order. Nothing here is compiled outside
 //! tests.
 //!
-//! The code is kept as it was, except that atoms are scored by the
-//! length of [`Instance::probe`]'s candidates, the count the deleted
-//! `Instance::candidate_count` returned.
+//! The code is kept as it was, except that atoms are scored by
+//! [`bucket_len`], the count the deleted `Instance::candidate_count`
+//! returned, recounted here from the instance's rows.
 
 use crate::formula::{Assignment, FAtom, Term, Var};
-use dex_core::{Instance, Value};
+use dex_core::{Instance, Symbol, Value};
 
 pub fn for_each_match(
     atoms: &[FAtom],
@@ -58,6 +58,20 @@ fn pattern(atom: &FAtom, env: &Assignment) -> Vec<Option<Value>> {
         .collect()
 }
 
+/// The length of the index bucket the kernel expands for `pat`: over
+/// the bound positions, the fewest live rows holding the bound value;
+/// every live row when nothing is bound; none at another arity.
+fn bucket_len(inst: &Instance, rel: Symbol, pat: &[Option<Value>]) -> usize {
+    if inst.arity_of(rel) != Some(pat.len()) {
+        return 0;
+    }
+    pat.iter()
+        .enumerate()
+        .filter_map(|(pos, p)| p.map(|v| inst.rows_of(rel).filter(|r| r[pos] == v).count()))
+        .min()
+        .unwrap_or_else(|| inst.rows_of_len(rel))
+}
+
 fn solve(
     atoms: &[FAtom],
     inst: &Instance,
@@ -77,7 +91,7 @@ fn solve(
         .enumerate()
         .map(|(slot, &i)| {
             let pat = pattern(&atoms[i], env);
-            (slot, inst.probe(atoms[i].rel, &pat).len())
+            (slot, bucket_len(inst, atoms[i].rel, &pat))
         })
         .min_by_key(|&(_, c)| c)
         .expect("pending non-empty");

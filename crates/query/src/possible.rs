@@ -14,23 +14,30 @@
 //! value).
 //!
 //! This is exactly the NP guess of Proposition 7.4 made deterministic by
-//! backtracking over a union-find of `T`'s nulls.
+//! backtracking: the search is `dex-core`'s one kernel
+//! ([`dex_core::join`]) with a union-find of `T`'s nulls as its binder.
+//! Every probe position is a wildcard, since a null of `T` can stand for
+//! anything, so the kernel expands the body atom with the smallest
+//! relation first.
 
+use dex_core::join::{self, Binder};
 use dex_core::{Instance, NullId, Value};
-use dex_logic::{ConjunctiveQuery, Term, Var};
+use dex_logic::{Assignment, ConjunctiveQuery, Term, Var};
 use std::collections::BTreeMap;
 
 /// A backtrackable union-find over the nulls of `T`, where each class may
-/// carry at most one constant.
+/// carry at most one constant, together with the query variables' values.
 struct Unifier {
     parent: BTreeMap<NullId, NullId>,
     pinned: BTreeMap<NullId, Value>, // root → constant
+    env: Assignment,
     trail: Vec<TrailEntry>,
 }
 
 enum TrailEntry {
     Union { child_root: NullId },
     Pin { root: NullId },
+    Bind { var: Var },
 }
 
 /// The resolved form of a value under the unifier: either a pinned
@@ -42,14 +49,6 @@ enum Resolved {
 }
 
 impl Unifier {
-    fn new() -> Unifier {
-        Unifier {
-            parent: BTreeMap::new(),
-            pinned: BTreeMap::new(),
-            trail: Vec::new(),
-        }
-    }
-
     fn find(&self, mut n: NullId) -> NullId {
         while let Some(&p) = self.parent.get(&n) {
             if p == n {
@@ -73,27 +72,9 @@ impl Unifier {
         }
     }
 
-    /// Marks the current state; [`Unifier::rollback`] undoes to it.
-    fn mark(&self) -> usize {
-        self.trail.len()
-    }
-
-    fn rollback(&mut self, mark: usize) {
-        while self.trail.len() > mark {
-            match self.trail.pop().expect("len checked") {
-                TrailEntry::Union { child_root } => {
-                    self.parent.remove(&child_root);
-                }
-                TrailEntry::Pin { root } => {
-                    self.pinned.remove(&root);
-                }
-            }
-        }
-    }
-
     /// Attempts to make `a` and `b` equal under some valuation. Fails
     /// only if two distinct constants are forced together.
-    fn unify(&mut self, a: Value, b: Value) -> bool {
+    fn unify_values(&mut self, a: Value, b: Value) -> bool {
         match (self.resolve(a), self.resolve(b)) {
             (Resolved::Const(x), Resolved::Const(y)) => x == y,
             (Resolved::Class(r), Resolved::Const(c)) | (Resolved::Const(c), Resolved::Class(r)) => {
@@ -124,6 +105,56 @@ impl Unifier {
             _ => true,
         }
     }
+
+    /// True iff every inequality of `q` can still be kept apart.
+    fn inequalities_separable(&self, q: &ConjunctiveQuery) -> bool {
+        q.inequalities.iter().all(|&(s, t)| {
+            // Safety binds both sides; an unbound one cannot be separated.
+            match (self.env.term(s), self.env.term(t)) {
+                (Some(a), Some(b)) => self.separable(a, b),
+                _ => false,
+            }
+        })
+    }
+}
+
+impl Binder<Term> for Unifier {
+    /// A wildcard: a null of `T` can stand for any value.
+    fn probe_value(&self, _t: Term) -> Option<Value> {
+        None
+    }
+
+    fn unify(&mut self, t: Term, row_val: Value) -> bool {
+        match t {
+            Term::Const(c) => self.unify_values(Value::Const(c), row_val),
+            Term::Var(v) => match self.env.get(v) {
+                Some(bound) => self.unify_values(bound, row_val),
+                None => {
+                    self.env.bind(v, row_val);
+                    self.trail.push(TrailEntry::Bind { var: v });
+                    true
+                }
+            },
+        }
+    }
+
+    fn mark(&self) -> usize {
+        self.trail.len()
+    }
+
+    fn undo(&mut self, mark: usize) {
+        for entry in self.trail.drain(mark..).rev() {
+            match entry {
+                TrailEntry::Union { child_root } => {
+                    self.parent.remove(&child_root);
+                }
+                TrailEntry::Pin { root } => {
+                    self.pinned.remove(&root);
+                }
+                TrailEntry::Bind { var } => self.env.unbind(var),
+            }
+        }
+    }
 }
 
 /// Decides whether the ground tuple `tuple` is a maybe answer of the CQ
@@ -133,15 +164,25 @@ pub fn cq_is_maybe_answer(q: &ConjunctiveQuery, t: &Instance, tuple: &[Value]) -
     if tuple.len() != q.arity() || tuple.iter().any(Value::is_null) {
         return false;
     }
-    let mut binding: BTreeMap<Var, Value> = BTreeMap::new();
+    // Head variables are bound to the requested ground tuple up front; a
+    // row value unified with them must resolve to exactly that constant.
+    let mut env = Assignment::new();
     for (&var, &val) in q.head_vars.iter().zip(tuple) {
-        match binding.insert(var, val) {
+        match env.get(var) {
             Some(prev) if prev != val => return false,
-            _ => {}
+            _ => env.bind(var, val),
         }
     }
-    let mut uf = Unifier::new();
-    search(q, t, 0, &mut binding, &mut uf)
+    let mut uf = Unifier {
+        parent: BTreeMap::new(),
+        pinned: BTreeMap::new(),
+        env,
+        trail: Vec::new(),
+    };
+    let mut pending: Vec<usize> = (0..q.atoms.len()).collect();
+    !join::search(t, &q.atoms, &mut pending, &mut uf, &mut |uf| {
+        !uf.inequalities_separable(q)
+    })
 }
 
 /// Decides whether the Boolean CQ `q` is possibly true on `t` (some
@@ -153,76 +194,6 @@ pub fn cq_maybe_holds(q: &ConjunctiveQuery, t: &Instance) -> bool {
         "use cq_is_maybe_answer for non-Boolean queries"
     );
     cq_is_maybe_answer(q, t, &[])
-}
-
-fn term_value(term: Term, binding: &BTreeMap<Var, Value>) -> Option<Value> {
-    match term {
-        Term::Const(c) => Some(Value::Const(c)),
-        Term::Var(v) => binding.get(&v).copied(),
-    }
-}
-
-fn search(
-    q: &ConjunctiveQuery,
-    t: &Instance,
-    atom_idx: usize,
-    binding: &mut BTreeMap<Var, Value>,
-    uf: &mut Unifier,
-) -> bool {
-    if atom_idx == q.atoms.len() {
-        // All atoms matched; check the inequalities are separable and the
-        // head variables resolve to the requested constants.
-        for (s, tt) in &q.inequalities {
-            let (Some(a), Some(b)) = (term_value(*s, binding), term_value(*tt, binding)) else {
-                return false; // safety guarantees this cannot happen
-            };
-            if !uf.separable(a, b) {
-                return false;
-            }
-        }
-        // Head variables are bound to the requested ground tuple up
-        // front; a row value unified with them must resolve to exactly
-        // that constant — enforced during unification (a pinned class or
-        // equal constant). Nothing further to check.
-        return true;
-    }
-    let atom = &q.atoms[atom_idx];
-    // Try every row of the relation; unification replaces index lookup
-    // because nulls of T can stand for anything.
-    let rows: Vec<Vec<Value>> = t.rows_of(atom.rel).map(|r| r.to_vec()).collect();
-    for row in rows {
-        if row.len() != atom.args.len() {
-            continue;
-        }
-        let mark = uf.mark();
-        let mut newly_bound: Vec<Var> = Vec::new();
-        let mut ok = true;
-        for (&term, &row_val) in atom.args.iter().zip(&row) {
-            let pattern_val = match term {
-                Term::Const(c) => Value::Const(c),
-                Term::Var(v) => match binding.get(&v) {
-                    Some(&bound) => bound,
-                    None => {
-                        binding.insert(v, row_val);
-                        newly_bound.push(v);
-                        continue;
-                    }
-                },
-            };
-            if !uf.unify(pattern_val, row_val) {
-                ok = false;
-                break;
-            }
-        }
-        if ok && search(q, t, atom_idx + 1, binding, uf) {
-            return true;
-        }
-        uf.rollback(mark);
-        for v in newly_bound {
-            binding.remove(&v);
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -318,11 +289,15 @@ mod tests {
         )
         .unwrap();
         let t = parse_instance("E(a,_1). E(_1,b). F(_1,_2).").unwrap();
+        // The search expands the smaller relation first: in the last
+        // query the second body atom (F, one row) goes before the first
+        // (E, two rows), and the head and the inequality span both.
         let queries = [
             "Q(x,y) :- E(x,y)",
             "Q(x) :- E(x,y), F(y,z)",
             "Q(x,z) :- E(x,y), E(y,z)",
             "Q(x) :- E(x,y), x != y",
+            "Q(x,z) :- E(x,y), F(y,z), x != z",
         ];
         for qt in queries {
             let q = parse_query(qt).unwrap();
