@@ -93,6 +93,15 @@ for seed in 7 41; do
   DEX_FAULT_SEED=$seed cargo test -q --locked --offline -p dex-bench --test repair
 done
 
+echo "== storage differential smoke (fixed seeds; replay any failure with DEX_PROP_SEED) =="
+# The instance storage differential (random insert/remove/merge/copy
+# sequences against a plain log-and-set model) already sweeps 64 seeds
+# under `cargo test` above; here two fixed seeds re-run it through the
+# DEX_PROP_SEED replay path, as the fault-injection smoke does.
+for seed in 7 41; do
+  DEX_PROP_SEED=$seed cargo test -q --locked --offline -p dex-core --lib instance::tests::storage_matches_a_plain_model
+done
+
 echo "== trace smoke (JSONL trace reconciles with ChaseStats exactly) =="
 # The test itself parses every trace line and asserts the event counts
 # match the run's counters one-to-one; DEX_TRACE pins the output so a

@@ -105,7 +105,38 @@ pub struct ChaseEngine<'a> {
 
 /// Per relation, owned copies of the rows a round seeds trigger
 /// discovery with.
-type Delta = IdMap<Symbol, Vec<Box<[Value]>>>;
+type Delta = IdMap<Symbol, DeltaRows>;
+
+/// The rows of one relation in a [`Delta`], stored flat: row `i` is
+/// `data[i * arity..(i + 1) * arity]`.
+struct DeltaRows {
+    arity: usize,
+    /// The number of rows; a nullary relation's rows hold no data.
+    len: usize,
+    data: Vec<Value>,
+}
+
+impl DeltaRows {
+    fn new(arity: usize) -> DeltaRows {
+        DeltaRows {
+            arity,
+            len: 0,
+            data: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, row: &[Value]) {
+        debug_assert_eq!(row.len(), self.arity);
+        self.data.extend_from_slice(row);
+        self.len += 1;
+    }
+
+    /// The rows in order. Strides are counted, not chunked: a nullary
+    /// relation has `len` empty rows, where `chunks_exact(0)` would panic.
+    fn iter(&self) -> impl Iterator<Item = &[Value]> + '_ {
+        (0..self.len).map(|i| &self.data[i * self.arity..(i + 1) * self.arity])
+    }
+}
 
 /// Why a run stopped short of its fixpoint.
 enum Stop {
@@ -340,10 +371,13 @@ fn state_hash(inst: &Instance) -> u64 {
 fn snapshot_delta(inst: &Instance, cursor: &DeltaCursor, rels: &IdSet<Symbol>) -> Delta {
     let mut out = IdMap::default();
     for &rel in rels {
-        let rows: Vec<Box<[Value]>> = inst.delta_rows(rel, cursor).map(Box::from).collect();
-        if !rows.is_empty() {
-            out.insert(rel, rows);
-        }
+        let mut rows = inst.delta_rows(rel, cursor).peekable();
+        let Some(first) = rows.peek() else {
+            continue;
+        };
+        let mut snapshot = DeltaRows::new(first.len());
+        rows.for_each(|row| snapshot.push(row));
+        out.insert(rel, snapshot);
     }
     out
 }
@@ -618,7 +652,7 @@ impl<'a> ChaseEngine<'a> {
             run.stats.rounds += 1;
             let delta = snapshot_delta(&run.inst, &processed, &t_rels);
             processed = run.inst.cursor();
-            let round_rows: usize = delta.values().map(Vec::len).sum();
+            let round_rows: usize = delta.values().map(|rows| rows.len).sum();
             run.stats.delta_rows_processed += round_rows;
             run.stats.max_round_delta_rows = run.stats.max_round_delta_rows.max(round_rows);
             self.round(run, self.tgds().skip(st_count), &delta, sigma)?;
@@ -744,7 +778,7 @@ impl<'a> ChaseEngine<'a> {
                 continue;
             };
             for (i, batom) in atoms.iter().enumerate() {
-                for row in delta.get(&batom.rel).into_iter().flatten() {
+                for row in delta.get(&batom.rel).into_iter().flat_map(DeltaRows::iter) {
                     matcher::for_each_match_seeded(
                         atoms,
                         i,
@@ -983,7 +1017,10 @@ impl<'a> ChaseEngine<'a> {
                     p.record_source(a.clone());
                 }
             }
-            inserted.entry(a.rel).or_default().push(a.args.clone());
+            inserted
+                .entry(a.rel)
+                .or_insert_with(|| DeltaRows::new(a.args.len()))
+                .push(&a.args);
         }
         let st_count = self.setting.st_tgds.len();
         self.round(&mut run, self.tgds().take(st_count), &inserted, &sigma_new)?;
@@ -1067,6 +1104,51 @@ mod tests {
     use crate::standard::chase_naive;
     use dex_core::hom_equivalent;
     use dex_logic::{parse_instance, parse_setting};
+
+    #[test]
+    fn delta_rows_walk_nullary_rows_by_count() {
+        let mut nullary = DeltaRows::new(0);
+        nullary.push(&[]);
+        nullary.push(&[]);
+        assert_eq!(nullary.iter().collect::<Vec<_>>(), vec![&[][..]; 2]);
+        let mut binary = DeltaRows::new(2);
+        let (a, b) = (Value::konst("a"), Value::konst("b"));
+        binary.push(&[a, b]);
+        binary.push(&[b, a]);
+        assert_eq!(
+            binary.iter().collect::<Vec<_>>(),
+            vec![&[a, b][..], &[b, a][..]]
+        );
+    }
+
+    #[test]
+    fn nullary_relations_seed_rounds_and_resumes() {
+        let d = parse_setting(
+            "source { S/0, E/1 }
+             target { T/0, U/1, V/2 }
+             st { S() -> T(); E(x) -> U(x); }
+             t { T() & U(x) -> exists z . V(x,z); }",
+        )
+        .unwrap();
+        let s = parse_instance("S(). E(a).").unwrap();
+        let budget = ChaseBudget::default();
+        let fast = ChaseEngine::new(&d, &budget).run(&s).unwrap();
+        let slow = chase_naive(&d, &s, &budget).unwrap();
+        assert_eq!(fast.target.len(), 3);
+        assert!(hom_equivalent(&fast.target, &slow.target));
+        // A resume whose inserted rows are nullary seeds its s-t round
+        // with them.
+        let eng = ChaseEngine::new(&d, &budget);
+        let s = parse_instance("E(a). E(b).").unwrap();
+        let prior = eng.run(&s).unwrap();
+        assert_eq!(prior.target.len(), 2);
+        let mut delta = SourceDelta::new();
+        delta.insert(Atom::of("S", Vec::new()));
+        let resumed = eng.resume(&prior, &delta).unwrap();
+        let rechased = eng.run(&delta.applied(&s)).unwrap();
+        assert_eq!(resumed.target.len(), 5);
+        assert!(dex_core::isomorphic(&resumed.target, &rechased.target));
+    }
 
     #[test]
     fn engine_matches_naive_on_transitive_closure() {

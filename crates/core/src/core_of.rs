@@ -36,7 +36,7 @@
 use crate::atom::Atom;
 use crate::govern::{Governor, Interrupt};
 use crate::hash::{IdMap, IdSet};
-use crate::homomorphism::{HomFinder, Homomorphism};
+use crate::homomorphism::{find_avoiding_any, Homomorphism};
 use crate::instance::Instance;
 use crate::unionfind::ValueUnionFind;
 use crate::value::{NullId, Value};
@@ -166,8 +166,9 @@ fn settle_rigid(pending: &mut Vec<Vec<Atom>>, rigid: &IdSet<NullId>) -> usize {
 
 /// A homomorphism `comp → t∖{A}` for the first atom `A` of `comp` that
 /// has one (identity outside `comp`), `None` if there is none. Rigid
-/// atoms have none and are skipped. The component's instance lives only
-/// as long as its search.
+/// atoms have none and are skipped. The component's instance and its
+/// search pattern are built once for all its forbidden atoms, and live
+/// only as long as its searches.
 fn component_retract(
     comp: &[Atom],
     t: &Instance,
@@ -175,12 +176,8 @@ fn component_retract(
     gov: &Governor,
 ) -> Option<Result<Homomorphism, Interrupt>> {
     let from = Instance::from_atoms(comp.iter().cloned());
-    comp.iter().filter(|a| !is_rigid(a, rigid)).find_map(|a| {
-        HomFinder::new(&from, t)
-            .forbid_atom(a)
-            .find(gov)
-            .transpose()
-    })
+    let forbid = comp.iter().filter(|a| !is_rigid(a, rigid));
+    find_avoiding_any(&from, t, forbid, gov)
 }
 
 /// One pass: every pending component's retract search against the same

@@ -148,25 +148,76 @@ impl<'a> HomFinder<'a> {
         gov: &Governor,
         f: &mut dyn FnMut(&Homomorphism) -> bool,
     ) -> Result<bool, Interrupt> {
-        // Fast failure: every relation of `from` must appear in `to` with
-        // the same arity (unless `from`'s relation is empty).
-        for rel in self.from.relations() {
-            if self.from.rows_of_len(rel) > 0 {
-                match self.to.arity_of(rel) {
-                    Some(a) if a == self.from.arity_of(rel).unwrap() => {}
-                    _ => return Ok(true),
-                }
-            }
+        let Some(pattern) = Prepared::new(self.from, self.to) else {
+            return Ok(true);
+        };
+        if self.forbidden.is_some_and(|fb| pattern.holds_ground(fb)) {
+            return Ok(true);
         }
-        // Ground atoms are checked upfront; they constrain nothing. The
-        // others become the pattern, each null renumbered to its slot:
-        // its rank among the pattern's nulls.
+        let mut binder = pattern.binder(gov);
+        binder.forbidden = self.forbidden;
+        binder.nulls_to_nulls = self.nulls_to_nulls;
+        binder.injective_on_nulls = self.injective_on_nulls;
+        pattern.run(&mut binder, f)
+    }
+}
+
+/// The first homomorphism `from → to` whose image avoids one atom of
+/// `forbid`, trying the atoms in order, under the paper's notion: what
+/// `HomFinder::new(from, to).forbid_atom(a).find(gov)` finds for the
+/// first `a` with one. The pattern is prepared once for all the
+/// searches: ground atoms checked, nulls renumbered and bindings
+/// allocated. `None` if no atom has one; an interrupt stops at once.
+pub(crate) fn find_avoiding_any<'b>(
+    from: &Instance,
+    to: &Instance,
+    forbid: impl IntoIterator<Item = &'b Atom>,
+    gov: &Governor,
+) -> Option<Result<Homomorphism, Interrupt>> {
+    let pattern = Prepared::new(from, to)?;
+    let mut binder = pattern.binder(gov);
+    forbid.into_iter().find_map(|a| {
+        if pattern.holds_ground(a) {
+            return None;
+        }
+        binder.forbidden = Some(a);
+        let mut found = None;
+        let run = pattern.run(&mut binder, &mut |h| {
+            found = Some(h.clone());
+            false
+        });
+        run.map(|_| found).transpose()
+    })
+}
+
+/// The pattern of a search `from → to`, prepared once for any number of
+/// searches: the non-ground atoms of `from`, each null renumbered to its
+/// slot (its rank among the pattern's nulls).
+struct Prepared<'a> {
+    from: &'a Instance,
+    to: &'a Instance,
+    atoms: Vec<Atom>,
+    nulls: Vec<NullId>,
+}
+
+impl<'a> Prepared<'a> {
+    /// `None` if no homomorphism `from → to` exists whatever the
+    /// restrictions: a relation of `from` is missing from `to` or used
+    /// there at another arity, or a ground atom of `from` is not in `to`.
+    fn new(from: &'a Instance, to: &'a Instance) -> Option<Prepared<'a>> {
+        if from
+            .relations()
+            .any(|rel| to.arity_of(rel) != from.arity_of(rel))
+        {
+            return None;
+        }
+        // Ground atoms are checked upfront; they constrain nothing.
         let mut atoms: Vec<Atom> = Vec::new();
-        for a in self.from.atoms() {
+        for a in from.atoms() {
             if !a.is_ground() {
                 atoms.push(a);
-            } else if !self.to.contains(&a) || Some(&a) == self.forbidden {
-                return Ok(true);
+            } else if !to.contains(&a) {
+                return None;
             }
         }
         let mut nulls: Vec<NullId> = atoms.iter().flat_map(Atom::nulls).collect();
@@ -178,24 +229,51 @@ impl<'a> HomFinder<'a> {
                 *v = Value::Null(NullId(slot as u32));
             }
         }
-        let mut binder = NullMap {
-            slab: vec![None; nulls.len()],
-            trail: Vec::with_capacity(nulls.len()),
+        Some(Prepared {
+            from,
+            to,
+            atoms,
+            nulls,
+        })
+    }
+
+    /// True iff `atom` is a ground atom of `from`: its image is itself,
+    /// so no search forbidding it finds anything.
+    fn holds_ground(&self, atom: &Atom) -> bool {
+        atom.is_ground() && self.from.contains(atom)
+    }
+
+    /// A binder with every slot unbound and no restriction.
+    fn binder<'b>(&self, gov: &'b Governor) -> NullMap<'b> {
+        NullMap {
+            slab: vec![None; self.nulls.len()],
+            trail: Vec::with_capacity(self.nulls.len()),
             used: IdSet::default(),
-            nulls_to_nulls: self.nulls_to_nulls,
-            injective_on_nulls: self.injective_on_nulls,
-            forbidden: self.forbidden,
+            nulls_to_nulls: false,
+            injective_on_nulls: false,
+            forbidden: None,
             gov,
             interrupt: None,
-        };
-        let mut pending: Vec<usize> = (0..atoms.len()).collect();
+        }
+    }
+
+    /// One search under `binder`, calling `f` on each homomorphism.
+    /// Every binding is undone when it returns, so the binder serves the
+    /// next search as it is.
+    fn run(
+        &self,
+        binder: &mut NullMap<'_>,
+        f: &mut dyn FnMut(&Homomorphism) -> bool,
+    ) -> Result<bool, Interrupt> {
+        let mut pending: Vec<usize> = (0..self.atoms.len()).collect();
         // A span per backtracking search groups the HomExtended events
         // it emits.
+        let (gov, nulls) = (binder.gov, &self.nulls);
         let tracer = gov.tracer();
         let sp = tracer
             .enabled()
             .then(|| tracer.span("hom_search", gov.clock().now_ns()));
-        let finished = join::search(self.to, &atoms, &mut pending, &mut binder, &mut |b| {
+        let finished = join::search(self.to, &self.atoms, &mut pending, binder, &mut |b| {
             f(&Homomorphism::from_bindings(
                 nulls
                     .iter()
@@ -206,7 +284,7 @@ impl<'a> HomFinder<'a> {
         if let Some(sp) = sp {
             sp.close(gov.clock().now_ns());
         }
-        binder.interrupt.map_or(Ok(finished), Err)
+        binder.interrupt.take().map_or(Ok(finished), Err)
     }
 }
 
@@ -523,6 +601,48 @@ mod tests {
         let to = Instance::from_atoms([Atom::of("E", vec![c("a"), c("b")])]);
         let h = find_homomorphism(&from, &to).unwrap();
         assert_eq!(h.apply_value(n(3_000_000_000)), c("b"));
+    }
+
+    #[test]
+    fn one_prepared_pattern_finds_what_a_finder_per_atom_finds() {
+        // The retract searches of a core: each atom of `t`'s component
+        // forbidden in turn, from one prepared pattern.
+        let t = Instance::from_atoms([
+            Atom::of("E", vec![c("a"), n(1)]),
+            Atom::of("E", vec![c("a"), n(2)]),
+            Atom::of("E", vec![n(2), n(3)]),
+            Atom::of("E", vec![c("a"), c("b")]),
+            Atom::of("F", vec![n(3)]),
+            Atom::of("F", vec![c("b")]),
+        ]);
+        let per_atom = |from: &Instance, forbid: &[Atom], gov: &Governor| {
+            forbid.iter().find_map(|a| {
+                HomFinder::new(from, &t)
+                    .forbid_atom(a)
+                    .find(gov)
+                    .transpose()
+            })
+        };
+        let atoms: Vec<Atom> = t.atoms().collect();
+        for k in 0..atoms.len() {
+            let forbid = &atoms[k..];
+            for from in [t.clone(), Instance::from_atoms(atoms[k..].iter().cloned())] {
+                let gov = Governor::unlimited();
+                let once = find_avoiding_any(&from, &t, forbid, &gov).map(Result::unwrap);
+                let each = per_atom(&from, forbid, &gov).map(Result::unwrap);
+                assert_eq!(once, each, "forbidding {forbid:?} from {from:?}");
+            }
+        }
+        // Nothing to find: a relation `t` lacks.
+        let stranger = Instance::from_atoms([Atom::of("Z", vec![n(1)])]);
+        let gov = Governor::unlimited();
+        assert!(find_avoiding_any(&stranger, &t, &atoms, &gov).is_none());
+        // An interrupt ends the searches at once.
+        let gov = Governor::unlimited().with_fuel(1);
+        let err = find_avoiding_any(&t, &t, &atoms, &gov)
+            .unwrap()
+            .unwrap_err();
+        assert_eq!(err.reason, crate::govern::InterruptReason::Fuel);
     }
 
     #[test]

@@ -7,119 +7,261 @@
 //! row and re-appending the rewritten one, so rewritten rows re-enter the
 //! delta window tracked by [`DeltaCursor`] and semi-naive chase loops see
 //! them again.
+//!
+//! Each row is stored once. A relation keeps its row log flat, in one
+//! `Vec<Value>` walked in strides of its arity, and hands rows out as
+//! borrowed slices. Membership hashes a row and walks the chain of live
+//! rows with that hash; the position index keeps a value seen once inline
+//! in its bucket, so a fresh null or a key allocates no bucket.
 
 use crate::atom::Atom;
-use crate::hash::{IdMap, IdSet};
+use crate::hash::{BuildIdHasher, IdMap};
 use crate::schema::Schema;
 use crate::symbol::Symbol;
 use crate::value::{NullId, Value};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::hash::BuildHasher;
 
-/// The tuples of one relation, with a hash set for O(1) membership and a
-/// per-(position, value) inverted index for pattern matching. A `None`
-/// slot is a tombstone left behind by [`Instance::merge_value`]; index
-/// buckets are kept eagerly clean, so they only ever point at live rows.
+/// The end of a hash chain.
+const NIL: u32 = u32::MAX;
+
+/// Row `i` of a flat row log of width `arity`.
+fn row_at(data: &[Value], arity: usize, i: u32) -> &[Value] {
+    let at = i as usize * arity;
+    &data[at..at + arity]
+}
+
+/// The row equal to `row` on the hash chain that starts at row `i`.
+fn chain_find(
+    data: &[Value],
+    arity: usize,
+    chain: &[u32],
+    mut i: u32,
+    row: &[Value],
+) -> Option<u32> {
+    while i != NIL {
+        if row_at(data, arity, i) == row {
+            return Some(i);
+        }
+        i = chain[i as usize];
+    }
+    None
+}
+
+/// The membership hash of a row.
+fn row_hash(row: &[Value]) -> u64 {
+    let h = BuildIdHasher::default().hash_one(row);
+    #[cfg(test)]
+    let h = h & tests::ROW_HASH_MASK.with(std::cell::Cell::get);
+    h
+}
+
+/// The live rows holding one value at one position, in row-log order.
+/// A value held by one row keeps it inline; `Many` always holds two or
+/// more.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Bucket {
+    One(u32),
+    Many(Vec<u32>),
+}
+
+impl Bucket {
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Bucket::One(i) => std::slice::from_ref(i),
+            Bucket::Many(ids) => ids,
+        }
+    }
+
+    /// Appends `idx`, which is newer than every row in the bucket.
+    fn push(&mut self, idx: u32) {
+        match self {
+            Bucket::One(i) => *self = Bucket::Many(vec![*i, idx]),
+            Bucket::Many(ids) => ids.push(idx),
+        }
+    }
+
+    /// Drops `idx`; `true` iff the bucket is left empty.
+    fn remove(&mut self, idx: u32) -> bool {
+        match self {
+            Bucket::One(i) => {
+                debug_assert_eq!(*i, idx, "row missing from its bucket");
+                true
+            }
+            Bucket::Many(ids) => {
+                if let Ok(at) = ids.binary_search(&idx) {
+                    ids.remove(at);
+                }
+                if let [i] = ids[..] {
+                    *self = Bucket::One(i);
+                }
+                false
+            }
+        }
+    }
+
+    fn renumber(&mut self, renumber: &[u32]) {
+        match self {
+            Bucket::One(i) => *i = renumber[*i as usize],
+            Bucket::Many(ids) => ids.iter_mut().for_each(|i| *i = renumber[*i as usize]),
+        }
+    }
+}
+
+/// The tuples of one relation: a flat row log, hash chains for O(1)
+/// membership and a per-(position, value) inverted index for pattern
+/// matching. A row `alive` marks as dead is a tombstone left behind by
+/// [`Instance::merge_value`] or [`Instance::remove`]; chains and index
+/// buckets are kept eagerly clean, so they only ever reach live rows.
 #[derive(Clone, Default)]
 struct Relation {
     arity: usize,
-    rows: Vec<Option<Box<[Value]>>>,
-    /// Number of live (non-tombstoned) rows.
+    /// The row log: row `i` is `data[i * arity..(i + 1) * arity]`. A
+    /// tombstoned row keeps its values.
+    data: Vec<Value>,
+    /// Whether each row of the log is live; its length is the log's.
+    alive: Vec<bool>,
+    /// Number of live rows.
     live: usize,
-    set: IdSet<Box<[Value]>>,
-    /// `(position, value) → indices of live rows`.
-    index: IdMap<(u32, Value), Vec<u32>>,
+    /// Row hash → the newest live row with that hash.
+    heads: IdMap<u64, u32>,
+    /// Per live row, the next older live row with its hash (or `NIL`).
+    chain: Vec<u32>,
+    /// `(position, value) → live rows`.
+    index: IdMap<(u32, Value), Bucket>,
 }
 
 impl Relation {
-    fn insert(&mut self, row: Box<[Value]>) -> bool {
-        if self.set.contains(&row) {
-            return false;
+    fn new(arity: usize) -> Relation {
+        Relation {
+            arity,
+            ..Relation::default()
         }
-        let idx = self.rows.len() as u32;
+    }
+
+    fn row(&self, idx: u32) -> &[Value] {
+        row_at(&self.data, self.arity, idx)
+    }
+
+    /// The live row equal to `row`, if any.
+    fn find(&self, row: &[Value]) -> Option<u32> {
+        let head = *self.heads.get(&row_hash(row))?;
+        chain_find(&self.data, self.arity, &self.chain, head, row)
+    }
+
+    fn contains(&self, row: &[Value]) -> bool {
+        self.find(row).is_some()
+    }
+
+    fn insert(&mut self, row: &[Value]) -> bool {
+        debug_assert_eq!(row.len(), self.arity);
+        let idx = self.alive.len() as u32;
+        let older = match self.heads.entry(row_hash(row)) {
+            Entry::Occupied(mut head) => {
+                if chain_find(&self.data, self.arity, &self.chain, *head.get(), row).is_some() {
+                    return false;
+                }
+                head.insert(idx)
+            }
+            Entry::Vacant(head) => {
+                head.insert(idx);
+                NIL
+            }
+        };
+        self.data.extend_from_slice(row);
+        self.alive.push(true);
+        self.chain.push(older);
         for (pos, &v) in row.iter().enumerate() {
-            self.index.entry((pos as u32, v)).or_default().push(idx);
+            self.index
+                .entry((pos as u32, v))
+                .and_modify(|b| b.push(idx))
+                .or_insert(Bucket::One(idx));
         }
-        self.set.insert(row.clone());
-        self.rows.push(Some(row));
         self.live += 1;
         true
     }
 
-    fn contains(&self, row: &[Value]) -> bool {
-        self.set.contains(row)
-    }
-
-    /// A copy without tombstones: live rows renumbered densely in log
-    /// order, the set and index copied and renumbered rather than
-    /// rebuilt, so the copy equals re-inserting the live rows.
+    /// A copy without tombstones: live rows copied densely in log order,
+    /// the chains and index copied and renumbered rather than rebuilt, so
+    /// the copy equals re-inserting the live rows.
     fn compacted(&self) -> Relation {
-        if self.live == self.rows.len() {
+        if self.live == self.alive.len() {
             return self.clone();
         }
-        let mut renumber = vec![u32::MAX; self.rows.len()];
-        let mut rows = Vec::with_capacity(self.live);
-        for (i, row) in self.rows.iter().enumerate() {
-            if let Some(row) = row {
-                renumber[i] = rows.len() as u32;
-                rows.push(Some(row.clone()));
-            }
+        let mut renumber = vec![NIL; self.alive.len()];
+        let mut data = Vec::with_capacity(self.live * self.arity);
+        for (next, i) in self.live_ids().enumerate() {
+            renumber[i as usize] = next as u32;
+            data.extend_from_slice(self.row(i));
         }
+        let chain = self
+            .live_ids()
+            .map(|i| match self.chain[i as usize] {
+                NIL => NIL,
+                older => renumber[older as usize],
+            })
+            .collect();
+        let mut heads = self.heads.clone();
+        heads.values_mut().for_each(|i| *i = renumber[*i as usize]);
         let mut index = self.index.clone();
-        for bucket in index.values_mut() {
-            for i in bucket.iter_mut() {
-                *i = renumber[*i as usize];
-            }
-        }
+        index.values_mut().for_each(|b| b.renumber(&renumber));
         Relation {
             arity: self.arity,
-            rows,
+            data,
+            alive: vec![true; self.live],
             live: self.live,
-            set: self.set.clone(),
+            heads,
+            chain,
             index,
         }
     }
 
+    /// The log indices of the live rows, in log order.
+    fn live_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        self.alive
+            .iter()
+            .enumerate()
+            .filter(|(_, &alive)| alive)
+            .map(|(i, _)| i as u32)
+    }
+
     fn live_rows(&self) -> impl Iterator<Item = &[Value]> + '_ {
-        self.rows.iter().filter_map(|r| r.as_deref())
+        self.live_ids().map(|i| self.row(i))
     }
 
-    /// Removes the row at `idx`, scrubbing it from the set and from every
-    /// index bucket it occurs in. Returns the removed row.
-    fn tombstone(&mut self, idx: u32) -> Box<[Value]> {
-        let row = self.rows[idx as usize]
-            .take()
-            .expect("tombstoning a dead row");
+    /// Removes the row at `idx`, unlinking it from its hash chain and
+    /// scrubbing it from every index bucket it occurs in. Its values stay
+    /// in the log.
+    fn tombstone(&mut self, idx: u32) {
+        let i = idx as usize;
+        assert!(self.alive[i], "tombstoning a dead row");
+        self.alive[i] = false;
         self.live -= 1;
-        self.set.remove(&row);
-        for (pos, &v) in row.iter().enumerate() {
-            if let Some(bucket) = self.index.get_mut(&(pos as u32, v)) {
-                bucket.retain(|&i| i != idx);
-                if bucket.is_empty() {
-                    self.index.remove(&(pos as u32, v));
+        let row = row_at(&self.data, self.arity, idx);
+        let h = row_hash(row);
+        let older = std::mem::replace(&mut self.chain[i], NIL);
+        let head = self.heads.get_mut(&h).expect("live row is chained");
+        if *head == idx {
+            match older {
+                NIL => {
+                    self.heads.remove(&h);
                 }
+                older => *head = older,
             }
+        } else {
+            let mut p = *head as usize;
+            while self.chain[p] != idx {
+                p = self.chain[p] as usize;
+            }
+            self.chain[p] = older;
         }
-        row
-    }
-
-    /// The row-log index of the live row equal to `row`, if present.
-    /// Probes the position-0 index bucket (every live row is in it);
-    /// arity-0 relations have no index and fall back to a log scan over
-    /// their at-most-one live row.
-    fn find_live_idx(&self, row: &[Value]) -> Option<u32> {
-        match row.first() {
-            Some(&v0) => self
-                .index
-                .get(&(0, v0))?
-                .iter()
-                .copied()
-                .find(|&i| self.rows[i as usize].as_deref() == Some(row)),
-            None => self
-                .rows
-                .iter()
-                .position(|r| r.as_deref() == Some(row))
-                .map(|i| i as u32),
+        for (pos, &v) in row.iter().enumerate() {
+            let key = (pos as u32, v);
+            if self.index.get_mut(&key).is_some_and(|b| b.remove(idx)) {
+                self.index.remove(&key);
+            }
         }
     }
 
@@ -135,7 +277,7 @@ impl Relation {
             let bucket = self
                 .index
                 .get(&(pos as u32, v))
-                .map_or(&[][..], Vec::as_slice);
+                .map_or(&[][..], Bucket::as_slice);
             if best.is_none_or(|b| bucket.len() < b.len()) {
                 best = Some(bucket);
                 if bucket.is_empty() {
@@ -143,18 +285,15 @@ impl Relation {
                 }
             }
         }
-        match best {
-            Some(ids) => Candidates {
-                len: ids.len(),
-                walk: Walk::Bucket {
-                    rows: &self.rows,
-                    ids: ids.iter(),
-                },
-            },
-            None => Candidates {
-                len: self.live,
-                walk: Walk::Log(self.rows.iter()),
-            },
+        let (len, walk) = match best {
+            Some(ids) => (ids.len(), Walk::Bucket(ids.iter())),
+            None => (self.live, Walk::Log(self.alive.iter().enumerate())),
+        };
+        Candidates {
+            len,
+            data: &self.data,
+            arity: self.arity,
+            walk,
         }
     }
 
@@ -171,15 +310,17 @@ impl Relation {
 /// still check each row against the pattern.
 pub(crate) struct Candidates<'a> {
     len: usize,
+    /// The relation's row log and arity.
+    data: &'a [Value],
+    arity: usize,
     walk: Walk<'a>,
 }
 
 enum Walk<'a> {
-    Bucket {
-        rows: &'a [Option<Box<[Value]>>],
-        ids: std::slice::Iter<'a, u32>,
-    },
-    Log(std::slice::Iter<'a, Option<Box<[Value]>>>),
+    /// The rows of one index bucket.
+    Bucket(std::slice::Iter<'a, u32>),
+    /// The whole log, past its tombstones: the relation's `alive` flags.
+    Log(std::iter::Enumerate<std::slice::Iter<'a, bool>>),
 }
 
 impl<'a> Candidates<'a> {
@@ -188,7 +329,9 @@ impl<'a> Candidates<'a> {
     fn none() -> Candidates<'a> {
         Candidates {
             len: 0,
-            walk: Walk::Log([].iter()),
+            data: &[],
+            arity: 0,
+            walk: Walk::Log([].iter().enumerate()),
         }
     }
 
@@ -207,14 +350,11 @@ impl<'a> Iterator for Candidates<'a> {
     type Item = &'a [Value];
 
     fn next(&mut self) -> Option<&'a [Value]> {
-        match &mut self.walk {
-            Walk::Bucket { rows, ids } => ids.next().map(|&i| {
-                rows[i as usize]
-                    .as_deref()
-                    .expect("index bucket points at tombstone")
-            }),
-            Walk::Log(rows) => rows.find_map(|r| r.as_deref()),
-        }
+        let i = match &mut self.walk {
+            Walk::Bucket(ids) => *ids.next()?,
+            Walk::Log(log) => log.find(|(_, &alive)| alive)?.0 as u32,
+        };
+        Some(row_at(self.data, self.arity, i))
     }
 }
 
@@ -278,17 +418,17 @@ impl Instance {
     /// Panics if the relation already holds tuples of a different arity —
     /// an instance cannot give one symbol two arities.
     pub fn insert(&mut self, atom: Atom) -> bool {
-        let rel = self.rels.entry(atom.rel).or_insert_with(|| Relation {
-            arity: atom.args.len(),
-            ..Relation::default()
-        });
-        assert_eq!(
-            rel.arity,
-            atom.args.len(),
-            "relation {} used with two arities",
-            atom.rel
-        );
-        let added = rel.insert(atom.args);
+        self.insert_row(atom.rel, &atom.args)
+    }
+
+    /// [`Instance::insert`] of the atom `rel(row)`, from a borrowed row.
+    fn insert_row(&mut self, rel: Symbol, row: &[Value]) -> bool {
+        let r = self
+            .rels
+            .entry(rel)
+            .or_insert_with(|| Relation::new(row.len()));
+        assert_eq!(r.arity, row.len(), "relation {rel} used with two arities");
+        let added = r.insert(row);
         if added {
             self.atom_count += 1;
             self.generation += 1;
@@ -327,7 +467,7 @@ impl Instance {
             marks: self
                 .rels
                 .iter()
-                .map(|(&rel, r)| (rel, r.rows.len()))
+                .map(|(&rel, r)| (rel, r.alive.len()))
                 .collect(),
         }
     }
@@ -350,19 +490,17 @@ impl Instance {
     ) -> impl Iterator<Item = (usize, &'a [Value])> + 'a {
         let mark = cursor.mark(rel);
         self.rels.get(&rel).into_iter().flat_map(move |r| {
-            let from = mark.min(r.rows.len());
-            r.rows[from..]
-                .iter()
-                .enumerate()
-                .filter_map(move |(i, row)| row.as_deref().map(|row| (from + i, row)))
+            (mark.min(r.alive.len())..r.alive.len())
+                .filter(|&i| r.alive[i])
+                .map(|i| (i, r.row(i as u32)))
         })
     }
 
     /// True iff some relation has a live row appended since `cursor`.
     pub fn has_delta_since(&self, cursor: &DeltaCursor) -> bool {
         self.rels.iter().any(|(&rel, r)| {
-            let mark = cursor.mark(rel).min(r.rows.len());
-            r.rows[mark..].iter().any(Option::is_some)
+            let mark = cursor.mark(rel).min(r.alive.len());
+            r.alive[mark..].contains(&true)
         })
     }
 
@@ -427,12 +565,11 @@ impl Instance {
             return 0;
         }
         let mut rewritten = 0;
-        let rels: Vec<Symbol> = self.rels.keys().copied().collect();
-        for rel in rels {
-            let r = self.rels.get_mut(&rel).expect("relation vanished");
+        let mut new_row = Vec::new();
+        for r in self.rels.values_mut() {
             let mut hit: Vec<u32> = (0..r.arity as u32)
                 .filter_map(|pos| r.index.get(&(pos, from)))
-                .flatten()
+                .flat_map(Bucket::as_slice)
                 .copied()
                 .collect();
             if hit.is_empty() {
@@ -441,13 +578,11 @@ impl Instance {
             hit.sort_unstable();
             hit.dedup();
             for idx in hit {
-                let old = r.tombstone(idx);
+                r.tombstone(idx);
                 self.atom_count -= 1;
-                let new_row: Box<[Value]> = old
-                    .iter()
-                    .map(|&v| if v == from { to } else { v })
-                    .collect();
-                if r.insert(new_row) {
+                new_row.clear();
+                new_row.extend(r.row(idx).iter().map(|&v| if v == from { to } else { v }));
+                if r.insert(&new_row) {
                     self.atom_count += 1;
                 }
                 rewritten += 1;
@@ -471,12 +606,12 @@ impl Instance {
         let Some(rel) = self.rels.get_mut(&atom.rel) else {
             return false;
         };
-        if rel.arity != atom.args.len() || !rel.contains(&atom.args) {
+        if rel.arity != atom.args.len() {
             return false;
         }
-        let idx = rel
-            .find_live_idx(&atom.args)
-            .expect("set member has a live row");
+        let Some(idx) = rel.find(&atom.args) else {
+            return false;
+        };
         rel.tombstone(idx);
         self.atom_count -= 1;
         self.generation += 1;
@@ -532,12 +667,12 @@ impl Instance {
     /// homomorphic image `h(I)`). Merged duplicates collapse.
     pub fn map_values(&self, mut f: impl FnMut(Value) -> Value) -> Instance {
         let mut out = Instance::new();
+        let mut image = Vec::new();
         for (&rel, r) in &self.rels {
             for row in r.live_rows() {
-                out.insert(Atom::new(
-                    rel,
-                    row.iter().map(|&v| f(v)).collect::<Vec<_>>(),
-                ));
+                image.clear();
+                image.extend(row.iter().map(|&v| f(v)));
+                out.insert_row(rel, &image);
             }
         }
         out
@@ -553,8 +688,10 @@ impl Instance {
     /// The union `I ∪ J`.
     pub fn union(&self, other: &Instance) -> Instance {
         let mut out = self.clone();
-        for a in other.atoms() {
-            out.insert(a);
+        for (&rel, r) in &other.rels {
+            for row in r.live_rows() {
+                out.insert_row(rel, row);
+            }
         }
         out
     }
@@ -562,19 +699,23 @@ impl Instance {
     /// The instance `I ∖ {atom}`.
     pub fn without_atom(&self, atom: &Atom) -> Instance {
         let mut out = Instance::new();
-        for a in self.atoms() {
-            if a != *atom {
-                out.insert(a);
+        for (&rel, r) in &self.rels {
+            for row in r.live_rows() {
+                if rel != atom.rel || row != &atom.args[..] {
+                    out.insert_row(rel, row);
+                }
             }
         }
         out
     }
 
-    /// The set difference `I ∖ J`, relation by relation: a relation `J`
-    /// has no row of is copied whole (its tombstones dropped) without
-    /// hashing its rows, so splitting a chase result into its σ-part and
-    /// its target costs the rows of the relations the two share, not the
-    /// whole instance.
+    /// The set difference `I ∖ J`, relation by relation. A relation `J`
+    /// has no row of is copied whole, not re-inserted row by row: its live
+    /// rows are copied into a fresh log, its tombstones dropped, and its
+    /// hash chains and index buckets copied and renumbered, so no row is
+    /// hashed. Splitting a chase result into its σ-part and its target
+    /// thus costs the rows of the relations the two share, not the whole
+    /// instance.
     pub fn difference(&self, other: &Instance) -> Instance {
         let mut out = Instance::new();
         for (&rel, r) in self.rels.iter().filter(|(_, r)| r.live > 0) {
@@ -589,7 +730,7 @@ impl Instance {
                 }
                 Some(o) => {
                     for row in r.live_rows().filter(|row| !o.contains(row)) {
-                        out.insert(Atom::new(rel, row));
+                        out.insert_row(rel, row);
                     }
                 }
             }
@@ -600,12 +741,28 @@ impl Instance {
 
     /// The `σ`-reduct: atoms whose relation is in `schema`.
     pub fn reduct(&self, schema: &Schema) -> Instance {
-        Instance::from_atoms(self.atoms().filter(|a| schema.contains(a.rel)))
+        let mut out = Instance::new();
+        for (&rel, r) in &self.rels {
+            if r.live > 0 && schema.contains(rel) {
+                out.atom_count += r.live;
+                out.rels.insert(rel, r.compacted());
+            }
+        }
+        out.generation = out.atom_count as u64;
+        out
     }
 
     /// True iff every atom of `self` occurs in `other`.
     pub fn is_subinstance_of(&self, other: &Instance) -> bool {
-        self.atoms().all(|a| other.contains(&a))
+        self.rels
+            .iter()
+            .filter(|(_, r)| r.live > 0)
+            .all(|(rel, r)| {
+                other
+                    .rels
+                    .get(rel)
+                    .is_some_and(|o| o.arity == r.arity && r.live_rows().all(|row| o.contains(row)))
+            })
     }
 
     /// All atoms, sorted — a canonical listing for display and comparison.
@@ -664,6 +821,29 @@ impl FromIterator<Atom> for Instance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// The mask every row hash is cut down to on this thread: a
+        /// narrow mask forces rows into shared hash chains.
+        pub(super) static ROW_HASH_MASK: Cell<u64> = const { Cell::new(u64::MAX) };
+    }
+
+    /// Narrows the row hash of this thread to `mask` until dropped.
+    struct NarrowHash;
+
+    impl NarrowHash {
+        fn to(mask: u64) -> NarrowHash {
+            ROW_HASH_MASK.with(|m| m.set(mask));
+            NarrowHash
+        }
+    }
+
+    impl Drop for NarrowHash {
+        fn drop(&mut self) {
+            ROW_HASH_MASK.with(|m| m.set(u64::MAX));
+        }
+    }
 
     fn v(name: &str) -> Value {
         Value::konst(name)
@@ -990,9 +1170,12 @@ mod tests {
         );
         for (rel, r) in &d.rels {
             let b = &rebuilt.rels[rel];
-            assert_eq!(r.rows, b.rows, "{rel}: rows differ from a rebuild");
+            assert_eq!(r.data, b.data, "{rel}: rows differ from a rebuild");
+            assert_eq!(r.alive, b.alive, "{rel}: tombstones differ from a rebuild");
+            assert_eq!(r.heads, b.heads, "{rel}: chain heads differ from a rebuild");
+            assert_eq!(r.chain, b.chain, "{rel}: chains differ from a rebuild");
             assert_eq!(r.index, b.index, "{rel}: index differs from a rebuild");
-            assert_eq!(r.live, r.rows.len());
+            assert_eq!(r.live, r.alive.len());
         }
     }
 
@@ -1034,5 +1217,534 @@ mod tests {
             Atom::of("E", vec![v("a"), v("b")]),
         ]);
         assert_eq!(format!("{i}"), "{E(a,b), F(c)}");
+    }
+
+    /// Checks the storage of `r` against itself: every live row is on the
+    /// chain of its hash exactly once, chains run from newer to older rows
+    /// and hold no tombstone, and the index buckets hold exactly the live
+    /// rows per (position, value), in log order, inline when alone.
+    fn storage_faults(r: &Relation) -> Result<(), String> {
+        let log = r.alive.len();
+        if r.data.len() != log * r.arity || r.chain.len() != log {
+            return Err(format!(
+                "log of {log} rows has {} values and {} chain links",
+                r.data.len(),
+                r.chain.len()
+            ));
+        }
+        let mut chained = vec![false; log];
+        for (&h, &head) in &r.heads {
+            let mut i = head;
+            while i != NIL {
+                let row = r.row(i);
+                if !r.alive[i as usize] || row_hash(row) != h || chained[i as usize] {
+                    return Err(format!("chain of hash {h:#x} reaches row {i} wrongly"));
+                }
+                chained[i as usize] = true;
+                let older = r.chain[i as usize];
+                if older != NIL && older >= i {
+                    return Err(format!("chain runs from row {i} to newer row {older}"));
+                }
+                i = older;
+            }
+        }
+        let live: Vec<u32> = r.live_ids().collect();
+        if live.len() != r.live || live.iter().any(|&i| !chained[i as usize]) {
+            return Err(format!(
+                "{} live rows, {} counted, not all chained",
+                live.len(),
+                r.live
+            ));
+        }
+        let mut want: BTreeMap<(u32, Value), Vec<u32>> = BTreeMap::new();
+        for &i in &live {
+            for (pos, &v) in r.row(i).iter().enumerate() {
+                want.entry((pos as u32, v)).or_default().push(i);
+            }
+        }
+        if want.len() != r.index.len() {
+            return Err(format!(
+                "{} index keys, {} wanted",
+                r.index.len(),
+                want.len()
+            ));
+        }
+        for (key, ids) in want {
+            match r.index.get(&key) {
+                Some(b @ Bucket::One(_)) if ids.len() == 1 && b.as_slice() == ids => {}
+                Some(Bucket::Many(got)) if ids.len() > 1 && *got == ids => {}
+                got => return Err(format!("bucket {key:?} is {got:?}, want {ids:?}")),
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn one_hash_chain_unlinks_from_head_middle_and_tail() {
+        let _narrow = NarrowHash::to(0);
+        let e = Symbol::intern("E");
+        let row = |i: u32| vec![v("k"), Value::null(i)];
+        let mut i = Instance::from_atoms((0..6).map(|k| Atom::new(e, row(k))));
+        let chain = |i: &Instance| -> Vec<u32> {
+            let r = &i.rels[&e];
+            assert_eq!(r.heads.len(), 1, "one hash, one chain");
+            let mut at = r.heads[&0];
+            let mut out = Vec::new();
+            while at != NIL {
+                out.push(at);
+                at = r.chain[at as usize];
+            }
+            out
+        };
+        assert_eq!(chain(&i), vec![5, 4, 3, 2, 1, 0]);
+        assert!(
+            !i.insert(Atom::new(e, row(3))),
+            "a duplicate deep in the chain"
+        );
+        assert!(i.remove(&Atom::new(e, row(5))), "head");
+        assert!(i.remove(&Atom::new(e, row(2))), "middle");
+        assert!(i.remove(&Atom::new(e, row(0))), "tail");
+        assert_eq!(chain(&i), vec![4, 3, 1]);
+        storage_faults(&i.rels[&e]).unwrap();
+        for k in 0..6 {
+            assert_eq!(i.contains(&Atom::new(e, row(k))), [1, 3, 4].contains(&k));
+        }
+        assert!(!i.remove(&Atom::new(e, row(2))));
+        // A merge that collapses one chained row onto another appends
+        // nothing.
+        assert_eq!(i.merge_value(Value::null(4), Value::null(3)), 1);
+        assert_eq!(chain(&i), vec![3, 1]);
+        assert!(i.insert(Atom::new(e, row(0))));
+        assert_eq!(chain(&i), vec![6, 3, 1]);
+        storage_faults(&i.rels[&e]).unwrap();
+        let copy = i.difference(&Instance::new());
+        storage_faults(&copy.rels[&e]).unwrap();
+        assert_eq!(chain(&copy), vec![2, 1, 0]);
+        // Unlinking the last row of the chain drops its head.
+        for k in [0, 1, 3] {
+            assert!(i.remove(&Atom::new(e, row(k))));
+        }
+        assert!(i.rels[&e].heads.is_empty());
+        storage_faults(&i.rels[&e]).unwrap();
+    }
+
+    /// One step of the storage differential. Row choices that need the
+    /// current state (`*Nth`) pick among the live rows modulo their count.
+    #[derive(Debug)]
+    enum Op {
+        Insert(usize, Vec<Value>),
+        /// Re-inserts a live row: always a duplicate.
+        ReinsertNth(usize, usize),
+        Remove(usize, Vec<Value>),
+        RemoveNth(usize, usize),
+        Merge(Value, Value),
+        Clone,
+        Difference(Vec<(usize, Vec<Value>)>),
+        Union(Vec<(usize, Vec<Value>)>),
+        MapValues(Value, Value),
+        WithoutNth(usize, usize),
+        Reduct(usize),
+        Cursor,
+    }
+
+    /// The differential's input: the ops, whether the row hash is
+    /// narrowed so most rows share chains, and the seed of the
+    /// multi-position probe patterns.
+    #[derive(Debug)]
+    struct Case {
+        narrow: bool,
+        ops: Vec<Op>,
+        probe_seed: u64,
+    }
+
+    /// The differential's relations: a nullary one, a binary one and one
+    /// wider than the kernel's stack patterns.
+    fn model_rels() -> [(Symbol, usize); 3] {
+        [
+            (Symbol::intern("StoreN"), 0),
+            (Symbol::intern("StoreE"), 2),
+            (Symbol::intern("StoreW"), crate::join::STACK_ARITY + 2),
+        ]
+    }
+
+    fn model_domain() -> Vec<Value> {
+        vec![
+            v("a"),
+            v("b"),
+            v("c"),
+            Value::null(1),
+            Value::null(2),
+            Value::null(3),
+        ]
+    }
+
+    /// One relation of the [`Model`]: a row log with `None` for
+    /// tombstones, and the set of live rows.
+    type ModelRel = (Vec<Option<Vec<Value>>>, BTreeSet<Vec<Value>>);
+
+    /// The plain model of an instance.
+    #[derive(Default)]
+    struct Model {
+        rels: BTreeMap<Symbol, ModelRel>,
+    }
+
+    impl Model {
+        fn insert(&mut self, rel: Symbol, row: &[Value]) -> bool {
+            let (log, set) = self.rels.entry(rel).or_default();
+            if !set.insert(row.to_vec()) {
+                return false;
+            }
+            log.push(Some(row.to_vec()));
+            true
+        }
+
+        fn remove(&mut self, rel: Symbol, row: &[Value]) -> bool {
+            let Some((log, set)) = self.rels.get_mut(&rel) else {
+                return false;
+            };
+            if !set.remove(row) {
+                return false;
+            }
+            let at = log.iter().position(|r| r.as_deref() == Some(row));
+            log[at.expect("a live row is in the log")] = None;
+            true
+        }
+
+        fn live(&self, rel: Symbol) -> Vec<(usize, Vec<Value>)> {
+            self.rels.get(&rel).map_or(Vec::new(), |(log, _)| {
+                log.iter()
+                    .enumerate()
+                    .filter_map(|(i, r)| Some((i, r.clone()?)))
+                    .collect()
+            })
+        }
+
+        fn nth_live(&self, rel: Symbol, n: usize) -> Option<Vec<Value>> {
+            let live = self.live(rel);
+            (!live.is_empty()).then(|| live[n % live.len()].1.clone())
+        }
+
+        fn len(&self) -> usize {
+            self.rels.values().map(|(_, set)| set.len()).sum()
+        }
+
+        fn log_len(&self, rel: Symbol) -> usize {
+            self.rels.get(&rel).map_or(0, |(log, _)| log.len())
+        }
+
+        /// A fresh model holding, relation by relation and in log order,
+        /// the live rows `keep` admits, mapped through `f`.
+        fn rebuilt(
+            &self,
+            keep: impl Fn(Symbol, &[Value]) -> bool,
+            f: impl Fn(Value) -> Value,
+        ) -> Model {
+            let mut out = Model::default();
+            for &rel in self.rels.keys() {
+                for (_, row) in self.live(rel) {
+                    if keep(rel, &row) {
+                        let image: Vec<Value> = row.iter().map(|&x| f(x)).collect();
+                        out.insert(rel, &image);
+                    }
+                }
+            }
+            out
+        }
+
+        fn merge(&mut self, from: Value, to: Value) -> usize {
+            if from == to {
+                return 0;
+            }
+            let mut rewritten = 0;
+            for rel in self.rels.keys().copied().collect::<Vec<_>>() {
+                for (_, row) in self.live(rel) {
+                    if row.contains(&from) {
+                        self.remove(rel, &row);
+                        let image: Vec<Value> = row
+                            .iter()
+                            .map(|&x| if x == from { to } else { x })
+                            .collect();
+                        self.insert(rel, &image);
+                        rewritten += 1;
+                    }
+                }
+            }
+            rewritten
+        }
+    }
+
+    fn gen_row(rng: &mut dex_testkit::TestRng, arity: usize) -> Vec<Value> {
+        let domain = model_domain();
+        (0..arity)
+            .map(|_| domain[rng.gen_range(0..domain.len())])
+            .collect()
+    }
+
+    fn gen_rows(rng: &mut dex_testkit::TestRng) -> Vec<(usize, Vec<Value>)> {
+        let rels = model_rels();
+        (0..rng.gen_range(0..6))
+            .map(|_| {
+                let r = rng.gen_range(0..rels.len());
+                (r, gen_row(rng, rels[r].1))
+            })
+            .collect()
+    }
+
+    fn gen_op(rng: &mut dex_testkit::TestRng) -> Op {
+        let rels = model_rels();
+        let domain = model_domain();
+        let r = rng.gen_range(0..rels.len());
+        let n = rng.gen_range(0..64);
+        let pick = |rng: &mut dex_testkit::TestRng| domain[rng.gen_range(0..domain.len())];
+        match rng.gen_range(0..20) {
+            0..=6 => Op::Insert(r, gen_row(rng, rels[r].1)),
+            7 => Op::ReinsertNth(r, n),
+            8 => Op::Remove(r, gen_row(rng, rels[r].1)),
+            9 | 10 => Op::RemoveNth(r, n),
+            11 | 12 => Op::Merge(pick(rng), pick(rng)),
+            13 => Op::Clone,
+            14 => Op::Difference(gen_rows(rng)),
+            15 => Op::Union(gen_rows(rng)),
+            16 => Op::MapValues(pick(rng), pick(rng)),
+            17 => Op::WithoutNth(r, n),
+            18 => Op::Reduct(n),
+            _ => Op::Cursor,
+        }
+    }
+
+    fn same<T: PartialEq + fmt::Debug>(what: &str, got: T, want: T) -> Result<(), String> {
+        if got == want {
+            Ok(())
+        } else {
+            Err(format!("{what}: instance {got:?}, model {want:?}"))
+        }
+    }
+
+    /// Compares `inst` with `model`: counts, the log (order and
+    /// positions), membership, every cursor's delta, and the rows of
+    /// every single-position probe, of the all-wildcard probe and of two
+    /// multi-position probes per relation.
+    fn diff_against_model(
+        inst: &Instance,
+        model: &Model,
+        cursors: &[(DeltaCursor, BTreeMap<Symbol, usize>)],
+        rng: &mut dex_testkit::TestRng,
+    ) -> Result<(), String> {
+        same("len", inst.len(), model.len())?;
+        for r in inst.rels.values() {
+            storage_faults(r)?;
+        }
+        for (rel, arity) in model_rels() {
+            let live = model.live(rel);
+            let log: Vec<(usize, Vec<Value>)> = inst
+                .delta_rows_indexed(rel, &DeltaCursor::origin())
+                .map(|(i, row)| (i, row.to_vec()))
+                .collect();
+            same(&format!("{rel} log"), &log, &live)?;
+            same(
+                &format!("{rel} rows_of_len"),
+                inst.rows_of_len(rel),
+                live.len(),
+            )?;
+            for (_, row) in &live {
+                if !inst.contains(&Atom::new(rel, row.clone())) {
+                    return Err(format!("{rel}{row:?} is live but not contained"));
+                }
+            }
+            for (cursor, marks) in cursors {
+                let mark = marks.get(&rel).copied().unwrap_or(0);
+                let delta: Vec<(usize, Vec<Value>)> = inst
+                    .delta_rows_indexed(rel, cursor)
+                    .map(|(i, row)| (i, row.to_vec()))
+                    .collect();
+                let want: Vec<_> = live.iter().filter(|(i, _)| *i >= mark).cloned().collect();
+                same(&format!("{rel} delta past {mark}"), delta, want)?;
+            }
+            let rows = |pattern: &[Option<Value>]| -> Vec<Vec<Value>> {
+                live.iter()
+                    .map(|(_, row)| row.clone())
+                    .filter(|row| Relation::row_matches(row, pattern))
+                    .collect()
+            };
+            let mut patterns: Vec<Vec<Option<Value>>> = vec![vec![None; arity]];
+            for pos in 0..arity {
+                for &x in &model_domain() {
+                    let mut p = vec![None; arity];
+                    p[pos] = Some(x);
+                    patterns.push(p);
+                }
+            }
+            for _ in 0..2 {
+                let row = gen_row(rng, arity);
+                patterns.push(
+                    row.into_iter()
+                        .map(|x| rng.gen_bool(0.5).then_some(x))
+                        .collect(),
+                );
+            }
+            for pattern in &patterns {
+                // The bucket the probe should hand over: the smallest
+                // bound position's rows, the first position on ties.
+                let mut bucket: Option<Vec<Vec<Value>>> = None;
+                for (pos, p) in pattern.iter().enumerate() {
+                    if p.is_some() {
+                        let mut single = vec![None; arity];
+                        single[pos] = *p;
+                        let b = rows(&single);
+                        if bucket.as_ref().is_none_or(|best| b.len() < best.len()) {
+                            bucket = Some(b);
+                        }
+                    }
+                }
+                let bucket = bucket.unwrap_or_else(|| rows(pattern));
+                let probe = inst.probe(rel, pattern);
+                same(
+                    &format!("{rel} probe {pattern:?} len"),
+                    probe.len(),
+                    bucket.len(),
+                )?;
+                let got: Vec<Vec<Value>> = probe.map(<[Value]>::to_vec).collect();
+                same(&format!("{rel} probe {pattern:?} rows"), got, bucket)?;
+                let got: Vec<Vec<Value>> = inst
+                    .rows_matching(rel, pattern)
+                    .map(<[Value]>::to_vec)
+                    .collect();
+                same(
+                    &format!("{rel} rows_matching {pattern:?}"),
+                    got,
+                    rows(pattern),
+                )?;
+            }
+        }
+        let delta_since = |marks: &BTreeMap<Symbol, usize>| {
+            model_rels().iter().any(|&(rel, _)| {
+                let mark = marks.get(&rel).copied().unwrap_or(0);
+                model.live(rel).iter().any(|(i, _)| *i >= mark)
+            })
+        };
+        for (cursor, marks) in cursors {
+            same(
+                "has_delta_since",
+                inst.has_delta_since(cursor),
+                delta_since(marks),
+            )?;
+        }
+        Ok(())
+    }
+
+    fn run_case(case: &Case) -> Result<(), String> {
+        let _narrow = NarrowHash::to(if case.narrow { 0b11 } else { u64::MAX });
+        let rels = model_rels();
+        let mut rng = dex_testkit::TestRng::seed_from_u64(case.probe_seed);
+        let mut inst = Instance::new();
+        let mut model = Model::default();
+        let mut cursors: Vec<(DeltaCursor, BTreeMap<Symbol, usize>)> = Vec::new();
+        let from_rows = |rows: &[(usize, Vec<Value>)]| {
+            let mut j = Instance::new();
+            let mut m = Model::default();
+            for (r, row) in rows {
+                j.insert(Atom::new(rels[*r].0, row.clone()));
+                m.insert(rels[*r].0, row);
+            }
+            (j, m)
+        };
+        for (step, op) in case.ops.iter().enumerate() {
+            let at = |e: String| format!("after op {step} ({op:?}): {e}");
+            match op {
+                Op::Insert(r, row) => {
+                    let (rel, row) = (rels[*r].0, row.clone());
+                    let want = model.insert(rel, &row);
+                    same("insert", inst.insert(Atom::new(rel, row)), want).map_err(at)?;
+                }
+                Op::ReinsertNth(r, n) => {
+                    if let Some(row) = model.nth_live(rels[*r].0, *n) {
+                        let added = inst.insert(Atom::new(rels[*r].0, row));
+                        same("reinsert", added, false).map_err(at)?;
+                    }
+                }
+                Op::Remove(r, row) => {
+                    let (rel, row) = (rels[*r].0, row.clone());
+                    let want = model.remove(rel, &row);
+                    same("remove", inst.remove(&Atom::new(rel, row)), want).map_err(at)?;
+                }
+                Op::RemoveNth(r, n) => {
+                    if let Some(row) = model.nth_live(rels[*r].0, *n) {
+                        model.remove(rels[*r].0, &row);
+                        let removed = inst.remove(&Atom::new(rels[*r].0, row));
+                        same("remove", removed, true).map_err(at)?;
+                    }
+                }
+                Op::Merge(from, to) => {
+                    let want = model.merge(*from, *to);
+                    same("merge", inst.merge_value(*from, *to), want).map_err(at)?;
+                }
+                Op::Clone => {
+                    let copy = inst.clone();
+                    same("clone", &copy, &inst).map_err(at)?;
+                    inst = copy;
+                }
+                Op::Difference(rows) => {
+                    let (j, jm) = from_rows(rows);
+                    inst = inst.difference(&j);
+                    model = model.rebuilt(
+                        |rel, row| !jm.rels.get(&rel).is_some_and(|(_, set)| set.contains(row)),
+                        |x| x,
+                    );
+                }
+                Op::Union(rows) => {
+                    let (j, jm) = from_rows(rows);
+                    inst = inst.union(&j);
+                    for (&rel, (log, _)) in &jm.rels {
+                        for row in log.iter().flatten() {
+                            model.insert(rel, row);
+                        }
+                    }
+                }
+                Op::MapValues(from, to) => {
+                    let f = |x: Value| if x == *from { *to } else { x };
+                    inst = inst.map_values(f);
+                    model = model.rebuilt(|_, _| true, f);
+                }
+                Op::WithoutNth(r, n) => {
+                    if let Some(row) = model.nth_live(rels[*r].0, *n) {
+                        let rel = rels[*r].0;
+                        inst = inst.without_atom(&Atom::new(rel, row.clone()));
+                        model = model.rebuilt(|s, x| s != rel || x != &row[..], |x| x);
+                    }
+                }
+                Op::Reduct(n) => {
+                    let mut schema = Schema::new();
+                    for (k, &(rel, arity)) in rels.iter().enumerate() {
+                        if n >> k & 1 == 1 {
+                            schema.add(rel, arity);
+                        }
+                    }
+                    inst = inst.reduct(&schema);
+                    model = model.rebuilt(|rel, _| schema.contains(rel), |x| x);
+                }
+                Op::Cursor => {
+                    let marks = rels
+                        .iter()
+                        .map(|&(rel, _)| (rel, model.log_len(rel)))
+                        .collect();
+                    cursors.push((inst.cursor(), marks));
+                }
+            }
+            diff_against_model(&inst, &model, &cursors, &mut rng).map_err(at)?;
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn storage_matches_a_plain_model() {
+        let gen = dex_testkit::prop::Gen::new(|rng| {
+            let len = rng.gen_range(10..60);
+            Case {
+                narrow: rng.gen_bool(0.5),
+                ops: (0..len).map(|_| gen_op(rng)).collect(),
+                probe_seed: rng.next_u64(),
+            }
+        });
+        dex_testkit::prop::Runner::new(64).run("storage matches a plain model", &gen, run_case);
     }
 }
