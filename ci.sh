@@ -95,11 +95,29 @@ done
 
 echo "== storage differential smoke (fixed seeds; replay any failure with DEX_PROP_SEED) =="
 # The instance storage differential (random insert/remove/merge/copy
-# sequences against a plain log-and-set model) already sweeps 64 seeds
+# sequences, and clones whose two sides are then written apart, against
+# a plain log-and-set model per side) already sweeps 64 seeds
 # under `cargo test` above; here two fixed seeds re-run it through the
 # DEX_PROP_SEED replay path, as the fault-injection smoke does.
 for seed in 7 41; do
   DEX_PROP_SEED=$seed cargo test -q --locked --offline -p dex-core --lib instance::tests::storage_matches_a_plain_model
+done
+
+echo "== hostile delta smoke (atoms outside the source schema: exit 1, never a panic) =="
+# A source relation at another arity, a target relation and an unknown
+# relation in a delta are each refused with exit code 1 and a message
+# naming the relation; a panic exits 101 and fails the stage.
+for case in 'M(q)|M' 'E(q,r)|E' 'Z(q)|Z'; do
+  atom=${case%|*}
+  rel=${case#*|}
+  set +e
+  HOSTILE_ERR=$(target/release/dex update examples/dsl/example_2_1.setting 'M(a,b). N(a,b).' "+ $atom." 2>&1 >/dev/null)
+  code=$?
+  set -e
+  [ "$code" -eq 1 ] \
+    || { echo "hostile delta smoke: + $atom. exited $code: $HOSTILE_ERR"; exit 1; }
+  grep -q "\b$rel\b" <<< "$HOSTILE_ERR" \
+    || { echo "hostile delta smoke: + $atom. named no relation $rel: $HOSTILE_ERR"; exit 1; }
 done
 
 echo "== trace smoke (JSONL trace reconciles with ChaseStats exactly) =="

@@ -417,6 +417,7 @@ pub(crate) fn naive_chase(
                 return AlphaOutcome::BudgetExceeded { steps, atoms };
             }
             Err(ChaseError::Interrupted(i)) => return AlphaOutcome::Interrupted(i),
+            Err(ChaseError::InvalidSource(e)) => unreachable!("egd_step checks no schema: {e}"),
         }
         // Then the first applicable tgd trigger, s-t (matched over σ)
         // before target.

@@ -76,7 +76,7 @@ use crate::witness::ConflictWitness;
 use dex_core::govern::{Clock, Interrupt};
 use dex_core::{
     merge_policy, Atom, DeltaCursor, Governor, IdMap, IdSet, Instance, MergeOutcome, NullGen,
-    SourceDelta, Symbol, Value, ValueUnionFind,
+    Schema, SourceDelta, Symbol, Value, ValueUnionFind,
 };
 use dex_logic::matcher;
 use dex_logic::{Assignment, Body, FAtom, Setting, Term, Tgd};
@@ -328,11 +328,14 @@ struct Run<'g, 'p> {
 }
 
 impl Run<'_, '_> {
-    /// The run's result and its target `result ∖ σ`; the difference
-    /// copies every relation σ has no row of whole.
-    fn success(self, sigma: &Instance) -> ChaseSuccess {
+    /// The run's result and its target, the reduct to the target schema
+    /// `tau`. The result first compacts every relation with more
+    /// tombstones than live rows, so a resumed result's logs stay within
+    /// twice its atoms; the target then shares every relation with it.
+    fn success(mut self, tau: &Schema) -> ChaseSuccess {
+        self.inst.compact_tombstones();
         ChaseSuccess {
-            target: self.inst.difference(sigma),
+            target: self.inst.reduct(tau),
             result: self.inst,
             steps: self.steps,
             stats: self.stats,
@@ -863,7 +866,12 @@ impl<'a> ChaseEngine<'a> {
     }
 
     /// The standard restricted chase (same contract as [`crate::chase`]).
+    /// A source atom outside the setting's source schema is refused with
+    /// [`ChaseError::InvalidSource`] before anything is chased.
     pub fn run(&self, source: &Instance) -> Result<ChaseSuccess, ChaseError> {
+        source
+            .check_against(&self.setting.source)
+            .map_err(ChaseError::InvalidSource)?;
         self.governed(|gov| self.run_restricted(gov, source, self.provenance))
             .map_err(Stop::into_chase_error)
     }
@@ -876,7 +884,7 @@ impl<'a> ChaseEngine<'a> {
     ) -> Result<ChaseSuccess, Stop> {
         let policy = Policy::restricted(source);
         let run = self.chase_source(gov, source, policy, provenance, "delta_standard")?;
-        Ok(run.success(source))
+        Ok(run.success(&self.setting.target))
     }
 
     /// Incremental data exchange: continues a prior chase result under a
@@ -904,14 +912,24 @@ impl<'a> ChaseEngine<'a> {
     /// or when any dependency has an FO body (FO derivations have no
     /// premise decomposition to propagate deletions through).
     ///
+    /// A delta atom outside the setting's source schema is refused with
+    /// [`ChaseError::InvalidSource`] before anything is resumed.
+    ///
     /// On `Err` the prior result is untouched (the engine works on
-    /// clones), so a governed/faulted resume leaves a sound state
-    /// behind.
+    /// copy-on-write clones of the prior result and provenance, which
+    /// copy what the resume writes and share the rest), so a
+    /// governed/faulted resume leaves a sound state behind.
     pub fn resume(
         &self,
         prior: &ChaseSuccess,
         delta: &SourceDelta,
     ) -> Result<ChaseSuccess, ChaseError> {
+        for a in delta.deletes.iter().chain(&delta.inserts) {
+            self.setting
+                .source
+                .check_atom(a)
+                .map_err(ChaseError::InvalidSource)?;
+        }
         self.governed(|gov| self.resume_run(gov, prior, delta))
             .map_err(Stop::into_chase_error)
     }
@@ -927,10 +945,9 @@ impl<'a> ChaseEngine<'a> {
 
         // The σ-part of the prior result. Source instances are ground
         // and source/target schemas are disjoint, so egd merges never
-        // rewrote a σ-row: the difference recovers the chased source.
-        // It is taken relation by relation: the σ relations, which the
-        // target has no row of, are copied whole.
-        let sigma_old = prior.result.difference(&prior.target);
+        // rewrote a σ-row: the σ-reduct recovers the chased source, and
+        // shares its relations with the prior result.
+        let mut sigma = prior.result.reduct(&self.setting.source);
 
         // Net the batch against the current source: deletes apply
         // first, so delete∩insert of a present atom is a no-op, and
@@ -939,36 +956,35 @@ impl<'a> ChaseEngine<'a> {
         let net_deletes: Vec<Atom> = delta
             .deletes
             .iter()
-            .filter(|a| seen.insert(*a) && sigma_old.contains(a) && !delta.inserts.contains(a))
+            .filter(|a| seen.insert(*a) && sigma.contains(a) && !delta.inserts.contains(a))
             .cloned()
             .collect();
         seen.clear();
         let net_inserts: Vec<Atom> = delta
             .inserts
             .iter()
-            .filter(|a| seen.insert(*a) && !sigma_old.contains(a))
+            .filter(|a| seen.insert(*a) && !sigma.contains(a))
             .cloned()
             .collect();
         drop(seen);
 
         let has_fo_body = self.tgds().any(|(_, t)| !matches!(t.body, Body::Conj(_)));
-        if !sigma_old.is_ground()
-            || (!net_deletes.is_empty() && (prior.provenance.is_none() || has_fo_body))
-        {
+        let fall_back = !sigma.is_ground()
+            || (!net_deletes.is_empty() && (prior.provenance.is_none() || has_fo_body));
+        // The updated σ-part, for FO s-t re-examination or a re-chase:
+        // the delta applied in place copies only the relations it writes.
+        delta.apply_to(&mut sigma);
+        if fall_back {
             // Deletion propagation needs a justification graph with
             // atom-decomposed premises; without one, correctness comes
             // from a plain re-chase of the updated source.
-            let updated = delta.applied(&sigma_old);
             sp_resume.close(gov.clock().now_ns());
-            return self.run_restricted(gov, &updated, prior.provenance.is_some());
+            return self.run_restricted(gov, &sigma, prior.provenance.is_some());
         }
 
         let policy = Policy::restricted(&prior.result);
         let prov = prior.provenance.clone();
         let mut run = self.start(gov, prior.result.clone(), prov, policy, "resume");
-        // The updated σ-part, for FO s-t re-examination and the final
-        // target split.
-        let sigma_new = delta.applied(&sigma_old);
         // The cursor taken before any mutation: every row this resume
         // appends (re-derivations, new source rows, their consequences)
         // is inside the windows the fixpoint consumes. The prior result
@@ -1023,12 +1039,12 @@ impl<'a> ChaseEngine<'a> {
                 .push(&a.args);
         }
         let st_count = self.setting.st_tgds.len();
-        self.round(&mut run, self.tgds().take(st_count), &inserted, &sigma_new)?;
+        self.round(&mut run, self.tgds().take(st_count), &inserted, &sigma)?;
 
         // Continue the target fixpoint over everything this resume
         // appended — the same loop a from-scratch run uses, so governed
         // interruption and budget behavior are identical.
-        self.fixpoint(&mut run, &sigma_new, processed, false)?;
+        self.fixpoint(&mut run, &sigma, processed, false)?;
 
         emit(gov, || EventKind::ResumeApplied {
             inserts: net_inserts.len(),
@@ -1038,7 +1054,7 @@ impl<'a> ChaseEngine<'a> {
         });
         self.completed(&mut run, t_total);
         sp_resume.close(gov.clock().now_ns());
-        Ok(run.success(&sigma_new))
+        Ok(run.success(&self.setting.target))
     }
 
     /// Unifies the head atom `h` against the retracted ground atom `r`:
@@ -1082,7 +1098,7 @@ impl<'a> ChaseEngine<'a> {
         let outcome = self.governed(|gov| {
             let policy = Policy::alpha(alpha, &mut trace, source);
             self.chase_source(gov, source, policy, self.provenance, "delta_alpha")
-                .map(|run| run.success(source))
+                .map(|run| run.success(&self.setting.target))
         });
         match outcome {
             Err(stop) => stop.into_alpha_outcome(),
@@ -1490,14 +1506,181 @@ mod tests {
         let budget = ChaseBudget::default();
         let eng = ChaseEngine::new(&d, &budget).with_provenance(true);
         let prior = eng.run(&s).unwrap();
-        let before = prior.result.clone();
+        // Owned snapshots: a clone of the result would share its storage
+        // with the prior, so it could not tell a leaked write apart.
+        let (result, target) = (prior.result.sorted_atoms(), prior.target.sorted_atoms());
         let mut delta = SourceDelta::new();
         delta.insert(ground("E", &["e", "f"]));
         let tight = ChaseBudget::new(1, 8000);
         let starved = ChaseEngine::new(&d, &tight).with_provenance(true);
         let err = starved.resume(&prior, &delta).unwrap_err();
         assert!(matches!(err, ChaseError::BudgetExceeded { .. }));
-        // The engine worked on clones; the prior result is untouched.
-        assert_eq!(prior.result, before);
+        // The engine worked on copy-on-write clones; the prior is untouched.
+        assert_eq!(prior.result.sorted_atoms(), result);
+        assert_eq!(prior.target.sorted_atoms(), target);
+        assert_eq!(prior.result.len(), result.len());
+    }
+
+    /// A source atom at the wrong arity, of an unknown relation or of a
+    /// target relation is refused by `run` and, as an insert or a delete,
+    /// by `resume`, which leaves its prior untouched.
+    #[test]
+    fn run_and_resume_refuse_atoms_outside_the_source_schema() {
+        let d = parse_setting(
+            "source { M/2, N/2 } target { E/2 }
+             st { M(x,y) -> E(x,y); N(x,y) -> E(y,x); }",
+        )
+        .unwrap();
+        let eng = ChaseEngine::new(&d, &ChaseBudget::default()).with_provenance(true);
+        let prior = eng
+            .run(&parse_instance("M(a,b). N(a,b).").unwrap())
+            .unwrap();
+        let before = prior.result.sorted_atoms();
+        let (m, z, e) = (
+            Symbol::intern("M"),
+            Symbol::intern("Z"),
+            Symbol::intern("E"),
+        );
+        let cases = [
+            (
+                ground("M", &["q"]),
+                dex_core::SchemaError::ArityMismatch {
+                    rel: m,
+                    expected: 2,
+                    found: 1,
+                },
+            ),
+            (
+                ground("Z", &["q"]),
+                dex_core::SchemaError::UnknownRelation(z),
+            ),
+            (
+                ground("E", &["q", "r"]),
+                dex_core::SchemaError::UnknownRelation(e),
+            ),
+        ];
+        for (bad, want) in cases {
+            let want = ChaseError::InvalidSource(want);
+            let source = Instance::from_atoms([bad.clone()]);
+            assert_eq!(eng.run(&source).unwrap_err(), want, "run of {bad}");
+            let mut insert = SourceDelta::new();
+            insert.insert(bad.clone());
+            insert.insert(ground("M", &["c", "d"]));
+            let mut delete = SourceDelta::new();
+            delete.delete(bad.clone());
+            for delta in [insert, delete] {
+                assert_eq!(eng.resume(&prior, &delta).unwrap_err(), want, "{delta}");
+            }
+            assert!(want.to_string().contains(&bad.rel.to_string()), "{want}");
+        }
+        assert_eq!(prior.result.sorted_atoms(), before);
+    }
+
+    /// The setting, base source and 1%/1% update stream shape of the
+    /// `update` end-to-end workload.
+    fn update_workload(steps: usize) -> (Setting, Instance, Vec<SourceDelta>) {
+        use dex_datagen::{
+            mapping_scenario, random_source, update_stream, ScenarioConfig, SourceConfig,
+            UpdateStreamConfig,
+        };
+        let d = mapping_scenario(&ScenarioConfig {
+            copies: 2,
+            partitions: 2,
+            surrogates: 3,
+            seed: 5,
+        });
+        let base = random_source(
+            &d.source,
+            &SourceConfig {
+                num_constants: 128,
+                tuples_per_relation: 128,
+                seed: 29,
+            },
+        );
+        let stream = update_stream(
+            &d.source,
+            &base,
+            &UpdateStreamConfig {
+                steps,
+                insert_rate: 0.01,
+                delete_rate: 0.01,
+                num_constants: 128,
+                seed: 29,
+            },
+        );
+        (d, base, stream)
+    }
+
+    /// Over 200 deltas, every resumed result and target keeps each
+    /// relation's row log (its cursor mark) within twice its live rows
+    /// plus one, although resumes keep leaving tombstones behind.
+    #[test]
+    fn resumed_results_keep_row_logs_within_twice_their_atoms() {
+        let (d, base, stream) = update_workload(200);
+        let eng = ChaseEngine::new(&d, &ChaseBudget::default()).with_provenance(true);
+        let mut prior = eng.run(&base).unwrap();
+        let rels: Vec<Symbol> = d
+            .source
+            .relations()
+            .chain(d.target.relations())
+            .map(|(rel, _)| rel)
+            .collect();
+        let mut tombstones_seen = 0;
+        for (k, delta) in stream.iter().enumerate() {
+            prior = eng.resume(&prior, delta).unwrap();
+            for (what, inst) in [("result", &prior.result), ("target", &prior.target)] {
+                let cursor = inst.cursor();
+                for &rel in &rels {
+                    let (log, live) = (cursor.mark(rel), inst.rows_of_len(rel));
+                    assert!(
+                        log <= 2 * live + 1,
+                        "after delta {k}, the {what}'s {rel} logs {log} rows for {live} atoms"
+                    );
+                    tombstones_seen += log - live;
+                }
+            }
+        }
+        assert!(tombstones_seen > 0, "the stream never left a tombstone");
+    }
+
+    /// A resume with deletes and merges writes only to its own copy of
+    /// the prior's provenance: every atom's derivations and support and
+    /// the merge records of the prior equal owned snapshots taken before.
+    #[test]
+    fn resume_leaves_the_prior_provenance_as_it_was() {
+        type Snapshot = (Vec<(Atom, Vec<Derivation>, usize)>, Vec<MergeRecord>);
+        fn snapshot(s: &ChaseSuccess) -> Snapshot {
+            let p = s.provenance.as_ref().expect("provenance recorded");
+            let atoms = s
+                .result
+                .sorted_atoms()
+                .into_iter()
+                .map(|a| {
+                    let derivations = p.derivations(&a).cloned().collect();
+                    let support = p.support(&a);
+                    (a, derivations, support)
+                })
+                .collect();
+            (atoms, p.merges().to_vec())
+        }
+        use crate::provenance::{Derivation, MergeRecord};
+        let (d, base, stream) = update_workload(40);
+        let eng = ChaseEngine::new(&d, &ChaseBudget::default()).with_provenance(true);
+        let mut prior = eng.run(&base).unwrap();
+        let (mut retracted, mut merges_changed) = (0, 0);
+        for delta in &stream {
+            let before = snapshot(&prior);
+            assert!(!before.1.is_empty(), "the keyed setting merges");
+            let resumed = eng.resume(&prior, delta).unwrap();
+            assert!(snapshot(&prior) == before, "the resume wrote to its prior");
+            retracted += resumed.stats.atoms_retracted;
+            let merges = resumed.provenance.as_ref().unwrap().merges();
+            merges_changed += usize::from(merges != &before.1[..]);
+            prior = resumed;
+        }
+        assert!(
+            retracted > 0 && merges_changed > 0,
+            "{retracted} {merges_changed}"
+        );
     }
 }

@@ -52,10 +52,23 @@
 //! runs over the cone alone, and only merges citing a cone atom are
 //! re-examined. Both count the entries and merge records they inspect
 //! ([`Provenance::entries_visited`]).
+//!
+//! # Copy-on-write
+//!
+//! A resumed chase starts from a clone of the prior run's map and
+//! changes a few entries of it. Entries and index sets therefore sit
+//! behind [`Arc`]s and are copied on their first write, and atoms are
+//! keyed to slots by hash, with a chain through the slots as
+//! `dex_core::Instance` keys its rows, instead of by a second owned copy
+//! of every atom. A clone copies one pointer or id per slot and per
+//! indexed value, not the atoms, justifications and sets behind them.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasher, Hash};
+use std::sync::Arc;
 
+use dex_core::hash::BuildIdHasher;
 use dex_core::{Atom, IdMap, IdSet, Instance, Symbol, Value};
 use dex_obs::JsonValue;
 
@@ -192,6 +205,74 @@ impl MergeRecord {
 /// A slot of the entry table.
 type Id = u32;
 
+/// The end of a hash chain of slots.
+const NIL: Id = Id::MAX;
+
+/// The hash that keys an atom to its slot.
+fn atom_hash(atom: &Atom) -> u64 {
+    BuildIdHasher::default().hash_one(atom)
+}
+
+/// A set of ids shared between clones of a map until one of them writes
+/// to it. An empty set holds nothing, so it costs no allocation.
+#[derive(Clone, Debug)]
+struct CowSet<T>(Option<Arc<IdSet<T>>>);
+
+impl<T> Default for CowSet<T> {
+    fn default() -> CowSet<T> {
+        CowSet(None)
+    }
+}
+
+impl<T: Copy + Eq + Hash> CowSet<T> {
+    fn iter(&self) -> impl Iterator<Item = T> + '_ {
+        self.0.iter().flat_map(|set| set.iter().copied())
+    }
+
+    fn len(&self) -> usize {
+        self.0.as_ref().map_or(0, |set| set.len())
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn contains(&self, x: &T) -> bool {
+        self.0.as_ref().is_some_and(|set| set.contains(x))
+    }
+
+    fn insert(&mut self, x: T) {
+        if !self.contains(&x) {
+            Arc::make_mut(self.0.get_or_insert_with(Arc::default)).insert(x);
+        }
+    }
+
+    fn remove(&mut self, x: &T) {
+        if let Some(set) = self.0.as_mut().filter(|set| set.contains(x)) {
+            Arc::make_mut(set).remove(x);
+            if set.is_empty() {
+                self.0 = None;
+            }
+        }
+    }
+
+    fn extend(&mut self, other: CowSet<T>) {
+        match (&mut self.0, other.0) {
+            (_, None) => {}
+            (None, other) => self.0 = other,
+            (Some(_), Some(other)) => other.iter().for_each(|&x| self.insert(x)),
+        }
+    }
+}
+
+/// Set equality, for comparing the maintained indexes with a rebuild.
+#[cfg(test)]
+impl<T: Copy + Eq + Hash> PartialEq for CowSet<T> {
+    fn eq(&self, other: &CowSet<T>) -> bool {
+        self.len() == other.len() && self.iter().all(|x| other.contains(&x))
+    }
+}
+
 /// One atom of the map with its justifications.
 #[derive(Clone, Debug)]
 struct Entry {
@@ -238,9 +319,13 @@ struct Cone {
 #[derive(Clone, Debug, Default)]
 pub struct Provenance {
     /// The entry table; a `None` slot is free and listed in `free`.
-    entries: Vec<Option<Entry>>,
+    entries: Vec<Option<Arc<Entry>>>,
     free: Vec<Id>,
-    ids: IdMap<Atom, Id>,
+    /// Atom hash → the newest live slot whose atom has that hash ...
+    heads: IdMap<u64, Id>,
+    /// ... and, per slot, the next older live slot with the same hash
+    /// (or `NIL`).
+    chain: Vec<Id>,
     /// Ascending by id.
     merges: Vec<MergeRecord>,
     next_merge_id: u64,
@@ -249,15 +334,15 @@ pub struct Provenance {
     /// run that never merges or retracts never pays for them.
     indexed: bool,
     /// The value index: each value → the entries that mention it.
-    by_value: IdMap<Value, IdSet<Id>>,
+    by_value: IdMap<Value, CowSet<Id>>,
     /// Each merged-away value → the ids of the merges that rewrote it,
     /// ascending.
     by_loser: IdMap<Value, Vec<u64>>,
     /// The premise index, by slot: the entries with a justification
     /// citing the slot's atom as a premise ...
-    cited_by: Vec<IdSet<Id>>,
+    cited_by: Vec<CowSet<Id>>,
     /// ... and the ids of the merge records citing it.
-    merges_citing: Vec<IdSet<u64>>,
+    merges_citing: Vec<CowSet<u64>>,
     /// Entries and merge records re-keying and retraction inspected.
     visited: u64,
     /// The whole-map maintenance this one replaced, run beside it so
@@ -347,7 +432,7 @@ impl Provenance {
         self.next_merge_id += 1;
         let subst = |v: Value| if v == loser { winner } else { v };
         let touched: Vec<Id> = match self.by_value.remove(&loser) {
-            Some(ids) if loser != winner => ids.into_iter().collect(),
+            Some(ids) if loser != winner => ids.iter().collect(),
             Some(ids) => {
                 self.by_value.insert(loser, ids);
                 Vec::new()
@@ -366,7 +451,7 @@ impl Provenance {
             }
             if rekeyed {
                 moved.push((entry.atom.clone(), eid));
-                merges_touched.extend(&self.merges_citing[eid as usize]);
+                merges_touched.extend(self.merges_citing[eid as usize].iter());
             }
         }
         // Re-keyed atoms can collide with each other or with an atom the
@@ -374,15 +459,14 @@ impl Provenance {
         // atom, in atom order, so a collided atom's justification order
         // does not depend on any map's iteration order.
         moved.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        for (old, _) in &moved {
-            self.ids.remove(old);
+        for &(_, mid) in &moved {
+            self.unkey(mid);
         }
-        let mut folded: Vec<(Id, Id, Entry)> = Vec::new();
+        let mut folded: Vec<(Id, Id, Arc<Entry>)> = Vec::new();
         for (old, mid) in moved {
             let new_atom = old.map_values(subst);
-            match self.ids.get(&new_atom).copied() {
+            match self.find(&new_atom) {
                 None => {
-                    self.ids.insert(new_atom.clone(), mid);
                     let entry = self.entry_mut(mid);
                     entry.atom = new_atom;
                     for j in std::mem::take(&mut entry.justs) {
@@ -390,6 +474,7 @@ impl Provenance {
                             entry.justs.push(j);
                         }
                     }
+                    self.key(mid);
                 }
                 // Two atoms collapse into one; the surviving atom keeps
                 // every distinct justification of both.
@@ -423,7 +508,7 @@ impl Provenance {
                 }
             }
             for p in m.premises() {
-                if let Some(&pid) = self.ids.get(p) {
+                if let Some(pid) = self.find(p) {
                     let cited_by = &mut self.cited_by[pid as usize];
                     cited_by.remove(&mid);
                     cited_by.insert(sid);
@@ -434,7 +519,9 @@ impl Provenance {
         }
         if !touched.is_empty() {
             let winners = self.by_value.entry(winner).or_default();
-            winners.extend(touched.iter().map(|t| remap.get(t).copied().unwrap_or(*t)));
+            for t in &touched {
+                winners.insert(remap.get(t).copied().unwrap_or(*t));
+            }
         }
         self.visited += (touched.len() + merges_touched.len()) as u64;
         for mid in merges_touched {
@@ -459,11 +546,11 @@ impl Provenance {
 
     /// Number of atoms with a recorded derivation.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.entries.len() - self.free.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.len() == 0
     }
 
     /// The egd merges applied and still justified, in order.
@@ -576,18 +663,63 @@ impl Provenance {
 
     fn entry(&self, id: Id) -> &Entry {
         self.entries[id as usize]
-            .as_ref()
+            .as_deref()
             .expect("indexed entry is live")
     }
 
+    /// Entry `id` for writing: copied first when a clone shares it.
     fn entry_mut(&mut self, id: Id) -> &mut Entry {
-        self.entries[id as usize]
-            .as_mut()
-            .expect("indexed entry is live")
+        Arc::make_mut(
+            self.entries[id as usize]
+                .as_mut()
+                .expect("indexed entry is live"),
+        )
+    }
+
+    /// The slot of `atom`, if it has one.
+    fn find(&self, atom: &Atom) -> Option<Id> {
+        let mut id = *self.heads.get(&atom_hash(atom))?;
+        while id != NIL {
+            if self.entry(id).atom == *atom {
+                return Some(id);
+            }
+            id = self.chain[id as usize];
+        }
+        None
+    }
+
+    /// Keys slot `id` to its entry's atom, at the head of its chain.
+    fn key(&mut self, id: Id) {
+        let h = atom_hash(&self.entry(id).atom);
+        if self.chain.len() <= id as usize {
+            self.chain.resize(id as usize + 1, NIL);
+        }
+        self.chain[id as usize] = self.heads.insert(h, id).unwrap_or(NIL);
+    }
+
+    /// Unkeys slot `id`, whose entry still holds the atom it is keyed to.
+    fn unkey(&mut self, id: Id) {
+        let h = atom_hash(&self.entry(id).atom);
+        let older = std::mem::replace(&mut self.chain[id as usize], NIL);
+        let head = self.heads.get_mut(&h).expect("a live slot is keyed");
+        if *head == id {
+            match older {
+                NIL => {
+                    self.heads.remove(&h);
+                }
+                older => *head = older,
+            }
+        } else {
+            let mut p = *head as usize;
+            while self.chain[p] != id {
+                p = self.chain[p] as usize;
+            }
+            self.chain[p] = older;
+        }
     }
 
     fn justs(&self, atom: &Atom) -> Option<&[Just]> {
-        self.ids.get(atom).map(|&id| &self.entry(id).justs[..])
+        self.find(atom).map(|id| &self.entry(id).justs[..])
     }
 
     fn merge_pos(&self, id: u64) -> usize {
@@ -599,13 +731,13 @@ impl Provenance {
     /// The entry of `atom`, created empty (and its values indexed) when
     /// the atom has none yet.
     fn entry_id(&mut self, atom: Atom) -> Id {
-        if let Some(&id) = self.ids.get(&atom) {
+        if let Some(id) = self.find(&atom) {
             return id;
         }
-        let entry = Entry {
-            atom: atom.clone(),
+        let entry = Arc::new(Entry {
+            atom,
             justs: Vec::new(),
-        };
+        });
         let id = match self.free.pop() {
             Some(id) => {
                 self.entries[id as usize] = Some(entry);
@@ -616,13 +748,13 @@ impl Provenance {
                 Id::try_from(self.entries.len() - 1).expect("fewer than 2^32 atoms")
             }
         };
-        self.ids.insert(atom, id);
+        self.key(id);
         if self.indexed {
             if self.cited_by.len() < self.entries.len() {
                 self.cited_by
-                    .resize_with(self.entries.len(), IdSet::default);
+                    .resize_with(self.entries.len(), CowSet::default);
                 self.merges_citing
-                    .resize_with(self.entries.len(), IdSet::default);
+                    .resize_with(self.entries.len(), CowSet::default);
             }
             self.link(id, true);
         }
@@ -635,8 +767,8 @@ impl Provenance {
             return;
         }
         self.indexed = true;
-        self.cited_by = vec![IdSet::default(); self.entries.len()];
-        self.merges_citing = vec![IdSet::default(); self.entries.len()];
+        self.cited_by = vec![CowSet::default(); self.entries.len()];
+        self.merges_citing = vec![CowSet::default(); self.entries.len()];
         for id in 0..self.entries.len() {
             if self.entries[id].is_some() {
                 self.link(id as Id, true);
@@ -647,14 +779,14 @@ impl Provenance {
             self.index_merge(m.id, m.loser, &m.premises);
         }
         self.merges = merges;
-        self.visited += (self.ids.len() + self.merges.len()) as u64;
+        self.visited += (self.len() + self.merges.len()) as u64;
     }
 
     /// Indexes merge `id`: under its loser, and as citing each premise.
     fn index_merge(&mut self, id: u64, loser: Value, premises: &[Atom]) {
         for p in premises {
-            match self.ids.get(p) {
-                Some(&pid) => {
+            match self.find(p) {
+                Some(pid) => {
                     self.merges_citing[pid as usize].insert(id);
                 }
                 None => debug_assert!(false, "merge premise {p} has no entry"),
@@ -670,7 +802,7 @@ impl Provenance {
             just.derivation
                 .premises()
                 .iter()
-                .all(|p| self.ids.contains_key(p)),
+                .all(|p| self.find(p).is_some()),
             "a premise of {} has no entry",
             self.entry(id).atom
         );
@@ -679,7 +811,7 @@ impl Provenance {
                 self.by_value.entry(v).or_default().insert(id);
             }
             for p in just.derivation.premises() {
-                if let Some(&pid) = self.ids.get(p) {
+                if let Some(pid) = self.find(p) {
                     self.cited_by[pid as usize].insert(id);
                 }
             }
@@ -692,10 +824,7 @@ impl Provenance {
     fn link(&mut self, id: Id, on: bool) {
         let entry = self.entry(id);
         let values: IdSet<Value> = entry.values().collect();
-        let cited: IdSet<Id> = entry
-            .premises()
-            .filter_map(|p| self.ids.get(p).copied())
-            .collect();
+        let cited: IdSet<Id> = entry.premises().filter_map(|p| self.find(p)).collect();
         for v in values {
             if on {
                 self.by_value.entry(v).or_default().insert(id);
@@ -734,9 +863,8 @@ impl Provenance {
 
     /// `p` has an entry, and it is outside the cone or alive inside it.
     fn premise_alive(&self, p: &Atom, cone: &Cone) -> bool {
-        self.ids
-            .get(p)
-            .is_some_and(|id| !cone.members.contains(id) || cone.alive.contains(id))
+        self.find(p)
+            .is_some_and(|id| !cone.members.contains(&id) || cone.alive.contains(&id))
     }
 
     /// The affected cone under the current `suspect` set, with its
@@ -758,16 +886,13 @@ impl Provenance {
     fn cone(&mut self, deleted: &IdSet<Atom>, suspect: &IdSet<u64>) -> Cone {
         let tainted: IdSet<Value> = suspect.iter().map(|&s| self.resolved_winner(s)).collect();
         let mut members: IdSet<Id> = IdSet::default();
-        let mut stack: Vec<Id> = deleted
-            .iter()
-            .filter_map(|a| self.ids.get(a).copied())
-            .collect();
+        let mut stack: Vec<Id> = deleted.iter().filter_map(|a| self.find(a)).collect();
         for v in &tainted {
-            stack.extend(self.by_value.get(v).into_iter().flatten().copied());
+            stack.extend(self.by_value.get(v).into_iter().flat_map(CowSet::iter));
         }
         while let Some(id) = stack.pop() {
             if members.insert(id) {
-                stack.extend(self.cited_by[id as usize].iter().copied());
+                stack.extend(self.cited_by[id as usize].iter());
             }
         }
         self.visited += members.len() as u64;
@@ -809,9 +934,9 @@ impl Provenance {
                 // it twice. A premise without an entry never comes alive.
                 let mut missing: Vec<Id> = Vec::new();
                 for p in j.derivation.premises() {
-                    match self.ids.get(p) {
+                    match self.find(p) {
                         None => continue 'justs,
-                        Some(&pid) if cone.members.contains(&pid) && !cone.alive.contains(&pid) => {
+                        Some(pid) if cone.members.contains(&pid) && !cone.alive.contains(&pid) => {
                             missing.push(pid)
                         }
                         Some(_) => {}
@@ -904,7 +1029,7 @@ impl Provenance {
                     inner = true;
                     grew = true;
                     let w = self.resolved_winner(mid);
-                    let mentioning = self.by_value.get(&w).into_iter().flatten().copied();
+                    let mentioning = self.by_value.get(&w).into_iter().flat_map(CowSet::iter);
                     more.extend(self.merges_citing(mentioning));
                 }
             }
@@ -919,7 +1044,7 @@ impl Provenance {
 
     /// The merges citing any of the atoms of `ids`.
     fn merges_citing(&self, ids: impl Iterator<Item = Id>) -> BTreeSet<u64> {
-        ids.flat_map(|id| self.merges_citing[id as usize].iter().copied())
+        ids.flat_map(|id| self.merges_citing[id as usize].iter())
             .collect()
     }
 
@@ -971,14 +1096,17 @@ impl Provenance {
         // differs between processes.
         let mut removed: Vec<Atom> = Vec::with_capacity(dead.len());
         for id in dead {
+            self.unkey(id);
             let entry = self.entries[id as usize]
                 .take()
                 .expect("dead entry is live");
-            self.ids.remove(&entry.atom);
-            self.cited_by[id as usize].clear();
-            self.merges_citing[id as usize].clear();
+            self.cited_by[id as usize] = CowSet::default();
+            self.merges_citing[id as usize] = CowSet::default();
             self.free.push(id);
-            removed.push(entry.atom);
+            removed.push(match Arc::try_unwrap(entry) {
+                Ok(entry) => entry.atom,
+                Err(shared) => shared.atom.clone(),
+            });
         }
         removed.sort_unstable();
         let mut dropped: Vec<u64> = suspect.iter().copied().collect();
@@ -987,7 +1115,7 @@ impl Provenance {
             let pos = self.merge_pos(mid);
             let m = self.merges.remove(pos);
             for p in &m.premises {
-                if let Some(&pid) = self.ids.get(p) {
+                if let Some(pid) = self.find(p) {
                     self.merges_citing[pid as usize].remove(&mid);
                 }
             }

@@ -373,12 +373,20 @@ impl Provenance {
         let live = self.entries.iter().flatten().count();
         for (id, e) in self.entries.iter().enumerate() {
             if e.as_ref()
-                .is_some_and(|e| self.ids.get(&e.atom) != Some(&(id as u32)))
+                .is_some_and(|e| self.find(&e.atom) != Some(id as u32))
             {
                 return Some(format!("slot {id} is not keyed to its atom"));
             }
         }
-        if live != self.ids.len() || live + self.free.len() != self.entries.len() {
+        let keyed: usize = self
+            .heads
+            .values()
+            .map(|&head| {
+                let older = |&id: &u32| Some(self.chain[id as usize]).filter(|&o| o != super::NIL);
+                std::iter::successors(Some(head), older).count()
+            })
+            .sum();
+        if live != keyed || live + self.free.len() != self.entries.len() {
             return Some("the slot table and the atom keys disagree".into());
         }
         if !self.indexed {
@@ -391,7 +399,8 @@ impl Provenance {
         let mut rebuilt = Provenance {
             entries: self.entries.clone(),
             free: self.free.clone(),
-            ids: self.ids.clone(),
+            heads: self.heads.clone(),
+            chain: self.chain.clone(),
             merges: self.merges.clone(),
             ..Provenance::default()
         };

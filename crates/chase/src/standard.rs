@@ -18,7 +18,7 @@ use crate::engine::ChaseEngine;
 use crate::stats::ChaseStats;
 use crate::witness::ConflictWitness;
 use dex_core::govern::{Clock, Interrupt};
-use dex_core::{Instance, NullGen, Value};
+use dex_core::{Instance, NullGen, SchemaError, Value};
 use dex_logic::Setting;
 use std::fmt;
 
@@ -34,6 +34,10 @@ pub enum ChaseError {
     BudgetExceeded { steps: usize, atoms: usize },
     /// The budget's deadline passed or its cancel flag was raised.
     Interrupted(Interrupt),
+    /// A source or delta atom does not fit the setting's source schema:
+    /// its relation is unknown, a target relation, or used at another
+    /// arity. Nothing was chased.
+    InvalidSource(SchemaError),
 }
 
 impl fmt::Display for ChaseError {
@@ -53,6 +57,10 @@ impl fmt::Display for ChaseError {
                 )
             }
             ChaseError::Interrupted(i) => write!(f, "chase {i}"),
+            ChaseError::InvalidSource(SchemaError::UnknownRelation(rel)) => {
+                write!(f, "invalid source atom: {rel} is not a source relation")
+            }
+            ChaseError::InvalidSource(e) => write!(f, "invalid source atom: {e}"),
         }
     }
 }

@@ -13,6 +13,12 @@
 //! borrowed slices. Membership hashes a row and walks the chain of live
 //! rows with that hash; the position index keeps a value seen once inline
 //! in its bucket, so a fresh null or a key allocates no bucket.
+//!
+//! Relations are copy-on-write: an instance holds each relation behind
+//! an [`Arc`], so a clone copies one pointer per relation, and the first
+//! write to a relation two instances share copies that relation alone.
+//! A write that changes nothing (a duplicate insert, removing an absent
+//! atom, a merge of a value the relation does not hold) copies nothing.
 
 use crate::atom::Atom;
 use crate::hash::{BuildIdHasher, IdMap};
@@ -23,6 +29,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::hash::BuildHasher;
+use std::sync::Arc;
 
 /// The end of a hash chain.
 const NIL: u32 = u32::MAX;
@@ -183,13 +190,25 @@ impl Relation {
         true
     }
 
+    /// Whether the log holds no more tombstones than live rows.
+    fn bounded(&self) -> bool {
+        self.alive.len() <= 2 * self.live
+    }
+
+    /// `r` itself when its tombstones are bounded, else a compacted copy:
+    /// what a copy of a whole relation hands on.
+    fn shared(r: &Arc<Relation>) -> Arc<Relation> {
+        if r.bounded() {
+            Arc::clone(r)
+        } else {
+            Arc::new(r.compacted())
+        }
+    }
+
     /// A copy without tombstones: live rows copied densely in log order,
     /// the chains and index copied and renumbered rather than rebuilt, so
     /// the copy equals re-inserting the live rows.
     fn compacted(&self) -> Relation {
-        if self.live == self.alive.len() {
-            return self.clone();
-        }
         let mut renumber = vec![NIL; self.alive.len()];
         let mut data = Vec::with_capacity(self.live * self.arity);
         for (next, i) in self.live_ids().enumerate() {
@@ -389,10 +408,11 @@ impl DeltaCursor {
 ///
 /// Instances are schema-free containers; validation against a [`Schema`]
 /// is explicit via [`Instance::check_against`]. Equality is set equality
-/// (insertion order does not matter).
+/// (insertion order does not matter). A clone shares every relation
+/// until one side writes to it (see the module docs).
 #[derive(Clone, Default)]
 pub struct Instance {
-    rels: BTreeMap<Symbol, Relation>,
+    rels: BTreeMap<Symbol, Arc<Relation>>,
     atom_count: usize,
     generation: u64,
 }
@@ -426,9 +446,13 @@ impl Instance {
         let r = self
             .rels
             .entry(rel)
-            .or_insert_with(|| Relation::new(row.len()));
+            .or_insert_with(|| Arc::new(Relation::new(row.len())));
         assert_eq!(r.arity, row.len(), "relation {rel} used with two arities");
-        let added = r.insert(row);
+        // A relation shared with a clone is copied only for a new row.
+        if Arc::strong_count(r) > 1 && r.contains(row) {
+            return false;
+        }
+        let added = Arc::make_mut(r).insert(row);
         if added {
             self.atom_count += 1;
             self.generation += 1;
@@ -567,6 +591,8 @@ impl Instance {
         let mut rewritten = 0;
         let mut new_row = Vec::new();
         for r in self.rels.values_mut() {
+            // Looked up on the shared relation: one `from` never occurs
+            // in is not copied.
             let mut hit: Vec<u32> = (0..r.arity as u32)
                 .filter_map(|pos| r.index.get(&(pos, from)))
                 .flat_map(Bucket::as_slice)
@@ -577,6 +603,7 @@ impl Instance {
             }
             hit.sort_unstable();
             hit.dedup();
+            let r = Arc::make_mut(r);
             for idx in hit {
                 r.tombstone(idx);
                 self.atom_count -= 1;
@@ -612,7 +639,7 @@ impl Instance {
         let Some(idx) = rel.find(&atom.args) else {
             return false;
         };
-        rel.tombstone(idx);
+        Arc::make_mut(rel).tombstone(idx);
         self.atom_count -= 1;
         self.generation += 1;
         true
@@ -710,10 +737,11 @@ impl Instance {
     }
 
     /// The set difference `I ∖ J`, relation by relation. A relation `J`
-    /// has no row of is copied whole, not re-inserted row by row: its live
-    /// rows are copied into a fresh log, its tombstones dropped, and its
-    /// hash chains and index buckets copied and renumbered, so no row is
-    /// hashed. Splitting a chase result into its σ-part and its target
+    /// has no row of is copied whole, not re-inserted row by row: it is
+    /// shared with `I` when its log holds no more tombstones than live
+    /// rows, and otherwise its live rows are copied into a fresh log, its
+    /// tombstones dropped, and its hash chains and index buckets copied
+    /// and renumbered, so no row is hashed either way. The difference
     /// thus costs the rows of the relations the two share, not the whole
     /// instance.
     pub fn difference(&self, other: &Instance) -> Instance {
@@ -726,7 +754,7 @@ impl Instance {
             {
                 None => {
                     out.atom_count += r.live;
-                    out.rels.insert(rel, r.compacted());
+                    out.rels.insert(rel, Relation::shared(r));
                 }
                 Some(o) => {
                     for row in r.live_rows().filter(|row| !o.contains(row)) {
@@ -739,17 +767,31 @@ impl Instance {
         out
     }
 
-    /// The `σ`-reduct: atoms whose relation is in `schema`.
+    /// The `σ`-reduct: atoms whose relation is in `schema`. Each kept
+    /// relation is copied whole as [`Instance::difference`] copies one,
+    /// so a reduct costs O(#relations) when their tombstones are bounded.
     pub fn reduct(&self, schema: &Schema) -> Instance {
         let mut out = Instance::new();
         for (&rel, r) in &self.rels {
             if r.live > 0 && schema.contains(rel) {
                 out.atom_count += r.live;
-                out.rels.insert(rel, r.compacted());
+                out.rels.insert(rel, Relation::shared(r));
             }
         }
         out.generation = out.atom_count as u64;
         out
+    }
+
+    /// Compacts every relation whose row log holds more tombstones than
+    /// live rows, so that no log holds more than twice its live rows.
+    /// The atoms and their order are unchanged; log positions, and with
+    /// them outstanding [`DeltaCursor`]s, are not.
+    pub fn compact_tombstones(&mut self) {
+        for r in self.rels.values_mut() {
+            if !r.bounded() {
+                *r = Arc::new(r.compacted());
+            }
+        }
     }
 
     /// True iff every atom of `self` occurs in `other`.
@@ -822,6 +864,7 @@ impl FromIterator<Atom> for Instance {
 mod tests {
     use super::*;
     use std::cell::Cell;
+    use std::collections::VecDeque;
 
     thread_local! {
         /// The mask every row hash is cut down to on this thread: a
@@ -1345,16 +1388,23 @@ mod tests {
         WithoutNth(usize, usize),
         Reduct(usize),
         Cursor,
+        /// Clones the instance and applies these writes to one side
+        /// while the ops after it go on with the other; both sides stay
+        /// checked against their own models from then on.
+        Fork(Vec<Op>),
     }
 
     /// The differential's input: the ops, whether the row hash is
-    /// narrowed so most rows share chains, and the seed of the
-    /// multi-position probe patterns.
+    /// narrowed so most rows share chains, the seed of the
+    /// multi-position probe patterns, and which side of a fork its
+    /// writes go to (the clone, or else the original while the ops after
+    /// the fork go on with the clone).
     #[derive(Debug)]
     struct Case {
         narrow: bool,
         ops: Vec<Op>,
         probe_seed: u64,
+        fork_writes_clone: bool,
     }
 
     /// The differential's relations: a nullary one, a binary one and one
@@ -1383,7 +1433,7 @@ mod tests {
     type ModelRel = (Vec<Option<Vec<Value>>>, BTreeSet<Vec<Value>>);
 
     /// The plain model of an instance.
-    #[derive(Default)]
+    #[derive(Clone, Default)]
     struct Model {
         rels: BTreeMap<Symbol, ModelRel>,
     }
@@ -1471,6 +1521,41 @@ mod tests {
             }
             rewritten
         }
+
+        /// `rel` as a copy of the whole relation hands it on: dropped
+        /// when empty, its log kept when it holds no more tombstones than
+        /// live rows, and compacted otherwise.
+        fn copied_whole(&self, rel: Symbol) -> Option<ModelRel> {
+            let (log, set) = self.rels.get(&rel).filter(|(_, set)| !set.is_empty())?;
+            if log.len() <= 2 * set.len() {
+                return Some((log.clone(), set.clone()));
+            }
+            let live = self.live(rel).into_iter().map(|(_, row)| Some(row));
+            Some((live.collect(), set.clone()))
+        }
+
+        /// `self ∖ other`: a relation `other` has rows of is rebuilt row
+        /// by row, every other one copied whole.
+        fn difference(&self, other: &Model) -> Model {
+            let mut out = Model::default();
+            for &rel in self.rels.keys() {
+                match other.rels.get(&rel).filter(|(_, set)| !set.is_empty()) {
+                    Some((_, gone)) => {
+                        for (_, row) in self.live(rel) {
+                            if !gone.contains(&row) {
+                                out.insert(rel, &row);
+                            }
+                        }
+                    }
+                    None => {
+                        if let Some(copy) = self.copied_whole(rel) {
+                            out.rels.insert(rel, copy);
+                        }
+                    }
+                }
+            }
+            out
+        }
     }
 
     fn gen_row(rng: &mut dex_testkit::TestRng, arity: usize) -> Vec<Value> {
@@ -1496,7 +1581,7 @@ mod tests {
         let r = rng.gen_range(0..rels.len());
         let n = rng.gen_range(0..64);
         let pick = |rng: &mut dex_testkit::TestRng| domain[rng.gen_range(0..domain.len())];
-        match rng.gen_range(0..20) {
+        match rng.gen_range(0..21) {
             0..=6 => Op::Insert(r, gen_row(rng, rels[r].1)),
             7 => Op::ReinsertNth(r, n),
             8 => Op::Remove(r, gen_row(rng, rels[r].1)),
@@ -1508,7 +1593,23 @@ mod tests {
             16 => Op::MapValues(pick(rng), pick(rng)),
             17 => Op::WithoutNth(r, n),
             18 => Op::Reduct(n),
+            19 => Op::Fork((0..rng.gen_range(1..6)).map(|_| gen_write(rng)).collect()),
             _ => Op::Cursor,
+        }
+    }
+
+    /// A write a fork applies to one side: insert, remove or merge.
+    fn gen_write(rng: &mut dex_testkit::TestRng) -> Op {
+        let rels = model_rels();
+        let domain = model_domain();
+        let r = rng.gen_range(0..rels.len());
+        match rng.gen_range(0..5) {
+            0 | 1 => Op::Insert(r, gen_row(rng, rels[r].1)),
+            2 => Op::RemoveNth(r, rng.gen_range(0..64)),
+            _ => Op::Merge(
+                domain[rng.gen_range(0..domain.len())],
+                domain[rng.gen_range(0..domain.len())],
+            ),
         }
     }
 
@@ -1632,13 +1733,79 @@ mod tests {
         Ok(())
     }
 
+    /// Cursors taken during a run, each with the model's log lengths.
+    type Cursors = Vec<(DeltaCursor, BTreeMap<Symbol, usize>)>;
+
+    /// Applies one write (an insert, a remove or a merge) to `inst` and
+    /// `model`; `Ok(false)` if `op` is not a write.
+    fn write(inst: &mut Instance, model: &mut Model, op: &Op) -> Result<bool, String> {
+        let rels = model_rels();
+        match op {
+            Op::Insert(r, row) => {
+                let (rel, row) = (rels[*r].0, row.clone());
+                let want = model.insert(rel, &row);
+                same("insert", inst.insert(Atom::new(rel, row)), want)?;
+            }
+            Op::ReinsertNth(r, n) => {
+                if let Some(row) = model.nth_live(rels[*r].0, *n) {
+                    let added = inst.insert(Atom::new(rels[*r].0, row));
+                    same("reinsert", added, false)?;
+                }
+            }
+            Op::Remove(r, row) => {
+                let (rel, row) = (rels[*r].0, row.clone());
+                let want = model.remove(rel, &row);
+                same("remove", inst.remove(&Atom::new(rel, row)), want)?;
+            }
+            Op::RemoveNth(r, n) => {
+                if let Some(row) = model.nth_live(rels[*r].0, *n) {
+                    model.remove(rels[*r].0, &row);
+                    let removed = inst.remove(&Atom::new(rels[*r].0, row));
+                    same("remove", removed, true)?;
+                }
+            }
+            Op::Merge(from, to) => {
+                let want = model.merge(*from, *to);
+                same("merge", inst.merge_value(*from, *to), want)?;
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Checks that every relation `written` has the same log in its model
+    /// as in `model` is still the very relation `inst` holds: a write
+    /// that left a shared relation alone did not copy it.
+    fn untouched_stay_shared(
+        inst: &Instance,
+        model: &Model,
+        written: &Instance,
+        written_model: &Model,
+    ) -> Result<(), String> {
+        for (rel, _) in model_rels() {
+            let log = |m: &Model| m.rels.get(&rel).map(|(log, _)| log.clone());
+            if log(model) != log(written_model) {
+                continue;
+            }
+            if let (Some(a), Some(b)) = (inst.rels.get(&rel), written.rels.get(&rel)) {
+                if !Arc::ptr_eq(a, b) {
+                    return Err(format!("{rel} was copied by a write that left it alone"));
+                }
+            }
+        }
+        Ok(())
+    }
+
     fn run_case(case: &Case) -> Result<(), String> {
         let _narrow = NarrowHash::to(if case.narrow { 0b11 } else { u64::MAX });
         let rels = model_rels();
         let mut rng = dex_testkit::TestRng::seed_from_u64(case.probe_seed);
         let mut inst = Instance::new();
         let mut model = Model::default();
-        let mut cursors: Vec<(DeltaCursor, BTreeMap<Symbol, usize>)> = Vec::new();
+        let mut cursors: Cursors = Vec::new();
+        // The other sides of the latest forks, each with its own model
+        // and cursors.
+        let mut twins: VecDeque<(Instance, Model, Cursors)> = VecDeque::new();
         let from_rows = |rows: &[(usize, Vec<Value>)]| {
             let mut j = Instance::new();
             let mut m = Model::default();
@@ -1650,34 +1817,15 @@ mod tests {
         };
         for (step, op) in case.ops.iter().enumerate() {
             let at = |e: String| format!("after op {step} ({op:?}): {e}");
+            if write(&mut inst, &mut model, op).map_err(at)? {
+                diff_against_model(&inst, &model, &cursors, &mut rng).map_err(at)?;
+                for (twin, twin_model, twin_cursors) in &twins {
+                    diff_against_model(twin, twin_model, twin_cursors, &mut rng)
+                        .map_err(|e| at(format!("the other side of a fork: {e}")))?;
+                }
+                continue;
+            }
             match op {
-                Op::Insert(r, row) => {
-                    let (rel, row) = (rels[*r].0, row.clone());
-                    let want = model.insert(rel, &row);
-                    same("insert", inst.insert(Atom::new(rel, row)), want).map_err(at)?;
-                }
-                Op::ReinsertNth(r, n) => {
-                    if let Some(row) = model.nth_live(rels[*r].0, *n) {
-                        let added = inst.insert(Atom::new(rels[*r].0, row));
-                        same("reinsert", added, false).map_err(at)?;
-                    }
-                }
-                Op::Remove(r, row) => {
-                    let (rel, row) = (rels[*r].0, row.clone());
-                    let want = model.remove(rel, &row);
-                    same("remove", inst.remove(&Atom::new(rel, row)), want).map_err(at)?;
-                }
-                Op::RemoveNth(r, n) => {
-                    if let Some(row) = model.nth_live(rels[*r].0, *n) {
-                        model.remove(rels[*r].0, &row);
-                        let removed = inst.remove(&Atom::new(rels[*r].0, row));
-                        same("remove", removed, true).map_err(at)?;
-                    }
-                }
-                Op::Merge(from, to) => {
-                    let want = model.merge(*from, *to);
-                    same("merge", inst.merge_value(*from, *to), want).map_err(at)?;
-                }
                 Op::Clone => {
                     let copy = inst.clone();
                     same("clone", &copy, &inst).map_err(at)?;
@@ -1686,10 +1834,7 @@ mod tests {
                 Op::Difference(rows) => {
                     let (j, jm) = from_rows(rows);
                     inst = inst.difference(&j);
-                    model = model.rebuilt(
-                        |rel, row| !jm.rels.get(&rel).is_some_and(|(_, set)| set.contains(row)),
-                        |x| x,
-                    );
+                    model = model.difference(&jm);
                 }
                 Op::Union(rows) => {
                     let (j, jm) = from_rows(rows);
@@ -1720,7 +1865,13 @@ mod tests {
                         }
                     }
                     inst = inst.reduct(&schema);
-                    model = model.rebuilt(|rel, _| schema.contains(rel), |x| x);
+                    let mut kept = Model::default();
+                    for &rel in model.rels.keys().filter(|&&rel| schema.contains(rel)) {
+                        if let Some(copy) = model.copied_whole(rel) {
+                            kept.rels.insert(rel, copy);
+                        }
+                    }
+                    model = kept;
                 }
                 Op::Cursor => {
                     let marks = rels
@@ -1729,10 +1880,65 @@ mod tests {
                         .collect();
                     cursors.push((inst.cursor(), marks));
                 }
+                Op::Fork(writes) => {
+                    let mut twin = inst.clone();
+                    if !case.fork_writes_clone {
+                        std::mem::swap(&mut inst, &mut twin);
+                    }
+                    let mut twin_model = model.clone();
+                    for w in writes {
+                        write(&mut twin, &mut twin_model, w).map_err(at)?;
+                        untouched_stay_shared(&inst, &model, &twin, &twin_model).map_err(at)?;
+                    }
+                    if twins.len() == 2 {
+                        twins.pop_front();
+                    }
+                    twins.push_back((twin, twin_model, cursors.clone()));
+                }
+                _ => unreachable!("writes are applied above"),
             }
             diff_against_model(&inst, &model, &cursors, &mut rng).map_err(at)?;
+            for (twin, twin_model, twin_cursors) in &twins {
+                diff_against_model(twin, twin_model, twin_cursors, &mut rng)
+                    .map_err(|e| at(format!("the other side of a fork: {e}")))?;
+            }
         }
         Ok(())
+    }
+
+    /// Copies of whole relations share a relation whose tombstones are
+    /// bounded and compact one with more tombstones than live rows;
+    /// `compact_tombstones` compacts exactly the latter in place.
+    #[test]
+    fn whole_copies_share_bounded_relations_and_compact_the_rest() {
+        let (e, f) = (Symbol::intern("E"), Symbol::intern("F"));
+        let mut i = Instance::from_atoms((0..4).map(|k| Atom::new(e, vec![Value::null(k)])));
+        i.insert(Atom::new(f, vec![v("a")]));
+        i.insert(Atom::new(f, vec![v("b")]));
+        i.remove(&Atom::new(f, vec![v("a")]));
+        let both = Schema::of(&[("E", 1), ("F", 1)]);
+        let r = i.reduct(&both);
+        assert!(Arc::ptr_eq(&r.rels[&e], &i.rels[&e]));
+        assert!(
+            Arc::ptr_eq(&r.rels[&f], &i.rels[&f]),
+            "one tombstone, one row"
+        );
+        assert!(Arc::ptr_eq(
+            &i.difference(&Instance::new()).rels[&f],
+            &i.rels[&f]
+        ));
+        for k in 0..3 {
+            i.remove(&Atom::new(e, vec![Value::null(k)]));
+        }
+        let r = i.reduct(&both);
+        assert_eq!(r.rels[&e].alive, vec![true], "three tombstones, one row");
+        assert_eq!(r, i);
+        let shared_f = Arc::clone(&i.rels[&f]);
+        i.compact_tombstones();
+        assert_eq!(i.rels[&e].alive, vec![true]);
+        assert!(Arc::ptr_eq(&i.rels[&f], &shared_f));
+        assert_eq!(i.cursor().mark(e), 1);
+        storage_faults(&i.rels[&e]).unwrap();
     }
 
     #[test]
@@ -1743,6 +1949,7 @@ mod tests {
                 narrow: rng.gen_bool(0.5),
                 ops: (0..len).map(|_| gen_op(rng)).collect(),
                 probe_seed: rng.next_u64(),
+                fork_writes_clone: rng.gen_bool(0.5),
             }
         });
         dex_testkit::prop::Runner::new(64).run("storage matches a plain model", &gen, run_case);

@@ -493,6 +493,12 @@ pub fn enumerate_cwa_solutions(
             stats.interrupted = Some(i);
             return (Vec::new(), stats);
         }
+        // A source outside σ has no canonical solution to filter by: the
+        // run is cut short, not an answer of "no CWA-solutions".
+        Err(ChaseError::InvalidSource(_)) => {
+            stats.truncated = true;
+            return (Vec::new(), stats);
+        }
     };
     // Each presolution's universality check is independent; fan them out
     // and keep the original order (map preserves submission order).

@@ -208,6 +208,9 @@ pub fn probe_halting(tm: &TuringMachine, budget: &ChaseBudget) -> HaltProbe {
         Err(e @ ChaseError::EgdConflict { .. }) => {
             unreachable!("D_halt has no egds: {e}")
         }
+        Err(e @ ChaseError::InvalidSource(_)) => {
+            unreachable!("S_M is built over D_halt's source schema: {e}")
+        }
     }
 }
 

@@ -634,6 +634,12 @@ impl<'a> RepairEngine<'a> {
                         interrupt = Some(i);
                         break 'search;
                     }
+                    // A source atom outside σ: the candidate is
+                    // undecided, like one whose budget ran out.
+                    Err(ChaseError::InvalidSource(_)) => {
+                        candidate_chased("invalid_source");
+                        complete = false;
+                    }
                 }
             }
             // Deterministic child order: BFS explores removal sets in

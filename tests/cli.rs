@@ -648,3 +648,22 @@ fn dex_trace_env_covers_repair_candidate_chases() {
     assert!(count("chase_started") >= 1, "trace: {trace}");
     assert_eq!(count("chase_started"), chased, "trace: {trace}");
 }
+
+#[test]
+fn update_and_chase_refuse_atoms_outside_the_source_schema() {
+    // A source relation at another arity, a target relation and an
+    // unknown relation: each is refused with exit code 1 and a message
+    // naming the relation, never a panic (101) or a silent no-op.
+    for (delta, rel) in [("+ M(q).", "M"), ("+ E(q,r).", "E"), ("+ Z(q).", "Z")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_dex"))
+            .args(["update", SETTING, "M(a,b). N(a,b).", delta])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{delta}: {stderr}");
+        assert!(stderr.contains(&format!("{rel} ")), "{delta}: {stderr}");
+    }
+    let (ok, stdout, stderr) = dex(&["chase", SETTING, "M(q)."]);
+    assert!(!ok && stdout.is_empty(), "{stdout}");
+    assert!(stderr.contains("relation M has arity 2"), "{stderr}");
+}
