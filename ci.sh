@@ -103,6 +103,15 @@ for seed in 7 41; do
   DEX_PROP_SEED=$seed cargo test -q --locked --offline -p dex-core --lib instance::tests::storage_matches_a_plain_model
 done
 
+echo "== UCQ evaluator differential smoke (fixed seeds; replay any failure with DEX_PROP_SEED) =="
+# The one-pass CQ/UCQ evaluator against the per-disjunct answer sets it
+# replaced (random instances with nulls, random UCQs) sweeps 64 seeds
+# under `cargo test` above; two fixed seeds re-run it through the replay
+# path.
+for seed in 7 41; do
+  DEX_PROP_SEED=$seed cargo test -q --locked --offline -p dex-query --lib eval::tests::one_pass_evaluator_matches_the_per_disjunct_sets
+done
+
 echo "== hostile delta smoke (atoms outside the source schema: exit 1, never a panic) =="
 # A source relation at another arity, a target relation and an unknown
 # relation in a delta are each refused with exit code 1 and a message
@@ -118,6 +127,22 @@ for case in 'M(q)|M' 'E(q,r)|E' 'Z(q)|Z'; do
     || { echo "hostile delta smoke: + $atom. exited $code: $HOSTILE_ERR"; exit 1; }
   grep -q "\b$rel\b" <<< "$HOSTILE_ERR" \
     || { echo "hostile delta smoke: + $atom. named no relation $rel: $HOSTILE_ERR"; exit 1; }
+done
+# The subcommands whose searches would swallow the chase's refusal
+# (enumerate, repair, answer --repair) check a source outside the
+# schema first and fail the same way.
+for cmd in enumerate repair 'answer --repair'; do
+  set +e
+  case $cmd in
+    answer*) HOSTILE_ERR=$(target/release/dex answer examples/dsl/example_2_1.setting 'M(q).' 'Q(x,y) :- E(x,y)' --repair 2>&1 >/dev/null) ;;
+    *) HOSTILE_ERR=$(target/release/dex $cmd examples/dsl/example_2_1.setting 'M(q).' 2>&1 >/dev/null) ;;
+  esac
+  code=$?
+  set -e
+  [ "$code" -eq 1 ] \
+    || { echo "hostile source smoke: $cmd on M(q). exited $code: $HOSTILE_ERR"; exit 1; }
+  grep -q "\bM\b" <<< "$HOSTILE_ERR" \
+    || { echo "hostile source smoke: $cmd on M(q). named no relation M: $HOSTILE_ERR"; exit 1; }
 done
 
 echo "== trace smoke (JSONL trace reconciles with ChaseStats exactly) =="

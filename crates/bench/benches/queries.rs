@@ -1,5 +1,6 @@
 //! Query-answering benchmarks (experiments E1, E3, E9, E10, E12, E13):
-//! the Table 1 families — polynomial UCQ certain answers, the §3
+//! the Table 1 families — polynomial UCQ certain answers (and the
+//! `exchange` read of `perfbench` over its core), the §3
 //! anomaly query, the co-NP 3-SAT family, path-system certain
 //! answers — plus the constraint-propagation-vs-oracle comparison on
 //! the `keyed_pinned_instance` family.
@@ -11,13 +12,15 @@
 //! (oracle vs residual valuation counts), and the propagation-vs-oracle
 //! agreement checks, which are asserted on every run.
 
+use dex_chase::ChaseBudget;
 use dex_core::{Governor, Pool};
-use dex_datagen::random_3cnf;
-use dex_logic::{parse_instance, parse_query};
+use dex_cwa::core_solution;
+use dex_datagen::{layered_setting, random_3cnf, random_source, LayeredConfig, SourceConfig};
+use dex_logic::{parse_instance, parse_query, Query};
 use dex_obs::JsonValue;
 use dex_query::{
     answer_pool, answers, certain_answers, certain_answers_propagated, maybe_answers,
-    maybe_answers_propagated, ModalLimits, PropagationReport, Semantics,
+    maybe_answers_propagated, ucq_certain_answers, ModalLimits, PropagationReport, Semantics,
 };
 use dex_reductions::{
     copy_instance, copying_setting, section_3_anomaly, solvable_via_certain_answers,
@@ -64,6 +67,46 @@ fn bench_ucq_certain_keyed(h: &mut Harness) {
             answers(&setting, &s, &q, Semantics::Certain).unwrap();
         });
     }
+}
+
+/// The `exchange` read of `perfbench`: its layered setting (four layers
+/// of existential up-tgds, swap and join tgds), one of its sources and
+/// its four two-disjunct UCQs, answered with `Q(T)↓` over the core.
+fn bench_ucq_answers_exchange_core(h: &mut Harness) {
+    let setting = layered_setting(&LayeredConfig {
+        source_rels: 2,
+        layers: 4,
+        rels_per_layer: 2,
+        up_tgds_per_layer: 2,
+        full_tgds_per_layer: 1,
+        join_tgds_per_layer: 1,
+        with_egds: false,
+        rich_breaking: false,
+        seed: 3,
+    });
+    let (num_constants, tuples_per_relation) = if smoke() { (10, 20) } else { (40, 120) };
+    let source = random_source(
+        &setting.source,
+        &SourceConfig {
+            num_constants,
+            tuples_per_relation,
+            seed: 29,
+        },
+    );
+    let core = core_solution(&setting, &source, &ChaseBudget::default()).unwrap();
+    let queries: Vec<Query> = (0..4)
+        .map(|l| {
+            parse_query(&format!(
+                "Q(x,y) :- T{l}_0(x,z), T{l}_1(z,y); Q(x,y) :- T{l}_1(x,z), T{l}_0(z,y)"
+            ))
+            .unwrap()
+        })
+        .collect();
+    h.bench("ucq_answers/exchange_core", || {
+        for q in &queries {
+            std::hint::black_box(ucq_certain_answers(q, &core));
+        }
+    });
 }
 
 fn bench_sat_certain(h: &mut Harness) {
@@ -289,6 +332,7 @@ fn main() {
     let mut h = Harness::new("queries");
     bench_ucq_certain_pathsys(&mut h);
     bench_ucq_certain_keyed(&mut h);
+    bench_ucq_answers_exchange_core(&mut h);
     bench_sat_certain(&mut h);
     bench_anomaly(&mut h);
     bench_fo_eval_on_copy(&mut h);

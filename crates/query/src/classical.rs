@@ -13,7 +13,7 @@
 //! evaluation the CWA semantics use (Lemma 7.7), which is why the
 //! semantics only diverge beyond UCQs (Section 3's anomalies are FO).
 
-use crate::eval::{drop_null_tuples, eval_query, Answers};
+use crate::eval::{eval_null_free, eval_query, Answers};
 use dex_chase::{canonical_universal_solution, ChaseBudget, ChaseError};
 use dex_core::Instance;
 use dex_logic::{Query, Setting};
@@ -36,7 +36,7 @@ pub fn classical_certain_ucq(
         "classical certain answers via naive evaluation require a plain UCQ"
     );
     let canon = canonical_universal_solution(setting, source, budget)?;
-    Ok(drop_null_tuples(&eval_query(q, &canon)))
+    Ok(eval_null_free(q, &canon))
 }
 
 /// An upper bound on the classical certain answers of an arbitrary query:

@@ -10,7 +10,7 @@
 //! the paper's co-NP/NP data-complexity upper bounds (Proposition 7.4);
 //! [`ucq_certain_answers`] is the polynomial fast path of Lemma 7.7.
 
-use crate::eval::{drop_null_tuples, eval_query, Answers};
+use crate::eval::{eval_null_free, eval_query, Answers};
 use dex_core::govern::{Governor, Interrupt, InterruptReason, Verdict};
 use dex_core::{
     chunk_ranges, range_cost, BoundedExt, Instance, Pool, Symbol, Valuation, ValuationIter, Value,
@@ -620,12 +620,14 @@ fn fold_factors<T, E>(
 /// inequality over an *existential* variable does not transfer: a
 /// valuation can collapse the two sides, which is the § 7.2 source of
 /// co-NP-hardness. Only sound when `t` is a CWA-solution.
+///
+/// The evaluation is one pass: a tuple holding a null is never built.
 pub fn ucq_certain_answers(q: &Query, t: &Instance) -> Answers {
     debug_assert!(
         q.is_head_safe_ucq(),
         "fast path requires a UCQ with head-safe inequalities"
     );
-    drop_null_tuples(&eval_query(q, t))
+    eval_null_free(q, t)
 }
 
 #[cfg(test)]

@@ -192,6 +192,14 @@ fn describe_chase_error(e: ChaseError) -> String {
     }
 }
 
+/// Refuses a source atom outside the setting's source schema with the
+/// message `dex chase` gives (`ChaseEngine::run` checks the same way).
+/// Subcommands whose searches swallow chase errors call it first.
+fn check_source(d: &Setting, s: &Instance) -> Result<(), String> {
+    s.check_against(&d.source)
+        .map_err(|e| ChaseError::InvalidSource(e).to_string())
+}
+
 fn cmd_chase(setting: &str, source: &str) -> Result<(), String> {
     let d = parse_setting_arg(setting)?;
     let s = parse_instance_arg(source)?;
@@ -422,6 +430,7 @@ fn cmd_answer(setting: &str, source: &str, query: &str, rest: &[String]) -> Resu
                 "--repair computes XR-certain answers; only `--semantics certain` applies".into(),
             );
         }
+        check_source(&d, &s)?;
         let xr = XrEngine::new(&d, &s, config, &gov).map_err(|e| e.to_string())?;
         let g = xr.certain_governed(&q, &gov).map_err(|e| e.to_string())?;
         if !xr.outcome().complete {
@@ -521,6 +530,7 @@ fn cmd_enumerate(setting: &str, source: &str, rest: &[String]) -> Result<(), Str
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
+    check_source(&d, &s)?;
     let tracer = cwa_dex::obs::Tracer::from_env();
     if tracer.enabled() {
         cwa_dex::core::set_pool_tracer(tracer.clone());
@@ -571,6 +581,7 @@ fn cmd_repair(setting: &str, source: &str, rest: &[String]) -> Result<(), String
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
+    check_source(&d, &s)?;
     let gov = Governor::unlimited().with_tracer(cwa_dex::obs::Tracer::from_env());
     let outcome = RepairEngine::new(&d, &ChaseBudget::default())
         .with_pool(pool)

@@ -667,3 +667,29 @@ fn update_and_chase_refuse_atoms_outside_the_source_schema() {
     assert!(!ok && stdout.is_empty(), "{stdout}");
     assert!(stderr.contains("relation M has arity 2"), "{stderr}");
 }
+
+#[test]
+fn enumerate_repair_and_xr_answers_refuse_a_source_outside_the_schema() {
+    // Their searches turn chase errors into truncated or undecided
+    // results, so each checks the source first and fails as `dex chase`
+    // does: exit code 1 and the relation named, nothing on stdout.
+    let cases: [&[&str]; 3] = [
+        &["enumerate", SETTING, "M(q)."],
+        &["repair", SETTING, "M(q)."],
+        &["answer", SETTING, "M(q).", "Q(x,y) :- E(x,y)", "--repair"],
+    ];
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_dex"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        assert!(
+            stderr.contains("invalid source atom: relation M has arity 2"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
