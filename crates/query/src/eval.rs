@@ -137,14 +137,6 @@ fn eval_union(disjuncts: &[ConjunctiveQuery], inst: &Instance, null_free: bool) 
     if arity == 0 {
         return Answers::new();
     }
-    if rows.len() < SORTED_BUILD_ROWS * arity {
-        // Too few rows to pay for the sort's buffers.
-        let mut out = Answers::new();
-        for r in rows.chunks_exact(arity) {
-            out.insert(r.to_vec());
-        }
-        return out;
-    }
     // Sort the row indices by row, drop repeats, and build the set from
     // sorted distinct rows: one allocation per answer, no tree descent.
     // A row's first values, packed into one integer in `Value`'s order,
@@ -165,10 +157,6 @@ fn eval_union(disjuncts: &[ConjunctiveQuery], inst: &Instance, null_free: bool) 
     debug_assert!(order.windows(2).all(|w| row(w[0].1) < row(w[1].1)));
     order.into_iter().map(|(_, i)| row(i).to_vec()).collect()
 }
-
-/// From how many rows (duplicates included) [`eval_union`] builds its
-/// answer set by one sort rather than by inserting row by row.
-const SORTED_BUILD_ROWS: usize = 16;
 
 /// How many leading values of a row [`order_key`] packs into a `u128`.
 const PACKED_VALUES: usize = 3;
@@ -398,7 +386,6 @@ mod tests {
         killed_by_empty: usize,
         shared_answers: usize,
         packed_prefix_shared: usize,
-        sorted_build: usize,
     }
 
     /// Relations `(name, arity)` the instances fill; `X` stays empty.
@@ -416,7 +403,7 @@ mod tests {
     }
 
     /// Mostly a dense instance over 4 values; 1 time in 4 a larger one
-    /// over 12, whose answer sets outgrow the row-by-row build.
+    /// over 12, whose answer sets run to dozens of sorted rows.
     fn random_instance(rng: &mut dex_testkit::rng::TestRng) -> Instance {
         let (pool, rows) = if rng.gen_bool(0.25) {
             (12, 40)
@@ -595,7 +582,6 @@ mod tests {
                 .iter()
                 .any(|a| a.vars().all(|v| v.name().starts_with('y')));
             cov.boolean += usize::from(d.arity() == 0 && !got.is_empty());
-            cov.sorted_build += usize::from(d.arity() > 0 && got.len() >= SORTED_BUILD_ROWS);
             cov.packed_prefix_shared +=
                 usize::from(got.iter().zip(got.iter().skip(1)).any(|(a, b)| {
                     a.len() > PACKED_VALUES && a[..PACKED_VALUES] == b[..PACKED_VALUES]
@@ -676,7 +662,6 @@ mod tests {
             killed_by_empty,
             shared_answers,
             packed_prefix_shared,
-            sorted_build,
         } = cov.into_inner();
         for (what, hits) in [
             ("boolean disjunct", boolean),
@@ -699,7 +684,6 @@ mod tests {
             ),
             ("disjuncts sharing answers", shared_answers),
             ("answers equal on the packed sort key", packed_prefix_shared),
-            ("answers built by the sort", sorted_build),
         ] {
             assert!(hits > 0, "no seed with answers covers: {what}");
         }
